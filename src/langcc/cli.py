@@ -75,7 +75,7 @@ def run_test_stanza(compiled: CompiledLang, tests, report: Optional[TestReport] 
     return report
 
 
-def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2, rd: bool = False,
+def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
                dump_lexer_flag: bool = False, dump_grammar_flag: bool = False,
                dump_lr_flag: bool = False, conflicts_out: Optional[str] = None,
                parse_file: Optional[str] = None, start: Optional[str] = None,
@@ -91,16 +91,13 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2, rd: bool = Fals
         return 2
 
     try:
-        result = compile_lang(source, max_k=max_k, rd=rd)
+        result = compile_lang(source, max_k=max_k)
     except (SpecError, LexCompileError) as e:
         if isinstance(e, SpecError) and e.loc is not None:
             _err("%s:%d:%d: %s" % (lang_path, e.loc.line, e.loc.col, e.message))
         else:
             _err("%s: %s" % (lang_path, e))
         return 1
-
-    for notice in result.notices or []:
-        _err("langcc: note: %s" % notice)
 
     if dump_grammar_flag:
         sys.stdout.write(dump_grammar(result.cfg))
@@ -141,7 +138,10 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2, rd: bool = Fals
     if not no_test:
         report = TestReport()
         for decl in result.spec.compile_tests:
-            tables = build_lr(result.cfg, decl.k) if decl.k >= 1 else None
+            if decl.k == result.k_used:
+                tables = result.tables  # conflict-free, since result.ok holds
+            else:
+                tables = build_lr(result.cfg, decl.k) if decl.k >= 1 else None
             conflict_free = tables is not None and not tables.conflicts
             ok = conflict_free == decl.expect_success
             report.record(ok, "compile_test %sLR(%d)"
@@ -222,8 +222,6 @@ def main_langcc(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("gen", help="output directory for artifacts")
     ap.add_argument("--max-k", type=int, default=2, metavar="N",
                     help="retry LR(k) up to this k before reporting conflicts")
-    ap.add_argument("--rd", choices=["on", "off"], default="off",
-                    help="enable conservative recursive-descent actions")
     ap.add_argument("--dump-lexer", action="store_true")
     ap.add_argument("--dump-grammar", action="store_true")
     ap.add_argument("--dump-lr", action="store_true")
@@ -238,7 +236,7 @@ def main_langcc(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0,) else 0
     return cmd_langcc(
-        args.lang, args.gen, max_k=args.max_k, rd=(args.rd == "on"),
+        args.lang, args.gen, max_k=args.max_k,
         dump_lexer_flag=args.dump_lexer, dump_grammar_flag=args.dump_grammar,
         dump_lr_flag=args.dump_lr, conflicts_out=args.conflicts_out,
         parse_file=args.parse, start=args.start, format_file=args.format,

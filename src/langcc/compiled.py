@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .grammar import Cfg, lower_grammar, lower_precedence
 from .lexer import CompiledLexer, ModeDfa, compile_lexer
@@ -42,7 +42,6 @@ class CompiledLang:
     def _build_indexes(self):
         d = self.data
         self.k = d["k"]
-        self.rd = d["rd"]
         self.mains = list(d["mains"])
         self.digest = d["digest"]
         self.indent_unit = d["indent_unit"]
@@ -57,7 +56,6 @@ class CompiledLang:
         # prods entries:
         #   ("user", rhs_len, lhs_ref, variant_key, fields, display)
         #   ("enum" | "list_*" | "opt_*", rhs_len, lhs_ref, asm, display)
-        #   ("ret", 1, lhs_ref)
         self.ast_fields: Dict[str, list] = {}
         for vk in sorted(d["ast"]):
             self.ast_fields[vk] = [(f[0], _untuple(f[1])) for f in d["ast"][vk]]
@@ -89,6 +87,9 @@ class CompiledLang:
         data = json.loads(text)
         if data.get("version") != FORMAT_VERSION:
             raise SpecError("unsupported artifact version %r" % data.get("version"))
+        if data.get("rd") is not False:
+            raise SpecError("unsupported artifact: rd=%r (recursive-descent actions "
+                            "are not supported)" % data.get("rd"))
         return cls(data)
 
     def __eq__(self, other):
@@ -220,9 +221,6 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
         if p["kind"] == "start":
             prods_json.append(["start", 1, p["main"]])
             continue
-        if p["kind"] == "ret":
-            prods_json.append(["ret", 1, inst_ref(p["lhs"])])
-            continue
         base = p["iprod"].base
         lhs_ref = inst_ref(p["lhs"])
         display = tables.display_production(len(prods_json))
@@ -248,20 +246,7 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
         acts = tables.action[(state, la)]
         if len(acts) != 1:
             raise SpecError("cannot flatten tables with conflicts")
-        a = acts[0]
-        if a[0] == "shift":
-            aj = ["shift", a[1]]
-        elif a[0] == "reduce":
-            aj = ["reduce", a[1]]
-        elif a[0] == "accept":
-            aj = ["accept", a[1]]
-        elif a[0] == "recur":
-            aj = ["recur", inst_ref(a[1]), a[2]]
-        elif a[0] == "ret":
-            aj = ["ret", inst_ref(a[1])]
-        else:
-            raise AssertionError(a)
-        action_json.append([state, list(la), aj])
+        action_json.append([state, list(la), list(acts[0])])
 
     goto_json = []
     for (state, key) in sorted(tables.goto,
@@ -308,7 +293,7 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
         "version": FORMAT_VERSION,
         "digest": digest,
         "k": tables.k,
-        "rd": tables.rd,
+        "rd": False,  # no recursive-descent actions; the key keeps the format unchanged
         "mains": list(cfg.mains),
         "indent_unit": 4,
         "terminals": sorted(cfg.terminals),
@@ -341,15 +326,13 @@ class CompileResult:
     tables: Optional[LrTables] = None
     k_used: Optional[int] = None
     compiled: Optional[CompiledLang] = None
-    notices: Optional[List[str]] = None
 
 
 def source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def compile_lang(source: str, max_k: int = 2, rd: bool = False,
-                 start_k: int = 1) -> CompileResult:
+def compile_lang(source: str, max_k: int = 2, start_k: int = 1) -> CompileResult:
     """Full pipeline: frontend, lexer DFAs, lowering, LR(k) with k retry.
 
     On conflicts at every k up to max_k, returns ok=False with the tables of
@@ -367,12 +350,10 @@ def compile_lang(source: str, max_k: int = 2, rd: bool = False,
 
     first_tables = None
     for k in range(start_k, max_k + 1):
-        tables = build_lr(cfg, k, rd=rd)
+        tables = build_lr(cfg, k)
         if first_tables is None:
             first_tables = tables
         if not tables.conflicts:
             compiled = flatten(spec, cfg, lexer, tables, source_digest(source))
-            return CompileResult(True, spec, cfg, lexer, tables, k,
-                                 compiled, tables.notices)
-    return CompileResult(False, spec, cfg, lexer, first_tables, start_k,
-                         None, first_tables.notices if first_tables else [])
+            return CompileResult(True, spec, cfg, lexer, tables, k, compiled)
+    return CompileResult(False, spec, cfg, lexer, first_tables, start_k)

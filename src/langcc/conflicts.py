@@ -6,7 +6,9 @@ shortest sentence each grammar symbol can derive), expand each prefix symbol
 to a concrete terminal exemplar, and then search forward for the shortest
 completion under each competing action.  The rendered report shows the
 symbol derivation next to the concrete tokens, the two actions, and one
-completion per action, sharing the conflict lookahead.
+completion per action, sharing the conflict lookahead.  Paths start at the
+automaton's start states, and completions are simulated with its three action
+kinds, Shift, Reduce and Accept.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ class SearchBudgetExceeded(Exception):
 
 @dataclass
 class ConflictExemplar:
-    context: Optional[str]  # nonterminal entered by RecurStep, if any
     prefix_symbols: List[str]
     prefix_terminals: List[str]
     action_left: str
@@ -79,7 +80,7 @@ def _min_sentences(tables: LrTables) -> Dict[Inst, Tuple[str, ...]]:
 # Shortest viable prefix to a state
 
 def _shortest_paths(tables: LrTables, sentences):
-    """Dijkstra over goto edges from every start (and sub-start) state.
+    """Dijkstra over goto edges from every start state.
 
     Returns per-state (cost, path) where path is a list of (key, from_state)
     edges and cost is (terminal count, symbol count, display tuple).
@@ -93,20 +94,12 @@ def _shortest_paths(tables: LrTables, sentences):
     INF = (1 << 60, 0, ())
     dist: Dict[int, tuple] = {}
     back: Dict[int, Tuple[int, object]] = {}
-    source_ctx: Dict[int, Optional[str]] = {}
     heap = []
     counter = 0
     for m, s in sorted(tables.starts.items()):
         dist[s] = (0, 0, ())
-        source_ctx[s] = None
         heapq.heappush(heap, ((0, 0, ()), counter, s))
         counter += 1
-    for inst, s in sorted(tables.substarts.items(), key=lambda kv: kv[0].mangled()):
-        if s not in dist:
-            dist[s] = (0, 0, ())
-            source_ctx[s] = inst.base
-            heapq.heappush(heap, ((0, 0, ()), counter, s))
-            counter += 1
 
     while heap:
         d, _c, state = heapq.heappop(heap)
@@ -120,10 +113,9 @@ def _shortest_paths(tables: LrTables, sentences):
             if nd < dist.get(target, INF):
                 dist[target] = nd
                 back[target] = (state, key)
-                source_ctx[target] = source_ctx[state]
                 heapq.heappush(heap, (nd, counter, target))
                 counter += 1
-    return dist, back, source_ctx
+    return dist, back
 
 
 def _edge_weight(key, sentences) -> Optional[int]:
@@ -165,16 +157,6 @@ def _step(tables, stack: tuple, la: tuple, act: tuple):
         return (ns, False, False) if ns is not None else (None, False, False)
     if tag == "accept":
         return (stack, False, True)
-    if tag == "recur":
-        return (stack + (act[2],), False, False)
-    if tag == "ret":
-        if len(stack) < 3:
-            return (None, False, False)
-        rest = stack[:-2]
-        target = tables.goto.get((rest[-1], act[1]))
-        if target is None:
-            return (None, False, False)
-        return (rest + (target,), False, False)
     raise AssertionError(act)
 
 
@@ -234,7 +216,7 @@ class _TraceContext:
         self.tables = tables
         self.cfg = cfg
         self.sentences = _min_sentences(tables)
-        self.dist, self.back, self.source_ctx = _shortest_paths(tables, self.sentences)
+        self.dist, self.back = _shortest_paths(tables, self.sentences)
 
     def path_keys(self, state: int):
         keys = []
@@ -306,7 +288,6 @@ def trace_conflict(tables: LrTables, cfg: Cfg, site: ConflictSite,
             completions.append(la_shown + suffix)
 
     return ConflictExemplar(
-        context=ctx.source_ctx.get(site.state),
         prefix_symbols=prefix_symbols,
         prefix_terminals=prefix_terminals,
         action_left=tables.display_action(actions[0]),
@@ -365,11 +346,8 @@ def render_conflict_report(exemplars: List[ConflictExemplar]) -> str:
     for i, ex in enumerate(exemplars, 1):
         out.append("===== LR conflict %d of %d" % (i, n))
         out.append("")
-        sym_rows = list(ex.prefix_symbols)
-        term_rows = list(ex.prefix_terminals)
-        if ex.context:
-            sym_rows = ["&" + ex.context, ""] + sym_rows
-            term_rows = ["&" + ex.context, "RecurStep(%s)" % ex.context] + term_rows
+        sym_rows = ex.prefix_symbols
+        term_rows = ex.prefix_terminals
         w1 = max([len(s) for s in sym_rows] + [4])
         w2 = max([len(t) for t in term_rows]
                  + [len(t) for t in ex.completion_left] + [4])

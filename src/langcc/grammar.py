@@ -42,7 +42,6 @@ class Slot:
     attr_reqs: FrozenSet[str] = frozenset()
     prec_bound: int = 0
     pr_star: bool = False
-    unfold: bool = False
 
 
 # template items: ("slot", idx) | ("verbatim", text) | ("lit", text) | ("content",)
@@ -257,12 +256,12 @@ class _Lowerer:
             ctx.sources.append(_FieldSource(idx, ("token", e.name)))
             return
         if isinstance(e, (sa.NontermRef, sa.Unfold)):
-            unfold = isinstance(e, sa.Unfold)
-            ref = e.inner if unfold else e
+            # `~Nt` is accepted and lowers exactly like `Nt`
+            ref = e.inner if isinstance(e, sa.Unfold) else e
             if not isinstance(ref, sa.NontermRef):
                 raise LowerError("~ applies only to nonterminal references", rule.loc)
             idx = ctx.add_slot(Slot(ref.name, False, frozenset(ref.attr_reqs),
-                                    0, ref.pr_star, unfold))
+                                    0, ref.pr_star))
             ctx.sources.append(_FieldSource(idx, ("node", ref.name)))
             return
         if isinstance(e, sa.Named):
@@ -690,8 +689,6 @@ def dump_grammar(cfg: Cfg) -> str:
                 ann.append("pr>=%d" % s.prec_bound)
             if ann:
                 t += "[%s]" % ",".join(ann)
-            if s.unfold:
-                t = "~" + t
             parts.append(t)
         head = p.lhs
         if p.variant:

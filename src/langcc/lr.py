@@ -4,24 +4,17 @@ States are closed sets of items (production, dot, k-lookahead); lookaheads
 are part of state identity, so there is no LALR-style merging.  The grammar
 fed to the construction is the constraint-instance expansion, so attribute
 and precedence admissibility are already baked into which productions exist
-for each nonterminal copy.
-
-With rd=on, a conservative recursive-descent extension is attempted at k=1:
-a non-unfolded nonterminal slot becomes a Recur action into that
-nonterminal's sub-automaton when entry is uniquely selected by the lookahead
-and the sub-automaton itself stays deterministic under an unknown follow
-context; anything else silently degrades to ordinary closure, with a notice.
+for each nonterminal copy.  Every table cell holds Shift, Reduce or Accept
+actions; a cell with more than one is a conflict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .grammar import Cfg, Inst, InstGrammar, IProd, expand_instances
 from .lexer import EOF_TERMINAL
-
-ANY = "⊤"  # lookahead wildcard used inside recur sub-automata
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +25,6 @@ class FirstK:
         self.ig = ig
         self.k = k
         self.first: Dict[Inst, Set[tuple]] = {inst: set() for inst in ig.insts}
-        self._beta_cache: Dict[tuple, Tuple[frozenset, frozenset]] = {}
         self._fixpoint()
 
     def _seq_sets(self, syms) -> Set[tuple]:
@@ -76,13 +68,6 @@ class FirstK:
         full = frozenset(w for w in sets if len(w) == self.k)
         partial = frozenset(w for w in sets if len(w) < self.k)
         return full, partial
-
-    def with_tail(self, syms, la: tuple) -> Set[tuple]:
-        full, partial = self.beta_first(syms)
-        out = set(full)
-        for w in partial:
-            out.add((w + la)[: self.k])
-        return out
 
 
 def first_k(cfg: Cfg, symbols, k: int) -> Set[tuple]:
@@ -138,31 +123,21 @@ class ConflictSite:
 @dataclass
 class LrTables:
     k: int
-    rd: bool
     ig: InstGrammar
-    prods: List[dict]  # unified production table (iprods + starts + rets)
+    prods: List[dict]  # unified production table (iprods + starts)
     states: List[frozenset]
     action: Dict[Tuple[int, tuple], Tuple[tuple, ...]]
     goto: Dict[Tuple[int, object], int]
     starts: Dict[str, int]
-    substarts: Dict[Inst, int]
     conflicts: List[ConflictSite]
-    notices: List[str]
 
     def actions_at(self, state: int, la: tuple) -> Tuple[tuple, ...]:
-        acts = self.action.get((state, la))
-        if acts:
-            return acts
-        if self.rd:
-            return self.action.get((state, (ANY,) * self.k), ())
-        return ()
+        return self.action.get((state, la), ())
 
     def display_production(self, pi: int) -> str:
         p = self.prods[pi]
         if p["kind"] == "start":
             return "%s' -> %s" % (p["main"], p["main"])
-        if p["kind"] == "ret":
-            return "%s' -> %s" % (p["lhs"].base, p["lhs"].base)
         base = p["iprod"].base
         rhs = " ".join(s.symbol for s in base.slots)
         return "%s -> %s" % (base.lhs, rhs if base.slots else "%empty")
@@ -174,41 +149,25 @@ class LrTables:
             return "Reduce(%s)" % self.display_production(a[1])
         if a[0] == "accept":
             return "Accept"
-        if a[0] == "recur":
-            return "Recur(%s, s%d)" % (a[1].base, a[2])
-        if a[0] == "ret":
-            return "Ret(%s)" % a[1].base
         raise ValueError(a)
 
 
-def _rhs_of(prod: dict):
-    return prod["rhs"]
-
-
 class _Builder:
-    def __init__(self, cfg: Cfg, k: int, rd: bool):
+    def __init__(self, cfg: Cfg, k: int):
         self.cfg = cfg
         self.k = k
-        self.rd = rd and k == 1
-        self.notices: List[str] = []
-        if rd and k != 1:
-            self.notices.append("rd: only k=1 is supported; all slots treated as unfolded")
         self.ig = expand_instances(cfg)
         self.fk = FirstK(self.ig, k)
-        self.degraded: Set[Inst] = set()
 
         self.prods: List[dict] = []
         for ip in self.ig.iprods:
-            unfolds = tuple(not s.is_terminal and s.unfold for s in ip.base.slots)
-            self.prods.append({"kind": "prod", "lhs": ip.lhs, "rhs": ip.rhs,
-                               "iprod": ip, "unfold": unfolds})
+            self.prods.append({"kind": "prod", "lhs": ip.lhs, "rhs": ip.rhs, "iprod": ip})
         self.aug_of: Dict[str, int] = {}
         for m in cfg.mains:
             inst = self.ig.start_insts[m]
             self.aug_of[m] = len(self.prods)
             self.prods.append({"kind": "start", "lhs": None, "main": m,
-                               "rhs": (("n", inst),), "unfold": (True,)})
-        self.ret_of: Dict[Inst, int] = {}
+                               "rhs": (("n", inst),)})
 
         self.by_lhs: Dict[Inst, List[int]] = {}
         for i, p in enumerate(self.prods):
@@ -216,45 +175,6 @@ class _Builder:
                 self.by_lhs.setdefault(p["lhs"], []).append(i)
 
         self._beta_cache: Dict[Tuple[int, int], Tuple[frozenset, frozenset]] = {}
-
-    # -- rd eligibility -------------------------------------------------------
-
-    def _nullable(self, inst: Inst) -> bool:
-        return () in self.fk.first[inst] or any(len(w) == 0 for w in self.fk.first[inst])
-
-    def _left_recursive(self, root: Inst) -> bool:
-        # edge N -> M when M starts a production of N after a nullable prefix
-        seen = set()
-        work = [root]
-        while work:
-            cur = work.pop()
-            for pi in self.by_lhs.get(cur, ()):
-                for sym in self.prods[pi]["rhs"]:
-                    if sym[0] == "t":
-                        break
-                    child = sym[1]
-                    if child == root:
-                        return True
-                    if child not in seen:
-                        seen.add(child)
-                        work.append(child)
-                    if not self._nullable(child):
-                        break
-        return False
-
-    def rd_active(self, inst: Inst) -> bool:
-        if not self.rd or inst in self.degraded:
-            return False
-        if self._nullable(inst) or self._left_recursive(inst):
-            return False
-        return True
-
-    def _ensure_ret_prod(self, inst: Inst) -> int:
-        if inst not in self.ret_of:
-            self.ret_of[inst] = len(self.prods)
-            self.prods.append({"kind": "ret", "lhs": inst, "rhs": (("n", inst),),
-                               "unfold": (True,)})
-        return self.ret_of[inst]
 
     # -- item machinery -------------------------------------------------------
 
@@ -284,11 +204,8 @@ class _Builder:
             sym = rhs[dot]
             if sym[0] != "n":
                 continue
-            inst = sym[1]
-            if not self.prods[pi]["unfold"][dot] and self.rd_active(inst):
-                continue  # handled by a Recur action, not closure
             for w in self.lookaheads_after(pi, dot + 1, la):
-                for cpi in self.by_lhs.get(inst, ()):
+                for cpi in self.by_lhs.get(sym[1], ()):
                     item = (cpi, 0, w)
                     if item not in items:
                         items.add(item)
@@ -298,67 +215,38 @@ class _Builder:
     # -- main construction ------------------------------------------------------
 
     def build(self) -> LrTables:
-        while True:
-            result = self._attempt()
-            if result is not None:
-                return result
-
-    def _attempt(self) -> Optional[LrTables]:
         k = self.k
         states: List[frozenset] = []
         state_of: Dict[frozenset, int] = {}
-        owner: List[Optional[Inst]] = []
-        trans: List[Dict[object, int]] = []
-        work: List[int] = []
+        goto: Dict[Tuple[int, object], int] = {}
         starts: Dict[str, int] = {}
-        substarts: Dict[Inst, int] = {}
-        self._beta_cache.clear()
 
-        def ensure_state(kernel, own) -> int:
+        def ensure_state(kernel) -> int:
             closed = self.closure(kernel)
             got = state_of.get(closed)
             if got is not None:
                 return got
-            idx = len(states)
+            state_of[closed] = len(states)
             states.append(closed)
-            state_of[closed] = idx
-            owner.append(own)
-            trans.append({})
-            work.append(idx)
-            return idx
+            return state_of[closed]
 
         eof_la = (EOF_TERMINAL,) * k
         for m in self.cfg.mains:
-            starts[m] = ensure_state([(self.aug_of[m], 0, eof_la)], None)
+            starts[m] = ensure_state([(self.aug_of[m], 0, eof_la)])
 
-        pending_recurs: List[Tuple[int, Inst]] = []  # discovered rd targets
-
-        i = 0
-        while i < len(states) or pending_recurs:
-            if i >= len(states):
-                state_idx, inst = pending_recurs.pop(0)
-                if inst not in substarts:
-                    rp = self._ensure_ret_prod(inst)
-                    substarts[inst] = ensure_state([(rp, 0, (ANY,) * k)], inst)
-                continue
-            idx = i
-            i += 1
-            items = states[idx]
+        idx = 0
+        while idx < len(states):
             by_symbol: Dict[object, List[tuple]] = {}
-            for item in sorted(items):
-                pi, dot, la = item
+            for pi, dot, la in sorted(states[idx]):
                 rhs = self.prods[pi]["rhs"]
                 if dot >= len(rhs):
                     continue
                 sym = rhs[dot]
-                if sym[0] == "n" and not self.prods[pi]["unfold"][dot] \
-                        and self.rd_active(sym[1]):
-                    pending_recurs.append((idx, sym[1]))
                 key = sym[1] if sym[0] == "n" else ("t", sym[1])
                 by_symbol.setdefault(key, []).append((pi, dot + 1, la))
             for key in sorted(by_symbol, key=_sym_sort_key):
-                target = ensure_state(by_symbol[key], owner[idx])
-                trans[idx][key] = target
+                goto[(idx, key)] = ensure_state(by_symbol[key])
+            idx += 1
 
         # -- assemble actions -------------------------------------------------
         action: Dict[Tuple[int, tuple], Dict[tuple, List[tuple]]] = {}
@@ -367,7 +255,6 @@ class _Builder:
             cell = action.setdefault((state, la), {})
             cell.setdefault(act, []).append(item)
 
-        degrade: Set[Inst] = set()
         for idx, items in enumerate(states):
             for item in sorted(items):
                 pi, dot, la = item
@@ -376,80 +263,26 @@ class _Builder:
                 if dot == len(rhs):
                     if prod["kind"] == "start":
                         add(idx, la, ("accept", prod["main"]), item)
-                    elif prod["kind"] == "ret":
-                        add(idx, la, ("ret", prod["lhs"]), item)
                     else:
                         add(idx, la, ("reduce", pi), item)
-                    continue
-                sym = rhs[dot]
-                if sym[0] == "t":
-                    target = trans[idx][("t", sym[1])]
+                elif rhs[dot][0] == "t":
+                    target = goto[(idx, ("t", rhs[dot][1]))]
                     for w in self.lookaheads_after(pi, dot, la):
                         add(idx, w, ("shift", target), item)
-                else:
-                    inst = sym[1]
-                    if not prod["unfold"][dot] and self.rd_active(inst):
-                        sub = substarts.get(inst)
-                        if sub is None:
-                            degrade.add(inst)
-                            continue
-                        for w in self.lookaheads_after(pi, dot, la):
-                            add(idx, w, ("recur", inst, sub), item)
 
-        # -- conflicts / degrade --------------------------------------------------
+        # -- conflicts --------------------------------------------------------
         conflicts: List[ConflictSite] = []
         final_action: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
-        by_state: Dict[int, Dict[tuple, Dict[tuple, List[tuple]]]] = {}
-        for (state, la), cell in action.items():
-            by_state.setdefault(state, {})[la] = cell
+        for key in sorted(action):
+            cell = action[key]
+            distinct = tuple(sorted(cell, key=_act_sort_key))
+            final_action[key] = distinct
+            if len(distinct) > 1:
+                conflicts.append(ConflictSite(
+                    key[0], key[1], distinct, tuple(tuple(cell[a]) for a in distinct)))
 
-        for state in sorted(by_state):
-            cells = by_state[state]
-            any_cell = cells.get((ANY,) * k)
-            for la in sorted(cells):
-                cell = cells[la]
-                acts = dict(cell)
-                if any_cell is not None and la != (ANY,) * k:
-                    for a, its in any_cell.items():
-                        acts.setdefault(a, []).extend(its)
-                distinct = sorted(acts.keys(), key=_act_sort_key)
-                final_action[(state, la)] = tuple(distinct)
-                if len(distinct) > 1:
-                    involved = [a for a in distinct if a[0] in ("recur", "ret")]
-                    for a in involved:
-                        degrade.add(a[1])
-                    if owner[state] is not None:
-                        degrade.add(owner[state])
-                    if not involved and owner[state] is None:
-                        conflicts.append(ConflictSite(
-                            state, la, tuple(distinct),
-                            tuple(tuple(acts[a]) for a in distinct)))
-
-        if degrade - self.degraded:
-            newly = sorted(degrade - self.degraded, key=lambda x: x.mangled())
-            for inst in newly:
-                self.notices.append("rd: %s degraded to unfolded" % inst.mangled())
-            self.degraded.update(degrade)
-            return None  # rebuild without these rd slots
-
-        if self.rd:
-            self.notices.append("rd: %d sub-automaton(s) in use" % len(substarts))
-        elif not any(n.startswith("rd:") for n in self.notices):
-            n_slots = sum(1 for p in self.prods if p["kind"] == "prod"
-                          for j, u in enumerate(p["unfold"])
-                          if not u and p["rhs"][j][0] == "n")
-            if n_slots:
-                self.notices.append(
-                    "rd=off: %d non-unfolded nonterminal slot(s) treated as unfolded"
-                    % n_slots)
-
-        goto: Dict[Tuple[int, object], int] = {}
-        for idx, tmap in enumerate(trans):
-            for key, target in tmap.items():
-                goto[(idx, key)] = target
-
-        return LrTables(self.k, self.rd, self.ig, self.prods, states, final_action,
-                        goto, starts, substarts, conflicts, self.notices)
+        return LrTables(k, self.ig, self.prods, states, final_action, goto, starts,
+                        conflicts)
 
 
 def _sym_sort_key(key):
@@ -459,15 +292,15 @@ def _sym_sort_key(key):
 
 
 def _act_sort_key(a):
-    order = {"reduce": 0, "shift": 1, "accept": 2, "recur": 3, "ret": 4}
+    order = {"reduce": 0, "shift": 1, "accept": 2}
     return (order[a[0]],) + tuple(str(x) for x in a[1:])
 
 
-def build_lr(cfg: Cfg, k: int, rd: bool = False) -> LrTables:
+def build_lr(cfg: Cfg, k: int) -> LrTables:
     """Build canonical LR(k) tables; conflicts are collected, not raised."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _Builder(cfg, k, rd).build()
+    return _Builder(cfg, k).build()
 
 
 def run_compile_tests(spec, cfg: Cfg):
@@ -496,9 +329,7 @@ def dump_lr(tables: LrTables) -> str:
             p = tables.prods[pi]
             syms = [s[1] if s[0] == "t" else s[1].base for s in p["rhs"]]
             syms.insert(dot, ".")
-            lhs = p["lhs"].base if p["lhs"] is not None else p.get("main", "?") + "'"
-            if p["kind"] == "ret":
-                lhs = p["lhs"].base + "'"
+            lhs = p["lhs"].base if p["lhs"] is not None else p["main"] + "'"
             out.append("    %s -> %s , %s" % (lhs, " ".join(syms), " ".join(la)))
         acts = sorted((la, a) for (st, la), a in tables.action.items() if st == idx)
         for la, actions in acts:

@@ -1,6 +1,6 @@
 """Table-driven parse runtime.
 
-Executes Shift/Reduce/Recur/Ret/Accept over the token stream and assembles
+Executes Shift/Reduce/Accept over the token stream and assembles
 generic AST nodes.  Synthesized nonterminals (lists, optionals, alternation
 enums) are collapsed during reduction, so users only ever see nodes of their
 own rule variants, sequences, options, booleans, and enum labels; every
@@ -180,8 +180,6 @@ def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> Par
     while True:
         la = tuple(terms[pos: pos + k])
         acts = compiled.action.get((states[-1], la))
-        if acts is None and compiled.rd:
-            acts = compiled.action.get((states[-1], ("\u22a4",) * k))
         if not acts:
             return ParseResult(None, _unexpected(compiled, text, lines, toks, pos),
                                lexed.extracts)
@@ -201,19 +199,6 @@ def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> Par
             root = values[0]
             assert isinstance(root, Node)
             return ParseResult(root, None, lexed.extracts)
-        elif tag == "recur":
-            states.append(act[2])
-        elif tag == "ret":
-            v = values[-1]
-            b = vbounds[-1]
-            del values[-1], vbounds[-1]
-            states.pop()  # state reached on the completed nonterminal
-            states.pop()  # the sub-automaton start
-            target = compiled.goto.get((states[-1], ("n", act[1])))
-            assert target is not None, "missing goto after ret"
-            states.append(target)
-            values.append(v)
-            vbounds.append(b)
         else:  # reduce
             pi = act[1]
             prod = compiled.prods[pi]

@@ -192,3 +192,33 @@ def test_artifact_loads_and_parses(tmp_path):
     import hashlib
     src = load_grammar("calc.lang")
     assert loaded.digest == hashlib.sha256(src.encode()).hexdigest()
+
+
+def _count_cli_build_lr(monkeypatch):
+    import langcc.cli
+
+    calls = []
+    real = langcc.cli.build_lr
+
+    def counting(cfg, k):
+        calls.append(k)
+        return real(cfg, k)
+
+    monkeypatch.setattr(langcc.cli, "build_lr", counting)
+    return calls
+
+
+def test_compile_test_reuses_tables_at_k_used(tmp_path, capsys, monkeypatch):
+    calls = _count_cli_build_lr(monkeypatch)
+    assert cmd_langcc(_lang(tmp_path), str(tmp_path)) == 0
+    assert calls == []
+    assert "pass: compile_test LR(1)" in capsys.readouterr().err
+
+
+def test_compile_test_builds_other_k(tmp_path, capsys, monkeypatch):
+    calls = _count_cli_build_lr(monkeypatch)
+    assert cmd_langcc(_lang(tmp_path, "ab_eps.lang"), str(tmp_path)) == 0
+    assert calls == [1]
+    err = capsys.readouterr().err
+    assert "pass: compile_test !LR(1)" in err
+    assert "pass: compile_test LR(2)" in err

@@ -2,7 +2,7 @@ from langcc import (
     build_lr, lower_grammar, lower_precedence, parse_lang_spec,
     render_conflict_report, trace_all, trace_conflict,
 )
-from langcc.conflicts import ConflictExemplar, dedup_sites
+from langcc.conflicts import dedup_sites
 from langcc.lexer import EOF_TERMINAL
 
 from conftest import load_grammar
@@ -134,16 +134,6 @@ def test_reduce_and_shift_share_a_row():
     report = render_conflict_report(trace_all(tables, cfg))
     line = [l for l in report.split("\n") if "Reduce(Expr -> Expr X0 Expr)" in l][0]
     assert "Shift" in line
-
-
-def test_context_rows_rendered_for_recur_traces():
-    ex = ConflictExemplar(
-        context="Expr", prefix_symbols=["Expr"], prefix_terminals=["id"],
-        action_left="Reduce(Expr -> id)", action_right="Shift",
-        lookahead=("`+`",), completion_left=["`+`"], completion_right=["`+`"])
-    report = render_conflict_report([ex])
-    assert "&Expr" in report
-    assert "RecurStep(Expr)" in report
 
 
 def test_no_conflicts_no_sites():

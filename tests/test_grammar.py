@@ -252,10 +252,12 @@ def test_synthesized_names_deterministic():
     assert a == b
 
 
-def test_unfold_preserved_on_slots():
-    spec = parse_lang_spec(load_grammar("rd_tiny.lang"))
-    src2 = load_grammar("rd_tiny.lang").replace("x:B", "x:~B")
-    spec2 = parse_lang_spec(src2)
-    cfg, _ = lower_grammar(spec2)
-    main = [p for p in cfg.productions if p.rule_path == ("S", "Main")][0]
-    assert [s.unfold for s in main.slots] == [False, True, False]
+def test_unfold_prefix_is_a_no_op():
+    from langcc import compile_lang
+
+    src = load_grammar("rd_tiny.lang")
+    assert "x:B" in src
+    plain = dict(compile_lang(src).compiled.data)
+    unfolded = dict(compile_lang(src.replace("x:B", "x:~B")).compiled.data)
+    assert plain.pop("digest") != unfolded.pop("digest")
+    assert plain == unfolded

@@ -190,27 +190,6 @@ def test_oracle_equivalence_short_strings(name, terminals, request):
             assert got == want, (name, toks)
 
 
-def test_rd_mode_emits_recur_and_ret():
-    spec, cfg = _cfg("rd_tiny.lang")
-    tables = build_lr(cfg, 1, rd=True)
-    kinds = {a[0] for acts in tables.action.values() for a in acts}
-    assert "recur" in kinds and "ret" in kinds
-    assert not tables.conflicts
-
-
-def test_rd_mode_degrades_left_recursion():
-    spec, cfg = _cfg("calc.lang")
-    tables = build_lr(cfg, 1, rd=True)
-    assert not tables.conflicts
-    assert any("degraded" in n for n in tables.notices)
-
-
-def test_rd_off_records_notice():
-    spec, cfg = _cfg("rd_tiny.lang")
-    tables = build_lr(cfg, 1)
-    assert any(n.startswith("rd=off") for n in tables.notices)
-
-
 def test_conflict_monotonicity_k2_projects_into_k1():
     # raising k never conflicts at a lookahead whose prefix was clean at k-1
     _, cfg = _cfg("calc_noprec.lang")

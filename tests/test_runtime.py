@@ -166,17 +166,15 @@ def test_parse_is_repeatable(calc):
     assert a.result == b.result
 
 
-def test_rd_parse_tree_matches_unfolded():
-    from langcc import compile_lang
-    from conftest import load_grammar
+def test_artifact_with_rd_actions_rejected(calc):
+    import json
 
-    src = load_grammar("rd_tiny.lang")
-    with_rd = compile_lang(src, rd=True)
-    without = compile_lang(src, rd=False)
-    a = parse(with_rd.compiled, "abc")
-    b = parse(without.compiled, "abc")
-    assert a.is_success() and b.is_success()
-    assert render_node(a.result) == render_node(b.result)
+    from langcc.compiled import CompiledLang
+
+    data = json.loads(calc.compiled.to_json())
+    data["rd"] = True
+    with pytest.raises(SpecError, match="rd=True"):
+        CompiledLang.from_json(json.dumps(data))
 
 
 def test_concurrent_parses_share_compiled(calc):
