@@ -138,11 +138,14 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
     if not no_test:
         report = TestReport()
         for decl in result.spec.compile_tests:
-            if decl.k == result.k_used:
-                tables = result.tables  # conflict-free, since result.ok holds
+            # compile_lang tries k = 1, 2, ... and stops at the first
+            # conflict-free k, so every k below k_used had conflicts
+            if decl.k < result.k_used:
+                conflict_free = False
+            elif decl.k == result.k_used:
+                conflict_free = True
             else:
-                tables = build_lr(result.cfg, decl.k) if decl.k >= 1 else None
-            conflict_free = tables is not None and not tables.conflicts
+                conflict_free = not build_lr(result.cfg, decl.k).conflicts
             ok = conflict_free == decl.expect_success
             report.record(ok, "compile_test %sLR(%d)"
                           % ("" if decl.expect_success else "!", decl.k))

@@ -47,7 +47,11 @@ class CompiledLang:
         self.indent_unit = d["indent_unit"]
         self.action: Dict[tuple, tuple] = {}
         for state, la, act in d["action"]:
-            self.action[(state, tuple(la))] = (_untuple(act),)
+            cell = (state, tuple(la))
+            if cell in self.action:
+                raise SpecError("malformed artifact: two actions for state %d on %s"
+                                % (state, " ".join(la)))
+            self.action[cell] = _untuple(act)
         self.goto: Dict[tuple, int] = {}
         for state, kind, ref, target in d["goto"]:
             self.goto[(state, (kind, ref))] = target
@@ -90,7 +94,10 @@ class CompiledLang:
         if data.get("rd") is not False:
             raise SpecError("unsupported artifact: rd=%r (recursive-descent actions "
                             "are not supported)" % data.get("rd"))
-        return cls(data)
+        try:
+            return cls(data)
+        except KeyError as e:
+            raise SpecError("malformed artifact: missing key %r" % e.args[0]) from None
 
     def __eq__(self, other):
         return isinstance(other, CompiledLang) and self.to_json() == other.to_json()

@@ -88,21 +88,11 @@ class Cfg:
     def prods_of(self, nonterm: str) -> List[Production]:
         return [p for p in self.productions if p.lhs == nonterm]
 
-    def display_symbol(self, symbol: str) -> str:
-        return symbol
-
-    def display_production(self, p: Production) -> str:
-        rhs = " ".join(s.symbol for s in p.slots)
-        return "%s -> %s" % (p.lhs, rhs) if p.slots else "%s -> %%empty" % p.lhs
-
 
 @dataclass
 class AstShape:
     # nonterm -> ordered {variant path tuple -> ((field, kind), ...)}
     variants: Dict[str, Dict[Tuple[str, ...], Tuple[tuple, ...]]]
-
-    def nonterms(self):
-        return list(self.variants)
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +392,16 @@ class _Lowerer:
         else:
             chain = self.fresh("L")
             slots = (elem_slot,) + delim_slots + (elem_slot,)
-            tmpl = (("slot", 0),) + _shift_tmpl(delim_tmpl, 1) + (("slot", len(slots) - 1),)
+            tmpl = (("slot", 0),) + delim_tmpl + (("slot", len(slots) - 1),)
             self.add_production(lhs=chain, slots=slots, kind="list_pair",
                                 asm=(0, len(slots) - 1), template=tmpl)
         append_slots = (Slot(chain, False),) + delim_slots + (elem_slot,)
-        append_tmpl = (("slot", 0),) + _shift_tmpl(delim_tmpl, 1) + (("slot", len(append_slots) - 1),)
+        append_tmpl = (("slot", 0),) + delim_tmpl + (("slot", len(append_slots) - 1),)
         self.add_production(lhs=chain, slots=append_slots, kind="list_append",
                             asm=(0, len(append_slots) - 1), template=append_tmpl)
 
         trail_slots = (Slot(chain, False),) + delim_slots
-        trail_tmpl = (("slot", 0),) + _shift_tmpl(delim_tmpl, 1)
+        trail_tmpl = (("slot", 0),) + delim_tmpl
         if min_count == 0:
             self.add_production(lhs=outer, slots=(), kind="list_empty")
         if trailing in ("none", "optional"):
@@ -448,12 +438,6 @@ def _synth_tmpl(sub: _RuleCtx):
         else:
             out.append(it)
     return out
-
-
-def _shift_tmpl(tmpl, offset):
-    # delim templates contain only lits/verbatims; nothing to shift, but keep
-    # the hook in case slots ever appear here
-    return tuple(tmpl)
 
 
 def lower_grammar(spec: LangSpec) -> Tuple[Cfg, AstShape]:

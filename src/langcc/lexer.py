@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .spec_ast import (
     AEmit, APass, APopEmit, APopExtract, APush, LangSpec, RAlt, RConcat, REof,
@@ -541,7 +541,9 @@ def lex(compiled: CompiledLexer, text: str) -> LexOutput:
 # ---------------------------------------------------------------------------
 # Positions
 
-def _byte_offsets(text: str) -> List[int]:
+def _byte_offsets(text: str) -> Sequence[int]:
+    if text.isascii():
+        return range(len(text) + 1)
     offs = [0] * (len(text) + 1)
     total = 0
     for i, ch in enumerate(text):

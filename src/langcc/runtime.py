@@ -4,7 +4,8 @@ Executes Shift/Reduce/Accept over the token stream and assembles
 generic AST nodes.  Synthesized nonterminals (lists, optionals, alternation
 enums) are collapsed during reduction, so users only ever see nodes of their
 own rule variants, sequences, options, booleans, and enum labels; every
-value carries its source bounds.
+value carries its source bounds as UTF-8 byte offsets.  Line and column are
+computed on demand from an offset with lexer.token_bounds_to_linecol.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from .spec_ast import SpecError
 class Bounds:
     start: int  # byte offsets
     end: int
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
 
     def span(self) -> Tuple[int, int]:
         return (self.start, self.end)
@@ -122,33 +119,6 @@ def location_fmt_str(text: str, bounds: Tuple[int, int]) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-def _is_empty_bounds(b: Bounds) -> bool:
-    return b.start == b.end
-
-
-class _LineIndex:
-    """Byte offset -> 1-based (line, col) with one upfront scan of the input."""
-
-    def __init__(self, text: str):
-        self.text = text
-        data = text.encode("utf-8")
-        self.data = data
-        self.newlines = [i for i, b in enumerate(data) if b == 0x0A]
-
-    def linecol(self, offset: int) -> Tuple[int, int]:
-        import bisect
-
-        line_idx = bisect.bisect_right(self.newlines, offset - 1)
-        line_start = 0 if line_idx == 0 else self.newlines[line_idx - 1] + 1
-        col = len(self.data[line_start:offset].decode("utf-8")) + 1
-        return (line_idx + 1, col)
-
-    def bounds(self, start: int, end: int) -> Bounds:
-        sl, sc = self.linecol(start)
-        el, ec = self.linecol(end)
-        return Bounds(start, end, sl, sc, el, ec)
-
-
 def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> ParseResult:
     """Lex then run the LR engine; exactly one of result / err is set."""
     if start is None:
@@ -156,7 +126,6 @@ def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> Par
     if start not in compiled.starts:
         raise SpecError("%r is not a main nonterminal (mains: %s)"
                         % (start, ", ".join(compiled.mains)))
-    lines = _LineIndex(text)
     try:
         lexed = lex(compiled.lexer, text)
     except LexError as e:
@@ -165,6 +134,7 @@ def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> Par
         return ParseResult(None, ParseError(msg, b, location_fmt_str(text, b)), [])
 
     toks = lexed.tokens
+    end_byte = len(text.encode("utf-8"))
     k = compiled.k
     terms = [t.terminal for t in toks] + [EOF_TERMINAL] * k
 
@@ -175,30 +145,27 @@ def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> Par
     n_toks = len(toks)
 
     def next_start_byte() -> int:
-        return toks[pos].start if pos < n_toks else len(text.encode("utf-8"))
+        return toks[pos].start if pos < n_toks else end_byte
 
     while True:
         la = tuple(terms[pos: pos + k])
-        acts = compiled.action.get((states[-1], la))
-        if not acts:
-            return ParseResult(None, _unexpected(compiled, text, lines, toks, pos),
+        act = compiled.action.get((states[-1], la))
+        if act is None:
+            return ParseResult(None, _unexpected(text, end_byte, toks, pos),
                                lexed.extracts)
-        assert len(acts) == 1, "conflicted tables cannot drive the runtime"
-        act = acts[0]
         tag = act[0]
 
         if tag == "shift":
             tok = toks[pos]
-            values.append(TokenLeaf(tok.terminal, tok.text,
-                                    lines.bounds(tok.start, tok.end)))
+            values.append(TokenLeaf(tok.terminal, tok.text, Bounds(tok.start, tok.end)))
             vbounds.append(values[-1].bounds)
             states.append(act[1])
             pos += 1
         elif tag == "accept":
-            assert len(values) == 1
-            root = values[0]
-            assert isinstance(root, Node)
-            return ParseResult(root, None, lexed.extracts)
+            if len(values) != 1 or not isinstance(values[0], Node):
+                raise SpecError("malformed artifact: accept without a single node "
+                                "on the stack")
+            return ParseResult(values[0], None, lexed.extracts)
         else:  # reduce
             pi = act[1]
             prod = compiled.prods[pi]
@@ -210,14 +177,15 @@ def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> Par
                 del vbounds[len(vbounds) - rhs_len:]
                 del states[len(states) - rhs_len:]
             if popped_bounds:
-                span = lines.bounds(popped_bounds[0].start, popped_bounds[-1].end)
+                span = Bounds(popped_bounds[0].start, popped_bounds[-1].end)
             else:
                 at = next_start_byte()
-                span = lines.bounds(at, at)
+                span = Bounds(at, at)
             value = _assemble(prod, popped, span)
             target = compiled.goto.get((states[-1], ("n", lhs_ref)))
-            assert target is not None, "missing goto for %s in state %d" % (
-                lhs_ref, states[-1])
+            if target is None:
+                raise SpecError("malformed artifact: no goto for %s in state %d"
+                                % (lhs_ref, states[-1]))
             states.append(target)
             values.append(value)
             vbounds.append(span)
@@ -275,15 +243,14 @@ def _lex_error_message(e: LexError, text: str) -> str:
     return "Lexing error: unterminated input (%s)" % e.detail
 
 
-def _unexpected(compiled, text, lines, toks, pos) -> ParseError:
+def _unexpected(text, end_byte, toks, pos) -> ParseError:
     if pos < len(toks):
         tok = toks[pos]
         msg = "Unexpected token: `%s`" % tok.text
         b = (tok.start, tok.end)
     else:
         msg = "Unexpected end of input"
-        end = len(text.encode("utf-8"))
-        b = (end, end)
+        b = (end_byte, end_byte)
     return ParseError(msg, b, location_fmt_str(text, b))
 
 

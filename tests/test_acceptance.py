@@ -109,10 +109,9 @@ def _drive_tables(compiled, tokens):
     pos = 0
     for _guard in range(100000):
         la = tuple(terms[pos: pos + k])
-        acts = compiled.action.get((states[-1], la))
-        if not acts:
+        act = compiled.action.get((states[-1], la))
+        if act is None:
             return False
-        act = acts[0]
         if act[0] == "shift":
             states.append(act[1])
             pos += 1
@@ -266,6 +265,27 @@ def test_criterion_10_scaling_smoke(calc_prog):
     ratio = t_2n / t_n if t_n > 0 else 0.0
     _record("10 scaling smoke (2N/N parse-time ratio %.2f < 3 at N=5000)" % ratio,
             ratio < 3.0)
+
+
+def test_criterion_10_single_line_linear(calc_prog):
+    # every statement on one line: per-token parse time must not grow with the
+    # line's length (positions stay byte offsets; no per-token line decoding)
+    def program(n):
+        return " ".join("x%d = %d + %d * 2;" % (i, i, i) for i in range(n))[:-1]
+
+    n = 800
+    texts = [program(n), program(8 * n)]
+    tokens = [len(langcc.lex(calc_prog.lexer, text).tokens) for text in texts]
+    best = [float("inf"), float("inf")]
+    for _ in range(3):
+        for i, text in enumerate(texts):  # interleaved, so host speed swings hit both
+            t0 = time.perf_counter()
+            res = langcc.parse(calc_prog.compiled, text)
+            best[i] = min(best[i], time.perf_counter() - t0)
+            assert res.is_success()
+    ratio = (best[1] / tokens[1]) / (best[0] / tokens[0])
+    _record("10b single-line scaling (8N/N per-token parse-time ratio %.2f < 1.8 "
+            "at N=%d)" % (ratio, n), ratio < 1.8)
 
 
 def test_zzz_summary():

@@ -218,7 +218,23 @@ def test_compile_test_reuses_tables_at_k_used(tmp_path, capsys, monkeypatch):
 def test_compile_test_builds_other_k(tmp_path, capsys, monkeypatch):
     calls = _count_cli_build_lr(monkeypatch)
     assert cmd_langcc(_lang(tmp_path, "ab_eps.lang"), str(tmp_path)) == 0
-    assert calls == [1]
+    assert calls == []  # LR(1) is below k_used, so compile_lang saw it conflict
     err = capsys.readouterr().err
     assert "pass: compile_test !LR(1)" in err
+    assert "pass: compile_test LR(2)" in err
+
+
+def test_compile_test_builds_k_above_k_used(tmp_path, capsys, monkeypatch):
+    lang = tmp_path / "one.lang"
+    lang.write_text("""
+tokens { top <= `a`; }
+lexer { main { body } mode body { top => { emit; } eof => { pop; } } }
+parser { main { S } S.One <- `a`; }
+compile_test { LR(1); LR(2); }
+""")
+    calls = _count_cli_build_lr(monkeypatch)
+    assert cmd_langcc(str(lang), str(tmp_path)) == 0
+    assert calls == [2]
+    err = capsys.readouterr().err
+    assert "pass: compile_test LR(1)" in err
     assert "pass: compile_test LR(2)" in err

@@ -149,10 +149,9 @@ def _table_accepts(compiled, tokens):
         if depth > 10000:
             return False
         la = tuple(terms[pos: pos + k])
-        acts = compiled.action.get((states[-1], la))
-        if not acts:
+        act = compiled.action.get((states[-1], la))
+        if act is None:
             return False
-        act = acts[0]
         if act[0] == "shift":
             states.append(act[1])
             pos += 1

@@ -1,9 +1,14 @@
+import json
+import re
+
 import pytest
 
 from langcc import (
     derive_ast_schema, location_fmt_str, node_downcast, parse, render_node,
-    validate_node,
+    token_bounds_to_linecol, validate_node,
 )
+from langcc.compiled import CompiledLang
+from langcc.lexer import EOF_TERMINAL
 from langcc.runtime import Node, SeqVal, TokenLeaf
 from langcc.spec_ast import SpecError
 
@@ -131,7 +136,7 @@ def test_bounds_cover_token_span(calc):
     res = parse(calc.compiled, "x = (1 + 2) * 3")
     y = res.result.field("y")
     assert (y.bounds.start, y.bounds.end) == (4, 15)
-    assert (y.bounds.start_line, y.bounds.start_col) == (1, 5)
+    assert token_bounds_to_linecol("x = (1 + 2) * 3", y.bounds.start) == (1, 5)
 
 
 def test_schema_conformance_of_parsed_nodes(calc):
@@ -166,15 +171,46 @@ def test_parse_is_repeatable(calc):
     assert a.result == b.result
 
 
+def _calc_artifact(calc):
+    return json.loads(calc.compiled.to_json())
+
+
+def _load(data):
+    return CompiledLang.from_json(json.dumps(data))
+
+
 def test_artifact_with_rd_actions_rejected(calc):
-    import json
-
-    from langcc.compiled import CompiledLang
-
-    data = json.loads(calc.compiled.to_json())
+    data = _calc_artifact(calc)
     data["rd"] = True
     with pytest.raises(SpecError, match="rd=True"):
-        CompiledLang.from_json(json.dumps(data))
+        _load(data)
+
+
+def test_artifact_missing_key_rejected():
+    with pytest.raises(SpecError, match="missing key 'k'"):
+        _load({"version": 1, "rd": False})
+
+
+def test_artifact_with_duplicate_action_cell_rejected(calc):
+    data = _calc_artifact(calc)
+    data["action"].append(data["action"][0])
+    with pytest.raises(SpecError, match="two actions for state"):
+        _load(data)
+
+
+def test_artifact_missing_goto_fails_parse(calc):
+    data = _calc_artifact(calc)
+    action = {(state, tuple(la)): act for state, la, act in data["action"]}
+    # `1` shifts from the start state, then reduces; drop the goto that follows
+    s0 = data["starts"]["Stmt"]
+    tag, s1 = action[(s0, ("int_lit",))]
+    tag, pi = action[(s1, (EOF_TERMINAL,))]
+    assert tag == "reduce"
+    lhs_ref = data["prods"][pi][2]
+    data["goto"].remove(next(g for g in data["goto"] if g[:3] == [s0, "n", lhs_ref]))
+    with pytest.raises(SpecError, match=re.escape("no goto for %s in state %d"
+                                                  % (lhs_ref, s0))):
+        parse(_load(data), "1")
 
 
 def test_concurrent_parses_share_compiled(calc):
