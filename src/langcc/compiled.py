@@ -41,6 +41,7 @@ class CompiledLang:
 
     def _build_indexes(self):
         d = self.data
+        _check_tables(d)
         self.k = d["k"]
         self.mains = list(d["mains"])
         self.digest = d["digest"]
@@ -51,7 +52,7 @@ class CompiledLang:
             if cell in self.action:
                 raise SpecError("malformed artifact: two actions for state %d on %s"
                                 % (state, " ".join(la)))
-            self.action[cell] = _untuple(act)
+            self.action[cell] = tuple(act)  # flat: checked by _check_tables
         self.goto: Dict[tuple, int] = {}
         for state, kind, ref, target in d["goto"]:
             self.goto[(state, (kind, ref))] = target
@@ -98,9 +99,70 @@ class CompiledLang:
             return cls(data)
         except KeyError as e:
             raise SpecError("malformed artifact: missing key %r" % e.args[0]) from None
+        except (TypeError, ValueError, AttributeError, IndexError) as e:
+            # a wrongly shaped part that _check_tables does not inspect
+            raise SpecError("malformed artifact: %s" % e) from None
 
     def __eq__(self, other):
         return isinstance(other, CompiledLang) and self.to_json() == other.to_json()
+
+
+def _malformed(what: str) -> SpecError:
+    return SpecError("malformed artifact: " + what)
+
+
+_PROD_KINDS = {"start", "user", "enum", "list_empty", "list_single", "list_pair",
+               "list_append", "list_pass", "list_trail", "opt_none", "opt_some"}
+_ACTION_ARG = {"shift": int, "reduce": int, "accept": str}
+
+
+def _check_tables(d: dict):
+    """Reject an artifact whose parser tables hold values of the wrong type,
+    which would otherwise load and fail only when a parse reaches them.
+    (Messages are formatted only on failure: this runs on every load.)"""
+    k = d["k"]
+    if type(k) is not int or k < 1:
+        raise _malformed("k is %r, not a positive integer" % (k,))
+    mains = d["mains"]
+    if type(mains) is not list or not mains or not all(type(m) is str for m in mains):
+        raise _malformed("mains is %r, not a list of names" % (mains,))
+    prods = d["prods"]
+    for p in prods:
+        if not (type(p) is list and len(p) >= 3 and p[0] in _PROD_KINDS
+                and type(p[1]) is int and p[1] >= 0 and type(p[2]) is str):
+            raise _malformed("production %r is not [kind, length, lhs, ...]" % (p,))
+        if p[0] == "user":
+            if not (len(p) == 6 and type(p[4]) is list
+                    and all(type(f) is list and len(f) == 2 and type(f[1]) is list
+                            and len(f[1]) >= 2 and type(f[1][1]) is int for f in p[4])):
+                raise _malformed("production %r has malformed fields" % (p,))
+        elif p[0] != "start" and not (len(p) == 5 and type(p[3]) is list):
+            raise _malformed("production %r has no assembly list" % (p,))
+    lookaheads = set()  # those already checked
+    for entry in d["action"]:
+        if not (type(entry) is list and len(entry) == 3):
+            raise _malformed("action entry %r is not [state, lookahead, action]" % (entry,))
+        state, la, act = entry
+        if not (type(state) is int and type(la) is list):
+            raise _malformed("action entry %r has no state or no lookahead" % (entry,))
+        la = tuple(la)
+        if la not in lookaheads:
+            if not (len(la) == k and all(type(t) is str for t in la)):
+                raise _malformed("action entry %r has no %d-token lookahead" % (entry, k))
+            lookaheads.add(la)
+        if not (type(act) is list and len(act) == 2 and type(act[0]) is str
+                and _ACTION_ARG.get(act[0]) is type(act[1])):
+            raise _malformed("action %r is not shift, reduce or accept" % (act,))
+        if act[0] == "reduce" and not 0 <= act[1] < len(prods):
+            raise _malformed("action %r reduces a production that does not exist" % (act,))
+    for entry in d["goto"]:
+        if not (type(entry) is list and len(entry) == 4 and type(entry[0]) is int
+                and entry[1] in ("t", "n") and type(entry[2]) is str
+                and type(entry[3]) is int):
+            raise _malformed("goto entry %r is not [state, kind, symbol, target]" % (entry,))
+    starts = d["starts"]
+    if type(starts) is not dict or not all(type(s) is int for s in starts.values()):
+        raise _malformed("starts is %r, not a map of names to states" % (starts,))
 
 
 # ---------------------------------------------------------------------------

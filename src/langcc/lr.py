@@ -6,6 +6,20 @@ fed to the construction is the constraint-instance expansion, so attribute
 and precedence admissibility are already baked into which productions exist
 for each nonterminal copy.  Every table cell holds Shift, Reduce or Accept
 actions; a cell with more than one is a conflict.
+
+The state table is keyed by kernel: a goto target is looked up by its kernel
+items and closed only when it is new.  The closure adds only dot-0 items of
+non-start productions, which no kernel holds, so kernels and closed states
+match one to one and the numbering is that of keying by closed sets.
+
+The closure works per nonterminal, not per item.  Each nonterminal the
+kernel reaches collects the set of lookaheads it is reached with; a worklist
+passes only newly found lookaheads on to the nonterminals that begin its
+productions, through FIRST of what follows them (lookahead propagation in
+the style of DeRemer and Pennello).  The closed state then holds
+(production, 0, w) for every production of every reached nonterminal and
+each of its lookaheads w.  Gotos and actions are assembled per (production,
+dot) core with its lookahead set.
 """
 
 from __future__ import annotations
@@ -117,7 +131,6 @@ class ConflictSite:
     state: int
     lookahead: tuple
     actions: Tuple[tuple, ...]
-    items_by_action: Tuple[Tuple[tuple, ...], ...]
 
 
 @dataclass
@@ -176,6 +189,23 @@ class _Builder:
 
         self._beta_cache: Dict[Tuple[int, int], Tuple[frozenset, frozenset]] = {}
 
+        # For each nonterminal N and each nonterminal M that begins one of
+        # N's productions: FIRST of what follows M there, split as in
+        # beta_first and united over those productions.  The closure passes
+        # N's lookaheads on to M along these edges.
+        self.left_corners: Dict[Inst, List[Tuple[Inst, frozenset, frozenset]]] = {}
+        for inst, pis in self.by_lhs.items():
+            follow: Dict[Inst, Tuple[set, set]] = {}
+            for pi in pis:
+                rhs = self.prods[pi]["rhs"]
+                if rhs and rhs[0][0] == "n":
+                    full, partial = self.beta_first(pi, 1)
+                    got = follow.setdefault(rhs[0][1], (set(), set()))
+                    got[0].update(full)
+                    got[1].update(partial)
+            self.left_corners[inst] = [(m, frozenset(f), frozenset(p))
+                                       for m, (f, p) in follow.items()]
+
     # -- item machinery -------------------------------------------------------
 
     def beta_first(self, pi: int, dot: int):
@@ -186,103 +216,133 @@ class _Builder:
             self._beta_cache[key] = got
         return got
 
-    def lookaheads_after(self, pi: int, dot: int, la: tuple) -> Set[tuple]:
+    def lookaheads_after(self, pi: int, dot: int, las) -> Set[tuple]:
+        """k-lookaheads of rhs[dot:] followed by any lookahead in las."""
         full, partial = self.beta_first(pi, dot)
-        out = set(full)
-        for w in partial:
-            out.add((w + la)[: self.k])
-        return out
+        return _extend(full, partial, las, self.k)
 
-    def closure(self, kernel) -> frozenset:
-        items = set(kernel)
-        work = list(kernel)
-        while work:
-            pi, dot, la = work.pop()
+    def closure(self, cores: Dict[Tuple[int, int], Set[tuple]]) -> Dict[Inst, Set[tuple]]:
+        """The lookaheads each nonterminal is reached with when closing the
+        kernel cores ((production, dot) -> lookaheads)."""
+        las: Dict[Inst, Set[tuple]] = {}    # every lookahead each is reached with
+        fresh: Dict[Inst, Set[tuple]] = {}  # those not yet passed on
+        for (pi, dot), ws in cores.items():
             rhs = self.prods[pi]["rhs"]
-            if dot >= len(rhs):
-                continue
-            sym = rhs[dot]
-            if sym[0] != "n":
-                continue
-            for w in self.lookaheads_after(pi, dot + 1, la):
-                for cpi in self.by_lhs.get(sym[1], ()):
-                    item = (cpi, 0, w)
-                    if item not in items:
-                        items.add(item)
-                        work.append(item)
-        return frozenset(items)
+            if dot < len(rhs) and rhs[dot][0] == "n":
+                _feed(las, fresh, rhs[dot][1], self.lookaheads_after(pi, dot + 1, ws))
+        k = self.k
+        while fresh:
+            inst, ws = fresh.popitem()
+            for m, full, partial in self.left_corners.get(inst, ()):
+                _feed(las, fresh, m, _extend(full, partial, ws, k))
+        return las
 
     # -- main construction ------------------------------------------------------
 
     def build(self) -> LrTables:
         k = self.k
+        prods = self.prods
+        kernels: List[frozenset] = []
+        state_of: Dict[frozenset, int] = {}  # kernel -> state
         states: List[frozenset] = []
-        state_of: Dict[frozenset, int] = {}
         goto: Dict[Tuple[int, object], int] = {}
+        action: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
+        conflicts: List[ConflictSite] = []
         starts: Dict[str, int] = {}
 
-        def ensure_state(kernel) -> int:
-            closed = self.closure(kernel)
-            got = state_of.get(closed)
-            if got is not None:
-                return got
-            state_of[closed] = len(states)
-            states.append(closed)
-            return state_of[closed]
+        # states are numbered by kernel and closed when their turn comes
+        def ensure_state(kernel: frozenset) -> int:
+            got = state_of.get(kernel)
+            if got is None:
+                got = state_of[kernel] = len(kernels)
+                kernels.append(kernel)
+            return got
 
         eof_la = (EOF_TERMINAL,) * k
         for m in self.cfg.mains:
-            starts[m] = ensure_state([(self.aug_of[m], 0, eof_la)])
+            starts[m] = ensure_state(frozenset([(self.aug_of[m], 0, eof_la)]))
 
         idx = 0
-        while idx < len(states):
+        while idx < len(kernels):
+            cores: Dict[Tuple[int, int], Set[tuple]] = {}
+            for pi, dot, la in kernels[idx]:
+                cores.setdefault((pi, dot), set()).add(la)
+            items = list(kernels[idx])
+            for inst, ws in self.closure(cores).items():
+                for cpi in self.by_lhs.get(inst, ()):
+                    cores[(cpi, 0)] = ws
+                    items.extend([(cpi, 0, w) for w in ws])
+            states.append(frozenset(items))
+
             by_symbol: Dict[object, List[tuple]] = {}
-            for pi, dot, la in sorted(states[idx]):
-                rhs = self.prods[pi]["rhs"]
-                if dot >= len(rhs):
-                    continue
-                sym = rhs[dot]
-                key = sym[1] if sym[0] == "n" else ("t", sym[1])
-                by_symbol.setdefault(key, []).append((pi, dot + 1, la))
-            for key in sorted(by_symbol, key=_sym_sort_key):
-                goto[(idx, key)] = ensure_state(by_symbol[key])
-            idx += 1
-
-        # -- assemble actions -------------------------------------------------
-        action: Dict[Tuple[int, tuple], Dict[tuple, List[tuple]]] = {}
-
-        def add(state, la, act, item):
-            cell = action.setdefault((state, la), {})
-            cell.setdefault(act, []).append(item)
-
-        for idx, items in enumerate(states):
-            for item in sorted(items):
-                pi, dot, la = item
-                prod = self.prods[pi]
+            shifts = []
+            cells: Dict[tuple, Set[tuple]] = {}  # lookahead -> actions
+            for (pi, dot), ws in cores.items():
+                prod = prods[pi]
                 rhs = prod["rhs"]
                 if dot == len(rhs):
                     if prod["kind"] == "start":
-                        add(idx, la, ("accept", prod["main"]), item)
+                        act = ("accept", prod["main"])
                     else:
-                        add(idx, la, ("reduce", pi), item)
-                elif rhs[dot][0] == "t":
-                    target = goto[(idx, ("t", rhs[dot][1]))]
-                    for w in self.lookaheads_after(pi, dot, la):
-                        add(idx, w, ("shift", target), item)
+                        act = ("reduce", pi)
+                    for w in ws:
+                        cells.setdefault(w, set()).add(act)
+                    continue
+                sym = rhs[dot]
+                if sym[0] == "t":
+                    shifts.append((sym, pi, dot, ws))
+                    key = sym
+                else:
+                    key = sym[1]
+                by_symbol.setdefault(key, []).extend([(pi, dot + 1, w) for w in ws])
 
-        # -- conflicts --------------------------------------------------------
-        conflicts: List[ConflictSite] = []
-        final_action: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
-        for key in sorted(action):
-            cell = action[key]
-            distinct = tuple(sorted(cell, key=_act_sort_key))
-            final_action[key] = distinct
-            if len(distinct) > 1:
-                conflicts.append(ConflictSite(
-                    key[0], key[1], distinct, tuple(tuple(cell[a]) for a in distinct)))
+            for key in sorted(by_symbol, key=_sym_sort_key):
+                goto[(idx, key)] = ensure_state(frozenset(by_symbol[key]))
+            for sym, pi, dot, ws in shifts:
+                act = ("shift", goto[(idx, sym)])
+                for w in self.lookaheads_after(pi, dot, ws):
+                    cells.setdefault(w, set()).add(act)
+            for w in sorted(cells):
+                cell = cells[w]
+                if len(cell) == 1:
+                    action[(idx, w)] = tuple(cell)
+                else:
+                    distinct = tuple(sorted(cell, key=_act_sort_key))
+                    action[(idx, w)] = distinct
+                    conflicts.append(ConflictSite(idx, w, distinct))
+            idx += 1
 
-        return LrTables(k, self.ig, self.prods, states, final_action, goto, starts,
-                        conflicts)
+        return LrTables(k, self.ig, prods, states, action, goto, starts, conflicts)
+
+
+def _extend(full: frozenset, partial: frozenset, las, k: int) -> Set[tuple]:
+    """full, plus each shorter prefix in partial completed by each of las."""
+    out = set(full)
+    for p in partial:
+        out.update([(p + w)[:k] for w in las])
+    return out
+
+
+def _feed(las, fresh, inst, ws: Set[tuple]):
+    """Record lookaheads ws for inst; queue those it had not been reached with.
+
+    A nonterminal is reached only with some lookahead: ws is empty after a
+    nonterminal that derives no terminal string."""
+    if not ws:
+        return
+    got = las.get(inst)
+    if got is None:
+        las[inst] = ws
+        fresh[inst] = set(ws)
+        return
+    ws -= got
+    if ws:
+        got |= ws
+        pending = fresh.get(inst)
+        if pending is None:
+            fresh[inst] = ws
+        else:
+            pending |= ws
 
 
 def _sym_sort_key(key):

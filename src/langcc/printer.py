@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .compiled import CompiledLang
-from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse
+from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse, wrong_value
 from .spec_ast import SpecError
 
 
@@ -60,11 +60,16 @@ class _Printer:
     def emit_value(self, v, kind):
         tag = kind[0]
         if tag == "token":
-            assert isinstance(v, TokenLeaf), v
+            if not isinstance(v, TokenLeaf):
+                raise wrong_value(v, TokenLeaf, "a token field")
             self.out.append(v.text)
         elif tag == "node":
+            if not isinstance(v, Node):
+                raise wrong_value(v, Node, "a node field")
             self.emit_node(v)
         elif tag == "seq":
+            if not isinstance(v, SeqVal):
+                raise wrong_value(v, SeqVal, "a seq field")
             self.emit_seq(v, kind)
         elif tag == "opt":
             if v is not None:
@@ -74,7 +79,8 @@ class _Printer:
             if v is True:
                 self.emit_template(kind[1])
         elif tag == "enum":
-            assert isinstance(v, EnumVal), v
+            if not isinstance(v, EnumVal):
+                raise wrong_value(v, EnumVal, "an enum field")
             for label, tmpl in kind[1]:
                 if label == v.label:
                     self.emit_template(tmpl)

@@ -303,18 +303,28 @@ def node_to_data_value(compiled: CompiledLang, n: Node):
     return DataValue(n.variant, tuple(fields))
 
 
+def wrong_value(v, cls, where: str) -> SpecError:
+    """The error for a tree value that is not a cls (trees built by hand can
+    hold a value of the wrong kind in any field)."""
+    return SpecError("%s holds a %s, expected a %s"
+                     % (where, type(v).__name__, cls.__name__))
+
+
 def _value_to_data(compiled, v, kind, vk, fname):
     from .datacc import DataValue
 
     tag = kind[0]
     if tag == "token":
-        assert isinstance(v, TokenLeaf), (vk, fname, v)
+        if not isinstance(v, TokenLeaf):
+            raise wrong_value(v, TokenLeaf, "field %s.%s" % (vk, fname))
         return v.text
     if tag == "node":
-        assert isinstance(v, Node)
+        if not isinstance(v, Node):
+            raise wrong_value(v, Node, "field %s.%s" % (vk, fname))
         return node_to_data_value(compiled, v)
     if tag == "seq":
-        assert isinstance(v, SeqVal)
+        if not isinstance(v, SeqVal):
+            raise wrong_value(v, SeqVal, "field %s.%s" % (vk, fname))
         return tuple(_value_to_data(compiled, item, kind[1], vk, fname)
                      for item in v.items)
     if tag == "opt":
@@ -322,10 +332,12 @@ def _value_to_data(compiled, v, kind, vk, fname):
             return None
         return _value_to_data(compiled, v, kind[1], vk, fname)
     if tag == "bool":
-        assert isinstance(v, bool)
+        if not isinstance(v, bool):
+            raise wrong_value(v, bool, "field %s.%s" % (vk, fname))
         return v
     if tag == "enum":
-        assert isinstance(v, EnumVal)
+        if not isinstance(v, EnumVal):
+            raise wrong_value(v, EnumVal, "field %s.%s" % (vk, fname))
         enum_type = "_".join(vk.split("::") + [fname])
         return DataValue((enum_type, v.label), ())
     raise AssertionError(kind)

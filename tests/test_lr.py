@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from langcc import (
     build_lr, dump_lr, expand_instances, first_k, lower_grammar,
     lower_precedence, parse_lang_spec, run_compile_tests,
 )
+from langcc.lexer import EOF_TERMINAL
+from langcc.lr import _act_sort_key, _Builder, _sym_sort_key
 
 from conftest import GOLDEN, load_grammar
 from oracle import earley_accepts
@@ -116,6 +120,19 @@ def test_ab_eps_lr2_dump_matches_golden():
     assert dump_lr(tables) == golden
 
 
+# the whole automaton (states, items, actions, conflicts) of the largest
+# fixtures, as built by the per-item closure keyed by closed sets
+@pytest.mark.parametrize("name,k,sha256", [
+    ("meta.lang", 1, "b9b690c4f21190f96c6a847544ae88b5f2863441f46e7324ca911be66f089a0d"),
+    ("calc_noprec.lang", 1, "45b411ada424a916e0222e9add65f4d1ae852cb3e75e274315ffda5a948c74e2"),
+    ("calc_noprec.lang", 2, "6df040f67e4d0c08bec790fe162f92024dd0ae174b2ad4cd47d97288711b74c4"),
+])
+def test_dump_lr_pinned(name, k, sha256):
+    _, cfg = _cfg(name)
+    dump = dump_lr(build_lr(cfg, k))
+    assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == sha256
+
+
 def test_full_lr_lookaheads_part_of_state_identity():
     # canonical LR(1) on parens: states whose item cores match but whose
     # lookaheads differ must stay distinct
@@ -199,3 +216,100 @@ def test_conflict_monotonicity_k2_projects_into_k1():
     for c in t2.conflicts:
         key = (tuple(t2.display_action(a) for a in c.actions), c.lookahead[:1])
         assert key in k1_keys, key
+
+
+# ---------------------------------------------------------------------------
+# The construction against a per-item reference
+
+def _reference_lr(cfg, k):
+    """Canonical LR(k) built the plain way: each goto target is closed item
+    by item, then looked up by its closed set.  Returns (states, goto,
+    action) with each action cell a set."""
+    b = _Builder(cfg, k)
+
+    def closure(kernel):
+        items = set(kernel)
+        work = list(kernel)
+        while work:
+            pi, dot, la = work.pop()
+            rhs = b.prods[pi]["rhs"]
+            if dot >= len(rhs) or rhs[dot][0] != "n":
+                continue
+            for w in b.lookaheads_after(pi, dot + 1, (la,)):
+                for cpi in b.by_lhs.get(rhs[dot][1], ()):
+                    if (cpi, 0, w) not in items:
+                        items.add((cpi, 0, w))
+                        work.append((cpi, 0, w))
+        return frozenset(items)
+
+    states, state_of, goto = [], {}, {}
+
+    def ensure_state(kernel):
+        closed = closure(kernel)
+        if closed not in state_of:
+            state_of[closed] = len(states)
+            states.append(closed)
+        return state_of[closed]
+
+    for m in cfg.mains:
+        ensure_state([(b.aug_of[m], 0, (EOF_TERMINAL,) * k)])
+    idx = 0
+    while idx < len(states):
+        by_symbol = {}
+        for pi, dot, la in sorted(states[idx]):
+            rhs = b.prods[pi]["rhs"]
+            if dot < len(rhs):
+                key = rhs[dot][1] if rhs[dot][0] == "n" else rhs[dot]
+                by_symbol.setdefault(key, []).append((pi, dot + 1, la))
+        for key in sorted(by_symbol, key=_sym_sort_key):
+            goto[(idx, key)] = ensure_state(by_symbol[key])
+        idx += 1
+
+    action = {}
+    for idx, items in enumerate(states):
+        for pi, dot, la in items:
+            prod = b.prods[pi]
+            rhs = prod["rhs"]
+            if dot == len(rhs):
+                act = ("accept", prod["main"]) if prod["kind"] == "start" else ("reduce", pi)
+                action.setdefault((idx, la), set()).add(act)
+            elif rhs[dot][0] == "t":
+                for w in b.lookaheads_after(pi, dot, (la,)):
+                    action.setdefault((idx, w), set()).add(("shift", goto[(idx, rhs[dot])]))
+    return states, goto, action
+
+
+_NTS = ["S", "A", "B", "C"]
+_TERMS = ["`a`", "`b`", "`c`"]
+
+
+@st.composite
+def _small_grammars(draw):
+    """A .lang source over terminals a, b, c and up to four nonterminals,
+    each with one to three productions of up to three symbols."""
+    nts = _NTS[:draw(st.integers(1, len(_NTS)))]
+    lines = []
+    for nt in nts:
+        for _ in range(draw(st.integers(1, 3))):
+            rhs = draw(st.lists(st.sampled_from(_TERMS + nts), max_size=3))
+            lines.append("    %s.P%d <- %s;" % (nt, len(lines), " ".join(rhs) or "eps"))
+    return ("tokens {\n    top <= `a` | `b` | `c`;\n}\n\n"
+            "lexer {\n    main { body }\n\n    mode body {\n"
+            "        top => { emit; }\n        eof => { pop; }\n    }\n}\n\n"
+            "parser {\n    main { S }\n\n%s\n}\n" % "\n".join(lines))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_grammars())
+def test_construction_matches_per_item_reference(source):
+    spec = parse_lang_spec(source)
+    cfg = lower_precedence(spec, lower_grammar(spec)[0])
+    for k in (1, 2):
+        tables = build_lr(cfg, k)
+        states, goto, action = _reference_lr(cfg, k)
+        assert tables.states == states
+        assert tables.goto == goto
+        assert {key: set(acts) for key, acts in tables.action.items()} == action
+        want = [(st, la, tuple(sorted(action[(st, la)], key=_act_sort_key)))
+                for st, la in sorted(action) if len(action[(st, la)]) > 1]
+        assert [(c.state, c.lookahead, c.actions) for c in tables.conflicts] == want

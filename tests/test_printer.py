@@ -127,3 +127,14 @@ def test_enum_label_prints_its_literal(calc):
     assert pretty_print(calc.compiled, res.result) == "1 - 2"
     res2 = parse(calc.compiled, "-1")
     assert pretty_print(calc.compiled, res2.result) == "-1"
+
+
+def test_mistyped_field_raises_spec_error(calc):
+    from langcc.runtime import Node, TokenLeaf
+
+    node = parse(calc.compiled, "1").result
+    (name, expr), = node.fields
+    bad = Node(node.variant, ((name, TokenLeaf("int_lit", "1", expr.bounds)),),
+               node.bounds)
+    with pytest.raises(SpecError, match="a node field holds a TokenLeaf, expected a Node"):
+        pretty_print(calc.compiled, bad)

@@ -147,6 +147,18 @@ def test_schema_conformance_of_parsed_nodes(calc):
         assert validate_node(calc.compiled, schema, res.result)
 
 
+def test_validate_node_rejects_mistyped_field(calc):
+    # `1`, with a token where its Expr node field belongs
+    node = parse(calc.compiled, "1").result
+    (name, expr), = node.fields
+    bad = Node(node.variant, ((name, TokenLeaf("int_lit", "1", expr.bounds)),),
+               node.bounds)
+    schema = derive_ast_schema(calc.cfg)
+    with pytest.raises(SpecError, match="field Stmt::Expr.x holds a TokenLeaf, "
+                                        "expected a Node"):
+        validate_node(calc.compiled, schema, bad)
+
+
 def test_error_offsets_match_marked_tests(calc, parens, sum_list, meta):
     for result in (calc, parens, sum_list, meta):
         for t in result.spec.parse_tests:
@@ -195,6 +207,20 @@ def test_artifact_with_duplicate_action_cell_rejected(calc):
     data = _calc_artifact(calc)
     data["action"].append(data["action"][0])
     with pytest.raises(SpecError, match="two actions for state"):
+        _load(data)
+
+
+def test_artifact_with_malformed_action_entry_rejected(calc):
+    data = _calc_artifact(calc)
+    data["action"][0] = [0, "x"]
+    with pytest.raises(SpecError, match="is not \\[state, lookahead, action\\]"):
+        _load(data)
+
+
+def test_artifact_with_string_k_rejected(calc):
+    data = _calc_artifact(calc)
+    data["k"] = "1"
+    with pytest.raises(SpecError, match="k is '1', not a positive integer"):
         _load(data)
 
 
