@@ -25,7 +25,8 @@ def _ids(seq: SeqVal) -> Tuple[str, ...]:
 
 
 def _dotted(node: Node) -> Tuple[str, ...]:
-    assert node.variant == ("DottedName", "Name")
+    if node.variant != ("DottedName", "Name"):
+        raise SpecError("expected a DottedName::Name node, got %s" % "::".join(node.variant))
     return _ids(node.field("parts"))
 
 
@@ -239,7 +240,8 @@ def _conv_parser(items: SeqVal) -> sa.ParserSpec:
 
 def langspec_from_node(root: Node) -> LangSpec:
     """Rebuild a LangSpec from a Lang::File node of the generated meta parser."""
-    assert root.variant == ("Lang", "File"), root.variant
+    if root.variant != ("Lang", "File"):
+        raise SpecError("expected a Lang::File node, got %s" % "::".join(root.variant))
     token_decls: List[sa.TokenDecl] = []
     lexer: Optional[sa.LexerSpec] = None
     parser: Optional[sa.ParserSpec] = None

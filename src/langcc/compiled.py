@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .grammar import Cfg, lower_grammar, lower_precedence
 from .lexer import CompiledLexer, ModeDfa, compile_lexer
@@ -41,21 +41,26 @@ class CompiledLang:
 
     def _build_indexes(self):
         d = self.data
-        _check_tables(d)
-        self.k = d["k"]
+        n_states = _check_tables(d)
+        self.k = k = d["k"]
         self.mains = list(d["mains"])
         self.digest = d["digest"]
         self.indent_unit = d["indent_unit"]
-        self.action: Dict[tuple, tuple] = {}
+        # action_rows[state]: lookahead -> action tuple, keyed by the terminal
+        # itself when k = 1 and by the k-tuple of terminals otherwise;
+        # goto_rows[state]: nonterminal ref -> target state
+        self.action_rows: List[dict] = [{} for _ in range(n_states)]
         for state, la, act in d["action"]:
-            cell = (state, tuple(la))
-            if cell in self.action:
+            row = self.action_rows[state]
+            key = la[0] if k == 1 else tuple(la)
+            if key in row:
                 raise SpecError("malformed artifact: two actions for state %d on %s"
                                 % (state, " ".join(la)))
-            self.action[cell] = tuple(act)  # flat: checked by _check_tables
-        self.goto: Dict[tuple, int] = {}
+            row[key] = tuple(act)  # flat: checked by _check_tables
+        self.goto_rows: List[dict] = [{} for _ in range(n_states)]
         for state, kind, ref, target in d["goto"]:
-            self.goto[(state, (kind, ref))] = target
+            if kind == "n":  # terminal gotos are the shift actions' targets
+                self.goto_rows[state][ref] = target
         self.starts = dict(d["starts"])
         self.prods = [_untuple(p) for p in d["prods"]]
         # prods entries:
@@ -116,9 +121,11 @@ _PROD_KINDS = {"start", "user", "enum", "list_empty", "list_single", "list_pair"
 _ACTION_ARG = {"shift": int, "reduce": int, "accept": str}
 
 
-def _check_tables(d: dict):
-    """Reject an artifact whose parser tables hold values of the wrong type,
-    which would otherwise load and fail only when a parse reaches them.
+def _check_tables(d: dict) -> int:
+    """Reject an artifact whose parser tables hold values of the wrong type
+    or refer to states that do not exist, which would otherwise load and
+    fail only when a parse reaches them.  Returns the number of states: one
+    more than the largest state that has an action or a goto.
     (Messages are formatted only on failure: this runs on every load.)"""
     k = d["k"]
     if type(k) is not int or k < 1:
@@ -138,13 +145,17 @@ def _check_tables(d: dict):
                 raise _malformed("production %r has malformed fields" % (p,))
         elif p[0] != "start" and not (len(p) == 5 and type(p[3]) is list):
             raise _malformed("production %r has no assembly list" % (p,))
+    last = -1  # the largest state with an entry
     lookaheads = set()  # those already checked
+    targets = set()  # shift and goto targets
     for entry in d["action"]:
         if not (type(entry) is list and len(entry) == 3):
             raise _malformed("action entry %r is not [state, lookahead, action]" % (entry,))
         state, la, act = entry
-        if not (type(state) is int and type(la) is list):
+        if not (type(state) is int and state >= 0 and type(la) is list):
             raise _malformed("action entry %r has no state or no lookahead" % (entry,))
+        if state > last:
+            last = state
         la = tuple(la)
         if la not in lookaheads:
             if not (len(la) == k and all(type(t) is str for t in la)):
@@ -153,16 +164,32 @@ def _check_tables(d: dict):
         if not (type(act) is list and len(act) == 2 and type(act[0]) is str
                 and _ACTION_ARG.get(act[0]) is type(act[1])):
             raise _malformed("action %r is not shift, reduce or accept" % (act,))
-        if act[0] == "reduce" and not 0 <= act[1] < len(prods):
+        if act[0] == "shift":
+            targets.add(act[1])
+        elif act[0] == "reduce" and not 0 <= act[1] < len(prods):
             raise _malformed("action %r reduces a production that does not exist" % (act,))
     for entry in d["goto"]:
         if not (type(entry) is list and len(entry) == 4 and type(entry[0]) is int
-                and entry[1] in ("t", "n") and type(entry[2]) is str
+                and entry[0] >= 0 and entry[1] in ("t", "n") and type(entry[2]) is str
                 and type(entry[3]) is int):
             raise _malformed("goto entry %r is not [state, kind, symbol, target]" % (entry,))
+        if entry[0] > last:
+            last = entry[0]
+        targets.add(entry[3])
     starts = d["starts"]
     if type(starts) is not dict or not all(type(s) is int for s in starts.values()):
         raise _malformed("starts is %r, not a map of names to states" % (starts,))
+    n_states = last + 1
+    # every state has an entry, so a larger number than there are entries
+    # is no state (and would only make the rows huge)
+    if n_states > len(d["action"]) + len(d["goto"]):
+        raise _malformed("state %d is out of range" % last)
+    targets.update(starts.values())
+    if targets and not (min(targets) >= 0 and max(targets) < n_states):
+        bad = min(t for t in targets if not 0 <= t < n_states)
+        raise _malformed("shift, goto or start target %d is not one of the %d states"
+                         % (bad, n_states))
+    return n_states
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +247,43 @@ def _lexer_to_json(lx: CompiledLexer) -> dict:
 
 
 def _lexer_from_json(d: dict) -> CompiledLexer:
-    dfas = {}
-    for name, states in d["modes"].items():
-        rows = []
-        for transitions, eof_target, accept in states:
-            rows.append((tuple(tuple(t) for t in transitions), eof_target,
-                         tuple(accept) if accept is not None else None))
-        dfas[name] = ModeDfa(name, rows)
     actions = {m: tuple(tuple(_action_from_json(a) for a in rule) for rule in rules)
                for m, rules in d["actions"].items()}
+    dfas = {}
+    for name, states in d["modes"].items():
+        n_rules = len(actions[name])
+        rows = []
+        for transitions, eof_target, accept in states:
+            row = (tuple(tuple(t) for t in transitions), eof_target,
+                   tuple(accept) if accept is not None else None)
+            _check_dfa_row(name, len(rows), row, len(states), n_rules)
+            rows.append(row)
+        dfas[name] = ModeDfa(name, rows)
     return CompiledLexer(d["main_mode"], dfas, actions, frozenset(d["emittable"]))
+
+
+def _check_dfa_row(mode: str, state: int, row, n_states: int, n_rules: int):
+    """Reject a lexer DFA state whose transitions are not sorted disjoint
+    [lo, hi, target] intervals over existing states, or whose accept is not
+    null or [rule, token or null] naming one of the mode's rules."""
+    transitions, eof_target, accept = row
+    prev_hi = -1
+    for t in transitions:
+        if not (len(t) == 3 and all(type(x) is int for x in t)
+                and prev_hi < t[0] <= t[1] and 0 <= t[2] < n_states):
+            raise _malformed("mode %s state %d: transition %r is not an interval "
+                             "after %d to one of %d states"
+                             % (mode, state, list(t), prev_hi, n_states))
+        prev_hi = t[1]
+    if eof_target is not None and not (type(eof_target) is int
+                                       and 0 <= eof_target < n_states):
+        raise _malformed("mode %s state %d: eof target %r is not one of %d states"
+                         % (mode, state, eof_target, n_states))
+    if accept is not None and not (len(accept) == 2 and type(accept[0]) is int
+                                   and 0 <= accept[0] < n_rules
+                                   and (accept[1] is None or type(accept[1]) is str)):
+        raise _malformed("mode %s state %d: accept %r is not null or [rule, token] "
+                         "with one of %d rules" % (mode, state, list(accept), n_rules))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +408,8 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
                     items.append(["field", field_of_slot[idx][1]])
                 else:
                     slot = p.slots[idx]
-                    assert slot.is_terminal, "unbound nonterminal slot %r" % (slot,)
+                    if not slot.is_terminal:
+                        raise SpecError("unbound nonterminal slot %r in %s" % (slot, vk))
                     items.append(["lit", lit_text(slot.symbol)])
         templates_json[vk] = items
 

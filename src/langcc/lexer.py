@@ -12,6 +12,12 @@ writable without sacrificing determinism:
   rule and yields to every other rule.
 
 Everything else is a hard LexAmbiguity error.
+
+At run time maximal munch walks the DFA of the mode on top of the mode
+stack.  Each DFA state has a dense transition row for ASCII codepoints and
+flat accept/eof lists, so an ASCII character costs one list index; other
+codepoints bisect the state's sorted intervals.  Tokens are __slots__
+values (SlotValue), not dataclasses, because one is built per token.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .spec_ast import (
 )
 
 MAX_CODEPOINT = 0x10FFFF
+ASCII_ROW = 128  # codepoints below this have a dense transition row
 EOF_TERMINAL = "$"
 
 
@@ -172,17 +179,33 @@ class ModeDfa:
     """Deterministic automaton for one lexer mode.
 
     states[i] is (transitions, eof_target, accept) where transitions is a
-    sorted tuple of (lo, hi, target) with disjoint intervals.
+    sorted tuple of (lo, hi, target) with disjoint intervals.  For the
+    matching loop each state also has a dense row of ASCII_ROW targets
+    (-1: no transition) in `ascii_rows`; codepoints past it are found by
+    bisecting the state's interval lows.  `accepts[i]` and `eofs[i]` (-1: no
+    eof transition) flatten the other two columns.
     """
 
     def __init__(self, mode: str, states, start: int = 0):
         self.mode = mode
         self.states = states
         self.start = start
-        # parallel arrays for the hot matching loop
         self._lows = [[iv[0] for iv in st[0]] for st in states]
+        self.ascii_rows = []
+        for transitions, _eof, _acc in states:
+            row = [-1] * ASCII_ROW
+            for lo, hi, target in transitions:
+                if lo >= ASCII_ROW:
+                    break
+                hi = min(hi, ASCII_ROW - 1)
+                row[lo:hi + 1] = [target] * (hi + 1 - lo)
+            self.ascii_rows.append(row)
+        self.accepts = [st[2] for st in states]
+        self.eofs = [-1 if st[1] is None else st[1] for st in states]
 
     def step(self, state: int, cp: int) -> int:
+        if cp < ASCII_ROW:
+            return self.ascii_rows[state][cp]
         transitions = self.states[state][0]
         idx = bisect.bisect_right(self._lows[state], cp) - 1
         if idx >= 0:
@@ -192,11 +215,10 @@ class ModeDfa:
         return -1
 
     def accept(self, state: int):
-        return self.states[state][2]
+        return self.accepts[state]
 
     def eof_target(self, state: int) -> int:
-        t = self.states[state][1]
-        return -1 if t is None else t
+        return self.eofs[state]
 
     def dump(self) -> str:
         out = ["mode %s (%d states)" % (self.mode, len(self.states))]
@@ -224,12 +246,39 @@ def _cp_repr(cp: int) -> str:
     return ch
 
 
-@dataclass(frozen=True)
-class Token:
-    terminal: str
-    text: str
-    start: int  # byte offsets
-    end: int
+class SlotValue:
+    """Base of the small value records built per token and per reduction
+    (Token here; Bounds, TokenLeaf, EnumVal, SeqVal in runtime): plain
+    __slots__ classes, much cheaper to construct than frozen dataclasses,
+    with the equality, hashing and repr a frozen dataclass would give them.
+    Instances are not modified after construction."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
+class Token(SlotValue):
+    __slots__ = ("terminal", "text", "start", "end")
+
+    def __init__(self, terminal: str, text: str, start: int, end: int):
+        self.terminal = terminal
+        self.text = text
+        self.start = start  # byte offsets
+        self.end = end
 
 
 @dataclass(frozen=True)
@@ -461,28 +510,35 @@ class _Frame:
         self.start = start
 
 
-def _match(dfa: ModeDfa, text: str, pos: int, n: int):
-    """Maximal munch from pos; returns (end, accept) of the longest match."""
+def _match(dfa: ModeDfa, codes, pos: int, n: int):
+    """Maximal munch from pos over the codepoints `codes`; returns
+    (end, accept) of the longest match, or None."""
+    rows = dfa.ascii_rows
+    accepts = dfa.accepts
     state = dfa.start
-    best = None
-    acc = dfa.accept(state)
-    if acc is not None:
-        best = (pos, acc)
+    best_acc = accepts[state]
+    best_end = pos
     i = pos
     while i < n:
-        state = dfa.step(state, ord(text[i]))
+        cp = codes[i]
+        state = rows[state][cp] if cp < ASCII_ROW else dfa.step(state, cp)
         if state < 0:
-            return best
+            break
         i += 1
-        acc = dfa.accept(state)
+        acc = accepts[state]
         if acc is not None:
-            best = (i, acc)
-    eof_state = dfa.eof_target(state)
-    if eof_state >= 0:
-        acc = dfa.accept(eof_state)
-        if acc is not None:
-            best = (i, acc)
-    return best
+            best_acc = acc
+            best_end = i
+    else:
+        eof_state = dfa.eofs[state]
+        if eof_state >= 0:
+            acc = accepts[eof_state]
+            if acc is not None:
+                best_acc = acc
+                best_end = i
+    if best_acc is None:
+        return None
+    return best_end, best_acc
 
 
 def lex(compiled: CompiledLexer, text: str) -> LexOutput:
@@ -495,6 +551,7 @@ def lex(compiled: CompiledLexer, text: str) -> LexOutput:
     """
     n = len(text)
     byte_of = _byte_offsets(text)
+    codes = text.encode("ascii") if text.isascii() else [ord(ch) for ch in text]
     frames = [_Frame(compiled.main_mode, 0)]
     tokens: List[Token] = []
     extracts: List[Extract] = []
@@ -502,7 +559,7 @@ def lex(compiled: CompiledLexer, text: str) -> LexOutput:
 
     while frames:
         top = frames[-1]
-        m = _match(compiled.dfas[top.mode], text, pos, n)
+        m = _match(compiled.dfas[top.mode], codes, pos, n)
         if m is None:
             if pos == n:
                 raise LexError("stack_nonempty_at_eof", byte_of[pos], "mode %s" % top.mode)

@@ -52,7 +52,8 @@ class MetaToken:
 
 def decode_backtick(raw: str, loc: Optional[Loc] = None) -> str:
     """Decode the contents of a backtick literal (delimiters included in raw)."""
-    assert raw.startswith("`") and raw.endswith("`") and len(raw) >= 2
+    if not (len(raw) >= 2 and raw.startswith("`") and raw.endswith("`")):
+        raise SpecError("%r is not a backtick literal" % raw, loc)
     body = raw[1:-1]
     out = []
     i = 0

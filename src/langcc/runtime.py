@@ -6,45 +6,62 @@ enums) are collapsed during reduction, so users only ever see nodes of their
 own rule variants, sequences, options, booleans, and enum labels; every
 value carries its source bounds as UTF-8 byte offsets.  Line and column are
 computed on demand from an offset with lexer.token_bounds_to_linecol.
+
+The LR loop indexes the per-state rows CompiledLang builds at load
+(action_rows[state][lookahead], goto_rows[state][nonterminal]); with k = 1
+the lookahead key is the terminal string itself, so no tuple is built per
+step.  Tree values are __slots__ classes (see lexer.SlotValue), several
+times cheaper to construct than frozen dataclasses, and the cyclic
+collector is paused for the duration of a parse.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .compiled import CompiledLang
-from .lexer import EOF_TERMINAL, LexError, lex, token_bounds_to_linecol
+from .lexer import EOF_TERMINAL, LexError, SlotValue, lex, token_bounds_to_linecol
 from .spec_ast import SpecError
 
 
-@dataclass(frozen=True)
-class Bounds:
-    start: int  # byte offsets
-    end: int
+class Bounds(SlotValue):
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int):
+        self.start = start  # byte offsets
+        self.end = end
 
     def span(self) -> Tuple[int, int]:
         return (self.start, self.end)
 
 
-@dataclass(frozen=True)
-class TokenLeaf:
-    terminal: str
-    text: str
-    bounds: Bounds
+class TokenLeaf(SlotValue):
+    __slots__ = ("terminal", "text", "bounds")
+
+    def __init__(self, terminal: str, text: str, bounds: Bounds):
+        self.terminal = terminal
+        self.text = text
+        self.bounds = bounds
 
 
-@dataclass(frozen=True)
-class EnumVal:
-    label: str
-    bounds: Bounds
+class EnumVal(SlotValue):
+    __slots__ = ("label", "bounds")
+
+    def __init__(self, label: str, bounds: Bounds):
+        self.label = label
+        self.bounds = bounds
 
 
-@dataclass(frozen=True)
-class SeqVal:
-    items: tuple
-    trailing: bool
-    bounds: Bounds
+class SeqVal(SlotValue):
+    __slots__ = ("items", "trailing", "bounds")
+
+    def __init__(self, items: tuple, trailing: bool, bounds: Bounds):
+        self.items = items
+        self.trailing = trailing
+        self.bounds = bounds
 
 
 class Node:
@@ -119,13 +136,53 @@ def location_fmt_str(text: str, bounds: Tuple[int, int]) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
+class _CollectorPause:
+    """Disables the cyclic collector while at least one parse runs, then
+    restores the state it had when the first of them began: a collector the
+    caller had disabled stays disabled.  The collector is process-wide, so
+    parses overlapping in threads share one pause; the lock keeps one of
+    them from re-enabling the collector while another still runs, or from
+    reading the paused state as the caller's."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running = 0
+        self._was_enabled = False
+
+    def __enter__(self):
+        with self._lock:
+            if not self._running:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._running += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._running -= 1
+            if not self._running and self._was_enabled:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
+
 def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> ParseResult:
-    """Lex then run the LR engine; exactly one of result / err is set."""
+    """Lex then run the LR engine; exactly one of result / err is set.
+
+    The cyclic collector is paused meanwhile (see _CollectorPause): the
+    tree is acyclic, so reference counting frees it, and collector passes
+    over the growing tree would make parse time grow faster than the
+    input."""
     if start is None:
         start = compiled.default_start
     if start not in compiled.starts:
         raise SpecError("%r is not a main nonterminal (mains: %s)"
                         % (start, ", ".join(compiled.mains)))
+    with _COLLECTOR_PAUSE:
+        return _parse(compiled, text, compiled.starts[start])
+
+
+def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
     try:
         lexed = lex(compiled.lexer, text)
     except LexError as e:
@@ -134,22 +191,23 @@ def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> Par
         return ParseResult(None, ParseError(msg, b, location_fmt_str(text, b)), [])
 
     toks = lexed.tokens
+    n_toks = len(toks)
     end_byte = len(text.encode("utf-8"))
     k = compiled.k
     terms = [t.terminal for t in toks] + [EOF_TERMINAL] * k
+    # the action-row key at each position: the terminal itself when k = 1
+    las = terms if k == 1 else [tuple(terms[i:i + k]) for i in range(n_toks + 1)]
+    action_rows = compiled.action_rows
+    goto_rows = compiled.goto_rows
+    prods = compiled.prods
 
-    states = [compiled.starts[start]]
+    states = [start_state]
     values: List[object] = []
     vbounds: List[Bounds] = []
     pos = 0
-    n_toks = len(toks)
-
-    def next_start_byte() -> int:
-        return toks[pos].start if pos < n_toks else end_byte
 
     while True:
-        la = tuple(terms[pos: pos + k])
-        act = compiled.action.get((states[-1], la))
+        act = action_rows[states[-1]].get(las[pos])
         if act is None:
             return ParseResult(None, _unexpected(text, end_byte, toks, pos),
                                lexed.extracts)
@@ -157,38 +215,37 @@ def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> Par
 
         if tag == "shift":
             tok = toks[pos]
-            values.append(TokenLeaf(tok.terminal, tok.text, Bounds(tok.start, tok.end)))
-            vbounds.append(values[-1].bounds)
+            b = Bounds(tok.start, tok.end)
+            values.append(TokenLeaf(tok.terminal, tok.text, b))
+            vbounds.append(b)
             states.append(act[1])
             pos += 1
-        elif tag == "accept":
+        elif tag == "reduce":
+            prod = prods[act[1]]
+            rhs_len = prod[1]
+            if rhs_len:
+                popped = values[-rhs_len:]
+                span = Bounds(vbounds[-rhs_len].start, vbounds[-1].end)
+                del values[-rhs_len:]
+                del vbounds[-rhs_len:]
+                del states[-rhs_len:]
+            else:
+                popped = []
+                at = toks[pos].start if pos < n_toks else end_byte
+                span = Bounds(at, at)
+            value = _assemble(prod, popped, span)
+            target = goto_rows[states[-1]].get(prod[2])
+            if target is None:
+                raise SpecError("malformed artifact: no goto for %s in state %d"
+                                % (prod[2], states[-1]))
+            states.append(target)
+            values.append(value)
+            vbounds.append(span)
+        else:  # accept
             if len(values) != 1 or not isinstance(values[0], Node):
                 raise SpecError("malformed artifact: accept without a single node "
                                 "on the stack")
             return ParseResult(values[0], None, lexed.extracts)
-        else:  # reduce
-            pi = act[1]
-            prod = compiled.prods[pi]
-            kind, rhs_len, lhs_ref = prod[0], prod[1], prod[2]
-            popped = values[len(values) - rhs_len:] if rhs_len else []
-            popped_bounds = vbounds[len(vbounds) - rhs_len:] if rhs_len else []
-            if rhs_len:
-                del values[len(values) - rhs_len:]
-                del vbounds[len(vbounds) - rhs_len:]
-                del states[len(states) - rhs_len:]
-            if popped_bounds:
-                span = Bounds(popped_bounds[0].start, popped_bounds[-1].end)
-            else:
-                at = next_start_byte()
-                span = Bounds(at, at)
-            value = _assemble(prod, popped, span)
-            target = compiled.goto.get((states[-1], ("n", lhs_ref)))
-            if target is None:
-                raise SpecError("malformed artifact: no goto for %s in state %d"
-                                % (lhs_ref, states[-1]))
-            states.append(target)
-            values.append(value)
-            vbounds.append(span)
 
 
 def _assemble(prod, popped, span: Bounds):

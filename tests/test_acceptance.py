@@ -108,8 +108,8 @@ def _drive_tables(compiled, tokens):
     states = [compiled.starts[compiled.default_start]]
     pos = 0
     for _guard in range(100000):
-        la = tuple(terms[pos: pos + k])
-        act = compiled.action.get((states[-1], la))
+        la = terms[pos] if k == 1 else tuple(terms[pos: pos + k])
+        act = compiled.action_rows[states[-1]].get(la)
         if act is None:
             return False
         if act[0] == "shift":
@@ -121,7 +121,7 @@ def _drive_tables(compiled, tokens):
             prod = compiled.prods[act[1]]
             if prod[1]:
                 del states[len(states) - prod[1]:]
-            target = compiled.goto.get((states[-1], ("n", prod[2])))
+            target = compiled.goto_rows[states[-1]].get(prod[2])
             if target is None:
                 return False
             states.append(target)

@@ -1,4 +1,9 @@
+import pytest
+
 from langcc import bootstrap_check, langspec_from_node, parse, parse_lang_spec
+from langcc.bootstrap import _dotted
+from langcc.runtime import Bounds, Node
+from langcc.spec_ast import SpecError
 
 from conftest import load_grammar
 
@@ -36,3 +41,14 @@ def test_corrupted_meta_fails_with_diagnostic():
     except Exception:
         return  # frontend diagnostic is an acceptable failure mode
     assert not ok
+
+
+def test_converters_reject_wrong_node_variants(meta):
+    # explicit checks, kept under python -O
+    tree = parse(meta.compiled, load_grammar("parens.lang")).result
+    with pytest.raises(SpecError, match="expected a Lang::File node, got DottedName::Name"):
+        langspec_from_node(Node(("DottedName", "Name"), (), tree.bounds))
+    with pytest.raises(SpecError, match="expected a DottedName::Name node, got Lang::File"):
+        _dotted(tree)
+    with pytest.raises(SpecError, match="expected a Lang::File node"):
+        langspec_from_node(Node(("Lang",), (), Bounds(0, 0)))

@@ -165,8 +165,8 @@ def _table_accepts(compiled, tokens):
         depth += 1
         if depth > 10000:
             return False
-        la = tuple(terms[pos: pos + k])
-        act = compiled.action.get((states[-1], la))
+        la = terms[pos] if k == 1 else tuple(terms[pos: pos + k])
+        act = compiled.action_rows[states[-1]].get(la)
         if act is None:
             return False
         if act[0] == "shift":
@@ -179,7 +179,7 @@ def _table_accepts(compiled, tokens):
             n = prod[1]
             if n:
                 del states[len(states) - n:]
-            target = compiled.goto.get((states[-1], ("n", prod[2])))
+            target = compiled.goto_rows[states[-1]].get(prod[2])
             if target is None:
                 return False
             states.append(target)
@@ -204,6 +204,35 @@ def test_oracle_equivalence_short_strings(name, terminals, request):
             want = earley_accepts(ig, start, list(toks))
             got = _table_accepts(compiled, list(toks))
             assert got == want, (name, toks)
+
+
+_ORACLE_GRAMMARS = {
+    "parens": ["`(`", "`)`"],
+    "sum_list": ["`a`", "`+`"],
+    "ab_eps": ["`a`"],  # LR(2): its action rows are keyed by 2-tuples
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_GRAMMARS))
+def test_parse_agrees_with_earley_on_random_strings(name, request):
+    # runtime.parse itself, lexer included, on strings longer than the
+    # exhaustive enumeration above reaches
+    from langcc.meta_frontend import decode_backtick
+    from langcc.runtime import parse
+
+    _spec, cfg = _cfg(name + ".lang")
+    ig = expand_instances(cfg)
+    compiled = request.getfixturevalue(name).compiled
+    terminals = _ORACLE_GRAMMARS[name]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(terminals), max_size=30))
+    def agrees(toks):
+        text = "".join(decode_backtick(t) for t in toks)
+        res = parse(compiled, text)
+        assert res.is_success() == earley_accepts(ig, cfg.mains[0], toks), (name, text)
+
+    agrees()
 
 
 def test_conflict_monotonicity_k2_projects_into_k1():

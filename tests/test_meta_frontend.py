@@ -69,6 +69,13 @@ def test_escape_decoding():
         decode_backtick("`\\q`")
 
 
+@pytest.mark.parametrize("raw", ["abc", "`", "`abc", "abc`", ""])
+def test_decode_backtick_rejects_non_literal(raw):
+    # an explicit check, kept under python -O
+    with pytest.raises(SpecError, match="is not a backtick literal"):
+        decode_backtick(raw)
+
+
 def test_validate_calc_is_clean():
     spec = parse_lang_spec(load_grammar("calc.lang"))
     assert validate_spec(spec) == []

@@ -249,3 +249,191 @@ def test_concurrent_parses_share_compiled(calc):
         got = list(pool.map(lambda s: render_node(parse(calc.compiled, s).result),
                             inputs))
     assert got == expected
+
+
+def _shift_entry(data):
+    return next(e for e in data["action"] if e[2][0] == "shift")
+
+
+@pytest.mark.parametrize("where", ["shift", "goto", "start", "negative source"])
+def test_artifact_with_state_out_of_range_rejected(calc, where):
+    data = _calc_artifact(calc)
+    n_states = 1 + max(e[0] for e in data["action"])
+    if where == "shift":
+        _shift_entry(data)[2][1] = n_states
+    elif where == "goto":
+        data["goto"][0][3] = n_states + 5
+    elif where == "start":
+        data["starts"]["Stmt"] = -1
+    else:
+        data["action"][0][0] = -1
+    with pytest.raises(SpecError, match="not one of the %d states|has no state" % n_states):
+        _load(data)
+
+
+def _main_dfa(data):
+    lx = data["lexer"]
+    return lx["modes"][lx["main_mode"]]
+
+
+def _set_target(states, target):
+    states[0][0][0][2] = target  # state 0's first transition
+
+
+def _set_lo_above_hi(states):
+    first = states[0][0][0]
+    first[0] = first[1] + 1
+
+
+def _set_accept(states, accept):
+    states[1][2] = accept
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda st: _set_target(st, "1"), "is not an interval"),
+    (lambda st: _set_target(st, len(st)), "is not an interval"),
+    (_set_lo_above_hi, "is not an interval"),
+    (lambda st: st[0].__setitem__(1, len(st)), "eof target"),
+    (lambda st: _set_accept(st, [1]), "is not null or \\[rule, token\\]"),
+    (lambda st: _set_accept(st, ["1", None]), "is not null or \\[rule, token\\]"),
+    (lambda st: _set_accept(st, [1, 2]), "is not null or \\[rule, token\\]"),
+    (lambda st: _set_accept(st, [99, None]), "with one of 5 rules"),
+], ids=["non-int target", "target out of range", "lo above hi", "eof target out of range",
+        "short accept", "non-int rule", "non-str token", "rule out of range"])
+def test_artifact_with_malformed_lexer_row_rejected(calc, mutate, message):
+    data = _calc_artifact(calc)
+    states = _main_dfa(data)
+    assert states[1][2] == [1, None] and len(data["lexer"]["actions"]["body"]) == 5
+    mutate(states)
+    with pytest.raises(SpecError, match="malformed artifact: mode body state [01]: .*" + message):
+        _load(data)
+
+
+def test_action_rows_key_k1_by_terminal_and_k2_by_tuple(calc, ab_eps):
+    assert calc.compiled.k == 1
+    assert all(type(la) is str for row in calc.compiled.action_rows for la in row)
+    assert ab_eps.compiled.k == 2
+    assert all(type(la) is tuple and len(la) == 2
+               for row in ab_eps.compiled.action_rows for la in row)
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector is paused during a parse
+
+@pytest.mark.parametrize("text", ["x = 1 + 2", "x = 1 @", "x = (1"],
+                         ids=["success", "lex error", "parse error"])
+def test_parse_reenables_collector(calc, text):
+    import gc
+
+    assert gc.isenabled()
+    res = parse(calc.compiled, text)
+    assert res.is_success() == (text == "x = 1 + 2")
+    assert gc.isenabled()
+
+
+def test_parse_keeps_disabled_collector_disabled(calc):
+    import gc
+
+    gc.disable()
+    try:
+        assert parse(calc.compiled, "x = 1 + 2").is_success()
+        assert not parse(calc.compiled, "x = (1").is_success()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_parse_reenables_collector_after_exception(calc):
+    import gc
+
+    with pytest.raises(SpecError):
+        parse(calc.compiled, "x = 1", start="NoSuchMain")
+    data = _calc_artifact(calc)
+    data["goto"] = [g for g in data["goto"] if g[1] == "t"]
+    with pytest.raises(SpecError, match="no goto"):
+        parse(_load(data), "x = 1")
+    assert gc.isenabled()
+
+
+# ---------------------------------------------------------------------------
+# Value types keep dataclass equality, hashing and repr
+
+def test_value_types_equality_hash_repr():
+    from langcc.lexer import Token
+    from langcc.runtime import Bounds, EnumVal
+
+    b = Bounds(1, 2)
+    assert b == Bounds(1, 2) and b != Bounds(1, 3) and b.span() == (1, 2)
+    assert repr(b) == "Bounds(start=1, end=2)"
+    leaf = TokenLeaf("id", "x", b)
+    assert repr(leaf) == "TokenLeaf(terminal='id', text='x', bounds=Bounds(start=1, end=2))"
+    enum = EnumVal("Add", b)
+    assert repr(enum) == "EnumVal(label='Add', bounds=Bounds(start=1, end=2))"
+    seq = SeqVal((leaf,), False, b)
+    assert repr(seq) == ("SeqVal(items=(%r,), trailing=False, bounds=%r)" % (leaf, b))
+    tok = Token("id", "x", 1, 2)
+    assert repr(tok) == "Token(terminal='id', text='x', start=1, end=2)"
+
+    values = [b, leaf, enum, seq, tok]
+    copies = [Bounds(1, 2), TokenLeaf("id", "x", Bounds(1, 2)), EnumVal("Add", Bounds(1, 2)),
+              SeqVal((TokenLeaf("id", "x", Bounds(1, 2)),), False, Bounds(1, 2)),
+              Token("id", "x", 1, 2)]
+    for i, v in enumerate(values):
+        for j, w in enumerate(copies):
+            assert (v == w) == (i == j) and (v != w) == (i != j), (v, w)
+    # same fields, different types: unequal, as between two dataclasses
+    assert EnumVal("x", b) != TokenLeaf("x", "x", b) and Bounds(1, 2) != (1, 2)
+    assert leaf != TokenLeaf("id", "y", b) and seq != SeqVal((leaf,), True, b)
+
+    table = {v: i for i, v in enumerate(values)}
+    assert [table[w] for w in copies] == list(range(len(values)))
+    assert hash(b) == hash((1, 2))
+
+
+def test_overlapping_parses_in_threads_reenable_collector(calc):
+    # the collector is process-wide: however the parses interleave, the last
+    # one to finish restores it
+    import gc
+    import sys
+    import threading
+
+    errors = []
+
+    def work():
+        try:
+            for i in range(40):
+                assert parse(calc.compiled, "x = %d * (2 + y)" % i).is_success()
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert gc.isenabled()
+
+
+def test_collector_pause_spans_interleaved_parses():
+    # parse A begins, parse B begins, A ends while B still runs, B ends
+    import gc
+
+    from langcc.runtime import _COLLECTOR_PAUSE as pause
+
+    assert gc.isenabled()
+    try:
+        pause.__enter__()
+        pause.__enter__()
+        pause.__exit__(None, None, None)
+        assert not gc.isenabled()
+        pause.__exit__(None, None, None)
+        assert gc.isenabled()
+    finally:
+        gc.enable()
