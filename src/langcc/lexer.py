@@ -181,8 +181,8 @@ class ModeDfa:
     states[i] is (transitions, eof_target, accept) where transitions is a
     sorted tuple of (lo, hi, target) with disjoint intervals.  For the
     matching loop each state also has a dense row of ASCII_ROW targets
-    (-1: no transition) in `ascii_rows`; codepoints past it are found by
-    bisecting the state's interval lows.  `accepts[i]` and `eofs[i]` (-1: no
+    (-1: no transition) in `ascii_rows`; codepoints past it go to `step`,
+    which bisects the state's interval lows.  `accepts[i]` and `eofs[i]` (-1: no
     eof transition) flatten the other two columns.
     """
 
@@ -204,8 +204,6 @@ class ModeDfa:
         self.eofs = [-1 if st[1] is None else st[1] for st in states]
 
     def step(self, state: int, cp: int) -> int:
-        if cp < ASCII_ROW:
-            return self.ascii_rows[state][cp]
         transitions = self.states[state][0]
         idx = bisect.bisect_right(self._lows[state], cp) - 1
         if idx >= 0:
@@ -216,9 +214,6 @@ class ModeDfa:
 
     def accept(self, state: int):
         return self.accepts[state]
-
-    def eof_target(self, state: int) -> int:
-        return self.eofs[state]
 
     def dump(self) -> str:
         out = ["mode %s (%d states)" % (self.mode, len(self.states))]

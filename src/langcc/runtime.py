@@ -18,7 +18,6 @@ collector is paused for the duration of a parse.
 from __future__ import annotations
 
 import gc
-import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -136,50 +135,25 @@ def location_fmt_str(text: str, bounds: Tuple[int, int]) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-class _CollectorPause:
-    """Disables the cyclic collector while at least one parse runs, then
-    restores the state it had when the first of them began: a collector the
-    caller had disabled stays disabled.  The collector is process-wide, so
-    parses overlapping in threads share one pause; the lock keeps one of
-    them from re-enabling the collector while another still runs, or from
-    reading the paused state as the caller's."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._running = 0
-        self._was_enabled = False
-
-    def __enter__(self):
-        with self._lock:
-            if not self._running:
-                self._was_enabled = gc.isenabled()
-                gc.disable()
-            self._running += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._running -= 1
-            if not self._running and self._was_enabled:
-                gc.enable()
-
-
-_COLLECTOR_PAUSE = _CollectorPause()
-
-
 def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> ParseResult:
     """Lex then run the LR engine; exactly one of result / err is set.
 
-    The cyclic collector is paused meanwhile (see _CollectorPause): the
-    tree is acyclic, so reference counting frees it, and collector passes
-    over the growing tree would make parse time grow faster than the
-    input."""
+    The cyclic collector is paused meanwhile, and turned back on when this
+    call returns if it was on when the call began: the tree is acyclic, so
+    reference counting frees it, and collector passes over the growing tree
+    would make parse time grow faster than the input."""
     if start is None:
         start = compiled.default_start
     if start not in compiled.starts:
         raise SpecError("%r is not a main nonterminal (mains: %s)"
                         % (start, ", ".join(compiled.mains)))
-    with _COLLECTOR_PAUSE:
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
         return _parse(compiled, text, compiled.starts[start])
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:

@@ -203,6 +203,16 @@ def test_subset_construction_matches_nfa_simulation():
     assert cases == 500
 
 
+def test_ascii_rows_agree_with_intervals(calc):
+    # the matching loop reads ascii_rows below ASCII_ROW and step past it
+    from langcc.lexer import ASCII_ROW
+
+    for dfa in calc.lexer.dfas.values():
+        for state, row in enumerate(dfa.ascii_rows):
+            assert len(row) == ASCII_ROW
+            assert row == [dfa.step(state, cp) for cp in range(ASCII_ROW)]
+
+
 def test_compile_time_safety_unique_accept_tags(calc):
     for dfa in calc.lexer.dfas.values():
         for transitions, eof_target, accept in dfa.states:

@@ -391,8 +391,8 @@ def test_value_types_equality_hash_repr():
 
 
 def test_overlapping_parses_in_threads_reenable_collector(calc):
-    # the collector is process-wide: however the parses interleave, the last
-    # one to finish restores it
+    # the collector is process-wide: however the parses interleave, it is on
+    # once they have all returned
     import gc
     import sys
     import threading
@@ -421,19 +421,25 @@ def test_overlapping_parses_in_threads_reenable_collector(calc):
     assert gc.isenabled()
 
 
-def test_collector_pause_spans_interleaved_parses():
-    # parse A begins, parse B begins, A ends while B still runs, B ends
+def test_collector_reenabled_when_the_parse_that_disabled_it_returns(calc, monkeypatch):
+    # parse B starts while parse A runs and ends first: the collector stays
+    # off until A, the call that found it on, returns
     import gc
 
-    from langcc.runtime import _COLLECTOR_PAUSE as pause
+    from langcc import runtime
 
+    seen = []
+    lex = runtime.lex
+
+    def lex_with_inner_parse(spec, text):
+        if text == "x = 1":
+            monkeypatch.setattr(runtime, "lex", lex)
+            assert parse(calc.compiled, "y = 2").is_success()
+            seen.append(gc.isenabled())
+        return lex(spec, text)
+
+    monkeypatch.setattr(runtime, "lex", lex_with_inner_parse)
     assert gc.isenabled()
-    try:
-        pause.__enter__()
-        pause.__enter__()
-        pause.__exit__(None, None, None)
-        assert not gc.isenabled()
-        pause.__exit__(None, None, None)
-        assert gc.isenabled()
-    finally:
-        gc.enable()
+    assert parse(calc.compiled, "x = 1").is_success()
+    assert seen == [False]
+    assert gc.isenabled()
