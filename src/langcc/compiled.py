@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .grammar import Cfg, lower_grammar, lower_precedence
-from .lexer import CompiledLexer, ModeDfa, compile_lexer
+from .lexer import EOF_TERMINAL, CompiledLexer, ModeDfa, compile_lexer
 from .lr import LrTables, build_lr
 from .meta_frontend import parse_lang_spec
 from .spec_ast import (
@@ -41,31 +41,17 @@ class CompiledLang:
 
     def _build_indexes(self):
         d = self.data
-        n_states = _check_tables(d)
-        self.k = k = d["k"]
+        self.prods, self.action_rows, self.goto_rows = _load_tables(d)
+        # prods[p]: (kind, rhs_len, lhs_ref, data), see P_USER and below.
+        # action_rows[state]: lookahead -> action cell, keyed by the terminal
+        # itself when k = 1 and by the k-tuple of terminals otherwise.  A cell
+        # is an int: shift to state s is s, accept is -1, and reduce by
+        # production p is -2 - p.  goto_rows[state]: nonterminal ref -> target
+        self.k = d["k"]
         self.mains = list(d["mains"])
         self.digest = d["digest"]
         self.indent_unit = d["indent_unit"]
-        # action_rows[state]: lookahead -> action tuple, keyed by the terminal
-        # itself when k = 1 and by the k-tuple of terminals otherwise;
-        # goto_rows[state]: nonterminal ref -> target state
-        self.action_rows: List[dict] = [{} for _ in range(n_states)]
-        for state, la, act in d["action"]:
-            row = self.action_rows[state]
-            key = la[0] if k == 1 else tuple(la)
-            if key in row:
-                raise SpecError("malformed artifact: two actions for state %d on %s"
-                                % (state, " ".join(la)))
-            row[key] = tuple(act)  # flat: checked by _check_tables
-        self.goto_rows: List[dict] = [{} for _ in range(n_states)]
-        for state, kind, ref, target in d["goto"]:
-            if kind == "n":  # terminal gotos are the shift actions' targets
-                self.goto_rows[state][ref] = target
         self.starts = dict(d["starts"])
-        self.prods = [_untuple(p) for p in d["prods"]]
-        # prods entries:
-        #   ("user", rhs_len, lhs_ref, variant_key, fields, display)
-        #   ("enum" | "list_*" | "opt_*", rhs_len, lhs_ref, asm, display)
         self.ast_fields: Dict[str, list] = {}
         for vk in sorted(d["ast"]):
             self.ast_fields[vk] = [(f[0], _untuple(f[1])) for f in d["ast"][vk]]
@@ -116,16 +102,98 @@ def _malformed(what: str) -> SpecError:
     return SpecError("malformed artifact: " + what)
 
 
-_PROD_KINDS = {"start", "user", "enum", "list_empty", "list_single", "list_pair",
-               "list_append", "list_pass", "list_trail", "opt_none", "opt_some"}
+# CompiledLang.prods[p] is (kind, rhs_len, lhs_ref, data), kind one of:
+P_USER = 0  # data: (variant tuple, ((field name, is_slot, slot index, label), ...))
+P_LIST_APPEND = 1  # data: (chain slot index, element slot index)
+P_ENUM = 2  # data: the label
+P_LIST_EMPTY = 3  # data: None
+P_LIST_SINGLE = 4  # data: the element slot index
+P_LIST_PAIR = 5  # data: (first element slot index, second element slot index)
+P_LIST_PASS = 6  # data: the chain slot index
+P_LIST_TRAIL = 7  # data: the chain slot index
+P_OPT_NONE = 8  # data: the value, False for a bool field and None otherwise
+P_OPT_SOME = 9  # data: the content slot index, or -1 for a bool field
+P_START = 10  # data: None; never reduced (its state accepts instead)
+_PROD_KINDS = {"user": P_USER, "list_append": P_LIST_APPEND, "enum": P_ENUM,
+               "list_empty": P_LIST_EMPTY, "list_single": P_LIST_SINGLE,
+               "list_pair": P_LIST_PAIR, "list_pass": P_LIST_PASS,
+               "list_trail": P_LIST_TRAIL, "opt_none": P_OPT_NONE,
+               "opt_some": P_OPT_SOME, "start": P_START}
 _ACTION_ARG = {"shift": int, "reduce": int, "accept": str}
 
 
-def _check_tables(d: dict) -> int:
-    """Reject an artifact whose parser tables hold values of the wrong type
-    or refer to states that do not exist, which would otherwise load and
-    fail only when a parse reaches them.  Returns the number of states: one
-    more than the largest state that has an action or a goto.
+def _prod_tuple(p) -> tuple:
+    """The (kind, rhs_len, lhs_ref, data) entry the parse loop reads for the
+    artifact production p, which is ["start", 1, main],
+    ["user", rhs_len, lhs_ref, variant_key, fields, display], or
+    [kind, rhs_len, lhs_ref, assembly list, display].  Rejects a production
+    that names a slot past its right-hand side."""
+    if not (type(p) is list and len(p) >= 3 and type(p[0]) is str
+            and p[0] in _PROD_KINDS and type(p[1]) is int and p[1] >= 0
+            and type(p[2]) is str):
+        raise _malformed("production %r is not [kind, length, lhs, ...]" % (p,))
+    kind, n = _PROD_KINDS[p[0]], p[1]
+
+    def slot(i):
+        if not (type(i) is int and 0 <= i < n):
+            raise _malformed("production %r names slot %r of %d" % (p, i, n))
+        return i
+
+    if kind == P_START:
+        return (kind, n, p[2], None)
+    if kind == P_USER:
+        if not (len(p) == 6 and type(p[3]) is str and type(p[4]) is list):
+            raise _malformed("production %r has malformed fields" % (p,))
+        fields = []
+        for f in p[4]:
+            if not (type(f) is list and len(f) == 2 and type(f[0]) is str
+                    and type(f[1]) is list and len(f[1]) >= 2
+                    and f[1][0] in ("slot", "enum_inline")):
+                raise _malformed("production %r has malformed fields" % (p,))
+            name, src = f
+            if src[0] == "slot":
+                fields.append((name, True, slot(src[1]), None))
+            elif len(src) == 3 and type(src[2]) is str:
+                fields.append((name, False, slot(src[1]), src[2]))
+            else:
+                raise _malformed("production %r has an enum field with no label" % (p,))
+        return (kind, n, p[2], (tuple(p[3].split("::")), tuple(fields)))
+    if not (len(p) == 5 and type(p[3]) is list):
+        raise _malformed("production %r has no assembly list" % (p,))
+    asm = p[3]
+    if kind == P_LIST_EMPTY:
+        return (kind, n, p[2], None)
+    if not asm:
+        raise _malformed("production %r has an empty assembly list" % (p,))
+    if kind == P_ENUM:
+        if type(asm[0]) is not str:
+            raise _malformed("production %r has no enum label" % (p,))
+        return (kind, n, p[2], asm[0])
+    if kind == P_OPT_NONE:
+        return (kind, n, p[2], False if asm[0] == 1 else None)
+    if kind == P_OPT_SOME and type(asm[0]) is int and asm[0] < 0:
+        return (kind, n, p[2], -1)
+    if kind in (P_LIST_PAIR, P_LIST_APPEND):
+        if len(asm) != 2:
+            raise _malformed("production %r has no two-slot assembly list" % (p,))
+        return (kind, n, p[2], (slot(asm[0]), slot(asm[1])))
+    return (kind, n, p[2], slot(asm[0]))
+
+
+def _load_tables(d: dict):
+    """Check the artifact's parser tables and build from them, in one pass
+    over its action and goto lists, the prods, action_rows and goto_rows
+    that CompiledLang holds.
+
+    Rejects tables holding values of the wrong type or referring to states
+    that do not exist, which would otherwise load and fail only when a
+    parse reaches them.  Also rejects a shift on the end of input, the
+    reduce of a start production, and a reduce in some state of a
+    production longer than the shortest path of shifts and gotos from a
+    start state to it: the stack in that state can be that short, and in a
+    valid automaton every path into a state that reduces p ends with p's
+    right-hand side.  The number of states is one more than the largest
+    state that has an action or a goto.
     (Messages are formatted only on failure: this runs on every load.)"""
     k = d["k"]
     if type(k) is not int or k < 1:
@@ -133,21 +201,12 @@ def _check_tables(d: dict) -> int:
     mains = d["mains"]
     if type(mains) is not list or not mains or not all(type(m) is str for m in mains):
         raise _malformed("mains is %r, not a list of names" % (mains,))
-    prods = d["prods"]
-    for p in prods:
-        if not (type(p) is list and len(p) >= 3 and p[0] in _PROD_KINDS
-                and type(p[1]) is int and p[1] >= 0 and type(p[2]) is str):
-            raise _malformed("production %r is not [kind, length, lhs, ...]" % (p,))
-        if p[0] == "user":
-            if not (len(p) == 6 and type(p[4]) is list
-                    and all(type(f) is list and len(f) == 2 and type(f[1]) is list
-                            and len(f[1]) >= 2 and type(f[1][1]) is int for f in p[4])):
-                raise _malformed("production %r has malformed fields" % (p,))
-        elif p[0] != "start" and not (len(p) == 5 and type(p[3]) is list):
-            raise _malformed("production %r has no assembly list" % (p,))
+    prods = [_prod_tuple(p) for p in d["prods"]]
+    n_prods = len(prods)
     last = -1  # the largest state with an entry
-    lookaheads = set()  # those already checked
-    targets = set()  # shift and goto targets
+    lo = hi = 0  # the smallest and largest shift or goto target
+    keys = {}  # lookahead -> its row key, for the lookaheads already checked
+    rows = {}  # state -> action row
     for entry in d["action"]:
         if not (type(entry) is list and len(entry) == 3):
             raise _malformed("action entry %r is not [state, lookahead, action]" % (entry,))
@@ -157,25 +216,55 @@ def _check_tables(d: dict) -> int:
         if state > last:
             last = state
         la = tuple(la)
-        if la not in lookaheads:
+        key = keys.get(la)
+        if key is None:
             if not (len(la) == k and all(type(t) is str for t in la)):
                 raise _malformed("action entry %r has no %d-token lookahead" % (entry, k))
-            lookaheads.add(la)
+            key = keys[la] = la[0] if k == 1 else la
         if not (type(act) is list and len(act) == 2 and type(act[0]) is str
                 and _ACTION_ARG.get(act[0]) is type(act[1])):
             raise _malformed("action %r is not shift, reduce or accept" % (act,))
-        if act[0] == "shift":
-            targets.add(act[1])
-        elif act[0] == "reduce" and not 0 <= act[1] < len(prods):
-            raise _malformed("action %r reduces a production that does not exist" % (act,))
+        tag, cell = act
+        if tag == "shift":
+            if la[0] == EOF_TERMINAL:
+                raise _malformed("action entry %r shifts the end of input" % (entry,))
+            if cell > hi:
+                hi = cell
+            elif cell < lo:
+                lo = cell
+        elif tag == "reduce":
+            if not 0 <= cell < n_prods:
+                raise _malformed("action %r reduces a production that does not exist"
+                                 % (act,))
+            if prods[cell][0] == P_START:
+                raise _malformed("action %r reduces a start production" % (act,))
+            cell = -2 - cell
+        else:
+            cell = -1
+        row = rows.get(state)
+        if row is None:
+            row = rows[state] = {}
+        elif key in row:
+            raise _malformed("two actions for state %d on %s" % (state, " ".join(la)))
+        row[key] = cell
+    gotos = {}  # state -> goto row
     for entry in d["goto"]:
         if not (type(entry) is list and len(entry) == 4 and type(entry[0]) is int
                 and entry[0] >= 0 and entry[1] in ("t", "n") and type(entry[2]) is str
                 and type(entry[3]) is int):
             raise _malformed("goto entry %r is not [state, kind, symbol, target]" % (entry,))
-        if entry[0] > last:
-            last = entry[0]
-        targets.add(entry[3])
+        state, kind, ref, target = entry
+        if state > last:
+            last = state
+        if target > hi:
+            hi = target
+        elif target < lo:
+            lo = target
+        if kind == "n":  # terminal gotos are the shift actions' targets
+            row = gotos.get(state)
+            if row is None:
+                row = gotos[state] = {}
+            row[ref] = target
     starts = d["starts"]
     if type(starts) is not dict or not all(type(s) is int for s in starts.values()):
         raise _malformed("starts is %r, not a map of names to states" % (starts,))
@@ -184,12 +273,41 @@ def _check_tables(d: dict) -> int:
     # is no state (and would only make the rows huge)
     if n_states > len(d["action"]) + len(d["goto"]):
         raise _malformed("state %d is out of range" % last)
-    targets.update(starts.values())
-    if targets and not (min(targets) >= 0 and max(targets) < n_states):
+    firsts = set(starts.values())
+    if lo < 0 or hi >= n_states or not all(0 <= s < n_states for s in firsts):
+        targets = [e[2][1] for e in d["action"] if e[2][0] == "shift"]
+        targets += [e[3] for e in d["goto"]] + list(firsts)
         bad = min(t for t in targets if not 0 <= t < n_states)
         raise _malformed("shift, goto or start target %d is not one of the %d states"
                          % (bad, n_states))
-    return n_states
+    action_rows = [rows.get(state) or {} for state in range(n_states)]
+    goto_rows = [gotos.get(state) or {} for state in range(n_states)]
+    # breadth first from the start states, `depth` stacked symbols deep: a
+    # state first reached at that depth can be reached with no deeper stack
+    seen = [False] * n_states
+    for state in firsts:
+        seen[state] = True
+    frontier = list(firsts)
+    depth = 0
+    while frontier:
+        reached = []
+        for state in frontier:
+            for cell in action_rows[state].values():
+                if cell >= 0:
+                    if not seen[cell]:
+                        seen[cell] = True
+                        reached.append(cell)
+                elif cell < -1 and prods[-2 - cell][1] > depth:
+                    raise _malformed("state %d reduces production %d of length %d, but "
+                                     "can be reached with a stack of %d"
+                                     % (state, -2 - cell, prods[-2 - cell][1], depth))
+            for target in goto_rows[state].values():
+                if not seen[target]:
+                    seen[target] = True
+                    reached.append(target)
+        frontier = reached
+        depth += 1
+    return prods, action_rows, goto_rows
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,15 @@ Everything else is a hard LexAmbiguity error.
 At run time maximal munch walks the DFA of the mode on top of the mode
 stack.  Each DFA state has a dense transition row for ASCII codepoints and
 flat accept/eof lists, so an ASCII character costs one list index; other
-codepoints bisect the state's sorted intervals.  Tokens are __slots__
-values (SlotValue), not dataclasses, because one is built per token.
+codepoints bisect the state's sorted intervals.  When a CompiledLexer is
+built (from a spec or from an artifact), each rule's action list becomes an
+opcode: a plain `emit` or `pass` costs one int comparison, and any other
+list runs its precompiled steps.  A frame keeps the text credited to it
+only if its mode can be popped by `pop_extract` or `pop_emit`, which is
+decided from the spec, conservatively, at the same time.  lex_lists returns
+the tokens as parallel lists (terminals, texts, starts, ends), which the
+parser indexes directly; lex builds Token values from them.  Tokens are
+__slots__ values (SlotValue), not dataclasses.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .spec_ast import (
-    AEmit, APass, APopEmit, APopExtract, APush, LangSpec, RAlt, RConcat, REof,
+    AEmit, APass, APop, APopEmit, APopExtract, APush, LangSpec, RAlt, RConcat, REof,
     RLit, RRange, RRef, RStar, RWildcard, RegexExpr, quote_backtick,
 )
 
@@ -290,15 +297,79 @@ class LexOutput:
     extracts: List[Extract]
 
 
+# The load-time form of a rule's action list: a plain emit or pass is one
+# opcode, anything else runs its list of (step, argument) pairs.
+OP_EMIT, OP_PASS, OP_STEPS = range(3)
+S_EMIT, S_PASS, S_PUSH, S_POP, S_POP_EXTRACT, S_POP_EMIT = range(6)
+
+
 class CompiledLexer:
     def __init__(self, main_mode: str, dfas: Dict[str, ModeDfa], mode_actions, emittable):
         self.main_mode = main_mode
         self.dfas = dfas
         self.mode_actions = mode_actions  # mode -> tuple of action tuples, per rule
         self.emittable = emittable  # terminal ids the lexer can produce
+        # programs[mode]: (ascii_rows, accepts, eofs, step, start, keeps),
+        # what the matching loop reads for a frame in that mode: the DFA's
+        # rows, with each accept compiled to (opcode, terminal, steps), and
+        # whether the frame keeps the text credited to it
+        keeping = _modes_keeping_text(mode_actions)
+        self.programs = {}
+        for mode, dfa in dfas.items():
+            rules = [_rule_program(actions, dfas) for actions in mode_actions[mode]]
+            accepts = [None if acc is None else (rules[acc[0]][0], acc[1], rules[acc[0]][1])
+                       for acc in dfa.accepts]
+            self.programs[mode] = (dfa.ascii_rows, accepts, dfa.eofs, dfa.step, dfa.start,
+                                   mode in keeping)
 
     def dump(self) -> str:
         return "\n".join(self.dfas[m].dump() for m in sorted(self.dfas)) + "\n"
+
+
+def _rule_program(actions, modes) -> Tuple[int, tuple]:
+    """(opcode, steps) of one rule's action list."""
+    if len(actions) == 1 and isinstance(actions[0], (AEmit, APass)):
+        return (OP_EMIT if isinstance(actions[0], AEmit) else OP_PASS), ()
+    steps = []
+    for a in actions:
+        if isinstance(a, AEmit):
+            steps.append((S_EMIT, None))
+        elif isinstance(a, APass):
+            steps.append((S_PASS, None))
+        elif isinstance(a, APush):
+            if a.mode not in modes:
+                raise ValueError("push to unknown lexer mode %r" % a.mode)
+            steps.append((S_PUSH, a.mode))
+        elif isinstance(a, APopExtract):
+            steps.append((S_POP_EXTRACT, None))
+        elif isinstance(a, APopEmit):
+            steps.append((S_POP_EMIT, a.token))
+        else:
+            steps.append((S_POP, None))
+    return OP_STEPS, tuple(steps)
+
+
+def _modes_keeping_text(mode_actions) -> frozenset:
+    """The modes whose frames must keep the text credited to them: those a
+    pop_extract or pop_emit can pop.  Each rule's action list is run on a
+    stack holding only the rule's own frame; a pop_extract or pop_emit
+    below that frame, whose mode is not known here, makes every mode keep
+    its text."""
+    out = set()
+    for mode, rules in mode_actions.items():
+        for actions in rules:
+            stack = [mode]
+            for a in actions:
+                if isinstance(a, APush):
+                    stack.append(a.mode)
+                elif isinstance(a, (APop, APopExtract, APopEmit)):
+                    top = stack.pop() if stack else None
+                    if isinstance(a, APop):
+                        continue
+                    if top is None:
+                        return frozenset(mode_actions)
+                    out.add(top)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -496,48 +567,16 @@ def compile_lexer(spec: LangSpec) -> CompiledLexer:
 # ---------------------------------------------------------------------------
 # Execution
 
-class _Frame:
-    __slots__ = ("mode", "buffer", "start")
-
-    def __init__(self, mode: str, start: int):
-        self.mode = mode
-        self.buffer: List[str] = []
-        self.start = start
-
-
-def _match(dfa: ModeDfa, codes, pos: int, n: int):
-    """Maximal munch from pos over the codepoints `codes`; returns
-    (end, accept) of the longest match, or None."""
-    rows = dfa.ascii_rows
-    accepts = dfa.accepts
-    state = dfa.start
-    best_acc = accepts[state]
-    best_end = pos
-    i = pos
-    while i < n:
-        cp = codes[i]
-        state = rows[state][cp] if cp < ASCII_ROW else dfa.step(state, cp)
-        if state < 0:
-            break
-        i += 1
-        acc = accepts[state]
-        if acc is not None:
-            best_acc = acc
-            best_end = i
-    else:
-        eof_state = dfa.eofs[state]
-        if eof_state >= 0:
-            acc = accepts[eof_state]
-            if acc is not None:
-                best_acc = acc
-                best_end = i
-    if best_acc is None:
-        return None
-    return best_end, best_acc
-
-
 def lex(compiled: CompiledLexer, text: str) -> LexOutput:
-    """Run the mode-stack machine over text.
+    """lex_lists, with its tokens as Token values."""
+    terminals, texts, starts, ends, extracts = lex_lists(compiled, text)
+    return LexOutput(list(map(Token, terminals, texts, starts, ends)), extracts)
+
+
+def lex_lists(compiled: CompiledLexer, text: str):
+    """Run the mode-stack machine over text.  Returns the tokens as parallel
+    lists (terminals, texts, starts, ends), offsets in UTF-8 bytes, and the
+    list of extracts.
 
     Succeeds iff the mode stack first becomes empty exactly at end of input.
     An emit/pass action consumes the matched string (crediting the frame that
@@ -546,48 +585,109 @@ def lex(compiled: CompiledLexer, text: str) -> LexOutput:
     """
     n = len(text)
     byte_of = _byte_offsets(text)
-    codes = text.encode("ascii") if text.isascii() else [ord(ch) for ch in text]
-    frames = [_Frame(compiled.main_mode, 0)]
-    tokens: List[Token] = []
+    ascii_text = text.isascii()
+    codes = text.encode("ascii") if ascii_text else [ord(ch) for ch in text]
+    programs = compiled.programs
+    terminals: List[str] = []
+    texts: List[str] = []
+    starts: List[int] = []  # codepoint offsets until the end
+    ends: List[int] = []
     extracts: List[Extract] = []
+    below = []  # the frames under the top one, as (mode, buffer, start)
+    # the top frame: its mode, its text if the mode keeps it (else None),
+    # and where it began
+    mode = compiled.main_mode
+    rows, accepts, eofs, step, start_state, keeps = programs[mode]
+    buf = [] if keeps else None
+    fstart = 0
     pos = 0
 
-    while frames:
-        top = frames[-1]
-        m = _match(compiled.dfas[top.mode], codes, pos, n)
-        if m is None:
-            if pos == n:
-                raise LexError("stack_nonempty_at_eof", byte_of[pos], "mode %s" % top.mode)
-            raise LexError("no_match", byte_of[pos], "mode %s" % top.mode)
-        end, (rule_idx, emit_token) = m
-        matched = text[pos:end]
+    while True:
+        # maximal munch from pos
+        state = start_state
+        best = accepts[state]
+        best_end = i = pos
+        while i < n:
+            cp = codes[i]
+            state = rows[state][cp] if cp < ASCII_ROW else step(state, cp)
+            if state < 0:
+                break
+            i += 1
+            acc = accepts[state]
+            if acc is not None:
+                best = acc
+                best_end = i
+        else:
+            state = eofs[state]
+            if state >= 0 and accepts[state] is not None:
+                best = accepts[state]
+                best_end = i
+        if best is None:
+            raise LexError("stack_nonempty_at_eof" if pos == n else "no_match",
+                           byte_of[pos], "mode %s" % mode)
+        op, token, steps = best
+        if op == OP_EMIT:
+            matched = text[pos:best_end]
+            terminals.append(token)
+            texts.append(matched)
+            starts.append(pos)
+            ends.append(best_end)
+            if buf is not None:
+                buf.append(matched)
+            pos = best_end
+            continue
+        if op == OP_PASS:
+            if buf is not None:
+                buf.append(text[pos:best_end])
+            pos = best_end
+            continue
+
+        matched = text[pos:best_end]
         consumed = False
-        for action in compiled.mode_actions[top.mode][rule_idx]:
-            if isinstance(action, AEmit):
-                tokens.append(Token(emit_token, matched, byte_of[pos], byte_of[end]))
-                frames[-1].buffer.append(matched)
+        for code, arg in steps:
+            if code == S_EMIT:
+                terminals.append(token)
+                texts.append(matched)
+                starts.append(pos)
+                ends.append(best_end)
+                if buf is not None:
+                    buf.append(matched)
                 consumed = True
-            elif isinstance(action, APass):
-                frames[-1].buffer.append(matched)
+            elif code == S_PASS:
+                if buf is not None:
+                    buf.append(matched)
                 consumed = True
-            elif isinstance(action, APush):
-                frames.append(_Frame(action.mode, pos))
+            elif code == S_PUSH:
+                below.append((mode, buf, fstart))
+                mode = arg
+                buf = [] if programs[mode][5] else None
+                fstart = pos
             else:
-                f = frames.pop()
-                f_end = end if consumed else pos
-                if isinstance(action, APopExtract):
-                    extracts.append(Extract(f.mode, "".join(f.buffer),
-                                            byte_of[f.start], byte_of[f_end]))
-                elif isinstance(action, APopEmit):
-                    tokens.append(Token(action.token, "".join(f.buffer),
-                                        byte_of[f.start], byte_of[f_end]))
-                if not frames:
+                f_end = best_end if consumed else pos
+                if code == S_POP_EXTRACT:
+                    extracts.append(Extract(mode, "".join(buf),
+                                            byte_of[fstart], byte_of[f_end]))
+                elif code == S_POP_EMIT:
+                    terminals.append(arg)
+                    texts.append("".join(buf))
+                    starts.append(fstart)
+                    ends.append(f_end)
+                if not below:
+                    mode = None
                     break
+                mode, buf, fstart = below.pop()
         if consumed:
-            pos = end
-        if not frames and pos < n:
-            raise LexError("premature_empty", byte_of[pos])
-    return LexOutput(tokens, extracts)
+            pos = best_end
+        if mode is None:
+            if pos < n:
+                raise LexError("premature_empty", byte_of[pos])
+            break
+        rows, accepts, eofs, step, start_state, keeps = programs[mode]
+
+    if not ascii_text:
+        starts = [byte_of[i] for i in starts]
+        ends = [byte_of[i] for i in ends]
+    return terminals, texts, starts, ends, extracts
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,18 @@ own rule variants, sequences, options, booleans, and enum labels; every
 value carries its source bounds as UTF-8 byte offsets.  Line and column are
 computed on demand from an offset with lexer.token_bounds_to_linecol.
 
-The LR loop indexes the per-state rows CompiledLang builds at load
+The LR loop reads the lexer's parallel token lists (lexer.lex_lists) and
+indexes the per-state rows CompiledLang builds at load
 (action_rows[state][lookahead], goto_rows[state][nonterminal]); with k = 1
 the lookahead key is the terminal string itself, so no tuple is built per
-step.  Tree values are __slots__ classes (see lexer.SlotValue), several
-times cheaper to construct than frozen dataclasses, and the cyclic
-collector is paused for the duration of a parse.
+step.  An action cell is an int: a shift to state s is s, accept is -1 and
+a reduce by production p is -2 - p.  A production is the tuple
+(kind, rhs_len, lhs, data) with an int kind (compiled.P_USER and the rest);
+the loop builds user nodes and appends to list chains itself and leaves
+the other kinds to _assemble.  Tree values are __slots__ classes (see
+lexer.SlotValue), several times cheaper to construct than frozen
+dataclasses, and the cyclic collector is paused for the duration of a
+parse.
 """
 
 from __future__ import annotations
@@ -21,8 +27,11 @@ import gc
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .compiled import CompiledLang
-from .lexer import EOF_TERMINAL, LexError, SlotValue, lex, token_bounds_to_linecol
+from .compiled import (
+    P_ENUM, P_LIST_APPEND, P_LIST_EMPTY, P_LIST_PAIR, P_LIST_PASS, P_LIST_SINGLE,
+    P_OPT_NONE, P_OPT_SOME, P_USER, CompiledLang,
+)
+from .lexer import EOF_TERMINAL, LexError, SlotValue, lex_lists, token_bounds_to_linecol
 from .spec_ast import SpecError
 
 
@@ -158,110 +167,100 @@ def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> Par
 
 def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
     try:
-        lexed = lex(compiled.lexer, text)
+        terms, texts, starts, ends, extracts = lex_lists(compiled.lexer, text)
     except LexError as e:
         msg = _lex_error_message(e, text)
         b = (e.offset, e.offset)
         return ParseResult(None, ParseError(msg, b, location_fmt_str(text, b)), [])
 
-    toks = lexed.tokens
-    n_toks = len(toks)
+    n_toks = len(terms)
     end_byte = len(text.encode("utf-8"))
     k = compiled.k
-    terms = [t.terminal for t in toks] + [EOF_TERMINAL] * k
+    terms.extend([EOF_TERMINAL] * k)
     # the action-row key at each position: the terminal itself when k = 1
     las = terms if k == 1 else [tuple(terms[i:i + k]) for i in range(n_toks + 1)]
     action_rows = compiled.action_rows
     goto_rows = compiled.goto_rows
     prods = compiled.prods
 
-    states = [start_state]
+    state = start_state  # the top of `states`
+    states = [state]
     values: List[object] = []
     vbounds: List[Bounds] = []
     pos = 0
 
     while True:
-        act = action_rows[states[-1]].get(las[pos])
+        act = action_rows[state].get(las[pos])
         if act is None:
-            return ParseResult(None, _unexpected(text, end_byte, toks, pos),
-                               lexed.extracts)
-        tag = act[0]
-
-        if tag == "shift":
-            tok = toks[pos]
-            b = Bounds(tok.start, tok.end)
-            values.append(TokenLeaf(tok.terminal, tok.text, b))
+            return ParseResult(None, _unexpected(text, end_byte, texts, starts, ends, pos),
+                               extracts)
+        if act >= 0:  # shift
+            b = Bounds(starts[pos], ends[pos])
+            values.append(TokenLeaf(terms[pos], texts[pos], b))
             vbounds.append(b)
-            states.append(act[1])
+            states.append(act)
+            state = act
             pos += 1
-        elif tag == "reduce":
-            prod = prods[act[1]]
-            rhs_len = prod[1]
+        elif act < -1:  # reduce
+            kind, rhs_len, lhs, data = prods[-2 - act]
             if rhs_len:
                 popped = values[-rhs_len:]
-                span = Bounds(vbounds[-rhs_len].start, vbounds[-1].end)
+                # Bounds are immutable, so a unit reduce shares its child's
+                span = (vbounds[-1] if rhs_len == 1
+                        else Bounds(vbounds[-rhs_len].start, vbounds[-1].end))
                 del values[-rhs_len:]
                 del vbounds[-rhs_len:]
                 del states[-rhs_len:]
             else:
-                popped = []
-                at = toks[pos].start if pos < n_toks else end_byte
+                popped = ()
+                at = starts[pos] if pos < n_toks else end_byte
                 span = Bounds(at, at)
-            value = _assemble(prod, popped, span)
-            target = goto_rows[states[-1]].get(prod[2])
-            if target is None:
+            if kind == P_USER:
+                variant, fields = data
+                value = Node(variant, tuple([
+                    (name, popped[idx]) if is_slot
+                    else (name, EnumVal(label, popped[idx].bounds))
+                    for name, is_slot, idx, label in fields]), span)
+            elif kind == P_LIST_APPEND:
+                # each chain value is popped exactly once, so in-place append
+                # keeps long lists linear
+                value = popped[data[0]]
+                value.append(popped[data[1]])
+            else:
+                value = _assemble(kind, data, popped, span)
+            state = goto_rows[states[-1]].get(lhs)
+            if state is None:
                 raise SpecError("malformed artifact: no goto for %s in state %d"
-                                % (prod[2], states[-1]))
-            states.append(target)
+                                % (lhs, states[-1]))
+            states.append(state)
             values.append(value)
             vbounds.append(span)
         else:  # accept
             if len(values) != 1 or not isinstance(values[0], Node):
                 raise SpecError("malformed artifact: accept without a single node "
                                 "on the stack")
-            return ParseResult(values[0], None, lexed.extracts)
+            return ParseResult(values[0], None, extracts)
 
 
-def _assemble(prod, popped, span: Bounds):
-    kind = prod[0]
-    if kind == "user":
-        variant_key, fields = prod[3], prod[4]
-        out = []
-        for name, src in fields:
-            if src[0] == "slot":
-                out.append((name, popped[src[1]]))
-            else:  # enum_inline
-                idx, label = src[1], src[2]
-                out.append((name, EnumVal(label, popped[idx].bounds)))
-        return Node(tuple(variant_key.split("::")), tuple(out), span)
-    if kind == "enum":
-        return EnumVal(prod[3][0], span)
-    # chain productions build plain lists; each chain value is popped exactly
-    # once, so in-place append keeps long lists linear
-    if kind == "list_empty":
+def _assemble(kind: int, data, popped, span: Bounds):
+    """The value of a reduce by a production other than P_USER and
+    P_LIST_APPEND (see compiled.P_USER for what `data` holds)."""
+    if kind == P_LIST_SINGLE:
+        return [popped[data]]
+    if kind == P_LIST_PASS:
+        return SeqVal(tuple(popped[data]), False, span)
+    if kind == P_OPT_NONE:
+        return data
+    if kind == P_OPT_SOME:
+        return True if data < 0 else popped[data]
+    if kind == P_ENUM:
+        return EnumVal(data, span)
+    if kind == P_LIST_EMPTY:
         return SeqVal((), False, span)
-    if kind == "list_single":
-        return [popped[prod[3][0]]]
-    if kind == "list_pair":
-        a, b = prod[3]
-        return [popped[a], popped[b]]
-    if kind == "list_append":
-        chain_idx, elem_idx = prod[3]
-        left = popped[chain_idx]
-        left.append(popped[elem_idx])
-        return left
-    if kind == "list_pass":
-        return SeqVal(tuple(popped[prod[3][0]]), False, span)
-    if kind == "list_trail":
-        return SeqVal(tuple(popped[prod[3][0]]), True, span)
-    if kind == "opt_none":
-        return False if prod[3][0] == 1 else None
-    if kind == "opt_some":
-        content = prod[3][0]
-        if content < 0:
-            return True
-        return popped[content]
-    raise AssertionError(kind)
+    if kind == P_LIST_PAIR:
+        return [popped[data[0]], popped[data[1]]]
+    # P_LIST_TRAIL (P_START is never reduced: CompiledLang rejects it)
+    return SeqVal(tuple(popped[data]), True, span)
 
 
 def _lex_error_message(e: LexError, text: str) -> str:
@@ -274,11 +273,10 @@ def _lex_error_message(e: LexError, text: str) -> str:
     return "Lexing error: unterminated input (%s)" % e.detail
 
 
-def _unexpected(text, end_byte, toks, pos) -> ParseError:
-    if pos < len(toks):
-        tok = toks[pos]
-        msg = "Unexpected token: `%s`" % tok.text
-        b = (tok.start, tok.end)
+def _unexpected(text, end_byte, texts, starts, ends, pos) -> ParseError:
+    if pos < len(texts):
+        msg = "Unexpected token: `%s`" % texts[pos]
+        b = (starts[pos], ends[pos])
     else:
         msg = "Unexpected end of input"
         b = (end_byte, end_byte)

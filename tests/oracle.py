@@ -4,9 +4,18 @@ earley_accepts decides membership directly over the constraint-expanded
 grammar, with none of the LR machinery; enumerate_trees builds every parse
 tree of the *unconstrained* grammar so precedence filtering can be checked
 as a pure admissibility predicate on top.
+
+reference_lex is the lexer's mode-stack machine as a plain loop over the
+spec's action objects, with no load-time compilation.
 """
 
+from typing import List
+
 from langcc.grammar import Cfg, InstGrammar, expand_instances
+from langcc.lexer import (
+    ASCII_ROW, CompiledLexer, Extract, LexError, LexOutput, ModeDfa, Token, _byte_offsets,
+)
+from langcc.spec_ast import AEmit, APass, APopEmit, APopExtract, APush
 
 
 def earley_accepts(ig: InstGrammar, start, tokens) -> bool:
@@ -135,3 +144,100 @@ def admissible_tree(cfg: Cfg, tree, reqs=frozenset(), bound=0) -> bool:
         if not admissible_tree(cfg, child, slot.attr_reqs, slot.prec_bound):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer
+
+class _Frame:
+    __slots__ = ("mode", "buffer", "start")
+
+    def __init__(self, mode: str, start: int):
+        self.mode = mode
+        self.buffer: List[str] = []
+        self.start = start
+
+
+def _match(dfa: ModeDfa, codes, pos: int, n: int):
+    """Maximal munch from pos over the codepoints `codes`; returns
+    (end, accept) of the longest match, or None."""
+    rows = dfa.ascii_rows
+    accepts = dfa.accepts
+    state = dfa.start
+    best_acc = accepts[state]
+    best_end = pos
+    i = pos
+    while i < n:
+        cp = codes[i]
+        state = rows[state][cp] if cp < ASCII_ROW else dfa.step(state, cp)
+        if state < 0:
+            break
+        i += 1
+        acc = accepts[state]
+        if acc is not None:
+            best_acc = acc
+            best_end = i
+    else:
+        eof_state = dfa.eofs[state]
+        if eof_state >= 0:
+            acc = accepts[eof_state]
+            if acc is not None:
+                best_acc = acc
+                best_end = i
+    if best_acc is None:
+        return None
+    return best_end, best_acc
+
+
+def reference_lex(compiled: CompiledLexer, text: str) -> LexOutput:
+    """Run the mode-stack machine over text.
+
+    Succeeds iff the mode stack first becomes empty exactly at end of input.
+    An emit/pass action consumes the matched string (crediting the frame that
+    is on top when the action runs); a match with no consuming action is left
+    for the next mode on the stack to reprocess.
+    """
+    n = len(text)
+    byte_of = _byte_offsets(text)
+    codes = text.encode("ascii") if text.isascii() else [ord(ch) for ch in text]
+    frames = [_Frame(compiled.main_mode, 0)]
+    tokens: List[Token] = []
+    extracts: List[Extract] = []
+    pos = 0
+
+    while frames:
+        top = frames[-1]
+        m = _match(compiled.dfas[top.mode], codes, pos, n)
+        if m is None:
+            if pos == n:
+                raise LexError("stack_nonempty_at_eof", byte_of[pos], "mode %s" % top.mode)
+            raise LexError("no_match", byte_of[pos], "mode %s" % top.mode)
+        end, (rule_idx, emit_token) = m
+        matched = text[pos:end]
+        consumed = False
+        for action in compiled.mode_actions[top.mode][rule_idx]:
+            if isinstance(action, AEmit):
+                tokens.append(Token(emit_token, matched, byte_of[pos], byte_of[end]))
+                frames[-1].buffer.append(matched)
+                consumed = True
+            elif isinstance(action, APass):
+                frames[-1].buffer.append(matched)
+                consumed = True
+            elif isinstance(action, APush):
+                frames.append(_Frame(action.mode, pos))
+            else:
+                f = frames.pop()
+                f_end = end if consumed else pos
+                if isinstance(action, APopExtract):
+                    extracts.append(Extract(f.mode, "".join(f.buffer),
+                                            byte_of[f.start], byte_of[f_end]))
+                elif isinstance(action, APopEmit):
+                    tokens.append(Token(action.token, "".join(f.buffer),
+                                        byte_of[f.start], byte_of[f_end]))
+                if not frames:
+                    break
+        if consumed:
+            pos = end
+        if not frames and pos < n:
+            raise LexError("premature_empty", byte_of[pos])
+    return LexOutput(tokens, extracts)

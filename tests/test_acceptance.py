@@ -112,13 +112,13 @@ def _drive_tables(compiled, tokens):
         act = compiled.action_rows[states[-1]].get(la)
         if act is None:
             return False
-        if act[0] == "shift":
-            states.append(act[1])
+        if act >= 0:  # shift
+            states.append(act)
             pos += 1
-        elif act[0] == "accept":
+        elif act == -1:  # accept
             return True
-        elif act[0] == "reduce":
-            prod = compiled.prods[act[1]]
+        elif act < -1:  # reduce
+            prod = compiled.prods[-2 - act]
             if prod[1]:
                 del states[len(states) - prod[1]:]
             target = compiled.goto_rows[states[-1]].get(prod[2])

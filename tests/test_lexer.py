@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from langcc import compile_lexer, lex, parse_lang_spec, token_bounds_to_linecol
-from langcc.lexer import LexAmbiguity, LexCompileError, LexError, Nfa, Tag
+from langcc.lexer import Extract, LexAmbiguity, LexCompileError, LexError, Nfa, Tag
 from langcc.spec_ast import RAlt, RConcat, RLit, RRange, RStar
 
 from conftest import load_grammar
+from oracle import reference_lex
 
 
 def _lexer_for(src):
@@ -224,3 +226,89 @@ def test_compile_time_safety_unique_accept_tags(calc):
 def test_dump_is_deterministic(calc):
     assert calc.lexer.dump() == calc.lexer.dump()
     assert "mode body" in calc.lexer.dump()
+
+
+# -- the compiled lexer against the reference loop ---------------------------
+
+def _lex_outcome(lex_fn, lexer, text):
+    try:
+        out = lex_fn(lexer, text)
+    except LexError as e:
+        return ("error", e.kind, e.offset)
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 offset
+        return ("unencodable",)
+    return (out.tokens, out.extracts)
+
+
+# fragments that drive meta.lang's modes (comments, backtick strings and
+# their escapes, keywords) and calc_prog.lang's tokens, with non-ASCII text
+_FRAGMENTS = ["`", "\\", "//", "\n", " ", "\t", "{", "}", ";", "=>", "<-", "mode",
+              "lexer", "main", "pass", "x1", "_", "0", "42", "+", "-", "*", "(", ")",
+              "=", "^", "é", "∀", "𝔸", "@"]
+
+
+@pytest.mark.parametrize("name", ["meta", "calc_prog"])
+def test_lex_agrees_with_reference_on_random_text(name, request):
+    lexer = request.getfixturevalue(name).lexer
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.characters()), max_size=40))
+    def agrees(parts):
+        text = "".join(parts)
+        assert _lex_outcome(lex, lexer, text) == _lex_outcome(reference_lex, lexer, text)
+
+    agrees()
+
+
+def test_main_mode_popped_by_pop_extract_keeps_its_text():
+    src = """
+tokens { letter <= `a`..`z`; word <- letter letter*; ws <= ` ` | `\\n`; }
+lexer {
+    main { body }
+    mode body {
+        word => { emit; }
+        ws => { pass; }
+        `#` => { push note; pass; }
+        eof => { pop_extract; }
+    }
+    mode note {
+        `\\n` => { pop_extract; }
+        _ => { pass; }
+    }
+}
+parser { main { S } S.One <- `z`; }
+"""
+    lx = _lexer_for(src)
+    text = "ab #x\ncd"
+    out = lex(lx, text)
+    assert [(t.terminal, t.text, t.start, t.end) for t in out.tokens] == [
+        ("word", "ab", 0, 2), ("word", "cd", 6, 8)]
+    # the note's text is credited to the note frame, the rest to the main one
+    assert out.extracts == [Extract("note", "#x", 3, 5), Extract("body", "ab \ncd", 0, 8)]
+    assert _lex_outcome(lex, lx, text) == _lex_outcome(reference_lex, lx, text)
+
+
+def test_frames_keep_text_only_where_a_pop_extract_or_pop_emit_can_pop_them(meta):
+    keeps = {mode: program[5] for mode, program in meta.lexer.programs.items()}
+    assert keeps == {"body": False, "comment_single": True, "string_lit": True}
+    # a pop_extract under the rule's own frame could pop any mode's frame
+    src = """
+tokens { letter <= `a`..`z`; word <- letter letter*; }
+lexer {
+    main { body }
+    mode body {
+        word => { emit; }
+        `(` => { push inner; pass; }
+    }
+    mode inner {
+        `)` => { pass; pop; pop_extract; }
+        _ => { pass; }
+    }
+}
+parser { main { S } S.One <- `z`; }
+"""
+    lx = _lexer_for(src)
+    assert all(program[5] for program in lx.programs.values())
+    out = lex(lx, "ab(cd)")
+    assert out.extracts == [Extract("body", "ab", 0, 6)]
+    assert _lex_outcome(lex, lx, "ab(cd)") == _lex_outcome(reference_lex, lx, "ab(cd)")

@@ -271,6 +271,54 @@ def test_artifact_with_state_out_of_range_rejected(calc, where):
         _load(data)
 
 
+def _set_field_src(data, prod, field, src):
+    data["prods"][prod][4][field][1] = src
+
+
+def _set_asm(data, prod, kind, asm):
+    assert data["prods"][prod][0] == kind
+    data["prods"][prod][3] = asm
+
+
+def _reduce_start(data):
+    start = next(i for i, p in enumerate(data["prods"]) if p[0] == "start")
+    next(e for e in data["action"] if e[2][0] == "reduce")[2][1] = start
+
+
+# each raised a bare IndexError or AssertionError from the parse loop
+@pytest.mark.parametrize("grammar,mutate,message", [
+    ("calc", _reduce_start, "reduces a start production"),
+    ("calc", lambda d: _set_field_src(d, 0, 1, ["slot", 3]), "names slot 3 of 3"),
+    ("calc", lambda d: _set_field_src(d, 4, 0, ["enum_inline", 2, "Neg"]), "names slot 2 of 2"),
+    ("calc", lambda d: _set_field_src(d, 4, 0, ["enum_inline", 0]), "enum field with no label"),
+    ("calc_prog", lambda d: _set_asm(d, 14, "list_append", [0, 3]), "names slot 3 of 3"),
+    ("meta", lambda d: _set_asm(d, 63, "opt_some", [3]), "names slot 3 of 3"),
+], ids=["start reduce", "slot past rhs", "enum_inline past rhs", "enum_inline without label",
+        "list index past rhs", "opt index past rhs"])
+def test_artifact_with_unindexable_production_rejected(grammar, mutate, message, request):
+    data = json.loads(request.getfixturevalue(grammar).compiled.to_json())
+    mutate(data)
+    with pytest.raises(SpecError, match="malformed artifact: .*" + message):
+        _load(data)
+
+
+def test_artifact_with_shift_on_end_of_input_rejected(calc):
+    data = _calc_artifact(calc)
+    next(e for e in data["action"] if e[2][0] == "accept")[2] = ["shift", 0]
+    with pytest.raises(SpecError, match="shifts the end of input"):
+        _load(data)
+
+
+def test_artifact_with_reduce_deeper_than_the_stack_rejected(calc):
+    # the first production is reduced somewhere; 50 symbols is deeper than
+    # any path of shifts and gotos to that state
+    data = _calc_artifact(calc)
+    data["prods"][0][1] = 50
+    with pytest.raises(SpecError, match="reduces production 0 of length 50, but can "
+                                        "be reached with a stack of 3"):
+        _load(data)
+
+
 def _main_dfa(data):
     lx = data["lexer"]
     return lx["modes"][lx["main_mode"]]
@@ -306,6 +354,16 @@ def test_artifact_with_malformed_lexer_row_rejected(calc, mutate, message):
     assert states[1][2] == [1, None] and len(data["lexer"]["actions"]["body"]) == 5
     mutate(states)
     with pytest.raises(SpecError, match="malformed artifact: mode body state [01]: .*" + message):
+        _load(data)
+
+
+def test_artifact_pushing_an_unknown_lexer_mode_rejected(calc):
+    # raised a KeyError from the lexer when a match reached the rule
+    data = _calc_artifact(calc)
+    actions = data["lexer"]["actions"]["body"]
+    rule = next(i for i, r in enumerate(actions) if r[0][0] == "push")
+    actions[rule][0] = ["push", "nowhere"]
+    with pytest.raises(SpecError, match="push to unknown lexer mode 'nowhere'"):
         _load(data)
 
 
@@ -429,16 +487,16 @@ def test_collector_reenabled_when_the_parse_that_disabled_it_returns(calc, monke
     from langcc import runtime
 
     seen = []
-    lex = runtime.lex
+    lex = runtime.lex_lists
 
     def lex_with_inner_parse(spec, text):
         if text == "x = 1":
-            monkeypatch.setattr(runtime, "lex", lex)
+            monkeypatch.setattr(runtime, "lex_lists", lex)
             assert parse(calc.compiled, "y = 2").is_success()
             seen.append(gc.isenabled())
         return lex(spec, text)
 
-    monkeypatch.setattr(runtime, "lex", lex_with_inner_parse)
+    monkeypatch.setattr(runtime, "lex_lists", lex_with_inner_parse)
     assert gc.isenabled()
     assert parse(calc.compiled, "x = 1").is_success()
     assert seen == [False]
