@@ -204,7 +204,7 @@ def _load_tables(d: dict):
     prods = [_prod_tuple(p) for p in d["prods"]]
     n_prods = len(prods)
     last = -1  # the largest state with an entry
-    lo = hi = 0  # the smallest and largest shift or goto target
+    lo = hi = 0  # the smallest and largest shift, goto or start target
     keys = {}  # lookahead -> its row key, for the lookaheads already checked
     rows = {}  # state -> action row
     for entry in d["action"]:
@@ -274,12 +274,10 @@ def _load_tables(d: dict):
     if n_states > len(d["action"]) + len(d["goto"]):
         raise _malformed("state %d is out of range" % last)
     firsts = set(starts.values())
-    if lo < 0 or hi >= n_states or not all(0 <= s < n_states for s in firsts):
-        targets = [e[2][1] for e in d["action"] if e[2][0] == "shift"]
-        targets += [e[3] for e in d["goto"]] + list(firsts)
-        bad = min(t for t in targets if not 0 <= t < n_states)
+    lo, hi = min([lo, *firsts]), max([hi, *firsts])
+    if lo < 0 or hi >= n_states:
         raise _malformed("shift, goto or start target %d is not one of the %d states"
-                         % (bad, n_states))
+                         % (lo if lo < 0 else hi, n_states))
     action_rows = [rows.get(state) or {} for state in range(n_states)]
     goto_rows = [gotos.get(state) or {} for state in range(n_states)]
     # breadth first from the start states, `depth` stacked symbols deep: a
