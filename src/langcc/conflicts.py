@@ -8,25 +8,22 @@ completion under each competing action.  The rendered report shows the
 symbol derivation next to the concrete tokens, the two actions, and one
 completion per action, sharing the conflict lookahead.  Paths start at the
 automaton's start states, and completions are simulated with its three action
-kinds, Shift, Reduce and Accept.
+kinds, Shift, Reduce and Accept.  The completion search appends a terminal
+only where it leads to a lookahead the top state can act on, and its budget
+counts the distinct configurations it pops.  A conflict in a state that no
+input reaches is reported as such, without prefix or completions.  trace_all
+builds the shared shortest-sentence and shortest-path tables once.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from .grammar import Cfg, Inst
 from .lexer import EOF_TERMINAL
 from .lr import ConflictSite, LrTables
-
-
-class SearchBudgetExceeded(Exception):
-    def __init__(self, site: ConflictSite, partial):
-        self.site = site
-        self.partial = partial
-        super().__init__("conflict trace budget exceeded in state %d" % site.state)
 
 
 @dataclass
@@ -40,6 +37,7 @@ class ConflictExemplar:
     completion_right: List[str]
     budget_exceeded: bool = False
     state: int = -1
+    unreachable: bool = False  # no input reaches the state
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +96,11 @@ def _shortest_paths(tables: LrTables, sentences):
     counter = 0
     for m, s in sorted(tables.starts.items()):
         dist[s] = (0, 0, ())
-        heapq.heappush(heap, ((0, 0, ()), counter, s))
+        heappush(heap, ((0, 0, ()), counter, s))
         counter += 1
 
     while heap:
-        d, _c, state = heapq.heappop(heap)
+        d, _c, state = heappop(heap)
         if dist.get(state, INF) < d:
             continue
         for key, target in edges.get(state, ()):
@@ -113,7 +111,7 @@ def _shortest_paths(tables: LrTables, sentences):
             if nd < dist.get(target, INF):
                 dist[target] = nd
                 back[target] = (state, key)
-                heapq.heappush(heap, (nd, counter, target))
+                heappush(heap, (nd, counter, target))
                 counter += 1
     return dist, back
 
@@ -160,63 +158,91 @@ def _step(tables, stack: tuple, la: tuple, act: tuple):
     raise AssertionError(act)
 
 
-def _complete(tables: LrTables, stack: tuple, queue: tuple, budget: int,
-              terminals: List[str]) -> Optional[List[str]]:
+def _complete(ctx: _TraceContext, stack: tuple, queue: tuple,
+              budget: int) -> Optional[List[str]]:
     """Shortest terminal suffix driving the configuration to Accept.
 
-    `queue` holds committed upcoming terminals (the conflict lookahead);
-    the returned list is queue plus whatever was appended, $ padding removed.
+    `queue` holds committed upcoming terminals (what is left of the
+    conflict lookahead); the returned list is what the search appended after
+    them, $ padding removed.  A configuration whose queue is shorter than k
+    is expanded only by the terminals that lead to a lookahead its top state
+    has an action on (`_TraceContext.next_terminals`): any other choice
+    would stop dead at the next pop.  `budget` bounds the distinct
+    configurations popped; None when it runs out.
     """
+    tables = ctx.tables
     k = tables.k
-    heap = []
-    counter = 0
-    start = (stack, queue)
-    heapq.heappush(heap, (0, (), counter, start))
-    counter += 1
+    action = tables.action
+    goto = tables.goto
+    rules = ctx.rules
+    next_terminals = ctx.next_terminals
+    pop, push = heappop, heappush
+    # entries are (cost, appended, counter, stack, queue); queues never
+    # grow past k, so a full queue is the lookahead itself
+    heap = [(0, (), 0, stack, queue)]
+    counter = 1
     seen = set()
-    popped = 0
     while heap:
-        cost, appended, _c, (st, q) = heapq.heappop(heap)
+        cost, appended, _c, st, q = pop(heap)
         if (st, q) in seen:
             continue
         seen.add((st, q))
-        popped += 1
-        if popped > budget:
+        if len(seen) > budget:
             return None
         if len(q) < k:
-            if q and q[-1] == EOF_TERMINAL:
-                choices = [EOF_TERMINAL]  # nothing follows end of input
-            else:
-                choices = list(terminals) + [EOF_TERMINAL]
-            for t in choices:
-                nq = q + (t,)
-                c = cost + (0 if t == EOF_TERMINAL else 1)
-                ap = appended if t == EOF_TERMINAL else appended + (t,)
-                heapq.heappush(heap, (c, ap, counter, (st, nq)))
+            for t in next_terminals.get((st[-1], q), ()):
+                if t == EOF_TERMINAL:
+                    push(heap, (cost, appended, counter, st, q + (t,)))
+                else:
+                    push(heap, (cost + 1, appended + (t,), counter, st, q + (t,)))
                 counter += 1
             continue
-        la = q[:k]
-        for act in tables.actions_at(st[-1], la):
-            ns, consumed, accepted = _step(tables, st, la, act)
-            if accepted:
+        for act in action.get((st[-1], q), ()):
+            tag = act[0]
+            if tag == "shift":
+                push(heap, (cost, appended, counter, st + (act[1],), q[1:]))
+            elif tag == "reduce":
+                n, lhs = rules[act[1]]
+                if len(st) <= n:
+                    continue
+                rest = st[: len(st) - n]
+                target = goto.get((rest[-1], lhs))
+                if target is None:
+                    continue
+                push(heap, (cost, appended, counter, rest + (target,), q))
+            else:  # accept
                 return list(appended)
-            if ns is None:
-                continue
-            nq = q[1:] if consumed else q
-            heapq.heappush(heap, (cost, appended, counter, (ns, nq)))
             counter += 1
     return None
+
+
+def _next_terminals(tables: LrTables) -> Dict[Tuple[int, tuple], Tuple[str, ...]]:
+    """(state, q) -> the terminals t, sorted with $ last, such that some
+    action lookahead of the state starts with q + (t,), for every q shorter
+    than k.  Lookaheads are padded with $, so after a $ only $ follows."""
+    nexts: Dict[Tuple[int, tuple], set] = {}
+    for state, la in tables.action:
+        for i in range(tables.k):
+            nexts.setdefault((state, la[:i]), set()).add(la[i])
+    eof = (EOF_TERMINAL,)
+    return {key: tuple(sorted(ts - {EOF_TERMINAL})) + (eof if EOF_TERMINAL in ts else ())
+            for key, ts in nexts.items()}
 
 
 # ---------------------------------------------------------------------------
 # Tracing
 
 class _TraceContext:
+    """What every trace of one table set shares, built once per trace_all."""
+
     def __init__(self, tables: LrTables, cfg: Cfg):
         self.tables = tables
         self.cfg = cfg
         self.sentences = _min_sentences(tables)
         self.dist, self.back = _shortest_paths(tables, self.sentences)
+        # production index -> (rhs length, lhs) for the reduces of _complete
+        self.rules = [(len(p["rhs"]), p["lhs"]) for p in tables.prods]
+        self.next_terminals = _next_terminals(tables)
 
     def path_keys(self, state: int):
         keys = []
@@ -243,8 +269,9 @@ def trace_conflict(tables: LrTables, cfg: Cfg, site: ConflictSite,
                    budget: int = 100_000,
                    ctx: Optional[_TraceContext] = None) -> ConflictExemplar:
     ctx = ctx or _TraceContext(tables, cfg)
-    if site.state not in ctx.dist:
-        raise SearchBudgetExceeded(site, None)
+    # every goto path to an unreachable state crosses a nonterminal that
+    # derives no terminal string: it gets no prefix and no completions
+    unreachable = site.state not in ctx.dist
     root, path_keys = ctx.path_keys(site.state)
 
     prefix_symbols = []
@@ -267,10 +294,12 @@ def trace_conflict(tables: LrTables, cfg: Cfg, site: ConflictSite,
     stack = tuple(stack)
 
     actions = list(site.actions[:2])
-    terminals = sorted(t for t in cfg.terminals)
     completions = []
     exceeded = False
     for act in actions:
+        if unreachable:
+            completions.append(["<unreachable>"])
+            continue
         ns, consumed, accepted = _step(tables, stack, site.lookahead, act)
         if accepted:
             completions.append([t for t in site.lookahead if t != EOF_TERMINAL])
@@ -279,7 +308,7 @@ def trace_conflict(tables: LrTables, cfg: Cfg, site: ConflictSite,
             completions.append(["<unviable>"])
             continue
         queue = site.lookahead[1:] if consumed else site.lookahead
-        suffix = _complete(tables, ns, queue, budget, terminals)
+        suffix = _complete(ctx, ns, queue, budget)
         if suffix is None:
             completions.append(["<budget exceeded>"])
             exceeded = True
@@ -297,22 +326,25 @@ def trace_conflict(tables: LrTables, cfg: Cfg, site: ConflictSite,
         completion_right=completions[1] if len(completions) > 1 else [],
         budget_exceeded=exceeded,
         state=site.state,
+        unreachable=unreachable,
     )
 
 
-def dedup_sites(tables: LrTables, cfg: Optional[Cfg] = None) -> List[ConflictSite]:
+def dedup_sites(tables: LrTables, cfg: Optional[Cfg] = None,
+                ctx: Optional[_TraceContext] = None) -> List[ConflictSite]:
     """One representative site per distinct competing-action pair.
 
     Raw sites repeat per state and lookahead; rendered as exemplars that is
     noise, not information.  The earliest state (BFS numbering, so shortest
     access path) represents each group; among its lookaheads, one already
     occurring in the access prefix reads best (id `+` id with lookahead `+`),
-    falling back to the smallest."""
+    falling back to the smallest (the only choice without cfg or ctx)."""
     by_pair: Dict[tuple, List[ConflictSite]] = {}
     for site in tables.conflicts:
         key = tuple(tables.display_action(a) for a in site.actions)
         by_pair.setdefault(key, []).append(site)
-    ctx = _TraceContext(tables, cfg) if cfg is not None else None
+    if ctx is None and cfg is not None:
+        ctx = _TraceContext(tables, cfg)
     out = []
     for key in sorted(by_pair):
         sites = by_pair[key]
@@ -332,7 +364,7 @@ def dedup_sites(tables: LrTables, cfg: Optional[Cfg] = None) -> List[ConflictSit
 def trace_all(tables: LrTables, cfg: Cfg, budget: int = 100_000) -> List[ConflictExemplar]:
     ctx = _TraceContext(tables, cfg)
     return [trace_conflict(tables, cfg, site, budget, ctx)
-            for site in dedup_sites(tables, cfg)]
+            for site in dedup_sites(tables, cfg, ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,5 +397,9 @@ def render_conflict_report(exemplars: List[ConflictExemplar]) -> str:
         if ex.budget_exceeded:
             out.append("")
             out.append("(completion search budget exceeded; trace is partial)")
+        if ex.unreachable:
+            out.append("")
+            out.append("(no input reaches state %d: every path to it crosses a "
+                       "nonterminal that derives no terminal string)" % ex.state)
         out.append("")
     return "\n".join(out)

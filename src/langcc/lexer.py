@@ -63,7 +63,7 @@ class LexAmbiguity(LexCompileError):
 
 class LexError(Exception):
     def __init__(self, kind: str, offset: int, detail: str = ""):
-        self.kind = kind  # no_match | premature_empty | stack_nonempty_at_eof
+        self.kind = kind  # no_match | premature_empty | stack_nonempty_at_eof | unencodable
         self.offset = offset
         self.detail = detail
         super().__init__("%s at offset %d%s" % (kind, offset, " (%s)" % detail if detail else ""))
@@ -698,19 +698,24 @@ def _byte_offsets(text: str) -> Sequence[int]:
         return range(len(text) + 1)
     offs = [0] * (len(text) + 1)
     total = 0
-    for i, ch in enumerate(text):
-        total += len(ch.encode("utf-8"))
-        offs[i + 1] = total
+    try:
+        for i, ch in enumerate(text):
+            total += len(ch.encode("utf-8"))
+            offs[i + 1] = total
+    except UnicodeEncodeError:
+        # a str may hold a lone surrogate, which has no UTF-8 encoding
+        raise LexError("unencodable", total, "lone surrogate U+%04X" % ord(ch)) from None
     return offs
 
 
 def token_bounds_to_linecol(text: str, byte_offset: int) -> Tuple[int, int]:
-    """1-based (line, column) of a byte offset; columns count codepoints."""
-    data = text.encode("utf-8")
+    """1-based (line, column) of a byte offset; columns count codepoints.
+    A lone surrogate counts as the three bytes of its surrogatepass form."""
+    data = text.encode("utf-8", "surrogatepass")
     if byte_offset > len(data):
         raise ValueError("offset %d beyond input length %d" % (byte_offset, len(data)))
     before = data[:byte_offset]
     line = before.count(b"\n") + 1
     nl = before.rfind(b"\n")
-    col = len(before[nl + 1:].decode("utf-8")) + 1
+    col = len(before[nl + 1:].decode("utf-8", "surrogatepass")) + 1
     return (line, col)

@@ -270,6 +270,8 @@ def _lex_error_message(e: LexError, text: str) -> str:
         return "Lexing error: unexpected character: `%s`" % ch
     if e.kind == "premature_empty":
         return "Lexing error: mode stack emptied before end of input"
+    if e.kind == "unencodable":
+        return "Lexing error: text not encodable as UTF-8 (%s)" % e.detail
     return "Lexing error: unterminated input (%s)" % e.detail
 
 

@@ -7,14 +7,22 @@ as a pure admissibility predicate on top.
 
 reference_lex is the lexer's mode-stack machine as a plain loop over the
 spec's action objects, with no load-time compilation.
+
+reference_complete is the conflict tracer's completion search as it was
+before it learned to skip lookaheads no state acts on: it appends every
+terminal and $, and lets the dead ends fail at the next pop.
 """
 
-from typing import List
+import heapq
+from typing import List, Optional
 
+from langcc.conflicts import _step
 from langcc.grammar import Cfg, InstGrammar, expand_instances
 from langcc.lexer import (
-    ASCII_ROW, CompiledLexer, Extract, LexError, LexOutput, ModeDfa, Token, _byte_offsets,
+    ASCII_ROW, EOF_TERMINAL, CompiledLexer, Extract, LexError, LexOutput, ModeDfa, Token,
+    _byte_offsets,
 )
+from langcc.lr import LrTables
 from langcc.spec_ast import AEmit, APass, APopEmit, APopExtract, APush
 
 
@@ -241,3 +249,54 @@ def reference_lex(compiled: CompiledLexer, text: str) -> LexOutput:
         if not frames and pos < n:
             raise LexError("premature_empty", byte_of[pos])
     return LexOutput(tokens, extracts)
+
+
+# ---------------------------------------------------------------------------
+# Reference completion search
+
+def reference_complete(tables: LrTables, stack: tuple, queue: tuple, budget: int,
+                       terminals: List[str]) -> Optional[List[str]]:
+    """Shortest terminal suffix driving the configuration to Accept.
+
+    `queue` holds committed upcoming terminals (the conflict lookahead);
+    the returned list is queue plus whatever was appended, $ padding removed.
+    """
+    k = tables.k
+    heap = []
+    counter = 0
+    start = (stack, queue)
+    heapq.heappush(heap, (0, (), counter, start))
+    counter += 1
+    seen = set()
+    popped = 0
+    while heap:
+        cost, appended, _c, (st, q) = heapq.heappop(heap)
+        if (st, q) in seen:
+            continue
+        seen.add((st, q))
+        popped += 1
+        if popped > budget:
+            return None
+        if len(q) < k:
+            if q and q[-1] == EOF_TERMINAL:
+                choices = [EOF_TERMINAL]  # nothing follows end of input
+            else:
+                choices = list(terminals) + [EOF_TERMINAL]
+            for t in choices:
+                nq = q + (t,)
+                c = cost + (0 if t == EOF_TERMINAL else 1)
+                ap = appended if t == EOF_TERMINAL else appended + (t,)
+                heapq.heappush(heap, (c, ap, counter, (st, nq)))
+                counter += 1
+            continue
+        la = q[:k]
+        for act in tables.actions_at(st[-1], la):
+            ns, consumed, accepted = _step(tables, st, la, act)
+            if accepted:
+                return list(appended)
+            if ns is None:
+                continue
+            nq = q[1:] if consumed else q
+            heapq.heappush(heap, (cost, appended, counter, (ns, nq)))
+            counter += 1
+    return None

@@ -1,6 +1,12 @@
+import hashlib
+import re
+
+import pytest
+
 from langcc.cli import cmd_datacc, cmd_langcc, main_datacc, main_langcc, run_test_stanza
 
 from conftest import GRAMMARS, load_grammar
+from test_conflicts import UNREACHABLE_CONFLICTS
 
 
 def _lang(tmp_path, name="calc.lang"):
@@ -238,3 +244,39 @@ compile_test { LR(1); LR(2); }
     err = capsys.readouterr().err
     assert "pass: compile_test LR(1)" in err
     assert "pass: compile_test LR(2)" in err
+
+
+# the SHA-256 of each conflict report, as pinned by the benchmark
+# (perfbench/pins.py); prec-less meta.lang stops at LR(1) there too
+@pytest.mark.parametrize("name, max_k, sha256", [
+    ("calc_noprec.lang", 2, "6859dc78bee87bb0dc4a30af96b1fb8cf0190045d1171b7ef61fe19cbca07695"),
+    ("meta_noprec.lang", 1, "9fbf80d54183a95592ff9ef4c34a2cdb72a655ae4df6728b9a150667ae74978f"),
+])
+def test_conflict_reports_match_pins(tmp_path, capsys, name, max_k, sha256):
+    lang = tmp_path / name
+    if name == "meta_noprec.lang":
+        source, n = re.subn(r"\n    prec \{.*?\n    \}\n", "\n", load_grammar("meta.lang"),
+                            count=1, flags=re.S)
+        assert n == 1
+        lang.write_text(source, encoding="utf-8")
+    else:
+        lang = GRAMMARS / name
+    out = tmp_path / "report.txt"
+    assert cmd_langcc(str(lang), str(tmp_path), max_k=max_k, conflicts_out=str(out)) == 1
+    report = out.read_text(encoding="utf-8")
+    assert report in capsys.readouterr().err
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == sha256
+
+
+def test_conflict_no_input_reaches_is_reported(tmp_path, capsys):
+    lang = tmp_path / "a.lang"
+    lang.write_text(UNREACHABLE_CONFLICTS)
+    out = tmp_path / "report.txt"
+    rc = main_langcc([str(lang), str(tmp_path), "--max-k", "1", "--conflicts-out", str(out)])
+    assert rc == 1
+    report = out.read_text()
+    assert report.count("===== LR conflict") == report.count("(no input reaches state") == 2
+    assert "<unreachable>" in report
+    err = capsys.readouterr().err
+    assert "has LR conflicts (reported 2)" in err
+    assert not (tmp_path / "a.clang").exists()

@@ -1,11 +1,20 @@
+import heapq
+import types
+from unittest import mock
+
+from hypothesis import given, settings
+
+import oracle
 from langcc import (
     build_lr, lower_grammar, lower_precedence, parse_lang_spec,
     render_conflict_report, trace_all, trace_conflict,
 )
+from langcc import conflicts
 from langcc.conflicts import dedup_sites
 from langcc.lexer import EOF_TERMINAL
 
 from conftest import load_grammar
+from test_lr import _small_grammars
 
 
 def _tables(name, k=1):
@@ -169,3 +178,138 @@ def test_terminal_rows_derive_from_symbol_rows():
                 assert toks == [key[1]]
             else:
                 assert earley_accepts(tables.ig, key, toks), (key, toks)
+
+
+def test_trace_all_builds_one_context(monkeypatch):
+    built = []
+
+    class Counted(conflicts._TraceContext):
+        def __init__(self, tables, cfg):
+            built.append(tables)
+            super().__init__(tables, cfg)
+
+    monkeypatch.setattr(conflicts, "_TraceContext", Counted)
+    for name, k in (("calc_noprec.lang", 1), ("calc_noprec.lang", 2), ("ab_eps.lang", 1)):
+        cfg, tables = _tables(name, k)
+        built.clear()
+        assert trace_all(tables, cfg)
+        assert built == [tables]
+
+
+def test_dedup_sites_with_or_without_context():
+    cfg, tables = _tables("calc_noprec.lang")
+    ctx = conflicts._TraceContext(tables, cfg)
+    assert dedup_sites(tables, cfg) == dedup_sites(tables, cfg, ctx)
+
+
+def test_next_terminals_are_the_lookahead_continuations():
+    for name, k in (("calc_noprec.lang", 1), ("calc_noprec.lang", 2), ("ab_eps.lang", 2)):
+        cfg, tables = _tables(name, k)
+        nexts = conflicts._TraceContext(tables, cfg).next_terminals
+        las = {}
+        for state, la in tables.action:
+            las.setdefault(state, []).append(la)
+            assert all((state, la[:i]) in nexts for i in range(k))
+        for (state, q), ts in nexts.items():
+            assert set(ts) == {la[len(q)] for la in las[state] if la[:len(q)] == q}
+            # sorted with $ last, and nothing but $ after a $
+            assert list(ts) == sorted(set(ts) - {EOF_TERMINAL}) + [EOF_TERMINAL] * (EOF_TERMINAL in ts)
+            if q and q[-1] == EOF_TERMINAL:
+                assert ts == (EOF_TERMINAL,)
+
+
+# B derives no terminal string, so no input gets past it into C and D: both
+# conflicts, between reducing a D and shifting `a`, are in unreachable states
+UNREACHABLE_CONFLICTS = """
+tokens { top <= `a` | `b`; }
+lexer { main { body } mode body { top => { emit; } eof => { pop; } } }
+parser {
+    main { S }
+    S.One <- `a`;
+    S.Two <- x:B y:C;
+    B.Loop <- `b` z:B;
+    C.X <- `a`;
+    C.Y <- `a` `a`;
+    C.Z <- w:D `a`;
+    D.E <- eps;
+    D.F <- `a`;
+}
+"""
+
+
+def test_conflict_no_input_reaches_is_reported_unreachable():
+    spec = parse_lang_spec(UNREACHABLE_CONFLICTS)
+    cfg = lower_precedence(spec, lower_grammar(spec)[0])
+    tables = build_lr(cfg, 1)
+    exemplars = trace_all(tables, cfg)
+    assert exemplars and all(ex.unreachable for ex in exemplars)
+    ex = exemplars[0]
+    assert (ex.prefix_symbols, ex.action_left, ex.action_right) == (
+        [], "Reduce(D -> %empty)", "Shift")
+    assert ex.completion_left == ex.completion_right == ["<unreachable>"]
+    assert "(no input reaches state %d:" % ex.state in render_conflict_report(exemplars)
+
+
+# -- the completion search against the one that expanded every terminal -------
+
+_complete = conflicts._complete  # kept before _trace_with patches the module
+
+
+def _counting_pops(config_of, pops):
+    """heappop that adds each popped configuration to `pops`; the set's size
+    is then what the search counted against its budget."""
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        pops.add(config_of(entry))
+        return entry
+    return pop
+
+
+def _new_search(ctx, stack, queue, budget, pops):
+    with mock.patch.object(conflicts, "heappop", _counting_pops(lambda e: e[3:], pops)):
+        return _complete(ctx, stack, queue, budget)
+
+
+def _reference_search(ctx, stack, queue, budget, pops):
+    counting = types.SimpleNamespace(heappush=heapq.heappush,
+                                     heappop=_counting_pops(lambda e: e[3], pops))
+    with mock.patch.object(oracle, "heapq", counting):
+        return oracle.reference_complete(ctx.tables, stack, queue, budget,
+                                         sorted(ctx.cfg.terminals))
+
+
+def _trace_with(search, tables, cfg, budget):
+    """The report of trace_all with `search` as its completion search, and
+    per search (suffix, distinct configurations popped)."""
+    searches = []
+
+    def complete(ctx, stack, queue, budget):
+        pops = set()
+        suffix = search(ctx, stack, queue, budget, pops)
+        searches.append((suffix, len(pops)))
+        return suffix
+
+    with mock.patch.object(conflicts, "_complete", complete):
+        report = render_conflict_report(trace_all(tables, cfg, budget))
+    return report, searches
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_grammars())
+def test_completion_search_matches_reference(source):
+    spec = parse_lang_spec(source)
+    cfg = lower_precedence(spec, lower_grammar(spec)[0])
+    for k in (1, 2):
+        tables = build_lr(cfg, k)
+        if not tables.conflicts:
+            continue
+        for budget in (5, 50, 2000):
+            report, searches = _trace_with(_new_search, tables, cfg, budget)
+            want, ref_searches = _trace_with(_reference_search, tables, cfg, budget)
+            assert len(searches) == len(ref_searches)
+            for (suffix, pops), (ref_suffix, ref_pops) in zip(searches, ref_searches):
+                assert pops <= ref_pops
+                if ref_suffix is not None:
+                    assert suffix == ref_suffix
+            if all(ref_suffix is not None for ref_suffix, _pops in ref_searches):
+                assert report == want

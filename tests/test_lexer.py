@@ -133,6 +133,14 @@ def test_linecol_examples():
     assert token_bounds_to_linecol("a\nbc", 3) == (2, 2)
     # columns count codepoints, offsets count bytes
     assert token_bounds_to_linecol("éx", 2) == (1, 2)
+    assert token_bounds_to_linecol("é\ud800\nx", 6) == (2, 1)
+
+
+def test_lone_surrogate_is_a_lex_error_at_the_bytes_before_it(calc):
+    with pytest.raises(LexError) as info:
+        lex(calc.lexer, "1 + é\udc80 + 2")
+    assert (info.value.kind, info.value.offset) == ("unencodable", 6)
+    assert "U+DC80" in str(info.value)
 
 
 def test_lex_deterministic(calc):
@@ -235,8 +243,6 @@ def _lex_outcome(lex_fn, lexer, text):
         out = lex_fn(lexer, text)
     except LexError as e:
         return ("error", e.kind, e.offset)
-    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 offset
-        return ("unencodable",)
     return (out.tokens, out.extracts)
 
 

@@ -95,6 +95,19 @@ def test_lexing_error_surfaces_as_parse_error(calc):
     assert res.err.bounds == (2, 2)
 
 
+@pytest.mark.parametrize("text, offset, line_col", [
+    ("x = \ud800", 4, "Line 1, column 5:"),
+    ("é = 1;\nyé = \udfff + 1", 14, "Line 2, column 6:"),
+])
+def test_lone_surrogate_is_a_lex_error(calc_prog, text, offset, line_col):
+    # a str may hold a lone surrogate (json.loads('"\\ud800"') makes one)
+    res = parse(calc_prog.compiled, text)
+    assert not res.is_success()
+    assert res.err.message.startswith("Lexing error: text not encodable as UTF-8")
+    assert res.err.bounds == (offset, offset)
+    assert res.err.location_block.startswith(line_col)
+
+
 def _walk_bounds(value, out):
     if isinstance(value, Node):
         out.append(value.bounds)
