@@ -57,6 +57,17 @@ class CompiledLang:
             self.ast_fields[vk] = [(f[0], _untuple(f[1])) for f in d["ast"][vk]]
         self.print_templates = {vk: _untuple(tmpl)
                                 for vk, tmpl in d["templates"].items()}
+        # variant tuple -> (variant key, {field: data plan}) for
+        # runtime.node_to_data_value, and -> (variant key, reversed print
+        # entries) for printer.pretty_print; see _data_plan and _print_plan
+        self.data_plans = {}
+        for vk, fields in self.ast_fields.items():
+            self.data_plans[tuple(vk.split("::"))] = (
+                vk, {name: _data_plan(kind, vk, name) for name, kind in fields})
+        self.print_plans = {}
+        for vk, tmpl in self.print_templates.items():
+            self.print_plans[tuple(vk.split("::"))] = (
+                vk, _entries(tmpl, kinds=dict(self.ast_fields.get(vk, ()))))
         self.variant_prefixes = set()
         for vk in self.ast_fields:
             parts = tuple(vk.split("::"))
@@ -100,6 +111,89 @@ class CompiledLang:
 
 def _malformed(what: str) -> SpecError:
     return SpecError("malformed artifact: " + what)
+
+
+# ---------------------------------------------------------------------------
+# Tree-walk plans: the AST field kinds and print templates, resolved once per
+# variant so the walks over a tree index them instead of re-reading kinds
+
+K_NODE, K_TOKEN, K_ENUM, K_SEQ, K_OPT, K_BOOL = range(6)  # plan tags
+_KIND_TAGS = {"node": K_NODE, "token": K_TOKEN, "enum": K_ENUM, "seq": K_SEQ,
+              "opt": K_OPT, "bool": K_BOOL}
+F_LINE, F_BLOCK, F_BLOCK2, F_TOP, F_TOP2 = range(5)  # sequence flavors
+_FLAVORS = {"L": F_LINE, "B": F_BLOCK, "B2": F_BLOCK2, "T": F_TOP, "T2": F_TOP2}
+CONTENT = object()  # the place of an option's content in its print entries
+
+
+def _kind_tag(kind) -> int:
+    tag = _KIND_TAGS.get(kind[0]) if type(kind) is tuple and kind else None
+    if tag is None:
+        raise _malformed("AST field kind %r is not one of %s" % (kind, ", ".join(_KIND_TAGS)))
+    return tag
+
+
+def _data_plan(kind, vk: str, name: str) -> tuple:
+    """(tag, element plan, enum type name, field description) of the field
+    `name` of variant vk: what node_to_data_value checks and builds.  The
+    element plan is that of a sequence's items or an option's content."""
+    tag = _kind_tag(kind)
+    sub = _data_plan(kind[1], vk, name) if tag in (K_SEQ, K_OPT) else None
+    enum_type = "_".join(vk.split("::") + [name]) if tag == K_ENUM else None
+    return (tag, sub, enum_type, "field %s.%s" % (vk, name))
+
+
+def _entries(tmpl, content=None, kinds=None) -> tuple:
+    """A print template as the reversed tuple of what pretty_print pushes:
+    literal text as strings, adjacent ones joined, `content` where an
+    option's template holds its content (no other template has one), and
+    (field name, print plan) for a field of a node template, whose field
+    kinds are `kinds`."""
+    out = []
+    for it in tmpl:
+        if type(it) is not tuple or not it:
+            tag = None
+        else:
+            tag = it[0]
+        if tag in ("verbatim", "lit") and len(it) == 2 and type(it[1]) is str:
+            if out and type(out[-1]) is str:
+                out[-1] += it[1]
+            else:
+                out.append(it[1])
+        elif tag == "content" and len(it) == 1 and content is not None:
+            out.append(content)
+        elif tag == "field" and len(it) == 2 and kinds is not None:
+            if it[1] not in kinds:
+                raise _malformed("print template field %r has no kind" % (it[1],))
+            out.append((it[1], _print_kind(kinds[it[1]])))
+        else:
+            raise _malformed("print template item %r is not literal text%s%s"
+                             % (it, " or content" if content is not None else "",
+                                " or a field" if kinds is not None else ""))
+    return tuple(reversed(out))
+
+
+def _print_kind(kind) -> tuple:
+    """The print plan of an AST field kind: (K_NODE,), (K_TOKEN,),
+    (K_SEQ, element plan, flavor, delimiter entries, trailing),
+    (K_OPT, content plan, entries), (K_BOOL, entries) or
+    (K_ENUM, {label: entries})."""
+    tag = _kind_tag(kind)
+    if tag in (K_NODE, K_TOKEN):
+        return (tag,)
+    if tag == K_SEQ:
+        _t, elem, flavor, delim, trailing, _min = kind
+        if flavor not in _FLAVORS:
+            raise _malformed("sequence flavor %r is not one of %s"
+                             % (flavor, ", ".join(_FLAVORS)))
+        return (tag, _print_kind(elem), _FLAVORS[flavor], _entries(delim), trailing)
+    if tag == K_OPT:
+        return (tag, _print_kind(kind[1]), _entries(kind[2], CONTENT))
+    if tag == K_BOOL:
+        return (tag, _entries(kind[1]))
+    branches = {}
+    for label, tmpl in kind[1]:
+        branches.setdefault(label, _entries(tmpl))  # the first one wins
+    return (tag, branches)
 
 
 # CompiledLang.prods[p] is (kind, rhs_len, lhs_ref, data), kind one of:

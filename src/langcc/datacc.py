@@ -75,6 +75,18 @@ class DatatypeSchema:
     def type_map(self) -> Dict[str, TypeDef]:
         return dict(self.types)
 
+    def _check_plans(self):
+        """(type path -> check plan, type name -> parameters), kept on the
+        schema for `conforms`; the plans fill in as type paths are met."""
+        cached = self.__dict__.get("_plans")
+        if cached is None:
+            params = {}
+            for n, ps in reversed(self.type_params):  # the first entry wins, as in params_of
+                params[n] = ps
+            cached = ({}, params)
+            object.__setattr__(self, "_plans", cached)
+        return cached
+
     def params_of(self, name: str) -> Tuple[str, ...]:
         for n, ps in self.type_params:
             if n == name:
@@ -353,9 +365,9 @@ class DataValue:
     __slots__ = ("type_path", "fields", "_hash")
 
     def __init__(self, type_path: Tuple[str, ...], fields: Tuple[Tuple[str, object], ...]):
-        object.__setattr__(self, "type_path", tuple(type_path))
-        object.__setattr__(self, "fields", tuple(fields))
-        object.__setattr__(self, "_hash", None)
+        _SET_PATH(self, tuple(type_path))
+        _SET_FIELDS(self, tuple(fields))
+        _SET_HASH(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DataValue is immutable")
@@ -372,13 +384,50 @@ class DataValue:
     def __eq__(self, other):
         if not isinstance(other, DataValue):
             return NotImplemented
-        return self.type_path == other.type_path and self.fields == other.fields
+        # the comparison tuple equality would make, nested values and
+        # sequences unfolded on a stack instead of compared recursively
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if isinstance(a, DataValue) and isinstance(b, DataValue):
+                if a.type_path != b.type_path:
+                    return False
+                a, b = a.fields, b.fields
+            elif not (a.__class__ is tuple and b.__class__ is tuple):
+                if not a == b:
+                    return False
+                continue
+            if len(a) != len(b):
+                return False
+            todo.extend(zip(a, b))
+        return True
 
     def __hash__(self):
         return int.from_bytes(value_hash(self)[:8], "big")
 
     def __repr__(self):
         return "DataValue(%s)" % debug_print(self)
+
+
+# the slot setters, which __setattr__ above refuses
+_SET_PATH = DataValue.type_path.__set__
+_SET_FIELDS = DataValue.fields.__set__
+_SET_HASH = DataValue._hash.__set__
+
+
+def new_value(type_path: Tuple[str, ...], fields: tuple) -> DataValue:
+    """DataValue(type_path, fields) for a type_path and fields that are
+    already tuples, without copying them."""
+    v = _NEW(DataValue)
+    _SET_PATH(v, type_path)
+    _SET_FIELDS(v, fields)
+    _SET_HASH(v, None)
+    return v
+
+
+_NEW = object.__new__
 
 
 def make_value(schema: DatatypeSchema, path, fields: Optional[dict] = None) -> DataValue:
@@ -397,7 +446,7 @@ def make_value(schema: DatatypeSchema, path, fields: Optional[dict] = None) -> D
         if fname not in fields:
             raise SpecError("missing field %r for %s" % (fname, "::".join(path)))
         v = fields.pop(fname)
-        _check_field(schema, fty, v, bindings, "%s.%s" % ("::".join(path), fname))
+        _check_values(schema, [(fty, v, bindings, (path, fname))])
         ordered.append((fname, v))
     if fields:
         raise SpecError("unknown field(s) %s for %s"
@@ -421,48 +470,113 @@ def _subst(te: TypeExpr, bindings) -> TypeExpr:
     return te
 
 
-def _check_field(schema, te: TypeExpr, v, bindings, where):
-    if isinstance(te, TOpt):
-        if v is None:
-            return
-        _check_field(schema, te.elem, v, bindings, where)
-        return
-    if isinstance(te, TSeq):
-        if not isinstance(v, tuple):
-            raise SpecError("%s: expected a tuple sequence" % where)
-        for i, item in enumerate(v):
-            _check_field(schema, te.elem, item, bindings, "%s[%d]" % (where, i))
-        return
-    name = te.name
-    if name == "__any":
-        return  # unbound type parameter: checked at instantiation sites
-    if name in bindings:
-        bound = bindings[name]
-        if bound is not None:
-            _check_field(schema, bound, v, {}, where)
-        return
-    if name == "integer":
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SpecError("%s: expected integer, got %r" % (where, v))
-        return
-    if name == "string":
-        if not isinstance(v, str):
-            raise SpecError("%s: expected string, got %r" % (where, v))
-        return
-    if name == "boolean":
-        if not isinstance(v, bool):
-            raise SpecError("%s: expected boolean, got %r" % (where, v))
-        return
-    if not isinstance(v, DataValue):
-        raise SpecError("%s: expected a %s value, got %r" % (where, name, v))
-    if v.type_path[0] != name:
-        raise SpecError("%s: expected %s, got %s" % (where, name, v.type_path[0]))
-    params = schema.params_of(name)
-    if params:
-        args = tuple(_subst(a, bindings) for a in te.args)
-        conforms(schema, v, bindings=dict(zip(params, args)))
-    else:
-        conforms(schema, v)
+_NO_BINDINGS: dict = {}  # shared, never written
+
+
+def _where(where: tuple) -> str:
+    """The text of a check position (type path, field name, sequence
+    indexes...), formatted only for an error message."""
+    return "%s.%s%s" % ("::".join(where[0]), where[1],
+                        "".join("[%d]" % i for i in where[2:]))
+
+
+def _case_plan(schema: DatatypeSchema, plans: dict, type_path: tuple):
+    """The check plan of one concrete case, cached in `plans`: its field
+    names, field types, type parameters and the check position of each
+    field.  Raises SpecError if type_path names no concrete case."""
+    d = schema.resolve_path(type_path)
+    if d is None:
+        raise SpecError("unknown type path %s" % "::".join(type_path))
+    if isinstance(d, Sum):
+        raise SpecError("%s is not a concrete case" % "::".join(type_path))
+    names = tuple(f for f, _ in d.fields)
+    plan = (names, tuple(t for _, t in d.fields), schema.params_of(type_path[0]),
+            tuple((type_path, f) for f in names))
+    plans[type_path] = plan
+    return plan
+
+
+def _check_values(schema: DatatypeSchema, todo: list):
+    """Check each (type, value, bindings, position) on the stack `todo`;
+    a type of None asks for `conforms(schema, value, bindings)`.  One
+    explicit stack, popped in the order the checks would run as recursive
+    calls, so the first failure found is the one recursion would find."""
+    plans, params_of = schema._check_plans()
+    while todo:
+        te, v, bindings, where = todo.pop()
+        while te is not None:  # check v against te
+            cls = te.__class__
+            if cls is TOpt:
+                if v is None:
+                    break
+                te = te.elem
+                continue
+            if cls is TSeq:
+                if not isinstance(v, tuple):
+                    raise SpecError("%s: expected a tuple sequence" % _where(where))
+                elem = te.elem
+                for i in range(len(v) - 1, -1, -1):
+                    todo.append((elem, v[i], bindings, where + (i,)))
+                break
+            name = te.name
+            if name == "__any":
+                break  # unbound type parameter: checked at instantiation sites
+            if name in bindings:
+                bound = bindings[name]
+                if bound is None:
+                    break
+                te, bindings = bound, _NO_BINDINGS
+                continue
+            if name == "string":
+                if not isinstance(v, str):
+                    raise SpecError("%s: expected string, got %r" % (_where(where), v))
+                break
+            if name == "integer":
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise SpecError("%s: expected integer, got %r" % (_where(where), v))
+                break
+            if name == "boolean":
+                if not isinstance(v, bool):
+                    raise SpecError("%s: expected boolean, got %r" % (_where(where), v))
+                break
+            if not isinstance(v, DataValue):
+                raise SpecError("%s: expected a %s value, got %r" % (_where(where), name, v))
+            if v.type_path[0] != name:
+                raise SpecError("%s: expected %s, got %s"
+                                % (_where(where), name, v.type_path[0]))
+            params = params_of.get(name)
+            if params:
+                bindings = dict(zip(params, tuple(_subst(a, bindings) for a in te.args)))
+            else:
+                bindings = _NO_BINDINGS
+            te = None
+        else:
+            # conforms(schema, v, bindings)
+            type_path = v.type_path
+            plan = plans.get(type_path)
+            if plan is None:
+                plan = _case_plan(schema, plans, type_path)
+            names, types, params, wheres = plan
+            if params:
+                bindings = dict(bindings) if bindings else {}
+                for p in params:
+                    bindings.setdefault(p, None)
+            elif not bindings:
+                bindings = _NO_BINDINGS
+            fields = v.fields
+            n = len(names)
+            if len(fields) != n:
+                raise _fields_differ(v, names)
+            for i in range(n - 1, -1, -1):
+                fname, fv = fields[i]
+                if fname != names[i]:
+                    raise _fields_differ(v, names)
+                todo.append((types[i], fv, bindings, wheres[i]))
+
+
+def _fields_differ(v: DataValue, names: tuple) -> SpecError:
+    return SpecError("fields of %s are %s, expected %s"
+                     % ("::".join(v.type_path), [f for f, _ in v.fields], list(names)))
 
 
 def conforms(schema: DatatypeSchema, v: DataValue, bindings: Optional[dict] = None):
@@ -470,23 +584,9 @@ def conforms(schema: DatatypeSchema, v: DataValue, bindings: Optional[dict] = No
 
     For parameterized types, pass bindings like {"T": TRef("integer")} to
     check a particular instantiation; unbound parameters are wildcards.
+    Values of any depth are checked, on an explicit stack.
     """
-    d = schema.resolve_path(v.type_path)
-    if d is None:
-        raise SpecError("unknown type path %s" % "::".join(v.type_path))
-    if isinstance(d, Sum):
-        raise SpecError("%s is not a concrete case" % "::".join(v.type_path))
-    bindings = dict(bindings or {})
-    for p in schema.params_of(v.type_path[0]):
-        bindings.setdefault(p, None)
-    declared = [f for f, _ in d.fields]
-    actual = [f for f, _ in v.fields]
-    if declared != actual:
-        raise SpecError("fields of %s are %s, expected %s"
-                        % ("::".join(v.type_path), actual, declared))
-    for (fname, fty), (_, fv) in zip(d.fields, v.fields):
-        _check_field(schema, fty, fv, bindings,
-                     "%s.%s" % ("::".join(v.type_path), fname))
+    _check_values(schema, [(None, v, dict(bindings) if bindings else None, None)])
     return True
 
 
@@ -515,7 +615,7 @@ def substitute_field(schema: DatatypeSchema, v: DataValue, name: str, new) -> Da
     if fty is None:
         raise SpecError("no field %r in %s" % (name, "::".join(v.type_path)))
     bindings = {p: None for p in schema.params_of(v.type_path[0])}
-    _check_field(schema, fty, new, bindings, "%s.%s" % ("::".join(v.type_path), name))
+    _check_values(schema, [(fty, new, bindings, (v.type_path, name))])
     fields = tuple((fname, new if fname == name else old) for fname, old in v.fields)
     return DataValue(v.type_path, fields)
 
@@ -533,23 +633,38 @@ def _print_scalar(v) -> str:
     raise TypeError(v)
 
 
-def _print_field(v) -> str:
-    if isinstance(v, DataValue):
-        return debug_print(v)
-    if isinstance(v, tuple):
-        return "[%s]" % ", ".join(_print_field(x) for x in v)
-    if v is None:
-        return "none"
-    return _print_scalar(v)
-
-
 def debug_print(v: DataValue) -> str:
-    """Deterministic rendering; injective on schema-conforming values."""
-    head = "::".join(v.type_path)
-    if not v.fields:
-        return head
-    return "%s(%s)" % (head, ", ".join("%s: %s" % (f, _print_field(x))
-                                       for f, x in v.fields))
+    """Deterministic rendering; injective on schema-conforming values.
+    Values of any depth print, from an explicit stack of (text, False) and
+    (field value, True) items."""
+    out: List[str] = []
+    todo = [(v, True)]
+    while todo:
+        x, is_value = todo.pop()
+        if not is_value:
+            out.append(x)
+        elif isinstance(x, DataValue):
+            out.append("::".join(x.type_path))
+            fields = x.fields
+            if fields:
+                todo.append((")", False))
+                for i in range(len(fields) - 1, -1, -1):
+                    f, fx = fields[i]
+                    todo.append((fx, True))
+                    todo.append(("%s: " % (f,) if i == 0 else ", %s: " % (f,), False))
+                todo.append(("(", False))
+        elif isinstance(x, tuple):
+            todo.append(("]", False))
+            for i in range(len(x) - 1, -1, -1):
+                todo.append((x[i], True))
+                if i:
+                    todo.append((", ", False))
+            todo.append(("[", False))
+        elif x is None:
+            out.append("none")
+        else:
+            out.append(_print_scalar(x))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -559,46 +674,90 @@ def _u32(n: int) -> bytes:
     return struct.pack(">I", n)
 
 
-def _ser_field(v, out: List[bytes]):
-    if isinstance(v, DataValue):
-        out.append(b"D")
-        out.append(value_hash(v))
-    elif isinstance(v, bool):
-        out.append(b"B" + (b"\x01" if v else b"\x00"))
-    elif isinstance(v, int):
-        dec = str(v).encode("ascii")
-        out.append(b"I" + _u32(len(dec)) + dec)
-    elif isinstance(v, str):
-        data = v.encode("utf-8")
-        out.append(b"S" + _u32(len(data)) + data)
-    elif isinstance(v, tuple):
-        out.append(b"L" + _u32(len(v)))
-        for item in v:
-            _ser_field(item, out)
-    elif v is None:
-        out.append(b"N")
-    else:
-        raise TypeError(v)
+_CACHE_LIMIT = 4096  # entries per byte cache below; cleared when it grows past
+_HEADERS: Dict[tuple, bytes] = {}  # type path -> b"V" + length + "::"-joined path
+_NAMES: Dict[str, bytes] = {}  # field name -> length + name
+
+
+def _header(type_path: tuple) -> bytes:
+    path = "::".join(type_path).encode("utf-8")
+    if len(_HEADERS) >= _CACHE_LIMIT:
+        _HEADERS.clear()
+    b = _HEADERS[type_path] = b"V" + _u32(len(path)) + path
+    return b
+
+
+def _name(fname: str) -> bytes:
+    data = fname.encode("utf-8")  # as in the digest: a name that is not a str raises
+    if len(_NAMES) >= _CACHE_LIMIT:
+        _NAMES.clear()
+    b = _NAMES[fname] = _u32(len(data)) + data
+    return b
 
 
 def value_hash(v: DataValue) -> bytes:
     """32-byte SHA-256 over the canonical serialization, memoized per node.
 
     Nested values contribute their own digests, so the cache composes and
-    equal structures hash equal across runs and processes.
+    equal structures hash equal across runs and processes.  The walk keeps
+    an explicit stack of the values (and sequences) whose fields are half
+    serialized, and visits fields in the order a recursive walk would; the
+    serialization of each type path and field name is cached.
     """
     cached = v._hash
     if cached is not None:
         return cached
     global _HASH_COMPUTATIONS
     _HASH_COMPUTATIONS += 1
-    path = "::".join(v.type_path).encode("utf-8")
-    out: List[bytes] = [b"V", _u32(len(path)), path]
-    for fname, fv in v.fields:
-        fname_b = fname.encode("utf-8")
-        out.append(_u32(len(fname_b)))
-        out.append(fname_b)
-        _ser_field(fv, out)
-    digest = hashlib.sha256(b"".join(out)).digest()
-    object.__setattr__(v, "_hash", digest)
-    return digest
+    # the value being serialized (None while in one of its sequences), its
+    # fields (or the sequence's items) still to do, whether they are
+    # (name, value) pairs, and its serialization so far
+    owner, it, named = v, iter(v.fields), True
+    parts = [_HEADERS.get(v.type_path) or _header(v.type_path)]
+    stack = []
+    while True:
+        for x in it:
+            if named:
+                fname, x = x
+                parts.append(_NAMES.get(fname) or _name(fname))
+            cls = x.__class__
+            if cls is str:
+                data = x.encode("utf-8")
+                parts.append(b"S" + _u32(len(data)) + data)
+            elif cls is DataValue or isinstance(x, DataValue):
+                cached = x._hash
+                if cached is not None:
+                    parts.append(b"D" + cached)
+                    continue
+                _HASH_COMPUTATIONS += 1
+                stack.append((owner, it, named, parts))
+                owner, it, named = x, iter(x.fields), True
+                parts = [_HEADERS.get(x.type_path) or _header(x.type_path)]
+                break
+            elif isinstance(x, bool):
+                parts.append(b"B" + (b"\x01" if x else b"\x00"))
+            elif isinstance(x, int):
+                dec = str(x).encode("ascii")
+                parts.append(b"I" + _u32(len(dec)) + dec)
+            elif isinstance(x, str):
+                data = x.encode("utf-8")
+                parts.append(b"S" + _u32(len(data)) + data)
+            elif isinstance(x, tuple):
+                parts.append(b"L" + _u32(len(x)))
+                stack.append((owner, it, named, parts))
+                owner, it, named = None, iter(x), False
+                break
+            elif x is None:
+                parts.append(b"N")
+            else:
+                raise TypeError(x)
+        else:
+            if owner is not None:
+                digest = hashlib.sha256(b"".join(parts)).digest()
+                _SET_HASH(owner, digest)
+                if not stack:
+                    return digest
+                owner, it, named, parts = stack.pop()
+                parts.append(b"D" + digest)
+            else:
+                owner, it, named, parts = stack.pop()

@@ -17,123 +17,129 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .compiled import CompiledLang
+from .compiled import (
+    CONTENT, F_BLOCK, F_BLOCK2, F_LINE, F_TOP2, K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ,
+    K_TOKEN, CompiledLang,
+)
 from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse, wrong_value
 from .spec_ast import SpecError
 
+_ROOT = (K_NODE,)  # the print plan of the root: a node, not checked
+# stack marks: a line break at the current indent, the same after a blank
+# line, one indent unit deeper, and back out with a line break
+_NEWLINE, _BLANK_LINE, _INDENT, _DEDENT = (object() for _ in range(4))
 
-class _Printer:
-    def __init__(self, compiled: CompiledLang):
-        self.compiled = compiled
-        self.out: List[str] = []
-        self.indent = 0
 
-    def pad(self) -> str:
-        return " " * (self.indent * self.compiled.indent_unit)
+class _Missing:
+    """Stack item for a template field the node does not have: it fails
+    when printing reaches it."""
 
-    def emit_template(self, tmpl, content_value=None, content_kind=None):
-        for it in tmpl:
-            if it[0] == "verbatim" or it[0] == "lit":
-                self.out.append(it[1])
-            elif it[0] == "content":
-                self.emit_value(content_value, content_kind)
-            elif it[0] == "field":
-                raise AssertionError("field item outside a node template")
-            else:
-                raise AssertionError(it)
+    __slots__ = ("name",)
 
-    def emit_node(self, n: Node):
-        vk = "::".join(n.variant)
-        tmpl = self.compiled.print_templates.get(vk)
-        if tmpl is None:
-            raise SpecError("no template for variant %s" % vk)
-        fields = dict(n.fields)
-        for it in tmpl:
-            if it[0] in ("verbatim", "lit"):
-                self.out.append(it[1])
-            elif it[0] == "field":
-                name = it[1]
-                self.emit_value(fields[name], self.compiled.field_kind(vk, name))
-            else:
-                raise AssertionError(it)
-
-    def emit_value(self, v, kind):
-        tag = kind[0]
-        if tag == "token":
-            if not isinstance(v, TokenLeaf):
-                raise wrong_value(v, TokenLeaf, "a token field")
-            self.out.append(v.text)
-        elif tag == "node":
-            if not isinstance(v, Node):
-                raise wrong_value(v, Node, "a node field")
-            self.emit_node(v)
-        elif tag == "seq":
-            if not isinstance(v, SeqVal):
-                raise wrong_value(v, SeqVal, "a seq field")
-            self.emit_seq(v, kind)
-        elif tag == "opt":
-            if v is not None:
-                _opt_tag, elem_kind, some_tmpl, _content = kind
-                self.emit_template(some_tmpl, v, elem_kind)
-        elif tag == "bool":
-            if v is True:
-                self.emit_template(kind[1])
-        elif tag == "enum":
-            if not isinstance(v, EnumVal):
-                raise wrong_value(v, EnumVal, "an enum field")
-            for label, tmpl in kind[1]:
-                if label == v.label:
-                    self.emit_template(tmpl)
-                    return
-            raise SpecError("enum value %r has no branch" % v.label)
-        else:
-            raise AssertionError(kind)
-
-    def emit_seq(self, v: SeqVal, kind):
-        _tag, elem_kind, flavor, delim_tmpl, trailing, _min = kind
-        items = v.items
-        if not items:
-            return
-        blank = flavor in ("B2", "T2")
-        block = flavor in ("B", "B2")
-        top = flavor in ("T", "T2")
-
-        def delim_after(i):
-            if i < len(items) - 1:
-                return True
-            if trailing == "required":
-                return True
-            if trailing == "optional":
-                return v.trailing
-            return False
-
-        if flavor == "L":
-            for i, item in enumerate(items):
-                self.emit_value(item, elem_kind)
-                if delim_after(i):
-                    self.emit_template(delim_tmpl)
-            return
-
-        if block:
-            self.indent += 1
-        for i, item in enumerate(items):
-            if block or (top and i > 0):
-                self.out.append("\n\n" if (blank and i > 0) else "\n")
-                self.out.append(self.pad())
-            self.emit_value(item, elem_kind)
-            if delim_after(i):
-                self.emit_template(delim_tmpl)
-        if block:
-            self.indent -= 1
-            self.out.append("\n")
-            self.out.append(self.pad())
+    def __init__(self, name: str):
+        self.name = name
 
 
 def pretty_print(compiled: CompiledLang, n: Node) -> str:
-    """Render a node back to text using the per-production templates."""
-    p = _Printer(compiled)
-    p.emit_node(n)
-    return "".join(p.out)
+    """Render a node back to text using the per-production templates.
+
+    One explicit stack holds the text still to print (strings), the values
+    still to print ((value, print plan) pairs) and the layout marks, and
+    each node pushes its variant's entries from CompiledLang.print_plans
+    (its template, reversed and resolved against its field kinds at load).
+    The walk prints what a recursive one would, in the same order, so a
+    tree of any depth prints and the first malformed value found is the
+    one recursion would find."""
+    plans = compiled.print_plans
+    unit = compiled.indent_unit
+    out: List[str] = []
+    indent = 0
+    todo: list = [(n, _ROOT)]
+    while todo:
+        item = todo.pop()
+        cls = item.__class__
+        if cls is str:
+            out.append(item)
+            continue
+        if cls is not tuple:
+            if item is _NEWLINE or item is _BLANK_LINE:
+                out.append("\n" if item is _NEWLINE else "\n\n")
+                out.append(" " * (indent * unit))
+            elif item is _INDENT:
+                indent += 1
+            elif item is _DEDENT:
+                indent -= 1
+                out.append("\n")
+                out.append(" " * (indent * unit))
+            else:
+                raise KeyError(item.name)
+            continue
+        v, plan = item
+        tag = plan[0]
+        if tag == K_NODE:
+            if not isinstance(v, Node) and plan is not _ROOT:
+                raise wrong_value(v, Node, "a node field")
+            vplan = plans.get(v.variant)
+            if vplan is None:
+                vk = "::".join(v.variant)
+                vplan = plans.get(tuple(vk.split("::")))
+                if vplan is None:
+                    raise SpecError("no template for variant %s" % vk)
+            fields = dict(v.fields)
+            for e in vplan[1]:
+                if e.__class__ is str:
+                    todo.append(e)
+                else:
+                    fv = fields.get(e[0], _Missing)
+                    todo.append((fv, e[1]) if fv is not _Missing else _Missing(e[0]))
+        elif tag == K_TOKEN:
+            if not isinstance(v, TokenLeaf):
+                raise wrong_value(v, TokenLeaf, "a token field")
+            out.append(v.text)
+        elif tag == K_ENUM:
+            if not isinstance(v, EnumVal):
+                raise wrong_value(v, EnumVal, "an enum field")
+            entries = plan[1].get(v.label)
+            if entries is None:
+                raise SpecError("enum value %r has no branch" % v.label)
+            todo.extend(entries)
+        elif tag == K_SEQ:
+            if not isinstance(v, SeqVal):
+                raise wrong_value(v, SeqVal, "a seq field")
+            items = v.items
+            if not items:
+                continue
+            _tag, elem, flavor, delim, trailing = plan
+            last = len(items) - 1
+            delim_last = trailing == "required" or (trailing == "optional" and v.trailing)
+            if flavor == F_LINE:
+                for i in range(last, -1, -1):
+                    if i < last or delim_last:
+                        todo.extend(delim)
+                    todo.append((items[i], elem))
+                continue
+            block = flavor == F_BLOCK or flavor == F_BLOCK2
+            newline = _BLANK_LINE if flavor == F_BLOCK2 or flavor == F_TOP2 else _NEWLINE
+            if block:
+                todo.append(_DEDENT)
+            for i in range(last, -1, -1):
+                if i < last or delim_last:
+                    todo.extend(delim)
+                todo.append((items[i], elem))
+                if i:
+                    todo.append(newline)
+                elif block:
+                    todo.append(_NEWLINE)
+            if block:
+                todo.append(_INDENT)
+        elif tag == K_OPT:
+            if v is not None:
+                elem = plan[1]
+                for e in plan[2]:
+                    todo.append((v, elem) if e is CONTENT else e)
+        elif v is True:  # K_BOOL
+            todo.extend(plan[1])
+    return "".join(out)
 
 
 def roundtrip_check(compiled: CompiledLang, text: str,

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .compiled import (
-    P_ENUM, P_LIST_APPEND, P_LIST_EMPTY, P_LIST_PAIR, P_LIST_PASS, P_LIST_SINGLE,
-    P_OPT_NONE, P_OPT_SOME, P_USER, CompiledLang,
+    K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ, K_TOKEN, P_ENUM, P_LIST_APPEND, P_LIST_EMPTY,
+    P_LIST_PAIR, P_LIST_PASS, P_LIST_SINGLE, P_OPT_NONE, P_OPT_SOME, P_USER, CompiledLang,
 )
+from .datacc import DataValue, conforms, new_value
 from .lexer import EOF_TERMINAL, LexError, SlotValue, lex_lists, token_bounds_to_linecol
 from .spec_ast import SpecError
 
@@ -96,10 +97,57 @@ class Node:
     def __eq__(self, other):
         if not isinstance(other, Node):
             return NotImplemented
-        return self.variant == other.variant and self.fields == other.fields
+        # the comparison tuple equality would make, nested nodes, sequences
+        # and tuples unfolded on a stack instead of compared recursively
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if isinstance(a, Node) and isinstance(b, Node):
+                if a.variant != b.variant:
+                    return False
+                a, b = a.fields, b.fields
+            elif a.__class__ is SeqVal and b.__class__ is SeqVal:
+                if a.trailing != b.trailing or a.bounds != b.bounds:
+                    return False
+                a, b = a.items, b.items
+            elif not (a.__class__ is tuple and b.__class__ is tuple):
+                if not a == b:
+                    return False
+                continue
+            if len(a) != len(b):
+                return False
+            todo.extend(zip(a, b))
+        return True
 
     def __hash__(self):
-        return hash((self.variant, self.fields))
+        """Computed bottom-up on a stack: a node hashes its variant, field
+        names and the hashes of its field values, a sequence its trailing
+        flag, bounds and items' hashes, anything else as hash() does."""
+        hashes = []
+        todo = [(self, False)]
+        while todo:
+            x, done = todo.pop()
+            if done:
+                if x.__class__ is SeqVal:
+                    k = len(x.items)
+                    h = hash((x.trailing, x.bounds, tuple(hashes[len(hashes) - k:])))
+                else:
+                    k = len(x.fields)
+                    h = hash((x.variant, tuple([f[0] for f in x.fields]),
+                              tuple(hashes[len(hashes) - k:])))
+                del hashes[len(hashes) - k:]
+                hashes.append(h)
+            elif isinstance(x, Node):
+                todo.append((x, True))
+                todo.extend([(v, False) for _f, v in reversed(x.fields)])
+            elif x.__class__ is SeqVal:
+                todo.append((x, True))
+                todo.extend([(v, False) for v in reversed(x.items)])
+            else:
+                hashes.append(hash(x))
+        return hashes[0]
 
 
 @dataclass
@@ -189,57 +237,67 @@ def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
     vbounds: List[Bounds] = []
     pos = 0
 
-    while True:
-        act = action_rows[state].get(las[pos])
-        if act is None:
-            return ParseResult(None, _unexpected(text, end_byte, texts, starts, ends, pos),
-                               extracts)
-        if act >= 0:  # shift
-            b = Bounds(starts[pos], ends[pos])
-            values.append(TokenLeaf(terms[pos], texts[pos], b))
-            vbounds.append(b)
-            states.append(act)
-            state = act
-            pos += 1
-        elif act < -1:  # reduce
-            kind, rhs_len, lhs, data = prods[-2 - act]
-            if rhs_len:
-                popped = values[-rhs_len:]
-                # Bounds are immutable, so a unit reduce shares its child's
-                span = (vbounds[-1] if rhs_len == 1
-                        else Bounds(vbounds[-rhs_len].start, vbounds[-1].end))
-                del values[-rhs_len:]
-                del vbounds[-rhs_len:]
-                del states[-rhs_len:]
-            else:
-                popped = ()
-                at = starts[pos] if pos < n_toks else end_byte
-                span = Bounds(at, at)
-            if kind == P_USER:
-                variant, fields = data
-                value = Node(variant, tuple([
-                    (name, popped[idx]) if is_slot
-                    else (name, EnumVal(label, popped[idx].bounds))
-                    for name, is_slot, idx, label in fields]), span)
-            elif kind == P_LIST_APPEND:
-                # each chain value is popped exactly once, so in-place append
-                # keeps long lists linear
-                value = popped[data[0]]
-                value.append(popped[data[1]])
-            else:
-                value = _assemble(kind, data, popped, span)
-            state = goto_rows[states[-1]].get(lhs)
-            if state is None:
-                raise SpecError("malformed artifact: no goto for %s in state %d"
-                                % (lhs, states[-1]))
-            states.append(state)
-            values.append(value)
-            vbounds.append(span)
-        else:  # accept
-            if len(values) != 1 or not isinstance(values[0], Node):
-                raise SpecError("malformed artifact: accept without a single node "
-                                "on the stack")
-            return ParseResult(values[0], None, extracts)
+    act = 0
+    try:
+        while True:
+            act = action_rows[state].get(las[pos])
+            if act is None:
+                return ParseResult(None, _unexpected(text, end_byte, texts, starts, ends, pos),
+                                   extracts)
+            if act >= 0:  # shift
+                b = Bounds(starts[pos], ends[pos])
+                values.append(TokenLeaf(terms[pos], texts[pos], b))
+                vbounds.append(b)
+                states.append(act)
+                state = act
+                pos += 1
+            elif act < -1:  # reduce
+                kind, rhs_len, lhs, data = prods[-2 - act]
+                if rhs_len:
+                    popped = values[-rhs_len:]
+                    # Bounds are immutable, so a unit reduce shares its child's
+                    span = (vbounds[-1] if rhs_len == 1
+                            else Bounds(vbounds[-rhs_len].start, vbounds[-1].end))
+                    del values[-rhs_len:]
+                    del vbounds[-rhs_len:]
+                    del states[-rhs_len:]
+                else:
+                    popped = ()
+                    at = starts[pos] if pos < n_toks else end_byte
+                    span = Bounds(at, at)
+                if kind == P_USER:
+                    variant, fields = data
+                    value = Node(variant, tuple([
+                        (name, popped[idx]) if is_slot
+                        else (name, EnumVal(label, popped[idx].bounds))
+                        for name, is_slot, idx, label in fields]), span)
+                elif kind == P_LIST_APPEND:
+                    # each chain value is popped exactly once, so in-place append
+                    # keeps long lists linear
+                    value = popped[data[0]]
+                    value.append(popped[data[1]])
+                else:
+                    value = _assemble(kind, data, popped, span)
+                state = goto_rows[states[-1]].get(lhs)
+                if state is None:
+                    raise SpecError("malformed artifact: no goto for %s in state %d"
+                                    % (lhs, states[-1]))
+                states.append(state)
+                values.append(value)
+                vbounds.append(span)
+            else:  # accept
+                if len(values) != 1 or not isinstance(values[0], Node):
+                    raise SpecError("malformed artifact: accept without a single node "
+                                    "on the stack")
+                return ParseResult(values[0], None, extracts)
+    except (AttributeError, TypeError) as e:
+        # a production whose assembly takes a list, or an enum's bounds,
+        # from a slot that holds another kind of value (the artifact does
+        # not record slot kinds, so from_json cannot check this)
+        if act is None or act >= -1:
+            raise
+        raise SpecError("malformed artifact: production %d assembles its value from a "
+                        "slot of the wrong kind (%s)" % (-2 - act, e)) from None
 
 
 def _assemble(kind: int, data, popped, span: Bounds):
@@ -298,41 +356,47 @@ def node_downcast(compiled: CompiledLang, n: Node, path) -> Optional[Node]:
     return n if n.has_variant_prefix(path) else None
 
 
-def _render_value(v) -> str:
-    if isinstance(v, Node):
-        return render_node(v)
-    if isinstance(v, TokenLeaf):
-        return '"%s"' % v.text.replace("\\", "\\\\").replace('"', '\\"')
-    if isinstance(v, EnumVal):
-        return v.label
-    if isinstance(v, SeqVal):
-        return "[%s]" % ", ".join(_render_value(x) for x in v.items)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "none"
-    raise TypeError(v)
-
-
 def render_node(n: Node) -> str:
-    body = ", ".join("%s: %s" % (name, _render_value(v)) for name, v in n.fields)
-    return "%s{%s}" % ("::".join(n.variant), body)
+    """`Variant::Path{field: value, ...}`, with token texts quoted, lists in
+    brackets and enum labels bare; built from an explicit stack of
+    (text, False) and (value, True) items, so any depth renders."""
+    out: List[str] = []
+    todo = [(n, True)]
+    while todo:
+        v, is_value = todo.pop()
+        if not is_value:
+            out.append(v)
+        elif isinstance(v, Node):
+            out.append("%s{" % "::".join(v.variant))
+            todo.append(("}", False))
+            fields = v.fields
+            for i in range(len(fields) - 1, -1, -1):
+                name, x = fields[i]
+                todo.append((x, True))
+                todo.append(("%s: " % (name,) if i == 0 else ", %s: " % (name,), False))
+        elif isinstance(v, TokenLeaf):
+            out.append('"%s"' % v.text.replace("\\", "\\\\").replace('"', '\\"'))
+        elif isinstance(v, EnumVal):
+            out.append(v.label)
+        elif isinstance(v, SeqVal):
+            todo.append(("]", False))
+            items = v.items
+            for i in range(len(items) - 1, -1, -1):
+                todo.append((items[i], True))
+                if i:
+                    todo.append((", ", False))
+            todo.append(("[", False))
+        elif isinstance(v, bool):
+            out.append("true" if v else "false")
+        elif v is None:
+            out.append("none")
+        else:
+            raise TypeError(v)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # Schema conformance
-
-def node_to_data_value(compiled: CompiledLang, n: Node):
-    """Convert a Node to the datatype value layer for schema validation."""
-    from .datacc import DataValue
-
-    vk = "::".join(n.variant)
-    fields = []
-    for name, v in n.fields:
-        kind = compiled.field_kind(vk, name)
-        fields.append((name, _value_to_data(compiled, v, kind, vk, name)))
-    return DataValue(n.variant, tuple(fields))
-
 
 def wrong_value(v, cls, where: str) -> SpecError:
     """The error for a tree value that is not a cls (trees built by hand can
@@ -341,41 +405,90 @@ def wrong_value(v, cls, where: str) -> SpecError:
                      % (where, type(v).__name__, cls.__name__))
 
 
-def _value_to_data(compiled, v, kind, vk, fname):
-    from .datacc import DataValue
+_ROOT = (K_NODE, None, None, None)  # the data plan of the root: a node, not checked
+_BUILD_NODE = (-1,)  # stack marks: the fields of a node, the items of a
+_BUILD_SEQ = (-2,)  # sequence are converted, so build its value
+_NO_KIND = -3  # the tag of a field the variant does not have
 
-    tag = kind[0]
-    if tag == "token":
-        if not isinstance(v, TokenLeaf):
-            raise wrong_value(v, TokenLeaf, "field %s.%s" % (vk, fname))
-        return v.text
-    if tag == "node":
-        if not isinstance(v, Node):
-            raise wrong_value(v, Node, "field %s.%s" % (vk, fname))
-        return node_to_data_value(compiled, v)
-    if tag == "seq":
-        if not isinstance(v, SeqVal):
-            raise wrong_value(v, SeqVal, "field %s.%s" % (vk, fname))
-        return tuple(_value_to_data(compiled, item, kind[1], vk, fname)
-                     for item in v.items)
-    if tag == "opt":
-        if v is None:
-            return None
-        return _value_to_data(compiled, v, kind[1], vk, fname)
-    if tag == "bool":
-        if not isinstance(v, bool):
-            raise wrong_value(v, bool, "field %s.%s" % (vk, fname))
-        return v
-    if tag == "enum":
-        if not isinstance(v, EnumVal):
-            raise wrong_value(v, EnumVal, "field %s.%s" % (vk, fname))
-        enum_type = "_".join(vk.split("::") + [fname])
-        return DataValue((enum_type, v.label), ())
-    raise AssertionError(kind)
+
+def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
+    """Convert a Node to the datatype value layer for schema validation.
+
+    Walks the tree on an explicit stack of (value, data plan, field name)
+    items, with the per-variant plans CompiledLang.data_plans builds at
+    load, in the order a recursive walk would visit the fields, so the
+    first wrong-kind field found is the one recursion would find.  Each
+    finished value goes on `out` as a (field name, value) pair; the marks
+    _BUILD_NODE and _BUILD_SEQ take their parts off it."""
+    plans = compiled.data_plans
+    out: list = []
+    todo = [(n, _ROOT, None)]
+    while todo:
+        v, plan, name = todo.pop()
+        tag = plan[0]
+        if tag == K_NODE:
+            if not isinstance(v, Node) and plan is not _ROOT:
+                raise wrong_value(v, Node, plan[3])
+            variant = v.variant
+            vplan = plans.get(variant)
+            if vplan is None:
+                vk = "::".join(variant)
+                vplan = plans.get(tuple(vk.split("::"))) or (vk, {})
+            vk, kinds = vplan
+            fields = v.fields
+            todo.append((v, _BUILD_NODE, name))
+            for i in range(len(fields) - 1, -1, -1):
+                fname, fv = fields[i]
+                fplan = kinds.get(fname)
+                if fplan is None:  # fails when its turn comes
+                    fplan = (_NO_KIND, None, None, "%s.%s" % (vk, fname))
+                todo.append((fv, fplan, fname))
+        elif tag == -1:  # _BUILD_NODE
+            k = len(v.fields)
+            if k:
+                fields = tuple(out[-k:])
+                del out[-k:]
+            else:
+                fields = ()
+            variant = v.variant
+            out.append((name, new_value(variant, fields) if variant.__class__ is tuple
+                        else DataValue(variant, fields)))
+        elif tag == K_TOKEN:
+            if not isinstance(v, TokenLeaf):
+                raise wrong_value(v, TokenLeaf, plan[3])
+            out.append((name, v.text))
+        elif tag == K_ENUM:
+            if not isinstance(v, EnumVal):
+                raise wrong_value(v, EnumVal, plan[3])
+            out.append((name, new_value((plan[2], v.label), ())))
+        elif tag == K_SEQ:
+            if not isinstance(v, SeqVal):
+                raise wrong_value(v, SeqVal, plan[3])
+            items = v.items
+            todo.append((len(items), _BUILD_SEQ, name))
+            elem = plan[1]
+            todo.extend([(item, elem, None) for item in reversed(items)])
+        elif tag == -2:  # _BUILD_SEQ
+            if v:
+                items = tuple([x for _n, x in out[-v:]])
+                del out[-v:]
+            else:
+                items = ()
+            out.append((name, items))
+        elif tag == K_OPT:
+            if v is None:
+                out.append((name, None))
+            else:
+                todo.append((v, plan[1], name))
+        elif tag == K_BOOL:
+            if not isinstance(v, bool):
+                raise wrong_value(v, bool, plan[3])
+            out.append((name, v))
+        else:  # _NO_KIND
+            raise KeyError(plan[3])
+    return out[0][1]
 
 
 def validate_node(compiled: CompiledLang, schema, n: Node) -> bool:
     """Check a parsed Node against the derived AST datatype schema."""
-    from .datacc import conforms
-
     return conforms(schema, node_to_data_value(compiled, n))

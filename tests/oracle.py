@@ -11,19 +11,32 @@ spec's action objects, with no load-time compilation.
 reference_complete is the conflict tracer's completion search as it was
 before it learned to skip lookaheads no state acts on: it appends every
 terminal and $, and lets the dead ends fail at the next pop.
+
+node_to_data_value, conforms, value_hash and _Printer (driven by
+reference_pretty_print) are the check and print walks as they were before
+they were planned per variant and run on explicit stacks, and render_node
+and debug_print the renderings as they were before they did: plain
+recursion, which fails on deep trees.  value_hash counts its digests in
+reference_hash_computations(), apart from datacc's counter.
 """
 
+import hashlib
 import heapq
 from typing import List, Optional
 
+from langcc.compiled import CompiledLang
 from langcc.conflicts import _step
+from langcc.datacc import (
+    DataValue, DatatypeSchema, Sum, TOpt, TSeq, TypeExpr, _print_scalar, _subst, _u32,
+)
 from langcc.grammar import Cfg, InstGrammar, expand_instances
 from langcc.lexer import (
     ASCII_ROW, EOF_TERMINAL, CompiledLexer, Extract, LexError, LexOutput, ModeDfa, Token,
     _byte_offsets,
 )
 from langcc.lr import LrTables
-from langcc.spec_ast import AEmit, APass, APopEmit, APopExtract, APush
+from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, wrong_value
+from langcc.spec_ast import AEmit, APass, APopEmit, APopExtract, APush, SpecError
 
 
 def earley_accepts(ig: InstGrammar, start, tokens) -> bool:
@@ -300,3 +313,323 @@ def reference_complete(tables: LrTables, stack: tuple, queue: tuple, budget: int
             heapq.heappush(heap, (cost, appended, counter, (ns, nq)))
             counter += 1
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference tree walks: the recursive check, hash and print steps as they
+# were before they were planned per variant and run on explicit stacks.
+# Kept verbatim (with their own hash counter) for the agreement tests.
+
+_HASH_COMPUTATIONS = 0
+
+
+def reference_hash_computations() -> int:
+    return _HASH_COMPUTATIONS
+
+
+def node_to_data_value(compiled: CompiledLang, n: Node):
+    """Convert a Node to the datatype value layer for schema validation."""
+    vk = "::".join(n.variant)
+    fields = []
+    for name, v in n.fields:
+        kind = compiled.field_kind(vk, name)
+        fields.append((name, _value_to_data(compiled, v, kind, vk, name)))
+    return DataValue(n.variant, tuple(fields))
+
+
+def _value_to_data(compiled, v, kind, vk, fname):
+    tag = kind[0]
+    if tag == "token":
+        if not isinstance(v, TokenLeaf):
+            raise wrong_value(v, TokenLeaf, "field %s.%s" % (vk, fname))
+        return v.text
+    if tag == "node":
+        if not isinstance(v, Node):
+            raise wrong_value(v, Node, "field %s.%s" % (vk, fname))
+        return node_to_data_value(compiled, v)
+    if tag == "seq":
+        if not isinstance(v, SeqVal):
+            raise wrong_value(v, SeqVal, "field %s.%s" % (vk, fname))
+        return tuple(_value_to_data(compiled, item, kind[1], vk, fname)
+                     for item in v.items)
+    if tag == "opt":
+        if v is None:
+            return None
+        return _value_to_data(compiled, v, kind[1], vk, fname)
+    if tag == "bool":
+        if not isinstance(v, bool):
+            raise wrong_value(v, bool, "field %s.%s" % (vk, fname))
+        return v
+    if tag == "enum":
+        if not isinstance(v, EnumVal):
+            raise wrong_value(v, EnumVal, "field %s.%s" % (vk, fname))
+        enum_type = "_".join(vk.split("::") + [fname])
+        return DataValue((enum_type, v.label), ())
+    raise AssertionError(kind)
+
+
+def _check_field(schema, te: TypeExpr, v, bindings, where):
+    if isinstance(te, TOpt):
+        if v is None:
+            return
+        _check_field(schema, te.elem, v, bindings, where)
+        return
+    if isinstance(te, TSeq):
+        if not isinstance(v, tuple):
+            raise SpecError("%s: expected a tuple sequence" % where)
+        for i, item in enumerate(v):
+            _check_field(schema, te.elem, item, bindings, "%s[%d]" % (where, i))
+        return
+    name = te.name
+    if name == "__any":
+        return  # unbound type parameter: checked at instantiation sites
+    if name in bindings:
+        bound = bindings[name]
+        if bound is not None:
+            _check_field(schema, bound, v, {}, where)
+        return
+    if name == "integer":
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise SpecError("%s: expected integer, got %r" % (where, v))
+        return
+    if name == "string":
+        if not isinstance(v, str):
+            raise SpecError("%s: expected string, got %r" % (where, v))
+        return
+    if name == "boolean":
+        if not isinstance(v, bool):
+            raise SpecError("%s: expected boolean, got %r" % (where, v))
+        return
+    if not isinstance(v, DataValue):
+        raise SpecError("%s: expected a %s value, got %r" % (where, name, v))
+    if v.type_path[0] != name:
+        raise SpecError("%s: expected %s, got %s" % (where, name, v.type_path[0]))
+    params = schema.params_of(name)
+    if params:
+        args = tuple(_subst(a, bindings) for a in te.args)
+        conforms(schema, v, bindings=dict(zip(params, args)))
+    else:
+        conforms(schema, v)
+
+
+def conforms(schema: DatatypeSchema, v: DataValue, bindings: Optional[dict] = None):
+    """Check that v's shape matches the schema; raises SpecError if not.
+
+    For parameterized types, pass bindings like {"T": TRef("integer")} to
+    check a particular instantiation; unbound parameters are wildcards.
+    """
+    d = schema.resolve_path(v.type_path)
+    if d is None:
+        raise SpecError("unknown type path %s" % "::".join(v.type_path))
+    if isinstance(d, Sum):
+        raise SpecError("%s is not a concrete case" % "::".join(v.type_path))
+    bindings = dict(bindings or {})
+    for p in schema.params_of(v.type_path[0]):
+        bindings.setdefault(p, None)
+    declared = [f for f, _ in d.fields]
+    actual = [f for f, _ in v.fields]
+    if declared != actual:
+        raise SpecError("fields of %s are %s, expected %s"
+                        % ("::".join(v.type_path), actual, declared))
+    for (fname, fty), (_, fv) in zip(d.fields, v.fields):
+        _check_field(schema, fty, fv, bindings,
+                     "%s.%s" % ("::".join(v.type_path), fname))
+    return True
+
+
+def _ser_field(v, out: List[bytes]):
+    if isinstance(v, DataValue):
+        out.append(b"D")
+        out.append(value_hash(v))
+    elif isinstance(v, bool):
+        out.append(b"B" + (b"\x01" if v else b"\x00"))
+    elif isinstance(v, int):
+        dec = str(v).encode("ascii")
+        out.append(b"I" + _u32(len(dec)) + dec)
+    elif isinstance(v, str):
+        data = v.encode("utf-8")
+        out.append(b"S" + _u32(len(data)) + data)
+    elif isinstance(v, tuple):
+        out.append(b"L" + _u32(len(v)))
+        for item in v:
+            _ser_field(item, out)
+    elif v is None:
+        out.append(b"N")
+    else:
+        raise TypeError(v)
+
+
+def value_hash(v: DataValue) -> bytes:
+    """32-byte SHA-256 over the canonical serialization, memoized per node.
+
+    Nested values contribute their own digests, so the cache composes and
+    equal structures hash equal across runs and processes.
+    """
+    cached = v._hash
+    if cached is not None:
+        return cached
+    global _HASH_COMPUTATIONS
+    _HASH_COMPUTATIONS += 1
+    path = "::".join(v.type_path).encode("utf-8")
+    out: List[bytes] = [b"V", _u32(len(path)), path]
+    for fname, fv in v.fields:
+        fname_b = fname.encode("utf-8")
+        out.append(_u32(len(fname_b)))
+        out.append(fname_b)
+        _ser_field(fv, out)
+    digest = hashlib.sha256(b"".join(out)).digest()
+    object.__setattr__(v, "_hash", digest)
+    return digest
+
+
+class _Printer:
+    def __init__(self, compiled: CompiledLang):
+        self.compiled = compiled
+        self.out: List[str] = []
+        self.indent = 0
+
+    def pad(self) -> str:
+        return " " * (self.indent * self.compiled.indent_unit)
+
+    def emit_template(self, tmpl, content_value=None, content_kind=None):
+        for it in tmpl:
+            if it[0] == "verbatim" or it[0] == "lit":
+                self.out.append(it[1])
+            elif it[0] == "content":
+                self.emit_value(content_value, content_kind)
+            elif it[0] == "field":
+                raise AssertionError("field item outside a node template")
+            else:
+                raise AssertionError(it)
+
+    def emit_node(self, n: Node):
+        vk = "::".join(n.variant)
+        tmpl = self.compiled.print_templates.get(vk)
+        if tmpl is None:
+            raise SpecError("no template for variant %s" % vk)
+        fields = dict(n.fields)
+        for it in tmpl:
+            if it[0] in ("verbatim", "lit"):
+                self.out.append(it[1])
+            elif it[0] == "field":
+                name = it[1]
+                self.emit_value(fields[name], self.compiled.field_kind(vk, name))
+            else:
+                raise AssertionError(it)
+
+    def emit_value(self, v, kind):
+        tag = kind[0]
+        if tag == "token":
+            if not isinstance(v, TokenLeaf):
+                raise wrong_value(v, TokenLeaf, "a token field")
+            self.out.append(v.text)
+        elif tag == "node":
+            if not isinstance(v, Node):
+                raise wrong_value(v, Node, "a node field")
+            self.emit_node(v)
+        elif tag == "seq":
+            if not isinstance(v, SeqVal):
+                raise wrong_value(v, SeqVal, "a seq field")
+            self.emit_seq(v, kind)
+        elif tag == "opt":
+            if v is not None:
+                _opt_tag, elem_kind, some_tmpl, _content = kind
+                self.emit_template(some_tmpl, v, elem_kind)
+        elif tag == "bool":
+            if v is True:
+                self.emit_template(kind[1])
+        elif tag == "enum":
+            if not isinstance(v, EnumVal):
+                raise wrong_value(v, EnumVal, "an enum field")
+            for label, tmpl in kind[1]:
+                if label == v.label:
+                    self.emit_template(tmpl)
+                    return
+            raise SpecError("enum value %r has no branch" % v.label)
+        else:
+            raise AssertionError(kind)
+
+    def emit_seq(self, v: SeqVal, kind):
+        _tag, elem_kind, flavor, delim_tmpl, trailing, _min = kind
+        items = v.items
+        if not items:
+            return
+        blank = flavor in ("B2", "T2")
+        block = flavor in ("B", "B2")
+        top = flavor in ("T", "T2")
+
+        def delim_after(i):
+            if i < len(items) - 1:
+                return True
+            if trailing == "required":
+                return True
+            if trailing == "optional":
+                return v.trailing
+            return False
+
+        if flavor == "L":
+            for i, item in enumerate(items):
+                self.emit_value(item, elem_kind)
+                if delim_after(i):
+                    self.emit_template(delim_tmpl)
+            return
+
+        if block:
+            self.indent += 1
+        for i, item in enumerate(items):
+            if block or (top and i > 0):
+                self.out.append("\n\n" if (blank and i > 0) else "\n")
+                self.out.append(self.pad())
+            self.emit_value(item, elem_kind)
+            if delim_after(i):
+                self.emit_template(delim_tmpl)
+        if block:
+            self.indent -= 1
+            self.out.append("\n")
+            self.out.append(self.pad())
+
+
+def reference_pretty_print(compiled, n) -> str:
+    p = _Printer(compiled)
+    p.emit_node(n)
+    return "".join(p.out)
+
+
+def _render_value(v) -> str:
+    if isinstance(v, Node):
+        return render_node(v)
+    if isinstance(v, TokenLeaf):
+        return '"%s"' % v.text.replace("\\", "\\\\").replace('"', '\\"')
+    if isinstance(v, EnumVal):
+        return v.label
+    if isinstance(v, SeqVal):
+        return "[%s]" % ", ".join(_render_value(x) for x in v.items)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return "none"
+    raise TypeError(v)
+
+
+def render_node(n: Node) -> str:
+    body = ", ".join("%s: %s" % (name, _render_value(v)) for name, v in n.fields)
+    return "%s{%s}" % ("::".join(n.variant), body)
+
+
+def _print_field(v) -> str:
+    if isinstance(v, DataValue):
+        return debug_print(v)
+    if isinstance(v, tuple):
+        return "[%s]" % ", ".join(_print_field(x) for x in v)
+    if v is None:
+        return "none"
+    return _print_scalar(v)
+
+
+def debug_print(v: DataValue) -> str:
+    """Deterministic rendering; injective on schema-conforming values."""
+    head = "::".join(v.type_path)
+    if not v.fields:
+        return head
+    return "%s(%s)" % (head, ", ".join("%s: %s" % (f, _print_field(x))
+                                       for f, x in v.fields))

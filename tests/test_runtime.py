@@ -315,6 +315,39 @@ def test_artifact_with_unindexable_production_rejected(grammar, mutate, message,
         _load(data)
 
 
+def _enum_on_optional_slot(data):
+    # ParserDecl::Rule's `attrs` slot holds an optional, None when absent
+    prod = next(p for p in data["prods"] if p[0] == "user" and p[3] == "ParserDecl::Rule")
+    field = next(f for f in prod[4] if f[0] == "attrs")
+    field[1] = ["enum_inline", field[1][1], "X"]
+    return data["prods"].index(prod)
+
+
+def _chain_on_node_slot(data):
+    # `L1 <- L1 ; Stmt` appends to slot 0; point the chain at the Stmt node
+    _set_asm(data, 14, "list_append", [2, 0])
+    return 14
+
+
+# each raised a bare AttributeError from the parse loop: the artifact does
+# not say what kind of value a slot holds, so only the parse can find out
+@pytest.mark.parametrize("grammar,mutate,text,message", [
+    ("calc_prog", _chain_on_node_slot, "x = 1; y = 2; z = 3",
+     "'Node' object has no attribute 'append'"),
+    ("meta", _enum_on_optional_slot, "parser { main { S } S.One <- x:a; }",
+     "'NoneType' object has no attribute 'bounds'"),
+], ids=["list chain on a node slot", "enum on an optional slot"])
+def test_artifact_with_slot_of_the_wrong_kind_fails_parse(grammar, mutate, text, message,
+                                                         request):
+    data = json.loads(request.getfixturevalue(grammar).compiled.to_json())
+    prod = mutate(data)
+    compiled = _load(data)
+    with pytest.raises(SpecError, match=re.escape(
+            "malformed artifact: production %d assembles its value from a slot of the "
+            "wrong kind (%s)" % (prod, message))):
+        parse(compiled, text)
+
+
 def test_artifact_with_shift_on_end_of_input_rejected(calc):
     data = _calc_artifact(calc)
     next(e for e in data["action"] if e[2][0] == "accept")[2] = ["shift", 0]
