@@ -3,7 +3,10 @@
 Flattens the compiled lexer, LR tables, assembly metadata, AST field kinds,
 and print templates into plain dict/list structures.  Serialization is
 canonical JSON (sorted keys, versioned), so artifacts are byte-identical
-across runs and friendly to version control.
+across runs and friendly to version control.  At load, CompiledLang also
+resolves the field kinds and templates into the per-variant plans the tree
+walks read (data_plans for runtime.node_to_data_value, print_plans for
+printer.pretty_print).
 """
 
 from __future__ import annotations

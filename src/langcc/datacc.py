@@ -417,18 +417,6 @@ _SET_FIELDS = DataValue.fields.__set__
 _SET_HASH = DataValue._hash.__set__
 
 
-def new_value(type_path: Tuple[str, ...], fields: tuple) -> DataValue:
-    """DataValue(type_path, fields) for a type_path and fields that are
-    already tuples, without copying them."""
-    v = _NEW(DataValue)
-    _SET_PATH(v, type_path)
-    _SET_FIELDS(v, fields)
-    _SET_HASH(v, None)
-    return v
-
-
-_NEW = object.__new__
-
 
 def make_value(schema: DatatypeSchema, path, fields: Optional[dict] = None) -> DataValue:
     """Build and shape-check a value of the case at `path` (dotted or tuple)."""

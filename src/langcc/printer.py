@@ -11,6 +11,12 @@ Every production carries a print template (terminals, verbatim strings from
 
 Trailing delimiters print according to the mode recorded on the node at
 parse time, so `:?` lists round-trip the input's choice.
+
+The templates are resolved once, at load, into per-variant print plans
+(CompiledLang.print_plans: variant tuple -> (variant key, the template's
+entries reversed, each literal text or (field name, print plan of its
+kind))).  pretty_print runs one explicit stack over them, so it prints a
+tree of any depth at the default recursion limit.
 """
 
 from __future__ import annotations
@@ -25,19 +31,10 @@ from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse, wrong_value
 from .spec_ast import SpecError
 
 _ROOT = (K_NODE,)  # the print plan of the root: a node, not checked
+_NO_FIELD = (-1,)  # the print plan of a field the node does not have
 # stack marks: a line break at the current indent, the same after a blank
 # line, one indent unit deeper, and back out with a line break
 _NEWLINE, _BLANK_LINE, _INDENT, _DEDENT = (object() for _ in range(4))
-
-
-class _Missing:
-    """Stack item for a template field the node does not have: it fails
-    when printing reaches it."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
 
 
 def pretty_print(compiled: CompiledLang, n: Node) -> str:
@@ -67,12 +64,10 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
                 out.append(" " * (indent * unit))
             elif item is _INDENT:
                 indent += 1
-            elif item is _DEDENT:
+            else:  # _DEDENT
                 indent -= 1
                 out.append("\n")
                 out.append(" " * (indent * unit))
-            else:
-                raise KeyError(item.name)
             continue
         v, plan = item
         tag = plan[0]
@@ -89,9 +84,10 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
             for e in vplan[1]:
                 if e.__class__ is str:
                     todo.append(e)
-                else:
-                    fv = fields.get(e[0], _Missing)
-                    todo.append((fv, e[1]) if fv is not _Missing else _Missing(e[0]))
+                elif e[0] in fields:
+                    todo.append((fields[e[0]], e[1]))
+                else:  # fails when its turn comes
+                    todo.append((e[0], _NO_FIELD))
         elif tag == K_TOKEN:
             if not isinstance(v, TokenLeaf):
                 raise wrong_value(v, TokenLeaf, "a token field")
@@ -137,8 +133,11 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
                 elem = plan[1]
                 for e in plan[2]:
                     todo.append((v, elem) if e is CONTENT else e)
-        elif v is True:  # K_BOOL
-            todo.extend(plan[1])
+        elif tag == K_BOOL:
+            if v is True:
+                todo.extend(plan[1])
+        else:  # _NO_FIELD
+            raise KeyError(v)
     return "".join(out)
 
 

@@ -19,6 +19,13 @@ the other kinds to _assemble.  Tree values are __slots__ classes (see
 lexer.SlotValue), several times cheaper to construct than frozen
 dataclasses, and the cyclic collector is paused for the duration of a
 parse.
+
+node_to_data_value reads the per-variant data plans CompiledLang builds at
+load (CompiledLang.data_plans: variant tuple -> (variant key, {field:
+(tag, element plan, enum type name, field description)})), so it neither
+scans field kinds nor joins variant names per node.  It, render_node and
+Node equality and hashing walk a tree on an explicit stack, so a tree of
+any depth passes through them at the default recursion limit.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .compiled import (
     K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ, K_TOKEN, P_ENUM, P_LIST_APPEND, P_LIST_EMPTY,
     P_LIST_PAIR, P_LIST_PASS, P_LIST_SINGLE, P_OPT_NONE, P_OPT_SOME, P_USER, CompiledLang,
 )
-from .datacc import DataValue, conforms, new_value
+from .datacc import DataValue, conforms
 from .lexer import EOF_TERMINAL, LexError, SlotValue, lex_lists, token_bounds_to_linecol
 from .spec_ast import SpecError
 
@@ -406,9 +413,10 @@ def wrong_value(v, cls, where: str) -> SpecError:
 
 
 _ROOT = (K_NODE, None, None, None)  # the data plan of the root: a node, not checked
-_BUILD_NODE = (-1,)  # stack marks: the fields of a node, the items of a
-_BUILD_SEQ = (-2,)  # sequence are converted, so build its value
-_NO_KIND = -3  # the tag of a field the variant does not have
+# more tags: stack marks saying that the fields of a node, or the items of
+# a sequence, are converted, so build its value; and a field the variant
+# does not have
+_BUILD_NODE, _BUILD_SEQ, _NO_KIND = -1, -2, -3
 
 
 def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
@@ -436,23 +444,21 @@ def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
                 vplan = plans.get(tuple(vk.split("::"))) or (vk, {})
             vk, kinds = vplan
             fields = v.fields
-            todo.append((v, _BUILD_NODE, name))
+            todo.append((v, (_BUILD_NODE,), name))
             for i in range(len(fields) - 1, -1, -1):
                 fname, fv = fields[i]
                 fplan = kinds.get(fname)
                 if fplan is None:  # fails when its turn comes
                     fplan = (_NO_KIND, None, None, "%s.%s" % (vk, fname))
                 todo.append((fv, fplan, fname))
-        elif tag == -1:  # _BUILD_NODE
+        elif tag == _BUILD_NODE:
             k = len(v.fields)
             if k:
                 fields = tuple(out[-k:])
                 del out[-k:]
             else:
                 fields = ()
-            variant = v.variant
-            out.append((name, new_value(variant, fields) if variant.__class__ is tuple
-                        else DataValue(variant, fields)))
+            out.append((name, DataValue(v.variant, fields)))
         elif tag == K_TOKEN:
             if not isinstance(v, TokenLeaf):
                 raise wrong_value(v, TokenLeaf, plan[3])
@@ -460,15 +466,15 @@ def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
         elif tag == K_ENUM:
             if not isinstance(v, EnumVal):
                 raise wrong_value(v, EnumVal, plan[3])
-            out.append((name, new_value((plan[2], v.label), ())))
+            out.append((name, DataValue((plan[2], v.label), ())))
         elif tag == K_SEQ:
             if not isinstance(v, SeqVal):
                 raise wrong_value(v, SeqVal, plan[3])
             items = v.items
-            todo.append((len(items), _BUILD_SEQ, name))
+            todo.append((len(items), (_BUILD_SEQ,), name))
             elem = plan[1]
             todo.extend([(item, elem, None) for item in reversed(items)])
-        elif tag == -2:  # _BUILD_SEQ
+        elif tag == _BUILD_SEQ:
             if v:
                 items = tuple([x for _n, x in out[-v:]])
                 del out[-v:]

@@ -163,10 +163,30 @@ _WRONG_VALUES = [
 
 def _mutate_tree(data, root):
     """Change one field of one node of root in place: a value of another
-    kind, a renamed, dropped or moved field, or another variant."""
-    node = data.draw(st.sampled_from(_nodes(root)))
+    kind, a renamed, dropped or moved field, or another variant; or give a
+    later field a value of another kind and change a node under an earlier
+    one (which of the two a walk finds first shows the order it visits)."""
+    by_variant = {}
+    for n in _nodes(root):
+        by_variant.setdefault(n.variant, []).append(n)
+    # every variant as likely as any other, however many nodes it has
+    node = data.draw(st.sampled_from(by_variant[data.draw(st.sampled_from(sorted(by_variant)))]))
     fields = list(node.fields)
-    how = data.draw(st.sampled_from(["value", "rename", "drop", "reverse", "variant"]))
+    how = data.draw(st.sampled_from(["value", "rename", "drop", "reverse", "variant",
+                                     "siblings"]))
+    if how == "siblings":
+        if len(fields) < 2:
+            return
+        i = data.draw(st.integers(0, len(fields) - 2))
+        j = data.draw(st.integers(i + 1, len(fields) - 1))
+        fields[j] = (fields[j][0], data.draw(st.sampled_from(_WRONG_VALUES))())
+        under = _nodes(fields[i][1])
+        if not under:
+            fields[i] = (fields[i][0], data.draw(st.sampled_from(_WRONG_VALUES))())
+        node.fields = tuple(fields)
+        if under:
+            _mutate_tree(data, data.draw(st.sampled_from(under)))
+        return
     if how == "variant" or not fields:
         node.variant = data.draw(st.sampled_from([("Nope",), ("Expr", "Id"), ("Stmt", "Expr"),
                                                   ("Expr::Lit", "Int_")]))
@@ -198,6 +218,47 @@ def test_walks_raise_as_references_on_hand_built_trees(calc_prog, calc_prog_sche
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate_tree(data, root)
     _assert_walks_agree(compiled, schema, root)
+
+
+def _wrong(i: int):
+    """A value of no kind a field can hold, its type named after i, so an
+    error message tells which field it came from."""
+    return type("Wrong%d" % i, (), {})()
+
+
+def _first_of_each_variant(compiled, texts):
+    """(text, preorder index) of the first node of each variant."""
+    seen = {}
+    for text in texts:
+        for i, n in enumerate(_nodes(_parsed(compiled, text))):
+            seen.setdefault(n.variant, (text, i))
+    return [seen[v] for v in sorted(seen)]
+
+
+@pytest.mark.parametrize("grammar", ["calc_prog", "meta"])
+def test_walks_report_the_first_wrong_field_as_references(grammar, request):
+    # with several fields wrong, the error is the one a recursive walk meets
+    # first: in an earlier field's subtree before a later field
+    result = request.getfixturevalue(grammar)
+    compiled, schema = result.compiled, derive_ast_schema(result.cfg)
+    texts = ([load_grammar(f) for f in FIXTURES] if grammar == "meta"
+             else ["x = 1 + -(2 * y) ^ 3;\nz"])
+    for text, i in _first_of_each_variant(compiled, texts):
+        node = _nodes(_parsed(compiled, text))[i]
+        node.fields = tuple((name, _wrong(j)) for j, (name, _v) in enumerate(node.fields))
+        _assert_walks_agree(compiled, schema, node)
+        root = _parsed(compiled, text)
+        node = _nodes(root)[i]
+        if len(node.fields) < 2:
+            continue
+        fields = list(node.fields)
+        fields[-1] = (fields[-1][0], _wrong(len(fields) - 1))
+        node.fields = tuple(fields)
+        under = _nodes(fields[0][1])
+        if under and under[-1].fields:
+            deep = under[-1]
+            deep.fields = ((deep.fields[0][0], _wrong(0)),) + deep.fields[1:]
+        _assert_walks_agree(compiled, schema, root)
 
 
 # ---------------------------------------------------------------------------
