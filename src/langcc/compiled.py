@@ -3,10 +3,11 @@
 Flattens the compiled lexer, LR tables, assembly metadata, AST field kinds,
 and print templates into plain dict/list structures.  Serialization is
 canonical JSON (sorted keys, versioned), so artifacts are byte-identical
-across runs and friendly to version control.  At load, CompiledLang also
-resolves the field kinds and templates into the per-variant plans the tree
-walks read (data_plans for runtime.node_to_data_value, print_plans for
-printer.pretty_print).
+across runs and friendly to version control.  CompiledLang also resolves
+the field kinds and templates into the per-variant plans the tree walks
+read (data_plan for runtime.node_to_data_value, print_plan for
+printer.pretty_print), once per variant, when the variant is first met:
+resolving every variant at load would add a few percent to loading.
 """
 
 from __future__ import annotations
@@ -60,17 +61,10 @@ class CompiledLang:
             self.ast_fields[vk] = [(f[0], _untuple(f[1])) for f in d["ast"][vk]]
         self.print_templates = {vk: _untuple(tmpl)
                                 for vk, tmpl in d["templates"].items()}
-        # variant tuple -> (variant key, {field: data plan}) for
-        # runtime.node_to_data_value, and -> (variant key, reversed print
-        # entries) for printer.pretty_print; see _data_plan and _print_plan
-        self.data_plans = {}
-        for vk, fields in self.ast_fields.items():
-            self.data_plans[tuple(vk.split("::"))] = (
-                vk, {name: _data_plan(kind, vk, name) for name, kind in fields})
-        self.print_plans = {}
-        for vk, tmpl in self.print_templates.items():
-            self.print_plans[tuple(vk.split("::"))] = (
-                vk, _entries(tmpl, kinds=dict(self.ast_fields.get(vk, ()))))
+        # variant tuple -> its plan for the tree walks, filled in by
+        # data_plan and print_plan as variants are first met
+        self.data_plans: Dict[tuple, tuple] = {}
+        self.print_plans: Dict[tuple, tuple] = {}
         self.variant_prefixes = set()
         for vk in self.ast_fields:
             parts = tuple(vk.split("::"))
@@ -81,6 +75,34 @@ class CompiledLang:
     @property
     def default_start(self) -> str:
         return self.mains[0]
+
+    def data_plan(self, variant: tuple) -> tuple:
+        """(variant key, {field: data plan}) of a node variant, which
+        runtime.node_to_data_value reads: resolved from the AST field kinds
+        the first time the variant is met, then kept in data_plans.  A
+        variant the grammar does not have gets no fields (and is not kept),
+        so each field of it is unknown."""
+        vk = "::".join(variant)
+        fields = self.ast_fields.get(vk)
+        if fields is None:
+            return (vk, {})
+        plan = self.data_plans[variant] = (
+            vk, {name: _data_plan(kind, vk, name) for name, kind in fields})
+        return plan
+
+    def print_plan(self, variant: tuple) -> Optional[tuple]:
+        """(variant key, print entries) of a node variant, which
+        printer.pretty_print reads: its template reversed, each entry
+        literal text or (field name, print plan of its kind), resolved the
+        first time the variant is met, then kept in print_plans.  None for a
+        variant with no template."""
+        vk = "::".join(variant)
+        tmpl = self.print_templates.get(vk)
+        if tmpl is None:
+            return None
+        plan = self.print_plans[variant] = (
+            vk, _entries(tmpl, kinds=dict(self.ast_fields.get(vk, ()))))
+        return plan
 
     def field_kind(self, variant_key: str, name: str):
         for fname, kind in self.ast_fields.get(variant_key, ()):
@@ -118,11 +140,14 @@ def _malformed(what: str) -> SpecError:
 
 # ---------------------------------------------------------------------------
 # Tree-walk plans: the AST field kinds and print templates, resolved once per
-# variant so the walks over a tree index them instead of re-reading kinds
+# variant so the walks over a tree index them instead of re-reading kinds.
+# A kind or template of the wrong shape is a malformed artifact, rejected
+# when its variant is first met.
 
 K_NODE, K_TOKEN, K_ENUM, K_SEQ, K_OPT, K_BOOL = range(6)  # plan tags
 _KIND_TAGS = {"node": K_NODE, "token": K_TOKEN, "enum": K_ENUM, "seq": K_SEQ,
               "opt": K_OPT, "bool": K_BOOL}
+_KIND_LENGTHS = {K_NODE: 2, K_TOKEN: 2, K_ENUM: 2, K_SEQ: 6, K_OPT: 4, K_BOOL: 2}
 F_LINE, F_BLOCK, F_BLOCK2, F_TOP, F_TOP2 = range(5)  # sequence flavors
 _FLAVORS = {"L": F_LINE, "B": F_BLOCK, "B2": F_BLOCK2, "T": F_TOP, "T2": F_TOP2}
 CONTENT = object()  # the place of an option's content in its print entries
@@ -130,7 +155,7 @@ CONTENT = object()  # the place of an option's content in its print entries
 
 def _kind_tag(kind) -> int:
     tag = _KIND_TAGS.get(kind[0]) if type(kind) is tuple and kind else None
-    if tag is None:
+    if tag is None or len(kind) != _KIND_LENGTHS[tag]:
         raise _malformed("AST field kind %r is not one of %s" % (kind, ", ".join(_KIND_TAGS)))
     return tag
 
@@ -151,6 +176,8 @@ def _entries(tmpl, content=None, kinds=None) -> tuple:
     option's template holds its content (no other template has one), and
     (field name, print plan) for a field of a node template, whose field
     kinds are `kinds`."""
+    if type(tmpl) is not tuple:
+        raise _malformed("print template %r is not a list" % (tmpl,))
     out = []
     for it in tmpl:
         if type(it) is not tuple or not it:
@@ -194,8 +221,10 @@ def _print_kind(kind) -> tuple:
     if tag == K_BOOL:
         return (tag, _entries(kind[1]))
     branches = {}
-    for label, tmpl in kind[1]:
-        branches.setdefault(label, _entries(tmpl))  # the first one wins
+    for branch in kind[1]:
+        if not (type(branch) is tuple and len(branch) == 2 and type(branch[0]) is str):
+            raise _malformed("enum branch %r is not (label, template)" % (branch,))
+        branches.setdefault(branch[0], _entries(branch[1]))  # the first one wins
     return (tag, branches)
 
 

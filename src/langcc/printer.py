@@ -12,8 +12,8 @@ Every production carries a print template (terminals, verbatim strings from
 Trailing delimiters print according to the mode recorded on the node at
 parse time, so `:?` lists round-trip the input's choice.
 
-The templates are resolved once, at load, into per-variant print plans
-(CompiledLang.print_plans: variant tuple -> (variant key, the template's
+The templates are resolved once per variant into print plans
+(CompiledLang.print_plan: variant tuple -> (variant key, the template's
 entries reversed, each literal text or (field name, print plan of its
 kind))).  pretty_print runs one explicit stack over them, so it prints a
 tree of any depth at the default recursion limit.
@@ -42,8 +42,8 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
 
     One explicit stack holds the text still to print (strings), the values
     still to print ((value, print plan) pairs) and the layout marks, and
-    each node pushes its variant's entries from CompiledLang.print_plans
-    (its template, reversed and resolved against its field kinds at load).
+    each node pushes its variant's entries from CompiledLang.print_plan
+    (its template, reversed and resolved against its field kinds).
     The walk prints what a recursive one would, in the same order, so a
     tree of any depth prints and the first malformed value found is the
     one recursion would find."""
@@ -74,12 +74,9 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
         if tag == K_NODE:
             if not isinstance(v, Node) and plan is not _ROOT:
                 raise wrong_value(v, Node, "a node field")
-            vplan = plans.get(v.variant)
+            vplan = plans.get(v.variant) or compiled.print_plan(v.variant)
             if vplan is None:
-                vk = "::".join(v.variant)
-                vplan = plans.get(tuple(vk.split("::")))
-                if vplan is None:
-                    raise SpecError("no template for variant %s" % vk)
+                raise SpecError("no template for variant %s" % "::".join(v.variant))
             fields = dict(v.fields)
             for e in vplan[1]:
                 if e.__class__ is str:

@@ -20,10 +20,10 @@ lexer.SlotValue), several times cheaper to construct than frozen
 dataclasses, and the cyclic collector is paused for the duration of a
 parse.
 
-node_to_data_value reads the per-variant data plans CompiledLang builds at
-load (CompiledLang.data_plans: variant tuple -> (variant key, {field:
-(tag, element plan, enum type name, field description)})), so it neither
-scans field kinds nor joins variant names per node.  It, render_node and
+node_to_data_value reads per-variant data plans (CompiledLang.data_plan:
+variant tuple -> (variant key, {field: (tag, element plan, enum type name,
+field description)}), resolved once per variant), so it neither scans
+field kinds nor joins variant names per node.  It, render_node and
 Node equality and hashing walk a tree on an explicit stack, so a tree of
 any depth passes through them at the default recursion limit.
 """
@@ -423,8 +423,8 @@ def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
     """Convert a Node to the datatype value layer for schema validation.
 
     Walks the tree on an explicit stack of (value, data plan, field name)
-    items, with the per-variant plans CompiledLang.data_plans builds at
-    load, in the order a recursive walk would visit the fields, so the
+    items, with the per-variant plans of CompiledLang.data_plan, in the
+    order a recursive walk would visit the fields, so the
     first wrong-kind field found is the one recursion would find.  Each
     finished value goes on `out` as a (field name, value) pair; the marks
     _BUILD_NODE and _BUILD_SEQ take their parts off it."""
@@ -437,12 +437,7 @@ def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
         if tag == K_NODE:
             if not isinstance(v, Node) and plan is not _ROOT:
                 raise wrong_value(v, Node, plan[3])
-            variant = v.variant
-            vplan = plans.get(variant)
-            if vplan is None:
-                vk = "::".join(variant)
-                vplan = plans.get(tuple(vk.split("::"))) or (vk, {})
-            vk, kinds = vplan
+            vk, kinds = plans.get(v.variant) or compiled.data_plan(v.variant)
             fields = v.fields
             todo.append((v, (_BUILD_NODE,), name))
             for i in range(len(fields) - 1, -1, -1):

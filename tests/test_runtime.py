@@ -4,7 +4,7 @@ import re
 import pytest
 
 from langcc import (
-    derive_ast_schema, location_fmt_str, node_downcast, parse, render_node,
+    derive_ast_schema, location_fmt_str, node_downcast, parse, pretty_print, render_node,
     token_bounds_to_linecol, validate_node,
 )
 from langcc.compiled import CompiledLang
@@ -346,6 +346,26 @@ def test_artifact_with_slot_of_the_wrong_kind_fails_parse(grammar, mutate, text,
             "malformed artifact: production %d assembles its value from a slot of the "
             "wrong kind (%s)" % (prod, message))):
         parse(compiled, text)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d["ast"]["Expr::Id"][0].__setitem__(1, ["nope", "id"]), "AST field kind"),
+    (lambda d: d["ast"]["Expr::Id"][0].__setitem__(1, ["seq", ["token", "id"]]),
+     "AST field kind"),
+    (lambda d: d["templates"]["Expr::Id"].append(["content"]), "print template item"),
+], ids=["unknown kind", "short seq kind", "content in a node template"])
+def test_artifact_with_malformed_kind_or_template_fails_print_and_check(
+        calc_prog, mutate, message):
+    # a variant's kinds and template are resolved when it is first met
+    data = json.loads(calc_prog.compiled.to_json())
+    mutate(data)
+    compiled = _load(data)
+    node = parse(compiled, "x = y").result
+    with pytest.raises(SpecError, match="malformed artifact: " + message):
+        pretty_print(compiled, node)
+    if "kind" in message:
+        with pytest.raises(SpecError, match="malformed artifact: " + message):
+            validate_node(compiled, derive_ast_schema(calc_prog.cfg), node)
 
 
 def test_artifact_with_shift_on_end_of_input_rejected(calc):
