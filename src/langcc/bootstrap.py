@@ -1,23 +1,57 @@
-"""Self-hosting support.
+"""Self-hosting: from the generated metalanguage parser's tree to a LangSpec.
 
-grammars/meta.lang defines the `.lang` metalanguage in itself.  This module
-converts the generic AST produced by the *generated* metalanguage parser back
-into a LangSpec, so the fixpoint check can compare it structurally against
-the hand-written frontend's parse of the same source.
+meta_frontend.parse_lang_spec parses `.lang` source with meta.clang, the
+parser generated from grammars/meta.lang, and langspec_from_node turns the
+Lang::File node it returns into a LangSpec, each declaration located at the
+start of its node.  The regex and parse-expression converters run on
+explicit stacks, so a pattern or rule body of any depth or length converts
+at the default recursion limit.  bootstrap_check is the fixpoint: a parser
+freshly generated from meta.lang reads meta.lang as the committed one does.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 from . import spec_ast as sa
-from .meta_frontend import decode_backtick, make_parse_test, validate_spec
+from .meta_frontend import _checked, decode_backtick, make_parse_test
 from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse
-from .spec_ast import LangSpec, SpecError
+from .spec_ast import LangSpec, Loc, SpecError
+
+# the blanks and comments that the metalanguage's lexer passes over
+_SKIPPED = re.compile(rb"(?:[ \t\n]|//[^\n]*)*")
 
 
-def _lit(tok: TokenLeaf) -> str:
-    return decode_backtick(tok.text)
+class _Lines:
+    """Locs of byte offsets into one source: 1-based lines, and columns
+    counting code points, read off line starts indexed once.  With no
+    source, every Loc is None."""
+
+    def __init__(self, source: Optional[str]):
+        self.data = None if source is None else source.encode("utf-8", "surrogatepass")
+        self.starts = [0] + [m.end() for m in re.finditer(b"\n", self.data or b"")]
+
+    def loc(self, offset: int) -> Optional[Loc]:
+        if self.data is None:
+            return None
+        line = bisect_right(self.starts, offset)
+        start = self.starts[line - 1]
+        return Loc(line, len(self.data[start:offset].decode("utf-8", "surrogatepass")) + 1)
+
+    def next_token(self, offset: int) -> Optional[Loc]:
+        """The Loc of the first token at or after offset."""
+        if self.data is None:
+            return None
+        return self.loc(_SKIPPED.match(self.data, offset).end())
+
+
+def _lit(tok: TokenLeaf, lines: _Lines) -> str:
+    try:
+        return decode_backtick(tok.text)
+    except SpecError as e:
+        raise SpecError(e.message, lines.loc(tok.bounds.start)) from None
 
 
 def _ids(seq: SeqVal) -> Tuple[str, ...]:
@@ -30,129 +64,192 @@ def _dotted(node: Node) -> Tuple[str, ...]:
     return _ids(node.field("parts"))
 
 
+def _flatten_chain(n: Node, variant: str) -> List[Node]:
+    """The operands, in order, of a chain of binary `variant` nodes (Alt,
+    Concat or Seq), which nests to the left: every such operator is
+    left-associative."""
+    out = []
+    while True:
+        out.append(n.field("y"))
+        x = n.field("x")
+        if not (isinstance(x, Node) and x.variant[0] == n.variant[0]
+                and x.variant[1] == variant):
+            break
+        n = x
+    out.append(x)
+    out.reverse()
+    return out
+
+
+# Both converters run on an explicit stack.  `todo` holds the nodes still to
+# convert and (build, count, node) marks, each pushed before the `count`
+# operands of `node`; once those are converted, `done` ends with them, and
+# build(node, operands, lines) replaces them with the value of `node`.
+
+def _settle(done: list, mark: tuple, lines: _Lines):
+    build, count, n = mark
+    at = len(done) - count
+    value = build(n, done[at:], lines)
+    del done[at:]
+    done.append(value)
+
+
 # -- token regexes ----------------------------------------------------------
 
-def _conv_regex(n: Node) -> sa.RegexExpr:
-    v = n.variant[1]
-    if v == "Alt":
-        parts = []
-        _flatten_chain(n, "Alt", parts)
-        return sa.RAlt(tuple(_conv_regex(p) for p in parts))
-    if v == "Concat":
-        parts = []
-        _flatten_chain(n, "Concat", parts)
-        return sa.RConcat(tuple(_conv_regex(p) for p in parts))
-    if v == "Star":
-        return sa.RStar(_conv_regex(n.field("x")))
-    if v == "Plus":
-        inner = _conv_regex(n.field("x"))
-        return sa.RConcat((inner, sa.RStar(inner)))
-    if v == "Opt":
-        return sa.RAlt((_conv_regex(n.field("x")), sa.RConcat(())))
-    if v == "Lit":
-        return sa.RLit(_lit(n.field("s")))
-    if v == "Range":
-        lo = _lit(n.field("lo"))
-        hi = _lit(n.field("hi"))
-        if len(lo) != 1 or len(hi) != 1 or ord(lo) > ord(hi):
-            raise SpecError("invalid character range %s..%s" % (lo, hi))
-        return sa.RRange(lo, hi)
-    if v == "Ref":
-        return sa.RRef(n.field("name").text)
-    if v == "Wild":
-        return sa.RWildcard()
-    if v == "Eof":
-        return sa.REof()
-    if v == "Paren":
-        return _conv_regex(n.field("x"))
-    raise SpecError("unexpected regex variant %s" % v)
+_REGEX_BUILD = {
+    "Alt": lambda n, parts, lines: sa.RAlt(tuple(parts)),
+    "Concat": lambda n, parts, lines: sa.RConcat(tuple(parts)),
+    "Star": lambda n, parts, lines: sa.RStar(parts[0]),
+    "Plus": lambda n, parts, lines: sa.RConcat((parts[0], sa.RStar(parts[0]))),
+    "Opt": lambda n, parts, lines: sa.RAlt((parts[0], sa.RConcat(()))),
+}
 
 
-def _flatten_chain(n: Node, variant: str, out: List[Node]):
-    """Left-nested binary Alt/Concat/Seq chains flatten to item lists."""
-    x = n.field("x")
-    y = n.field("y")
-    if isinstance(x, Node) and x.variant[0] == n.variant[0] and x.variant[1] == variant:
-        _flatten_chain(x, variant, out)
-    else:
-        out.append(x)
-    out.append(y)
+def _range(n: Node, lines: _Lines) -> sa.RRange:
+    lo = _lit(n.field("lo"), lines)
+    hi = _lit(n.field("hi"), lines)
+    if len(lo) != 1 or len(hi) != 1:
+        raise SpecError("character range bounds must be single characters",
+                        lines.loc(n.bounds.start))
+    if ord(lo) > ord(hi):
+        raise SpecError("empty character range %s..%s"
+                        % (sa.quote_backtick(lo), sa.quote_backtick(hi)),
+                        lines.loc(n.bounds.start))
+    return sa.RRange(lo, hi)
+
+
+def _conv_regex(root: Node, lines: _Lines) -> sa.RegexExpr:
+    done: list = []
+    todo: list = [root]
+    while todo:
+        n = todo.pop()
+        if type(n) is tuple:
+            _settle(done, n, lines)
+            continue
+        v = n.variant[1]
+        if v == "Alt" or v == "Concat":
+            parts = _flatten_chain(n, v)
+            todo.append((_REGEX_BUILD[v], len(parts), n))
+            todo.extend(reversed(parts))
+        elif v in _REGEX_BUILD:
+            todo.append((_REGEX_BUILD[v], 1, n))
+            todo.append(n.field("x"))
+        elif v == "Paren":
+            todo.append(n.field("x"))
+        elif v == "Lit":
+            done.append(sa.RLit(_lit(n.field("s"), lines)))
+        elif v == "Range":
+            done.append(_range(n, lines))
+        elif v == "Ref":
+            done.append(sa.RRef(n.field("name").text))
+        elif v == "Wild":
+            done.append(sa.RWildcard())
+        elif v == "Eof":
+            done.append(sa.REof())
+        else:
+            raise SpecError("unexpected regex variant %s" % v)
+    return done[0]
 
 
 # -- parse expressions --------------------------------------------------------
 
-def _conv_pe(n: Node) -> sa.ParseExpr:
-    v = n.variant[1]
-    if v == "Alt":
-        parts: List[Node] = []
-        _flatten_chain(n, "Alt", parts)
-        branches = []
-        for i, b in enumerate(parts):
-            conv = _conv_pe(b)
-            if isinstance(conv, sa.Named):
-                branches.append((conv.field_name, conv.inner))
-            else:
-                branches.append(("_b%d" % i, conv))
-        return sa.AltBranches(tuple(branches))
-    if v == "Seq":
-        parts = []
-        _flatten_chain(n, "Seq", parts)
-        return sa.Seq(tuple(_conv_pe(p) for p in parts))
-    if v == "Name":
-        return sa.Named(n.field("name").text, _conv_pe(n.field("e")))
-    if v == "Unfold":
-        return sa.Unfold(_conv_pe(n.field("e")))
-    if v == "Star":
-        return sa.Star(_conv_pe(n.field("e")))
-    if v == "Plus":
-        return sa.Plus(_conv_pe(n.field("e")))
-    if v == "Opt":
-        return sa.Optional_(_conv_pe(n.field("e")))
-    if v == "Attr":
-        inner = _conv_pe(n.field("e"))
-        reqs: List[str] = []
-        pr_star = False
-        for req in n.field("reqs").items:
-            if req.variant[1] == "Base":
-                reqs.append(req.field("name").text)
-            else:
-                pr_star = True
-        if not isinstance(inner, sa.NontermRef):
-            raise SpecError("attribute requirements apply only to nonterminal references")
-        return sa.NontermRef(inner.name, inner.attr_reqs + tuple(reqs),
-                             inner.pr_star or pr_star)
-    if v == "Lit":
-        return sa.TermLiteral(_lit(n.field("s")))
-    if v == "Pass":
-        return sa.PassString(_lit(n.field("s")))
-    if v == "Space":
-        return sa.SpaceShorthand()
-    if v == "Eps":
-        return sa.Eps()
-    if v == "Ref":
-        return sa.NontermRef(n.field("name").text)
-    if v == "SAlt":
-        b = _conv_pe(n.field("b"))
-        if not isinstance(b, sa.Named):
-            raise SpecError("#Alt branch must be labeled")
-        return sa.SingletonAlt(b.field_name, b.inner)
-    if v == "List":
-        flavor = n.field("ty").label
-        min_count = {"N0": 0, "N1": 1, "N2": 2}[n.field("num").label]
-        trailing = {"ENone": "none", "EOpt": "optional", "ESome": "required"}[
-            n.field("end").label]
-        return sa.ListExpr(flavor, _conv_pe(n.field("elem")), min_count,
-                           _conv_pe(n.field("delim")), trailing)
-    if v == "Paren":
-        return _conv_pe(n.field("x"))
-    raise SpecError("unexpected parse-expr variant %s" % v)
+def _alt(n: Node, parts: list, lines: _Lines) -> sa.AltBranches:
+    return sa.AltBranches(tuple(
+        (p.field_name, p.inner) if isinstance(p, sa.Named) else ("_b%d" % i, p)
+        for i, p in enumerate(parts)))
+
+
+def _attr(n: Node, parts: list, lines: _Lines) -> sa.NontermRef:
+    inner = parts[0]
+    if not isinstance(inner, sa.NontermRef):
+        # located at the `[`, the first token after the operand
+        raise SpecError("attribute requirements apply only to nonterminal references",
+                        lines.next_token(n.field("e").bounds.end))
+    reqs: List[str] = []
+    pr_star = False
+    for req in n.field("reqs").items:
+        if req.variant[1] == "Base":
+            reqs.append(req.field("name").text)
+        else:
+            pr_star = True
+    return sa.NontermRef(inner.name, inner.attr_reqs + tuple(reqs), inner.pr_star or pr_star)
+
+
+def _singleton_alt(n: Node, parts: list, lines: _Lines) -> sa.SingletonAlt:
+    b = parts[0]
+    if not isinstance(b, sa.Named):
+        raise SpecError("#Alt branch must be labeled, e.g. #Alt[Neg:`-`]",
+                        lines.loc(n.bounds.start))
+    return sa.SingletonAlt(b.field_name, b.inner)
+
+
+_MIN_COUNT = {"N0": 0, "N1": 1, "N2": 2}
+_TRAILING = {"ENone": "none", "EOpt": "optional", "ESome": "required"}
+
+
+def _list(n: Node, parts: list, lines: _Lines) -> sa.ListExpr:
+    return sa.ListExpr(n.field("ty").label, parts[0], _MIN_COUNT[n.field("num").label],
+                       parts[1], _TRAILING[n.field("end").label])
+
+
+_PE_BUILD = {
+    "Alt": _alt,
+    "Seq": lambda n, parts, lines: sa.Seq(tuple(parts)),
+    "Name": lambda n, parts, lines: sa.Named(n.field("name").text, parts[0]),
+    "Unfold": lambda n, parts, lines: sa.Unfold(parts[0]),
+    "Star": lambda n, parts, lines: sa.Star(parts[0]),
+    "Plus": lambda n, parts, lines: sa.Plus(parts[0]),
+    "Opt": lambda n, parts, lines: sa.Optional_(parts[0]),
+    "Attr": _attr,
+    "SAlt": _singleton_alt,
+    "List": _list,
+}
+# the operand fields of the other compound parse expressions, in order
+_PE_OPERANDS = {"Name": ("e",), "Unfold": ("e",), "Star": ("e",), "Plus": ("e",),
+                "Opt": ("e",), "Attr": ("e",), "SAlt": ("b",), "List": ("elem", "delim")}
+
+
+def _conv_pe(root: Node, lines: _Lines) -> sa.ParseExpr:
+    done: list = []
+    todo: list = [root]
+    while todo:
+        n = todo.pop()
+        if type(n) is tuple:
+            _settle(done, n, lines)
+            continue
+        v = n.variant[1]
+        if v == "Alt" or v == "Seq":
+            parts = _flatten_chain(n, v)
+            todo.append((_PE_BUILD[v], len(parts), n))
+            todo.extend(reversed(parts))
+        elif v in _PE_OPERANDS:
+            fields = _PE_OPERANDS[v]
+            todo.append((_PE_BUILD[v], len(fields), n))
+            todo.extend(n.field(f) for f in reversed(fields))
+        elif v == "Paren":
+            todo.append(n.field("x"))
+        elif v == "Lit":
+            done.append(sa.TermLiteral(_lit(n.field("s"), lines)))
+        elif v == "Pass":
+            done.append(sa.PassString(_lit(n.field("s"), lines)))
+        elif v == "Space":
+            done.append(sa.SpaceShorthand())
+        elif v == "Eps":
+            done.append(sa.Eps())
+        elif v == "Ref":
+            # resolved to TokenRef/NontermRef by meta_frontend._resolve_refs
+            done.append(sa.NontermRef(n.field("name").text))
+        else:
+            raise SpecError("unexpected parse-expr variant %s" % v)
+    return done[0]
 
 
 # -- stanzas ------------------------------------------------------------------
 
-def _conv_token_decl(n: Node) -> sa.TokenDecl:
+def _conv_token_decl(n: Node, lines: _Lines) -> sa.TokenDecl:
     kind = "opaque" if n.variant[1] == "Opaque" else "alias"
-    return sa.TokenDecl(n.field("name").text, kind, _conv_regex(n.field("re")))
+    return sa.TokenDecl(n.field("name").text, kind, _conv_regex(n.field("re"), lines),
+                        lines.loc(n.bounds.start))
 
 
 def _conv_lexer_action(n: Node) -> sa.LexerAction:
@@ -172,20 +269,24 @@ def _conv_lexer_action(n: Node) -> sa.LexerAction:
     raise SpecError("unexpected lexer action %s" % v)
 
 
-def _conv_lexer(items: SeqVal) -> sa.LexerSpec:
+def _conv_lexer(items: SeqVal, lines: _Lines) -> sa.LexerSpec:
     main: Optional[str] = None
     modes = []
     for item in items.items:
         if item.variant[1] == "Main":
             if main is not None:
-                raise SpecError("duplicate main declaration in lexer")
+                raise SpecError("duplicate main declaration in lexer",
+                                lines.loc(item.bounds.start))
             main = item.field("name").text
         else:
             rules = []
             for r in item.field("rules").items:
-                actions = tuple(_conv_lexer_action(a)
-                                for a in r.field("actions").items)
-                rules.append(sa.LexerRule(_conv_regex(r.field("pat")), actions))
+                loc = lines.loc(r.bounds.start)
+                pat = _conv_regex(r.field("pat"), lines)
+                actions = tuple(_conv_lexer_action(a) for a in r.field("actions").items)
+                if not actions:
+                    raise SpecError("lexer rule has an empty action list", loc)
+                rules.append(sa.LexerRule(pat, actions, loc))
             modes.append((item.field("name").text, tuple(rules)))
     if main is None:
         raise SpecError("lexer stanza has no main declaration")
@@ -196,7 +297,7 @@ _TAG_OF = {"AssocLeft": "assoc_left", "AssocRight": "assoc_right",
            "Prefix": "prefix", "Postfix": "postfix"}
 
 
-def _conv_parser(items: SeqVal) -> sa.ParserSpec:
+def _conv_parser(items: SeqVal, lines: _Lines) -> sa.ParserSpec:
     main: Optional[Tuple[str, ...]] = None
     prec_lines: List[sa.PrecLine] = []
     props: List[str] = []
@@ -206,30 +307,29 @@ def _conv_parser(items: SeqVal) -> sa.ParserSpec:
         v = item.variant[1]
         if v == "Main":
             if main is not None:
-                raise SpecError("duplicate main declaration in parser")
+                raise SpecError("duplicate main declaration in parser",
+                                lines.loc(item.bounds.start))
             main = _ids(item.field("names"))
         elif v == "Prec":
             for line in item.field("lines").items:
                 names = tuple(_dotted(d) for d in line.field("names").items)
                 tag_val = line.field("tag")
                 tag = _TAG_OF[tag_val.label] if isinstance(tag_val, EnumVal) else None
-                prec_lines.append(sa.PrecLine(names, tag))
+                prec_lines.append(sa.PrecLine(names, tag, lines.loc(line.bounds.start)))
         elif v == "Prop":
             props.append("name_strict")
         elif v == "Attr":
             for line in item.field("lines").items:
-                if line.variant[1] == "Decl":
-                    attr_lines.append(sa.AttrLine(
-                        _dotted(line.field("rule")), line.field("a").text, None))
-                else:
-                    attr_lines.append(sa.AttrLine(
-                        _dotted(line.field("rule")), line.field("a").text,
-                        line.field("target").text))
+                target = line.field("target").text if line.variant[1] == "Req" else None
+                attr_lines.append(sa.AttrLine(_dotted(line.field("rule")),
+                                              line.field("a").text, target,
+                                              lines.loc(line.bounds.start)))
         elif v == "Rule":
+            loc = lines.loc(item.bounds.start)
             attrs_val = item.field("attrs")
             lhs_attrs = _ids(attrs_val) if isinstance(attrs_val, SeqVal) else ()
             rules.append(sa.RuleDecl(_dotted(item.field("path")), lhs_attrs,
-                                     _conv_pe(item.field("rhs"))))
+                                     _conv_pe(item.field("rhs"), lines), loc))
         else:
             raise SpecError("unexpected parser item %s" % v)
     if main is None:
@@ -238,70 +338,75 @@ def _conv_parser(items: SeqVal) -> sa.ParserSpec:
                          tuple(attr_lines), tuple(rules))
 
 
-def langspec_from_node(root: Node) -> LangSpec:
-    """Rebuild a LangSpec from a Lang::File node of the generated meta parser."""
+_STANZA_KEYWORDS = {"Tokens": "tokens", "Lexer": "lexer", "Parser": "parser",
+                    "CompileTest": "compile_test", "Test": "test"}
+
+
+def langspec_from_node(root: Node, source: Optional[str] = None) -> LangSpec:
+    """The validated LangSpec of a Lang::File node of the generated meta
+    parser.  `source`, the text the node was parsed from, locates the
+    declarations and diagnostics; without it every Loc is None."""
     if root.variant != ("Lang", "File"):
         raise SpecError("expected a Lang::File node, got %s" % "::".join(root.variant))
+    lines = _Lines(source)
     token_decls: List[sa.TokenDecl] = []
     lexer: Optional[sa.LexerSpec] = None
     parser: Optional[sa.ParserSpec] = None
     compile_tests: List[sa.LrTestDecl] = []
     parse_tests: List[sa.ParseTestDecl] = []
+    seen = set()
     for stanza in root.field("stanzas").items:
         v = stanza.variant[1]
+        if v not in _STANZA_KEYWORDS:
+            raise SpecError("unexpected stanza %s" % v)
+        if v in seen:
+            raise SpecError("duplicate %s stanza" % _STANZA_KEYWORDS[v],
+                            lines.loc(stanza.bounds.start))
+        seen.add(v)
         if v == "Tokens":
-            token_decls = [_conv_token_decl(d) for d in stanza.field("decls").items]
+            token_decls = [_conv_token_decl(d, lines) for d in stanza.field("decls").items]
         elif v == "Lexer":
-            lexer = _conv_lexer(stanza.field("items"))
+            lexer = _conv_lexer(stanza.field("items"), lines)
         elif v == "Parser":
-            parser = _conv_parser(stanza.field("items"))
+            parser = _conv_parser(stanza.field("items"), lines)
         elif v == "CompileTest":
             for e in stanza.field("entries").items:
                 compile_tests.append(sa.LrTestDecl(
                     int(e.field("k").text), e.variant[1] == "Pos"))
-        elif v == "Test":
-            for e in stanza.field("entries").items:
-                parse_tests.append(make_parse_test(
-                    _lit(e.field("s")), None, e.field("skip") is True))
         else:
-            raise SpecError("unexpected stanza %s" % v)
-    if lexer is None or parser is None:
-        raise SpecError("missing lexer or parser stanza")
-    spec = LangSpec(tuple(token_decls), lexer, parser,
-                    tuple(compile_tests), tuple(parse_tests))
-    return _resolve(spec)
-
-
-def _resolve(spec: LangSpec) -> LangSpec:
-    from .meta_frontend import _resolve_refs
-
-    spec = _resolve_refs(spec)
-    diags = validate_spec(spec)
-    if diags:
-        raise SpecError("converted spec fails validation: %s" % diags[0].message)
-    return spec
+            for e in stanza.field("entries").items:
+                s = e.field("s")
+                parse_tests.append(make_parse_test(
+                    _lit(s, lines), lines.loc(s.bounds.start), e.field("skip") is True))
+    if lexer is None:
+        raise SpecError("missing lexer stanza")
+    if parser is None:
+        raise SpecError("missing parser stanza")
+    return _checked(LangSpec(tuple(token_decls), lexer, parser,
+                             tuple(compile_tests), tuple(parse_tests)))
 
 
 def bootstrap_check(meta_source: str):
-    """Fixpoint: the generated metalanguage parser re-parses meta.lang to a
-    LangSpec structurally equal to the hand frontend's parse.
+    """Fixpoint: a parser freshly generated from meta_source parses
+    meta_source to a LangSpec structurally equal to the one the committed
+    meta.clang (parse_lang_spec) makes of it.
 
     Returns (ok, detail message).
     """
     from .compiled import compile_lang
     from .meta_frontend import parse_lang_spec
 
-    hand = parse_lang_spec(meta_source)
+    committed = parse_lang_spec(meta_source)
     result = compile_lang(meta_source)
     if not result.ok:
         return (False, "meta.lang does not compile conflict-free")
     parsed = parse(result.compiled, meta_source)
     if not parsed.is_success():
         return (False, "generated parser rejects meta.lang: %s" % parsed.err.message)
-    generated = langspec_from_node(parsed.result)
-    if hand == generated:
+    generated = langspec_from_node(parsed.result, meta_source)
+    if committed == generated:
         return (True, "fixpoint reached")
-    return (False, _first_difference(hand, generated))
+    return (False, _first_difference(committed, generated))
 
 
 def _first_difference(a: LangSpec, b: LangSpec) -> str:

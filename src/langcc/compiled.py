@@ -39,12 +39,14 @@ class CompiledLang:
     """Runtime-facing compiled language: everything the parser, printer, and
     validators need, with no references back to build-time structures."""
 
-    def __init__(self, data: dict):
-        self.data = data
-        self._build_indexes()
+    def __init__(self, data: dict, text: str):
+        """`data` is the artifact's JSON tree and `text` a JSON text of it.
+        The indexes are built from the tree, which is not kept: it is most
+        of a loaded artifact's size.  to_json decodes the text again."""
+        self._text = text
+        self._build_indexes(data)
 
-    def _build_indexes(self):
-        d = self.data
+    def _build_indexes(self, d: dict):
         self.prods, self.action_rows, self.goto_rows = _load_tables(d)
         # prods[p]: (kind, rhs_len, lhs_ref, data), see P_USER and below.
         # action_rows[state]: lookahead -> action cell, keyed by the terminal
@@ -104,15 +106,16 @@ class CompiledLang:
             vk, _entries(tmpl, kinds=dict(self.ast_fields.get(vk, ()))))
         return plan
 
-    def field_kind(self, variant_key: str, name: str):
-        for fname, kind in self.ast_fields.get(variant_key, ()):
-            if fname == name:
-                return kind
-        raise KeyError("%s.%s" % (variant_key, name))
-
     def to_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=1,
-                          separators=(",", ": "), ensure_ascii=False) + "\n"
+        """The canonical JSON text of the artifact: sorted keys, one-space
+        indents, a newline at the end.  Each top-level field is encoded on
+        its own (see _compact_json) and indented one more step."""
+        tree = json.loads(self._text)
+        encode = json.JSONEncoder(sort_keys=True, indent=1, separators=(",", ": "),
+                                  ensure_ascii=False).encode
+        return "{\n%s\n}\n" % ",\n".join(
+            " %s: %s" % (encode(key), encode(tree[key]).replace("\n", "\n "))
+            for key in sorted(tree))
 
     @classmethod
     def from_json(cls, text: str) -> "CompiledLang":
@@ -123,7 +126,7 @@ class CompiledLang:
             raise SpecError("unsupported artifact: rd=%r (recursive-descent actions "
                             "are not supported)" % data.get("rd"))
         try:
-            return cls(data)
+            return cls(data, text)
         except KeyError as e:
             raise SpecError("malformed artifact: missing key %r" % e.args[0]) from None
         except (TypeError, ValueError, AttributeError, IndexError) as e:
@@ -329,6 +332,7 @@ def _load_tables(d: dict):
         raise _malformed("mains is %r, not a list of names" % (mains,))
     prods = [_prod_tuple(p) for p in d["prods"]]
     n_prods = len(prods)
+    reduce_cells = [-2 - p for p in range(n_prods)]  # one int per production, not per cell
     last = -1  # the largest state with an entry
     lo = hi = 0  # the smallest and largest shift, goto or start target
     keys = {}  # lookahead -> its row key, for the lookaheads already checked
@@ -364,7 +368,7 @@ def _load_tables(d: dict):
                                  % (act,))
             if prods[cell][0] == P_START:
                 raise _malformed("action %r reduces a start production" % (act,))
-            cell = -2 - cell
+            cell = reduce_cells[cell]
         else:
             cell = -1
         row = rows.get(state)
@@ -671,7 +675,23 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
         "ast": ast_json,
         "templates": templates_json,
     }
-    return CompiledLang(data)
+    return CompiledLang(data, _compact_json(data))
+
+
+def _compact_json(data: dict) -> str:
+    """The artifact tree as compact JSON.  json.dumps keeps every small
+    piece of its output until it joins them, several times the size of the
+    text, so each list is encoded a slice at a time."""
+    encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+    fields = []
+    for key, value in data.items():
+        if type(value) is list:
+            value = "[%s]" % ",".join(encode(value[i:i + 512])[1:-1]
+                                      for i in range(0, len(value), 512))
+        else:
+            value = encode(value)
+        fields.append("%s:%s" % (encode(key), value))
+    return "{%s}" % ",".join(fields)
 
 
 def _goto_key_str(key):

@@ -72,9 +72,6 @@ class Production:
     prec_level: Optional[int] = None
     rule_path: Tuple[str, ...] = ()
 
-    def rhs_symbols(self):
-        return [s.symbol for s in self.slots]
-
 
 @dataclass
 class Cfg:

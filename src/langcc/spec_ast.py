@@ -328,16 +328,6 @@ class LangSpec:
     def opaque_names(self):
         return [d.name for d in self.token_decls if d.kind == "opaque"]
 
-    def alias_names(self):
-        return [d.name for d in self.token_decls if d.kind == "alias"]
-
-    def rule_lhs_names(self):
-        seen = []
-        for r in self.parser.rules:
-            if r.lhs not in seen:
-                seen.append(r.lhs)
-        return seen
-
 
 # ---------------------------------------------------------------------------
 # Canonical rendering (debug form; reparses to an equal LangSpec)

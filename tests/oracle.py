@@ -18,11 +18,16 @@ they were planned per variant and run on explicit stacks, and render_node
 and debug_print the renderings as they were before they did: plain
 recursion, which fails on deep trees.  value_hash counts its digests in
 reference_hash_computations(), apart from datacc's counter.
+
+scan_meta and _Parser are the hand-written `.lang` scanner and
+recursive-descent parser that fronted the toolchain before it parsed every
+`.lang` source with its own generated meta.clang, kept verbatim;
+reference_parse_lang_spec is parse_lang_spec as it was on top of them.
 """
 
 import hashlib
 import heapq
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from langcc.compiled import CompiledLang
 from langcc.conflicts import _step
@@ -36,7 +41,15 @@ from langcc.lexer import (
 )
 from langcc.lr import LrTables
 from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, wrong_value
-from langcc.spec_ast import AEmit, APass, APopEmit, APopExtract, APush, SpecError
+from langcc.meta_frontend import _checked, decode_backtick, make_parse_test
+from langcc.spec_ast import (
+    AEmit, APass, APop, APopEmit, APopExtract, APush, AltBranches, AttrLine, Eps,
+    LangSpec, LexerRule, LexerSpec, ListExpr, Loc, LrTestDecl, Named, NontermRef,
+    Optional_, ParseExpr, ParserSpec, ParseTestDecl, PassString, Plus, PrecLine, RAlt,
+    RConcat, REof, RLit, RRange, RRef, RStar, RWildcard, RegexExpr, RuleDecl, Seq,
+    SingletonAlt, SpaceShorthand, SpecError, Star, TermLiteral, TokenDecl, Unfold,
+    quote_backtick,
+)
 
 
 def earley_accepts(ig: InstGrammar, start, tokens) -> bool:
@@ -327,12 +340,19 @@ def reference_hash_computations() -> int:
     return _HASH_COMPUTATIONS
 
 
+def field_kind(compiled: CompiledLang, variant_key: str, name: str):
+    for fname, kind in compiled.ast_fields.get(variant_key, ()):
+        if fname == name:
+            return kind
+    raise KeyError("%s.%s" % (variant_key, name))
+
+
 def node_to_data_value(compiled: CompiledLang, n: Node):
     """Convert a Node to the datatype value layer for schema validation."""
     vk = "::".join(n.variant)
     fields = []
     for name, v in n.fields:
-        kind = compiled.field_kind(vk, name)
+        kind = field_kind(compiled, vk, name)
         fields.append((name, _value_to_data(compiled, v, kind, vk, name)))
     return DataValue(n.variant, tuple(fields))
 
@@ -513,7 +533,7 @@ class _Printer:
                 self.out.append(it[1])
             elif it[0] == "field":
                 name = it[1]
-                self.emit_value(fields[name], self.compiled.field_kind(vk, name))
+                self.emit_value(fields[name], field_kind(self.compiled, vk, name))
             else:
                 raise AssertionError(it)
 
@@ -633,3 +653,628 @@ def debug_print(v: DataValue) -> str:
         return head
     return "%s(%s)" % (head, ", ".join("%s: %s" % (f, _print_field(x))
                                        for f, x in v.fields))
+
+
+# ---------------------------------------------------------------------------
+# The hand-written .lang frontend, kept verbatim for the agreement tests.
+
+KEYWORDS = {
+    "tokens", "lexer", "parser", "compile_test", "test",
+    "main", "mode", "prec", "prop", "attr",
+    "emit", "pass", "push", "pop", "pop_extract", "pop_emit",
+    "eof", "eps", "name_strict",
+    "assoc_left", "assoc_right", "prefix", "postfix", "LR", "pr",
+}
+
+# longest first so the scanner can take the first match
+PUNCT = [
+    "<<>>", "#B2", "#T2", "#Alt", "#L", "#B", "#T",
+    "<-", "<=", "=>", "->", "::", ":?", "..", "++",
+    "{", "}", "(", ")", "[", "]", ";", ",", ".", ":", "|", "*", "+", "?",
+    "~", "@", "=", "_", "!",
+]
+
+
+class MetaToken:
+    __slots__ = ("kind", "text", "loc")
+
+    def __init__(self, kind: str, text: str, loc: Loc):
+        self.kind = kind  # "id" | "int" | "str" | "punct" | "kw" | "eof"
+        self.text = text
+        self.loc = loc
+
+    def __repr__(self):
+        return "MetaToken(%s, %r)" % (self.kind, self.text)
+
+
+
+def scan_meta(source: str) -> List[MetaToken]:
+    toks: List[MetaToken] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(source)
+
+    def loc():
+        return Loc(line, col)
+
+    def advance(text):
+        nonlocal line, col
+        for ch in text:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance(ch)
+            i += 1
+            continue
+        if source.startswith("//", i):
+            j = source.find("\n", i)
+            if j < 0:
+                j = n
+            advance(source[i:j])
+            i = j
+            continue
+        start = loc()
+        if ch == "`":
+            j = i + 1
+            while j < n:
+                if source[j] == "\\":
+                    j += 2
+                    continue
+                if source[j] == "`":
+                    break
+                j += 1
+            if j >= n:
+                raise SpecError("unterminated backtick literal", start)
+            raw = source[i:j + 1]
+            decode_backtick(raw, start)  # validate escapes eagerly
+            toks.append(MetaToken("str", raw, start))
+            advance(raw)
+            i = j + 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            toks.append(MetaToken("int", source[i:j], start))
+            advance(source[i:j])
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            if word == "_":
+                toks.append(MetaToken("punct", "_", start))
+            elif word in KEYWORDS:
+                toks.append(MetaToken("kw", word, start))
+            else:
+                toks.append(MetaToken("id", word, start))
+            advance(word)
+            i = j
+            continue
+        for p in PUNCT:
+            if source.startswith(p, i):
+                toks.append(MetaToken("punct", p, start))
+                advance(p)
+                i += len(p)
+                break
+        else:
+            raise SpecError("unexpected character %r" % ch, start)
+    toks.append(MetaToken("eof", "", loc()))
+    return toks
+
+
+PE_ATOM_START = {
+    ("str", None), ("id", None), ("punct", "_"), ("punct", "("), ("punct", "@"),
+    ("punct", "~"), ("kw", "eps"),
+    ("punct", "#L"), ("punct", "#B"), ("punct", "#B2"), ("punct", "#T"),
+    ("punct", "#T2"), ("punct", "#Alt"),
+}
+
+
+class _Parser:
+    def __init__(self, toks: List[MetaToken]):
+        self.toks = toks
+        self.pos = 0
+
+    def peek(self, ahead: int = 0) -> MetaToken:
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+
+    def next(self) -> MetaToken:
+        t = self.toks[self.pos]
+        if t.kind != "eof":
+            self.pos += 1
+        return t
+
+    def at(self, kind: str, text: Optional[str] = None) -> bool:
+        t = self.peek()
+        return t.kind == kind and (text is None or t.text == text)
+
+    def expect(self, kind: str, text: Optional[str] = None) -> MetaToken:
+        t = self.peek()
+        if not self.at(kind, text):
+            want = text if text is not None else kind
+            raise SpecError("expected %r, found %r" % (want, t.text or "<eof>"), t.loc)
+        return self.next()
+
+    def ident(self) -> str:
+        return self.expect("id").text
+
+    # -- file ---------------------------------------------------------------
+
+    def parse_file(self) -> LangSpec:
+        token_decls: List[TokenDecl] = []
+        lexer: Optional[LexerSpec] = None
+        parser: Optional[ParserSpec] = None
+        compile_tests: List[LrTestDecl] = []
+        parse_tests: List[ParseTestDecl] = []
+        seen = set()
+        while not self.at("eof"):
+            t = self.peek()
+            if t.kind != "kw" or t.text not in ("tokens", "lexer", "parser", "compile_test", "test"):
+                raise SpecError("expected a stanza keyword, found %r" % t.text, t.loc)
+            if t.text in seen:
+                raise SpecError("duplicate %s stanza" % t.text, t.loc)
+            seen.add(t.text)
+            self.next()
+            self.expect("punct", "{")
+            if t.text == "tokens":
+                token_decls = self.parse_token_decls()
+            elif t.text == "lexer":
+                lexer = self.parse_lexer_stanza()
+            elif t.text == "parser":
+                parser = self.parse_parser_stanza()
+            elif t.text == "compile_test":
+                compile_tests = self.parse_compile_tests()
+            else:
+                parse_tests = self.parse_parse_tests()
+            self.expect("punct", "}")
+        if lexer is None:
+            raise SpecError("missing lexer stanza")
+        if parser is None:
+            raise SpecError("missing parser stanza")
+        return LangSpec(
+            token_decls=tuple(token_decls),
+            lexer=lexer,
+            parser=parser,
+            compile_tests=tuple(compile_tests),
+            parse_tests=tuple(parse_tests),
+        )
+
+    # -- tokens -------------------------------------------------------------
+
+    def parse_token_decls(self) -> List[TokenDecl]:
+        decls = []
+        while not self.at("punct", "}"):
+            loc = self.peek().loc
+            name = self.ident()
+            if self.at("punct", "<-"):
+                kind = "opaque"
+            elif self.at("punct", "<="):
+                kind = "alias"
+            else:
+                raise SpecError("expected '<-' or '<=' in token declaration", self.peek().loc)
+            self.next()
+            pat = self.parse_regex()
+            self.expect("punct", ";")
+            decls.append(TokenDecl(name, kind, pat, loc))
+        return decls
+
+    # regex precedence: alt < concat < postfix < atom
+    def parse_regex(self) -> RegexExpr:
+        parts = [self.parse_regex_concat()]
+        while self.at("punct", "|"):
+            self.next()
+            parts.append(self.parse_regex_concat())
+        return parts[0] if len(parts) == 1 else RAlt(tuple(parts))
+
+    def _at_regex_atom(self) -> bool:
+        t = self.peek()
+        return (t.kind, t.text) in (("kw", "eof"),) or t.kind == "str" or t.kind == "id" \
+            or (t.kind == "punct" and t.text in ("_", "("))
+
+    def parse_regex_concat(self) -> RegexExpr:
+        parts = [self.parse_regex_postfix()]
+        while self._at_regex_atom():
+            parts.append(self.parse_regex_postfix())
+        return parts[0] if len(parts) == 1 else RConcat(tuple(parts))
+
+    def parse_regex_postfix(self) -> RegexExpr:
+        e = self.parse_regex_atom()
+        while True:
+            if self.at("punct", "*"):
+                self.next()
+                e = RStar(e)
+            elif self.at("punct", "+"):
+                self.next()
+                e = RConcat((e, RStar(e)))
+            elif self.at("punct", "?"):
+                self.next()
+                e = RAlt((e, RConcat(())))
+            else:
+                return e
+
+    def parse_regex_atom(self) -> RegexExpr:
+        t = self.peek()
+        if t.kind == "str":
+            self.next()
+            text = decode_backtick(t.text, t.loc)
+            if self.at("punct", ".."):
+                self.next()
+                hi_tok = self.expect("str")
+                hi = decode_backtick(hi_tok.text, hi_tok.loc)
+                if len(text) != 1 or len(hi) != 1:
+                    raise SpecError("character range bounds must be single characters", t.loc)
+                if ord(text) > ord(hi):
+                    raise SpecError("empty character range %s..%s" % (
+                        quote_backtick(text), quote_backtick(hi)), t.loc)
+                return RRange(text, hi)
+            return RLit(text)
+        if t.kind == "id":
+            self.next()
+            return RRef(t.text)
+        if t.kind == "kw" and t.text == "eof":
+            self.next()
+            return REof()
+        if t.kind == "punct" and t.text == "_":
+            self.next()
+            return RWildcard()
+        if t.kind == "punct" and t.text == "(":
+            self.next()
+            e = self.parse_regex()
+            self.expect("punct", ")")
+            return e
+        raise SpecError("expected a token pattern, found %r" % (t.text or "<eof>"), t.loc)
+
+    # -- lexer --------------------------------------------------------------
+
+    def parse_lexer_stanza(self) -> LexerSpec:
+        main: Optional[str] = None
+        modes: List[Tuple[str, Tuple[LexerRule, ...]]] = []
+        while not self.at("punct", "}"):
+            t = self.peek()
+            if t.kind == "kw" and t.text == "main":
+                if main is not None:
+                    raise SpecError("duplicate main declaration in lexer", t.loc)
+                self.next()
+                self.expect("punct", "{")
+                main = self.ident()
+                self.expect("punct", "}")
+            elif t.kind == "kw" and t.text == "mode":
+                self.next()
+                name = self.ident()
+                self.expect("punct", "{")
+                rules = []
+                while not self.at("punct", "}"):
+                    rules.append(self.parse_lexer_rule())
+                self.expect("punct", "}")
+                modes.append((name, tuple(rules)))
+            else:
+                raise SpecError("expected 'main' or 'mode' in lexer stanza", t.loc)
+        if main is None:
+            raise SpecError("lexer stanza has no main declaration")
+        return LexerSpec(main, tuple(modes))
+
+    def parse_lexer_rule(self) -> LexerRule:
+        loc = self.peek().loc
+        pat = self.parse_regex()
+        self.expect("punct", "=>")
+        self.expect("punct", "{")
+        actions = []
+        while not self.at("punct", "}"):
+            t = self.peek()
+            if t.kind != "kw":
+                raise SpecError("expected a lexer action, found %r" % t.text, t.loc)
+            self.next()
+            if t.text == "emit":
+                actions.append(AEmit())
+            elif t.text == "pass":
+                actions.append(APass())
+            elif t.text == "push":
+                actions.append(APush(self.ident()))
+            elif t.text == "pop":
+                actions.append(APop())
+            elif t.text == "pop_extract":
+                actions.append(APopExtract())
+            elif t.text == "pop_emit":
+                actions.append(APopEmit(self.ident()))
+            else:
+                raise SpecError("unknown lexer action %r" % t.text, t.loc)
+            self.expect("punct", ";")
+        self.expect("punct", "}")
+        if not actions:
+            raise SpecError("lexer rule has an empty action list", loc)
+        return LexerRule(pat, tuple(actions), loc)
+
+    # -- parser -------------------------------------------------------------
+
+    def parse_parser_stanza(self) -> ParserSpec:
+        main: Optional[Tuple[str, ...]] = None
+        prec_lines: List[PrecLine] = []
+        props: List[str] = []
+        attr_lines: List[AttrLine] = []
+        rules: List[RuleDecl] = []
+        while not self.at("punct", "}"):
+            t = self.peek()
+            if t.kind == "kw" and t.text == "main":
+                if main is not None:
+                    raise SpecError("duplicate main declaration in parser", t.loc)
+                self.next()
+                self.expect("punct", "{")
+                names = [self.ident()]
+                while self.at("punct", ","):
+                    self.next()
+                    names.append(self.ident())
+                self.expect("punct", "}")
+                main = tuple(names)
+            elif t.kind == "kw" and t.text == "prec":
+                self.next()
+                self.expect("punct", "{")
+                while not self.at("punct", "}"):
+                    prec_lines.append(self.parse_prec_line())
+                self.expect("punct", "}")
+            elif t.kind == "kw" and t.text == "prop":
+                self.next()
+                self.expect("punct", "{")
+                while not self.at("punct", "}"):
+                    ft = self.peek()
+                    if ft.kind == "kw" and ft.text == "name_strict":
+                        self.next()
+                        props.append("name_strict")
+                    else:
+                        raise SpecError("unknown prop flag %r" % ft.text, ft.loc)
+                    self.expect("punct", ";")
+                self.expect("punct", "}")
+            elif t.kind == "kw" and t.text == "attr":
+                self.next()
+                self.expect("punct", "{")
+                while not self.at("punct", "}"):
+                    attr_lines.append(self.parse_attr_line())
+                self.expect("punct", "}")
+            elif t.kind == "id":
+                rules.append(self.parse_rule_decl())
+            else:
+                raise SpecError("expected a parser rule or directive, found %r" % t.text, t.loc)
+        if main is None:
+            raise SpecError("parser stanza has no main declaration")
+        return ParserSpec(main, tuple(prec_lines), tuple(props), tuple(attr_lines), tuple(rules))
+
+    def parse_dotted(self) -> Tuple[str, ...]:
+        parts = [self.ident()]
+        while self.at("punct", "."):
+            self.next()
+            parts.append(self.ident())
+        return tuple(parts)
+
+    def parse_prec_line(self) -> PrecLine:
+        loc = self.peek().loc
+        paths = [self.parse_dotted()]
+        while self.at("id"):
+            paths.append(self.parse_dotted())
+        tag = None
+        t = self.peek()
+        if t.kind == "kw" and t.text in ("assoc_left", "assoc_right", "prefix", "postfix"):
+            tag = t.text
+            self.next()
+        self.expect("punct", ";")
+        return PrecLine(tuple(paths), tag, loc)
+
+    def parse_attr_line(self) -> AttrLine:
+        loc = self.peek().loc
+        path = self.parse_dotted()
+        if self.at("punct", "->"):
+            self.next()
+            target = self.ident()
+            self.expect("punct", "[")
+            attr = self.ident()
+            self.expect("punct", "]")
+            self.expect("punct", ";")
+            return AttrLine(path, attr, target, loc)
+        self.expect("punct", "[")
+        attr = self.ident()
+        self.expect("punct", "]")
+        self.expect("punct", ";")
+        return AttrLine(path, attr, None, loc)
+
+    def parse_rule_decl(self) -> RuleDecl:
+        loc = self.peek().loc
+        path = self.parse_dotted()
+        lhs_attrs: Tuple[str, ...] = ()
+        if self.at("punct", "["):
+            self.next()
+            attrs = [self.ident()]
+            while self.at("punct", ","):
+                self.next()
+                attrs.append(self.ident())
+            self.expect("punct", "]")
+            lhs_attrs = tuple(attrs)
+        self.expect("punct", "<-")
+        rhs = self.parse_pe_alt()
+        self.expect("punct", ";")
+        return RuleDecl(path, lhs_attrs, rhs, loc)
+
+    # parse-expr precedence: alt < seq < prefix (name, ~) < postfix < atom
+
+    def parse_pe_alt(self) -> ParseExpr:
+        first = self.parse_pe_seq()
+        if not self.at("punct", "|"):
+            return first
+        branches = [first]
+        while self.at("punct", "|"):
+            self.next()
+            branches.append(self.parse_pe_seq())
+        return self._branches_to_alt(branches)
+
+    def _branches_to_alt(self, branches: List[ParseExpr]) -> AltBranches:
+        labeled = []
+        for i, b in enumerate(branches):
+            if isinstance(b, Named):
+                labeled.append((b.field_name, b.inner))
+            else:
+                labeled.append(("_b%d" % i, b))
+        return AltBranches(tuple(labeled))
+
+    def _at_pe_atom(self) -> bool:
+        t = self.peek()
+        return (t.kind, None if t.kind in ("str", "id") else t.text) in PE_ATOM_START
+
+    def parse_pe_seq(self) -> ParseExpr:
+        items = [self.parse_pe_prefix()]
+        while self._at_pe_atom():
+            items.append(self.parse_pe_prefix())
+        return items[0] if len(items) == 1 else Seq(tuple(items))
+
+    def parse_pe_prefix(self) -> ParseExpr:
+        t = self.peek()
+        if t.kind == "id" and self.peek(1).kind == "punct" and self.peek(1).text == ":":
+            self.next()
+            self.next()
+            return Named(t.text, self.parse_pe_prefix())
+        if t.kind == "punct" and t.text == "~":
+            self.next()
+            return Unfold(self.parse_pe_prefix())
+        return self.parse_pe_postfix()
+
+    def parse_pe_postfix(self) -> ParseExpr:
+        e = self.parse_pe_atom()
+        while True:
+            if self.at("punct", "*"):
+                self.next()
+                e = Star(e)
+            elif self.at("punct", "+"):
+                self.next()
+                e = Plus(e)
+            elif self.at("punct", "?"):
+                self.next()
+                e = Optional_(e)
+            elif self.at("punct", "["):
+                e = self._attach_attrs(e)
+            else:
+                return e
+
+    def _attach_attrs(self, e: ParseExpr) -> ParseExpr:
+        loc = self.expect("punct", "[").loc
+        reqs: List[str] = []
+        pr_star = False
+        while True:
+            if self.at("kw", "pr"):
+                self.next()
+                self.expect("punct", "=")
+                self.expect("punct", "*")
+                pr_star = True
+            else:
+                reqs.append(self.ident())
+            if self.at("punct", ","):
+                self.next()
+                continue
+            break
+        self.expect("punct", "]")
+        if not isinstance(e, NontermRef):
+            raise SpecError("attribute requirements apply only to nonterminal references", loc)
+        return NontermRef(e.name, e.attr_reqs + tuple(reqs), e.pr_star or pr_star)
+
+    def parse_pe_atom(self) -> ParseExpr:
+        t = self.peek()
+        if t.kind == "str":
+            self.next()
+            return TermLiteral(decode_backtick(t.text, t.loc))
+        if t.kind == "id":
+            self.next()
+            # resolved to TokenRef/NontermRef in a post-pass
+            return NontermRef(t.text)
+        if t.kind == "kw" and t.text == "eps":
+            self.next()
+            return Eps()
+        if t.kind == "punct" and t.text == "_":
+            self.next()
+            return SpaceShorthand()
+        if t.kind == "punct" and t.text == "@":
+            self.next()
+            self.expect("punct", "(")
+            s = self.expect("str")
+            self.expect("punct", ")")
+            return PassString(decode_backtick(s.text, s.loc))
+        if t.kind == "punct" and t.text == "(":
+            self.next()
+            inner = self.parse_pe_alt()
+            self.expect("punct", ")")
+            if isinstance(inner, AltBranches):
+                return inner
+            return inner  # plain grouping
+        if t.kind == "punct" and t.text == "#Alt":
+            self.next()
+            self.expect("punct", "[")
+            branch = self.parse_pe_seq()
+            self.expect("punct", "]")
+            if isinstance(branch, Named):
+                label, inner = branch.field_name, branch.inner
+            else:
+                raise SpecError("#Alt branch must be labeled, e.g. #Alt[Neg:`-`]", t.loc)
+            return SingletonAlt(label, inner)
+        if t.kind == "punct" and t.text in ("#L", "#B", "#B2", "#T", "#T2"):
+            self.next()
+            flavor = t.text[1:]
+            self.expect("punct", "[")
+            elem = self.parse_pe_seq()
+            self.expect("punct", "::")
+            min_count = 0
+            if self.at("punct", "+"):
+                self.next()
+                min_count = 1
+            elif self.at("punct", "++"):
+                self.next()
+                min_count = 2
+            delim = self.parse_pe_seq()
+            trailing = "none"
+            if self.at("punct", "::"):
+                self.next()
+                trailing = "required"
+            elif self.at("punct", ":?"):
+                self.next()
+                trailing = "optional"
+            self.expect("punct", "]")
+            return ListExpr(flavor, elem, min_count, delim, trailing)
+        raise SpecError("expected a parse expression, found %r" % (t.text or "<eof>"), t.loc)
+
+    # -- compile_test / test --------------------------------------------------
+
+    def parse_compile_tests(self) -> List[LrTestDecl]:
+        out = []
+        while not self.at("punct", "}"):
+            expect_success = True
+            if self.at("punct", "!"):
+                self.next()
+                expect_success = False
+            self.expect("kw", "LR")
+            self.expect("punct", "(")
+            k = int(self.expect("int").text)
+            self.expect("punct", ")")
+            self.expect("punct", ";")
+            out.append(LrTestDecl(k, expect_success))
+        return out
+
+    def parse_parse_tests(self) -> List[ParseTestDecl]:
+        out = []
+        while not self.at("punct", "}"):
+            s = self.expect("str")
+            text = decode_backtick(s.text, s.loc)
+            skip = False
+            if self.at("punct", "<<>>"):
+                self.next()
+                skip = True
+            self.expect("punct", ";")
+            out.append(make_parse_test(text, s.loc, skip))
+        return out
+
+
+def reference_parse_lang_spec(source: str) -> LangSpec:
+    """parse_lang_spec on the hand-written scanner and parser."""
+    return _checked(_Parser(scan_meta(source)).parse_file())

@@ -62,6 +62,21 @@ parser { main { S } S.One <- `x`; }
     assert "bad.lang:" in captured.err and "cyclic" in captured.err
 
 
+@pytest.mark.parametrize("body, where", [
+    ("parser { main { S }\n  S.One <- `x`;\n  S.One <- `x` `x`; }",
+     ":5:3: duplicate rule S.One"),
+    ("parser { main { S }\n  S.One <- `x` ; ; }", ":4:18: Unexpected token: `;`"),
+])
+def test_langcc_diagnostic_names_path_line_and_column(tmp_path, capsys, body, where):
+    bad = tmp_path / "bad.lang"
+    bad.write_text("tokens { top <= `x`; }\n"
+                   "lexer { main { body } mode body { top => { emit; } eof => { pop; } } }\n"
+                   + body)
+    rc = cmd_langcc(str(bad), str(tmp_path))
+    assert rc == 1
+    assert capsys.readouterr().err == str(bad) + where + "\n"
+
+
 def test_langcc_artifact_deterministic(tmp_path):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"

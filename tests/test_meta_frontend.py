@@ -1,12 +1,13 @@
 import pytest
 
 from langcc import parse_lang_spec, render_spec, validate_spec
-from langcc.meta_frontend import decode_backtick, make_parse_test, scan_meta
+from langcc.meta_frontend import decode_backtick, make_parse_test
 from langcc.spec_ast import (
-    RAlt, RConcat, RLit, RRange, RRef, RStar, SpecError, TokenRef,
+    Loc, RAlt, RConcat, RLit, RRange, RRef, RStar, SpecError, TokenRef,
 )
 
-from conftest import load_grammar
+from conftest import GRAMMARS, load_grammar
+from oracle import reference_parse_lang_spec
 
 MINIMAL_TAIL = """
 lexer {
@@ -167,9 +168,10 @@ def test_meta_lang_parses_without_diagnostics():
 
 
 def test_scanner_tracks_line_and_column():
-    toks = scan_meta("tokens {\n  a <- `x`;\n}")
-    a_tok = [t for t in toks if t.text == "a"][0]
-    assert (a_tok.loc.line, a_tok.loc.col) == (2, 3)
+    spec = parse_lang_spec("tokens {\n  a <= `x`;\n  int_lit <- a;\n  top <= int_lit;\n}"
+                           + MINIMAL_TAIL)
+    loc = spec.token_decl("a").loc
+    assert (loc.line, loc.col) == (2, 3)
 
 
 def test_syntax_error_carries_location():
@@ -200,3 +202,98 @@ parser {
     spec = parse_lang_spec(src)
     assert len(spec.parser.attr_lines) == 2
     assert parse_lang_spec(render_spec(spec)) == spec
+
+
+# -- agreement with the hand-written frontend (tests/oracle.py) ---------------
+
+TOKENS = "tokens {\n    top <= `x` | `y`;\n}\n"
+LEXER = ("lexer {\n    main { body }\n    mode body {\n        top => { emit; }\n"
+         "        eof => { pop; }\n    }\n}\n")
+PARSER = "parser {\n    main { S }\n    S.One <- `x`;\n}\n"
+GOOD = TOKENS + LEXER + PARSER
+
+BAD_SPECS = {
+    "duplicate tokens stanza": TOKENS + GOOD,
+    "duplicate lexer stanza": TOKENS + LEXER + LEXER + PARSER,
+    "duplicate parser stanza": GOOD + PARSER,
+    "duplicate compile_test stanza": GOOD + "compile_test { LR(1); }\ncompile_test { LR(1); }",
+    "duplicate test stanza": GOOD + "test { `x`; }\ntest {\n  `y`; }",
+    "duplicate lexer main": GOOD.replace("main { body }", "main { body }\n    main { body }"),
+    "duplicate parser main": GOOD.replace("main { S }", "main { S }\n    main { S }"),
+    "lexer without main": GOOD.replace("    main { body }\n", ""),
+    "parser without main": GOOD.replace("    main { S }\n", ""),
+    "empty action list": GOOD.replace("{ pop; }", "{ }"),
+    "multi-character range": GOOD.replace("`y`;", "`y` | `ab`..`c`;"),
+    "multi-character range end": GOOD.replace("`y`;", "`y` | `a`..``;"),
+    "empty range": GOOD.replace("`y`;", "\n        `y` | `z`..`a`;"),
+    "missing lexer stanza": TOKENS + PARSER,
+    "missing parser stanza": TOKENS + LEXER,
+    "missing both stanzas": TOKENS,
+    "unlabeled #Alt": GOOD.replace("S.One <- `x`;", "S.One <- #Alt[`x`];"),
+    "attribute requirements on a token": ("tokens {\n    t <- `x`;\n    top <= t;\n}\n"
+                                          + LEXER + PARSER.replace("`x`;", "t[A];")),
+    "attribute requirements on a literal": GOOD.replace("`x`;", "x:`x`[A];"),
+    "attribute requirements after a comment": GOOD.replace(
+        "`x`;", "`x` // [not here]\n      [A, pr=*];"),
+    "unknown escape": GOOD.replace("`y`;", "`y` | `\\q`;"),
+    "two failure markers": GOOD + "test {\n    `x`;\n    `x##y##`;\n}",
+    "duplicate rule": GOOD.replace("S.One <- `x`;", "S.One <- `x`;\n    S.One <- `y`;"),
+    "undeclared reference": GOOD.replace("`x`;", "`x` T;"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECS))
+def test_diagnostics_match_the_hand_written_frontend(name):
+    src = BAD_SPECS[name]
+    with pytest.raises(SpecError) as want:
+        reference_parse_lang_spec(src)
+    with pytest.raises(SpecError) as got:
+        parse_lang_spec(src)
+    assert (got.value.message, got.value.loc) == (want.value.message, want.value.loc)
+
+
+def test_syntax_and_lex_errors_are_located():
+    for src, message, loc in [
+            ("tokens { a <- ; }", "Unexpected token: `;`", Loc(1, 15)),
+            (GOOD + "\n  parser $", "Lexing error: unexpected character: `$`", Loc(16, 10)),
+            ("tokens {\n  a <- `x", "Lexing error: unterminated input (mode string_lit)",
+             Loc(2, 10))]:
+        with pytest.raises(SpecError) as got:
+            parse_lang_spec(src)
+        assert (got.value.message, got.value.loc) == (message, loc), src
+
+
+def _decl_locs(spec):
+    return {
+        "tokens": [d.loc for d in spec.token_decls],
+        "lexer rules": [r.loc for _m, rules in spec.lexer.modes for r in rules],
+        "prec lines": [line.loc for line in spec.parser.prec_lines],
+        "attr lines": [line.loc for line in spec.parser.attr_lines],
+        "rules": [r.loc for r in spec.parser.rules],
+    }
+
+
+ATTRS = """
+tokens { top <= `a` | `b`; }
+lexer { main { body } mode body { top => { emit; } eof => { pop; } } }
+parser {
+    main { S }
+    attr {
+        A.Good[F];
+      S.Main -> A[F];
+    }
+    S.Main <- x:A;
+    A.Good <- `a`;
+    A.Bad <- `b`;
+}
+"""
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GRAMMARS.glob("*.lang")) + ["attrs"])
+def test_declaration_locations_match_the_hand_written_frontend(name):
+    src = ATTRS if name == "attrs" else load_grammar(name)
+    for text in (src, render_spec(parse_lang_spec(src))):
+        want = _decl_locs(reference_parse_lang_spec(text))
+        got = _decl_locs(parse_lang_spec(text))
+        assert got == want
+        assert all(loc is not None for locs in got.values() for loc in locs)
