@@ -12,25 +12,27 @@ freshly generated from meta.lang reads meta.lang as the committed one does.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 from . import spec_ast as sa
-from .meta_frontend import _checked, decode_backtick, make_parse_test
+from .lexer import lex_lists
+from .meta_frontend import _checked, decode_backtick, lexable, make_parse_test, meta_artifact
 from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse
 from .spec_ast import LangSpec, Loc, SpecError
 
-# the blanks and comments that the metalanguage's lexer passes over
-_SKIPPED = re.compile(rb"(?:[ \t\n]|//[^\n]*)*")
-
-
 class _Lines:
-    """Locs of byte offsets into one source: 1-based lines, and columns
-    counting code points, read off line starts indexed once.  With no
-    source, every Loc is None."""
+    """Locs and token texts of one source, by byte offset: 1-based lines,
+    and columns counting code points, read off line starts indexed once.
+    Tokens read their text from the source, which differs from the text
+    parsed where meta_frontend.lexable folded a character.  With no source,
+    every Loc is None."""
 
     def __init__(self, source: Optional[str]):
+        self.source = source
         self.data = None if source is None else source.encode("utf-8", "surrogatepass")
+        self.folded = self.data is not None and not (self.data.isascii()
+                                                     and b"\r" not in self.data)
         self.starts = [0] + [m.end() for m in re.finditer(b"\n", self.data or b"")]
 
     def loc(self, offset: int) -> Optional[Loc]:
@@ -40,28 +42,35 @@ class _Lines:
         start = self.starts[line - 1]
         return Loc(line, len(self.data[start:offset].decode("utf-8", "surrogatepass")) + 1)
 
+    def text(self, tok: TokenLeaf) -> str:
+        if not self.folded:
+            return tok.text
+        return self.data[tok.bounds.start:tok.bounds.end].decode("utf-8", "surrogatepass")
+
     def next_token(self, offset: int) -> Optional[Loc]:
-        """The Loc of the first token at or after offset."""
+        """The Loc of the first token at or after offset, as meta.lang's
+        lexer finds it."""
         if self.data is None:
             return None
-        return self.loc(_SKIPPED.match(self.data, offset).end())
+        starts = lex_lists(meta_artifact().lexer, lexable(self.source))[2]
+        return self.loc(starts[bisect_left(starts, offset)])
 
 
 def _lit(tok: TokenLeaf, lines: _Lines) -> str:
     try:
-        return decode_backtick(tok.text)
+        return decode_backtick(lines.text(tok))
     except SpecError as e:
         raise SpecError(e.message, lines.loc(tok.bounds.start)) from None
 
 
-def _ids(seq: SeqVal) -> Tuple[str, ...]:
-    return tuple(t.text for t in seq.items)
+def _ids(seq: SeqVal, lines: _Lines) -> Tuple[str, ...]:
+    return tuple(lines.text(t) for t in seq.items)
 
 
-def _dotted(node: Node) -> Tuple[str, ...]:
+def _dotted(node: Node, lines: _Lines) -> Tuple[str, ...]:
     if node.variant != ("DottedName", "Name"):
         raise SpecError("expected a DottedName::Name node, got %s" % "::".join(node.variant))
-    return _ids(node.field("parts"))
+    return _ids(node.field("parts"), lines)
 
 
 def _flatten_chain(n: Node, variant: str) -> List[Node]:
@@ -141,7 +150,7 @@ def _conv_regex(root: Node, lines: _Lines) -> sa.RegexExpr:
         elif v == "Range":
             done.append(_range(n, lines))
         elif v == "Ref":
-            done.append(sa.RRef(n.field("name").text))
+            done.append(sa.RRef(lines.text(n.field("name"))))
         elif v == "Wild":
             done.append(sa.RWildcard())
         elif v == "Eof":
@@ -169,7 +178,7 @@ def _attr(n: Node, parts: list, lines: _Lines) -> sa.NontermRef:
     pr_star = False
     for req in n.field("reqs").items:
         if req.variant[1] == "Base":
-            reqs.append(req.field("name").text)
+            reqs.append(lines.text(req.field("name")))
         else:
             pr_star = True
     return sa.NontermRef(inner.name, inner.attr_reqs + tuple(reqs), inner.pr_star or pr_star)
@@ -195,7 +204,7 @@ def _list(n: Node, parts: list, lines: _Lines) -> sa.ListExpr:
 _PE_BUILD = {
     "Alt": _alt,
     "Seq": lambda n, parts, lines: sa.Seq(tuple(parts)),
-    "Name": lambda n, parts, lines: sa.Named(n.field("name").text, parts[0]),
+    "Name": lambda n, parts, lines: sa.Named(lines.text(n.field("name")), parts[0]),
     "Unfold": lambda n, parts, lines: sa.Unfold(parts[0]),
     "Star": lambda n, parts, lines: sa.Star(parts[0]),
     "Plus": lambda n, parts, lines: sa.Plus(parts[0]),
@@ -238,7 +247,7 @@ def _conv_pe(root: Node, lines: _Lines) -> sa.ParseExpr:
             done.append(sa.Eps())
         elif v == "Ref":
             # resolved to TokenRef/NontermRef by meta_frontend._resolve_refs
-            done.append(sa.NontermRef(n.field("name").text))
+            done.append(sa.NontermRef(lines.text(n.field("name"))))
         else:
             raise SpecError("unexpected parse-expr variant %s" % v)
     return done[0]
@@ -248,25 +257,20 @@ def _conv_pe(root: Node, lines: _Lines) -> sa.ParseExpr:
 
 def _conv_token_decl(n: Node, lines: _Lines) -> sa.TokenDecl:
     kind = "opaque" if n.variant[1] == "Opaque" else "alias"
-    return sa.TokenDecl(n.field("name").text, kind, _conv_regex(n.field("re"), lines),
+    return sa.TokenDecl(lines.text(n.field("name")), kind, _conv_regex(n.field("re"), lines),
                         lines.loc(n.bounds.start))
 
 
-def _conv_lexer_action(n: Node) -> sa.LexerAction:
-    v = n.variant[1]
-    if v == "Emit":
-        return sa.AEmit()
-    if v == "Pass":
-        return sa.APass()
-    if v == "Push":
-        return sa.APush(n.field("name").text)
-    if v == "Pop":
-        return sa.APop()
-    if v == "PopExtract":
-        return sa.APopExtract()
-    if v == "PopEmit":
-        return sa.APopEmit(n.field("name").text)
-    raise SpecError("unexpected lexer action %s" % v)
+_LEXER_ACTIONS = {"Emit": sa.AEmit, "Pass": sa.APass, "Push": sa.APush, "Pop": sa.APop,
+                  "PopExtract": sa.APopExtract, "PopEmit": sa.APopEmit}
+
+
+def _conv_lexer_action(n: Node, lines: _Lines) -> sa.LexerAction:
+    make = _LEXER_ACTIONS.get(n.variant[1])
+    if make is None:
+        raise SpecError("unexpected lexer action %s" % n.variant[1])
+    # Push and PopEmit name a mode or a token; the other actions have no fields
+    return make(*(lines.text(v) for _f, v in n.fields))
 
 
 def _conv_lexer(items: SeqVal, lines: _Lines) -> sa.LexerSpec:
@@ -277,17 +281,17 @@ def _conv_lexer(items: SeqVal, lines: _Lines) -> sa.LexerSpec:
             if main is not None:
                 raise SpecError("duplicate main declaration in lexer",
                                 lines.loc(item.bounds.start))
-            main = item.field("name").text
+            main = lines.text(item.field("name"))
         else:
             rules = []
             for r in item.field("rules").items:
                 loc = lines.loc(r.bounds.start)
                 pat = _conv_regex(r.field("pat"), lines)
-                actions = tuple(_conv_lexer_action(a) for a in r.field("actions").items)
+                actions = tuple(_conv_lexer_action(a, lines) for a in r.field("actions").items)
                 if not actions:
                     raise SpecError("lexer rule has an empty action list", loc)
                 rules.append(sa.LexerRule(pat, actions, loc))
-            modes.append((item.field("name").text, tuple(rules)))
+            modes.append((lines.text(item.field("name")), tuple(rules)))
     if main is None:
         raise SpecError("lexer stanza has no main declaration")
     return sa.LexerSpec(main, tuple(modes))
@@ -309,10 +313,10 @@ def _conv_parser(items: SeqVal, lines: _Lines) -> sa.ParserSpec:
             if main is not None:
                 raise SpecError("duplicate main declaration in parser",
                                 lines.loc(item.bounds.start))
-            main = _ids(item.field("names"))
+            main = _ids(item.field("names"), lines)
         elif v == "Prec":
             for line in item.field("lines").items:
-                names = tuple(_dotted(d) for d in line.field("names").items)
+                names = tuple(_dotted(d, lines) for d in line.field("names").items)
                 tag_val = line.field("tag")
                 tag = _TAG_OF[tag_val.label] if isinstance(tag_val, EnumVal) else None
                 prec_lines.append(sa.PrecLine(names, tag, lines.loc(line.bounds.start)))
@@ -320,15 +324,15 @@ def _conv_parser(items: SeqVal, lines: _Lines) -> sa.ParserSpec:
             props.append("name_strict")
         elif v == "Attr":
             for line in item.field("lines").items:
-                target = line.field("target").text if line.variant[1] == "Req" else None
-                attr_lines.append(sa.AttrLine(_dotted(line.field("rule")),
-                                              line.field("a").text, target,
+                target = lines.text(line.field("target")) if line.variant[1] == "Req" else None
+                attr_lines.append(sa.AttrLine(_dotted(line.field("rule"), lines),
+                                              lines.text(line.field("a")), target,
                                               lines.loc(line.bounds.start)))
         elif v == "Rule":
             loc = lines.loc(item.bounds.start)
             attrs_val = item.field("attrs")
-            lhs_attrs = _ids(attrs_val) if isinstance(attrs_val, SeqVal) else ()
-            rules.append(sa.RuleDecl(_dotted(item.field("path")), lhs_attrs,
+            lhs_attrs = _ids(attrs_val, lines) if isinstance(attrs_val, SeqVal) else ()
+            rules.append(sa.RuleDecl(_dotted(item.field("path"), lines), lhs_attrs,
                                      _conv_pe(item.field("rhs"), lines), loc))
         else:
             raise SpecError("unexpected parser item %s" % v)
@@ -372,7 +376,7 @@ def langspec_from_node(root: Node, source: Optional[str] = None) -> LangSpec:
         elif v == "CompileTest":
             for e in stanza.field("entries").items:
                 compile_tests.append(sa.LrTestDecl(
-                    int(e.field("k").text), e.variant[1] == "Pos"))
+                    int(lines.text(e.field("k"))), e.variant[1] == "Pos"))
         else:
             for e in stanza.field("entries").items:
                 s = e.field("s")
@@ -400,7 +404,7 @@ def bootstrap_check(meta_source: str):
     result = compile_lang(meta_source)
     if not result.ok:
         return (False, "meta.lang does not compile conflict-free")
-    parsed = parse(result.compiled, meta_source)
+    parsed = parse(result.compiled, lexable(meta_source))
     if not parsed.is_success():
         return (False, "generated parser rejects meta.lang: %s" % parsed.err.message)
     generated = langspec_from_node(parsed.result, meta_source)
@@ -410,20 +414,12 @@ def bootstrap_check(meta_source: str):
 
 
 def _first_difference(a: LangSpec, b: LangSpec) -> str:
-    if a.token_decls != b.token_decls:
-        for x, y in zip(a.token_decls, b.token_decls):
+    for what, xs, ys in (("token decl", a.token_decls, b.token_decls),
+                         ("rule", a.parser.rules, b.parser.rules)):
+        for x, y in zip(xs, ys):
             if x != y:
-                return "token decl differs: %r vs %r" % (x, y)
-        return "token decl count differs"
-    if a.lexer != b.lexer:
-        return "lexer stanza differs"
-    if a.parser != b.parser:
-        for x, y in zip(a.parser.rules, b.parser.rules):
-            if x != y:
-                return "rule differs: %r vs %r" % (x, y)
-        return "parser stanza differs (directives)"
-    if a.compile_tests != b.compile_tests:
-        return "compile_test stanza differs"
-    if a.parse_tests != b.parse_tests:
-        return "test stanza differs"
+                return "%s differs: %r vs %r" % (what, x, y)
+    for field in ("token_decls", "lexer", "parser", "compile_tests", "parse_tests"):
+        if getattr(a, field) != getattr(b, field):
+            return "%s differ" % field
     return "specs differ"

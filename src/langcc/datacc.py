@@ -378,9 +378,6 @@ class DataValue:
                 return v
         raise KeyError(name)
 
-    def has_field(self, name: str) -> bool:
-        return any(fname == name for fname, _ in self.fields)
-
     def __eq__(self, other):
         if not isinstance(other, DataValue):
             return NotImplemented

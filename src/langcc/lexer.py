@@ -62,10 +62,12 @@ class LexAmbiguity(LexCompileError):
 
 
 class LexError(Exception):
-    def __init__(self, kind: str, offset: int, detail: str = ""):
+    def __init__(self, kind: str, offset: int, detail: str = "", opened: int = 0):
         self.kind = kind  # no_match | premature_empty | stack_nonempty_at_eof | unencodable
         self.offset = offset
         self.detail = detail
+        # where the innermost open mode was pushed (no_match, stack_nonempty_at_eof)
+        self.opened = opened
         super().__init__("%s at offset %d%s" % (kind, offset, " (%s)" % detail if detail else ""))
 
 
@@ -157,29 +159,6 @@ class Nfa:
                     seen.add(t)
                     work.append(t)
         return frozenset(seen)
-
-    def simulate(self, text: str, with_eof: bool = False) -> Optional[Tag]:
-        """Direct NFA run over a whole string; test oracle for the DFA."""
-        cur = self.eps_closure([self.start])
-        for ch in text:
-            cp = ord(ch)
-            nxt = set()
-            for s in cur:
-                for lo, hi, t in self.edges[s]:
-                    if lo <= cp <= hi:
-                        nxt.add(t)
-            if not nxt:
-                return None
-            cur = self.eps_closure(nxt)
-        if with_eof:
-            nxt = set()
-            for s in cur:
-                nxt.update(self.eof_edges[s])
-            cur = self.eps_closure(nxt)
-        tags = [self.accepts[s] for s in cur if s in self.accepts]
-        if not tags:
-            return None
-        return sorted(tags, key=lambda t: t.key())[0]
 
 
 class ModeDfa:
@@ -624,7 +603,7 @@ def lex_lists(compiled: CompiledLexer, text: str):
                 best_end = i
         if best is None:
             raise LexError("stack_nonempty_at_eof" if pos == n else "no_match",
-                           byte_of[pos], "mode %s" % mode)
+                           byte_of[pos], "mode %s" % mode, byte_of[fstart])
         op, token, steps = best
         if op == OP_EMIT:
             matched = text[pos:best_end]

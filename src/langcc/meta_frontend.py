@@ -12,9 +12,11 @@ meta.lang today; docs/metalang.md says how to regenerate it.
 from __future__ import annotations
 
 import functools
+import re
 from importlib import resources
 from typing import List, Optional
 
+from .lexer import EOF_TERMINAL
 from .spec_ast import (
     AEmit, APass, APop, APopEmit, APopExtract, APush, AltBranches, Diagnostic,
     LangSpec, ListExpr, Loc, Named, NontermRef, Optional_, ParseExpr, ParserSpec,
@@ -65,7 +67,6 @@ def make_parse_test(text: str, loc: Optional[Loc], skip_roundtrip: bool) -> Pars
 def _resolve_refs(spec: LangSpec) -> LangSpec:
     """Second pass: bare identifiers in rule bodies become TokenRef or NontermRef."""
     opaque = set(spec.opaque_names())
-    nonterms = {r.lhs for r in spec.parser.rules}
 
     def walk(e: ParseExpr) -> ParseExpr:
         if isinstance(e, NontermRef):
@@ -95,7 +96,6 @@ def _resolve_refs(spec: LangSpec) -> LangSpec:
             return Unfold(walk(e.inner))
         return e
 
-    _ = nonterms  # membership of the remaining NontermRefs is checked in validate_spec
     rules = tuple(RuleDecl(r.path, r.lhs_attrs, walk(r.rhs), r.loc) for r in spec.parser.rules)
     p = spec.parser
     return LangSpec(spec.token_decls, spec.lexer,
@@ -126,18 +126,61 @@ def meta_artifact():
     return CompiledLang.from_json(text)
 
 
+# meta.lang's lexer is ASCII and takes only spaces, tabs and newlines as
+# blanks; the metalanguage also takes a carriage return as a blank and any
+# letter or digit (str.isalnum) in a name or integer.  lexable folds those
+# characters into ASCII stand-ins of the same class and the same UTF-8
+# length, so every offset in the tree indexes the original source, from
+# which the converters read each token's text.
+_UNLEXABLE = re.compile("[\r\x80-\U0010ffff]")
+
+
+def _stand_in(m) -> str:
+    ch = m.group()
+    if ch == "\r":
+        return " "
+    if ch.isdigit():
+        return "0" * len(ch.encode("utf-8"))
+    if ch.isalnum():
+        return "a" * len(ch.encode("utf-8"))
+    return ch
+
+
+def lexable(source: str) -> str:
+    """source as meta.lang's lexer reads it (see _UNLEXABLE)."""
+    return source if _UNLEXABLE.search(source) is None else _UNLEXABLE.sub(_stand_in, source)
+
+
+def _syntax_error(err, lines) -> SpecError:
+    """The SpecError for a failed parse of `.lang` source by meta.clang: a
+    lex error as the hand-written scanner reported it, or the unexpected
+    token with the terminals the parser expected there."""
+    lex = err.lex_error
+    if lex is not None and lex.kind == "stack_nonempty_at_eof" and lex.detail == "mode string_lit":
+        return SpecError("unterminated backtick literal", lines.loc(lex.opened))
+    if lex is not None and lex.kind == "no_match":
+        ch = lines.data[lex.offset:lex.offset + 4].decode("utf-8", "replace")[:1]
+        return SpecError("unexpected character %r" % ch, lines.loc(lex.offset))
+    start, end = err.bounds
+    message = err.message if start == end else "Unexpected token: `%s`" % (
+        lines.data[start:end].decode("utf-8", "surrogatepass"))  # as written, not as lexed
+    if err.expected:
+        names = ["end of input" if t == EOF_TERMINAL else t for t in err.expected]
+        message += " (expected %s)" % (names[0] if len(names) == 1 else
+                                       ", ".join(names[:-1]) + " or " + names[-1])
+    return SpecError(message, lines.loc(start))
+
+
 def parse_lang_spec(source: str) -> LangSpec:
     """Parse .lang source text into a validated LangSpec.
 
     Raises SpecError on syntax errors and on any validation diagnostic."""
-    from .bootstrap import langspec_from_node
-    from .lexer import token_bounds_to_linecol
+    from .bootstrap import _Lines, langspec_from_node
     from .runtime import parse
 
-    res = parse(meta_artifact(), source)
+    res = parse(meta_artifact(), lexable(source))
     if not res.is_success():
-        raise SpecError(res.err.message,
-                        Loc(*token_bounds_to_linecol(source, res.err.bounds[0])))
+        raise _syntax_error(res.err, _Lines(source))
     return langspec_from_node(res.result, source)
 
 

@@ -162,6 +162,9 @@ class ParseError:
     message: str
     bounds: Tuple[int, int]
     location_block: str
+    # the terminals the failing state acts on (LR(1) artifacts; else empty)
+    expected: Tuple[str, ...] = ()
+    lex_error: Optional[LexError] = None
 
     def __str__(self):
         return "%s\n%s" % (self.message, self.location_block)
@@ -226,7 +229,7 @@ def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
     except LexError as e:
         msg = _lex_error_message(e, text)
         b = (e.offset, e.offset)
-        return ParseResult(None, ParseError(msg, b, location_fmt_str(text, b)), [])
+        return ParseResult(None, ParseError(msg, b, location_fmt_str(text, b), (), e), [])
 
     n_toks = len(terms)
     end_byte = len(text.encode("utf-8"))
@@ -249,7 +252,8 @@ def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
         while True:
             act = action_rows[state].get(las[pos])
             if act is None:
-                return ParseResult(None, _unexpected(text, end_byte, texts, starts, ends, pos),
+                return ParseResult(None, _unexpected(text, end_byte, texts, starts, ends, pos,
+                                                     action_rows[state] if k == 1 else {}),
                                    extracts)
             if act >= 0:  # shift
                 b = Bounds(starts[pos], ends[pos])
@@ -340,14 +344,14 @@ def _lex_error_message(e: LexError, text: str) -> str:
     return "Lexing error: unterminated input (%s)" % e.detail
 
 
-def _unexpected(text, end_byte, texts, starts, ends, pos) -> ParseError:
+def _unexpected(text, end_byte, texts, starts, ends, pos, row) -> ParseError:
     if pos < len(texts):
         msg = "Unexpected token: `%s`" % texts[pos]
         b = (starts[pos], ends[pos])
     else:
         msg = "Unexpected end of input"
         b = (end_byte, end_byte)
-    return ParseError(msg, b, location_fmt_str(text, b))
+    return ParseError(msg, b, location_fmt_str(text, b), tuple(sorted(row)))
 
 
 # ---------------------------------------------------------------------------

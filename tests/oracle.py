@@ -6,7 +6,8 @@ tree of the *unconstrained* grammar so precedence filtering can be checked
 as a pure admissibility predicate on top.
 
 reference_lex is the lexer's mode-stack machine as a plain loop over the
-spec's action objects, with no load-time compilation.
+spec's action objects, with no load-time compilation; nfa_simulate runs
+one mode's NFA directly over a string, the oracle for its DFA.
 
 reference_complete is the conflict tracer's completion search as it was
 before it learned to skip lookaheads no state acts on: it appends every
@@ -36,8 +37,8 @@ from langcc.datacc import (
 )
 from langcc.grammar import Cfg, InstGrammar, expand_instances
 from langcc.lexer import (
-    ASCII_ROW, EOF_TERMINAL, CompiledLexer, Extract, LexError, LexOutput, ModeDfa, Token,
-    _byte_offsets,
+    ASCII_ROW, EOF_TERMINAL, CompiledLexer, Extract, LexError, LexOutput, ModeDfa, Nfa, Tag,
+    Token, _byte_offsets,
 )
 from langcc.lr import LrTables
 from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, wrong_value
@@ -221,6 +222,30 @@ def _match(dfa: ModeDfa, codes, pos: int, n: int):
     if best_acc is None:
         return None
     return best_end, best_acc
+
+
+def nfa_simulate(nfa: Nfa, text: str, with_eof: bool = False) -> Optional[Tag]:
+    """Direct NFA run over a whole string; test oracle for the DFA."""
+    cur = nfa.eps_closure([nfa.start])
+    for ch in text:
+        cp = ord(ch)
+        nxt = set()
+        for s in cur:
+            for lo, hi, t in nfa.edges[s]:
+                if lo <= cp <= hi:
+                    nxt.add(t)
+        if not nxt:
+            return None
+        cur = nfa.eps_closure(nxt)
+    if with_eof:
+        nxt = set()
+        for s in cur:
+            nxt.update(nfa.eof_edges[s])
+        cur = nfa.eps_closure(nxt)
+    tags = [nfa.accepts[s] for s in cur if s in nfa.accepts]
+    if not tags:
+        return None
+    return sorted(tags, key=lambda t: t.key())[0]
 
 
 def reference_lex(compiled: CompiledLexer, text: str) -> LexOutput:

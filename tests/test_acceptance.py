@@ -11,7 +11,7 @@ from langcc.cli import cmd_langcc
 from langcc.lexer import LexAmbiguity, Nfa, Tag, _subset_construct
 
 from conftest import load_grammar
-from oracle import earley_accepts
+from oracle import earley_accepts, nfa_simulate
 from test_lexer import _all_strings, _random_regex
 
 RESULTS = []
@@ -164,7 +164,7 @@ parser { main { S } S.One <- `z`; }
                     alive = False
                     break
             got = alive and dfa.accept(state) is not None
-            if got != (nfa.simulate(s) is not None):
+            if got != (nfa_simulate(nfa, s) is not None):
                 equiv = False
     _record("6 lexer properties (maximal munch, ambiguity witness, 500-case "
             "NFA/DFA equivalence)", two_ints and witness_ok and equiv)

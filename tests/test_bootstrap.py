@@ -7,7 +7,7 @@ import pytest
 from langcc import (
     bootstrap_check, compile_lang, langspec_from_node, parse, parse_lang_spec, render_spec,
 )
-from langcc.bootstrap import _dotted
+from langcc.bootstrap import _Lines, _dotted
 from langcc.runtime import Bounds, Node
 from langcc.spec_ast import SpecError
 
@@ -68,7 +68,7 @@ def test_converters_reject_wrong_node_variants(meta):
     with pytest.raises(SpecError, match="expected a Lang::File node, got DottedName::Name"):
         langspec_from_node(Node(("DottedName", "Name"), (), tree.bounds))
     with pytest.raises(SpecError, match="expected a DottedName::Name node, got Lang::File"):
-        _dotted(tree)
+        _dotted(tree, _Lines(None))
     with pytest.raises(SpecError, match="expected a Lang::File node"):
         langspec_from_node(Node(("Lang",), (), Bounds(0, 0)))
 

@@ -65,7 +65,8 @@ parser { main { S } S.One <- `x`; }
 @pytest.mark.parametrize("body, where", [
     ("parser { main { S }\n  S.One <- `x`;\n  S.One <- `x` `x`; }",
      ":5:3: duplicate rule S.One"),
-    ("parser { main { S }\n  S.One <- `x` ; ; }", ":4:18: Unexpected token: `;`"),
+    ("parser { main { S }\n  S.One <- `x` ; ; }",
+     ":4:18: Unexpected token: `;` (expected `attr`, `main`, `prec`, `prop`, `}` or id)"),
 ])
 def test_langcc_diagnostic_names_path_line_and_column(tmp_path, capsys, body, where):
     bad = tmp_path / "bad.lang"

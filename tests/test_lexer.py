@@ -8,7 +8,7 @@ from langcc.lexer import Extract, LexAmbiguity, LexCompileError, LexError, Nfa, 
 from langcc.spec_ast import RAlt, RConcat, RLit, RRange, RStar
 
 from conftest import load_grammar
-from oracle import reference_lex
+from oracle import nfa_simulate, reference_lex
 
 
 def _lexer_for(src):
@@ -208,7 +208,7 @@ def test_subset_construction_matches_nfa_simulation():
             return dfa.accept(state) is not None
 
         for s in strings:
-            assert dfa_accepts(s) == (nfa.simulate(s) is not None), (regex, s)
+            assert dfa_accepts(s) == (nfa_simulate(nfa, s) is not None), (regex, s)
         cases += 1
     assert cases == 500
 

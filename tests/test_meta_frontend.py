@@ -235,6 +235,10 @@ BAD_SPECS = {
     "attribute requirements on a literal": GOOD.replace("`x`;", "x:`x`[A];"),
     "attribute requirements after a comment": GOOD.replace(
         "`x`;", "`x` // [not here]\n      [A, pr=*];"),
+    "attribute requirements after blanks": GOOD.replace(
+        "`x`;", "x:`x`\t// [not here]\r\n \t[A];"),
+    "unterminated literal": GOOD + "test {\n    `x;\n}\n",
+    "unexpected character": GOOD.replace("S.One", "S.\u20acOne"),
     "unknown escape": GOOD.replace("`y`;", "`y` | `\\q`;"),
     "two failure markers": GOOD + "test {\n    `x`;\n    `x##y##`;\n}",
     "duplicate rule": GOOD.replace("S.One <- `x`;", "S.One <- `x`;\n    S.One <- `y`;"),
@@ -252,12 +256,15 @@ def test_diagnostics_match_the_hand_written_frontend(name):
     assert (got.value.message, got.value.loc) == (want.value.message, want.value.loc)
 
 
-def test_syntax_and_lex_errors_are_located():
+def test_syntax_errors_are_located_and_name_the_expected_terminals():
     for src, message, loc in [
-            ("tokens { a <- ; }", "Unexpected token: `;`", Loc(1, 15)),
-            (GOOD + "\n  parser $", "Lexing error: unexpected character: `$`", Loc(16, 10)),
-            ("tokens {\n  a <- `x", "Lexing error: unterminated input (mode string_lit)",
-             Loc(2, 10))]:
+            ("tokens { a <- ; }",
+             "Unexpected token: `;` (expected `(`, `_`, `eof`, id or str_lit)", Loc(1, 15)),
+            ("tokens {\n  a x }", "Unexpected token: `x` (expected `<-` or `<=`)", Loc(2, 5)),
+            ("tokens { \u00e9 \u00e9\u0663; }",
+             "Unexpected token: `\u00e9\u0663` (expected `<-` or `<=`)", Loc(1, 12)),
+            (GOOD + "test { `x`",
+             "Unexpected end of input (expected `;` or `<<>>`)", Loc(15, 11))]:
         with pytest.raises(SpecError) as got:
             parse_lang_spec(src)
         assert (got.value.message, got.value.loc) == (message, loc), src
@@ -287,6 +294,50 @@ parser {
     A.Bad <- `b`;
 }
 """
+
+
+def _crlf(name):
+    return load_grammar(name).replace("\n", "\r\n")
+
+
+NON_ASCII = GOOD.replace("top", "t\u00f4p\u0663").replace("S.One", "\u00c9xpr.\u00dcne") \
+    .replace("main { S }", "main { \u00c9xpr }").replace("`y`", "`\u00ff\u20ac`") \
+    + "compile_test { LR(\u0661); }\n"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GRAMMARS.glob("*.lang")))
+def test_crlf_sources_match_the_hand_written_frontend(name):
+    # a carriage return is a blank, also inside the multi-line test strings
+    # of calc_prog.lang and meta.lang, which keep it
+    src = _crlf(name)
+    want = reference_parse_lang_spec(src)
+    got = parse_lang_spec(src)
+    assert got == want
+    assert _decl_locs(got) == _decl_locs(want)
+
+
+def test_non_ascii_names_and_digits_match_the_hand_written_frontend():
+    want = reference_parse_lang_spec(NON_ASCII)
+    got = parse_lang_spec(NON_ASCII)
+    assert got == want and got.compile_tests[0].k == 1
+    assert [d.name for d in got.token_decls] == ["t\u00f4p\u0663"]
+    assert _decl_locs(got) == _decl_locs(want)
+
+
+def test_prop_takes_exactly_one_flag():
+    # The one spelling meta.lang's grammar has.  The hand-written parser also
+    # took `prop { }` and a flag repeated in one block; the same specs are
+    # written without the block, or with one block per flag.
+    for narrow, wide in [("", "    prop { }\n"),
+                         ("    prop { name_strict; }\n    prop { name_strict; }\n",
+                          "    prop { name_strict; name_strict; }\n")]:
+        src = GOOD.replace("main { S }\n", "main { S }\n" + narrow)
+        assert parse_lang_spec(src) == reference_parse_lang_spec(
+            GOOD.replace("main { S }\n", "main { S }\n" + wide))
+        with pytest.raises(SpecError) as got:
+            parse_lang_spec(GOOD.replace("main { S }\n", "main { S }\n" + wide))
+        assert got.value.message.startswith("Unexpected token: `")
+        assert got.value.loc is not None
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GRAMMARS.glob("*.lang")) + ["attrs"])
