@@ -2,8 +2,11 @@
 
 Flattens the compiled lexer, LR tables, assembly metadata, AST field kinds,
 and print templates into plain dict/list structures.  Serialization is
-canonical JSON (sorted keys, versioned), so artifacts are byte-identical
-across runs and friendly to version control.  CompiledLang also resolves
+canonical JSON, so artifacts are versioned, byte-identical across runs and
+friendly to version control: the text of json.dumps(tree, sort_keys=True,
+indent=1, separators=(",", ": "), ensure_ascii=False) and a newline.
+_canonical_json writes that text itself, as json's C encoder does not
+indent and its pure-Python one is much slower.  CompiledLang also resolves
 the field kinds and templates into the per-variant plans the tree walks
 read (data_plan for runtime.node_to_data_value, print_plan for
 printer.pretty_print), once per variant, when the variant is first met:
@@ -15,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Optional
 
 from .grammar import Cfg, lower_grammar, lower_precedence
@@ -22,7 +26,7 @@ from .lexer import EOF_TERMINAL, CompiledLexer, ModeDfa, compile_lexer
 from .lr import LrTables, build_lr
 from .meta_frontend import parse_lang_spec
 from .spec_ast import (
-    AEmit, APass, APop, APopEmit, APopExtract, APush, LangSpec, SpecError,
+    AEmit, APass, APop, APopEmit, APopExtract, APush, LangSpec, Loc, SpecError,
 )
 
 FORMAT_VERSION = 1
@@ -108,18 +112,22 @@ class CompiledLang:
 
     def to_json(self) -> str:
         """The canonical JSON text of the artifact: sorted keys, one-space
-        indents, a newline at the end.  Each top-level field is encoded on
-        its own (see _compact_json) and indented one more step."""
-        tree = json.loads(self._text)
-        encode = json.JSONEncoder(sort_keys=True, indent=1, separators=(",", ": "),
-                                  ensure_ascii=False).encode
-        return "{\n%s\n}\n" % ",\n".join(
-            " %s: %s" % (encode(key), encode(tree[key]).replace("\n", "\n "))
-            for key in sorted(tree))
+        indents, `,` and `: ` separators, non-ASCII text as it is, and a
+        newline at the end.  _canonical_json writes it from the decoded
+        text, so built and loaded artifacts take the same path."""
+        return _canonical_json(json.loads(self._text)) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CompiledLang":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise SpecError("malformed artifact: " + e.msg, Loc(e.lineno, e.colno)) from e
+        except (ValueError, RecursionError) as e:
+            # an integer too long to convert, or nesting too deep to decode
+            raise _malformed(str(e)) from e
+        if type(data) is not dict:
+            raise _malformed("not a JSON object")
         if data.get("version") != FORMAT_VERSION:
             raise SpecError("unsupported artifact version %r" % data.get("version"))
         if data.get("rd") is not False:
@@ -692,6 +700,38 @@ def _compact_json(data: dict) -> str:
             value = encode(value)
         fields.append("%s:%s" % (encode(key), value))
     return "{%s}" % ",".join(fields)
+
+
+_encode_str = json.encoder.encode_basestring
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _canonical_json(v, newline: str = "\n") -> str:
+    """json.dumps(v, sort_keys=True, indent=1, separators=(",", ": "),
+    ensure_ascii=False) for a tree as json.loads returns it, one str.join
+    per list or dict.  `newline` is a newline and the indent of v's own
+    line.  It calls itself once per level of nesting, through map and a
+    loop: a generator or a comprehension would add a frame per level."""
+    t = type(v)
+    if t is list:
+        if not v:
+            return "[]"
+        inner = newline + " "
+        return "[%s%s%s]" % (inner, ("," + inner).join(
+            map(_canonical_json, v, repeat(inner))), newline)
+    if t is str:
+        return _encode_str(v)
+    if t is int:
+        return str(v)
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = newline + " "
+        members = []
+        for key in sorted(v):
+            members.append("%s: %s" % (_encode_str(key), _canonical_json(v[key], inner)))
+        return "{%s%s%s}" % (inner, ("," + inner).join(members), newline)
+    return _encode_scalar(v)  # float, bool, None
 
 
 def _goto_key_str(key):

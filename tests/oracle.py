@@ -24,10 +24,15 @@ scan_meta and _Parser are the hand-written `.lang` scanner and
 recursive-descent parser that fronted the toolchain before it parsed every
 `.lang` source with its own generated meta.clang, kept verbatim;
 reference_parse_lang_spec is parse_lang_spec as it was on top of them.
+
+reference_to_json is CompiledLang.to_json as it was on json's own
+indenting encoder, before the artifact's canonical text had a writer of
+its own.
 """
 
 import hashlib
 import heapq
+import json
 from typing import List, Optional, Tuple
 
 from langcc.compiled import CompiledLang
@@ -1303,3 +1308,15 @@ class _Parser:
 def reference_parse_lang_spec(source: str) -> LangSpec:
     """parse_lang_spec on the hand-written scanner and parser."""
     return _checked(_Parser(scan_meta(source)).parse_file())
+
+
+def reference_to_json(compiled: CompiledLang) -> str:
+    """The canonical JSON text of the artifact: sorted keys, one-space
+    indents, a newline at the end.  Each top-level field is encoded on
+    its own (see _compact_json) and indented one more step."""
+    tree = json.loads(compiled._text)
+    encode = json.JSONEncoder(sort_keys=True, indent=1, separators=(",", ": "),
+                              ensure_ascii=False).encode
+    return "{\n%s\n}\n" % ",\n".join(
+        " %s: %s" % (encode(key), encode(tree[key]).replace("\n", "\n "))
+        for key in sorted(tree))

@@ -12,7 +12,7 @@ from langcc.runtime import Bounds, Node
 from langcc.spec_ast import SpecError
 
 from conftest import GRAMMARS, load_grammar
-from oracle import reference_parse_lang_spec
+from oracle import reference_parse_lang_spec, reference_to_json
 
 FIXTURES = sorted(p.name for p in GRAMMARS.glob("*.lang"))
 
@@ -124,6 +124,8 @@ def test_long_declarations_compile_at_the_default_recursion_limit(name):
     assert sys.getrecursionlimit() <= 1000
     try:
         result = compile_lang(src)
+        # the writer calls itself once per level of the artifact's nesting
+        text = result.compiled.to_json()
     except RecursionError:
         # failed outside the handler: pytest takes minutes to report a
         # traceback this deep
@@ -132,3 +134,4 @@ def test_long_declarations_compile_at_the_default_recursion_limit(name):
     assert result.ok
     with _recursion_limit(50000):
         assert result.spec == reference_parse_lang_spec(src)
+    assert text == reference_to_json(result.compiled)

@@ -1,0 +1,115 @@
+"""The artifact's canonical JSON text: the writer against json.dumps and
+the old encoder, non-canonical input, and text that is no artifact."""
+
+import json
+import random
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from langcc import compile_lang, parse
+from langcc.compiled import CompiledLang, _canonical_json
+from langcc.spec_ast import SpecError
+
+from conftest import load_grammar
+from oracle import reference_to_json
+
+
+def _dumps(v):
+    return json.dumps(v, sort_keys=True, indent=1, separators=(",", ": "), ensure_ascii=False)
+
+
+_TEXT = st.text(st.one_of(
+    st.characters(),
+    # control characters, separators JavaScript takes for line ends, lone
+    # surrogates, and what JSON escapes
+    st.sampled_from("\x00\x08\x1f\x7f\x85\u2028\u2029\ud800\udbff\udfff\"\\/\u00e9\u2192\U0001f600"),
+), max_size=8)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, -1]), st.integers(),
+    st.integers(min_value=2 ** 64), st.integers(max_value=-2 ** 64),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300]),
+    _TEXT,
+)
+_TREES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.dictionaries(_TEXT, inner, max_size=5)), max_leaves=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TREES)
+@example({"b": [True, 1, False, 0, None], "a": {"x": 0, "y": False}, "e": [[], {}]})
+def test_canonical_json_is_json_dumps(tree):
+    assert _canonical_json(tree) == _dumps(tree)
+
+
+WITH_ARTIFACTS = ["ab_eps", "calc", "calc_prog", "meta", "parens", "rd_tiny", "sum_list"]
+
+
+@pytest.mark.parametrize("grammar", WITH_ARTIFACTS)
+def test_to_json_matches_the_indenting_encoder(request, grammar):
+    compiled = request.getfixturevalue(grammar).compiled
+    text = compiled.to_json()
+    assert text == reference_to_json(compiled)
+    assert text == _dumps(json.loads(text)) + "\n"
+
+
+def _non_ascii_parens():
+    """parens.lang with a non-ASCII literal, variant, field and test."""
+    src = load_grammar("parens.lang")
+    for old, new in [("top <= `(` | `)`;", "top <= `(` | `)` | `→`;"),
+                     ("    P.Pair <- `(` x:P `)` y:P;\n",
+                      "    P.Pair <- `(` x:P `)` y:P;\n    P.Ünd <- `→` ő:P;\n"),
+                     ("    `()`;\n", "    `()`;\n    `→()`;\n")]:
+        assert old in src
+        src = src.replace(old, new)
+    return src
+
+
+@pytest.mark.parametrize("source", [_non_ascii_parens, lambda: load_grammar("calc.lang")],
+                         ids=["non-ascii parens", "calc"])
+def test_non_canonical_artifact_loads_to_the_canonical_one(source):
+    built = compile_lang(source()).compiled
+    canonical = built.to_json()
+    tree = json.loads(canonical)
+    keys = sorted(tree)
+    random.Random(1).shuffle(keys)
+    assert keys != sorted(keys)
+    compact = json.dumps({key: tree[key] for key in keys}, separators=(",", ":"))
+    assert compact != canonical
+    assert compact.isascii()
+    loaded = CompiledLang.from_json(compact)
+    assert loaded.to_json() == canonical
+    assert loaded == built
+    if not canonical.isascii():
+        assert "\\u2192" in compact
+        assert parse(loaded, "→()").is_success()
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("", "1:1", "Expecting value"),
+    ("{", "1:2", "Expecting property name enclosed in double quotes"),
+    ('{"version": 1,\n "k": x}', "2:7", "Expecting value"),
+    ('{"version": 1} {}', "1:16", "Extra data"),
+])
+def test_undecodable_artifact_is_a_spec_error_at_its_line_and_column(text, where, message):
+    with pytest.raises(SpecError) as info:
+        CompiledLang.from_json(text)
+    e = info.value
+    assert str(e) == "%s: malformed artifact: %s" % (where, message)
+    assert "%d:%d" % (e.loc.line, e.loc.col) == where
+    assert isinstance(e.__cause__, json.JSONDecodeError)
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "null", "1", "true"])
+def test_artifact_that_is_not_an_object_is_a_spec_error(text):
+    with pytest.raises(SpecError, match="^malformed artifact: not a JSON object$"):
+        CompiledLang.from_json(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"version": %s}' % ("1" * 5000), "Exceeds the limit"),
+    ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded while decoding"),
+])
+def test_artifact_the_decoder_cannot_convert_is_a_spec_error(text, message):
+    with pytest.raises(SpecError, match="^malformed artifact: " + message):
+        CompiledLang.from_json(text)
