@@ -7,23 +7,31 @@ and precedence admissibility are already baked into which productions exist
 for each nonterminal copy.  Every table cell holds Shift, Reduce or Accept
 actions; a cell with more than one is a conflict.
 
-The state table is keyed by kernel: a goto target is looked up by its kernel
-items and closed only when it is new.  The closure adds only dot-0 items of
-non-start productions, which no kernel holds, so kernels and closed states
-match one to one and the numbering is that of keying by closed sets.
+Lookaheads are interned: each k-tuple met gets a bit, and a set of
+lookaheads is an int bitmask over those bits.  The state table is keyed by
+kernel, the frozenset of ((production, dot), mask) pairs of its kernel
+items: a goto target is looked up by its kernel and closed only when its
+turn comes.  The closure adds only dot-0 items of non-start productions,
+which no kernel holds, so kernels and closed states match one to one and
+the numbering is that of keying by closed sets.
 
-The closure works per nonterminal, not per item.  Each nonterminal the
-kernel reaches collects the set of lookaheads it is reached with; a worklist
-passes only newly found lookaheads on to the nonterminals that begin its
-productions, through FIRST of what follows them (lookahead propagation in
-the style of DeRemer and Pennello).  The closed state then holds
-(production, 0, w) for every production of every reached nonterminal and
-each of its lookaheads w.  Gotos and actions are assembled per (production,
-dot) core with its lookahead set.
+The closure works per nonterminal, not per item.  Each nonterminal (as an
+int) the kernel reaches collects the mask of lookaheads it is reached with;
+a worklist passes only newly found bits (add & ~old) on to the nonterminals
+that begin its productions, through FIRST of what follows them (lookahead
+propagation in the style of DeRemer and Pennello).  Gotos and actions are
+assembled per (production, dot) core with its mask.
+
+The closed item sets, (production, 0, w) for every production of every
+reached nonterminal and each of its lookaheads w beside the kernel items,
+are built only when LrTables.states is read item by item (dump_lr, tests).
+Compiling, tracing conflicts and counting states use the kernels, gotos and
+actions alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
@@ -133,12 +141,37 @@ class ConflictSite:
     actions: Tuple[tuple, ...]
 
 
+class _ClosedStates(Sequence):
+    """LrTables.states: the closed item sets, expanded from the kernels all
+    at once on the first access to one of them."""
+
+    def __init__(self, kernels: List[frozenset], expand):
+        self._kernels = kernels
+        self._expand = expand
+        self._sets = None
+
+    def __len__(self):
+        return len(self._kernels)
+
+    def __getitem__(self, i):
+        if self._sets is None:
+            self._sets = [self._expand(kernel) for kernel in self._kernels]
+        return self._sets[i]
+
+
 @dataclass
 class LrTables:
+    """The canonical LR(k) automaton of a grammar.
+
+    `states` holds each state's closed item set, a frozenset of (production,
+    dot, lookahead), read-only and built on first access to an item set;
+    len(states) is the state count and builds none.  Everything else is
+    filled by the construction."""
+
     k: int
     ig: InstGrammar
     prods: List[dict]  # unified production table (iprods + starts)
-    states: List[frozenset]
+    states: Sequence[frozenset]
     action: Dict[Tuple[int, tuple], Tuple[tuple, ...]]
     goto: Dict[Tuple[int, object], int]
     starts: Dict[str, int]
@@ -170,7 +203,7 @@ class _Builder:
         self.cfg = cfg
         self.k = k
         self.ig = expand_instances(cfg)
-        self.fk = FirstK(self.ig, k)
+        fk = FirstK(self.ig, k)
 
         self.prods: List[dict] = []
         for ip in self.ig.iprods:
@@ -182,69 +215,127 @@ class _Builder:
             self.prods.append({"kind": "start", "lhs": None, "main": m,
                                "rhs": (("n", inst),)})
 
-        self.by_lhs: Dict[Inst, List[int]] = {}
-        for i, p in enumerate(self.prods):
-            if p["kind"] == "prod":
-                self.by_lhs.setdefault(p["lhs"], []).append(i)
+        # lookahead k-tuples, interned: bit b of a mask stands for lookaheads[b]
+        self.lookaheads: List[tuple] = []
+        self._bit_of: Dict[tuple, int] = {}
+        self._ext_cache: Dict[Tuple[frozenset, int], int] = {}
 
-        self._beta_cache: Dict[Tuple[int, int], Tuple[frozenset, frozenset]] = {}
+        # nonterminals as ints, with the productions of each
+        nt_of = {inst: n for n, inst in enumerate(self.ig.insts)}
+        self.prods_of = [[ip.ipid for ip in self.ig.by_lhs[inst]] for inst in self.ig.insts]
+        # goto keys (terminals and nonterminals) as ranks in goto order
+        keys = {sym if sym[0] == "t" else sym[1] for p in self.prods for sym in p["rhs"]}
+        self.keys = sorted(keys, key=_sym_sort_key)
+        rank_of = {key: r for r, key in enumerate(self.keys)}
 
-        # For each nonterminal N and each nonterminal M that begins one of
-        # N's productions: FIRST of what follows M there, split as in
-        # beta_first and united over those productions.  The closure passes
+        # What the core (production, dot) does, per production and dot: None
+        # at the end, where end_act[production] applies, and otherwise (next
+        # core, goto rank, nonterminal or -1, FIRST).  FIRST is that of what
+        # follows the nonterminal, or of the terminal and what follows it, as
+        # (mask of its complete k-tuples, whether the empty prefix is among
+        # the shorter ones, the other shorter ones): see _after.
+        self.end_act: List[tuple] = []
+        self.steps: List[List[tuple]] = []
+        for pi, p in enumerate(self.prods):
+            rhs = p["rhs"]
+            self.end_act.append(("accept", p["main"]) if p["kind"] == "start"
+                                else ("reduce", pi))
+            row = []
+            for dot, sym in enumerate(rhs):
+                if sym[0] == "t":
+                    key, n, tail = sym, -1, rhs[dot:]
+                else:
+                    key, n, tail = sym[1], nt_of[sym[1]], rhs[dot + 1:]
+                full, partial = fk.beta_first(tail)
+                first = (self._mask(full), () in partial, partial - {()})
+                row.append(((pi, dot + 1), rank_of[key], n, first))
+            row.append(None)
+            self.steps.append(row)
+
+        # For each nonterminal N, each nonterminal M that begins one of N's
+        # productions, with FIRST of what follows M there: the closure passes
         # N's lookaheads on to M along these edges.
-        self.left_corners: Dict[Inst, List[Tuple[Inst, frozenset, frozenset]]] = {}
-        for inst, pis in self.by_lhs.items():
-            follow: Dict[Inst, Tuple[set, set]] = {}
-            for pi in pis:
-                rhs = self.prods[pi]["rhs"]
-                if rhs and rhs[0][0] == "n":
-                    full, partial = self.beta_first(pi, 1)
-                    got = follow.setdefault(rhs[0][1], (set(), set()))
-                    got[0].update(full)
-                    got[1].update(partial)
-            self.left_corners[inst] = [(m, frozenset(f), frozenset(p))
-                                       for m, (f, p) in follow.items()]
+        self.corners = [[(step[2], step[3]) for step in (self.steps[pi][0] for pi in pis)
+                         if step is not None and step[2] >= 0]
+                        for pis in self.prods_of]
 
-    # -- item machinery -------------------------------------------------------
+    # -- lookahead masks ------------------------------------------------------
 
-    def beta_first(self, pi: int, dot: int):
-        key = (pi, dot)
-        got = self._beta_cache.get(key)
+    def _mask(self, tuples) -> int:
+        mask = 0
+        for w in tuples:
+            b = self._bit_of.get(w)
+            if b is None:
+                b = self._bit_of[w] = len(self.lookaheads)
+                self.lookaheads.append(w)
+            mask |= 1 << b
+        return mask
+
+    def _ext(self, rest: frozenset, mask: int) -> int:
+        """The shorter prefixes rest, each completed by each lookahead in
+        mask, as a mask; cached per (rest, mask)."""
+        key = (rest, mask)
+        got = self._ext_cache.get(key)
         if got is None:
-            got = self.fk.beta_first(self.prods[pi]["rhs"][dot:])
-            self._beta_cache[key] = got
+            las = self.lookaheads
+            got = self._ext_cache[key] = self._mask(
+                _extend(rest, [las[b] for b in _bits(mask)], self.k))
         return got
 
-    def lookaheads_after(self, pi: int, dot: int, las) -> Set[tuple]:
-        """k-lookaheads of rhs[dot:] followed by any lookahead in las."""
-        full, partial = self.beta_first(pi, dot)
-        return _extend(full, partial, las, self.k)
+    def _after(self, first: tuple, mask: int) -> int:
+        """The lookaheads of a FIRST (see steps in __init__) followed by any
+        lookahead in mask.  For k = 1, rest is always empty, so this is
+        full | (mask if grows else 0)."""
+        full, grows, rest = first
+        if grows:
+            full |= mask
+        if rest:
+            full |= self._ext(rest, mask)
+        return full
 
-    def closure(self, cores: Dict[Tuple[int, int], Set[tuple]]) -> Dict[Inst, Set[tuple]]:
-        """The lookaheads each nonterminal is reached with when closing the
-        kernel cores ((production, dot) -> lookaheads)."""
-        las: Dict[Inst, Set[tuple]] = {}    # every lookahead each is reached with
-        fresh: Dict[Inst, Set[tuple]] = {}  # those not yet passed on
-        for (pi, dot), ws in cores.items():
-            rhs = self.prods[pi]["rhs"]
-            if dot < len(rhs) and rhs[dot][0] == "n":
-                _feed(las, fresh, rhs[dot][1], self.lookaheads_after(pi, dot + 1, ws))
-        k = self.k
-        while fresh:
-            inst, ws = fresh.popitem()
-            for m, full, partial in self.left_corners.get(inst, ()):
-                _feed(las, fresh, m, _extend(full, partial, ws, k))
-        return las
+    # -- closure --------------------------------------------------------------
+
+    def _closure(self, kernel) -> Dict[int, int]:
+        """The lookahead mask each nonterminal is reached with when closing
+        kernel, a set of ((production, dot), mask)."""
+        steps, corners, after = self.steps, self.corners, self._after
+        las: Dict[int, int] = {}    # every lookahead each is reached with
+        fresh: Dict[int, int] = {}  # those not yet passed on
+        edges = []                  # (nonterminal, FIRST, mask) to feed
+        for (pi, dot), mask in kernel:
+            step = steps[pi][dot]
+            if step is not None and step[2] >= 0:
+                edges.append((step[2], step[3], mask))
+        while True:
+            for m, first, mask in edges:
+                old = las.get(m, 0)
+                new = after(first, mask) & ~old
+                if new:
+                    las[m] = old | new
+                    fresh[m] = fresh.get(m, 0) | new
+            if not fresh:
+                return las
+            n, mask = fresh.popitem()
+            edges = [(m, first, mask) for m, first in corners[n]]
+
+    def _items(self, kernel) -> frozenset:
+        """The closed item set of kernel, as (production, dot, lookahead)."""
+        las = self.lookaheads
+        items = [(pi, dot, las[b]) for (pi, dot), mask in kernel for b in _bits(mask)]
+        for n, mask in self._closure(kernel).items():
+            ws = [las[b] for b in _bits(mask)]
+            for cpi in self.prods_of[n]:
+                items.extend([(cpi, 0, w) for w in ws])
+        return frozenset(items)
 
     # -- main construction ------------------------------------------------------
 
     def build(self) -> LrTables:
         k = self.k
-        prods = self.prods
+        steps, end_act, keys, prods_of = self.steps, self.end_act, self.keys, self.prods_of
+        after, las = self._after, self.lookaheads
         kernels: List[frozenset] = []
         state_of: Dict[frozenset, int] = {}  # kernel -> state
-        states: List[frozenset] = []
         goto: Dict[Tuple[int, object], int] = {}
         action: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
         conflicts: List[ConflictSite] = []
@@ -258,52 +349,41 @@ class _Builder:
                 kernels.append(kernel)
             return got
 
-        eof_la = (EOF_TERMINAL,) * k
+        eof = self._mask([(EOF_TERMINAL,) * k])
         for m in self.cfg.mains:
-            starts[m] = ensure_state(frozenset([(self.aug_of[m], 0, eof_la)]))
+            starts[m] = ensure_state(frozenset([((self.aug_of[m], 0), eof)]))
 
         idx = 0
         while idx < len(kernels):
-            cores: Dict[Tuple[int, int], Set[tuple]] = {}
-            for pi, dot, la in kernels[idx]:
-                cores.setdefault((pi, dot), set()).add(la)
-            items = list(kernels[idx])
-            for inst, ws in self.closure(cores).items():
-                for cpi in self.by_lhs.get(inst, ()):
-                    cores[(cpi, 0)] = ws
-                    items.extend([(cpi, 0, w) for w in ws])
-            states.append(frozenset(items))
+            kernel = kernels[idx]
+            closed = list(kernel)
+            for n, mask in self._closure(kernel).items():
+                closed.extend([((cpi, 0), mask) for cpi in prods_of[n]])
 
-            by_symbol: Dict[object, List[tuple]] = {}
-            shifts = []
-            cells: Dict[tuple, Set[tuple]] = {}  # lookahead -> actions
-            for (pi, dot), ws in cores.items():
-                prod = prods[pi]
-                rhs = prod["rhs"]
-                if dot == len(rhs):
-                    if prod["kind"] == "start":
-                        act = ("accept", prod["main"])
-                    else:
-                        act = ("reduce", pi)
-                    for w in ws:
-                        cells.setdefault(w, set()).add(act)
+            by_rank: Dict[int, list] = {}  # goto rank -> target kernel
+            shifts: Dict[int, int] = {}    # terminal's goto rank -> lookaheads
+            acts = []                      # (action, lookaheads)
+            for (pi, dot), mask in closed:
+                step = steps[pi][dot]
+                if step is None:
+                    acts.append((end_act[pi], mask))
                     continue
-                sym = rhs[dot]
-                if sym[0] == "t":
-                    shifts.append((sym, pi, dot, ws))
-                    key = sym
-                else:
-                    key = sym[1]
-                by_symbol.setdefault(key, []).extend([(pi, dot + 1, w) for w in ws])
+                nxt, rank, n, first = step
+                by_rank.setdefault(rank, []).append((nxt, mask))
+                if n < 0:
+                    shifts[rank] = shifts.get(rank, 0) | after(first, mask)
 
-            for key in sorted(by_symbol, key=_sym_sort_key):
-                goto[(idx, key)] = ensure_state(frozenset(by_symbol[key]))
-            for sym, pi, dot, ws in shifts:
-                act = ("shift", goto[(idx, sym)])
-                for w in self.lookaheads_after(pi, dot, ws):
-                    cells.setdefault(w, set()).add(act)
-            for w in sorted(cells):
-                cell = cells[w]
+            for rank in sorted(by_rank):
+                goto[(idx, keys[rank])] = ensure_state(frozenset(by_rank[rank]))
+            for rank, mask in shifts.items():
+                acts.append((("shift", goto[(idx, keys[rank])]), mask))
+            cells: Dict[int, list] = {}  # lookahead bit -> actions
+            for act, mask in acts:
+                for b in _bits(mask):
+                    cells.setdefault(b, []).append(act)
+            for b in sorted(cells, key=las.__getitem__):
+                cell = cells[b]
+                w = las[b]
                 if len(cell) == 1:
                     action[(idx, w)] = tuple(cell)
                 else:
@@ -312,37 +392,21 @@ class _Builder:
                     conflicts.append(ConflictSite(idx, w, distinct))
             idx += 1
 
-        return LrTables(k, self.ig, prods, states, action, goto, starts, conflicts)
+        return LrTables(k, self.ig, self.prods, _ClosedStates(kernels, self._items),
+                        action, goto, starts, conflicts)
 
 
-def _extend(full: frozenset, partial: frozenset, las, k: int) -> Set[tuple]:
-    """full, plus each shorter prefix in partial completed by each of las."""
-    out = set(full)
-    for p in partial:
-        out.update([(p + w)[:k] for w in las])
-    return out
+def _extend(partial: frozenset, las, k: int) -> Set[tuple]:
+    """Each shorter FIRST prefix in partial completed by each of las."""
+    return {(p + w)[:k] for p in partial for w in las}
 
 
-def _feed(las, fresh, inst, ws: Set[tuple]):
-    """Record lookaheads ws for inst; queue those it had not been reached with.
-
-    A nonterminal is reached only with some lookahead: ws is empty after a
-    nonterminal that derives no terminal string."""
-    if not ws:
-        return
-    got = las.get(inst)
-    if got is None:
-        las[inst] = ws
-        fresh[inst] = set(ws)
-        return
-    ws -= got
-    if ws:
-        got |= ws
-        pending = fresh.get(inst)
-        if pending is None:
-            fresh[inst] = ws
-        else:
-            pending |= ws
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _sym_sort_key(key):
@@ -351,9 +415,11 @@ def _sym_sort_key(key):
     return (1, key.base, ",".join(sorted(key.reqs)), key.bound)
 
 
+_ACT_ORDER = {"reduce": 0, "shift": 1, "accept": 2}
+
+
 def _act_sort_key(a):
-    order = {"reduce": 0, "shift": 1, "accept": 2}
-    return (order[a[0]],) + tuple(str(x) for x in a[1:])
+    return (_ACT_ORDER[a[0]],) + tuple(str(x) for x in a[1:])
 
 
 def build_lr(cfg: Cfg, k: int) -> LrTables:
@@ -379,11 +445,12 @@ def run_compile_tests(spec, cfg: Cfg):
 def dump_lr(tables: LrTables) -> str:
     out = ["LR(%d) automaton: %d states, %d conflicts" %
            (tables.k, len(tables.states), len(tables.conflicts))]
+    start_of = {s: m for m, s in tables.starts.items()}
+    cells: Dict[int, list] = {}
+    for (st, la), actions in tables.action.items():
+        cells.setdefault(st, []).append((la, actions))
     for idx, items in enumerate(tables.states):
-        mark = ""
-        for m, s in tables.starts.items():
-            if s == idx:
-                mark = "  (start %s)" % m
+        mark = "  (start %s)" % start_of[idx] if idx in start_of else ""
         out.append("state %d:%s" % (idx, mark))
         for pi, dot, la in sorted(items):
             p = tables.prods[pi]
@@ -391,8 +458,7 @@ def dump_lr(tables: LrTables) -> str:
             syms.insert(dot, ".")
             lhs = p["lhs"].base if p["lhs"] is not None else p["main"] + "'"
             out.append("    %s -> %s , %s" % (lhs, " ".join(syms), " ".join(la)))
-        acts = sorted((la, a) for (st, la), a in tables.action.items() if st == idx)
-        for la, actions in acts:
+        for la, actions in sorted(cells.get(idx, ())):
             for a in actions:
                 out.append("    [%s] %s" % (" ".join(la), tables.display_action(a)))
     return "\n".join(out) + "\n"

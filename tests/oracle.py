@@ -28,6 +28,11 @@ reference_parse_lang_spec is parse_lang_spec as it was on top of them.
 reference_to_json is CompiledLang.to_json as it was on json's own
 indenting encoder, before the artifact's canonical text had a writer of
 its own.
+
+reference_lr is canonical LR(k) built item by item on sets of lookahead
+tuples, each goto target closed and then looked up by its closed set: the
+construction with none of build_lr's kernels, bitmasks or per-nonterminal
+propagation, on FirstK.beta_first and lr._extend alone.
 """
 
 import hashlib
@@ -45,7 +50,7 @@ from langcc.lexer import (
     ASCII_ROW, EOF_TERMINAL, CompiledLexer, Extract, LexError, LexOutput, ModeDfa, Nfa, Tag,
     Token, _byte_offsets,
 )
-from langcc.lr import LrTables
+from langcc.lr import FirstK, LrTables, _extend, _sym_sort_key
 from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, wrong_value
 from langcc.meta_frontend import _checked, decode_backtick, make_parse_test
 from langcc.spec_ast import (
@@ -1320,3 +1325,74 @@ def reference_to_json(compiled: CompiledLang) -> str:
     return "{\n%s\n}\n" % ",\n".join(
         " %s: %s" % (encode(key), encode(tree[key]).replace("\n", "\n "))
         for key in sorted(tree))
+
+
+def reference_lr(cfg: Cfg, k: int):
+    """Canonical LR(k) of cfg, each goto target closed item by item and then
+    looked up by its closed set.  Productions are numbered as in
+    LrTables.prods: the instance productions, then one start production per
+    main.  Returns (states, goto, action) with each action cell a set."""
+    ig = expand_instances(cfg)
+    fk = FirstK(ig, k)
+    rhss = [ip.rhs for ip in ig.iprods]
+    main_of = {}
+    for m in cfg.mains:
+        main_of[len(rhss)] = m
+        rhss.append((("n", ig.start_insts[m]),))
+    by_lhs = {}
+    for pi, ip in enumerate(ig.iprods):
+        by_lhs.setdefault(ip.lhs, []).append(pi)
+
+    def lookaheads_after(pi, dot, la):
+        full, partial = fk.beta_first(rhss[pi][dot:])
+        return full | _extend(partial, (la,), k)
+
+    def closure(kernel):
+        items = set(kernel)
+        work = list(kernel)
+        while work:
+            pi, dot, la = work.pop()
+            rhs = rhss[pi]
+            if dot >= len(rhs) or rhs[dot][0] != "n":
+                continue
+            for w in lookaheads_after(pi, dot + 1, la):
+                for cpi in by_lhs.get(rhs[dot][1], ()):
+                    if (cpi, 0, w) not in items:
+                        items.add((cpi, 0, w))
+                        work.append((cpi, 0, w))
+        return frozenset(items)
+
+    states, state_of, goto = [], {}, {}
+
+    def ensure_state(kernel):
+        closed = closure(kernel)
+        if closed not in state_of:
+            state_of[closed] = len(states)
+            states.append(closed)
+        return state_of[closed]
+
+    for pi, m in main_of.items():
+        ensure_state([(pi, 0, (EOF_TERMINAL,) * k)])
+    idx = 0
+    while idx < len(states):
+        by_symbol = {}
+        for pi, dot, la in sorted(states[idx]):
+            rhs = rhss[pi]
+            if dot < len(rhs):
+                key = rhs[dot][1] if rhs[dot][0] == "n" else rhs[dot]
+                by_symbol.setdefault(key, []).append((pi, dot + 1, la))
+        for key in sorted(by_symbol, key=_sym_sort_key):
+            goto[(idx, key)] = ensure_state(by_symbol[key])
+        idx += 1
+
+    action = {}
+    for idx, items in enumerate(states):
+        for pi, dot, la in items:
+            rhs = rhss[pi]
+            if dot == len(rhs):
+                act = ("accept", main_of[pi]) if pi in main_of else ("reduce", pi)
+                action.setdefault((idx, la), set()).add(act)
+            elif rhs[dot][0] == "t":
+                for w in lookaheads_after(pi, dot, la):
+                    action.setdefault((idx, w), set()).add(("shift", goto[(idx, rhs[dot])]))
+    return states, goto, action

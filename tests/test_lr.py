@@ -8,11 +8,12 @@ from langcc import (
     build_lr, dump_lr, expand_instances, first_k, lower_grammar,
     lower_precedence, parse_lang_spec, run_compile_tests,
 )
-from langcc.lexer import EOF_TERMINAL
-from langcc.lr import _act_sort_key, _Builder, _sym_sort_key
+from langcc import lr
+from langcc.cli import cmd_langcc
+from langcc.lr import _act_sort_key
 
-from conftest import GOLDEN, load_grammar
-from oracle import earley_accepts
+from conftest import GOLDEN, GRAMMARS, load_grammar
+from oracle import earley_accepts, reference_lr
 
 
 def _cfg(name):
@@ -148,6 +149,55 @@ def test_full_lr_lookaheads_part_of_state_identity():
     assert split > 0, "expected at least one core split by lookaheads"
 
 
+class _Expanded(Exception):
+    pass
+
+
+def _no_item_sets(monkeypatch):
+    """Make expanding a state's closed item set raise."""
+    def expand(self, kernel):
+        raise _Expanded()
+    monkeypatch.setattr(lr._Builder, "_items", expand)
+
+
+def test_state_count_builds_no_item_sets(monkeypatch):
+    _, cfg = _cfg("calc_prog.lang")
+    want = len(list(build_lr(cfg, 2).states))
+    _no_item_sets(monkeypatch)
+    tables = build_lr(cfg, 2)
+    assert len(tables.states) == want
+    with pytest.raises(_Expanded):
+        tables.states[0]
+
+
+_CONFLICT_FREE = ["ab_eps.lang", "calc.lang", "calc_prog.lang", "meta.lang",
+                  "parens.lang", "rd_tiny.lang", "sum_list.lang"]
+
+
+def _langcc_outputs(out_dir, capsys):
+    """Exit code and output of `langcc --conflicts-out` on each conflict-free
+    fixture and on calc_noprec.lang, and every file the runs wrote; GEN
+    stands for the output directory in messages."""
+    out_dir.mkdir()
+    got = {}
+    for name in _CONFLICT_FREE + ["calc_noprec.lang"]:
+        report = out_dir / (name + ".report")
+        rc = cmd_langcc(str(GRAMMARS / name), str(out_dir), conflicts_out=str(report))
+        out, err = capsys.readouterr()
+        got[name] = (rc, out, err.replace(str(out_dir), "GEN"))
+    got.update({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    return got
+
+
+def test_compile_path_builds_no_item_sets(tmp_path, monkeypatch, capsys):
+    # artifacts, schemas, conflict reports and messages come from the
+    # kernels, gotos and actions alone
+    want = _langcc_outputs(tmp_path / "normal", capsys)
+    _no_item_sets(monkeypatch)
+    assert _langcc_outputs(tmp_path / "no_items", capsys) == want
+    assert want["calc_noprec.lang"][0] == 1 and "calc_noprec.lang.report" in want
+
+
 def test_tables_deterministic():
     _, cfg = _cfg("calc.lang")
     assert dump_lr(build_lr(cfg, 1)) == dump_lr(build_lr(cfg, 1))
@@ -250,64 +300,6 @@ def test_conflict_monotonicity_k2_projects_into_k1():
 # ---------------------------------------------------------------------------
 # The construction against a per-item reference
 
-def _reference_lr(cfg, k):
-    """Canonical LR(k) built the plain way: each goto target is closed item
-    by item, then looked up by its closed set.  Returns (states, goto,
-    action) with each action cell a set."""
-    b = _Builder(cfg, k)
-
-    def closure(kernel):
-        items = set(kernel)
-        work = list(kernel)
-        while work:
-            pi, dot, la = work.pop()
-            rhs = b.prods[pi]["rhs"]
-            if dot >= len(rhs) or rhs[dot][0] != "n":
-                continue
-            for w in b.lookaheads_after(pi, dot + 1, (la,)):
-                for cpi in b.by_lhs.get(rhs[dot][1], ()):
-                    if (cpi, 0, w) not in items:
-                        items.add((cpi, 0, w))
-                        work.append((cpi, 0, w))
-        return frozenset(items)
-
-    states, state_of, goto = [], {}, {}
-
-    def ensure_state(kernel):
-        closed = closure(kernel)
-        if closed not in state_of:
-            state_of[closed] = len(states)
-            states.append(closed)
-        return state_of[closed]
-
-    for m in cfg.mains:
-        ensure_state([(b.aug_of[m], 0, (EOF_TERMINAL,) * k)])
-    idx = 0
-    while idx < len(states):
-        by_symbol = {}
-        for pi, dot, la in sorted(states[idx]):
-            rhs = b.prods[pi]["rhs"]
-            if dot < len(rhs):
-                key = rhs[dot][1] if rhs[dot][0] == "n" else rhs[dot]
-                by_symbol.setdefault(key, []).append((pi, dot + 1, la))
-        for key in sorted(by_symbol, key=_sym_sort_key):
-            goto[(idx, key)] = ensure_state(by_symbol[key])
-        idx += 1
-
-    action = {}
-    for idx, items in enumerate(states):
-        for pi, dot, la in items:
-            prod = b.prods[pi]
-            rhs = prod["rhs"]
-            if dot == len(rhs):
-                act = ("accept", prod["main"]) if prod["kind"] == "start" else ("reduce", pi)
-                action.setdefault((idx, la), set()).add(act)
-            elif rhs[dot][0] == "t":
-                for w in b.lookaheads_after(pi, dot, (la,)):
-                    action.setdefault((idx, w), set()).add(("shift", goto[(idx, rhs[dot])]))
-    return states, goto, action
-
-
 _NTS = ["S", "A", "B", "C"]
 _TERMS = ["`a`", "`b`", "`c`"]
 
@@ -335,8 +327,8 @@ def test_construction_matches_per_item_reference(source):
     cfg = lower_precedence(spec, lower_grammar(spec)[0])
     for k in (1, 2):
         tables = build_lr(cfg, k)
-        states, goto, action = _reference_lr(cfg, k)
-        assert tables.states == states
+        states, goto, action = reference_lr(cfg, k)
+        assert list(tables.states) == states
         assert tables.goto == goto
         assert {key: set(acts) for key, acts in tables.action.items()} == action
         want = [(st, la, tuple(sorted(action[(st, la)], key=_act_sort_key)))
