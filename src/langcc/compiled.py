@@ -15,6 +15,7 @@ resolving every variant at load would add a few percent to loading.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import dataclass
@@ -114,8 +115,17 @@ class CompiledLang:
         """The canonical JSON text of the artifact: sorted keys, one-space
         indents, `,` and `: ` separators, non-ASCII text as it is, and a
         newline at the end.  _canonical_json writes it from the decoded
-        text, so built and loaded artifacts take the same path."""
-        return _canonical_json(json.loads(self._text)) + "\n"
+        text, so built and loaded artifacts take the same path.  The cyclic
+        collector is paused meanwhile, as in runtime.parse: the decoded tree
+        is acyclic and freed by reference counting, and collector passes
+        over it would be wasted."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return _canonical_json(json.loads(self._text)) + "\n"
+        finally:
+            if was_enabled:
+                gc.enable()
 
     @classmethod
     def from_json(cls, text: str) -> "CompiledLang":
@@ -646,12 +656,7 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
         if p.kind != "user":
             continue
         vk = "::".join((p.lhs,) + p.variant)
-        field_of_slot = {}
-        for name, src in p.fields:
-            if src[0] == "slot":
-                field_of_slot[src[1]] = ("field", name)
-            else:
-                field_of_slot[src[1]] = ("field", name)
+        field_of_slot = {src[1]: name for name, src in p.fields}
         items = []
         for it in p.template:
             if it[0] == "verbatim":
@@ -659,7 +664,7 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
             else:
                 idx = it[1]
                 if idx in field_of_slot:
-                    items.append(["field", field_of_slot[idx][1]])
+                    items.append(["field", field_of_slot[idx]])
                 else:
                     slot = p.slots[idx]
                     if not slot.is_terminal:
@@ -758,7 +763,7 @@ def source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def compile_lang(source: str, max_k: int = 2, start_k: int = 1) -> CompileResult:
+def compile_lang(source: str, max_k: int = 2) -> CompileResult:
     """Full pipeline: frontend, lexer DFAs, lowering, LR(k) with k retry.
 
     On conflicts at every k up to max_k, returns ok=False with the tables of
@@ -775,11 +780,11 @@ def compile_lang(source: str, max_k: int = 2, start_k: int = 1) -> CompileResult
                         % ", ".join(missing))
 
     first_tables = None
-    for k in range(start_k, max_k + 1):
+    for k in range(1, max_k + 1):
         tables = build_lr(cfg, k)
         if first_tables is None:
             first_tables = tables
         if not tables.conflicts:
             compiled = flatten(spec, cfg, lexer, tables, source_digest(source))
             return CompileResult(True, spec, cfg, lexer, tables, k, compiled)
-    return CompileResult(False, spec, cfg, lexer, first_tables, start_k)
+    return CompileResult(False, spec, cfg, lexer, first_tables, 1)

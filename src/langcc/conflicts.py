@@ -330,7 +330,7 @@ def trace_conflict(tables: LrTables, cfg: Cfg, site: ConflictSite,
     )
 
 
-def dedup_sites(tables: LrTables, cfg: Optional[Cfg] = None,
+def dedup_sites(tables: LrTables, cfg: Cfg,
                 ctx: Optional[_TraceContext] = None) -> List[ConflictSite]:
     """One representative site per distinct competing-action pair.
 
@@ -338,12 +338,13 @@ def dedup_sites(tables: LrTables, cfg: Optional[Cfg] = None,
     noise, not information.  The earliest state (BFS numbering, so shortest
     access path) represents each group; among its lookaheads, one already
     occurring in the access prefix reads best (id `+` id with lookahead `+`),
-    falling back to the smallest (the only choice without cfg or ctx)."""
+    falling back to the smallest.  ctx, the trace context of tables and cfg,
+    is built here if not given."""
     by_pair: Dict[tuple, List[ConflictSite]] = {}
     for site in tables.conflicts:
         key = tuple(tables.display_action(a) for a in site.actions)
         by_pair.setdefault(key, []).append(site)
-    if ctx is None and cfg is not None:
+    if ctx is None:
         ctx = _TraceContext(tables, cfg)
     out = []
     for key in sorted(by_pair):
@@ -351,7 +352,7 @@ def dedup_sites(tables: LrTables, cfg: Optional[Cfg] = None,
         state = min(s.state for s in sites)
         candidates = sorted((s.lookahead, s) for s in sites if s.state == state)
         chosen = candidates[0][1]
-        if ctx is not None and state in ctx.dist:
+        if state in ctx.dist:
             prefix = set(ctx.prefix_terminals(state))
             for la, s in candidates:
                 if la and la[0] in prefix:

@@ -16,7 +16,7 @@ test oracles operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import spec_ast as sa
@@ -81,9 +81,6 @@ class Cfg:
     mains: Tuple[str, ...]
     ast_shape: "AstShape"
     synth_display: Dict[str, str]
-
-    def prods_of(self, nonterm: str) -> List[Production]:
-        return [p for p in self.productions if p.lhs == nonterm]
 
 
 @dataclass
@@ -512,9 +509,6 @@ class Inst:
     reqs: FrozenSet[str]
     bound: int
 
-    def display(self) -> str:
-        return self.base
-
     def mangled(self) -> str:
         parts = [self.base]
         if self.reqs:
@@ -541,16 +535,6 @@ class InstGrammar:
     iprods: List[IProd]
     by_lhs: Dict[Inst, List[IProd]]
     start_insts: Dict[str, Inst]  # main nonterm -> its default instance
-
-    def admissible(self, inst: Inst) -> List[Production]:
-        out = []
-        for p in self.cfg.prods_of(inst.base):
-            if not inst.reqs <= p.decl_attrs:
-                continue
-            if p.prec_level is not None and p.prec_level < inst.bound:
-                continue
-            out.append(p)
-        return out
 
 
 def expand_instances(cfg: Cfg) -> InstGrammar:

@@ -1,10 +1,13 @@
 """Lexer compilation and execution.
 
 Token patterns and mode rules compile to one DFA per lexer mode via Thompson
-NFA construction and subset construction over codepoint intervals.  Rule
-overlap is rejected at compile time: a DFA accept state must resolve to
-exactly one action tag.  Two deliberate tie-breaks keep real grammars
-writable without sacrificing determinism:
+NFA construction and subset construction over codepoint intervals.  Each
+pattern reaches the NFA in one walk, on an explicit stack that expands alias
+references as it meets them; whether it matches the empty string or holds
+eof is read off the states it wired.  Rule overlap is rejected at compile
+time: a DFA accept state must resolve to exactly one action tag.  Two
+deliberate tie-breaks keep real grammars writable without sacrificing
+determinism:
 
 * within a single emit rule, an exact-literal constituent beats regex
   constituents accepting the same string (keywords vs. identifiers);
@@ -104,50 +107,63 @@ class Nfa:
         self.eof_edges.append([])
         return len(self.eps) - 1
 
-    def add_regex(self, e: RegexExpr, src: int) -> int:
-        """Wire `e` starting at state src; returns the state reached on a match."""
-        if isinstance(e, RLit):
-            cur = src
-            for ch in e.text:
+    def add_regex(self, e: RegexExpr, src: int, env: Dict[str, RegexExpr]) -> int:
+        """Wire `e` from state src, each alias reference expanded from env;
+        returns the state reached on a match.  The stack holds patterns to
+        wire from `end` and steps: ("branch", s) starts an alternative after
+        s, ("join", s) links `end` to s, ("leave", name) ends an alias."""
+        eps, edges = self.eps, self.edges
+        end = src
+        work = [e]
+        expanding = set()
+        while work:
+            e = work.pop()
+            if type(e) is tuple:
+                step, arg = e
+                if step == "branch":
+                    end = self.new_state()
+                    eps[arg].append(end)
+                elif step == "join":
+                    eps[end].append(arg)
+                    end = arg
+                else:
+                    expanding.discard(arg)
+            elif isinstance(e, RLit):
+                for ch in e.text:
+                    nxt = self.new_state()
+                    edges[end].append((ord(ch), ord(ch), nxt))
+                    end = nxt
+            elif isinstance(e, (RRange, RWildcard)):
                 nxt = self.new_state()
-                cp = ord(ch)
-                self.edges[cur].append((cp, cp, nxt))
-                cur = nxt
-            return cur
-        if isinstance(e, RRange):
-            nxt = self.new_state()
-            self.edges[src].append((ord(e.lo), ord(e.hi), nxt))
-            return nxt
-        if isinstance(e, RWildcard):
-            nxt = self.new_state()
-            self.edges[src].append((0, MAX_CODEPOINT, nxt))
-            return nxt
-        if isinstance(e, REof):
-            nxt = self.new_state()
-            self.eof_edges[src].append(nxt)
-            return nxt
-        if isinstance(e, RConcat):
-            cur = src
-            for p in e.parts:
-                cur = self.add_regex(p, cur)
-            return cur
-        if isinstance(e, RAlt):
-            out = self.new_state()
-            for p in e.parts:
-                entry = self.new_state()
-                self.eps[src].append(entry)
-                end = self.add_regex(p, entry)
-                self.eps[end].append(out)
-            return out
-        if isinstance(e, RStar):
-            hub = self.new_state()
-            self.eps[src].append(hub)
-            entry = self.new_state()
-            self.eps[hub].append(entry)
-            end = self.add_regex(e.inner, entry)
-            self.eps[end].append(hub)
-            return hub
-        raise TypeError(e)
+                edges[end].append((ord(e.lo), ord(e.hi), nxt) if isinstance(e, RRange)
+                                  else (0, MAX_CODEPOINT, nxt))
+                end = nxt
+            elif isinstance(e, REof):
+                nxt = self.new_state()
+                self.eof_edges[end].append(nxt)
+                end = nxt
+            elif isinstance(e, RConcat):
+                work.extend(reversed(e.parts))
+            elif isinstance(e, RAlt):
+                start, end = end, self.new_state()
+                for p in reversed(e.parts):
+                    work += [("join", end), p, ("branch", start)]
+            elif isinstance(e, RStar):
+                hub = self.new_state()
+                eps[end].append(hub)
+                end = self.new_state()
+                eps[hub].append(end)
+                work += [("join", hub), e.inner]
+            elif isinstance(e, RRef):
+                if e.name not in env:
+                    raise LexCompileError("reference to unknown token %r" % e.name)
+                if e.name in expanding:
+                    raise LexCompileError("cyclic alias %r" % e.name)
+                expanding.add(e.name)
+                work += [("leave", e.name), env[e.name]]
+            else:
+                raise TypeError(e)
+        return end
 
     def eps_closure(self, states) -> frozenset:
         seen = set(states)
@@ -354,72 +370,41 @@ def _modes_keeping_text(mode_actions) -> frozenset:
 # ---------------------------------------------------------------------------
 # Compilation
 
-def _expand_aliases(e: RegexExpr, env: Dict[str, RegexExpr]) -> RegexExpr:
-    if isinstance(e, RRef):
-        if e.name not in env:
-            raise LexCompileError("reference to unknown token %r" % e.name)
-        return _expand_aliases(env[e.name], env)
-    if isinstance(e, RConcat):
-        return RConcat(tuple(_expand_aliases(p, env) for p in e.parts))
-    if isinstance(e, RAlt):
-        return RAlt(tuple(_expand_aliases(p, env) for p in e.parts))
-    if isinstance(e, RStar):
-        return RStar(_expand_aliases(e.inner, env))
-    return e
-
-
-def _nullable(e: RegexExpr) -> bool:
-    if isinstance(e, RLit):
-        return e.text == ""
-    if isinstance(e, RConcat):
-        return all(_nullable(p) for p in e.parts)
-    if isinstance(e, RAlt):
-        return any(_nullable(p) for p in e.parts)
-    if isinstance(e, RStar):
-        return True
-    return False  # RRange, RWildcard, REof (refs are expanded before this)
-
-
-def _contains_eof(e: RegexExpr) -> bool:
-    if isinstance(e, REof):
-        return True
-    if isinstance(e, (RConcat, RAlt)):
-        return any(_contains_eof(p) for p in e.parts)
-    if isinstance(e, RStar):
-        return _contains_eof(e.inner)
-    return False
-
-
-def emit_constituents(e: RegexExpr, decls, stack=()) -> List[Tuple[str, RegexExpr, bool]]:
+def emit_constituents(e: RegexExpr, decls) -> List[Tuple[str, RegexExpr, bool]]:
     """Flatten an emit pattern into (terminal id, pattern, is_literal) constituents.
 
     An emit rule needs a token identity per accepted string: acceptable
     patterns are literals, opaque token references, and aliases whose bodies
-    are alternations of such.
+    are alternations of such.  The stack holds (pattern, aliases expanded
+    on the way to it).
     """
-    if isinstance(e, RLit):
-        if e.text == "":
-            raise LexCompileError("cannot emit the empty literal")
-        return [(literal_terminal(e.text), e, True)]
-    if isinstance(e, RRef):
-        decl = decls.get(e.name)
-        if decl is None:
-            raise LexCompileError("emit pattern references unknown token %r" % e.name)
-        if decl.kind == "opaque":
-            return [(e.name, decl.pattern, False)]
-        if e.name in stack:
-            raise LexCompileError("cyclic alias %r in emit pattern" % e.name)
-        return emit_constituents(decl.pattern, decls, stack + (e.name,))
-    if isinstance(e, RAlt):
-        out = []
-        for p in e.parts:
-            out.extend(emit_constituents(p, decls, stack))
-        return out
-    if isinstance(e, RConcat) and len(e.parts) == 1:
-        return emit_constituents(e.parts[0], decls, stack)
-    raise LexCompileError(
-        "emit pattern has no token identity; use opaque tokens, literals, "
-        "or an alias alternation over them")
+    out = []
+    work = [(e, ())]
+    while work:
+        e, aliases = work.pop()
+        if isinstance(e, RLit):
+            if e.text == "":
+                raise LexCompileError("cannot emit the empty literal")
+            out.append((literal_terminal(e.text), e, True))
+        elif isinstance(e, RRef):
+            decl = decls.get(e.name)
+            if decl is None:
+                raise LexCompileError("emit pattern references unknown token %r" % e.name)
+            if decl.kind == "opaque":
+                out.append((e.name, decl.pattern, False))
+            elif e.name in aliases:
+                raise LexCompileError("cyclic alias %r in emit pattern" % e.name)
+            else:
+                work.append((decl.pattern, aliases + (e.name,)))
+        elif isinstance(e, RAlt):
+            work.extend((p, aliases) for p in reversed(e.parts))
+        elif isinstance(e, RConcat) and len(e.parts) == 1:
+            work.append((e.parts[0], aliases))
+        else:
+            raise LexCompileError(
+                "emit pattern has no token identity; use opaque tokens, literals, "
+                "or an alias alternation over them")
+    return out
 
 
 def _subset_construct(mode: str, nfa: Nfa) -> ModeDfa:
@@ -499,6 +484,16 @@ def _resolve_accept(mode: str, state_set, nfa: Nfa, witness: str):
     return (t.rule_index, t.token)
 
 
+def _wire(nfa: Nfa, pattern: RegexExpr, env) -> Tuple[int, bool, bool]:
+    """Wire pattern from a new entry state, ε-joined to nfa's start.  Returns
+    its end state, whether it holds eof (a state wired from entry has an
+    eof edge) and whether it matches "" (end is in entry's ε-closure)."""
+    entry = nfa.new_state()
+    nfa.eps[nfa.start].append(entry)
+    end = nfa.add_regex(pattern, entry, env)
+    return end, any(nfa.eof_edges[entry:]), end in nfa.eps_closure([entry])
+
+
 def compile_lexer(spec: LangSpec) -> CompiledLexer:
     """Compile all lexer modes of a validated spec to DFAs."""
     decls = {d.name: d for d in spec.token_decls}
@@ -513,28 +508,26 @@ def compile_lexer(spec: LangSpec) -> CompiledLexer:
             has_emit = any(isinstance(a, AEmit) for a in rule.actions)
             if has_emit:
                 for token_id, pattern, is_lit in emit_constituents(rule.pattern, decls):
-                    expanded = _expand_aliases(pattern, env)
-                    if _contains_eof(expanded):
+                    end, holds_eof, empty = _wire(nfa, pattern, env)
+                    if holds_eof:
                         raise LexCompileError("eof cannot appear inside an emitted pattern")
-                    if _nullable(expanded):
+                    if empty:
                         raise LexCompileError(
                             "token %s matches the empty string" % token_id)
-                    end = nfa.add_regex(expanded, nfa.start)
                     nfa.accepts[end] = Tag(idx, token_id, is_lit, False)
                     emittable.add(token_id)
             else:
-                expanded = _expand_aliases(rule.pattern, env)
-                is_default = isinstance(rule.pattern, RWildcard)
-                if isinstance(expanded, REof):
-                    pass  # bare eof rule
-                elif _contains_eof(expanded):
+                end, holds_eof, empty = _wire(nfa, rule.pattern, env)
+                top = rule.pattern
+                while isinstance(top, RRef):  # add_regex found the chain acyclic
+                    top = env[top.name]
+                if holds_eof and not isinstance(top, REof):
                     raise LexCompileError(
                         "eof may only be used as a whole lexer-rule pattern")
-                elif _nullable(expanded):
+                if empty:
                     raise LexCompileError(
                         "lexer rule pattern in mode %r matches the empty string" % mode_name)
-                end = nfa.add_regex(expanded, nfa.start)
-                nfa.accepts[end] = Tag(idx, None, False, is_default)
+                nfa.accepts[end] = Tag(idx, None, False, isinstance(rule.pattern, RWildcard))
             for a in rule.actions:
                 if isinstance(a, APopEmit):
                     emittable.add(a.token)

@@ -32,10 +32,10 @@ actions alone.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Set, Tuple
 
-from .grammar import Cfg, Inst, InstGrammar, IProd, expand_instances
+from .grammar import Cfg, Inst, InstGrammar, expand_instances
 from .lexer import EOF_TERMINAL
 
 
@@ -93,42 +93,14 @@ class FirstK:
 
 
 def first_k(cfg: Cfg, symbols, k: int) -> Set[tuple]:
-    """FIRST_k of a symbol sequence (names; default constraint instances)."""
-    ig = expand_instances(cfg)
+    """FIRST_k of a symbol sequence (names; default constraint instances).
+    Each nonterminal named is expanded as a main, so one need not be
+    reachable from the grammar's mains."""
+    nonterms = tuple(s for s in symbols if s not in cfg.terminals and s != EOF_TERMINAL)
+    ig = expand_instances(replace(cfg, mains=cfg.mains + nonterms))
     fk = FirstK(ig, k)
-    syms = []
-    for s in symbols:
-        if s in cfg.terminals or s == EOF_TERMINAL:
-            syms.append(("t", s))
-        else:
-            inst = Inst(s, frozenset(), 0)
-            if inst not in fk.first:
-                # pull in nonterminals not reachable from the mains
-                _extend_first(fk, ig, inst)
-            syms.append(("n", inst))
-    return fk._seq_sets(syms)
-
-
-def _extend_first(fk: FirstK, ig: InstGrammar, inst: Inst):
-    work = [inst]
-    added = []
-    while work:
-        cur = work.pop()
-        if cur in fk.first:
-            continue
-        fk.first[cur] = set()
-        added.append(cur)
-        for p in ig.admissible(cur):
-            rhs = []
-            for s in p.slots:
-                if s.is_terminal:
-                    rhs.append(("t", s.symbol))
-                else:
-                    child = Inst(s.symbol, s.attr_reqs, s.prec_bound)
-                    work.append(child)
-                    rhs.append(("n", child))
-            ig.iprods.append(IProd(len(ig.iprods), cur, tuple(rhs), p))
-    fk._fixpoint()
+    return fk._seq_sets([("n", ig.start_insts[s]) if s in nonterms else ("t", s)
+                         for s in symbols])
 
 
 # ---------------------------------------------------------------------------

@@ -188,16 +188,68 @@ def parse_lang_spec(source: str) -> LangSpec:
 # Validation
 
 def _regex_refs(e: RegexExpr) -> List[str]:
-    if isinstance(e, RRef):
-        return [e.name]
-    if isinstance(e, (RConcat, RAlt)):
-        out = []
-        for p in e.parts:
-            out.extend(_regex_refs(p))
-        return out
-    if isinstance(e, RStar):
-        return _regex_refs(e.inner)
-    return []
+    """The token names e references, in order, read on an explicit stack."""
+    out = []
+    work = [e]
+    while work:
+        e = work.pop()
+        if isinstance(e, RRef):
+            out.append(e.name)
+        elif isinstance(e, (RConcat, RAlt)):
+            work.extend(reversed(e.parts))
+        elif isinstance(e, RStar):
+            work.append(e.inner)
+    return out
+
+
+def _alias_diags(decls, by_name, refs) -> List[Diagnostic]:
+    """Depth-first searches, on stacks of iterators over refs[i], the
+    references of decls[i]: for opaque tokens reached from opaque ones
+    (through a name's first declaration), then for an alias cycle (its last)."""
+    out = []
+    first_refs = {d.name: rs for d, rs in reversed(list(zip(decls, refs)))}
+    for d in decls:
+        if d.kind != "opaque":
+            continue
+        hit = None
+        seen = {d.name}
+        stack = [iter(first_refs[d.name])]
+        while stack and hit is None:
+            for ref in stack[-1]:
+                target = by_name.get(ref)
+                if target is not None and target.kind == "opaque":
+                    hit = ref
+                    break
+                if target is not None and ref not in seen:
+                    seen.add(ref)
+                    stack.append(iter(first_refs[ref]))
+                    break
+            else:
+                stack.pop()
+        if hit is not None and hit != d.name:
+            out.append(Diagnostic(d.loc, "opaque token %r cannot be used in the "
+                                  "definition of %r" % (hit, d.name)))
+
+    graph = {d.name: [r for r in rs if r in by_name] for d, rs in zip(decls, refs)}
+    done = set()
+    for d in decls:
+        path = [d.name]
+        stack = [] if d.name in done else [iter(graph[d.name])]
+        while stack:
+            for name in stack[-1]:
+                if name in path:
+                    cycle = path[path.index(name):] + [name]
+                    out.append(Diagnostic(d.loc, "cyclic alias reference: %s"
+                                          % " -> ".join(cycle)))
+                    return out
+                if name not in done:
+                    path.append(name)
+                    stack.append(iter(graph[name]))
+                    break
+            else:
+                stack.pop()
+                done.add(path.pop())
+    return out
 
 
 def validate_spec(spec: LangSpec) -> List[Diagnostic]:
@@ -212,62 +264,13 @@ def validate_spec(spec: LangSpec) -> List[Diagnostic]:
 
     # references resolve; opaque definitions are transitively opaque-free
     # (aliases may name opaque constituents: that is what emit consumes)
-    for d in spec.token_decls:
-        for ref in _regex_refs(d.pattern):
+    refs = [_regex_refs(d.pattern) for d in spec.token_decls]
+    for d, rs in zip(spec.token_decls, refs):
+        for ref in rs:
             if ref not in by_name:
                 diags.append(Diagnostic(d.loc, "token %r references undeclared token %r"
                                         % (d.name, ref)))
-
-    def opaque_reach(name, seen):
-        if name in seen:
-            return None
-        seen.add(name)
-        d = by_name.get(name)
-        if d is None:
-            return None
-        for ref in _regex_refs(d.pattern):
-            target = by_name.get(ref)
-            if target is None:
-                continue
-            if target.kind == "opaque":
-                return ref
-            hit = opaque_reach(ref, seen)
-            if hit is not None:
-                return hit
-        return None
-
-    for d in spec.token_decls:
-        if d.kind != "opaque":
-            continue
-        hit = opaque_reach(d.name, set())
-        if hit is not None and hit != d.name:
-            diags.append(Diagnostic(d.loc, "opaque token %r cannot be used in the "
-                                    "definition of %r" % (hit, d.name)))
-
-    graph = {d.name: [r for r in _regex_refs(d.pattern) if r in by_name]
-             for d in spec.token_decls}
-    state = {}  # 0 visiting, 1 done
-
-    def has_cycle(name, stack):
-        if state.get(name) == 1:
-            return None
-        if state.get(name) == 0:
-            return stack[stack.index(name):] + [name]
-        state[name] = 0
-        stack.append(name)
-        for nxt in graph.get(name, []):
-            cyc = has_cycle(nxt, stack)
-            if cyc:
-                return cyc
-        stack.pop()
-        state[name] = 1
-        return None
-
-    for d in spec.token_decls:
-        cyc = has_cycle(d.name, [])
-        if cyc:
-            diags.append(Diagnostic(d.loc, "cyclic alias reference: %s" % " -> ".join(cyc)))
-            break
+    diags.extend(_alias_diags(spec.token_decls, by_name, refs))
 
     # lexer: main and push targets name declared modes; rule shape constraints
     mode_names = [m for m, _ in spec.lexer.modes]
@@ -295,8 +298,7 @@ def validate_spec(spec: LangSpec) -> List[Diagnostic]:
                                                 "got %r" % a.token))
             if isinstance(r.pattern, REof) and not pops:
                 diags.append(Diagnostic(r.loc, "eof rule in mode %r must pop" % mode_name))
-            refs = _regex_refs(r.pattern)
-            for ref in refs:
+            for ref in _regex_refs(r.pattern):
                 if ref not in by_name:
                     diags.append(Diagnostic(r.loc, "lexer rule references undeclared "
                                             "token %r" % ref))

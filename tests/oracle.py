@@ -33,6 +33,13 @@ reference_lr is canonical LR(k) built item by item on sets of lookahead
 tuples, each goto target closed and then looked up by its closed set: the
 construction with none of build_lr's kernels, bitmasks or per-nonterminal
 propagation, on FirstK.beta_first and lr._extend alone.
+
+reference_compile_lexer is compile_lexer as it was before each pattern went
+through one walk on an explicit stack: aliases expanded into a new pattern
+tree, then separate recursive walks for eof and the empty string, and a
+recursive Thompson construction and emit flattening.  reference_token_diags
+is validate_spec's token checks as they were then, with a recursive
+reference collector and recursive opaque-reach and alias-cycle searches.
 """
 
 import hashlib
@@ -47,14 +54,14 @@ from langcc.datacc import (
 )
 from langcc.grammar import Cfg, InstGrammar, expand_instances
 from langcc.lexer import (
-    ASCII_ROW, EOF_TERMINAL, CompiledLexer, Extract, LexError, LexOutput, ModeDfa, Nfa, Tag,
-    Token, _byte_offsets,
+    ASCII_ROW, EOF_TERMINAL, CompiledLexer, Extract, LexCompileError, LexError, LexOutput,
+    MAX_CODEPOINT, ModeDfa, Nfa, Tag, Token, _byte_offsets, _subset_construct, literal_terminal,
 )
 from langcc.lr import FirstK, LrTables, _extend, _sym_sort_key
 from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, wrong_value
 from langcc.meta_frontend import _checked, decode_backtick, make_parse_test
 from langcc.spec_ast import (
-    AEmit, APass, APop, APopEmit, APopExtract, APush, AltBranches, AttrLine, Eps,
+    AEmit, APass, APop, APopEmit, APopExtract, APush, AltBranches, AttrLine, Diagnostic, Eps,
     LangSpec, LexerRule, LexerSpec, ListExpr, Loc, LrTestDecl, Named, NontermRef,
     Optional_, ParseExpr, ParserSpec, ParseTestDecl, PassString, Plus, PrecLine, RAlt,
     RConcat, REof, RLit, RRange, RRef, RStar, RWildcard, RegexExpr, RuleDecl, Seq,
@@ -1396,3 +1403,237 @@ def reference_lr(cfg: Cfg, k: int):
                 for w in lookaheads_after(pi, dot, la):
                     action.setdefault((idx, w), set()).add(("shift", goto[(idx, rhs[dot])]))
     return states, goto, action
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer compilation and token validation
+
+def _ref_add_regex(nfa: Nfa, e: RegexExpr, src: int) -> int:
+    if isinstance(e, RLit):
+        cur = src
+        for ch in e.text:
+            nxt = nfa.new_state()
+            cp = ord(ch)
+            nfa.edges[cur].append((cp, cp, nxt))
+            cur = nxt
+        return cur
+    if isinstance(e, RRange):
+        nxt = nfa.new_state()
+        nfa.edges[src].append((ord(e.lo), ord(e.hi), nxt))
+        return nxt
+    if isinstance(e, RWildcard):
+        nxt = nfa.new_state()
+        nfa.edges[src].append((0, MAX_CODEPOINT, nxt))
+        return nxt
+    if isinstance(e, REof):
+        nxt = nfa.new_state()
+        nfa.eof_edges[src].append(nxt)
+        return nxt
+    if isinstance(e, RConcat):
+        cur = src
+        for p in e.parts:
+            cur = _ref_add_regex(nfa, p, cur)
+        return cur
+    if isinstance(e, RAlt):
+        out = nfa.new_state()
+        for p in e.parts:
+            entry = nfa.new_state()
+            nfa.eps[src].append(entry)
+            end = _ref_add_regex(nfa, p, entry)
+            nfa.eps[end].append(out)
+        return out
+    if isinstance(e, RStar):
+        hub = nfa.new_state()
+        nfa.eps[src].append(hub)
+        entry = nfa.new_state()
+        nfa.eps[hub].append(entry)
+        end = _ref_add_regex(nfa, e.inner, entry)
+        nfa.eps[end].append(hub)
+        return hub
+    raise TypeError(e)
+
+
+def _expand_aliases(e: RegexExpr, env) -> RegexExpr:
+    if isinstance(e, RRef):
+        if e.name not in env:
+            raise LexCompileError("reference to unknown token %r" % e.name)
+        return _expand_aliases(env[e.name], env)
+    if isinstance(e, RConcat):
+        return RConcat(tuple(_expand_aliases(p, env) for p in e.parts))
+    if isinstance(e, RAlt):
+        return RAlt(tuple(_expand_aliases(p, env) for p in e.parts))
+    if isinstance(e, RStar):
+        return RStar(_expand_aliases(e.inner, env))
+    return e
+
+
+def _nullable(e: RegexExpr) -> bool:
+    if isinstance(e, RLit):
+        return e.text == ""
+    if isinstance(e, RConcat):
+        return all(_nullable(p) for p in e.parts)
+    if isinstance(e, RAlt):
+        return any(_nullable(p) for p in e.parts)
+    if isinstance(e, RStar):
+        return True
+    return False  # RRange, RWildcard, REof (refs are expanded before this)
+
+
+def _contains_eof(e: RegexExpr) -> bool:
+    if isinstance(e, REof):
+        return True
+    if isinstance(e, (RConcat, RAlt)):
+        return any(_contains_eof(p) for p in e.parts)
+    if isinstance(e, RStar):
+        return _contains_eof(e.inner)
+    return False
+
+
+def _emit_constituents(e: RegexExpr, decls, stack=()):
+    if isinstance(e, RLit):
+        if e.text == "":
+            raise LexCompileError("cannot emit the empty literal")
+        return [(literal_terminal(e.text), e, True)]
+    if isinstance(e, RRef):
+        decl = decls.get(e.name)
+        if decl is None:
+            raise LexCompileError("emit pattern references unknown token %r" % e.name)
+        if decl.kind == "opaque":
+            return [(e.name, decl.pattern, False)]
+        if e.name in stack:
+            raise LexCompileError("cyclic alias %r in emit pattern" % e.name)
+        return _emit_constituents(decl.pattern, decls, stack + (e.name,))
+    if isinstance(e, RAlt):
+        out = []
+        for p in e.parts:
+            out.extend(_emit_constituents(p, decls, stack))
+        return out
+    if isinstance(e, RConcat) and len(e.parts) == 1:
+        return _emit_constituents(e.parts[0], decls, stack)
+    raise LexCompileError(
+        "emit pattern has no token identity; use opaque tokens, literals, "
+        "or an alias alternation over them")
+
+
+def reference_compile_lexer(spec: LangSpec) -> CompiledLexer:
+    decls = {d.name: d for d in spec.token_decls}
+    env = {d.name: d.pattern for d in spec.token_decls}
+
+    emittable = set()
+    dfas = {}
+    mode_actions = {}
+    for mode_name, rules in spec.lexer.modes:
+        nfa = Nfa()
+        for idx, rule in enumerate(rules):
+            if any(isinstance(a, AEmit) for a in rule.actions):
+                for token_id, pattern, is_lit in _emit_constituents(rule.pattern, decls):
+                    expanded = _expand_aliases(pattern, env)
+                    if _contains_eof(expanded):
+                        raise LexCompileError("eof cannot appear inside an emitted pattern")
+                    if _nullable(expanded):
+                        raise LexCompileError(
+                            "token %s matches the empty string" % token_id)
+                    end = _ref_add_regex(nfa, expanded, nfa.start)
+                    nfa.accepts[end] = Tag(idx, token_id, is_lit, False)
+                    emittable.add(token_id)
+            else:
+                expanded = _expand_aliases(rule.pattern, env)
+                is_default = isinstance(rule.pattern, RWildcard)
+                if isinstance(expanded, REof):
+                    pass  # bare eof rule
+                elif _contains_eof(expanded):
+                    raise LexCompileError(
+                        "eof may only be used as a whole lexer-rule pattern")
+                elif _nullable(expanded):
+                    raise LexCompileError(
+                        "lexer rule pattern in mode %r matches the empty string" % mode_name)
+                end = _ref_add_regex(nfa, expanded, nfa.start)
+                nfa.accepts[end] = Tag(idx, None, False, is_default)
+            for a in rule.actions:
+                if isinstance(a, APopEmit):
+                    emittable.add(a.token)
+        dfas[mode_name] = _subset_construct(mode_name, nfa)
+        mode_actions[mode_name] = tuple(rule.actions for rule in rules)
+    return CompiledLexer(spec.lexer.main_mode, dfas, mode_actions, frozenset(emittable))
+
+
+def _regex_refs(e: RegexExpr) -> List[str]:
+    if isinstance(e, RRef):
+        return [e.name]
+    if isinstance(e, (RConcat, RAlt)):
+        out = []
+        for p in e.parts:
+            out.extend(_regex_refs(p))
+        return out
+    if isinstance(e, RStar):
+        return _regex_refs(e.inner)
+    return []
+
+
+def reference_token_diags(token_decls) -> List[Diagnostic]:
+    """validate_spec's diagnostics on the token declarations."""
+    diags: List[Diagnostic] = []
+    by_name = {}
+    for d in token_decls:
+        if d.name in by_name:
+            diags.append(Diagnostic(d.loc, "duplicate token name %r" % d.name))
+        else:
+            by_name[d.name] = d
+
+    for d in token_decls:
+        for ref in _regex_refs(d.pattern):
+            if ref not in by_name:
+                diags.append(Diagnostic(d.loc, "token %r references undeclared token %r"
+                                        % (d.name, ref)))
+
+    def opaque_reach(name, seen):
+        if name in seen:
+            return None
+        seen.add(name)
+        d = by_name.get(name)
+        if d is None:
+            return None
+        for ref in _regex_refs(d.pattern):
+            target = by_name.get(ref)
+            if target is None:
+                continue
+            if target.kind == "opaque":
+                return ref
+            hit = opaque_reach(ref, seen)
+            if hit is not None:
+                return hit
+        return None
+
+    for d in token_decls:
+        if d.kind != "opaque":
+            continue
+        hit = opaque_reach(d.name, set())
+        if hit is not None and hit != d.name:
+            diags.append(Diagnostic(d.loc, "opaque token %r cannot be used in the "
+                                    "definition of %r" % (hit, d.name)))
+
+    graph = {d.name: [r for r in _regex_refs(d.pattern) if r in by_name]
+             for d in token_decls}
+    state = {}  # 0 visiting, 1 done
+
+    def has_cycle(name, stack):
+        if state.get(name) == 1:
+            return None
+        if state.get(name) == 0:
+            return stack[stack.index(name):] + [name]
+        state[name] = 0
+        stack.append(name)
+        for nxt in graph.get(name, []):
+            cyc = has_cycle(nxt, stack)
+            if cyc:
+                return cyc
+        stack.pop()
+        state[name] = 1
+        return None
+
+    for d in token_decls:
+        cyc = has_cycle(d.name, [])
+        if cyc:
+            diags.append(Diagnostic(d.loc, "cyclic alias reference: %s" % " -> ".join(cyc)))
+            break
+    return diags

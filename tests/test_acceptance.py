@@ -152,7 +152,7 @@ parser { main { S } S.One <- `z`; }
     for _ in range(500):
         regex = _random_regex(rng, rng.randrange(1, 5))
         nfa = Nfa()
-        end = nfa.add_regex(regex, nfa.start)
+        end = nfa.add_regex(regex, nfa.start, {})
         nfa.accepts[end] = Tag(0, None, False, False)
         dfa = _subset_construct("m", nfa)
         for s in strings:

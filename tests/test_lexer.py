@@ -1,14 +1,20 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from langcc import compile_lexer, lex, parse_lang_spec, token_bounds_to_linecol
+from langcc import (
+    compile_lang, compile_lexer, lex, parse, parse_lang_spec, token_bounds_to_linecol,
+)
 from langcc.lexer import Extract, LexAmbiguity, LexCompileError, LexError, Nfa, Tag
-from langcc.spec_ast import RAlt, RConcat, RLit, RRange, RStar
+from langcc.spec_ast import (
+    AEmit, APass, APop, APush, LangSpec, LexerRule, LexerSpec, ParserSpec, RAlt, RConcat,
+    REof, RLit, RRange, RRef, RStar, RWildcard, TokenDecl,
+)
 
 from conftest import load_grammar
-from oracle import nfa_simulate, reference_lex
+from oracle import nfa_simulate, reference_compile_lexer, reference_lex
 
 
 def _lexer_for(src):
@@ -195,7 +201,7 @@ def test_subset_construction_matches_nfa_simulation():
     for i in range(500):
         regex = _random_regex(rng, rng.randrange(1, 5))
         nfa = Nfa()
-        end = nfa.add_regex(regex, nfa.start)
+        end = nfa.add_regex(regex, nfa.start, {})
         nfa.accepts[end] = Tag(0, None, False, False)
         dfa = _subset_construct("m", nfa)
 
@@ -318,3 +324,114 @@ parser { main { S } S.One <- `z`; }
     out = lex(lx, "ab(cd)")
     assert out.extracts == [Extract("body", "ab", 0, 6)]
     assert _lex_outcome(lex, lx, "ab(cd)") == _lex_outcome(reference_lex, lx, "ab(cd)")
+
+
+# -- compile_lexer against the recursive reference ---------------------------
+
+_LEAVES = [RLit("a"), RLit("b"), RLit("ab"), RLit("ba"), RRange("a", "b"), RWildcard(),
+           RLit(""), REof()]
+
+
+def _regexes(names):
+    leaves = st.one_of(st.sampled_from(_LEAVES), st.sampled_from(names).map(RRef))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(lambda parts: RConcat(tuple(parts))),
+        st.lists(inner, max_size=3).map(lambda parts: RAlt(tuple(parts))),
+        inner.map(RStar)), max_leaves=6)
+
+
+_TOKEN_NAMES = ["a", "b", "c", "d"]
+_ACTIONS = [(APass(),), (APop(),), (APush("m"), APass()), (AEmit(),)]
+
+
+@st.composite
+def _mode_specs(draw):
+    # each token names only the ones declared before it, so no alias is
+    # cyclic; "zz" is never declared
+    decls = []
+    for i in range(draw(st.integers(0, len(_TOKEN_NAMES)))):
+        pattern = draw(_regexes(_TOKEN_NAMES[:i] + ["zz"]))
+        decls.append(TokenDecl(_TOKEN_NAMES[i], draw(st.sampled_from(["opaque", "alias"])),
+                               pattern))
+    names = [d.name for d in decls] or ["zz"]
+    # emit rules mostly over literals and token names, which give each
+    # string a token identity
+    identities = st.one_of(st.sampled_from(_LEAVES[:4]), st.sampled_from(names).map(RRef))
+    emits = st.one_of(identities, st.lists(identities, min_size=1, max_size=3).map(
+        lambda parts: RAlt(tuple(parts))))
+    rules = draw(st.lists(st.one_of(
+        st.builds(LexerRule, _regexes(names + ["zz"]), st.sampled_from(_ACTIONS)),
+        st.builds(LexerRule, emits, st.just((AEmit(),)))), min_size=1, max_size=3))
+    return LangSpec(tuple(decls), LexerSpec("m", (("m", tuple(rules)),)),
+                    ParserSpec((), (), (), (), ()), (), ())
+
+
+def _compile_outcome(compile_fn, spec):
+    try:
+        lx = compile_fn(spec)
+    except LexCompileError as e:
+        return type(e).__name__, str(e)
+    return lx.dump(), lx.emittable
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mode_specs())
+def test_compile_lexer_agrees_with_the_recursive_reference(spec):
+    # same DFAs, emittable set, and error (class and text) as the pipeline
+    # that expanded aliases into a new tree and walked it three more times
+    assert _compile_outcome(compile_lexer, spec) == _compile_outcome(reference_compile_lexer, spec)
+
+
+def test_cyclic_alias_is_a_compile_error():
+    # validate_spec rejects the cycle first; compile_lexer on its own stops too
+    loop = TokenDecl("a", "alias", RConcat((RLit("x"), RRef("a"))))
+    spec = LangSpec((loop,), LexerSpec("m", (("m", (LexerRule(RRef("a"), (APass(),)),)),)),
+                    ParserSpec((), (), (), (), ()), (), ())
+    with pytest.raises(LexCompileError, match="cyclic alias 'a'"):
+        compile_lexer(spec)
+
+
+# Token patterns 1,500 levels deep: each goes through the frontend, the
+# validator and the lexer on explicit stacks, at the default recursion limit.
+
+def _nested_alt(leaf, depth):
+    out = leaf
+    for _ in range(depth):
+        out = "%s | (%s)" % (leaf, out)
+    return out
+
+
+def _calc_with(old, new):
+    src = load_grammar("calc.lang")
+    assert old in src
+    return src.replace(old, new)
+
+
+WS = "ws_inline <= ` ` | `\\t`;"
+DEEP_TOKENS = {
+    "ws_inline as a nested alternation": lambda: _calc_with(
+        WS, "ws_inline <= %s;" % _nested_alt("` `", 1500)),
+    "ws_inline with nested stars": lambda: _calc_with(
+        WS, "ws_inline <= ` ` %s` `%s;" % ("(" * 1500, ")*" * 1500)),
+    "a nested alternation in the emitted top": lambda: _calc_with(
+        "top <= id | int_lit | op;", "top <= id | int_lit | %s;" % _nested_alt("op", 1500)),
+    # declared head first, so the cycle search follows the whole chain
+    "ws_inline through a chain of aliases": lambda: _calc_with(
+        WS, "ws_inline <= w0;\n" + "".join("    w%d <= w%d;\n" % (i, i + 1) for i in range(1500))
+        + "    w1500 <= ` ` | `\\t`;"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TOKENS))
+def test_deep_token_patterns_compile_and_parse_at_the_default_recursion_limit(name):
+    src = DEEP_TOKENS[name]()
+    assert sys.getrecursionlimit() <= 1000
+    try:
+        result = compile_lang(src)
+    except RecursionError:
+        # failed outside the handler: pytest takes minutes to report a
+        # traceback this deep
+        result = None
+    assert result is not None, "RecursionError at the default recursion limit"
+    assert result.ok
+    assert parse(result.compiled, "x = 1 +  2 * (3) - y").is_success()

@@ -39,6 +39,32 @@ def test_first_2_with_nullable_prefix():
     assert got == {("`a`",), ("`a`", "`a`")}
 
 
+UNREACHABLE = """
+tokens { a <- `a`; b <- `b`; c <- `c`; top <= a | b | c | `;`; ws <= ` `; }
+lexer { main { body } mode body { top => { emit; } ws => { pass; } eof => { pop; } } }
+parser {
+    main { S }
+    S.One <- x:a;
+    U.Pair <- x:V y:W;
+    V.B <- x:b;
+    V.Skip <- `;`?;
+    W.C <- x:c x2:V;
+}
+"""
+
+
+def test_first_of_nonterminals_not_reachable_from_the_mains():
+    spec = parse_lang_spec(UNREACHABLE)
+    cfg = lower_precedence(spec, lower_grammar(spec)[0])
+    assert cfg.mains == ("S",)
+    assert first_k(cfg, ["U"], 1) == {("`;`",), ("b",), ("c",)}
+    assert first_k(cfg, ["U"], 2) == {
+        ("`;`", "c"), ("b", "c"), ("c",), ("c", "`;`"), ("c", "b")}
+    assert first_k(cfg, ["V", "S", "W"], 2) == {("`;`", "a"), ("a", "c"), ("b", "a")}
+    assert first_k(cfg, ["V", "S", "W"], 3) == {
+        ("`;`", "a", "c"), ("a", "c"), ("a", "c", "`;`"), ("a", "c", "b"), ("b", "a", "c")}
+
+
 def test_calc_compiles_conflict_free_at_k1():
     _, cfg = _cfg("calc.lang")
     tables = build_lr(cfg, 1)

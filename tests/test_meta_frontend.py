@@ -1,13 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from langcc import parse_lang_spec, render_spec, validate_spec
 from langcc.meta_frontend import decode_backtick, make_parse_test
 from langcc.spec_ast import (
-    Loc, RAlt, RConcat, RLit, RRange, RRef, RStar, SpecError, TokenRef,
+    LangSpec, LexerSpec, Loc, ParserSpec, RAlt, RConcat, REof, RLit, RRange, RRef, RStar,
+    SpecError, TokenDecl, TokenRef,
 )
 
 from conftest import GRAMMARS, load_grammar
-from oracle import reference_parse_lang_spec
+from oracle import reference_parse_lang_spec, reference_token_diags
 
 MINIMAL_TAIL = """
 lexer {
@@ -348,3 +350,36 @@ def test_declaration_locations_match_the_hand_written_frontend(name):
         got = _decl_locs(parse_lang_spec(text))
         assert got == want
         assert all(loc is not None for locs in got.values() for loc in locs)
+
+
+# -- the token checks against the recursive reference ------------------------
+
+_NAMES = ["a", "b", "c", "d", "zz"]
+
+
+def _token_regexes():
+    leaves = st.one_of(st.sampled_from([RLit("a"), RRange("a", "b"), REof()]),
+                       st.sampled_from(_NAMES).map(RRef))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(lambda parts: RConcat(tuple(parts))),
+        st.lists(inner, max_size=3).map(lambda parts: RAlt(tuple(parts))),
+        inner.map(RStar)), max_leaves=5)
+
+
+@st.composite
+def _token_sets(draw):
+    # names repeat (a duplicate is a diagnostic, and the searches read a
+    # name's first or last declaration); "zz" is never declared
+    n = draw(st.integers(0, 7))
+    return tuple(TokenDecl(draw(st.sampled_from(_NAMES[:-1])),
+                           draw(st.sampled_from(["opaque", "alias"])),
+                           draw(_token_regexes()), Loc(i + 1, 1)) for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_token_sets())
+def test_token_diagnostics_agree_with_the_recursive_reference(decls):
+    # a lexer and parser with nothing to report, so every diagnostic is the
+    # tokens'
+    spec = LangSpec(decls, LexerSpec("m", (("m", ()),)), ParserSpec((), (), (), (), ()), (), ())
+    assert validate_spec(spec) == reference_token_diags(decls)
