@@ -6,11 +6,13 @@ canonical JSON, so artifacts are versioned, byte-identical across runs and
 friendly to version control: the text of json.dumps(tree, sort_keys=True,
 indent=1, separators=(",", ": "), ensure_ascii=False) and a newline.
 _canonical_json writes that text itself, as json's C encoder does not
-indent and its pure-Python one is much slower.  CompiledLang also resolves
-the field kinds and templates into the per-variant plans the tree walks
-read (data_plan for runtime.node_to_data_value, print_plan for
-printer.pretty_print), once per variant, when the variant is first met:
-resolving every variant at load would add a few percent to loading.
+indent and its pure-Python one is much slower.  Each CompiledLang runs it
+once, on its first to_json, from the tree flatten built or the text
+from_json loaded.  CompiledLang also resolves the field kinds and
+templates into the per-variant plans the tree walks read (data_plan for
+runtime.node_to_data_value, print_plan for printer.pretty_print), once
+per variant, when the variant is first met: resolving every variant at
+load would add a few percent to loading.
 """
 
 from __future__ import annotations
@@ -44,11 +46,14 @@ class CompiledLang:
     """Runtime-facing compiled language: everything the parser, printer, and
     validators need, with no references back to build-time structures."""
 
-    def __init__(self, data: dict, text: str):
-        """`data` is the artifact's JSON tree and `text` a JSON text of it.
-        The indexes are built from the tree, which is not kept: it is most
-        of a loaded artifact's size.  to_json decodes the text again."""
-        self._text = text
+    def __init__(self, data: dict, text: Optional[str] = None):
+        """`data` is the artifact's JSON tree, which the indexes are built
+        from without changing it, and `text` the text it was decoded from,
+        or None for a tree flatten built.  to_json writes from the text if
+        there is one (the tree is most of a loaded artifact's size), else
+        from the tree, which a built artifact keeps until then."""
+        self._source = data if text is None else text
+        self._text: Optional[str] = None
         self._build_indexes(data)
 
     def _build_indexes(self, d: dict):
@@ -114,18 +119,24 @@ class CompiledLang:
     def to_json(self) -> str:
         """The canonical JSON text of the artifact: sorted keys, one-space
         indents, `,` and `: ` separators, non-ASCII text as it is, and a
-        newline at the end.  _canonical_json writes it from the decoded
-        text, so built and loaded artifacts take the same path.  The cyclic
-        collector is paused meanwhile, as in runtime.parse: the decoded tree
-        is acyclic and freed by reference counting, and collector passes
-        over it would be wasted."""
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return _canonical_json(json.loads(self._text)) + "\n"
-        finally:
-            if was_enabled:
-                gc.enable()
+        newline at the end.  The first call writes it with _canonical_json
+        from the kept source, decoded first if it is a text, and keeps it
+        in place of the source; later calls return the same str.  The
+        cyclic collector is paused for the write, as in runtime.parse: the
+        tree is acyclic and freed by reference counting, and collector
+        passes over it would be wasted."""
+        if self._text is None:
+            was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                source = self._source
+                self._text = _canonical_json(
+                    json.loads(source) if type(source) is str else source) + "\n"
+                self._source = None
+            finally:
+                if was_enabled:
+                    gc.enable()
+        return self._text
 
     @classmethod
     def from_json(cls, text: str) -> "CompiledLang":
@@ -688,23 +699,7 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
         "ast": ast_json,
         "templates": templates_json,
     }
-    return CompiledLang(data, _compact_json(data))
-
-
-def _compact_json(data: dict) -> str:
-    """The artifact tree as compact JSON.  json.dumps keeps every small
-    piece of its output until it joins them, several times the size of the
-    text, so each list is encoded a slice at a time."""
-    encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
-    fields = []
-    for key, value in data.items():
-        if type(value) is list:
-            value = "[%s]" % ",".join(encode(value[i:i + 512])[1:-1]
-                                      for i in range(0, len(value), 512))
-        else:
-            value = encode(value)
-        fields.append("%s:%s" % (encode(key), value))
-    return "{%s}" % ",".join(fields)
+    return CompiledLang(data)
 
 
 _encode_str = json.encoder.encode_basestring
@@ -713,9 +708,10 @@ _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 def _canonical_json(v, newline: str = "\n") -> str:
     """json.dumps(v, sort_keys=True, indent=1, separators=(",", ": "),
-    ensure_ascii=False) for a tree as json.loads returns it, one str.join
-    per list or dict.  `newline` is a newline and the indent of v's own
-    line.  It calls itself once per level of nesting, through map and a
+    ensure_ascii=False) for a tree of str-keyed dicts, lists, str, int,
+    float, bool and None (anything else, a tuple too, is a TypeError), one
+    str.join per list or dict.  `newline` is a newline and the indent of v's
+    own line.  It calls itself once per level of nesting, through map and a
     loop: a generator or a comprehension would add a frame per level."""
     t = type(v)
     if t is list:
@@ -736,7 +732,9 @@ def _canonical_json(v, newline: str = "\n") -> str:
         for key in sorted(v):
             members.append("%s: %s" % (_encode_str(key), _canonical_json(v[key], inner)))
         return "{%s%s%s}" % (inner, ("," + inner).join(members), newline)
-    return _encode_scalar(v)  # float, bool, None
+    if t is float or t is bool or v is None:
+        return _encode_scalar(v)
+    raise TypeError("%s is not a JSON value" % t.__name__)
 
 
 def _goto_key_str(key):

@@ -344,28 +344,45 @@ def quote_backtick(text: str) -> str:
 
 
 def render_regex(e: RegexExpr, prec: int = 0) -> str:
-    # precedence: 0 alt, 1 concat, 2 postfix/atom
-    if isinstance(e, RAlt):
-        s = " | ".join(render_regex(p, 1) for p in e.parts)
-        return "(" + s + ")" if prec > 0 else s
-    if isinstance(e, RConcat):
-        if not e.parts:
-            return "()"
-        s = " ".join(render_regex(p, 2) for p in e.parts)
-        return "(" + s + ")" if prec > 1 else s
-    if isinstance(e, RStar):
-        return render_regex(e.inner, 2) + "*"
-    if isinstance(e, RLit):
-        return quote_backtick(e.text)
-    if isinstance(e, RRange):
-        return "%s..%s" % (quote_backtick(e.lo), quote_backtick(e.hi))
-    if isinstance(e, RRef):
-        return e.name
-    if isinstance(e, RWildcard):
-        return "_"
-    if isinstance(e, REof):
-        return "eof"
-    raise TypeError(e)
+    """e as .lang text, parenthesized where its context binds tighter:
+    `prec` is that context's precedence, 0 alt, 1 concat, 2 postfix/atom.
+    Walks e on an explicit stack, so deep patterns render at any depth."""
+    out = []
+    todo = [(e, prec)]  # (regex, context precedence) to render, or text to emit
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, prec = item
+        if isinstance(e, RConcat) and not e.parts:
+            out.append("()")
+        elif isinstance(e, (RAlt, RConcat)):
+            sep, inner, at = (" | ", 1, 0) if isinstance(e, RAlt) else (" ", 2, 1)
+            if prec > at:
+                todo.append(")")
+            for i in range(len(e.parts) - 1, -1, -1):
+                todo.append((e.parts[i], inner))
+                if i:
+                    todo.append(sep)
+            if prec > at:
+                todo.append("(")
+        elif isinstance(e, RStar):
+            todo.append("*")
+            todo.append((e.inner, 2))
+        elif isinstance(e, RLit):
+            out.append(quote_backtick(e.text))
+        elif isinstance(e, RRange):
+            out.append("%s..%s" % (quote_backtick(e.lo), quote_backtick(e.hi)))
+        elif isinstance(e, RRef):
+            out.append(e.name)
+        elif isinstance(e, RWildcard):
+            out.append("_")
+        elif isinstance(e, REof):
+            out.append("eof")
+        else:
+            raise TypeError(e)
+    return "".join(out)
 
 
 def render_parse_expr(e: ParseExpr, prec: int = 0) -> str:

@@ -1,4 +1,6 @@
+import contextlib
 import pathlib
+import sys
 
 import pytest
 
@@ -10,6 +12,18 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 def load_grammar(name: str) -> str:
     return (GRAMMARS / name).read_text(encoding="utf-8")
+
+
+@contextlib.contextmanager
+def recursion_limit(limit):
+    """Run the body at the given recursion limit, for the recursive
+    references and dataclass equality on trees deeper than the default."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 @pytest.fixture(scope="session")

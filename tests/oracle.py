@@ -40,6 +40,9 @@ tree, then separate recursive walks for eof and the empty string, and a
 recursive Thompson construction and emit flattening.  reference_token_diags
 is validate_spec's token checks as they were then, with a recursive
 reference collector and recursive opaque-reach and alias-cycle searches.
+
+reference_render_regex is spec_ast.render_regex as it was before it walked
+a pattern on an explicit stack: one call per level of nesting.
 """
 
 import hashlib
@@ -1322,11 +1325,39 @@ def reference_parse_lang_spec(source: str) -> LangSpec:
     return _checked(_Parser(scan_meta(source)).parse_file())
 
 
+def reference_render_regex(e: RegexExpr, prec: int = 0) -> str:
+    """render_regex, recursive."""
+    # precedence: 0 alt, 1 concat, 2 postfix/atom
+    if isinstance(e, RAlt):
+        s = " | ".join(reference_render_regex(p, 1) for p in e.parts)
+        return "(" + s + ")" if prec > 0 else s
+    if isinstance(e, RConcat):
+        if not e.parts:
+            return "()"
+        s = " ".join(reference_render_regex(p, 2) for p in e.parts)
+        return "(" + s + ")" if prec > 1 else s
+    if isinstance(e, RStar):
+        return reference_render_regex(e.inner, 2) + "*"
+    if isinstance(e, RLit):
+        return quote_backtick(e.text)
+    if isinstance(e, RRange):
+        return "%s..%s" % (quote_backtick(e.lo), quote_backtick(e.hi))
+    if isinstance(e, RRef):
+        return e.name
+    if isinstance(e, RWildcard):
+        return "_"
+    if isinstance(e, REof):
+        return "eof"
+    raise TypeError(e)
+
+
 def reference_to_json(compiled: CompiledLang) -> str:
     """The canonical JSON text of the artifact: sorted keys, one-space
-    indents, a newline at the end.  Each top-level field is encoded on
-    its own (see _compact_json) and indented one more step."""
-    tree = json.loads(compiled._text)
+    indents, a newline at the end, written by json's own encoder from the
+    tree of compiled.to_json()'s text.  Each top-level field is encoded on
+    its own and indented one more step, as json.dumps keeps every small
+    piece of its output until it joins them, several times the text."""
+    tree = json.loads(compiled.to_json())
     encode = json.JSONEncoder(sort_keys=True, indent=1, separators=(",", ": "),
                               ensure_ascii=False).encode
     return "{\n%s\n}\n" % ",\n".join(

@@ -1,4 +1,3 @@
-import contextlib
 import sys
 from importlib import resources
 
@@ -11,7 +10,7 @@ from langcc.bootstrap import _Lines, _dotted
 from langcc.runtime import Bounds, Node
 from langcc.spec_ast import SpecError
 
-from conftest import GRAMMARS, load_grammar
+from conftest import GRAMMARS, load_grammar, recursion_limit
 from oracle import reference_parse_lang_spec, reference_to_json
 
 FIXTURES = sorted(p.name for p in GRAMMARS.glob("*.lang"))
@@ -108,16 +107,6 @@ LONG_SPECS = {
 }
 
 
-@contextlib.contextmanager
-def _recursion_limit(limit):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 @pytest.mark.parametrize("name", sorted(LONG_SPECS))
 def test_long_declarations_compile_at_the_default_recursion_limit(name):
     src = LONG_SPECS[name]()
@@ -132,6 +121,6 @@ def test_long_declarations_compile_at_the_default_recursion_limit(name):
         result = None
     assert result is not None, "RecursionError at the default recursion limit"
     assert result.ok
-    with _recursion_limit(50000):
+    with recursion_limit(50000):
         assert result.spec == reference_parse_lang_spec(src)
     assert text == reference_to_json(result.compiled)

@@ -1,5 +1,6 @@
 """The artifact's canonical JSON text: the writer against json.dumps and
-the old encoder, non-canonical input, and text that is no artifact."""
+the old encoder, one write per artifact with no decode on the build path,
+non-canonical input, and text that is no artifact."""
 
 import json
 import random
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from langcc import compile_lang, parse
 from langcc.compiled import CompiledLang, _canonical_json
+from langcc.meta_frontend import meta_artifact
 from langcc.spec_ast import SpecError
 
 from conftest import load_grammar
@@ -42,6 +44,14 @@ def test_canonical_json_is_json_dumps(tree):
     assert _canonical_json(tree) == _dumps(tree)
 
 
+@pytest.mark.parametrize("tree", [
+    {"a": [1, (1, "a")]}, [{"x": {1, 2}}], {"b": [b"x"]}, {"k": frozenset()},
+], ids=["tuple", "set", "bytes", "frozenset"])
+def test_canonical_json_rejects_what_is_no_json_value(tree):
+    with pytest.raises(TypeError, match="is not a JSON value"):
+        _canonical_json(tree)
+
+
 WITH_ARTIFACTS = ["ab_eps", "calc", "calc_prog", "meta", "parens", "rd_tiny", "sum_list"]
 
 
@@ -51,6 +61,22 @@ def test_to_json_matches_the_indenting_encoder(request, grammar):
     text = compiled.to_json()
     assert text == reference_to_json(compiled)
     assert text == _dumps(json.loads(text)) + "\n"
+    assert CompiledLang.from_json(text).to_json() == text
+
+
+def _refuse(text, *args, **kwargs):
+    raise AssertionError("json.loads called on the build path")
+
+
+@pytest.mark.parametrize("grammar", ["calc.lang", "meta.lang"])
+def test_build_path_decodes_no_json(monkeypatch, grammar):
+    meta_artifact()  # its first load decodes meta.clang
+    monkeypatch.setattr(json, "loads", _refuse)
+    compiled = compile_lang(load_grammar(grammar)).compiled
+    text = compiled.to_json()
+    assert compiled.to_json() is text
+    monkeypatch.undo()
+    assert text == reference_to_json(compiled)
 
 
 def _non_ascii_parens():
@@ -67,7 +93,7 @@ def _non_ascii_parens():
 
 @pytest.mark.parametrize("source", [_non_ascii_parens, lambda: load_grammar("calc.lang")],
                          ids=["non-ascii parens", "calc"])
-def test_non_canonical_artifact_loads_to_the_canonical_one(source):
+def test_non_canonical_artifact_loads_to_the_canonical_one(monkeypatch, source):
     built = compile_lang(source()).compiled
     canonical = built.to_json()
     tree = json.loads(canonical)
@@ -78,7 +104,12 @@ def test_non_canonical_artifact_loads_to_the_canonical_one(source):
     assert compact != canonical
     assert compact.isascii()
     loaded = CompiledLang.from_json(compact)
+    decodes = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: decodes.append(text) or loads(text))
     assert loaded.to_json() == canonical
+    assert loaded.to_json() is loaded.to_json()
+    assert decodes == [compact]  # once, for the first write
     assert loaded == built
     if not canonical.isascii():
         assert "\\u2192" in compact

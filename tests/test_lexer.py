@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from langcc import (
-    compile_lang, compile_lexer, lex, parse, parse_lang_spec, token_bounds_to_linecol,
+    compile_lang, compile_lexer, lex, parse, parse_lang_spec, render_spec,
+    token_bounds_to_linecol,
 )
 from langcc.lexer import Extract, LexAmbiguity, LexCompileError, LexError, Nfa, Tag
 from langcc.spec_ast import (
@@ -13,7 +14,7 @@ from langcc.spec_ast import (
     REof, RLit, RRange, RRef, RStar, RWildcard, TokenDecl,
 )
 
-from conftest import load_grammar
+from conftest import load_grammar, recursion_limit
 from oracle import nfa_simulate, reference_compile_lexer, reference_lex
 
 
@@ -435,3 +436,16 @@ def test_deep_token_patterns_compile_and_parse_at_the_default_recursion_limit(na
     assert result is not None, "RecursionError at the default recursion limit"
     assert result.ok
     assert parse(result.compiled, "x = 1 +  2 * (3) - y").is_success()
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TOKENS))
+def test_deep_token_patterns_render_and_reparse_at_the_default_recursion_limit(name):
+    spec = parse_lang_spec(DEEP_TOKENS[name]())
+    assert sys.getrecursionlimit() <= 1000
+    try:
+        reparsed = parse_lang_spec(render_spec(spec))
+    except RecursionError:
+        reparsed = None
+    assert reparsed is not None, "RecursionError at the default recursion limit"
+    with recursion_limit(50000):  # dataclass equality recurses per level
+        assert reparsed == spec

@@ -5,11 +5,11 @@ from langcc import parse_lang_spec, render_spec, validate_spec
 from langcc.meta_frontend import decode_backtick, make_parse_test
 from langcc.spec_ast import (
     LangSpec, LexerSpec, Loc, ParserSpec, RAlt, RConcat, REof, RLit, RRange, RRef, RStar,
-    SpecError, TokenDecl, TokenRef,
+    RWildcard, SpecError, TokenDecl, TokenRef, render_regex,
 )
 
 from conftest import GRAMMARS, load_grammar
-from oracle import reference_parse_lang_spec, reference_token_diags
+from oracle import reference_parse_lang_spec, reference_render_regex, reference_token_diags
 
 MINIMAL_TAIL = """
 lexer {
@@ -162,6 +162,20 @@ def test_render_reparse_fixpoint(name):
     spec = parse_lang_spec(load_grammar(name))
     rendered = render_spec(spec)
     assert parse_lang_spec(rendered) == spec
+
+
+_RENDER_LEAVES = st.one_of(
+    st.builds(RLit, st.text("a`\\\n\t\r→", max_size=3)),
+    st.sampled_from([RRange("a", "z"), RRange("`", "\\"), RWildcard(), REof(), RRef("x")]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_RENDER_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(lambda parts: RConcat(tuple(parts))),
+    st.lists(inner, max_size=3).map(lambda parts: RAlt(tuple(parts))),
+    inner.map(RStar)), max_leaves=12), st.integers(0, 2))
+def test_render_regex_matches_the_recursive_reference(e, prec):
+    assert render_regex(e, prec) == reference_render_regex(e, prec)
 
 
 def test_meta_lang_parses_without_diagnostics():

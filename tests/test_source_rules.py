@@ -49,6 +49,7 @@ STACK_WALKS = {
     "lexer.py": ["Nfa.add_regex", "emit_constituents", "compile_lexer"],
     "meta_frontend.py": ["_regex_refs", "_alias_diags"],
     "printer.py": ["pretty_print"],
+    "spec_ast.py": ["render_regex"],
     "runtime.py": ["node_to_data_value", "validate_node", "render_node",
                    "Node.__eq__", "Node.__hash__", "Node.__repr__"],
     "datacc.py": ["conforms", "_check_values", "make_value", "substitute_field",
