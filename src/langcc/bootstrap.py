@@ -3,10 +3,12 @@
 meta_frontend.parse_lang_spec parses `.lang` source with meta.clang, the
 parser generated from grammars/meta.lang, and langspec_from_node turns the
 Lang::File node it returns into a LangSpec, each declaration located at the
-start of its node.  The regex and parse-expression converters run on
-explicit stacks, so a pattern or rule body of any depth or length converts
-at the default recursion limit.  bootstrap_check is the fixpoint: a parser
-freshly generated from meta.lang reads meta.lang as the committed one does.
+start of its node.  A rule body names opaque tokens and nonterminals
+alike; the converter tells them apart by the tokens stanza, which it reads
+first.  The regex and parse-expression converters run on explicit stacks,
+so a pattern or rule body of any depth or length converts at the default
+recursion limit.  bootstrap_check is the fixpoint: a parser freshly
+generated from meta.lang reads meta.lang as the committed one does.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from typing import List, Optional, Tuple
 
 from . import spec_ast as sa
 from .lexer import lex_lists
-from .meta_frontend import _checked, decode_backtick, lexable, make_parse_test, meta_artifact
+from .compiled import compile_lang
+from .meta_frontend import (
+    _checked, decode_backtick, lexable, make_parse_test, meta_artifact, parse_lang_spec,
+)
 from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse
 from .spec_ast import LangSpec, Loc, SpecError
 
@@ -26,10 +31,12 @@ class _Lines:
     and columns counting code points, read off line starts indexed once.
     Tokens read their text from the source, which differs from the text
     parsed where meta_frontend.lexable folded a character.  With no source,
-    every Loc is None."""
+    every Loc is None.  `late` holds the first error that is raised only
+    once every stanza has converted."""
 
     def __init__(self, source: Optional[str]):
         self.source = source
+        self.late: Optional[SpecError] = None
         self.data = None if source is None else source.encode("utf-8", "surrogatepass")
         self.folded = self.data is not None and not (self.data.isascii()
                                                      and b"\r" not in self.data)
@@ -168,9 +175,9 @@ def _alt(n: Node, parts: list, lines: _Lines) -> sa.AltBranches:
         for i, p in enumerate(parts)))
 
 
-def _attr(n: Node, parts: list, lines: _Lines) -> sa.NontermRef:
+def _attr(n: Node, parts: list, lines: _Lines) -> sa.ParseExpr:
     inner = parts[0]
-    if not isinstance(inner, sa.NontermRef):
+    if not isinstance(inner, (sa.NontermRef, sa.TokenRef)):
         # located at the `[`, the first token after the operand
         raise SpecError("attribute requirements apply only to nonterminal references",
                         lines.next_token(n.field("e").bounds.end))
@@ -181,6 +188,11 @@ def _attr(n: Node, parts: list, lines: _Lines) -> sa.NontermRef:
             reqs.append(lines.text(req.field("name")))
         else:
             pr_star = True
+    if isinstance(inner, sa.TokenRef):
+        if (reqs or pr_star) and lines.late is None:
+            lines.late = SpecError("attribute requirements apply only to nonterminal "
+                                   "references, but %r is a token" % inner.name)
+        return inner
     return sa.NontermRef(inner.name, inner.attr_reqs + tuple(reqs), inner.pr_star or pr_star)
 
 
@@ -218,7 +230,7 @@ _PE_OPERANDS = {"Name": ("e",), "Unfold": ("e",), "Star": ("e",), "Plus": ("e",)
                 "Opt": ("e",), "Attr": ("e",), "SAlt": ("b",), "List": ("elem", "delim")}
 
 
-def _conv_pe(root: Node, lines: _Lines) -> sa.ParseExpr:
+def _conv_pe(root: Node, lines: _Lines, opaque: set) -> sa.ParseExpr:
     done: list = []
     todo: list = [root]
     while todo:
@@ -246,8 +258,9 @@ def _conv_pe(root: Node, lines: _Lines) -> sa.ParseExpr:
         elif v == "Eps":
             done.append(sa.Eps())
         elif v == "Ref":
-            # resolved to TokenRef/NontermRef by meta_frontend._resolve_refs
-            done.append(sa.NontermRef(lines.text(n.field("name"))))
+            # `opaque` holds the opaque token names; any other name is a nonterminal
+            name = lines.text(n.field("name"))
+            done.append(sa.TokenRef(name) if name in opaque else sa.NontermRef(name))
         else:
             raise SpecError("unexpected parse-expr variant %s" % v)
     return done[0]
@@ -301,7 +314,7 @@ _TAG_OF = {"AssocLeft": "assoc_left", "AssocRight": "assoc_right",
            "Prefix": "prefix", "Postfix": "postfix"}
 
 
-def _conv_parser(items: SeqVal, lines: _Lines) -> sa.ParserSpec:
+def _conv_parser(items: SeqVal, lines: _Lines, opaque: set) -> sa.ParserSpec:
     main: Optional[Tuple[str, ...]] = None
     prec_lines: List[sa.PrecLine] = []
     props: List[str] = []
@@ -333,7 +346,7 @@ def _conv_parser(items: SeqVal, lines: _Lines) -> sa.ParserSpec:
             attrs_val = item.field("attrs")
             lhs_attrs = _ids(attrs_val, lines) if isinstance(attrs_val, SeqVal) else ()
             rules.append(sa.RuleDecl(_dotted(item.field("path"), lines), lhs_attrs,
-                                     _conv_pe(item.field("rhs"), lines), loc))
+                                     _conv_pe(item.field("rhs"), lines, opaque), loc))
         else:
             raise SpecError("unexpected parser item %s" % v)
     if main is None:
@@ -359,7 +372,10 @@ def langspec_from_node(root: Node, source: Optional[str] = None) -> LangSpec:
     compile_tests: List[sa.LrTestDecl] = []
     parse_tests: List[sa.ParseTestDecl] = []
     seen = set()
-    for stanza in root.field("stanzas").items:
+    stanzas = root.field("stanzas").items
+    opaque = {lines.text(d.field("name")) for s in stanzas if s.variant[1] == "Tokens"
+              for d in s.field("decls").items if d.variant[1] == "Opaque"}
+    for stanza in stanzas:
         v = stanza.variant[1]
         if v not in _STANZA_KEYWORDS:
             raise SpecError("unexpected stanza %s" % v)
@@ -372,7 +388,7 @@ def langspec_from_node(root: Node, source: Optional[str] = None) -> LangSpec:
         elif v == "Lexer":
             lexer = _conv_lexer(stanza.field("items"), lines)
         elif v == "Parser":
-            parser = _conv_parser(stanza.field("items"), lines)
+            parser = _conv_parser(stanza.field("items"), lines, opaque)
         elif v == "CompileTest":
             for e in stanza.field("entries").items:
                 compile_tests.append(sa.LrTestDecl(
@@ -386,6 +402,8 @@ def langspec_from_node(root: Node, source: Optional[str] = None) -> LangSpec:
         raise SpecError("missing lexer stanza")
     if parser is None:
         raise SpecError("missing parser stanza")
+    if lines.late is not None:
+        raise lines.late
     return _checked(LangSpec(tuple(token_decls), lexer, parser,
                              tuple(compile_tests), tuple(parse_tests)))
 
@@ -397,9 +415,6 @@ def bootstrap_check(meta_source: str):
 
     Returns (ok, detail message).
     """
-    from .compiled import compile_lang
-    from .meta_frontend import parse_lang_spec
-
     committed = parse_lang_spec(meta_source)
     result = compile_lang(meta_source)
     if not result.ok:

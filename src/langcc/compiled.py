@@ -27,7 +27,7 @@ from typing import Dict, Optional
 from .grammar import Cfg, lower_grammar, lower_precedence
 from .lexer import EOF_TERMINAL, CompiledLexer, ModeDfa, compile_lexer
 from .lr import LrTables, build_lr
-from .meta_frontend import parse_lang_spec
+from .meta_frontend import decode_backtick, parse_lang_spec
 from .spec_ast import (
     AEmit, APass, APop, APopEmit, APopExtract, APush, LangSpec, Loc, SpecError,
 )
@@ -598,8 +598,6 @@ def _kind_to_json(kind, lit_text):
 
 def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
             digest: str) -> CompiledLang:
-    from .meta_frontend import decode_backtick
-
     opaque = set(spec.opaque_names())
 
     def lit_text(term: str) -> str:
@@ -624,13 +622,7 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
         display = tables.display_production(len(prods_json))
         if base.kind == "user":
             vk = "::".join((base.lhs,) + base.variant)
-            fields = []
-            for name, src in base.fields:
-                if src[0] == "slot":
-                    fields.append([name, ["slot", src[1]]])
-                else:
-                    _, idx, label, tmpl = src
-                    fields.append([name, ["enum_inline", idx, label]])
+            fields = [[name, list(src)] for name, src in base.fields]
             prods_json.append(["user", len(base.slots), lhs_ref, vk, fields, display])
         elif base.kind == "enum":
             prods_json.append(["enum", len(base.slots), lhs_ref,
@@ -769,7 +761,7 @@ def compile_lang(source: str, max_k: int = 2) -> CompileResult:
     """
     spec = parse_lang_spec(source)
     lexer = compile_lexer(spec)
-    cfg, _shape = lower_grammar(spec)
+    cfg = lower_grammar(spec)
     cfg = lower_precedence(spec, cfg)
 
     missing = sorted(t for t in cfg.terminals if t not in lexer.emittable)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from . import datacc
 from . import spec_ast as sa
 from .lexer import literal_terminal
 from .spec_ast import LangSpec, SpecError, quote_backtick
@@ -64,7 +65,7 @@ class Production:
     kind: str  # user | enum | list_empty | list_single | list_pair | list_append |
                # list_pass | list_trail | opt_none | opt_some | start
     variant: Tuple[str, ...] = ()          # user
-    fields: Tuple[tuple, ...] = ()         # user: (name, source); source = ("slot", i) | ("enum_inline", i, label, tmpl)
+    fields: Tuple[tuple, ...] = ()         # user: (name, source); source = ("slot", i) | ("enum_inline", i, label)
     label: Optional[str] = None            # enum
     asm: Tuple[int, ...] = ()              # kind-specific slot indices
     template: Template = ()
@@ -93,21 +94,20 @@ class AstShape:
 # Lowering proper
 
 class _FieldSource:
-    """A slot (or inline labeled literal) that can feed an AST field."""
+    """A slot (or inline labeled literal) that can feed an AST field of the
+    given kind."""
 
-    __slots__ = ("name", "slot_idx", "kind", "label", "tmpl")
+    __slots__ = ("name", "slot_idx", "kind", "label")
 
-    def __init__(self, slot_idx, kind, name=None, label=None, tmpl=None):
+    def __init__(self, slot_idx, kind, name=None, label=None):
         self.slot_idx = slot_idx
         self.kind = kind
         self.name = name
         self.label = label  # set for inline singleton-alt literals
-        self.tmpl = tmpl
 
 
 class _RuleCtx:
-    def __init__(self, lowerer, rule):
-        self.lowerer = lowerer
+    def __init__(self, rule):
         self.rule = rule
         self.slots: List[Slot] = []
         self.template: List[tuple] = []
@@ -172,10 +172,11 @@ class _Lowerer:
     # -- per-rule -----------------------------------------------------------
 
     def lower_rule(self, rule: sa.RuleDecl):
-        ctx = _RuleCtx(self, rule)
+        ctx = _RuleCtx(rule)
         self.lower_expr(rule.rhs, ctx)
 
         fields = []
+        variant_fields = []
         seen_names = set()
         for src in ctx.sources:
             name = src.name
@@ -189,9 +190,10 @@ class _Lowerer:
                                  rule.loc)
             seen_names.add(name)
             if src.label is not None:
-                fields.append((name, ("enum_inline", src.slot_idx, src.label, src.tmpl)))
+                fields.append((name, ("enum_inline", src.slot_idx, src.label)))
             else:
                 fields.append((name, ("slot", src.slot_idx)))
+            variant_fields.append((name, src.kind))
 
         decl_attrs = set(rule.lhs_attrs)
         for al in self.spec.parser.attr_lines:
@@ -209,21 +211,10 @@ class _Lowerer:
             fields=tuple(fields), template=tuple(ctx.template),
             decl_attrs=frozenset(decl_attrs), rule_path=rule.path)
 
-        variant_fields = tuple((name, self._field_kind(ctx, srcref))
-                               for name, srcref in fields)
         variants = self.shape[rule.lhs]
         if rule.variant in variants:
             raise LowerError("duplicate variant %s" % rule.dotted, rule.loc)
-        variants[rule.variant] = variant_fields
-
-    def _field_kind(self, ctx, srcref):
-        if srcref[0] == "enum_inline":
-            _, _idx, label, tmpl = srcref
-            return ("enum", ((label, tmpl),))
-        for src in ctx.sources:
-            if src.slot_idx == srcref[1] and src.label is None:
-                return src.kind
-        raise AssertionError(srcref)
+        variants[rule.variant] = tuple(variant_fields)
 
     # -- expressions ----------------------------------------------------------
 
@@ -286,7 +277,7 @@ class _Lowerer:
                                  % rule.dotted, rule.loc)
             idx = ctx.add_slot(sub.slots[0])
             tmpl = (("lit", sub.slots[0].symbol),)
-            ctx.sources.append(_FieldSource(idx, None, label=e.label, tmpl=tmpl))
+            ctx.sources.append(_FieldSource(idx, ("enum", ((e.label, tmpl),)), label=e.label))
             return
         if isinstance(e, sa.AltBranches):
             name, kind = self._synth_enum(e, rule)
@@ -313,7 +304,7 @@ class _Lowerer:
         raise LowerError("cannot lower %r" % (e,), rule.loc)
 
     def _lower_sub(self, e: sa.ParseExpr, rule) -> _RuleCtx:
-        sub = _RuleCtx(self, rule)
+        sub = _RuleCtx(rule)
         self.lower_expr(e, sub)
         return sub
 
@@ -343,6 +334,8 @@ class _Lowerer:
         if len(sub.sources) > 1:
             raise LowerError("rule %s: optional expression has more than one field"
                              % rule.dotted, rule.loc)
+        if sub.sources and sub.sources[0].label is not None:
+            raise LowerError("rule %s: an #Alt cannot be optional" % rule.dotted, rule.loc)
         name = self.fresh("Q")
         tmpl = tuple(_synth_tmpl(sub))
         is_bool = not sub.sources
@@ -367,6 +360,9 @@ class _Lowerer:
         if len(esub.sources) != 1 or len(esub.slots) != 1:
             raise LowerError("rule %s: list element must be a single content "
                              "expression" % rule.dotted, rule.loc)
+        if esub.sources[0].label is not None:
+            raise LowerError("rule %s: list element must not be an #Alt" % rule.dotted,
+                             rule.loc)
         elem_slot = esub.slots[0]
         elem_kind = esub.sources[0].kind
 
@@ -377,14 +373,13 @@ class _Lowerer:
         delim_slots = tuple(dsub.slots)
         delim_tmpl = tuple(_synth_tmpl(dsub))
 
-        outer = self.fresh(flavor[0] if flavor[0] == "L" else "L")
+        outer = self.fresh("L")
         # chain of one-or-more (or two-or-more) elements
+        chain = self.fresh("L")
         if min_count <= 1:
-            chain = self.fresh("L")
             self.add_production(lhs=chain, slots=(elem_slot,), kind="list_single",
                                 asm=(0,), template=(("slot", 0),))
         else:
-            chain = self.fresh("L")
             slots = (elem_slot,) + delim_slots + (elem_slot,)
             tmpl = (("slot", 0),) + delim_tmpl + (("slot", len(slots) - 1),)
             self.add_production(lhs=chain, slots=slots, kind="list_pair",
@@ -434,11 +429,9 @@ def _synth_tmpl(sub: _RuleCtx):
     return out
 
 
-def lower_grammar(spec: LangSpec) -> Tuple[Cfg, AstShape]:
+def lower_grammar(spec: LangSpec) -> Cfg:
     """Desugar all rules; the returned Cfg carries no precedence levels yet."""
-    lowerer = _Lowerer(spec)
-    cfg = lowerer.run()
-    return cfg, cfg.ast_shape
+    return _Lowerer(spec).run()
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +583,6 @@ def expand_instances(cfg: Cfg) -> InstGrammar:
 def derive_ast_schema(cfg: Cfg):
     """Express the AST shape as a datatype schema: a sum per nonterminal,
     a product per variant, and a synthesized enum per labeled alternation."""
-    from . import datacc
-
     types: Dict[str, datacc.TypeDef] = {}
 
     def kind_to_texpr(nt, variant, fname, kind):

@@ -4,7 +4,7 @@ The metalanguage is self-hosted.  grammars/meta.lang describes the `.lang`
 dialect (docs/metalang.md) in itself, and the parser generated from it is
 committed as src/langcc/meta.clang.  parse_lang_spec parses every source
 with that artifact, loaded once per process, and bootstrap.langspec_from_node
-turns the tree into a LangSpec, which _resolve_refs and validate_spec finish.
+turns the tree into a LangSpec, which validate_spec checks.
 tests/test_bootstrap.py checks that meta.clang is what langcc makes of
 meta.lang today; docs/metalang.md says how to regenerate it.
 """
@@ -19,9 +19,9 @@ from typing import List, Optional
 from .lexer import EOF_TERMINAL
 from .spec_ast import (
     AEmit, APass, APop, APopEmit, APopExtract, APush, AltBranches, Diagnostic,
-    LangSpec, ListExpr, Loc, Named, NontermRef, Optional_, ParseExpr, ParserSpec,
-    ParseTestDecl, Plus, RAlt, RConcat, REof, RRef, RStar, RegexExpr, RuleDecl,
-    Seq, SingletonAlt, SpecError, Star, TokenRef, Unfold,
+    LangSpec, ListExpr, Loc, Named, NontermRef, Optional_, ParseTestDecl, Plus,
+    RAlt, RConcat, REof, RRef, RStar, RegexExpr, Seq, SingletonAlt, SpecError,
+    Star, TokenRef, Unfold,
 )
 
 ESCAPE_MAP = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "`": "`"}
@@ -64,49 +64,9 @@ def make_parse_test(text: str, loc: Optional[Loc], skip_roundtrip: bool) -> Pars
     return ParseTestDecl(stripped, offset, skip_roundtrip)
 
 
-def _resolve_refs(spec: LangSpec) -> LangSpec:
-    """Second pass: bare identifiers in rule bodies become TokenRef or NontermRef."""
-    opaque = set(spec.opaque_names())
-
-    def walk(e: ParseExpr) -> ParseExpr:
-        if isinstance(e, NontermRef):
-            if e.name in opaque:
-                if e.attr_reqs or e.pr_star:
-                    raise SpecError("attribute requirements apply only to nonterminal "
-                                    "references, but %r is a token" % e.name)
-                return TokenRef(e.name)
-            return e
-        if isinstance(e, Named):
-            return Named(e.field_name, walk(e.inner))
-        if isinstance(e, Seq):
-            return Seq(tuple(walk(p) for p in e.items))
-        if isinstance(e, AltBranches):
-            return AltBranches(tuple((lbl, walk(inner)) for lbl, inner in e.branches))
-        if isinstance(e, SingletonAlt):
-            return SingletonAlt(e.label, walk(e.inner))
-        if isinstance(e, Star):
-            return Star(walk(e.inner))
-        if isinstance(e, Plus):
-            return Plus(walk(e.inner))
-        if isinstance(e, Optional_):
-            return Optional_(walk(e.inner))
-        if isinstance(e, ListExpr):
-            return ListExpr(e.flavor, walk(e.elem), e.min_count, walk(e.delim), e.trailing)
-        if isinstance(e, Unfold):
-            return Unfold(walk(e.inner))
-        return e
-
-    rules = tuple(RuleDecl(r.path, r.lhs_attrs, walk(r.rhs), r.loc) for r in spec.parser.rules)
-    p = spec.parser
-    return LangSpec(spec.token_decls, spec.lexer,
-                    ParserSpec(p.main_nonterms, p.prec_lines, p.props, p.attr_lines, rules),
-                    spec.compile_tests, spec.parse_tests)
-
-
 def _checked(spec: LangSpec) -> LangSpec:
-    """The spec with its references resolved, once it passes validate_spec;
-    else a SpecError naming the first diagnostic."""
-    spec = _resolve_refs(spec)
+    """The spec, once it passes validate_spec; else a SpecError naming the
+    first diagnostic."""
     diags = validate_spec(spec)
     if diags:
         first = diags[0]
@@ -341,38 +301,36 @@ def validate_spec(spec: LangSpec) -> List[Diagnostic]:
     reserved = _reserved_name_diags(spec, nonterms, opaque)
     diags.extend(reserved)
 
-    def check_expr(e: ParseExpr, loc):
-        if isinstance(e, NontermRef):
-            if e.name not in nonterms:
-                diags.append(Diagnostic(loc, "reference to undeclared nonterminal or "
-                                        "token %r" % e.name))
-        elif isinstance(e, TokenRef):
-            if e.name not in opaque:
-                diags.append(Diagnostic(loc, "reference to undeclared token %r" % e.name))
-        elif isinstance(e, Named):
-            check_expr(e.inner, loc)
-        elif isinstance(e, Seq):
-            for p in e.items:
-                check_expr(p, loc)
-        elif isinstance(e, AltBranches):
-            for _, inner in e.branches:
-                check_expr(inner, loc)
-        elif isinstance(e, (SingletonAlt, Star, Plus, Optional_, Unfold)):
-            check_expr(e.inner, loc)
-        elif isinstance(e, ListExpr):
-            check_expr(e.elem, loc)
-            check_expr(e.delim, loc)
-        if isinstance(e, Unfold) and not isinstance(e.inner, NontermRef):
-            diags.append(Diagnostic(loc, "~ applies only to nonterminal references"))
-
+    # rule bodies, each on an explicit stack in the order of a recursive
+    # walk: a `~`'s diagnostic waits beneath its operand, and follows it
     for r in spec.parser.rules:
-        check_expr(r.rhs, r.loc)
+        todo = [r.rhs]
+        while todo:
+            e = todo.pop()
+            if isinstance(e, Diagnostic):
+                diags.append(e)
+            elif isinstance(e, NontermRef):
+                if e.name not in nonterms:
+                    diags.append(Diagnostic(r.loc, "reference to undeclared nonterminal or "
+                                            "token %r" % e.name))
+            elif isinstance(e, TokenRef):
+                if e.name not in opaque:
+                    diags.append(Diagnostic(r.loc, "reference to undeclared token %r" % e.name))
+            elif isinstance(e, Seq):
+                todo.extend(reversed(e.items))
+            elif isinstance(e, AltBranches):
+                todo.extend(inner for _, inner in reversed(e.branches))
+            elif isinstance(e, ListExpr):
+                todo += (e.delim, e.elem)
+            elif isinstance(e, (Named, SingletonAlt, Star, Plus, Optional_, Unfold)):
+                if isinstance(e, Unfold) and not isinstance(e.inner, NontermRef):
+                    todo.append(Diagnostic(r.loc, "~ applies only to nonterminal references"))
+                todo.append(e.inner)
 
     return diags
 
 
 def _reserved_name_diags(spec, nonterms, opaque):
-    import re
     out = []
     pat = re.compile(r"^[XLQ][0-9]+$")
     for name in sorted(nonterms | opaque):

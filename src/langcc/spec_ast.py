@@ -25,11 +25,6 @@ class Diagnostic:
     loc: Optional[Loc]
     message: str
 
-    def render(self, filename: str = "<input>") -> str:
-        if self.loc is None:
-            return "%s: %s" % (filename, self.message)
-        return "%s:%d:%d: %s" % (filename, self.loc.line, self.loc.col, self.message)
-
 
 class SpecError(Exception):
     """Raised for unrecoverable errors while reading a .lang or .data file."""
@@ -38,9 +33,6 @@ class SpecError(Exception):
         super().__init__(message if loc is None else "%s: %s" % (loc, message))
         self.message = message
         self.loc = loc
-
-    def diagnostic(self) -> Diagnostic:
-        return Diagnostic(self.loc, self.message)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ reference_hash_computations(), apart from datacc's counter.
 scan_meta and _Parser are the hand-written `.lang` scanner and
 recursive-descent parser that fronted the toolchain before it parsed every
 `.lang` source with its own generated meta.clang, kept verbatim;
-reference_parse_lang_spec is parse_lang_spec as it was on top of them.
+reference_parse_lang_spec is parse_lang_spec as it was on top of them.  The
+parser leaves every name in a rule body a NontermRef, and
+reference_resolve_refs is the second pass that then made the opaque token
+names TokenRefs, before the converter read the tokens stanza first.
 
 reference_to_json is CompiledLang.to_json as it was on json's own
 indenting encoder, before the artifact's canonical text had a writer of
@@ -68,7 +71,7 @@ from langcc.spec_ast import (
     LangSpec, LexerRule, LexerSpec, ListExpr, Loc, LrTestDecl, Named, NontermRef,
     Optional_, ParseExpr, ParserSpec, ParseTestDecl, PassString, Plus, PrecLine, RAlt,
     RConcat, REof, RLit, RRange, RRef, RStar, RWildcard, RegexExpr, RuleDecl, Seq,
-    SingletonAlt, SpaceShorthand, SpecError, Star, TermLiteral, TokenDecl, Unfold,
+    SingletonAlt, SpaceShorthand, SpecError, Star, TermLiteral, TokenDecl, TokenRef, Unfold,
     quote_backtick,
 )
 
@@ -1233,7 +1236,7 @@ class _Parser:
             return TermLiteral(decode_backtick(t.text, t.loc))
         if t.kind == "id":
             self.next()
-            # resolved to TokenRef/NontermRef in a post-pass
+            # resolved to TokenRef/NontermRef by reference_resolve_refs
             return NontermRef(t.text)
         if t.kind == "kw" and t.text == "eps":
             self.next()
@@ -1320,9 +1323,48 @@ class _Parser:
         return out
 
 
+def reference_resolve_refs(spec: LangSpec) -> LangSpec:
+    """Second pass: bare identifiers in rule bodies become TokenRef or NontermRef."""
+    opaque = set(spec.opaque_names())
+
+    def walk(e: ParseExpr) -> ParseExpr:
+        if isinstance(e, NontermRef):
+            if e.name in opaque:
+                if e.attr_reqs or e.pr_star:
+                    raise SpecError("attribute requirements apply only to nonterminal "
+                                    "references, but %r is a token" % e.name)
+                return TokenRef(e.name)
+            return e
+        if isinstance(e, Named):
+            return Named(e.field_name, walk(e.inner))
+        if isinstance(e, Seq):
+            return Seq(tuple(walk(p) for p in e.items))
+        if isinstance(e, AltBranches):
+            return AltBranches(tuple((lbl, walk(inner)) for lbl, inner in e.branches))
+        if isinstance(e, SingletonAlt):
+            return SingletonAlt(e.label, walk(e.inner))
+        if isinstance(e, Star):
+            return Star(walk(e.inner))
+        if isinstance(e, Plus):
+            return Plus(walk(e.inner))
+        if isinstance(e, Optional_):
+            return Optional_(walk(e.inner))
+        if isinstance(e, ListExpr):
+            return ListExpr(e.flavor, walk(e.elem), e.min_count, walk(e.delim), e.trailing)
+        if isinstance(e, Unfold):
+            return Unfold(walk(e.inner))
+        return e
+
+    rules = tuple(RuleDecl(r.path, r.lhs_attrs, walk(r.rhs), r.loc) for r in spec.parser.rules)
+    p = spec.parser
+    return LangSpec(spec.token_decls, spec.lexer,
+                    ParserSpec(p.main_nonterms, p.prec_lines, p.props, p.attr_lines, rules),
+                    spec.compile_tests, spec.parse_tests)
+
+
 def reference_parse_lang_spec(source: str) -> LangSpec:
     """parse_lang_spec on the hand-written scanner and parser."""
-    return _checked(_Parser(scan_meta(source)).parse_file())
+    return _checked(reference_resolve_refs(_Parser(scan_meta(source)).parse_file()))
 
 
 def reference_render_regex(e: RegexExpr, prec: int = 0) -> str:

@@ -3,7 +3,9 @@ import re
 
 import pytest
 
+from langcc import compile_lang
 from langcc.cli import cmd_datacc, cmd_langcc, main_datacc, main_langcc, run_test_stanza
+from langcc.spec_ast import Loc, SpecError
 
 from conftest import GRAMMARS, load_grammar
 from test_conflicts import UNREACHABLE_CONFLICTS
@@ -76,6 +78,25 @@ def test_langcc_diagnostic_names_path_line_and_column(tmp_path, capsys, body, wh
     rc = cmd_langcc(str(bad), str(tmp_path))
     assert rc == 1
     assert capsys.readouterr().err == str(bad) + where + "\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("x:#Alt[A:`a`]? `b`", "an #Alt cannot be optional"),
+    ("x:#Alt[A:`a`]* `b`", "list element must not be an #Alt"),
+    ("x:#Alt[A:`a`]+ `b`", "list element must not be an #Alt"),
+    ("x:#L[#Alt[A:`a`]::`b`]", "list element must not be an #Alt"),
+])
+def test_alt_inside_an_option_or_a_list_is_a_diagnostic(tmp_path, capsys, body, message):
+    src = ("tokens { top <= `a` | `b`; }\n"
+           "lexer { main { body } mode body { top => { emit; } eof => { pop; } } }\n"
+           "parser { main { S }\n  S.S <- %s; }\n" % body)
+    with pytest.raises(SpecError) as e:
+        compile_lang(src)
+    assert (e.value.message, e.value.loc) == ("rule S.S: " + message, Loc(4, 3))
+    bad = tmp_path / "bad.lang"
+    bad.write_text(src)
+    assert cmd_langcc(str(bad), str(tmp_path)) == 1
+    assert capsys.readouterr().err == "%s:4:3: rule S.S: %s\n" % (bad, message)
 
 
 def test_langcc_artifact_deterministic(tmp_path):

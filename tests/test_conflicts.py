@@ -19,7 +19,7 @@ from test_lr import _small_grammars
 
 def _tables(name, k=1):
     spec = parse_lang_spec(load_grammar(name))
-    cfg, _ = lower_grammar(spec)
+    cfg = lower_grammar(spec)
     cfg = lower_precedence(spec, cfg)
     return cfg, build_lr(cfg, k)
 
@@ -239,7 +239,7 @@ parser {
 
 def test_conflict_no_input_reaches_is_reported_unreachable():
     spec = parse_lang_spec(UNREACHABLE_CONFLICTS)
-    cfg = lower_precedence(spec, lower_grammar(spec)[0])
+    cfg = lower_precedence(spec, lower_grammar(spec))
     tables = build_lr(cfg, 1)
     exemplars = trace_all(tables, cfg)
     assert exemplars and all(ex.unreachable for ex in exemplars)
@@ -298,7 +298,7 @@ def _trace_with(search, tables, cfg, budget):
 @given(_small_grammars())
 def test_completion_search_matches_reference(source):
     spec = parse_lang_spec(source)
-    cfg = lower_precedence(spec, lower_grammar(spec)[0])
+    cfg = lower_precedence(spec, lower_grammar(spec))
     for k in (1, 2):
         tables = build_lr(cfg, k)
         if not tables.conflicts:

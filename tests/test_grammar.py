@@ -19,14 +19,14 @@ parser {
 }
 """ % (extra_tokens, rules)
     spec = parse_lang_spec(src)
-    cfg, shape = lower_grammar(spec)
-    return spec, lower_precedence(spec, cfg), shape
+    cfg = lower_grammar(spec)
+    return spec, lower_precedence(spec, cfg), cfg.ast_shape
 
 
 def _calc_cfg():
     spec = parse_lang_spec(load_grammar("calc.lang"))
-    cfg, shape = lower_grammar(spec)
-    return spec, lower_precedence(spec, cfg), shape
+    cfg = lower_grammar(spec)
+    return spec, lower_precedence(spec, cfg), cfg.ast_shape
 
 
 def test_assign_rule_slots_and_template():
@@ -158,8 +158,7 @@ parser {
 }
 """
     spec = parse_lang_spec(src)
-    cfg, _ = lower_grammar(spec)
-    cfg = lower_precedence(spec, cfg)
+    cfg = lower_precedence(spec, lower_grammar(spec))
     r = recognizer(cfg, "S")
     assert r(["`a`"]) and not r(["`b`"])
 
@@ -217,7 +216,7 @@ def test_paren_inner_slot_admits_every_level():
 
 def test_erasing_bounds_recovers_unconstrained_grammar():
     spec, cfg, _ = _calc_cfg()
-    cfg_plain, _ = lower_grammar(spec)
+    cfg_plain = lower_grammar(spec)
     toks = _expr_tokens("1+2*3")
     all_trees = enumerate_trees(cfg_plain, "Expr", toks)
     filtered = enumerate_trees(cfg, "Expr", toks)

@@ -18,7 +18,7 @@ from oracle import earley_accepts, reference_lr
 
 def _cfg(name):
     spec = parse_lang_spec(load_grammar(name))
-    cfg, _ = lower_grammar(spec)
+    cfg = lower_grammar(spec)
     return spec, lower_precedence(spec, cfg)
 
 
@@ -55,7 +55,7 @@ parser {
 
 def test_first_of_nonterminals_not_reachable_from_the_mains():
     spec = parse_lang_spec(UNREACHABLE)
-    cfg = lower_precedence(spec, lower_grammar(spec)[0])
+    cfg = lower_precedence(spec, lower_grammar(spec))
     assert cfg.mains == ("S",)
     assert first_k(cfg, ["U"], 1) == {("`;`",), ("b",), ("c",)}
     assert first_k(cfg, ["U"], 2) == {
@@ -350,7 +350,7 @@ def _small_grammars(draw):
 @given(_small_grammars())
 def test_construction_matches_per_item_reference(source):
     spec = parse_lang_spec(source)
-    cfg = lower_precedence(spec, lower_grammar(spec)[0])
+    cfg = lower_precedence(spec, lower_grammar(spec))
     for k in (1, 2):
         tables = build_lr(cfg, k)
         states, goto, action = reference_lr(cfg, k)

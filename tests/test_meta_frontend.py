@@ -1,11 +1,13 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from langcc import parse_lang_spec, render_spec, validate_spec
+from langcc import compile_lang, parse_lang_spec, render_spec, validate_spec
 from langcc.meta_frontend import decode_backtick, make_parse_test
 from langcc.spec_ast import (
-    LangSpec, LexerSpec, Loc, ParserSpec, RAlt, RConcat, REof, RLit, RRange, RRef, RStar,
-    RWildcard, SpecError, TokenDecl, TokenRef, render_regex,
+    LangSpec, LexerSpec, Loc, NontermRef, Optional_, ParserSpec, RAlt, RConcat, REof, RLit,
+    RRange, RRef, RStar, RWildcard, SpecError, TermLiteral, TokenDecl, TokenRef, render_regex,
 )
 
 from conftest import GRAMMARS, load_grammar
@@ -248,6 +250,10 @@ BAD_SPECS = {
     "unlabeled #Alt": GOOD.replace("S.One <- `x`;", "S.One <- #Alt[`x`];"),
     "attribute requirements on a token": ("tokens {\n    t <- `x`;\n    top <= t;\n}\n"
                                           + LEXER + PARSER.replace("`x`;", "t[A];")),
+    # reported after every stanza has converted, so a later error comes first
+    "attribute requirements on a token before a later error": (
+        "tokens {\n    t <- `x`;\n    top <= t;\n}\n" + LEXER + PARSER.replace("`x`;", "t[A];")
+        + "test {\n    `x##y##`;\n}\n"),
     "attribute requirements on a literal": GOOD.replace("`x`;", "x:`x`[A];"),
     "attribute requirements after a comment": GOOD.replace(
         "`x`;", "`x` // [not here]\n      [A, pr=*];"),
@@ -397,3 +403,35 @@ def test_token_diagnostics_agree_with_the_recursive_reference(decls):
     # tokens'
     spec = LangSpec(decls, LexerSpec("m", (("m", ()),)), ParserSpec((), (), (), (), ()), (), ())
     assert validate_spec(spec) == reference_token_diags(decls)
+
+
+def _nested_options(depth):
+    body = "`a`"
+    for _ in range(depth):
+        body = "(`a` %s)?" % body
+    return GOOD.replace("S.One <- `x`;", "S.S <- x:%s;" % body).replace("`x` | `y`", "`a`")
+
+
+def test_an_empty_attribute_list_on_a_token_is_a_token_field():
+    src = ("tokens {\n    t <- `x`;\n    top <= t;\n}\n" + LEXER
+           + PARSER.replace("`x`;", "x:t[] y:S[];"))
+    x, y = parse_lang_spec(src).parser.rules[0].rhs.items
+    assert (x.inner, y.inner) == (TokenRef("t"), NontermRef("S"))
+
+
+def test_deeply_nested_options_parse_at_the_default_recursion_limit():
+    # a valid spec: conflict-free, and it compiles at a shallow depth
+    assert compile_lang(_nested_options(3)).ok
+    src = _nested_options(1500)
+    assert sys.getrecursionlimit() <= 1000
+    try:
+        spec = parse_lang_spec(src)
+    except RecursionError:
+        # failed outside the handler: pytest takes minutes to report a
+        # traceback this deep
+        spec = None
+    assert spec is not None, "RecursionError at the default recursion limit"
+    depth, e = 0, spec.parser.rules[0].rhs.inner
+    while isinstance(e, Optional_):
+        depth, e = depth + 1, e.inner.items[1]
+    assert depth == 1500 and e == TermLiteral("a")

@@ -38,6 +38,27 @@ def test_no_pure_python_json_indent():
     assert found == []
 
 
+# The functions that import inside their bodies, each to break an import
+# cycle: meta_frontend is imported by the modules that these imports load.
+# Every other import sits at the top of its module.
+FUNCTION_IMPORTS = {"meta_frontend.py:meta_artifact", "meta_frontend.py:parse_lang_spec"}
+
+
+def test_function_level_imports_only_break_cycles():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for top in tree.body:
+            fns = top.body if isinstance(top, ast.ClassDef) else [top]
+            for fn in fns:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = "%s:%s" % (path.name, fn.name if fn is top else top.name + "." + fn.name)
+                if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(fn)):
+                    found.add(name)
+    assert found - FUNCTION_IMPORTS == set()
+
+
 # The tree walks that run on explicit stacks, so that trees of any depth
 # (printed, checked, or read as `.lang` declarations, token patterns
 # validated and compiled) pass through them: none may call itself, directly
@@ -47,7 +68,7 @@ def test_no_pure_python_json_indent():
 STACK_WALKS = {
     "bootstrap.py": ["_conv_regex", "_conv_pe", "_flatten_chain", "langspec_from_node"],
     "lexer.py": ["Nfa.add_regex", "emit_constituents", "compile_lexer"],
-    "meta_frontend.py": ["_regex_refs", "_alias_diags"],
+    "meta_frontend.py": ["_regex_refs", "_alias_diags", "validate_spec"],
     "printer.py": ["pretty_print"],
     "spec_ast.py": ["render_regex"],
     "runtime.py": ["node_to_data_value", "validate_node", "render_node",
