@@ -274,16 +274,17 @@ def _conv_token_decl(n: Node, lines: _Lines) -> sa.TokenDecl:
                         lines.loc(n.bounds.start))
 
 
-_LEXER_ACTIONS = {"Emit": sa.AEmit, "Pass": sa.APass, "Push": sa.APush, "Pop": sa.APop,
-                  "PopExtract": sa.APopExtract, "PopEmit": sa.APopEmit}
+# meta.lang's LexerAction variants -> their ops
+_LEXER_ACTION_OPS = {"Emit": "emit", "Pass": "pass", "Push": "push", "Pop": "pop",
+              "PopExtract": "pop_extract", "PopEmit": "pop_emit"}
 
 
 def _conv_lexer_action(n: Node, lines: _Lines) -> sa.LexerAction:
-    make = _LEXER_ACTIONS.get(n.variant[1])
-    if make is None:
+    op = _LEXER_ACTION_OPS.get(n.variant[1])
+    if op is None:
         raise SpecError("unexpected lexer action %s" % n.variant[1])
     # Push and PopEmit name a mode or a token; the other actions have no fields
-    return make(*(lines.text(v) for _f, v in n.fields))
+    return sa.LexerAction(op, *(lines.text(v) for _f, v in n.fields))
 
 
 def _conv_lexer(items: SeqVal, lines: _Lines) -> sa.LexerSpec:

@@ -28,9 +28,7 @@ from .grammar import Cfg, lower_grammar, lower_precedence
 from .lexer import EOF_TERMINAL, CompiledLexer, ModeDfa, compile_lexer
 from .lr import LrTables, build_lr
 from .meta_frontend import decode_backtick, parse_lang_spec
-from .spec_ast import (
-    AEmit, APass, APop, APopEmit, APopExtract, APush, LangSpec, Loc, SpecError,
-)
+from .spec_ast import LEXER_OPS, LangSpec, LexerAction, Loc, SpecError
 
 FORMAT_VERSION = 1
 
@@ -470,37 +468,12 @@ def _load_tables(d: dict):
 # ---------------------------------------------------------------------------
 # Lexer (de)serialization
 
-def _action_to_json(a):
-    if isinstance(a, AEmit):
-        return ["emit"]
-    if isinstance(a, APass):
-        return ["pass"]
-    if isinstance(a, APush):
-        return ["push", a.mode]
-    if isinstance(a, APop):
-        return ["pop"]
-    if isinstance(a, APopExtract):
-        return ["pop_extract"]
-    if isinstance(a, APopEmit):
-        return ["pop_emit", a.token]
-    raise TypeError(a)
-
-
-def _action_from_json(j):
-    tag = j[0]
-    if tag == "emit":
-        return AEmit()
-    if tag == "pass":
-        return APass()
-    if tag == "push":
-        return APush(j[1])
-    if tag == "pop":
-        return APop()
-    if tag == "pop_extract":
-        return APopExtract()
-    if tag == "pop_emit":
-        return APopEmit(j[1])
-    raise ValueError(j)
+def _action_from_json(j) -> LexerAction:
+    if not (type(j) is list and j and all(type(x) is str for x in j)
+            and j[0] in LEXER_OPS and len(j) == 1 + LEXER_OPS[j[0]][0]):
+        raise _malformed("lexer action %r is not [op] or [op, argument] with one of "
+                         "the ops %s" % (j, ", ".join(LEXER_OPS)))
+    return LexerAction(*j)
 
 
 def _lexer_to_json(lx: CompiledLexer) -> dict:
@@ -515,7 +488,8 @@ def _lexer_to_json(lx: CompiledLexer) -> dict:
                 list(accept) if accept is not None else None,
             ])
         modes[name] = states
-    actions = {m: [[_action_to_json(a) for a in rule] for rule in rules]
+    actions = {m: [[[a.op] if a.arg is None else [a.op, a.arg] for a in rule]
+                   for rule in rules]
                for m, rules in lx.mode_actions.items()}
     return {"main_mode": lx.main_mode, "modes": modes, "actions": actions,
             "emittable": sorted(lx.emittable)}
@@ -533,7 +507,13 @@ def _lexer_from_json(d: dict) -> CompiledLexer:
                    tuple(accept) if accept is not None else None)
             _check_dfa_row(name, len(rows), row, len(states), n_rules)
             rows.append(row)
+        if not rows or rows[0][2] is not None:
+            # a start state that accepts would match "" over and over
+            raise _malformed("mode %s has no start state, or its start state accepts"
+                             % name)
         dfas[name] = ModeDfa(name, rows)
+    if d["main_mode"] not in dfas:
+        raise _malformed("main mode %r is not a mode" % (d["main_mode"],))
     return CompiledLexer(d["main_mode"], dfas, actions, frozenset(d["emittable"]))
 
 

@@ -132,32 +132,6 @@ def _edge_display(key) -> str:
 # ---------------------------------------------------------------------------
 # Completion search
 
-def _apply_reduce(tables, stack: tuple, pi: int) -> Optional[tuple]:
-    prod = tables.prods[pi]
-    n = len(prod["rhs"])
-    if len(stack) <= n:
-        return None
-    rest = stack[: len(stack) - n]
-    key = prod["lhs"]
-    target = tables.goto.get((rest[-1], key))
-    if target is None:
-        return None
-    return rest + (target,)
-
-
-def _step(tables, stack: tuple, la: tuple, act: tuple):
-    """Apply one action; returns (new_stack, consumed_one_token, accepted)."""
-    tag = act[0]
-    if tag == "shift":
-        return (stack + (act[1],), True, False)
-    if tag == "reduce":
-        ns = _apply_reduce(tables, stack, act[1])
-        return (ns, False, False) if ns is not None else (None, False, False)
-    if tag == "accept":
-        return (stack, False, True)
-    raise AssertionError(act)
-
-
 def _complete(ctx: _TraceContext, stack: tuple, queue: tuple,
               budget: int) -> Optional[List[str]]:
     """Shortest terminal suffix driving the configuration to Accept.
@@ -300,14 +274,20 @@ def trace_conflict(tables: LrTables, cfg: Cfg, site: ConflictSite,
         if unreachable:
             completions.append(["<unreachable>"])
             continue
-        ns, consumed, accepted = _step(tables, stack, site.lookahead, act)
-        if accepted:
+        # the forced first step: a shift consumes a lookahead token, and a
+        # reduce is unviable if the path is too short or has no goto
+        if act[0] == "accept":
             completions.append([t for t in site.lookahead if t != EOF_TERMINAL])
             continue
-        if ns is None:
-            completions.append(["<unviable>"])
-            continue
-        queue = site.lookahead[1:] if consumed else site.lookahead
+        if act[0] == "shift":
+            ns, queue = stack + (act[1],), site.lookahead[1:]
+        else:
+            n, lhs = ctx.rules[act[1]]
+            target = tables.goto.get((stack[-n - 1], lhs)) if len(stack) > n else None
+            if target is None:
+                completions.append(["<unviable>"])
+                continue
+            ns, queue = stack[:len(stack) - n] + (target,), site.lookahead
         suffix = _complete(ctx, ns, queue, budget)
         if suffix is None:
             completions.append(["<budget exceeded>"])

@@ -20,9 +20,10 @@ At run time maximal munch walks the DFA of the mode on top of the mode
 stack.  Each DFA state has a dense transition row for ASCII codepoints and
 flat accept/eof lists, so an ASCII character costs one list index; other
 codepoints bisect the state's sorted intervals.  When a CompiledLexer is
-built (from a spec or from an artifact), each rule's action list becomes an
-opcode: a plain `emit` or `pass` costs one int comparison, and any other
-list runs its precompiled steps.  A frame keeps the text credited to it
+built (from a spec or from an artifact), each rule's action list must pass
+action_list_fault, the progress check validate_spec also runs, and then
+becomes an opcode: a plain `emit` or `pass` costs one int comparison, and
+any other list runs its precompiled steps.  A frame keeps the text credited to it
 only if its mode can be popped by `pop_extract` or `pop_emit`, which is
 decided from the spec, conservatively, at the same time.  lex_lists returns
 the tokens as parallel lists (terminals, texts, starts, ends), which the
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .spec_ast import (
-    AEmit, APass, APop, APopEmit, APopExtract, APush, LangSpec, RAlt, RConcat, REof,
-    RLit, RRange, RRef, RStar, RWildcard, RegexExpr, quote_backtick,
+    LEXER_OPS, LangSpec, RAlt, RConcat, REof, RLit, RRange, RRef, RStar, RWildcard,
+    RegexExpr, quote_backtick,
 )
 
 MAX_CODEPOINT = 0x10FFFF
@@ -296,6 +297,8 @@ class LexOutput:
 # opcode, anything else runs its list of (step, argument) pairs.
 OP_EMIT, OP_PASS, OP_STEPS = range(3)
 S_EMIT, S_PASS, S_PUSH, S_POP, S_POP_EXTRACT, S_POP_EMIT = range(6)
+STEP_CODES = {"emit": S_EMIT, "pass": S_PASS, "push": S_PUSH, "pop": S_POP,
+              "pop_extract": S_POP_EXTRACT, "pop_emit": S_POP_EMIT}
 
 
 class CompiledLexer:
@@ -311,7 +314,11 @@ class CompiledLexer:
         keeping = _modes_keeping_text(mode_actions)
         self.programs = {}
         for mode, dfa in dfas.items():
-            rules = [_rule_program(actions, dfas) for actions in mode_actions[mode]]
+            # the rule matching eof from the start state has an empty match
+            at_eof = dfa.eofs[dfa.start]
+            eof_rule = dfa.accepts[at_eof][0] if at_eof >= 0 and dfa.accepts[at_eof] else None
+            rules = [_rule_program(mode, actions, dfas, i == eof_rule)
+                     for i, actions in enumerate(mode_actions[mode])]
             accepts = [None if acc is None else (rules[acc[0]][0], acc[1], rules[acc[0]][1])
                        for acc in dfa.accepts]
             self.programs[mode] = (dfa.ascii_rows, accepts, dfa.eofs, dfa.step, dfa.start,
@@ -321,27 +328,49 @@ class CompiledLexer:
         return "\n".join(self.dfas[m].dump() for m in sorted(self.dfas)) + "\n"
 
 
-def _rule_program(actions, modes) -> Tuple[int, tuple]:
-    """(opcode, steps) of one rule's action list."""
-    if len(actions) == 1 and isinstance(actions[0], (AEmit, APass)):
-        return (OP_EMIT if isinstance(actions[0], AEmit) else OP_PASS), ()
-    steps = []
+def action_list_fault(mode: str, actions, eof: bool = False) -> Optional[str]:
+    """Why a rule of `mode` with this action list cannot make progress, or
+    None if it can; `eof` says the rule matches eof, which is an empty
+    match.  A rule makes progress by consuming a nonempty match or by
+    changing the mode stack, or else the next match runs it again at the
+    same place.  The list runs here on a stack holding only the rule's own
+    frame, and a pop below that frame counts as a change."""
+    consuming = sum(LEXER_OPS[a.op][1] for a in actions)
+    pops = any(LEXER_OPS[a.op][2] for a in actions)
+    if consuming > 1:
+        return "lexer rule in mode %r has more than one emit/pass action" % mode
+    if not consuming and not pops:
+        return ("lexer rule in mode %r neither consumes its match nor pops; it cannot "
+                "make progress" % mode)
+    if eof and not pops:
+        return "eof rule in mode %r must pop" % mode
+    if consuming and not eof:
+        return None
+    stack = [mode]
     for a in actions:
-        if isinstance(a, AEmit):
-            steps.append((S_EMIT, None))
-        elif isinstance(a, APass):
-            steps.append((S_PASS, None))
-        elif isinstance(a, APush):
-            if a.mode not in modes:
-                raise ValueError("push to unknown lexer mode %r" % a.mode)
-            steps.append((S_PUSH, a.mode))
-        elif isinstance(a, APopExtract):
-            steps.append((S_POP_EXTRACT, None))
-        elif isinstance(a, APopEmit):
-            steps.append((S_POP_EMIT, a.token))
-        else:
-            steps.append((S_POP, None))
-    return OP_STEPS, tuple(steps)
+        if a.op == "push":
+            stack.append(a.arg)
+        elif LEXER_OPS[a.op][2]:
+            if not stack:
+                return None
+            stack.pop()
+    if stack == [mode]:
+        return ("lexer rule in mode %r consumes nothing and leaves the mode stack as it "
+                "found it; it cannot make progress" % mode)
+    return None
+
+
+def _rule_program(mode: str, actions, modes, eof: bool) -> Tuple[int, tuple]:
+    """(opcode, steps) of one rule's action list."""
+    fault = action_list_fault(mode, actions, eof)
+    if fault is not None:
+        raise ValueError(fault)
+    if len(actions) == 1 and actions[0].op in ("emit", "pass"):
+        return (OP_EMIT if actions[0].op == "emit" else OP_PASS), ()
+    for a in actions:
+        if a.op == "push" and a.arg not in modes:
+            raise ValueError("push to unknown lexer mode %r" % a.arg)
+    return OP_STEPS, tuple((STEP_CODES[a.op], a.arg) for a in actions)
 
 
 def _modes_keeping_text(mode_actions) -> frozenset:
@@ -355,11 +384,11 @@ def _modes_keeping_text(mode_actions) -> frozenset:
         for actions in rules:
             stack = [mode]
             for a in actions:
-                if isinstance(a, APush):
-                    stack.append(a.mode)
-                elif isinstance(a, (APop, APopExtract, APopEmit)):
+                if a.op == "push":
+                    stack.append(a.arg)
+                elif LEXER_OPS[a.op][2]:
                     top = stack.pop() if stack else None
-                    if isinstance(a, APop):
+                    if a.op == "pop":
                         continue
                     if top is None:
                         return frozenset(mode_actions)
@@ -505,8 +534,7 @@ def compile_lexer(spec: LangSpec) -> CompiledLexer:
     for mode_name, rules in spec.lexer.modes:
         nfa = Nfa()
         for idx, rule in enumerate(rules):
-            has_emit = any(isinstance(a, AEmit) for a in rule.actions)
-            if has_emit:
+            if any(a.op == "emit" for a in rule.actions):
                 for token_id, pattern, is_lit in emit_constituents(rule.pattern, decls):
                     end, holds_eof, empty = _wire(nfa, pattern, env)
                     if holds_eof:
@@ -528,9 +556,7 @@ def compile_lexer(spec: LangSpec) -> CompiledLexer:
                     raise LexCompileError(
                         "lexer rule pattern in mode %r matches the empty string" % mode_name)
                 nfa.accepts[end] = Tag(idx, None, False, isinstance(rule.pattern, RWildcard))
-            for a in rule.actions:
-                if isinstance(a, APopEmit):
-                    emittable.add(a.token)
+            emittable.update(a.arg for a in rule.actions if a.op == "pop_emit")
         dfas[mode_name] = _subset_construct(mode_name, nfa)
         mode_actions[mode_name] = tuple(rule.actions for rule in rules)
     return CompiledLexer(spec.lexer.main_mode, dfas, mode_actions, frozenset(emittable))

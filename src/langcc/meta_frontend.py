@@ -16,12 +16,11 @@ import re
 from importlib import resources
 from typing import List, Optional
 
-from .lexer import EOF_TERMINAL
+from .lexer import EOF_TERMINAL, action_list_fault
 from .spec_ast import (
-    AEmit, APass, APop, APopEmit, APopExtract, APush, AltBranches, Diagnostic,
-    LangSpec, ListExpr, Loc, Named, NontermRef, Optional_, ParseTestDecl, Plus,
-    RAlt, RConcat, REof, RRef, RStar, RegexExpr, Seq, SingletonAlt, SpecError,
-    Star, TokenRef, Unfold,
+    AltBranches, Diagnostic, LangSpec, ListExpr, Loc, Named, NontermRef,
+    Optional_, ParseTestDecl, Plus, RAlt, RConcat, REof, RRef, RStar, RegexExpr, Seq,
+    SingletonAlt, SpecError, Star, TokenRef, Unfold,
 )
 
 ESCAPE_MAP = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "`": "`"}
@@ -240,24 +239,21 @@ def validate_spec(spec: LangSpec) -> List[Diagnostic]:
         diags.append(Diagnostic(None, "lexer main names undeclared mode %r" % spec.lexer.main_mode))
     for mode_name, rules in spec.lexer.modes:
         for r in rules:
-            consuming = [a for a in r.actions if isinstance(a, (AEmit, APass))]
-            pops = [a for a in r.actions if isinstance(a, (APop, APopExtract, APopEmit))]
-            if len(consuming) > 1:
-                diags.append(Diagnostic(r.loc, "lexer rule in mode %r has more than one "
-                                        "emit/pass action" % mode_name))
-            if not consuming and not pops:
-                diags.append(Diagnostic(r.loc, "lexer rule in mode %r neither consumes its "
-                                        "match nor pops; it cannot make progress" % mode_name))
+            top, seen = r.pattern, set()  # an alias of eof matches eof too
+            while isinstance(top, RRef) and top.name in by_name and top.name not in seen:
+                seen.add(top.name)
+                top = by_name[top.name].pattern
+            fault = action_list_fault(mode_name, r.actions, isinstance(top, REof))
+            if fault is not None:
+                diags.append(Diagnostic(r.loc, fault))
             for a in r.actions:
-                if isinstance(a, APush) and a.mode not in mode_names:
-                    diags.append(Diagnostic(r.loc, "push targets undeclared mode %r" % a.mode))
-                if isinstance(a, APopEmit):
-                    d = by_name.get(a.token)
+                if a.op == "push" and a.arg not in mode_names:
+                    diags.append(Diagnostic(r.loc, "push targets undeclared mode %r" % a.arg))
+                if a.op == "pop_emit":
+                    d = by_name.get(a.arg)
                     if d is None or d.kind != "opaque":
                         diags.append(Diagnostic(r.loc, "pop_emit must name an opaque token, "
-                                                "got %r" % a.token))
-            if isinstance(r.pattern, REof) and not pops:
-                diags.append(Diagnostic(r.loc, "eof rule in mode %r must pop" % mode_name))
+                                                "got %r" % a.arg))
             for ref in _regex_refs(r.pattern):
                 if ref not in by_name:
                     diags.append(Diagnostic(r.loc, "lexer rule references undeclared "

@@ -3,6 +3,8 @@
 Everything here is immutable. Source locations are carried for diagnostics
 but excluded from equality, so two parses of equivalent sources compare
 equal structurally (this is what the bootstrap fixpoint check relies on).
+A lexer action is one LexerAction record whose op is its `.lang` keyword,
+and LEXER_OPS says what each op does.
 """
 
 from __future__ import annotations
@@ -96,36 +98,24 @@ class TokenDecl:
 # Lexer stanza
 
 @dataclass(frozen=True)
-class AEmit:
-    pass
+class LexerAction:
+    """One action of a lexer rule.  `op` is its `.lang` keyword, which is
+    also its tag in an artifact; `arg` is the mode of a push or the token
+    of a pop_emit, and None for the other ops."""
+    op: str
+    arg: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class APass:
-    pass
-
-
-@dataclass(frozen=True)
-class APush:
-    mode: str
-
-
-@dataclass(frozen=True)
-class APop:
-    pass
-
-
-@dataclass(frozen=True)
-class APopExtract:
-    pass
-
-
-@dataclass(frozen=True)
-class APopEmit:
-    token: str
-
-
-LexerAction = Union[AEmit, APass, APush, APop, APopExtract, APopEmit]
+# The lexer-action vocabulary: op -> (takes an argument, consumes the
+# match, pops a frame).
+LEXER_OPS = {
+    "emit": (False, True, False),
+    "pass": (False, True, False),
+    "push": (True, False, False),
+    "pop": (False, False, True),
+    "pop_extract": (False, False, True),
+    "pop_emit": (True, False, True),
+}
 
 
 @dataclass(frozen=True)
@@ -139,12 +129,6 @@ class LexerRule:
 class LexerSpec:
     main_mode: str
     modes: Tuple[Tuple[str, Tuple[LexerRule, ...]], ...]
-
-    def mode(self, name: str) -> Tuple[LexerRule, ...]:
-        for mode_name, rules in self.modes:
-            if mode_name == name:
-                return rules
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +410,6 @@ def render_parse_expr(e: ParseExpr, prec: int = 0) -> str:
     raise TypeError(e)
 
 
-def _render_action(a: LexerAction) -> str:
-    if isinstance(a, AEmit):
-        return "emit;"
-    if isinstance(a, APass):
-        return "pass;"
-    if isinstance(a, APush):
-        return "push %s;" % a.mode
-    if isinstance(a, APop):
-        return "pop;"
-    if isinstance(a, APopExtract):
-        return "pop_extract;"
-    if isinstance(a, APopEmit):
-        return "pop_emit %s;" % a.token
-    raise TypeError(a)
-
-
 def render_spec(spec: LangSpec) -> str:
     """Render a LangSpec back to canonical .lang text."""
     out = []
@@ -457,7 +425,8 @@ def render_spec(spec: LangSpec) -> str:
         out.append("")
         out.append("    mode %s {" % mode_name)
         for r in rules:
-            acts = " ".join(_render_action(a) for a in r.actions)
+            acts = " ".join("%s;" % a.op if a.arg is None else "%s %s;" % (a.op, a.arg)
+                            for a in r.actions)
             out.append("        %s => { %s }" % (render_regex(r.pattern), acts))
         out.append("    }")
     out.append("}")

@@ -54,7 +54,6 @@ import json
 from typing import List, Optional, Tuple
 
 from langcc.compiled import CompiledLang
-from langcc.conflicts import _step
 from langcc.datacc import (
     DataValue, DatatypeSchema, Sum, TOpt, TSeq, TypeExpr, _print_scalar, _subst, _u32,
 )
@@ -67,12 +66,11 @@ from langcc.lr import FirstK, LrTables, _extend, _sym_sort_key
 from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, wrong_value
 from langcc.meta_frontend import _checked, decode_backtick, make_parse_test
 from langcc.spec_ast import (
-    AEmit, APass, APop, APopEmit, APopExtract, APush, AltBranches, AttrLine, Diagnostic, Eps,
-    LangSpec, LexerRule, LexerSpec, ListExpr, Loc, LrTestDecl, Named, NontermRef,
-    Optional_, ParseExpr, ParserSpec, ParseTestDecl, PassString, Plus, PrecLine, RAlt,
-    RConcat, REof, RLit, RRange, RRef, RStar, RWildcard, RegexExpr, RuleDecl, Seq,
-    SingletonAlt, SpaceShorthand, SpecError, Star, TermLiteral, TokenDecl, TokenRef, Unfold,
-    quote_backtick,
+    AltBranches, AttrLine, Diagnostic, Eps, LangSpec, LexerAction, LexerRule, LexerSpec,
+    ListExpr, Loc, LrTestDecl, Named, NontermRef, Optional_, ParseExpr, ParserSpec,
+    ParseTestDecl, PassString, Plus, PrecLine, RAlt, RConcat, REof, RLit, RRange, RRef, RStar,
+    RWildcard, RegexExpr, RuleDecl, Seq, SingletonAlt, SpaceShorthand, SpecError, Star,
+    TermLiteral, TokenDecl, TokenRef, Unfold, quote_backtick,
 )
 
 
@@ -298,23 +296,23 @@ def reference_lex(compiled: CompiledLexer, text: str) -> LexOutput:
         matched = text[pos:end]
         consumed = False
         for action in compiled.mode_actions[top.mode][rule_idx]:
-            if isinstance(action, AEmit):
+            if action.op == "emit":
                 tokens.append(Token(emit_token, matched, byte_of[pos], byte_of[end]))
                 frames[-1].buffer.append(matched)
                 consumed = True
-            elif isinstance(action, APass):
+            elif action.op == "pass":
                 frames[-1].buffer.append(matched)
                 consumed = True
-            elif isinstance(action, APush):
-                frames.append(_Frame(action.mode, pos))
+            elif action.op == "push":
+                frames.append(_Frame(action.arg, pos))
             else:
                 f = frames.pop()
                 f_end = end if consumed else pos
-                if isinstance(action, APopExtract):
+                if action.op == "pop_extract":
                     extracts.append(Extract(f.mode, "".join(f.buffer),
                                             byte_of[f.start], byte_of[f_end]))
-                elif isinstance(action, APopEmit):
-                    tokens.append(Token(action.token, "".join(f.buffer),
+                elif action.op == "pop_emit":
+                    tokens.append(Token(action.arg, "".join(f.buffer),
                                         byte_of[f.start], byte_of[f_end]))
                 if not frames:
                     break
@@ -327,6 +325,24 @@ def reference_lex(compiled: CompiledLexer, text: str) -> LexOutput:
 
 # ---------------------------------------------------------------------------
 # Reference completion search
+
+def _step(tables, stack: tuple, la: tuple, act: tuple):
+    """Apply one action; returns (new_stack, consumed_one_token, accepted)."""
+    tag = act[0]
+    if tag == "shift":
+        return (stack + (act[1],), True, False)
+    if tag == "reduce":
+        prod = tables.prods[act[1]]
+        n = len(prod["rhs"])
+        if len(stack) <= n:
+            return (None, False, False)
+        rest = stack[: len(stack) - n]
+        target = tables.goto.get((rest[-1], prod["lhs"]))
+        return (None if target is None else rest + (target,), False, False)
+    if tag == "accept":
+        return (stack, False, True)
+    raise AssertionError(act)
+
 
 def reference_complete(tables: LrTables, stack: tuple, queue: tuple, budget: int,
                        terminals: List[str]) -> Optional[List[str]]:
@@ -1023,17 +1039,17 @@ class _Parser:
                 raise SpecError("expected a lexer action, found %r" % t.text, t.loc)
             self.next()
             if t.text == "emit":
-                actions.append(AEmit())
+                actions.append(LexerAction("emit"))
             elif t.text == "pass":
-                actions.append(APass())
+                actions.append(LexerAction("pass"))
             elif t.text == "push":
-                actions.append(APush(self.ident()))
+                actions.append(LexerAction("push", self.ident()))
             elif t.text == "pop":
-                actions.append(APop())
+                actions.append(LexerAction("pop"))
             elif t.text == "pop_extract":
-                actions.append(APopExtract())
+                actions.append(LexerAction("pop_extract"))
             elif t.text == "pop_emit":
-                actions.append(APopEmit(self.ident()))
+                actions.append(LexerAction("pop_emit", self.ident()))
             else:
                 raise SpecError("unknown lexer action %r" % t.text, t.loc)
             self.expect("punct", ";")
@@ -1598,7 +1614,7 @@ def reference_compile_lexer(spec: LangSpec) -> CompiledLexer:
     for mode_name, rules in spec.lexer.modes:
         nfa = Nfa()
         for idx, rule in enumerate(rules):
-            if any(isinstance(a, AEmit) for a in rule.actions):
+            if any(a.op == "emit" for a in rule.actions):
                 for token_id, pattern, is_lit in _emit_constituents(rule.pattern, decls):
                     expanded = _expand_aliases(pattern, env)
                     if _contains_eof(expanded):
@@ -1623,8 +1639,8 @@ def reference_compile_lexer(spec: LangSpec) -> CompiledLexer:
                 end = _ref_add_regex(nfa, expanded, nfa.start)
                 nfa.accepts[end] = Tag(idx, None, False, is_default)
             for a in rule.actions:
-                if isinstance(a, APopEmit):
-                    emittable.add(a.token)
+                if a.op == "pop_emit":
+                    emittable.add(a.arg)
         dfas[mode_name] = _subset_construct(mode_name, nfa)
         mode_actions[mode_name] = tuple(rule.actions for rule in rules)
     return CompiledLexer(spec.lexer.main_mode, dfas, mode_actions, frozenset(emittable))

@@ -8,10 +8,14 @@ from langcc import (
     compile_lang, compile_lexer, lex, parse, parse_lang_spec, render_spec,
     token_bounds_to_linecol,
 )
-from langcc.lexer import Extract, LexAmbiguity, LexCompileError, LexError, Nfa, Tag
+from langcc.bootstrap import _LEXER_ACTION_OPS
+from langcc.lexer import (
+    STEP_CODES, Extract, LexAmbiguity, LexCompileError, LexError, Nfa, Tag, action_list_fault,
+)
+from langcc.meta_frontend import meta_artifact
 from langcc.spec_ast import (
-    AEmit, APass, APop, APush, LangSpec, LexerRule, LexerSpec, ParserSpec, RAlt, RConcat,
-    REof, RLit, RRange, RRef, RStar, RWildcard, TokenDecl,
+    LEXER_OPS, LangSpec, LexerAction, LexerRule, LexerSpec, ParserSpec, RAlt, RConcat, REof,
+    RLit, RRange, RRef, RStar, RWildcard, TokenDecl,
 )
 
 from conftest import load_grammar, recursion_limit
@@ -342,7 +346,8 @@ def _regexes(names):
 
 
 _TOKEN_NAMES = ["a", "b", "c", "d"]
-_ACTIONS = [(APass(),), (APop(),), (APush("m"), APass()), (AEmit(),)]
+_ACTIONS = [(LexerAction("pass"),), (LexerAction("pop"),),
+            (LexerAction("push", "m"), LexerAction("pass")), (LexerAction("emit"),)]
 
 
 @st.composite
@@ -362,7 +367,7 @@ def _mode_specs(draw):
         lambda parts: RAlt(tuple(parts))))
     rules = draw(st.lists(st.one_of(
         st.builds(LexerRule, _regexes(names + ["zz"]), st.sampled_from(_ACTIONS)),
-        st.builds(LexerRule, emits, st.just((AEmit(),)))), min_size=1, max_size=3))
+        st.builds(LexerRule, emits, st.just((LexerAction("emit"),)))), min_size=1, max_size=3))
     return LangSpec(tuple(decls), LexerSpec("m", (("m", tuple(rules)),)),
                     ParserSpec((), (), (), (), ()), (), ())
 
@@ -386,7 +391,8 @@ def test_compile_lexer_agrees_with_the_recursive_reference(spec):
 def test_cyclic_alias_is_a_compile_error():
     # validate_spec rejects the cycle first; compile_lexer on its own stops too
     loop = TokenDecl("a", "alias", RConcat((RLit("x"), RRef("a"))))
-    spec = LangSpec((loop,), LexerSpec("m", (("m", (LexerRule(RRef("a"), (APass(),)),)),)),
+    rule = LexerRule(RRef("a"), (LexerAction("pass"),))
+    spec = LangSpec((loop,), LexerSpec("m", (("m", (rule,)),)),
                     ParserSpec((), (), (), (), ()), (), ())
     with pytest.raises(LexCompileError, match="cyclic alias 'a'"):
         compile_lexer(spec)
@@ -449,3 +455,43 @@ def test_deep_token_patterns_render_and_reparse_at_the_default_recursion_limit(n
     assert reparsed is not None, "RecursionError at the default recursion limit"
     with recursion_limit(50000):  # dataclass equality recurses per level
         assert reparsed == spec
+
+
+# ---------------------------------------------------------------------------
+# The lexer-action vocabulary
+
+def test_meta_lang_action_variants_map_one_to_one_onto_the_vocabulary():
+    variants = {vk.split("::")[1]: fields for vk, fields in meta_artifact().ast_fields.items()
+                if vk.startswith("LexerAction::")}
+    assert set(variants) == set(_LEXER_ACTION_OPS)
+    assert sorted(_LEXER_ACTION_OPS.values()) == sorted(LEXER_OPS)
+    # a variant has a field exactly when its op takes an argument
+    assert all(len(variants[v]) == LEXER_OPS[op][0] for v, op in _LEXER_ACTION_OPS.items())
+
+
+def test_every_op_has_one_lexer_step():
+    assert set(STEP_CODES) == set(LEXER_OPS)
+    assert len(set(STEP_CODES.values())) == len(STEP_CODES)
+
+
+def _acts(*ops):
+    return tuple(LexerAction(*op.split()) for op in ops)
+
+
+@pytest.mark.parametrize("actions,eof,fault", [
+    (_acts("emit"), False, None),
+    (_acts("push m", "pass"), False, None),
+    (_acts("pop"), True, None),
+    (_acts("pop", "push n"), False, None),
+    (_acts("pop", "pop", "push n", "push m"), False, None),  # replaces a frame below its own
+    (_acts("push n", "pop", "pop"), False, None),
+    (_acts("emit", "pass"), False, "has more than one emit/pass action"),
+    (_acts("push n"), False, "neither consumes its match nor pops"),
+    (_acts("pass"), True, "eof rule in mode 'm' must pop"),
+    (_acts("push n", "pop"), False, "leaves the mode stack as it found it"),
+    (_acts("pop", "push m"), False, "leaves the mode stack as it found it"),
+    (_acts("push m", "pop", "pass"), True, "leaves the mode stack as it found it"),
+])
+def test_action_list_fault(actions, eof, fault):
+    got = action_list_fault("m", actions, eof)
+    assert got == fault if fault is None else fault in got

@@ -241,6 +241,15 @@ BAD_SPECS = {
     "lexer without main": GOOD.replace("    main { body }\n", ""),
     "parser without main": GOOD.replace("    main { S }\n", ""),
     "empty action list": GOOD.replace("{ pop; }", "{ }"),
+    # neither consumes nor leaves the stack as it found it: parse looped forever
+    "push then pop": GOOD.replace(
+        "eof => { pop; }", "eof => { pop; }\n        `#` => { push body; pop; }"),
+    "pop then push of the rule's own mode": GOOD.replace(
+        "eof => { pop; }", "eof => { pop; }\n        `#` => { pop; push body; }"),
+    "eof rule that consumes and leaves the stack": GOOD.replace(
+        "eof => { pop; }", "eof => { push body; pop; pass; }"),
+    "eof alias rule that does not pop": GOOD.replace("`y`;", "`y`;\n    end <= eof;").replace(
+        "eof => { pop; }", "end => { pass; }"),
     "multi-character range": GOOD.replace("`y`;", "`y` | `ab`..`c`;"),
     "multi-character range end": GOOD.replace("`y`;", "`y` | `a`..``;"),
     "empty range": GOOD.replace("`y`;", "\n        `y` | `z`..`a`;"),

@@ -399,8 +399,8 @@ def _set_lo_above_hi(states):
     first[0] = first[1] + 1
 
 
-def _set_accept(states, accept):
-    states[1][2] = accept
+def _set_accept(states, state, accept):
+    states[state][2] = accept
 
 
 @pytest.mark.parametrize("mutate,message", [
@@ -408,10 +408,10 @@ def _set_accept(states, accept):
     (lambda st: _set_target(st, len(st)), "is not an interval"),
     (_set_lo_above_hi, "is not an interval"),
     (lambda st: st[0].__setitem__(1, len(st)), "eof target"),
-    (lambda st: _set_accept(st, [1]), "is not null or \\[rule, token\\]"),
-    (lambda st: _set_accept(st, ["1", None]), "is not null or \\[rule, token\\]"),
-    (lambda st: _set_accept(st, [1, 2]), "is not null or \\[rule, token\\]"),
-    (lambda st: _set_accept(st, [99, None]), "with one of 5 rules"),
+    (lambda st: _set_accept(st, 1, [1]), "is not null or \\[rule, token\\]"),
+    (lambda st: _set_accept(st, 1, ["1", None]), "is not null or \\[rule, token\\]"),
+    (lambda st: _set_accept(st, 1, [1, 2]), "is not null or \\[rule, token\\]"),
+    (lambda st: _set_accept(st, 1, [99, None]), "with one of 5 rules"),
 ], ids=["non-int target", "target out of range", "lo above hi", "eof target out of range",
         "short accept", "non-int rule", "non-str token", "rule out of range"])
 def test_artifact_with_malformed_lexer_row_rejected(calc, mutate, message):
@@ -430,6 +430,42 @@ def test_artifact_pushing_an_unknown_lexer_mode_rejected(calc):
     rule = next(i for i, r in enumerate(actions) if r[0][0] == "push")
     actions[rule][0] = ["push", "nowhere"]
     with pytest.raises(SpecError, match="push to unknown lexer mode 'nowhere'"):
+        _load(data)
+
+
+def _set_rule(data, rule, actions):
+    data["lexer"]["actions"]["body"][rule] = actions
+
+
+# Up to "emit with an argument" these loaded, and parse on the first seven
+# looped forever or raised a KeyError; the rest raised other errors.  Only
+# load them: parsing one that loads again would hang the suite.
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: _set_rule(d, 1, []), "'body' neither consumes its match nor pops"),
+    (lambda d: _set_rule(d, 1, [["push", "body"]]), "'body' neither consumes its match nor pops"),
+    (lambda d: _set_rule(d, 1, [["push", "comment_single"], ["pop"]]),
+     "'body' consumes nothing and leaves the mode stack as it found it"),
+    (lambda d: _set_rule(d, 4, [["pass"]]), "eof rule in mode 'body' must pop"),
+    (lambda d: _set_rule(d, 4, [["push", "body"], ["pop"], ["pass"]]),
+     "'body' consumes nothing and leaves the mode stack as it found it"),
+    (lambda d: _set_accept(_main_dfa(d), 0, [1, None]),
+     "mode body has no start state, or its start state accepts"),
+    (lambda d: d["lexer"].__setitem__("main_mode", "nowhere"),
+     "main mode 'nowhere' is not a mode"),
+    (lambda d: _set_rule(d, 0, [["emit", "x"]]), "lexer action \\['emit', 'x'\\] is not"),
+    (lambda d: _set_rule(d, 0, [["push"]]), "lexer action \\['push'\\] is not"),
+    (lambda d: _set_rule(d, 0, [["push", 1]]), "lexer action \\['push', 1\\] is not"),
+    (lambda d: _set_rule(d, 0, [["skip"]]), "lexer action \\['skip'\\] is not"),
+    (lambda d: _set_rule(d, 0, ["emit"]), "lexer action 'emit' is not"),
+], ids=["empty list", "push only", "push then pop", "eof rule that does not pop",
+        "eof rule that leaves the stack", "start state accepts", "unknown main mode",
+        "emit with an argument", "push without a mode", "push to a non-str mode",
+        "unknown op", "action not a list"])
+def test_artifact_with_a_malformed_lexer_action_list_rejected(calc, mutate, message):
+    data = _calc_artifact(calc)
+    assert data["lexer"]["actions"]["body"][4] == [["pop"]]
+    mutate(data)
+    with pytest.raises(SpecError, match="malformed artifact: .*" + message):
         _load(data)
 
 
