@@ -276,7 +276,7 @@ def _conv_token_decl(n: Node, lines: _Lines) -> sa.TokenDecl:
 
 # meta.lang's LexerAction variants -> their ops
 _LEXER_ACTION_OPS = {"Emit": "emit", "Pass": "pass", "Push": "push", "Pop": "pop",
-              "PopExtract": "pop_extract", "PopEmit": "pop_emit"}
+                     "PopExtract": "pop_extract", "PopEmit": "pop_emit"}
 
 
 def _conv_lexer_action(n: Node, lines: _Lines) -> sa.LexerAction:

@@ -25,7 +25,7 @@ from itertools import repeat
 from typing import Dict, Optional
 
 from .grammar import Cfg, lower_grammar, lower_precedence
-from .lexer import EOF_TERMINAL, CompiledLexer, ModeDfa, compile_lexer
+from .lexer import EOF_TERMINAL, CompiledLexer, LexCompileError, ModeDfa, compile_lexer
 from .lr import LrTables, build_lr
 from .meta_frontend import decode_backtick, parse_lang_spec
 from .spec_ast import LEXER_OPS, LangSpec, LexerAction, Loc, SpecError
@@ -156,7 +156,7 @@ class CompiledLang:
             return cls(data, text)
         except KeyError as e:
             raise SpecError("malformed artifact: missing key %r" % e.args[0]) from None
-        except (TypeError, ValueError, AttributeError, IndexError) as e:
+        except (TypeError, ValueError, AttributeError, IndexError, LexCompileError) as e:
             # a wrongly shaped part that _check_tables does not inspect
             raise SpecError("malformed artifact: %s" % e) from None
 
@@ -470,7 +470,7 @@ def _load_tables(d: dict):
 
 def _action_from_json(j) -> LexerAction:
     if not (type(j) is list and j and all(type(x) is str for x in j)
-            and j[0] in LEXER_OPS and len(j) == 1 + LEXER_OPS[j[0]][0]):
+            and j[0] in LEXER_OPS and len(j) == 1 + LEXER_OPS[j[0]].takes_arg):
         raise _malformed("lexer action %r is not [op] or [op, argument] with one of "
                          "the ops %s" % (j, ", ".join(LEXER_OPS)))
     return LexerAction(*j)
@@ -509,8 +509,7 @@ def _lexer_from_json(d: dict) -> CompiledLexer:
             rows.append(row)
         if not rows or rows[0][2] is not None:
             # a start state that accepts would match "" over and over
-            raise _malformed("mode %s has no start state, or its start state accepts"
-                             % name)
+            raise _malformed("mode %s has no start state, or its start state accepts" % name)
         dfas[name] = ModeDfa(name, rows)
     if d["main_mode"] not in dfas:
         raise _malformed("main mode %r is not a mode" % (d["main_mode"],))

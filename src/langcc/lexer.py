@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .spec_ast import (
     LEXER_OPS, LangSpec, RAlt, RConcat, REof, RLit, RRange, RRef, RStar, RWildcard,
-    RegexExpr, quote_backtick,
+    RegexExpr, TokenDecl, quote_backtick,
 )
 
 MAX_CODEPOINT = 0x10FFFF
@@ -108,8 +108,8 @@ class Nfa:
         self.eof_edges.append([])
         return len(self.eps) - 1
 
-    def add_regex(self, e: RegexExpr, src: int, env: Dict[str, RegexExpr]) -> int:
-        """Wire `e` from state src, each alias reference expanded from env;
+    def add_regex(self, e: RegexExpr, src: int, decls: Dict[str, TokenDecl]) -> int:
+        """Wire `e` from state src, each token reference expanded from decls;
         returns the state reached on a match.  The stack holds patterns to
         wire from `end` and steps: ("branch", s) starts an alternative after
         s, ("join", s) links `end` to s, ("leave", name) ends an alias."""
@@ -156,12 +156,12 @@ class Nfa:
                 eps[hub].append(end)
                 work += [("join", hub), e.inner]
             elif isinstance(e, RRef):
-                if e.name not in env:
+                if e.name not in decls:
                     raise LexCompileError("reference to unknown token %r" % e.name)
                 if e.name in expanding:
                     raise LexCompileError("cyclic alias %r" % e.name)
                 expanding.add(e.name)
-                work += [("leave", e.name), env[e.name]]
+                work += [("leave", e.name), decls[e.name].pattern]
             else:
                 raise TypeError(e)
         return end
@@ -296,9 +296,9 @@ class LexOutput:
 # The load-time form of a rule's action list: a plain emit or pass is one
 # opcode, anything else runs its list of (step, argument) pairs.
 OP_EMIT, OP_PASS, OP_STEPS = range(3)
+# Each step's code is its op's place in LEXER_OPS.
 S_EMIT, S_PASS, S_PUSH, S_POP, S_POP_EXTRACT, S_POP_EMIT = range(6)
-STEP_CODES = {"emit": S_EMIT, "pass": S_PASS, "push": S_PUSH, "pop": S_POP,
-              "pop_extract": S_POP_EXTRACT, "pop_emit": S_POP_EMIT}
+STEP_CODES = {op: i for i, op in enumerate(LEXER_OPS)}
 
 
 class CompiledLexer:
@@ -334,65 +334,62 @@ def action_list_fault(mode: str, actions, eof: bool = False) -> Optional[str]:
     match.  A rule makes progress by consuming a nonempty match or by
     changing the mode stack, or else the next match runs it again at the
     same place.  The list runs here on a stack holding only the rule's own
-    frame, and a pop below that frame counts as a change."""
-    consuming = sum(LEXER_OPS[a.op][1] for a in actions)
-    pops = any(LEXER_OPS[a.op][2] for a in actions)
+    frame.  A list that pops below that frame is passed, though whether it
+    makes progress depends on the frames below: `pop; pop; push n; push m;`
+    in mode m leaves a stack [.., n, m] as it found it."""
+    consuming = sum(LEXER_OPS[a.op].consumes for a in actions)
+    popped, stack = _run_on_own_frame(mode, actions)
     if consuming > 1:
         return "lexer rule in mode %r has more than one emit/pass action" % mode
-    if not consuming and not pops:
+    if not consuming and not popped:
         return ("lexer rule in mode %r neither consumes its match nor pops; it cannot "
                 "make progress" % mode)
-    if eof and not pops:
+    if eof and not popped:
         return "eof rule in mode %r must pop" % mode
-    if consuming and not eof:
-        return None
-    stack = [mode]
-    for a in actions:
-        if a.op == "push":
-            stack.append(a.arg)
-        elif LEXER_OPS[a.op][2]:
-            if not stack:
-                return None
-            stack.pop()
-    if stack == [mode]:
+    if (eof or not consuming) and stack == [mode] and None not in (t for _, t in popped):
         return ("lexer rule in mode %r consumes nothing and leaves the mode stack as it "
                 "found it; it cannot make progress" % mode)
     return None
+
+
+def _run_on_own_frame(mode: str, actions):
+    """Run the pushes and pops of an action list on a stack holding only
+    the rule's own frame, in `mode`: ((op, mode it popped) for each popping
+    action, with None for a frame below the rule's own; the final stack)."""
+    stack, popped = [mode], []
+    for a in actions:
+        if a.op == "push":
+            stack.append(a.arg)
+        elif LEXER_OPS[a.op].pops:
+            popped.append((a.op, stack.pop() if stack else None))
+    return popped, stack
 
 
 def _rule_program(mode: str, actions, modes, eof: bool) -> Tuple[int, tuple]:
     """(opcode, steps) of one rule's action list."""
     fault = action_list_fault(mode, actions, eof)
     if fault is not None:
-        raise ValueError(fault)
+        raise LexCompileError(fault)
     if len(actions) == 1 and actions[0].op in ("emit", "pass"):
         return (OP_EMIT if actions[0].op == "emit" else OP_PASS), ()
     for a in actions:
         if a.op == "push" and a.arg not in modes:
-            raise ValueError("push to unknown lexer mode %r" % a.arg)
+            raise LexCompileError("push to unknown lexer mode %r" % a.arg)
     return OP_STEPS, tuple((STEP_CODES[a.op], a.arg) for a in actions)
 
 
 def _modes_keeping_text(mode_actions) -> frozenset:
     """The modes whose frames must keep the text credited to them: those a
-    pop_extract or pop_emit can pop.  Each rule's action list is run on a
-    stack holding only the rule's own frame; a pop_extract or pop_emit
-    below that frame, whose mode is not known here, makes every mode keep
+    pop_extract or pop_emit can pop.  A pop_extract or pop_emit below the
+    rule's own frame, whose mode is not known here, makes every mode keep
     its text."""
     out = set()
     for mode, rules in mode_actions.items():
         for actions in rules:
-            stack = [mode]
-            for a in actions:
-                if a.op == "push":
-                    stack.append(a.arg)
-                elif LEXER_OPS[a.op][2]:
-                    top = stack.pop() if stack else None
-                    if a.op == "pop":
-                        continue
-                    if top is None:
-                        return frozenset(mode_actions)
-                    out.add(top)
+            kept = [top for op, top in _run_on_own_frame(mode, actions)[0] if op != "pop"]
+            if None in kept:
+                return frozenset(mode_actions)
+            out.update(kept)
     return frozenset(out)
 
 
@@ -513,20 +510,29 @@ def _resolve_accept(mode: str, state_set, nfa: Nfa, witness: str):
     return (t.rule_index, t.token)
 
 
-def _wire(nfa: Nfa, pattern: RegexExpr, env) -> Tuple[int, bool, bool]:
+def alias_target(pattern: RegexExpr, decls) -> RegexExpr:
+    """What `pattern` stands for once token references (name -> TokenDecl
+    in decls) are followed, stopping at a cycle or an undeclared name."""
+    seen = set()
+    while isinstance(pattern, RRef) and pattern.name in decls and pattern.name not in seen:
+        seen.add(pattern.name)
+        pattern = decls[pattern.name].pattern
+    return pattern
+
+
+def _wire(nfa: Nfa, pattern: RegexExpr, decls) -> Tuple[int, bool, bool]:
     """Wire pattern from a new entry state, ε-joined to nfa's start.  Returns
     its end state, whether it holds eof (a state wired from entry has an
     eof edge) and whether it matches "" (end is in entry's ε-closure)."""
     entry = nfa.new_state()
     nfa.eps[nfa.start].append(entry)
-    end = nfa.add_regex(pattern, entry, env)
+    end = nfa.add_regex(pattern, entry, decls)
     return end, any(nfa.eof_edges[entry:]), end in nfa.eps_closure([entry])
 
 
 def compile_lexer(spec: LangSpec) -> CompiledLexer:
     """Compile all lexer modes of a validated spec to DFAs."""
     decls = {d.name: d for d in spec.token_decls}
-    env = {d.name: d.pattern for d in spec.token_decls}
 
     emittable = set()
     dfas = {}
@@ -536,7 +542,7 @@ def compile_lexer(spec: LangSpec) -> CompiledLexer:
         for idx, rule in enumerate(rules):
             if any(a.op == "emit" for a in rule.actions):
                 for token_id, pattern, is_lit in emit_constituents(rule.pattern, decls):
-                    end, holds_eof, empty = _wire(nfa, pattern, env)
+                    end, holds_eof, empty = _wire(nfa, pattern, decls)
                     if holds_eof:
                         raise LexCompileError("eof cannot appear inside an emitted pattern")
                     if empty:
@@ -545,11 +551,8 @@ def compile_lexer(spec: LangSpec) -> CompiledLexer:
                     nfa.accepts[end] = Tag(idx, token_id, is_lit, False)
                     emittable.add(token_id)
             else:
-                end, holds_eof, empty = _wire(nfa, rule.pattern, env)
-                top = rule.pattern
-                while isinstance(top, RRef):  # add_regex found the chain acyclic
-                    top = env[top.name]
-                if holds_eof and not isinstance(top, REof):
+                end, holds_eof, empty = _wire(nfa, rule.pattern, decls)
+                if holds_eof and not isinstance(alias_target(rule.pattern, decls), REof):
                     raise LexCompileError(
                         "eof may only be used as a whole lexer-rule pattern")
                 if empty:

@@ -16,7 +16,7 @@ import re
 from importlib import resources
 from typing import List, Optional
 
-from .lexer import EOF_TERMINAL, action_list_fault
+from .lexer import EOF_TERMINAL, action_list_fault, alias_target
 from .spec_ast import (
     AltBranches, Diagnostic, LangSpec, ListExpr, Loc, Named, NontermRef,
     Optional_, ParseTestDecl, Plus, RAlt, RConcat, REof, RRef, RStar, RegexExpr, Seq,
@@ -239,11 +239,9 @@ def validate_spec(spec: LangSpec) -> List[Diagnostic]:
         diags.append(Diagnostic(None, "lexer main names undeclared mode %r" % spec.lexer.main_mode))
     for mode_name, rules in spec.lexer.modes:
         for r in rules:
-            top, seen = r.pattern, set()  # an alias of eof matches eof too
-            while isinstance(top, RRef) and top.name in by_name and top.name not in seen:
-                seen.add(top.name)
-                top = by_name[top.name].pattern
-            fault = action_list_fault(mode_name, r.actions, isinstance(top, REof))
+            # an alias of eof matches eof too
+            at_eof = isinstance(alias_target(r.pattern, by_name), REof)
+            fault = action_list_fault(mode_name, r.actions, at_eof)
             if fault is not None:
                 diags.append(Diagnostic(r.loc, fault))
             for a in r.actions:

@@ -10,7 +10,7 @@ and LEXER_OPS says what each op does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,20 @@ class LexerAction:
     arg: Optional[str] = None
 
 
-# The lexer-action vocabulary: op -> (takes an argument, consumes the
-# match, pops a frame).
+class OpInfo(NamedTuple):
+    takes_arg: bool  # a push names a mode, a pop_emit a token
+    consumes: bool  # the action consumes the match
+    pops: bool  # the action pops a frame
+
+
+# The lexer-action vocabulary, op -> what it does.
 LEXER_OPS = {
-    "emit": (False, True, False),
-    "pass": (False, True, False),
-    "push": (True, False, False),
-    "pop": (False, False, True),
-    "pop_extract": (False, False, True),
-    "pop_emit": (True, False, True),
+    "emit": OpInfo(False, True, False),
+    "pass": OpInfo(False, True, False),
+    "push": OpInfo(True, False, False),
+    "pop": OpInfo(False, False, True),
+    "pop_extract": OpInfo(False, False, True),
+    "pop_emit": OpInfo(True, False, True),
 }
 
 
