@@ -6,13 +6,14 @@ canonical JSON, so artifacts are versioned, byte-identical across runs and
 friendly to version control: the text of json.dumps(tree, sort_keys=True,
 indent=1, separators=(",", ": "), ensure_ascii=False) and a newline.
 _canonical_json writes that text itself, as json's C encoder does not
-indent and its pure-Python one is much slower.  Each CompiledLang runs it
-once, on its first to_json, from the tree flatten built or the text
-from_json loaded.  CompiledLang also resolves the field kinds and
-templates into the per-variant plans the tree walks read (data_plan for
-runtime.node_to_data_value, print_plan for printer.pretty_print), once
-per variant, when the variant is first met: resolving every variant at
-load would add a few percent to loading.
+indent and its pure-Python one is much slower.  It makes one call per list
+or dict and encodes the strs and ints in it, most of an artifact's values,
+in place.  Each CompiledLang runs it once, on its first to_json, from the
+tree flatten built or the text from_json loaded.  CompiledLang also
+resolves the field kinds and templates into the per-variant plans the tree
+walks read (data_plan for runtime.node_to_data_value, print_plan for
+printer.pretty_print), once per variant, when the variant is first met:
+resolving every variant at load would add a few percent to loading.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import gc
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, Optional
 
 from .grammar import Cfg, lower_grammar, lower_precedence
@@ -611,20 +611,20 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
                                list(base.asm), display])
 
     action_json = []
-    for (state, la) in sorted(tables.action):
-        acts = tables.action[(state, la)]
+    for (state, la), acts in sorted(tables.action.items()):
         if len(acts) != 1:
             raise SpecError("cannot flatten tables with conflicts")
         action_json.append([state, list(la), list(acts[0])])
 
     goto_json = []
-    for (state, key) in sorted(tables.goto,
-                               key=lambda sk: (sk[0], _goto_key_str(sk[1]))):
-        target = tables.goto[(state, key)]
+    for (state, key), target in tables.goto.items():
         if isinstance(key, tuple) and key[0] == "t":
             goto_json.append([state, "t", key[1], target])
         else:
             goto_json.append([state, "n", inst_ref(key), target])
+    # by state, then nonterminals ("n") before terminals ("t"), then name:
+    # no two entries share all three, so the targets are never compared
+    goto_json.sort()
 
     ast_json = {}
     templates_json = {}
@@ -680,38 +680,43 @@ _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 def _canonical_json(v, newline: str = "\n") -> str:
     """json.dumps(v, sort_keys=True, indent=1, separators=(",", ": "),
     ensure_ascii=False) for a tree of str-keyed dicts, lists, str, int,
-    float, bool and None (anything else, a tuple too, is a TypeError), one
-    str.join per list or dict.  `newline` is a newline and the indent of v's
-    own line.  It calls itself once per level of nesting, through map and a
-    loop: a generator or a comprehension would add a frame per level."""
+    float, bool and None (anything else, a tuple or a str subclass too, is a
+    TypeError), one str.join per list or dict.  `newline` is a newline and
+    the indent of v's own line.  A list item or dict value whose type is
+    exactly str or int (so not a bool or an IntEnum) is encoded where it
+    stands; the function calls itself only for the others, so once per
+    list or dict and per float, bool or None, not once per value.  It calls
+    itself from a plain loop, so it takes one frame per level of nesting:
+    map or, before Python 3.12, a comprehension would add a level each."""
     t = type(v)
     if t is list:
         if not v:
             return "[]"
         inner = newline + " "
-        return "[%s%s%s]" % (inner, ("," + inner).join(
-            map(_canonical_json, v, repeat(inner))), newline)
-    if t is str:
-        return _encode_str(v)
-    if t is int:
-        return str(v)
+        items = []
+        for x in v:
+            tx = type(x)
+            items.append(_encode_str(x) if tx is str else str(x) if tx is int
+                         else _canonical_json(x, inner))
+        return "[%s%s%s]" % (inner, ("," + inner).join(items), newline)
     if t is dict:
         if not v:
             return "{}"
         inner = newline + " "
         members = []
         for key in sorted(v):
-            members.append("%s: %s" % (_encode_str(key), _canonical_json(v[key], inner)))
+            x = v[key]
+            tx = type(x)
+            members.append("%s: %s" % (_encode_str(key), _encode_str(x) if tx is str
+                                       else str(x) if tx is int else _canonical_json(x, inner)))
         return "{%s%s%s}" % (inner, ("," + inner).join(members), newline)
+    if t is str:
+        return _encode_str(v)
+    if t is int:
+        return str(v)
     if t is float or t is bool or v is None:
         return _encode_scalar(v)
     raise TypeError("%s is not a JSON value" % t.__name__)
-
-
-def _goto_key_str(key):
-    if isinstance(key, tuple) and key and key[0] == "t":
-        return "t:" + key[1]
-    return "n:" + key.mangled()
 
 
 # ---------------------------------------------------------------------------

@@ -367,52 +367,78 @@ def render_regex(e: RegexExpr, prec: int = 0) -> str:
 
 
 def render_parse_expr(e: ParseExpr, prec: int = 0) -> str:
-    # precedence: 0 alt, 1 seq, 2 prefix (name/unfold), 3 postfix, 4 atom
-    def wrap(s, at):
-        return "(" + s + ")" if prec > at else s
-
-    if isinstance(e, AltBranches):
-        s = " | ".join("%s:%s" % (lbl, render_parse_expr(inner, 2)) for lbl, inner in e.branches)
-        # alternation only ever appears parenthesized in the surface syntax
-        return "(" + s + ")"
-    if isinstance(e, Seq):
-        if not e.items:
-            return "eps"
-        return wrap(" ".join(render_parse_expr(p, 2) for p in e.items), 1)
-    if isinstance(e, Named):
-        return wrap("%s:%s" % (e.field_name, render_parse_expr(e.inner, 2)), 2)
-    if isinstance(e, Unfold):
-        return wrap("~" + render_parse_expr(e.inner, 2), 2)
-    if isinstance(e, Star):
-        return render_parse_expr(e.inner, 3) + "*"
-    if isinstance(e, Plus):
-        return render_parse_expr(e.inner, 3) + "+"
-    if isinstance(e, Optional_):
-        return render_parse_expr(e.inner, 3) + "?"
-    if isinstance(e, TermLiteral):
-        return quote_backtick(e.text)
-    if isinstance(e, TokenRef):
-        return e.name
-    if isinstance(e, NontermRef):
-        s = e.name
-        reqs = list(e.attr_reqs) + (["pr=*"] if e.pr_star else [])
-        if reqs:
-            s += "[" + ", ".join(reqs) + "]"
-        return s
-    if isinstance(e, SingletonAlt):
-        return "#Alt[%s:%s]" % (e.label, render_parse_expr(e.inner, 2))
-    if isinstance(e, ListExpr):
-        num = {0: "::", 1: "::+", 2: "::++"}[e.min_count]
-        end = {"none": "", "optional": ":?", "required": "::"}[e.trailing]
-        return "#%s[%s%s%s%s]" % (
-            e.flavor, render_parse_expr(e.elem, 0), num, render_parse_expr(e.delim, 0), end)
-    if isinstance(e, PassString):
-        return "@(%s)" % quote_backtick(e.text)
-    if isinstance(e, SpaceShorthand):
-        return "_"
-    if isinstance(e, Eps):
-        return "eps"
-    raise TypeError(e)
+    """e as .lang text, parenthesized where its context binds tighter:
+    `prec` is that context's precedence, 0 alt, 1 seq, 2 prefix
+    (name/unfold), 3 postfix, 4 atom.  Walks e on an explicit stack, so deep
+    rule bodies render at any depth."""
+    out = []
+    todo = [(e, prec)]  # (expression, context precedence) to render, or text to emit
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, prec = item
+        if isinstance(e, AltBranches):
+            # alternation only ever appears parenthesized in the surface syntax
+            todo.append(")")
+            for i in range(len(e.branches) - 1, -1, -1):
+                lbl, inner = e.branches[i]
+                todo.append((inner, 2))
+                todo.append("%s:" % lbl)
+                if i:
+                    todo.append(" | ")
+            todo.append("(")
+        elif isinstance(e, Seq):
+            if not e.items:
+                out.append("eps")
+                continue
+            if prec > 1:
+                todo.append(")")
+            for i in range(len(e.items) - 1, -1, -1):
+                todo.append((e.items[i], 2))
+                if i:
+                    todo.append(" ")
+            if prec > 1:
+                todo.append("(")
+        elif isinstance(e, (Named, Unfold)):
+            if prec > 2:
+                todo.append(")")
+            todo.append((e.inner, 2))
+            todo.append("%s:" % e.field_name if isinstance(e, Named) else "~")
+            if prec > 2:
+                todo.append("(")
+        elif isinstance(e, (Star, Plus, Optional_)):
+            todo.append("*" if isinstance(e, Star) else "+" if isinstance(e, Plus) else "?")
+            todo.append((e.inner, 3))
+        elif isinstance(e, TermLiteral):
+            out.append(quote_backtick(e.text))
+        elif isinstance(e, TokenRef):
+            out.append(e.name)
+        elif isinstance(e, NontermRef):
+            reqs = list(e.attr_reqs) + (["pr=*"] if e.pr_star else [])
+            out.append(e.name + "[" + ", ".join(reqs) + "]" if reqs else e.name)
+        elif isinstance(e, SingletonAlt):
+            todo.append("]")
+            todo.append((e.inner, 2))
+            todo.append("#Alt[%s:" % e.label)
+        elif isinstance(e, ListExpr):
+            num = {0: "::", 1: "::+", 2: "::++"}[e.min_count]
+            end = {"none": "", "optional": ":?", "required": "::"}[e.trailing]
+            todo.append(end + "]")
+            todo.append((e.delim, 0))
+            todo.append(num)
+            todo.append((e.elem, 0))
+            todo.append("#%s[" % e.flavor)
+        elif isinstance(e, PassString):
+            out.append("@(%s)" % quote_backtick(e.text))
+        elif isinstance(e, SpaceShorthand):
+            out.append("_")
+        elif isinstance(e, Eps):
+            out.append("eps")
+        else:
+            raise TypeError(e)
+    return "".join(out)
 
 
 def render_spec(spec: LangSpec) -> str:

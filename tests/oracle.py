@@ -46,6 +46,8 @@ reference collector and recursive opaque-reach and alias-cycle searches.
 
 reference_render_regex is spec_ast.render_regex as it was before it walked
 a pattern on an explicit stack: one call per level of nesting.
+reference_render_parse_expr is spec_ast.render_parse_expr likewise, for a
+rule body.
 """
 
 import hashlib
@@ -1406,6 +1408,57 @@ def reference_render_regex(e: RegexExpr, prec: int = 0) -> str:
         return "_"
     if isinstance(e, REof):
         return "eof"
+    raise TypeError(e)
+
+
+def reference_render_parse_expr(e: ParseExpr, prec: int = 0) -> str:
+    """render_parse_expr, recursive."""
+    # precedence: 0 alt, 1 seq, 2 prefix (name/unfold), 3 postfix, 4 atom
+    def wrap(s, at):
+        return "(" + s + ")" if prec > at else s
+
+    if isinstance(e, AltBranches):
+        s = " | ".join("%s:%s" % (lbl, reference_render_parse_expr(inner, 2))
+                       for lbl, inner in e.branches)
+        # alternation only ever appears parenthesized in the surface syntax
+        return "(" + s + ")"
+    if isinstance(e, Seq):
+        if not e.items:
+            return "eps"
+        return wrap(" ".join(reference_render_parse_expr(p, 2) for p in e.items), 1)
+    if isinstance(e, Named):
+        return wrap("%s:%s" % (e.field_name, reference_render_parse_expr(e.inner, 2)), 2)
+    if isinstance(e, Unfold):
+        return wrap("~" + reference_render_parse_expr(e.inner, 2), 2)
+    if isinstance(e, Star):
+        return reference_render_parse_expr(e.inner, 3) + "*"
+    if isinstance(e, Plus):
+        return reference_render_parse_expr(e.inner, 3) + "+"
+    if isinstance(e, Optional_):
+        return reference_render_parse_expr(e.inner, 3) + "?"
+    if isinstance(e, TermLiteral):
+        return quote_backtick(e.text)
+    if isinstance(e, TokenRef):
+        return e.name
+    if isinstance(e, NontermRef):
+        s = e.name
+        reqs = list(e.attr_reqs) + (["pr=*"] if e.pr_star else [])
+        if reqs:
+            s += "[" + ", ".join(reqs) + "]"
+        return s
+    if isinstance(e, SingletonAlt):
+        return "#Alt[%s:%s]" % (e.label, reference_render_parse_expr(e.inner, 2))
+    if isinstance(e, ListExpr):
+        num = {0: "::", 1: "::+", 2: "::++"}[e.min_count]
+        end = {"none": "", "optional": ":?", "required": "::"}[e.trailing]
+        return "#%s[%s%s%s%s]" % (e.flavor, reference_render_parse_expr(e.elem, 0), num,
+                                  reference_render_parse_expr(e.delim, 0), end)
+    if isinstance(e, PassString):
+        return "@(%s)" % quote_backtick(e.text)
+    if isinstance(e, SpaceShorthand):
+        return "_"
+    if isinstance(e, Eps):
+        return "eps"
     raise TypeError(e)
 
 

@@ -2,8 +2,10 @@
 the old encoder, one write per artifact with no decode on the build path,
 non-canonical input, and text that is no artifact."""
 
+import enum
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,12 +46,37 @@ def test_canonical_json_is_json_dumps(tree):
     assert _canonical_json(tree) == _dumps(tree)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(enum.IntEnum):
+    ONE = 1
+
+
 @pytest.mark.parametrize("tree", [
     {"a": [1, (1, "a")]}, [{"x": {1, 2}}], {"b": [b"x"]}, {"k": frozenset()},
-], ids=["tuple", "set", "bytes", "frozenset"])
+    ["a", _Str("b")], {"k": _Str("v")}, [0, _Int.ONE], {"k": _Int.ONE},
+], ids=["tuple", "set", "bytes", "frozenset", "str-subclass-item", "str-subclass-member",
+        "intenum-item", "intenum-member"])
 def test_canonical_json_rejects_what_is_no_json_value(tree):
+    # an item is encoded where it stands only if it is exactly a str or an int
     with pytest.raises(TypeError, match="is not a JSON value"):
         _canonical_json(tree)
+
+
+def test_canonical_json_takes_one_frame_per_level_of_nesting():
+    tree = []
+    for i in range(500):
+        tree = [i, "a", tree, None]
+    assert sys.getrecursionlimit() <= 1000
+    try:
+        text = _canonical_json(tree)
+    except RecursionError:
+        # failed outside the handler: a traceback this deep is slow to report
+        text = None
+    assert text is not None, "RecursionError at the default recursion limit"
+    assert text == _dumps(tree)
 
 
 WITH_ARTIFACTS = ["ab_eps", "calc", "calc_prog", "meta", "parens", "rd_tiny", "sum_list"]

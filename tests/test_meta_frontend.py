@@ -6,12 +6,17 @@ from hypothesis import given, settings, strategies as st
 from langcc import compile_lang, parse_lang_spec, render_spec, validate_spec
 from langcc.meta_frontend import decode_backtick, make_parse_test
 from langcc.spec_ast import (
-    LangSpec, LexerSpec, Loc, NontermRef, Optional_, ParserSpec, RAlt, RConcat, REof, RLit,
-    RRange, RRef, RStar, RWildcard, SpecError, TermLiteral, TokenDecl, TokenRef, render_regex,
+    AltBranches, Eps, LangSpec, LexerSpec, ListExpr, Loc, Named, NontermRef, Optional_,
+    ParserSpec, PassString, Plus, RAlt, RConcat, REof, RLit, RRange, RRef, RStar, RWildcard,
+    Seq, SingletonAlt, SpaceShorthand, SpecError, Star, TermLiteral, TokenDecl, TokenRef, Unfold,
+    render_parse_expr, render_regex,
 )
 
 from conftest import GRAMMARS, load_grammar
-from oracle import reference_parse_lang_spec, reference_render_regex, reference_token_diags
+from oracle import (
+    reference_parse_lang_spec, reference_render_parse_expr, reference_render_regex,
+    reference_token_diags,
+)
 
 MINIMAL_TAIL = """
 lexer {
@@ -178,6 +183,37 @@ _RENDER_LEAVES = st.one_of(
     inner.map(RStar)), max_leaves=12), st.integers(0, 2))
 def test_render_regex_matches_the_recursive_reference(e, prec):
     assert render_regex(e, prec) == reference_render_regex(e, prec)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GRAMMARS.glob("*.lang")))
+def test_render_parse_expr_matches_the_recursive_reference_on_every_fixture(name):
+    rules = parse_lang_spec(load_grammar(name)).parser.rules
+    assert rules
+    for r in rules:
+        for prec in range(5):
+            assert render_parse_expr(r.rhs, prec) == reference_render_parse_expr(r.rhs, prec)
+
+
+# the fixtures hold no Star, Plus or PassString
+_PE_LEAVES = st.one_of(
+    st.builds(TermLiteral, st.text("a`\\\n\t\r→", max_size=3)),
+    st.builds(PassString, st.text("a `\\", max_size=2)),
+    st.sampled_from([TokenRef("t"), NontermRef("N"), NontermRef("N", ("x", "y")),
+                     NontermRef("N", (), True), SpaceShorthand(), Eps()]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_PE_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(lambda items: Seq(tuple(items))),
+    st.lists(st.tuples(st.sampled_from("AB"), inner), max_size=3).map(
+        lambda branches: AltBranches(tuple(branches))),
+    st.builds(Named, st.sampled_from("xy"), inner), st.builds(SingletonAlt, st.just("L"), inner),
+    inner.map(Unfold), inner.map(Star), inner.map(Plus), inner.map(Optional_),
+    st.builds(ListExpr, st.sampled_from(["L", "B2"]), inner, st.integers(0, 2), inner,
+              st.sampled_from(["none", "optional", "required"]))), max_leaves=12),
+    st.integers(0, 4))
+def test_render_parse_expr_matches_the_recursive_reference(e, prec):
+    assert render_parse_expr(e, prec) == reference_render_parse_expr(e, prec)
 
 
 def test_meta_lang_parses_without_diagnostics():
@@ -444,3 +480,17 @@ def test_deeply_nested_options_parse_at_the_default_recursion_limit():
     while isinstance(e, Optional_):
         depth, e = depth + 1, e.inner.items[1]
     assert depth == 1500 and e == TermLiteral("a")
+
+
+def test_deeply_nested_options_render_and_reparse_at_the_default_recursion_limit():
+    spec = parse_lang_spec(_nested_options(1500))
+    assert sys.getrecursionlimit() <= 1000
+    try:
+        # texts compared, as dataclass equality recurses per level
+        text = render_spec(spec)
+        again = render_spec(parse_lang_spec(text))
+    except RecursionError:
+        text = again = None
+    assert text is not None, "RecursionError at the default recursion limit"
+    assert again == text
+    assert "x:(`a` (`a` (`a` " in text and text.count(")?") == 1500
