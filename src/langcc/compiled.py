@@ -9,11 +9,11 @@ _canonical_json writes that text itself, as json's C encoder does not
 indent and its pure-Python one is much slower.  It makes one call per list
 or dict and encodes the strs and ints in it, most of an artifact's values,
 in place.  Each CompiledLang runs it once, on its first to_json, from the
-tree flatten built or the text from_json loaded.  CompiledLang also
-resolves the field kinds and templates into the per-variant plans the tree
-walks read (data_plan for runtime.node_to_data_value, print_plan for
-printer.pretty_print), once per variant, when the variant is first met:
-resolving every variant at load would add a few percent to loading.
+tree flatten built or the text from_json loaded.  When it is built or
+loaded, CompiledLang checks the artifact's tables, lexer, AST field kinds
+and print templates, and resolves the kinds and templates of every variant
+into the one plan both tree walks read (CompiledLang.plans, for
+runtime.node_to_data_value and printer.pretty_print).
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ from .meta_frontend import decode_backtick, parse_lang_spec
 from .spec_ast import LEXER_OPS, LangSpec, LexerAction, Loc, SpecError
 
 FORMAT_VERSION = 1
-
-
-def _untuple(x):
-    """JSON round-trips tuples as lists; normalize kinds/templates to tuples."""
-    if isinstance(x, list):
-        return tuple(_untuple(i) for i in x)
-    return x
 
 
 class CompiledLang:
@@ -66,53 +59,36 @@ class CompiledLang:
         self.digest = d["digest"]
         self.indent_unit = d["indent_unit"]
         self.starts = dict(d["starts"])
-        self.ast_fields: Dict[str, list] = {}
-        for vk in sorted(d["ast"]):
-            self.ast_fields[vk] = [(f[0], _untuple(f[1])) for f in d["ast"][vk]]
-        self.print_templates = {vk: _untuple(tmpl)
-                                for vk, tmpl in d["templates"].items()}
-        # variant tuple -> its plan for the tree walks, filled in by
-        # data_plan and print_plan as variants are first met
-        self.data_plans: Dict[tuple, tuple] = {}
-        self.print_plans: Dict[tuple, tuple] = {}
-        self.variant_prefixes = set()
-        for vk in self.ast_fields:
-            parts = tuple(vk.split("::"))
-            for i in range(1, len(parts) + 1):
-                self.variant_prefixes.add(parts[:i])
+        # variant tuple -> (variant key, {field: field plan}, print entries
+        # or None): the plan the tree walks read, for every variant that
+        # has field kinds or a template
+        self.plans: Dict[tuple, tuple] = {}
+        ast, templates = d["ast"], d["templates"]
+        # the parser's own variant tuples as keys: a walk's lookups match by identity
+        variants = {"::".join(p[3][0]): p[3][0] for p in self.prods if p[0] == P_USER}
+        for vk in sorted({*ast, *templates}):
+            fields = {}
+            for f in ast.get(vk, ()):
+                if not (type(f) is list and len(f) == 2 and type(f[0]) is str):
+                    raise _malformed("AST field %r is not [name, kind]" % (f,))
+                fields[f[0]] = _field_plan(f[1], vk, f[0])
+            tmpl = templates.get(vk)
+            self.plans[variants.get(vk) or tuple(vk.split("::"))] = (
+                vk, fields, None if tmpl is None else _entries(tmpl, fields=fields))
+        self.variant_prefixes = {tuple(vk.split("::")[:i]) for vk in ast
+                                 for i in range(1, vk.count("::") + 2)}
         self.lexer = _lexer_from_json(d["lexer"])
 
     @property
     def default_start(self) -> str:
         return self.mains[0]
 
-    def data_plan(self, variant: tuple) -> tuple:
-        """(variant key, {field: data plan}) of a node variant, which
-        runtime.node_to_data_value reads: resolved from the AST field kinds
-        the first time the variant is met, then kept in data_plans.  A
-        variant the grammar does not have gets no fields (and is not kept),
-        so each field of it is unknown."""
+    def variant_plan(self, variant: tuple) -> tuple:
+        """The plan of a variant the walks miss in plans: that of its `::`-joined
+        key, so ("Expr::Lit", "Int_") is Expr::Lit::Int_, or else no fields and
+        no template."""
         vk = "::".join(variant)
-        fields = self.ast_fields.get(vk)
-        if fields is None:
-            return (vk, {})
-        plan = self.data_plans[variant] = (
-            vk, {name: _data_plan(kind, vk, name) for name, kind in fields})
-        return plan
-
-    def print_plan(self, variant: tuple) -> Optional[tuple]:
-        """(variant key, print entries) of a node variant, which
-        printer.pretty_print reads: its template reversed, each entry
-        literal text or (field name, print plan of its kind), resolved the
-        first time the variant is met, then kept in print_plans.  None for a
-        variant with no template."""
-        vk = "::".join(variant)
-        tmpl = self.print_templates.get(vk)
-        if tmpl is None:
-            return None
-        plan = self.print_plans[variant] = (
-            vk, _entries(tmpl, kinds=dict(self.ast_fields.get(vk, ()))))
-        return plan
+        return self.plans.get(tuple(vk.split("::"))) or (vk, {}, None)
 
     def to_json(self) -> str:
         """The canonical JSON text of the artifact: sorted keys, one-space
@@ -157,7 +133,8 @@ class CompiledLang:
         except KeyError as e:
             raise SpecError("malformed artifact: missing key %r" % e.args[0]) from None
         except (TypeError, ValueError, AttributeError, IndexError, LexCompileError) as e:
-            # a wrongly shaped part that _check_tables does not inspect
+            # a wrongly shaped part that _load_tables, _lexer_from_json and
+            # _field_plan do not check by name
             raise SpecError("malformed artifact: %s" % e) from None
 
     def __eq__(self, other):
@@ -170,9 +147,9 @@ def _malformed(what: str) -> SpecError:
 
 # ---------------------------------------------------------------------------
 # Tree-walk plans: the AST field kinds and print templates, resolved once per
-# variant so the walks over a tree index them instead of re-reading kinds.
-# A kind or template of the wrong shape is a malformed artifact, rejected
-# when its variant is first met.
+# variant when the artifact loads, so the walks over a tree index them
+# instead of re-reading kinds.  A kind or template of the wrong shape is a
+# malformed artifact, rejected by from_json.
 
 K_NODE, K_TOKEN, K_ENUM, K_SEQ, K_OPT, K_BOOL = range(6)  # plan tags
 _KIND_TAGS = {"node": K_NODE, "token": K_TOKEN, "enum": K_ENUM, "seq": K_SEQ,
@@ -183,37 +160,17 @@ _FLAVORS = {"L": F_LINE, "B": F_BLOCK, "B2": F_BLOCK2, "T": F_TOP, "T2": F_TOP2}
 CONTENT = object()  # the place of an option's content in its print entries
 
 
-def _kind_tag(kind) -> int:
-    tag = _KIND_TAGS.get(kind[0]) if type(kind) is tuple and kind else None
-    if tag is None or len(kind) != _KIND_LENGTHS[tag]:
-        raise _malformed("AST field kind %r is not one of %s" % (kind, ", ".join(_KIND_TAGS)))
-    return tag
-
-
-def _data_plan(kind, vk: str, name: str) -> tuple:
-    """(tag, element plan, enum type name, field description) of the field
-    `name` of variant vk: what node_to_data_value checks and builds.  The
-    element plan is that of a sequence's items or an option's content."""
-    tag = _kind_tag(kind)
-    sub = _data_plan(kind[1], vk, name) if tag in (K_SEQ, K_OPT) else None
-    enum_type = "_".join(vk.split("::") + [name]) if tag == K_ENUM else None
-    return (tag, sub, enum_type, "field %s.%s" % (vk, name))
-
-
-def _entries(tmpl, content=None, kinds=None) -> tuple:
+def _entries(tmpl, content=None, fields=None) -> tuple:
     """A print template as the reversed tuple of what pretty_print pushes:
     literal text as strings, adjacent ones joined, `content` where an
     option's template holds its content (no other template has one), and
-    (field name, print plan) for a field of a node template, whose field
-    kinds are `kinds`."""
-    if type(tmpl) is not tuple:
+    (field name, field plan) for a field of a node template, whose field
+    plans are `fields`."""
+    if type(tmpl) is not list:
         raise _malformed("print template %r is not a list" % (tmpl,))
     out = []
     for it in tmpl:
-        if type(it) is not tuple or not it:
-            tag = None
-        else:
-            tag = it[0]
+        tag = it[0] if type(it) is list and it else None
         if tag in ("verbatim", "lit") and len(it) == 2 and type(it[1]) is str:
             if out and type(out[-1]) is str:
                 out[-1] += it[1]
@@ -221,41 +178,58 @@ def _entries(tmpl, content=None, kinds=None) -> tuple:
                 out.append(it[1])
         elif tag == "content" and len(it) == 1 and content is not None:
             out.append(content)
-        elif tag == "field" and len(it) == 2 and kinds is not None:
-            if it[1] not in kinds:
+        elif tag == "field" and len(it) == 2 and fields is not None:
+            plan = fields.get(it[1]) if type(it[1]) is str else None
+            if plan is None:
                 raise _malformed("print template field %r has no kind" % (it[1],))
-            out.append((it[1], _print_kind(kinds[it[1]])))
+            out.append((it[1], plan))
         else:
             raise _malformed("print template item %r is not literal text%s%s"
                              % (it, " or content" if content is not None else "",
-                                " or a field" if kinds is not None else ""))
+                                " or a field" if fields is not None else ""))
     return tuple(reversed(out))
 
 
-def _print_kind(kind) -> tuple:
-    """The print plan of an AST field kind: (K_NODE,), (K_TOKEN,),
-    (K_SEQ, element plan, flavor, delimiter entries, trailing),
-    (K_OPT, content plan, entries), (K_BOOL, entries) or
-    (K_ENUM, {label: entries})."""
-    tag = _kind_tag(kind)
-    if tag in (K_NODE, K_TOKEN):
-        return (tag,)
-    if tag == K_SEQ:
-        _t, elem, flavor, delim, trailing, _min = kind
-        if flavor not in _FLAVORS:
+def _field_plan(kind, vk: str, name: str) -> tuple:
+    """The plan of field `name` of variant vk, of AST kind `kind`: (tag,
+    element plan, enum type name, field description), which
+    node_to_data_value reads, then what pretty_print reads: a sequence's
+    flavor, delimiter entries and trailing, an option's or a bool's entries,
+    or an enum's {label: entries}.  A loop follows the kind's chain of
+    sequences and options, so a kind of any depth resolves."""
+    desc = "field %s.%s" % (vk, name)
+    chain = []  # the sequences and options above `kind`, outermost first
+    while True:
+        tag = (_KIND_TAGS.get(kind[0]) if type(kind) is list and kind
+               and type(kind[0]) is str else None)
+        if tag is None or len(kind) != _KIND_LENGTHS[tag]:
+            raise _malformed("AST field kind %r is not one of %s"
+                             % (kind, ", ".join(_KIND_TAGS)))
+        if tag != K_SEQ and tag != K_OPT:
+            break
+        chain.append(kind)
+        kind = kind[1]
+    if tag == K_ENUM:
+        branches = {}
+        for branch in kind[1]:
+            if not (type(branch) is list and len(branch) == 2 and type(branch[0]) is str):
+                raise _malformed("enum branch %r is not (label, template)" % (branch,))
+            branches.setdefault(branch[0], _entries(branch[1]))  # the first one wins
+        plan = (tag, None, "_".join(vk.split("::") + [name]), desc, branches)
+    elif tag == K_BOOL:
+        plan = (tag, None, None, desc, _entries(kind[1]))
+    else:
+        plan = (tag, None, None, desc)
+    for kind in reversed(chain):
+        if kind[0] == "opt":
+            plan = (K_OPT, plan, None, desc, _entries(kind[2], CONTENT))
+            continue
+        _t, _elem, flavor, delim, trailing, _min = kind
+        if type(flavor) is not str or flavor not in _FLAVORS:
             raise _malformed("sequence flavor %r is not one of %s"
                              % (flavor, ", ".join(_FLAVORS)))
-        return (tag, _print_kind(elem), _FLAVORS[flavor], _entries(delim), trailing)
-    if tag == K_OPT:
-        return (tag, _print_kind(kind[1]), _entries(kind[2], CONTENT))
-    if tag == K_BOOL:
-        return (tag, _entries(kind[1]))
-    branches = {}
-    for branch in kind[1]:
-        if not (type(branch) is tuple and len(branch) == 2 and type(branch[0]) is str):
-            raise _malformed("enum branch %r is not (label, template)" % (branch,))
-        branches.setdefault(branch[0], _entries(branch[1]))  # the first one wins
-    return (tag, branches)
+        plan = (K_SEQ, plan, None, desc, _FLAVORS[flavor], _entries(delim), trailing)
+    return plan
 
 
 # CompiledLang.prods[p] is (kind, rhs_len, lhs_ref, data), kind one of:

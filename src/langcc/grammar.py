@@ -68,7 +68,7 @@ class Production:
     fields: Tuple[tuple, ...] = ()         # user: (name, source); source = ("slot", i) | ("enum_inline", i, label)
     label: Optional[str] = None            # enum
     asm: Tuple[int, ...] = ()              # kind-specific slot indices
-    template: Template = ()
+    template: Template = ()                # user
     decl_attrs: FrozenSet[str] = frozenset()
     prec_level: Optional[int] = None
     rule_path: Tuple[str, ...] = ()
@@ -323,10 +323,9 @@ class _Lowerer:
             _branch_display(sub) for _label, sub in branches)
         kind_branches = []
         for label, sub in branches:
-            tmpl = tuple(_synth_tmpl(sub))
             self.add_production(lhs=name, slots=tuple(sub.slots), kind="enum",
-                                label=label, template=tmpl)
-            kind_branches.append((label, tmpl))
+                                label=label)
+            kind_branches.append((label, tuple(_synth_tmpl(sub))))
         return name, ("enum", tuple(kind_branches))
 
     def _synth_opt(self, inner: sa.ParseExpr, rule):
@@ -343,12 +342,12 @@ class _Lowerer:
                             asm=(1 if is_bool else 0,))
         if is_bool:
             self.add_production(lhs=name, slots=tuple(sub.slots), kind="opt_some",
-                                asm=(-1,), template=tmpl)
+                                asm=(-1,))
             kind = ("bool", tmpl)
         else:
             content = sub.sources[0].slot_idx
             self.add_production(lhs=name, slots=tuple(sub.slots), kind="opt_some",
-                                asm=(content,), template=tmpl)
+                                asm=(content,))
             kind = ("opt", sub.sources[0].kind, tmpl, content)
         return name, kind
 
@@ -378,27 +377,24 @@ class _Lowerer:
         chain = self.fresh("L")
         if min_count <= 1:
             self.add_production(lhs=chain, slots=(elem_slot,), kind="list_single",
-                                asm=(0,), template=(("slot", 0),))
+                                asm=(0,))
         else:
             slots = (elem_slot,) + delim_slots + (elem_slot,)
-            tmpl = (("slot", 0),) + delim_tmpl + (("slot", len(slots) - 1),)
             self.add_production(lhs=chain, slots=slots, kind="list_pair",
-                                asm=(0, len(slots) - 1), template=tmpl)
+                                asm=(0, len(slots) - 1))
         append_slots = (Slot(chain, False),) + delim_slots + (elem_slot,)
-        append_tmpl = (("slot", 0),) + delim_tmpl + (("slot", len(append_slots) - 1),)
         self.add_production(lhs=chain, slots=append_slots, kind="list_append",
-                            asm=(0, len(append_slots) - 1), template=append_tmpl)
+                            asm=(0, len(append_slots) - 1))
 
         trail_slots = (Slot(chain, False),) + delim_slots
-        trail_tmpl = (("slot", 0),) + delim_tmpl
         if min_count == 0:
             self.add_production(lhs=outer, slots=(), kind="list_empty")
         if trailing in ("none", "optional"):
             self.add_production(lhs=outer, slots=(Slot(chain, False),), kind="list_pass",
-                                asm=(0,), template=(("slot", 0),))
+                                asm=(0,))
         if trailing in ("required", "optional"):
             self.add_production(lhs=outer, slots=trail_slots, kind="list_trail",
-                                asm=(0,), template=trail_tmpl)
+                                asm=(0,))
         kind = ("seq", elem_kind, flavor, delim_tmpl, trailing, min_count)
         return outer, kind
 

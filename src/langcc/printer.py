@@ -12,15 +12,16 @@ Every production carries a print template (terminals, verbatim strings from
 Trailing delimiters print according to the mode recorded on the node at
 parse time, so `:?` lists round-trip the input's choice.
 
-The templates are resolved once per variant into print plans
-(CompiledLang.print_plan: variant tuple -> (variant key, the template's
-entries reversed, each literal text or (field name, print plan of its
-kind))).  pretty_print runs one explicit stack over them, so it prints a
+The templates are resolved per variant when the artifact loads
+(CompiledLang.plans: variant tuple -> (variant key, {field: field plan},
+the template's entries reversed, each literal text or (field name, field
+plan))).  pretty_print runs one explicit stack over them, so it prints a
 tree of any depth at the default recursion limit.
 """
 
 from __future__ import annotations
 
+import os
 from typing import List, Optional, Tuple
 
 from .compiled import (
@@ -30,8 +31,8 @@ from .compiled import (
 from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse, wrong_value
 from .spec_ast import SpecError
 
-_ROOT = (K_NODE,)  # the print plan of the root: a node, not checked
-_NO_FIELD = (-1,)  # the print plan of a field the node does not have
+_ROOT = (K_NODE,)  # the plan of the root: a node, not checked
+_NO_FIELD = (-1,)  # the plan of a field the node does not have
 # stack marks: a line break at the current indent, the same after a blank
 # line, one indent unit deeper, and back out with a line break
 _NEWLINE, _BLANK_LINE, _INDENT, _DEDENT = (object() for _ in range(4))
@@ -41,13 +42,13 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
     """Render a node back to text using the per-production templates.
 
     One explicit stack holds the text still to print (strings), the values
-    still to print ((value, print plan) pairs) and the layout marks, and
-    each node pushes its variant's entries from CompiledLang.print_plan
-    (its template, reversed and resolved against its field kinds).
+    still to print ((value, field plan) pairs) and the layout marks, and
+    each node pushes its variant's entries from CompiledLang.plans (its
+    template, reversed and resolved against its field kinds).
     The walk prints what a recursive one would, in the same order, so a
     tree of any depth prints and the first malformed value found is the
     one recursion would find."""
-    plans = compiled.print_plans
+    plans = compiled.plans
     unit = compiled.indent_unit
     out: List[str] = []
     indent = 0
@@ -74,11 +75,11 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
         if tag == K_NODE:
             if not isinstance(v, Node) and plan is not _ROOT:
                 raise wrong_value(v, Node, "a node field")
-            vplan = plans.get(v.variant) or compiled.print_plan(v.variant)
-            if vplan is None:
-                raise SpecError("no template for variant %s" % "::".join(v.variant))
+            vk, _kinds, entries = plans.get(v.variant) or compiled.variant_plan(v.variant)
+            if entries is None:
+                raise SpecError("no template for variant %s" % vk)
             fields = dict(v.fields)
-            for e in vplan[1]:
+            for e in entries:
                 if e.__class__ is str:
                     todo.append(e)
                 elif e[0] in fields:
@@ -92,7 +93,7 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
         elif tag == K_ENUM:
             if not isinstance(v, EnumVal):
                 raise wrong_value(v, EnumVal, "an enum field")
-            entries = plan[1].get(v.label)
+            entries = plan[4].get(v.label)
             if entries is None:
                 raise SpecError("enum value %r has no branch" % v.label)
             todo.extend(entries)
@@ -102,7 +103,7 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
             items = v.items
             if not items:
                 continue
-            _tag, elem, flavor, delim, trailing = plan
+            _tag, elem, _enum_type, _desc, flavor, delim, trailing = plan
             last = len(items) - 1
             delim_last = trailing == "required" or (trailing == "optional" and v.trailing)
             if flavor == F_LINE:
@@ -128,11 +129,11 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
         elif tag == K_OPT:
             if v is not None:
                 elem = plan[1]
-                for e in plan[2]:
+                for e in plan[4]:
                     todo.append((v, elem) if e is CONTENT else e)
         elif tag == K_BOOL:
             if v is True:
-                todo.extend(plan[1])
+                todo.extend(plan[4])
         else:  # _NO_FIELD
             raise KeyError(v)
     return "".join(out)
@@ -148,13 +149,12 @@ def roundtrip_check(compiled: CompiledLang, text: str,
     res = parse(compiled, text, start)
     if not res.is_success():
         raise SpecError("roundtrip_check on unparseable input: %s" % res.err.message)
-    printed = pretty_print(compiled, res.result)
+    return compare_printed(text, pretty_print(compiled, res.result))
+
+
+def compare_printed(text: str, printed: str) -> Tuple[bool, Optional[int]]:
+    """(True, None) if printed is text, else (False, the first byte offset
+    at which their UTF-8 encodings differ)."""
     if printed == text:
         return (True, None)
-    a = text.encode("utf-8")
-    b = printed.encode("utf-8")
-    limit = min(len(a), len(b))
-    for i in range(limit):
-        if a[i] != b[i]:
-            return (False, i)
-    return (False, limit)
+    return (False, len(os.path.commonprefix([text.encode("utf-8"), printed.encode("utf-8")])))

@@ -20,12 +20,12 @@ lexer.SlotValue), several times cheaper to construct than frozen
 dataclasses, and the cyclic collector is paused for the duration of a
 parse.
 
-node_to_data_value reads per-variant data plans (CompiledLang.data_plan:
-variant tuple -> (variant key, {field: (tag, element plan, enum type name,
-field description)}), resolved once per variant), so it neither scans
-field kinds nor joins variant names per node.  It, render_node and
-Node equality and hashing walk a tree on an explicit stack, so a tree of
-any depth passes through them at the default recursion limit.
+node_to_data_value reads the plans CompiledLang resolves per variant at
+load (CompiledLang.plans; a field plan starts (tag, element plan, enum
+type name, field description)), so it neither scans field kinds nor joins
+variant names per node.  It, render_node and Node equality and hashing
+walk a tree on an explicit stack, so a tree of any depth passes through
+them at the default recursion limit.
 """
 
 from __future__ import annotations
@@ -416,7 +416,7 @@ def wrong_value(v, cls, where: str) -> SpecError:
                      % (where, type(v).__name__, cls.__name__))
 
 
-_ROOT = (K_NODE, None, None, None)  # the data plan of the root: a node, not checked
+_ROOT = (K_NODE, None, None, None)  # the plan of the root: a node, not checked
 # more tags: stack marks saying that the fields of a node, or the items of
 # a sequence, are converted, so build its value; and a field the variant
 # does not have
@@ -426,13 +426,13 @@ _BUILD_NODE, _BUILD_SEQ, _NO_KIND = -1, -2, -3
 def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
     """Convert a Node to the datatype value layer for schema validation.
 
-    Walks the tree on an explicit stack of (value, data plan, field name)
-    items, with the per-variant plans of CompiledLang.data_plan, in the
+    Walks the tree on an explicit stack of (value, field plan, field name)
+    items, with the per-variant plans of CompiledLang.plans, in the
     order a recursive walk would visit the fields, so the
     first wrong-kind field found is the one recursion would find.  Each
     finished value goes on `out` as a (field name, value) pair; the marks
     _BUILD_NODE and _BUILD_SEQ take their parts off it."""
-    plans = compiled.data_plans
+    plans = compiled.plans
     out: list = []
     todo = [(n, _ROOT, None)]
     while todo:
@@ -441,7 +441,7 @@ def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
         if tag == K_NODE:
             if not isinstance(v, Node) and plan is not _ROOT:
                 raise wrong_value(v, Node, plan[3])
-            vk, kinds = plans.get(v.variant) or compiled.data_plan(v.variant)
+            vk, kinds, _ = plans.get(v.variant) or compiled.variant_plan(v.variant)
             fields = v.fields
             todo.append((v, (_BUILD_NODE,), name))
             for i in range(len(fields) - 1, -1, -1):

@@ -50,6 +50,7 @@ reference_render_parse_expr is spec_ast.render_parse_expr likewise, for a
 rule body.
 """
 
+import functools
 import hashlib
 import heapq
 import json
@@ -406,8 +407,20 @@ def reference_hash_computations() -> int:
     return _HASH_COMPUTATIONS
 
 
+@functools.lru_cache(maxsize=8)
+def _artifact_tree(text: str) -> dict:
+    """The JSON tree of an artifact's text, decoded once per artifact (to_json
+    returns the same str each call)."""
+    return json.loads(text)
+
+
+def _ast_and_templates(compiled: CompiledLang):
+    tree = _artifact_tree(compiled.to_json())
+    return tree["ast"], tree["templates"]
+
+
 def field_kind(compiled: CompiledLang, variant_key: str, name: str):
-    for fname, kind in compiled.ast_fields.get(variant_key, ()):
+    for fname, kind in _ast_and_templates(compiled)[0].get(variant_key, ()):
         if fname == name:
             return kind
     raise KeyError("%s.%s" % (variant_key, name))
@@ -590,7 +603,7 @@ class _Printer:
 
     def emit_node(self, n: Node):
         vk = "::".join(n.variant)
-        tmpl = self.compiled.print_templates.get(vk)
+        tmpl = _ast_and_templates(self.compiled)[1].get(vk)
         if tmpl is None:
             raise SpecError("no template for variant %s" % vk)
         fields = dict(n.fields)

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -473,7 +474,8 @@ def test_deep_token_patterns_render_and_reparse_at_the_default_recursion_limit(n
 # The lexer-action vocabulary
 
 def test_meta_lang_action_variants_map_one_to_one_onto_the_vocabulary():
-    variants = {vk.split("::")[1]: fields for vk, fields in meta_artifact().ast_fields.items()
+    ast = json.loads(meta_artifact().to_json())["ast"]
+    variants = {vk.split("::")[1]: fields for vk, fields in ast.items()
                 if vk.startswith("LexerAction::")}
     assert set(variants) == set(_LEXER_ACTION_OPS)
     assert sorted(_LEXER_ACTION_OPS.values()) == sorted(LEXER_OPS)

@@ -7,9 +7,10 @@ from langcc import (
     derive_ast_schema, location_fmt_str, node_downcast, parse, pretty_print, render_node,
     token_bounds_to_linecol, validate_node,
 )
-from langcc.compiled import CompiledLang
+from langcc.compiled import K_OPT, CompiledLang
+from langcc.datacc import DataValue
 from langcc.lexer import EOF_TERMINAL
-from langcc.runtime import Node, SeqVal, TokenLeaf
+from langcc.runtime import Bounds, Node, SeqVal, TokenLeaf, node_to_data_value
 from langcc.spec_ast import SpecError
 
 ERROR_BLOCK = (
@@ -348,24 +349,66 @@ def test_artifact_with_slot_of_the_wrong_kind_fails_parse(grammar, mutate, text,
         parse(compiled, text)
 
 
+def _set_id_kind(data, kind):
+    data["ast"]["Expr::Id"][0][1] = kind
+
+
+def _set_op_branch(data, branch):
+    # Expr::BinOp1's `op` is the enum (Add:`+` | Sub:`-`)
+    data["ast"]["Expr::BinOp1"][1][1][1][0] = branch
+
+
 @pytest.mark.parametrize("mutate,message", [
-    (lambda d: d["ast"]["Expr::Id"][0].__setitem__(1, ["nope", "id"]), "AST field kind"),
-    (lambda d: d["ast"]["Expr::Id"][0].__setitem__(1, ["seq", ["token", "id"]]),
-     "AST field kind"),
+    (lambda d: d["ast"]["Expr::Id"].append(["x"]), "AST field \\['x'\\] is not"),
+    (lambda d: _set_id_kind(d, ["nope", "id"]), "AST field kind"),
+    (lambda d: _set_id_kind(d, ["seq", ["token", "id"]]), "AST field kind"),
     (lambda d: d["templates"]["Expr::Id"].append(["content"]), "print template item"),
-], ids=["unknown kind", "short seq kind", "content in a node template"])
-def test_artifact_with_malformed_kind_or_template_fails_print_and_check(
-        calc_prog, mutate, message):
-    # a variant's kinds and template are resolved when it is first met
+    (lambda d: d["templates"]["Expr::Id"].append(["field", "nope"]),
+     "print template field 'nope' has no kind"),
+    (lambda d: _set_op_branch(d, ["Add"]), "enum branch \\['Add'\\] is not"),
+    (lambda d: _set_id_kind(d, ["seq", ["token", "id"], "Z", [], "none", 0]),
+     "sequence flavor 'Z' is not one of"),
+], ids=["malformed field entry", "unknown kind", "short seq kind", "content in a node template",
+        "template field with no kind", "malformed enum branch", "unknown sequence flavor"])
+def test_artifact_with_malformed_kind_or_template_rejected(calc_prog, mutate, message):
+    # every variant's kinds and template are resolved when the artifact loads
     data = json.loads(calc_prog.compiled.to_json())
     mutate(data)
-    compiled = _load(data)
-    node = parse(compiled, "x = y").result
     with pytest.raises(SpecError, match="malformed artifact: " + message):
-        pretty_print(compiled, node)
-    if "kind" in message:
-        with pytest.raises(SpecError, match="malformed artifact: " + message):
-            validate_node(compiled, derive_ast_schema(calc_prog.cfg), node)
+        _load(data)
+
+
+def test_artifact_with_deeply_nested_kind_loads_or_is_rejected(calc_prog):
+    # 900 options around Expr::Id's token kind: the plans are resolved in a
+    # loop, so this loads (or the JSON decoder rejects it as too deep)
+    data = json.loads(calc_prog.compiled.to_json())
+    kind = ["token", "id"]
+    for _ in range(900):
+        kind = ["opt", kind, [["content"]], 0]
+    _set_id_kind(data, kind)
+    try:
+        compiled = _load(data)
+    except SpecError as e:
+        assert e.message.startswith("malformed artifact: ")
+    else:
+        assert compiled.plans[("Expr", "Id")][1]["name"][0] == K_OPT
+
+
+def test_variant_spelled_with_joined_names_prints_and_converts_as_its_key(calc_prog):
+    # ("Expr::Lit", "Int_") is not a key of plans; it resolves by its
+    # `::`-joined key, Expr::Lit::Int_
+    compiled = calc_prog.compiled
+    lit = Node(("Expr::Lit", "Int_"), (("val", TokenLeaf("int_lit", "42", Bounds(0, 2))),),
+               Bounds(0, 2))
+    ident = Node(("Expr", "Id"), (("name", TokenLeaf("id", "x", Bounds(0, 1))),), Bounds(0, 1))
+    stmt = Node(("Stmt", "Assign"), (("x", ident), ("y", lit)), Bounds(0, 6))
+    assert pretty_print(compiled, lit) == "42"
+    assert pretty_print(compiled, stmt) == "x = 42"
+    value = node_to_data_value(compiled, stmt)
+    assert value == DataValue(("Stmt", "Assign"), (
+        ("x", DataValue(("Expr", "Id"), (("name", "x"),))),
+        ("y", DataValue(("Expr::Lit", "Int_"), (("val", "42"),)))))
+    assert value.fields[1][1].type_path == ("Expr::Lit", "Int_")
 
 
 def test_artifact_with_shift_on_end_of_input_rejected(calc):
