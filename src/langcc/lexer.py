@@ -186,13 +186,13 @@ class ModeDfa:
     matching loop each state also has a dense row of ASCII_ROW targets
     (-1: no transition) in `ascii_rows`; codepoints past it go to `step`,
     which bisects the state's interval lows.  `accepts[i]` and `eofs[i]` (-1: no
-    eof transition) flatten the other two columns.
+    eof transition) flatten the other two columns.  State 0 is the start state.
     """
 
-    def __init__(self, mode: str, states, start: int = 0):
+    def __init__(self, mode: str, states):
         self.mode = mode
         self.states = states
-        self.start = start
+        self.start = 0
         self._lows = [[iv[0] for iv in st[0]] for st in states]
         self.ascii_rows = []
         for transitions, _eof, _acc in states:
@@ -214,9 +214,6 @@ class ModeDfa:
             if lo <= cp <= hi:
                 return target
         return -1
-
-    def accept(self, state: int):
-        return self.accepts[state]
 
     def dump(self) -> str:
         out = ["mode %s (%d states)" % (self.mode, len(self.states))]

@@ -16,7 +16,9 @@ import re
 from importlib import resources
 from typing import List, Optional
 
+from .artifact import CompiledLang
 from .lexer import EOF_TERMINAL, action_list_fault, alias_target
+from .runtime import parse
 from .spec_ast import (
     AltBranches, Diagnostic, LangSpec, ListExpr, Loc, Named, NontermRef,
     Optional_, ParseTestDecl, Plus, RAlt, RConcat, REof, RRef, RStar, RegexExpr, Seq,
@@ -79,8 +81,6 @@ def _checked(spec: LangSpec) -> LangSpec:
 def meta_artifact():
     """The generated metalanguage parser, src/langcc/meta.clang, loaded on
     first use."""
-    from .compiled import CompiledLang
-
     text = resources.files(__package__).joinpath("meta.clang").read_text(encoding="utf-8")
     return CompiledLang.from_json(text)
 
@@ -135,7 +135,6 @@ def parse_lang_spec(source: str) -> LangSpec:
 
     Raises SpecError on syntax errors and on any validation diagnostic."""
     from .bootstrap import _Lines, langspec_from_node
-    from .runtime import parse
 
     res = parse(meta_artifact(), lexable(source))
     if not res.is_success():

@@ -13,10 +13,11 @@ Trailing delimiters print according to the mode recorded on the node at
 parse time, so `:?` lists round-trip the input's choice.
 
 The templates are resolved per variant when the artifact loads
-(CompiledLang.plans: variant tuple -> (variant key, {field: field plan},
-the template's entries reversed, each literal text or (field name, field
-plan))).  pretty_print runs one explicit stack over them, so it prints a
-tree of any depth at the default recursion limit.
+(artifact.CompiledLang.plans: variant tuple -> (variant key, {field: field
+plan}, the template's entries reversed, each literal text or (field name,
+field plan))); a variant with no plan has no template.  pretty_print runs
+one explicit stack over them, so it prints a tree of any depth at the
+default recursion limit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Tuple
 
-from .compiled import (
+from .artifact import (
     CONTENT, F_BLOCK, F_BLOCK2, F_LINE, F_TOP2, K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ,
     K_TOKEN, CompiledLang,
 )
@@ -75,7 +76,7 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
         if tag == K_NODE:
             if not isinstance(v, Node) and plan is not _ROOT:
                 raise wrong_value(v, Node, "a node field")
-            vk, _kinds, entries = plans.get(v.variant) or compiled.variant_plan(v.variant)
+            vk, _kinds, entries = plans.get(v.variant) or ("::".join(v.variant), {}, None)
             if entries is None:
                 raise SpecError("no template for variant %s" % vk)
             fields = dict(v.fields)

@@ -8,12 +8,12 @@ value carries its source bounds as UTF-8 byte offsets.  Line and column are
 computed on demand from an offset with lexer.token_bounds_to_linecol.
 
 The LR loop reads the lexer's parallel token lists (lexer.lex_lists) and
-indexes the per-state rows CompiledLang builds at load
+indexes the per-state rows artifact.CompiledLang builds at load
 (action_rows[state][lookahead], goto_rows[state][nonterminal]); with k = 1
 the lookahead key is the terminal string itself, so no tuple is built per
 step.  An action cell is an int: a shift to state s is s, accept is -1 and
 a reduce by production p is -2 - p.  A production is the tuple
-(kind, rhs_len, lhs, data) with an int kind (compiled.P_USER and the rest);
+(kind, rhs_len, lhs, data) with an int kind (artifact.P_USER and the rest);
 the loop builds user nodes and appends to list chains itself and leaves
 the other kinds to _assemble.  Tree values are __slots__ classes (see
 lexer.SlotValue), several times cheaper to construct than frozen
@@ -22,10 +22,11 @@ parse.
 
 node_to_data_value reads the plans CompiledLang resolves per variant at
 load (CompiledLang.plans; a field plan starts (tag, element plan, enum
-type name, field description)), so it neither scans field kinds nor joins
-variant names per node.  It, render_node and Node equality and hashing
-walk a tree on an explicit stack, so a tree of any depth passes through
-them at the default recursion limit.
+type name, field description); a variant with no plan has no fields), so
+it neither scans field kinds nor joins variant names per node.  It,
+render_node and Node equality and hashing walk a tree on an explicit
+stack, so a tree of any depth passes through them at the default
+recursion limit.  Nothing here or in artifact.py imports the generator.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import gc
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .compiled import (
+from .artifact import (
     K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ, K_TOKEN, P_ENUM, P_LIST_APPEND, P_LIST_EMPTY,
     P_LIST_PAIR, P_LIST_PASS, P_LIST_SINGLE, P_OPT_NONE, P_OPT_SOME, P_USER, CompiledLang,
 )
@@ -313,7 +314,7 @@ def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
 
 def _assemble(kind: int, data, popped, span: Bounds):
     """The value of a reduce by a production other than P_USER and
-    P_LIST_APPEND (see compiled.P_USER for what `data` holds)."""
+    P_LIST_APPEND (see artifact.P_USER for what `data` holds)."""
     if kind == P_LIST_SINGLE:
         return [popped[data]]
     if kind == P_LIST_PASS:
@@ -441,7 +442,7 @@ def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
         if tag == K_NODE:
             if not isinstance(v, Node) and plan is not _ROOT:
                 raise wrong_value(v, Node, plan[3])
-            vk, kinds, _ = plans.get(v.variant) or compiled.variant_plan(v.variant)
+            vk, kinds, _ = plans.get(v.variant) or ("::".join(v.variant), {}, None)
             fields = v.fields
             todo.append((v, (_BUILD_NODE,), name))
             for i in range(len(fields) - 1, -1, -1):

@@ -56,7 +56,7 @@ import heapq
 import json
 from typing import List, Optional, Tuple
 
-from langcc.compiled import CompiledLang
+from langcc.artifact import CompiledLang
 from langcc.datacc import (
     DataValue, DatatypeSchema, Sum, TOpt, TSeq, TypeExpr, _print_scalar, _subst, _u32,
 )
@@ -408,22 +408,24 @@ def reference_hash_computations() -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _artifact_tree(text: str) -> dict:
-    """The JSON tree of an artifact's text, decoded once per artifact (to_json
-    returns the same str each call)."""
-    return json.loads(text)
+def _variant_tables(text: str):
+    """The AST field kinds and print templates of an artifact's text, each
+    keyed by variant tuple (so ("Expr::Lit", "Int_") is no key), decoded
+    once per artifact (to_json returns the same str each call)."""
+    tree = json.loads(text)
+    return tuple({tuple(vk.split("::")): v for vk, v in tree[key].items()}
+                 for key in ("ast", "templates"))
 
 
 def _ast_and_templates(compiled: CompiledLang):
-    tree = _artifact_tree(compiled.to_json())
-    return tree["ast"], tree["templates"]
+    return _variant_tables(compiled.to_json())
 
 
-def field_kind(compiled: CompiledLang, variant_key: str, name: str):
-    for fname, kind in _ast_and_templates(compiled)[0].get(variant_key, ()):
+def field_kind(compiled: CompiledLang, variant: tuple, name: str):
+    for fname, kind in _ast_and_templates(compiled)[0].get(variant, ()):
         if fname == name:
             return kind
-    raise KeyError("%s.%s" % (variant_key, name))
+    raise KeyError("%s.%s" % ("::".join(variant), name))
 
 
 def node_to_data_value(compiled: CompiledLang, n: Node):
@@ -431,7 +433,7 @@ def node_to_data_value(compiled: CompiledLang, n: Node):
     vk = "::".join(n.variant)
     fields = []
     for name, v in n.fields:
-        kind = field_kind(compiled, vk, name)
+        kind = field_kind(compiled, n.variant, name)
         fields.append((name, _value_to_data(compiled, v, kind, vk, name)))
     return DataValue(n.variant, tuple(fields))
 
@@ -602,17 +604,16 @@ class _Printer:
                 raise AssertionError(it)
 
     def emit_node(self, n: Node):
-        vk = "::".join(n.variant)
-        tmpl = _ast_and_templates(self.compiled)[1].get(vk)
+        tmpl = _ast_and_templates(self.compiled)[1].get(n.variant)
         if tmpl is None:
-            raise SpecError("no template for variant %s" % vk)
+            raise SpecError("no template for variant %s" % "::".join(n.variant))
         fields = dict(n.fields)
         for it in tmpl:
             if it[0] in ("verbatim", "lit"):
                 self.out.append(it[1])
             elif it[0] == "field":
                 name = it[1]
-                self.emit_value(fields[name], field_kind(self.compiled, vk, name))
+                self.emit_value(fields[name], field_kind(self.compiled, n.variant, name))
             else:
                 raise AssertionError(it)
 

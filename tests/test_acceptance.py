@@ -163,7 +163,7 @@ parser { main { S } S.One <- `z`; }
                 if state < 0:
                     alive = False
                     break
-            got = alive and dfa.accept(state) is not None
+            got = alive and dfa.accepts[state] is not None
             if got != (nfa_simulate(nfa, s) is not None):
                 equiv = False
     _record("6 lexer properties (maximal munch, ambiguity witness, 500-case "

@@ -224,7 +224,7 @@ def test_ast_schema_artifact_parses(tmp_path):
 
 def test_artifact_loads_and_parses(tmp_path):
     from langcc import parse
-    from langcc.compiled import CompiledLang
+    from langcc.artifact import CompiledLang
 
     assert cmd_langcc(_lang(tmp_path), str(tmp_path), no_test=True) == 0
     loaded = CompiledLang.from_json((tmp_path / "calc.clang").read_text())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from langcc import compile_lang, parse
-from langcc.compiled import CompiledLang, _canonical_json
+from langcc.artifact import CompiledLang, _canonical_json
 from langcc.meta_frontend import meta_artifact
 from langcc.spec_ast import SpecError
 

@@ -218,7 +218,7 @@ def test_subset_construction_matches_nfa_simulation():
                 state = dfa.step(state, ord(ch))
                 if state < 0:
                     return False
-            return dfa.accept(state) is not None
+            return dfa.accepts[state] is not None
 
         for s in strings:
             assert dfa_accepts(s) == (nfa_simulate(nfa, s) is not None), (regex, s)

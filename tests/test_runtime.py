@@ -7,8 +7,7 @@ from langcc import (
     derive_ast_schema, location_fmt_str, node_downcast, parse, pretty_print, render_node,
     token_bounds_to_linecol, validate_node,
 )
-from langcc.compiled import K_OPT, CompiledLang
-from langcc.datacc import DataValue
+from langcc.artifact import K_OPT, CompiledLang
 from langcc.lexer import EOF_TERMINAL
 from langcc.runtime import Bounds, Node, SeqVal, TokenLeaf, node_to_data_value
 from langcc.spec_ast import SpecError
@@ -368,8 +367,14 @@ def _set_op_branch(data, branch):
     (lambda d: _set_op_branch(d, ["Add"]), "enum branch \\['Add'\\] is not"),
     (lambda d: _set_id_kind(d, ["seq", ["token", "id"], "Z", [], "none", 0]),
      "sequence flavor 'Z' is not one of"),
+    # Prog::Main's `stmts` is a sequence of Stmt with no trailing delimiter
+    (lambda d: d["ast"]["Prog::Main"][0][1].__setitem__(4, "bogus"),
+     "sequence trailing 'bogus' is not one of none, optional, required"),
+    (lambda d: d["ast"]["Prog::Main"][0][1].__setitem__(4, None),
+     "sequence trailing None is not one of"),
 ], ids=["malformed field entry", "unknown kind", "short seq kind", "content in a node template",
-        "template field with no kind", "malformed enum branch", "unknown sequence flavor"])
+        "template field with no kind", "malformed enum branch", "unknown sequence flavor",
+        "unknown trailing mode", "trailing mode not a string"])
 def test_artifact_with_malformed_kind_or_template_rejected(calc_prog, mutate, message):
     # every variant's kinds and template are resolved when the artifact loads
     data = json.loads(calc_prog.compiled.to_json())
@@ -394,21 +399,25 @@ def test_artifact_with_deeply_nested_kind_loads_or_is_rejected(calc_prog):
         assert compiled.plans[("Expr", "Id")][1]["name"][0] == K_OPT
 
 
-def test_variant_spelled_with_joined_names_prints_and_converts_as_its_key(calc_prog):
-    # ("Expr::Lit", "Int_") is not a key of plans; it resolves by its
+def test_variant_spelled_with_joined_names_is_rejected_by_both_walks(calc_prog):
+    # ("Expr::Lit", "Int_") is not a key of plans, so it has no fields and
+    # no template, as any other unknown variant; it is not looked up by its
     # `::`-joined key, Expr::Lit::Int_
-    compiled = calc_prog.compiled
+    compiled, schema = calc_prog.compiled, derive_ast_schema(calc_prog.cfg)
     lit = Node(("Expr::Lit", "Int_"), (("val", TokenLeaf("int_lit", "42", Bounds(0, 2))),),
                Bounds(0, 2))
     ident = Node(("Expr", "Id"), (("name", TokenLeaf("id", "x", Bounds(0, 1))),), Bounds(0, 1))
     stmt = Node(("Stmt", "Assign"), (("x", ident), ("y", lit)), Bounds(0, 6))
-    assert pretty_print(compiled, lit) == "42"
-    assert pretty_print(compiled, stmt) == "x = 42"
-    value = node_to_data_value(compiled, stmt)
-    assert value == DataValue(("Stmt", "Assign"), (
-        ("x", DataValue(("Expr", "Id"), (("name", "x"),))),
-        ("y", DataValue(("Expr::Lit", "Int_"), (("val", "42"),)))))
-    assert value.fields[1][1].type_path == ("Expr::Lit", "Int_")
+    for root in (lit, stmt):
+        with pytest.raises(SpecError, match="no template for variant Expr::Lit::Int_"):
+            pretty_print(compiled, root)
+        with pytest.raises(KeyError, match="Expr::Lit::Int_.val"):
+            node_to_data_value(compiled, root)
+        with pytest.raises(KeyError, match="Expr::Lit::Int_.val"):
+            validate_node(compiled, schema, root)
+    empty = Node(("Expr::Lit", "Int_"), (), Bounds(0, 0))
+    with pytest.raises(SpecError, match="unknown type path Expr::Lit::Int_"):
+        validate_node(compiled, schema, empty)
 
 
 def test_artifact_with_shift_on_end_of_input_rejected(calc):

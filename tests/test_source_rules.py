@@ -22,7 +22,7 @@ def test_no_assert_statements_in_package():
 def test_no_pure_python_json_indent():
     # json's C encoder does not indent: a json.dumps, json.dump or
     # JSONEncoder given an indent encodes in pure Python, which takes about
-    # 2.7 times as long on meta.clang's tree as compiled._canonical_json, the
+    # 2.7 times as long on meta.clang's tree as artifact._canonical_json, the
     # writer of the indented canonical text (Python 3.11, median of 15)
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -39,9 +39,9 @@ def test_no_pure_python_json_indent():
 
 
 # The functions that import inside their bodies, each to break an import
-# cycle: meta_frontend is imported by the modules that these imports load.
-# Every other import sits at the top of its module.
-FUNCTION_IMPORTS = {"meta_frontend.py:meta_artifact", "meta_frontend.py:parse_lang_spec"}
+# cycle: bootstrap imports meta_frontend, which imports bootstrap only in
+# parse_lang_spec.  Every other import sits at the top of its module.
+FUNCTION_IMPORTS = {"meta_frontend.py:parse_lang_spec"}
 
 
 def test_function_level_imports_only_break_cycles():
@@ -59,6 +59,25 @@ def test_function_level_imports_only_break_cycles():
     assert found - FUNCTION_IMPORTS == set()
 
 
+# The modules that loading an artifact and parsing, printing and checking
+# with it need, and the generator modules none of them may import.
+ARTIFACT_MODULES = ["artifact.py", "runtime.py", "printer.py", "lexer.py", "datacc.py",
+                    "spec_ast.py"]
+GENERATOR_MODULES = {"compiled", "grammar", "lr", "conflicts", "meta_frontend", "bootstrap",
+                     "cli"}
+
+
+def test_artifact_modules_import_no_generator_module():
+    found = []
+    for module in ARTIFACT_MODULES:
+        path = SRC / module
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                found += ["%s: %s" % (module, n) for n in names if n in GENERATOR_MODULES]
+    assert found == []
+
+
 # The tree walks that run on explicit stacks, so that trees of any depth
 # (printed, checked, or read as `.lang` declarations, token patterns
 # validated and compiled) pass through them: none may call itself, directly
@@ -67,7 +86,7 @@ def test_function_level_imports_only_break_cycles():
 # this check sees.)
 STACK_WALKS = {
     "bootstrap.py": ["_conv_regex", "_conv_pe", "_flatten_chain", "langspec_from_node"],
-    "compiled.py": ["_field_plan", "_entries"],
+    "artifact.py": ["_field_plan", "_entries"],
     "lexer.py": ["Nfa.add_regex", "emit_constituents", "compile_lexer"],
     "meta_frontend.py": ["_regex_refs", "_alias_diags", "validate_spec"],
     "printer.py": ["pretty_print"],
