@@ -21,10 +21,10 @@ from . import spec_ast as sa
 from .lexer import lex_lists
 from .compiled import compile_lang
 from .meta_frontend import (
-    _checked, decode_backtick, lexable, make_parse_test, meta_artifact, parse_lang_spec,
+    _checked, lexable, make_parse_test, meta_artifact, parse_lang_spec,
 )
 from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse
-from .spec_ast import LangSpec, Loc, SpecError
+from .spec_ast import LangSpec, Loc, SpecError, decode_backtick
 
 class _Lines:
     """Locs and token texts of one source, by byte offset: 1-based lines,

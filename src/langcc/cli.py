@@ -80,6 +80,9 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
                dump_lr_flag: bool = False, conflicts_out: Optional[str] = None,
                parse_file: Optional[str] = None, start: Optional[str] = None,
                format_file: Optional[str] = None, no_test: bool = False) -> int:
+    if max_k < 1:
+        _err("langcc: --max-k: %d is not a positive integer" % max_k)
+        return 2
     try:
         with open(lang_path, "r", encoding="utf-8") as f:
             source = f.read()
@@ -157,6 +160,10 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
             status = 1
 
     if parse_file or format_file:
+        if start is not None and start not in compiled.starts:
+            _err("langcc: --start: %r is not a main nonterminal (mains: %s)"
+                 % (start, ", ".join(compiled.mains)))
+            return 2
         path = parse_file or format_file
         try:
             with open(path, "r", encoding="utf-8") as f:

@@ -3,7 +3,9 @@
 Runs the frontend, lexer DFA construction, lowering and LR(k) table
 construction, retrying at a larger k on conflicts, and flattens the
 products into the plain dict/list tree of an artifact (flatten), which
-artifact.CompiledLang checks and writes.
+artifact.CompiledLang checks and writes.  The lowerer already writes AST
+field kinds and print templates in the artifact's terms, literal text
+decoded, so flatten copies them as they are.
 """
 
 from __future__ import annotations
@@ -16,47 +18,18 @@ from .artifact import FORMAT_VERSION, CompiledLang, lexer_to_json
 from .grammar import Cfg, lower_grammar, lower_precedence
 from .lexer import CompiledLexer, compile_lexer
 from .lr import LrTables, build_lr
-from .meta_frontend import decode_backtick, parse_lang_spec
+from .meta_frontend import parse_lang_spec
 from .spec_ast import LangSpec, SpecError
 
 
 # ---------------------------------------------------------------------------
 # Flattening build products into an artifact
 
-def _decode_template(tmpl, lit_text):
-    """A kind's print template as an artifact holds it, each literal
-    terminal decoded to its text (CompiledLang rejects any other item than
-    ("lit", text), ("verbatim", text) or ("content",))."""
-    return [["lit", lit_text(it[1])] if it[0] == "lit" else list(it) for it in tmpl]
-
-
-def _kind_to_json(kind, lit_text):
-    tag = kind[0]
-    if tag in ("token", "node"):
-        return [tag, kind[1]]
-    if tag == "seq":
-        return ["seq", _kind_to_json(kind[1], lit_text),
-                kind[2], _decode_template(kind[3], lit_text), kind[4], kind[5]]
-    if tag == "opt":
-        return ["opt", _kind_to_json(kind[1], lit_text),
-                _decode_template(kind[2], lit_text), kind[3]]
-    if tag == "bool":
-        return ["bool", _decode_template(kind[1], lit_text)]
-    if tag == "enum":
-        return ["enum", [[label, _decode_template(t, lit_text)]
-                         for label, t in kind[1]]]
-    raise AssertionError(kind)
-
-
-def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
+def flatten(cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
             digest: str) -> CompiledLang:
-    opaque = set(spec.opaque_names())
-
-    def lit_text(term: str) -> str:
-        if term in opaque:
-            raise AssertionError("opaque token in a literal template: %r" % term)
-        return decode_backtick(term)
-
+    """The artifact of a conflict-free build: its tables and productions
+    turned into lists, and each user variant's field kinds and print
+    template as the lowerer wrote them."""
     inst_index = {}
 
     def inst_ref(inst) -> str:
@@ -101,31 +74,11 @@ def flatten(spec: LangSpec, cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
 
     ast_json = {}
     templates_json = {}
-    shape = cfg.ast_shape
-    for nt in shape.variants:
-        for path, fields in shape.variants[nt].items():
-            vk = "::".join((nt,) + path)
-            ast_json[vk] = [[name, _kind_to_json(kind, lit_text)]
-                            for name, kind in fields]
     for p in cfg.productions:
-        if p.kind != "user":
-            continue
-        vk = "::".join((p.lhs,) + p.variant)
-        field_of_slot = {src[1]: name for name, src in p.fields}
-        items = []
-        for it in p.template:
-            if it[0] == "verbatim":
-                items.append(["verbatim", it[1]])
-            else:
-                idx = it[1]
-                if idx in field_of_slot:
-                    items.append(["field", field_of_slot[idx]])
-                else:
-                    slot = p.slots[idx]
-                    if not slot.is_terminal:
-                        raise SpecError("unbound nonterminal slot %r in %s" % (slot, vk))
-                    items.append(["lit", lit_text(slot.symbol)])
-        templates_json[vk] = items
+        if p.kind == "user":
+            vk = "::".join((p.lhs,) + p.variant)
+            ast_json[vk] = [list(f) for f in cfg.ast_shape.variants[p.lhs][p.variant]]
+            templates_json[vk] = [list(it) for it in p.template]
 
     data = {
         "version": FORMAT_VERSION,
@@ -169,7 +122,10 @@ def compile_lang(source: str, max_k: int = 2) -> CompileResult:
 
     On conflicts at every k up to max_k, returns ok=False with the tables of
     the first k attempted (their conflicts feed the exemplar tracer).
+    Raises ValueError if max_k < 1, as build_lr does for k.
     """
+    if max_k < 1:
+        raise ValueError("max_k must be >= 1")
     spec = parse_lang_spec(source)
     lexer = compile_lexer(spec)
     cfg = lower_grammar(spec)
@@ -186,7 +142,7 @@ def compile_lang(source: str, max_k: int = 2) -> CompileResult:
         if first_tables is None:
             first_tables = tables
         if not tables.conflicts:
-            compiled = flatten(spec, cfg, lexer, tables, source_digest(source))
+            compiled = flatten(cfg, lexer, tables, source_digest(source))
             return CompileResult(True, spec, cfg, lexer, tables, k, compiled)
     return CompileResult(False, spec, cfg, lexer, first_tables, 1)
 

@@ -45,16 +45,19 @@ class Slot:
     pr_star: bool = False
 
 
-# template items: ("slot", idx) | ("verbatim", text) | ("lit", text) | ("content",)
+# A user production's print template: ("field", name) | ("lit", text) |
+# ("verbatim", text), with literal text decoded.
 Template = Tuple[tuple, ...]
 
-# field kinds:
-#   ("token", terminal)
-#   ("node", nonterm)
-#   ("seq", elem_kind, flavor, delim_template, trailing, min_count)
-#   ("opt", elem_kind, some_template, content_slot)
-#   ("bool", true_template)
-#   ("enum", ((label, branch_template), ...))
+# AST field kinds, as the artifact holds them (JSON lists, literal text decoded):
+#   ["token", terminal]
+#   ["node", nonterm]
+#   ["seq", elem_kind, flavor, delim_template, trailing, min_count]
+#   ["opt", elem_kind, some_template, content_slot]
+#   ["bool", true_template]
+#   ["enum", [[label, branch_template], ...]]
+# where a template is a list of ["lit", text], ["verbatim", text] and, in an
+# option's template only, ["content"].
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,9 @@ class _RuleCtx:
     def __init__(self, rule):
         self.rule = rule
         self.slots: List[Slot] = []
-        self.template: List[tuple] = []
+        self.template: List[tuple] = []  # ("slot", idx) | ("verbatim", text)
         self.sources: List[_FieldSource] = []
+        self.lits: Dict[int, str] = {}  # slot idx -> text of its backtick literal
 
     def add_slot(self, slot: Slot) -> int:
         idx = len(self.slots)
@@ -177,6 +181,7 @@ class _Lowerer:
 
         fields = []
         variant_fields = []
+        field_of_slot = {}
         seen_names = set()
         for src in ctx.sources:
             name = src.name
@@ -189,6 +194,7 @@ class _Lowerer:
                 raise LowerError("rule %s: duplicate field name %r" % (rule.dotted, name),
                                  rule.loc)
             seen_names.add(name)
+            field_of_slot[src.slot_idx] = name
             if src.label is not None:
                 fields.append((name, ("enum_inline", src.slot_idx, src.label)))
             else:
@@ -206,9 +212,15 @@ class _Lowerer:
                     if not s.is_terminal and s.symbol == al.target_nonterm:
                         slots[i] = replace(s, attr_reqs=s.attr_reqs | {al.attr})
 
+        # a slot that feeds no field is a literal: every other slot has a source
+        template = tuple(
+            it if it[0] == "verbatim"
+            else ("field", field_of_slot[it[1]]) if it[1] in field_of_slot
+            else ("lit", ctx.lits[it[1]])
+            for it in ctx.template)
         self.add_production(
             lhs=rule.lhs, slots=tuple(slots), kind="user", variant=rule.variant,
-            fields=tuple(fields), template=tuple(ctx.template),
+            fields=tuple(fields), template=template,
             decl_attrs=frozenset(decl_attrs), rule_path=rule.path)
 
         variants = self.shape[rule.lhs]
@@ -223,12 +235,12 @@ class _Lowerer:
         if isinstance(e, sa.TermLiteral):
             term = literal_terminal(e.text)
             self.terminals.add(term)
-            ctx.add_slot(Slot(term, True))
+            ctx.lits[ctx.add_slot(Slot(term, True))] = e.text
             return
         if isinstance(e, sa.TokenRef):
             self.terminals.add(e.name)
             idx = ctx.add_slot(Slot(e.name, True))
-            ctx.sources.append(_FieldSource(idx, ("token", e.name)))
+            ctx.sources.append(_FieldSource(idx, ["token", e.name]))
             return
         if isinstance(e, (sa.NontermRef, sa.Unfold)):
             # `~Nt` is accepted and lowers exactly like `Nt`
@@ -237,7 +249,7 @@ class _Lowerer:
                 raise LowerError("~ applies only to nonterminal references", rule.loc)
             idx = ctx.add_slot(Slot(ref.name, False, frozenset(ref.attr_reqs),
                                     0, ref.pr_star))
-            ctx.sources.append(_FieldSource(idx, ("node", ref.name)))
+            ctx.sources.append(_FieldSource(idx, ["node", ref.name]))
             return
         if isinstance(e, sa.Named):
             before = len(ctx.sources)
@@ -252,7 +264,7 @@ class _Lowerer:
                 new_slots = ctx.slots[before_slots:]
                 if len(new_slots) == 1 and new_slots[0].is_terminal:
                     ctx.sources.append(_FieldSource(
-                        before_slots, ("token", new_slots[0].symbol), name=e.field_name))
+                        before_slots, ["token", new_slots[0].symbol], name=e.field_name))
                     return
                 raise LowerError("rule %s: %r names an expression with no content"
                                  % (rule.dotted, e.field_name), rule.loc)
@@ -276,8 +288,8 @@ class _Lowerer:
                 raise LowerError("rule %s: #Alt body must be a single literal"
                                  % rule.dotted, rule.loc)
             idx = ctx.add_slot(sub.slots[0])
-            tmpl = (("lit", sub.slots[0].symbol),)
-            ctx.sources.append(_FieldSource(idx, ("enum", ((e.label, tmpl),)), label=e.label))
+            kind = ["enum", [[e.label, _synth_tmpl(sub)]]]
+            ctx.sources.append(_FieldSource(idx, kind, label=e.label))
             return
         if isinstance(e, sa.AltBranches):
             name, kind = self._synth_enum(e, rule)
@@ -325,8 +337,8 @@ class _Lowerer:
         for label, sub in branches:
             self.add_production(lhs=name, slots=tuple(sub.slots), kind="enum",
                                 label=label)
-            kind_branches.append((label, tuple(_synth_tmpl(sub))))
-        return name, ("enum", tuple(kind_branches))
+            kind_branches.append([label, _synth_tmpl(sub)])
+        return name, ["enum", kind_branches]
 
     def _synth_opt(self, inner: sa.ParseExpr, rule):
         sub = self._lower_sub(inner, rule)
@@ -336,19 +348,19 @@ class _Lowerer:
         if sub.sources and sub.sources[0].label is not None:
             raise LowerError("rule %s: an #Alt cannot be optional" % rule.dotted, rule.loc)
         name = self.fresh("Q")
-        tmpl = tuple(_synth_tmpl(sub))
+        tmpl = _synth_tmpl(sub)
         is_bool = not sub.sources
         self.add_production(lhs=name, slots=(), kind="opt_none",
                             asm=(1 if is_bool else 0,))
         if is_bool:
             self.add_production(lhs=name, slots=tuple(sub.slots), kind="opt_some",
                                 asm=(-1,))
-            kind = ("bool", tmpl)
+            kind = ["bool", tmpl]
         else:
             content = sub.sources[0].slot_idx
             self.add_production(lhs=name, slots=tuple(sub.slots), kind="opt_some",
                                 asm=(content,))
-            kind = ("opt", sub.sources[0].kind, tmpl, content)
+            kind = ["opt", sub.sources[0].kind, tmpl, content]
         return name, kind
 
     def _synth_list(self, flavor, elem, min_count, delim, trailing, rule):
@@ -370,7 +382,7 @@ class _Lowerer:
             raise LowerError("rule %s: list delimiter must be content-free"
                              % rule.dotted, rule.loc)
         delim_slots = tuple(dsub.slots)
-        delim_tmpl = tuple(_synth_tmpl(dsub))
+        delim_tmpl = _synth_tmpl(dsub)
 
         outer = self.fresh("L")
         # chain of one-or-more (or two-or-more) elements
@@ -395,7 +407,7 @@ class _Lowerer:
         if trailing in ("required", "optional"):
             self.add_production(lhs=outer, slots=trail_slots, kind="list_trail",
                                 asm=(0,))
-        kind = ("seq", elem_kind, flavor, delim_tmpl, trailing, min_count)
+        kind = ["seq", elem_kind, flavor, delim_tmpl, trailing, min_count]
         return outer, kind
 
 
@@ -409,20 +421,13 @@ def _branch_display(sub: _RuleCtx) -> str:
     return " ".join(parts) if parts else "eps"
 
 
-def _synth_tmpl(sub: _RuleCtx):
-    """Template of a synthesized production: slots become lits or content."""
-    out = []
-    content_idxs = {s.slot_idx for s in sub.sources}
-    for it in sub.template:
-        if it[0] == "slot":
-            idx = it[1]
-            if idx in content_idxs or not sub.slots[idx].is_terminal:
-                out.append(("content",))
-            else:
-                out.append(("lit", sub.slots[idx].symbol))
-        else:
-            out.append(it)
-    return out
+def _synth_tmpl(sub: _RuleCtx) -> list:
+    """The print template of a kind, as the artifact holds it: a slot
+    becomes ["content"] if it feeds a field, else its literal text."""
+    content = {s.slot_idx for s in sub.sources}
+    return [["verbatim", it[1]] if it[0] == "verbatim"
+            else ["content"] if it[1] in content else ["lit", sub.lits[it[1]]]
+            for it in sub.template]
 
 
 def lower_grammar(spec: LangSpec) -> Cfg:

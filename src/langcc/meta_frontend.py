@@ -25,34 +25,6 @@ from .spec_ast import (
     SingletonAlt, SpecError, Star, TokenRef, Unfold,
 )
 
-ESCAPE_MAP = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "`": "`"}
-
-
-def decode_backtick(raw: str, loc: Optional[Loc] = None) -> str:
-    """Decode the contents of a backtick literal (delimiters included in raw)."""
-    if not (len(raw) >= 2 and raw.startswith("`") and raw.endswith("`")):
-        raise SpecError("%r is not a backtick literal" % raw, loc)
-    body = raw[1:-1]
-    if "\\" not in body:
-        return body
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body):
-                raise SpecError("dangling escape in literal", loc)
-            esc = body[i + 1]
-            if esc not in ESCAPE_MAP:
-                raise SpecError("unknown escape \\%s in literal" % esc, loc)
-            out.append(ESCAPE_MAP[esc])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
 def make_parse_test(text: str, loc: Optional[Loc], skip_roundtrip: bool) -> ParseTestDecl:
     """Strip the ## failure marker and record its byte offset."""
     idx = text.find("##")

@@ -324,6 +324,30 @@ def quote_backtick(text: str) -> str:
     return "".join(out)
 
 
+_UNESCAPES = {esc[1]: ch for ch, esc in _ESCAPES.items()}
+
+
+def decode_backtick(raw: str, loc: Optional[Loc] = None) -> str:
+    """Decode the contents of a backtick literal (delimiters included in raw)."""
+    if not (len(raw) >= 2 and raw.startswith("`") and raw.endswith("`")):
+        raise SpecError("%r is not a backtick literal" % raw, loc)
+    body = raw[1:-1]
+    if "\\" not in body:
+        return body
+    out = []
+    chars = iter(body)
+    for ch in chars:
+        if ch == "\\":
+            esc = next(chars, None)
+            if esc is None:
+                raise SpecError("dangling escape in literal", loc)
+            if esc not in _UNESCAPES:
+                raise SpecError("unknown escape \\%s in literal" % esc, loc)
+            ch = _UNESCAPES[esc]
+        out.append(ch)
+    return "".join(out)
+
+
 def render_regex(e: RegexExpr, prec: int = 0) -> str:
     """e as .lang text, parenthesized where its context binds tighter:
     `prec` is that context's precedence, 0 alt, 1 concat, 2 postfix/atom.

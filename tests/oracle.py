@@ -67,13 +67,13 @@ from langcc.lexer import (
 )
 from langcc.lr import FirstK, LrTables, _extend, _sym_sort_key
 from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, wrong_value
-from langcc.meta_frontend import _checked, decode_backtick, make_parse_test
+from langcc.meta_frontend import _checked, make_parse_test
 from langcc.spec_ast import (
     AltBranches, AttrLine, Diagnostic, Eps, LangSpec, LexerAction, LexerRule, LexerSpec,
     ListExpr, Loc, LrTestDecl, Named, NontermRef, Optional_, ParseExpr, ParserSpec,
     ParseTestDecl, PassString, Plus, PrecLine, RAlt, RConcat, REof, RLit, RRange, RRef, RStar,
     RWildcard, RegexExpr, RuleDecl, Seq, SingletonAlt, SpaceShorthand, SpecError, Star,
-    TermLiteral, TokenDecl, TokenRef, Unfold, quote_backtick,
+    TermLiteral, TokenDecl, TokenRef, Unfold, decode_backtick, quote_backtick,
 )
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import runpy
 
 import pytest
 
@@ -303,6 +304,57 @@ def test_conflict_reports_match_pins(tmp_path, capsys, name, max_k, sha256):
     report = out.read_text(encoding="utf-8")
     assert report in capsys.readouterr().err
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == sha256
+
+
+# the SHA-256 of each conflict-free fixture's .clang, as pinned by the
+# benchmark (perfbench/pins.py), and of its .ast.schema
+CLANG_PINS = {name: pin["sha256"] for name, pin in runpy.run_path(
+    str(GRAMMARS.parent / "perfbench" / "pins.py"))["LANGCC"].items() if pin["rc"] == 0}
+AST_SCHEMA_SHA256 = {
+    "ab_eps.lang": "cfb19720a5424a316cc5893992527edbcd9c5e9f90977e9c4f5ee999eecba0c4",
+    "calc.lang": "95d9437da542badd0243a68d5772574f8c99b28fd5aff3ca6982b7ea17512932",
+    "calc_prog.lang": "498dccc0aaada513a2e58ab1e4e86b76b76023ed0b8ced2696b55bd9bf4a7ba4",
+    "meta.lang": "aa164b593d1dacda4ccccea2de068a3ea5ba9131ee0897f02c432cd68ae68084",
+    "parens.lang": "dde92df3327105f075119c83241396ec4bac4eb105ba898530a5aad14b9de160",
+    "rd_tiny.lang": "bc585e6ab8973f994aa2bedd94bcc92645421ff91c2e0ea55a2c6c7acbf61f86",
+    "sum_list.lang": "4cb04ed805a8ddbfbc16c5ff9049ebd1670d33acea6be67c7fa5a5d65964ff5a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLANG_PINS))
+def test_fixture_artifacts_match_pins(tmp_path, name):
+    assert cmd_langcc(str(GRAMMARS / name), str(tmp_path), no_test=True) == 0
+    stem = name[:-len(".lang")]
+    for suffix, sha256 in [(".clang", CLANG_PINS[name]),
+                           (".ast.schema", AST_SCHEMA_SHA256[name])]:
+        written = (tmp_path / (stem + suffix)).read_bytes()
+        assert hashlib.sha256(written).hexdigest() == sha256, suffix
+
+
+def test_langcc_start_not_a_main_is_usage_error(tmp_path, capsys):
+    text = tmp_path / "in.txt"
+    text.write_text("1 + 2")
+    rc = main_langcc([_lang(tmp_path), str(tmp_path), "--no-test", "--parse", str(text),
+                      "--start", "Nope"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "langcc: --start: 'Nope' is not a main nonterminal (mains: Stmt, Expr)")
+
+
+@pytest.mark.parametrize("max_k", [0, -1])
+def test_langcc_max_k_below_one_is_usage_error(tmp_path, capsys, max_k):
+    # rejected before the .lang file is read, so a missing one is not reported
+    for lang in [_lang(tmp_path), str(tmp_path / "missing.lang")]:
+        assert main_langcc([lang, str(tmp_path), "--max-k", str(max_k)]) == 2
+        assert capsys.readouterr().err == (
+            "langcc: --max-k: %d is not a positive integer\n" % max_k)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compile_lang_max_k_below_one_is_a_value_error():
+    # as build_lr's k: a max_k of 0 would try no k and return no tables
+    with pytest.raises(ValueError, match="max_k must be >= 1"):
+        compile_lang(load_grammar("calc.lang"), max_k=0)
 
 
 def test_conflict_no_input_reaches_is_reported(tmp_path, capsys):

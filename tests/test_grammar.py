@@ -37,7 +37,14 @@ def test_assign_rule_slots_and_template():
     assert assign.slots[2].attr_reqs == frozenset()
     assert assign.fields == (("x", ("slot", 0)), ("y", ("slot", 2)))
     assert assign.template == (
-        ("slot", 0), ("verbatim", " "), ("slot", 1), ("verbatim", " "), ("slot", 2))
+        ("field", "x"), ("verbatim", " "), ("lit", "="), ("verbatim", " "), ("field", "y"))
+
+
+def test_productions_hash():
+    # templates stay tuples, so a Production (and the IProd holding it) hashes
+    spec = parse_lang_spec(load_grammar("meta.lang"))
+    cfg = lower_precedence(spec, lower_grammar(spec))
+    assert len(set(cfg.productions)) == len(cfg.productions)
 
 
 def test_singleton_alt_adds_no_nonterminal():
@@ -101,8 +108,7 @@ def test_optional_literal_is_boolean_field():
 def test_optional_content_is_option_field():
     _, cfg, shape = _cfg_for("    S.Main <- x:(`=` A)?;\n    A.A <- `a`;")
     fields = dict(shape.variants["S"][("Main",)])
-    assert fields["x"][0] == "opt"
-    assert fields["x"][1] == ("node", "A")
+    assert fields["x"] == ["opt", ["node", "A"], [["lit", "="], ["content"]], 1]
 
 
 def test_name_strict_violation():

@@ -293,7 +293,7 @@ _ORACLE_GRAMMARS = {
 def test_parse_agrees_with_earley_on_random_strings(name, request):
     # runtime.parse itself, lexer included, on strings longer than the
     # exhaustive enumeration above reaches
-    from langcc.meta_frontend import decode_backtick
+    from langcc.spec_ast import decode_backtick
     from langcc.runtime import parse
 
     _spec, cfg = _cfg(name + ".lang")

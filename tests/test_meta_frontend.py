@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from langcc import compile_lang, parse_lang_spec, render_spec, validate_spec
-from langcc.meta_frontend import decode_backtick, make_parse_test
+from langcc.meta_frontend import make_parse_test
 from langcc.spec_ast import (
     AltBranches, Eps, LangSpec, LexerSpec, ListExpr, Loc, Named, NontermRef, Optional_,
     ParserSpec, PassString, Plus, RAlt, RConcat, REof, RLit, RRange, RRef, RStar, RWildcard,
     Seq, SingletonAlt, SpaceShorthand, SpecError, Star, TermLiteral, TokenDecl, TokenRef, Unfold,
-    render_parse_expr, render_regex,
+    decode_backtick, render_parse_expr, render_regex,
 )
 
 from conftest import GRAMMARS, load_grammar

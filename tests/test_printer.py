@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from langcc import compile_lang, parse, pretty_print, roundtrip_check
@@ -138,3 +140,44 @@ def test_mistyped_field_raises_spec_error(calc):
                node.bounds)
     with pytest.raises(SpecError, match="a node field holds a TokenLeaf, expected a Node"):
         pretty_print(calc.compiled, bad)
+
+
+# a literal holding each escape and a non-ASCII character, in a user template,
+# a #Alt, an alternation branch, an optional bool and a list delimiter
+ESCAPES_SRC = r"""
+tokens {
+    top <= `{λ\n` | `\t=` | `\\` | `\`` | `é!` | `a` | `,\n`;
+}
+
+lexer {
+    main { body }
+    mode body {
+        top => { emit; }
+        eof => { pop; }
+    }
+}
+
+parser {
+    main { S }
+    S.Main <- `{λ\n` op:#Alt[Set:`\t=`] k:(Bs:`\\` | Bq:`\``) f:(`é!`)? xs:#L[A::`,\n`];
+    A.A <- `a`;
+}
+"""
+
+
+def test_escaped_literals_print_as_their_text():
+    result = compile_lang(ESCAPES_SRC)
+    assert result.ok
+    for text in ["{λ\n\t=\\é!a,\na", "{λ\n\t=`", "{λ\n\t=`é!a"]:
+        res = parse(result.compiled, text)
+        assert res.is_success(), text
+        assert pretty_print(result.compiled, res.result) == text
+    data = json.loads(result.compiled.to_json())
+    assert data["templates"]["S::Main"] == [
+        ["lit", "{λ\n"], ["field", "op"], ["field", "k"], ["field", "f"], ["field", "xs"]]
+    assert dict(data["ast"]["S::Main"]) == {
+        "op": ["enum", [["Set", [["lit", "\t="]]]]],
+        "k": ["enum", [["Bs", [["lit", "\\"]]], ["Bq", [["lit", "`"]]]]],
+        "f": ["bool", [["lit", "é!"]]],
+        "xs": ["seq", ["node", "A"], "L", [["lit", ",\n"]], "none", 0],
+    }
