@@ -3,9 +3,12 @@ as canonical JSON.
 
 An artifact holds the compiled lexer, LR tables, assembly metadata, AST
 field kinds and print templates as plain dicts and lists; compiled.flatten
-builds one.  Loading checks the tables, lexer, kinds and templates, and
-resolves each variant's kinds and template into the one plan both tree
-walks read (CompiledLang.plans, for runtime.node_to_data_value and
+builds one.  Loading (from_json) checks the tables and lexer as it builds
+the parser's rows (_load_tables) and the CompiledLexer (_lexer_from_json);
+flatten hands CompiledLang the rows and lexer the builder made, which need
+no check.  Either way, CompiledLang checks the kinds and templates and
+resolves each variant's into the one plan both tree walks read
+(CompiledLang.plans, for runtime.node_to_data_value and
 printer.pretty_print).  to_json writes the text of json.dumps(tree,
 sort_keys=True, indent=1, separators=(",", ": "), ensure_ascii=False) and
 a newline, once per CompiledLang, so artifacts are byte-identical across
@@ -33,33 +36,38 @@ class CompiledLang:
     """Runtime-facing compiled language: everything the parser, printer, and
     validators need, with no references back to build-time structures."""
 
-    def __init__(self, data: dict, text: Optional[str] = None):
-        """`data` is the artifact's JSON tree, which the indexes are built
-        from without changing it, and `text` the text it was decoded from,
-        or None for a tree flatten built.  to_json writes from the text if
-        there is one (the tree is most of a loaded artifact's size), else
-        from the tree, which a built artifact keeps until then."""
+    def __init__(self, data: dict, prods: list, action_rows: list, goto_rows: list,
+                 lexer: CompiledLexer, text: Optional[str] = None):
+        """`data` is the artifact's JSON tree, which the other indexes are
+        built from without changing it, and `text` the text it was decoded
+        from, or None for a tree flatten built.  to_json writes from the
+        text if there is one (the tree is most of a loaded artifact's size),
+        else from the tree, which a built artifact keeps until then.
+
+        `prods`, `action_rows` and `goto_rows` are the parser's tables as
+        the parse loop reads them, and `lexer` the compiled lexer, all of
+        them the tree's: from_json builds them from the tree with
+        _load_tables and _lexer_from_json, which check it, and flatten from
+        the builder's products, which need no check."""
         self._source = data if text is None else text
         self._text: Optional[str] = None
-        self._build_indexes(data)
-
-    def _build_indexes(self, d: dict):
-        self.prods, self.action_rows, self.goto_rows = _load_tables(d)
         # prods[p]: (kind, rhs_len, lhs_ref, data), see P_USER and below.
         # action_rows[state]: lookahead -> action cell, keyed by the terminal
         # itself when k = 1 and by the k-tuple of terminals otherwise.  A cell
         # is an int: shift to state s is s, accept is -1, and reduce by
         # production p is -2 - p.  goto_rows[state]: nonterminal ref -> target
-        self.k = d["k"]
-        self.mains = list(d["mains"])
-        self.digest = d["digest"]
-        self.indent_unit = d["indent_unit"]
-        self.starts = dict(d["starts"])
+        self.prods, self.action_rows, self.goto_rows = prods, action_rows, goto_rows
+        self.lexer = lexer
+        self.k = data["k"]
+        self.mains = list(data["mains"])
+        self.digest = data["digest"]
+        self.indent_unit = data["indent_unit"]
+        self.starts = dict(data["starts"])
         # variant tuple -> (variant key, {field: field plan}, print entries
         # or None): the plan the tree walks read, for every variant that
         # has field kinds or a template
         self.plans: Dict[tuple, tuple] = {}
-        ast, templates = d["ast"], d["templates"]
+        ast, templates = data["ast"], data["templates"]
         # the parser's own variant tuples as keys: a walk's lookups match by identity
         variants = {"::".join(p[3][0]): p[3][0] for p in self.prods if p[0] == P_USER}
         for vk in sorted({*ast, *templates}):
@@ -73,7 +81,6 @@ class CompiledLang:
                 vk, fields, None if tmpl is None else _entries(tmpl, fields=fields))
         self.variant_prefixes = {tuple(vk.split("::")[:i]) for vk in ast
                                  for i in range(1, vk.count("::") + 2)}
-        self.lexer = _lexer_from_json(d["lexer"])
 
     @property
     def default_start(self) -> str:
@@ -118,7 +125,9 @@ class CompiledLang:
             raise SpecError("unsupported artifact: rd=%r (recursive-descent actions "
                             "are not supported)" % data.get("rd"))
         try:
-            return cls(data, text)
+            prods, action_rows, goto_rows = _load_tables(data)
+            lexer = _lexer_from_json(data["lexer"])
+            return cls(data, prods, action_rows, goto_rows, lexer, text)
         except KeyError as e:
             raise SpecError("malformed artifact: missing key %r" % e.args[0]) from None
         except (TypeError, ValueError, AttributeError, IndexError, LexCompileError) as e:

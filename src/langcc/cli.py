@@ -83,6 +83,9 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
     if max_k < 1:
         _err("langcc: --max-k: %d is not a positive integer" % max_k)
         return 2
+    if start is not None and not (parse_file or format_file):
+        _err("langcc: --start needs --parse or --format")
+        return 2
     try:
         with open(lang_path, "r", encoding="utf-8") as f:
             source = f.read()
@@ -101,6 +104,10 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
         else:
             _err("%s: %s" % (lang_path, e))
         return 1
+    if start is not None and start not in result.cfg.mains:
+        _err("langcc: --start: %r is not a main nonterminal (mains: %s)"
+             % (start, ", ".join(result.cfg.mains)))
+        return 2
 
     if dump_grammar_flag:
         sys.stdout.write(dump_grammar(result.cfg))
@@ -160,10 +167,6 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
             status = 1
 
     if parse_file or format_file:
-        if start is not None and start not in compiled.starts:
-            _err("langcc: --start: %r is not a main nonterminal (mains: %s)"
-                 % (start, ", ".join(compiled.mains)))
-            return 2
         path = parse_file or format_file
         try:
             with open(path, "r", encoding="utf-8") as f:

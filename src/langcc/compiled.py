@@ -3,9 +3,13 @@
 Runs the frontend, lexer DFA construction, lowering and LR(k) table
 construction, retrying at a larger k on conflicts, and flattens the
 products into the plain dict/list tree of an artifact (flatten), which
-artifact.CompiledLang checks and writes.  The lowerer already writes AST
-field kinds and print templates in the artifact's terms, literal text
-decoded, so flatten copies them as they are.
+artifact.CompiledLang writes.  The lowerer already writes AST field kinds
+and print templates in the artifact's terms, literal text decoded, so
+flatten copies them as they are.  flatten also hands CompiledLang the
+parser's rows, built in the same loops as the tree's action and goto
+lists, and the CompiledLexer compile_lexer returned: a freshly compiled
+language is not checked or rebuilt from its own tree, as a loaded one is
+by CompiledLang.from_json.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .artifact import FORMAT_VERSION, CompiledLang, lexer_to_json
+from .artifact import FORMAT_VERSION, CompiledLang, _prod_tuple, lexer_to_json
 from .grammar import Cfg, lower_grammar, lower_precedence
 from .lexer import CompiledLexer, compile_lexer
 from .lr import LrTables, build_lr
@@ -29,7 +33,9 @@ def flatten(cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
             digest: str) -> CompiledLang:
     """The artifact of a conflict-free build: its tables and productions
     turned into lists, and each user variant's field kinds and print
-    template as the lowerer wrote them."""
+    template as the lowerer wrote them.  The CompiledLang serves `lexer`
+    itself and the parser rows built beside the action and goto lists, the
+    same as from_json builds from those lists, with none of its checks."""
     inst_index = {}
 
     def inst_ref(inst) -> str:
@@ -55,19 +61,33 @@ def flatten(cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
         else:
             prods_json.append([base.kind, len(base.slots), lhs_ref,
                                list(base.asm), display])
+    # what each entry means to the parse loop, read by the one reader of
+    # production entries (a few hundred of them at most: cheap to check)
+    prods = [_prod_tuple(p) for p in prods_json]
+
+    # the parser's rows, as _load_tables builds them from the lists below
+    k, n_states = tables.k, len(tables.states)
+    action_rows = [{} for _ in range(n_states)]
+    goto_rows = [{} for _ in range(n_states)]
+    reduce_cells = [-2 - p for p in range(len(prods))]  # one int per production
 
     action_json = []
     for (state, la), acts in sorted(tables.action.items()):
         if len(acts) != 1:
             raise SpecError("cannot flatten tables with conflicts")
-        action_json.append([state, list(la), list(acts[0])])
+        tag, arg = acts[0]
+        action_json.append([state, list(la), [tag, arg]])
+        action_rows[state][la[0] if k == 1 else la] = (
+            arg if tag == "shift" else -1 if tag == "accept" else reduce_cells[arg])
 
     goto_json = []
     for (state, key), target in tables.goto.items():
         if isinstance(key, tuple) and key[0] == "t":
             goto_json.append([state, "t", key[1], target])
         else:
-            goto_json.append([state, "n", inst_ref(key), target])
+            ref = inst_ref(key)
+            goto_json.append([state, "n", ref, target])
+            goto_rows[state][ref] = target
     # by state, then nonterminals ("n") before terminals ("t"), then name:
     # no two entries share all three, so the targets are never compared
     goto_json.sort()
@@ -83,7 +103,7 @@ def flatten(cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
     data = {
         "version": FORMAT_VERSION,
         "digest": digest,
-        "k": tables.k,
+        "k": k,
         "rd": False,  # no recursive-descent actions; the key keeps the format unchanged
         "mains": list(cfg.mains),
         "indent_unit": 4,
@@ -96,7 +116,7 @@ def flatten(cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
         "ast": ast_json,
         "templates": templates_json,
     }
-    return CompiledLang(data)
+    return CompiledLang(data, prods, action_rows, goto_rows, lexer)
 
 
 # ---------------------------------------------------------------------------

@@ -431,39 +431,48 @@ def emit_constituents(e: RegexExpr, decls) -> List[Tuple[str, RegexExpr, bool]]:
 
 
 def _subset_construct(mode: str, nfa: Nfa) -> ModeDfa:
+    """The DFA of one mode's NFA, states numbered breadth first from the
+    ε-closure of the NFA's start.  A DFA state's outgoing NFA edges are
+    collected once; their ends cut the codepoints into atomic intervals,
+    and each edge adds its target to the intervals it covers, found by
+    bisecting the cuts.  Neighbouring intervals often move to the same NFA
+    states, so each move's ε-closure is computed once."""
     start_set = nfa.eps_closure([nfa.start])
     order: Dict[frozenset, int] = {start_set: 0}
-    work = [start_set]
+    work = [start_set]  # the DFA states by number; work[idx] is closed next
     rows = []
     witnesses = {start_set: ""}
+    closures: Dict[frozenset, frozenset] = {}  # NFA move -> its ε-closure
 
-    while work:
-        cur = work.pop(0)
-        # atomic interval partition of the outgoing labels
+    idx = 0
+    while idx < len(work):
+        cur = work[idx]
+        idx += 1
+        edges = [e for s in cur for e in nfa.edges[s]]
         points = set()
-        for s in cur:
-            for lo, hi, _t in nfa.edges[s]:
-                points.add(lo)
-                points.add(hi + 1)
+        for lo, hi, _t in edges:
+            points.add(lo)
+            points.add(hi + 1)
         cuts = sorted(points)
+        # moves[i]: the targets on the atomic interval [cuts[i], cuts[i + 1])
+        moves = [set() for _ in range(len(cuts) - 1)]
+        for lo, hi, t in edges:
+            for i in range(bisect.bisect_left(cuts, lo), bisect.bisect_left(cuts, hi + 1)):
+                moves[i].add(t)
         transitions = []
-        for i in range(len(cuts) - 1):
-            lo, nxt_cut = cuts[i], cuts[i + 1]
-            hi = nxt_cut - 1
-            move = set()
-            for s in cur:
-                for elo, ehi, t in nfa.edges[s]:
-                    # cut points refine every edge, so overlap implies containment
-                    if elo <= lo and hi <= ehi:
-                        move.add(t)
+        for i, move in enumerate(moves):
             if not move:
                 continue
-            target = nfa.eps_closure(move)
+            lo = cuts[i]
+            move = frozenset(move)
+            target = closures.get(move)
+            if target is None:
+                target = closures[move] = nfa.eps_closure(move)
             if target not in order:
                 order[target] = len(order)
                 work.append(target)
                 witnesses[target] = witnesses[cur] + chr(lo)
-            transitions.append((lo, hi, order[target]))
+            transitions.append((lo, cuts[i + 1] - 1, order[target]))
         eof_move = set()
         for s in cur:
             eof_move.update(nfa.eof_edges[s])

@@ -8,12 +8,17 @@ for each nonterminal copy.  Every table cell holds Shift, Reduce or Accept
 actions; a cell with more than one is a conflict.
 
 Lookaheads are interned: each k-tuple met gets a bit, and a set of
-lookaheads is an int bitmask over those bits.  The state table is keyed by
-kernel, the frozenset of ((production, dot), mask) pairs of its kernel
-items: a goto target is looked up by its kernel and closed only when its
-turn comes.  The closure adds only dot-0 items of non-start productions,
-which no kernel holds, so kernels and closed states match one to one and
-the numbering is that of keying by closed sets.
+lookaheads is an int bitmask over those bits.  For k = 1 every terminal
+gets its bit up front, in sorted order, and FIRST is computed on those
+masks (_first1): per nonterminal, the mask of terminals that can begin it
+and whether it derives the empty string.  For k >= 2 FIRST is FirstK's,
+on sets of tuples.
+
+The state table is keyed by kernel, the frozenset of ((production, dot),
+mask) pairs of its kernel items: a goto target is looked up by its kernel
+and closed only when its turn comes.  The closure adds only dot-0 items of
+non-start productions, which no kernel holds, so kernels and closed states
+match one to one and the numbering is that of keying by closed sets.
 
 The closure works per nonterminal, not per item.  Each nonterminal (as an
 int) the kernel reaches collects the mask of lookaheads it is reached with;
@@ -175,7 +180,6 @@ class _Builder:
         self.cfg = cfg
         self.k = k
         self.ig = expand_instances(cfg)
-        fk = FirstK(self.ig, k)
 
         self.prods: List[dict] = []
         for ip in self.ig.iprods:
@@ -195,6 +199,15 @@ class _Builder:
         # nonterminals as ints, with the productions of each
         nt_of = {inst: n for n, inst in enumerate(self.ig.insts)}
         self.prods_of = [[ip.ipid for ip in self.ig.by_lhs[inst]] for inst in self.ig.insts]
+        if k == 1:
+            # every terminal gets its bit up front, in sorted order, and
+            # FIRST_1 of nonterminal n is first1[n] on those bits
+            self._mask((t,) for t in sorted({sym[1] for ip in self.ig.iprods
+                                             for sym in ip.rhs if sym[0] == "t"}
+                                            | {EOF_TERMINAL}))
+            self.first1 = _first1(self.ig, nt_of, self._bit_of)
+        else:
+            fk = FirstK(self.ig, k)
         # goto keys (terminals and nonterminals) as ranks in goto order
         keys = {sym if sym[0] == "t" else sym[1] for p in self.prods for sym in p["rhs"]}
         self.keys = sorted(keys, key=_sym_sort_key)
@@ -212,14 +225,19 @@ class _Builder:
             rhs = p["rhs"]
             self.end_act.append(("accept", p["main"]) if p["kind"] == "start"
                                 else ("reduce", pi))
+            if k == 1:
+                tails = self._tails1(rhs, nt_of)
             row = []
             for dot, sym in enumerate(rhs):
                 if sym[0] == "t":
-                    key, n, tail = sym, -1, rhs[dot:]
+                    key, n, tail = sym, -1, dot
                 else:
-                    key, n, tail = sym[1], nt_of[sym[1]], rhs[dot + 1:]
-                full, partial = fk.beta_first(tail)
-                first = (self._mask(full), () in partial, partial - {()})
+                    key, n, tail = sym[1], nt_of[sym[1]], dot + 1
+                if k == 1:
+                    first = tails[tail]
+                else:
+                    full, partial = fk.beta_first(rhs[tail:])
+                    first = (self._mask(full), () in partial, partial - {()})
                 row.append(((pi, dot + 1), rank_of[key], n, first))
             row.append(None)
             self.steps.append(row)
@@ -230,6 +248,23 @@ class _Builder:
         self.corners = [[(step[2], step[3]) for step in (self.steps[pi][0] for pi in pis)
                          if step is not None and step[2] >= 0]
                         for pis in self.prods_of]
+
+    def _tails1(self, rhs, nt_of) -> List[tuple]:
+        """FIRST_1 of rhs[i:] for each i from 0 to len(rhs), as the FIRST
+        of a step (see __init__): the mask, whether rhs[i:] derives the
+        empty string, and no other shorter prefix."""
+        bit_of, first1 = self._bit_of, self.first1
+        mask, grows = 0, True
+        tails = [(mask, grows, frozenset())]
+        for sym in reversed(rhs):
+            if sym[0] == "t":
+                mask, grows = 1 << bit_of[(sym[1],)], False
+            else:
+                m, nullable = first1[nt_of[sym[1]]]
+                mask, grows = (m | mask, grows) if nullable else (m, False)
+            tails.append((mask, grows, frozenset()))
+        tails.reverse()
+        return tails
 
     # -- lookahead masks ------------------------------------------------------
 
@@ -366,6 +401,41 @@ class _Builder:
 
         return LrTables(k, self.ig, self.prods, _ClosedStates(kernels, self._items),
                         action, goto, starts, conflicts)
+
+
+def _first1(ig: InstGrammar, nt_of: Dict[Inst, int], bit_of: Dict[tuple, int]
+            ) -> List[Tuple[int, bool]]:
+    """FIRST_1 of each nonterminal of ig, numbered by nt_of, as (mask of
+    the terminals that can begin it, bit bit_of[(t,)] for terminal t;
+    whether it derives the empty string).  The productions are walked in
+    turn until a pass changes nothing, each up to its first symbol that
+    cannot derive the empty string."""
+    masks = [0] * len(nt_of)
+    nullable = [False] * len(nt_of)
+    # each production as (lhs, rhs), a terminal in rhs as (True, its bit as
+    # a mask) and a nonterminal as (False, its number)
+    rules = [(nt_of[ip.lhs], [(True, 1 << bit_of[(sym[1],)]) if sym[0] == "t"
+                              else (False, nt_of[sym[1]]) for sym in ip.rhs])
+             for ip in ig.iprods]
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in rules:
+            mask = 0
+            for is_term, x in rhs:
+                if is_term:
+                    mask |= x
+                    break
+                mask |= masks[x]
+                if not nullable[x]:
+                    break
+            else:
+                if not nullable[lhs]:
+                    nullable[lhs] = changed = True
+            if mask & ~masks[lhs]:
+                masks[lhs] |= mask
+                changed = True
+    return list(zip(masks, nullable))
 
 
 def _extend(partial: frozenset, las, k: int) -> Set[tuple]:

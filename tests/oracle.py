@@ -40,7 +40,10 @@ propagation, on FirstK.beta_first and lr._extend alone.
 reference_compile_lexer is compile_lexer as it was before each pattern went
 through one walk on an explicit stack: aliases expanded into a new pattern
 tree, then separate recursive walks for eof and the empty string, and a
-recursive Thompson construction and emit flattening.  reference_token_diags
+recursive Thompson construction and emit flattening.  Its DFAs come from
+reference_subset_construct, the subset construction as it was before it
+collected a DFA state's NFA edges once: it rescans them for every atomic
+interval, and takes the next DFA state off the front of its worklist.  reference_token_diags
 is validate_spec's token checks as they were then, with a recursive
 reference collector and recursive opaque-reach and alias-cycle searches.
 
@@ -54,7 +57,7 @@ import functools
 import hashlib
 import heapq
 import json
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from langcc.artifact import CompiledLang
 from langcc.datacc import (
@@ -63,7 +66,7 @@ from langcc.datacc import (
 from langcc.grammar import Cfg, InstGrammar, expand_instances
 from langcc.lexer import (
     ASCII_ROW, EOF_TERMINAL, CompiledLexer, Extract, LexCompileError, LexError, LexOutput,
-    MAX_CODEPOINT, ModeDfa, Nfa, Tag, Token, _byte_offsets, _subset_construct, literal_terminal,
+    MAX_CODEPOINT, ModeDfa, Nfa, Tag, Token, _byte_offsets, _resolve_accept, literal_terminal,
 )
 from langcc.lr import FirstK, LrTables, _extend, _sym_sort_key
 from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, wrong_value
@@ -1671,6 +1674,60 @@ def _emit_constituents(e: RegexExpr, decls, stack=()):
         "or an alias alternation over them")
 
 
+def reference_subset_construct(mode: str, nfa: Nfa) -> ModeDfa:
+    start_set = nfa.eps_closure([nfa.start])
+    order: Dict[frozenset, int] = {start_set: 0}
+    work = [start_set]
+    rows = []
+    witnesses = {start_set: ""}
+
+    while work:
+        cur = work.pop(0)
+        # atomic interval partition of the outgoing labels
+        points = set()
+        for s in cur:
+            for lo, hi, _t in nfa.edges[s]:
+                points.add(lo)
+                points.add(hi + 1)
+        cuts = sorted(points)
+        transitions = []
+        for i in range(len(cuts) - 1):
+            lo, nxt_cut = cuts[i], cuts[i + 1]
+            hi = nxt_cut - 1
+            move = set()
+            for s in cur:
+                for elo, ehi, t in nfa.edges[s]:
+                    # cut points refine every edge, so overlap implies containment
+                    if elo <= lo and hi <= ehi:
+                        move.add(t)
+            if not move:
+                continue
+            target = nfa.eps_closure(move)
+            if target not in order:
+                order[target] = len(order)
+                work.append(target)
+                witnesses[target] = witnesses[cur] + chr(lo)
+            transitions.append((lo, hi, order[target]))
+        eof_move = set()
+        for s in cur:
+            eof_move.update(nfa.eof_edges[s])
+        eof_target = None
+        if eof_move:
+            target = nfa.eps_closure(eof_move)
+            if target not in order:
+                order[target] = len(order)
+                work.append(target)
+                witnesses[target] = witnesses[cur]  # eof adds no characters
+            eof_target = order[target]
+        rows.append((cur, tuple(transitions), eof_target))
+
+    states = []
+    for cur, transitions, eof_target in rows:
+        tag = _resolve_accept(mode, cur, nfa, witnesses[cur])
+        states.append((transitions, eof_target, tag))
+    return ModeDfa(mode, states)
+
+
 def reference_compile_lexer(spec: LangSpec) -> CompiledLexer:
     decls = {d.name: d for d in spec.token_decls}
     env = {d.name: d.pattern for d in spec.token_decls}
@@ -1708,7 +1765,7 @@ def reference_compile_lexer(spec: LangSpec) -> CompiledLexer:
             for a in rule.actions:
                 if a.op == "pop_emit":
                     emittable.add(a.arg)
-        dfas[mode_name] = _subset_construct(mode_name, nfa)
+        dfas[mode_name] = reference_subset_construct(mode_name, nfa)
         mode_actions[mode_name] = tuple(rule.actions for rule in rules)
     return CompiledLexer(spec.lexer.main_mode, dfas, mode_actions, frozenset(emittable))
 

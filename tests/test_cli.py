@@ -341,6 +341,26 @@ def test_langcc_start_not_a_main_is_usage_error(tmp_path, capsys):
         "langcc: --start: 'Nope' is not a main nonterminal (mains: Stmt, Expr)")
 
 
+@pytest.mark.parametrize("mode", ["--parse", "--format"])
+def test_langcc_bad_start_is_reported_before_artifacts_and_tests(tmp_path, capsys, mode):
+    text = tmp_path / "in.txt"
+    text.write_text("1 + 2")
+    rc = main_langcc([_lang(tmp_path), str(tmp_path), mode, str(text), "--start", "Nope"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "langcc: --start: 'Nope' is not a main nonterminal (mains: Stmt, Expr)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
+
+
+def test_langcc_start_without_parse_or_format_is_usage_error(tmp_path, capsys):
+    # rejected before the .lang file is read, so a missing one is not reported
+    for lang in [_lang(tmp_path), str(tmp_path / "missing.lang")]:
+        for start in ["Nope", "Stmt"]:
+            assert main_langcc([lang, str(tmp_path), "--no-test", "--start", start]) == 2
+            assert capsys.readouterr().err == "langcc: --start needs --parse or --format\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("max_k", [0, -1])
 def test_langcc_max_k_below_one_is_usage_error(tmp_path, capsys, max_k):
     # rejected before the .lang file is read, so a missing one is not reported

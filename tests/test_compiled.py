@@ -1,6 +1,7 @@
 """The artifact's canonical JSON text: the writer against json.dumps and
 the old encoder, one write per artifact with no decode on the build path,
-non-canonical input, and text that is no artifact."""
+non-canonical input, and text that is no artifact.  A built artifact's
+runtime parts: taken from the builder, equal to its loaded text's."""
 
 import enum
 import json
@@ -10,13 +11,14 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from langcc import compile_lang, parse
+from langcc import artifact, compile_lang, parse
 from langcc.artifact import CompiledLang, _canonical_json
 from langcc.meta_frontend import meta_artifact
 from langcc.spec_ast import SpecError
 
 from conftest import load_grammar
 from oracle import reference_to_json
+from test_lr import _small_grammars
 
 
 def _dumps(v):
@@ -104,6 +106,58 @@ def test_build_path_decodes_no_json(monkeypatch, grammar):
     assert compiled.to_json() is text
     monkeypatch.undo()
     assert text == reference_to_json(compiled)
+
+
+def _refuse_load(*args, **kwargs):
+    raise AssertionError("an artifact loader called on the build path")
+
+
+@pytest.mark.parametrize("grammar", ["calc.lang", "ab_eps.lang", "meta.lang"])
+def test_build_path_checks_no_tables_or_lexer(monkeypatch, grammar):
+    # a freshly compiled language takes its rows and lexer from the builder
+    meta_artifact()  # its first load checks meta.clang
+    monkeypatch.setattr(artifact, "_load_tables", _refuse_load)
+    monkeypatch.setattr(artifact, "_lexer_from_json", _refuse_load)
+    compiled = compile_lang(load_grammar(grammar)).compiled
+    monkeypatch.undo()
+    assert compiled.lexer is not None
+    assert CompiledLang.from_json(compiled.to_json()) == compiled
+
+
+def _runtime_parts(compiled):
+    """What a CompiledLang serves the parser, the lexer and the tree walks.
+    A lexer program's `step` (index 3) is a method of its own ModeDfa, so
+    the DFA states stand in for it."""
+    lexer = compiled.lexer
+    return {
+        "prods": compiled.prods, "action_rows": compiled.action_rows,
+        "goto_rows": compiled.goto_rows, "plans": compiled.plans,
+        "variant_prefixes": compiled.variant_prefixes, "starts": compiled.starts,
+        "mains": compiled.mains, "k": compiled.k,
+        "programs": {m: p[:3] + p[4:] for m, p in lexer.programs.items()},
+        "dfa_states": {m: dfa.states for m, dfa in lexer.dfas.items()},
+        "main_mode": lexer.main_mode, "emittable": lexer.emittable,
+    }
+
+
+def _assert_built_equals_loaded(compiled):
+    built = _runtime_parts(compiled)
+    loaded = _runtime_parts(CompiledLang.from_json(compiled.to_json()))
+    for name in built:
+        assert built[name] == loaded[name], name
+
+
+@pytest.mark.parametrize("grammar", WITH_ARTIFACTS)
+def test_built_artifact_serves_what_its_loaded_text_does(request, grammar):
+    _assert_built_equals_loaded(request.getfixturevalue(grammar).compiled)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_grammars())
+def test_built_small_grammar_serves_what_its_loaded_text_does(source):
+    result = compile_lang(source)
+    if result.ok:
+        _assert_built_equals_loaded(result.compiled)
 
 
 def _non_ascii_parens():

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import sys
@@ -9,10 +10,11 @@ from langcc import (
     compile_lang, compile_lexer, lex, parse, parse_lang_spec, render_spec,
     token_bounds_to_linecol,
 )
+from langcc import lexer as lexer_mod
 from langcc.bootstrap import _LEXER_ACTION_OPS
 from langcc.lexer import (
     S_EMIT, S_PASS, S_POP, S_POP_EMIT, S_POP_EXTRACT, S_PUSH, STEP_CODES, Extract, LexAmbiguity,
-    LexCompileError, LexError, Nfa, Tag, action_list_fault,
+    LexCompileError, LexError, Nfa, Tag, _subset_construct, _wire, action_list_fault,
 )
 from langcc.meta_frontend import meta_artifact
 from langcc.spec_ast import (
@@ -20,8 +22,8 @@ from langcc.spec_ast import (
     RLit, RRange, RRef, RStar, RWildcard, TokenDecl,
 )
 
-from conftest import load_grammar, recursion_limit
-from oracle import nfa_simulate, reference_compile_lexer, reference_lex
+from conftest import GRAMMARS, load_grammar, recursion_limit
+from oracle import nfa_simulate, reference_compile_lexer, reference_lex, reference_subset_construct
 
 
 def _lexer_for(src):
@@ -200,8 +202,6 @@ def _all_strings(alphabet, max_len):
 
 
 def test_subset_construction_matches_nfa_simulation():
-    from langcc.lexer import _subset_construct
-
     rng = random.Random(42)
     strings = _all_strings("ab", 6)
     cases = 0
@@ -399,6 +399,73 @@ def test_compile_lexer_agrees_with_the_recursive_reference(spec):
     # same DFAs, emittable set, and error (class and text) as the pipeline
     # that expanded aliases into a new tree and walked it three more times
     assert _compile_outcome(compile_lexer, spec) == _compile_outcome(reference_compile_lexer, spec)
+
+
+# -- the subset construction against the one that rescans every edge --------
+
+def _subset_outcome(construct, mode, nfa):
+    """The DFA states, or the ambiguity's mode, witness and message."""
+    try:
+        return construct(mode, nfa).states
+    except LexAmbiguity as e:
+        return "LexAmbiguity", e.mode, e.witness, str(e)
+
+
+def _subset_outcomes_agree(mode, nfa) -> bool:
+    """Assert both constructions agree on nfa; whether it was ambiguous."""
+    got = _subset_outcome(_subset_construct, mode, nfa)
+    assert got == _subset_outcome(reference_subset_construct, mode, nfa), mode
+    return type(got) is tuple
+
+
+@contextlib.contextmanager
+def _compared_subset_constructions():
+    """compile_lexer with each mode's NFA also given to the reference
+    subset construction and the outcomes compared; yields the list of the
+    modes compared.  (No monkeypatch: hypothesis tests run this too.)"""
+    compared = []
+
+    def spy(mode, nfa):
+        _subset_outcomes_agree(mode, nfa)
+        compared.append(mode)
+        return _subset_construct(mode, nfa)
+
+    lexer_mod._subset_construct = spy
+    try:
+        yield compared
+    finally:
+        lexer_mod._subset_construct = _subset_construct
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GRAMMARS.glob("*.lang")))
+def test_subset_construction_matches_reference_on_fixtures(name):
+    spec = parse_lang_spec(load_grammar(name))
+    with _compared_subset_constructions() as compared:
+        compile_lexer(spec)
+    assert compared == [mode for mode, _rules in spec.lexer.modes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mode_specs())
+def test_subset_construction_matches_reference_on_random_modes(spec):
+    with _compared_subset_constructions():
+        try:
+            compile_lexer(spec)
+        except LexCompileError:
+            pass
+
+
+def test_subset_construction_matches_reference_on_random_regexes():
+    # up to three rules a mode, so that some modes are ambiguous
+    rng = random.Random(7)
+    ambiguous = 0
+    for _ in range(300):
+        nfa = Nfa()
+        for idx in range(rng.randrange(1, 4)):
+            end, _eof, _empty = _wire(nfa, _random_regex(rng, rng.randrange(1, 5)), {})
+            nfa.accepts[end] = Tag(idx, "t%d" % rng.randrange(2), rng.random() < 0.3, False)
+        ambiguous += _subset_outcomes_agree("m", nfa)
+    assert 0 < ambiguous < 300
 
 
 def test_cyclic_alias_is_a_compile_error():

@@ -360,3 +360,40 @@ def test_construction_matches_per_item_reference(source):
         want = [(st, la, tuple(sorted(action[(st, la)], key=_act_sort_key)))
                 for st, la in sorted(action) if len(action[(st, la)]) > 1]
         assert [(c.state, c.lookahead, c.actions) for c in tables.conflicts] == want
+
+
+# ---------------------------------------------------------------------------
+# FIRST_1 on masks against FirstK
+
+def _assert_first1_matches_first_k(cfg):
+    b = lr._Builder(cfg, 1)
+    # terminal bits are assigned up front, in sorted order
+    assert b.lookaheads == sorted(b.lookaheads)
+    assert all(len(w) == 1 for w in b.lookaheads)
+    fk = lr.FirstK(b.ig, 1)
+
+    def as_set(mask, nullable):
+        return {b.lookaheads[bit] for bit in lr._bits(mask)} | ({()} if nullable else set())
+
+    assert {inst: as_set(*first) for inst, first in zip(b.ig.insts, b.first1)} == fk.first
+    # and each step's FIRST: of what follows a nonterminal, or of a
+    # terminal and what follows it
+    for pi, row in enumerate(b.steps):
+        rhs = b.prods[pi]["rhs"]
+        for dot, step in enumerate(row[:-1]):
+            tail = rhs[dot:] if rhs[dot][0] == "t" else rhs[dot + 1:]
+            mask, grows, rest = step[3]
+            full, partial = fk.beta_first(tail)
+            assert (as_set(mask, grows), rest) == (full | partial, frozenset()), (pi, dot)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GRAMMARS.glob("*.lang")))
+def test_first1_masks_match_first_k_on_fixtures(name):
+    _assert_first1_matches_first_k(_cfg(name)[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_grammars())
+def test_first1_masks_match_first_k_on_small_grammars(source):
+    spec = parse_lang_spec(source)
+    _assert_first1_matches_first_k(lower_precedence(spec, lower_grammar(spec)))
