@@ -8,11 +8,13 @@ for each nonterminal copy.  Every table cell holds Shift, Reduce or Accept
 actions; a cell with more than one is a conflict.
 
 Lookaheads are interned: each k-tuple met gets a bit, and a set of
-lookaheads is an int bitmask over those bits.  For k = 1 every terminal
-gets its bit up front, in sorted order, and FIRST is computed on those
-masks (_first1): per nonterminal, the mask of terminals that can begin it
-and whether it derives the empty string.  For k >= 2 FIRST is FirstK's,
-on sets of tuples.
+lookaheads is an int bitmask over those bits.  FIRST_k has one engine for
+every k, on triples (mask of the complete k-tuples, whether the empty
+string is among the shorter prefixes, the other shorter prefixes): _cat
+concatenates two, a fixpoint per nonterminal walks each production left to
+right until its prefix can grow no more, and _tails gives each step's FIRST
+right to left.  At k = 1 the third part is always empty, so FIRST costs
+mask operations alone; each terminal gets its bit up front, in sorted order.
 
 The state table is keyed by kernel, the frozenset of ((production, dot),
 mask) pairs of its kernel items: a goto target is looked up by its kernel
@@ -40,72 +42,34 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Dict, List, Set, Tuple
 
-from .grammar import Cfg, Inst, InstGrammar, expand_instances
+from .grammar import Cfg, InstGrammar, expand_instances
 from .lexer import EOF_TERMINAL
 
 
 # ---------------------------------------------------------------------------
-# FIRST_k over the instance grammar
+# FIRST_k
 
-class FirstK:
-    def __init__(self, ig: InstGrammar, k: int):
-        self.ig = ig
-        self.k = k
-        self.first: Dict[Inst, Set[tuple]] = {inst: set() for inst in ig.insts}
-        self._fixpoint()
-
-    def _seq_sets(self, syms) -> Set[tuple]:
-        """All k-truncated terminal prefixes derivable from a symbol sequence.
-
-        Tuples shorter than k mean the whole sequence can derive that short
-        string (they still need extension by right context).
-        """
-        k = self.k
-        cur = {()}
-        for sym in syms:
-            nxt = set()
-            if sym[0] == "t":
-                for p in cur:
-                    nxt.add(p if len(p) == k else p + (sym[1],))
-            else:
-                fs = self.first[sym[1]]
-                for p in cur:
-                    if len(p) == k:
-                        nxt.add(p)
-                        continue
-                    for w in fs:
-                        nxt.add((p + w)[:k])
-            cur = nxt
-        return cur
-
-    def _fixpoint(self):
-        changed = True
-        while changed:
-            changed = False
-            for ip in self.ig.iprods:
-                target = self.first[ip.lhs]
-                for w in self._seq_sets(ip.rhs):
-                    if w not in target:
-                        target.add(w)
-                        changed = True
-
-    def beta_first(self, syms) -> Tuple[frozenset, frozenset]:
-        """Split FIRST prefixes of syms into (complete k-tuples, shorter ones)."""
-        sets = self._seq_sets(syms)
-        full = frozenset(w for w in sets if len(w) == self.k)
-        partial = frozenset(w for w in sets if len(w) < self.k)
-        return full, partial
+_NONE = frozenset()
+_EPS = (0, True, _NONE)       # FIRST of the empty sequence
+_NOTHING = (0, False, _NONE)  # FIRST of what derives no terminal string
 
 
 def first_k(cfg: Cfg, symbols, k: int) -> Set[tuple]:
-    """FIRST_k of a symbol sequence (names; default constraint instances).
+    """FIRST_k of a symbol sequence (names; default constraint instances):
+    the k-tuples it can begin with, and the shorter strings it derives.
     Each nonterminal named is expanded as a main, so one need not be
     reachable from the grammar's mains."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    defined = {p.lhs for p in cfg.productions}
+    for s in symbols:
+        if s not in cfg.terminals and s != EOF_TERMINAL and s not in defined:
+            raise ValueError("%r is not a terminal or a nonterminal with productions" % s)
     nonterms = tuple(s for s in symbols if s not in cfg.terminals and s != EOF_TERMINAL)
-    ig = expand_instances(replace(cfg, mains=cfg.mains + nonterms))
-    fk = FirstK(ig, k)
-    return fk._seq_sets([("n", ig.start_insts[s]) if s in nonterms else ("t", s)
-                         for s in symbols])
+    b = _Builder(replace(cfg, mains=cfg.mains + nonterms), k)
+    full, grows, rest = b._tails([("n", b.ig.start_insts[s]) if s in nonterms else ("t", s)
+                                  for s in symbols])[0]
+    return {b.lookaheads[bit] for bit in _bits(full)} | rest | ({()} if grows else set())
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +158,15 @@ class _Builder:
         # lookahead k-tuples, interned: bit b of a mask stands for lookaheads[b]
         self.lookaheads: List[tuple] = []
         self._bit_of: Dict[tuple, int] = {}
-        self._ext_cache: Dict[Tuple[frozenset, int], int] = {}
+        self._ext_cache: Dict[Tuple[frozenset, int, frozenset], tuple] = {}
 
         # nonterminals as ints, with the productions of each
-        nt_of = {inst: n for n, inst in enumerate(self.ig.insts)}
+        self.nt_of = {inst: n for n, inst in enumerate(self.ig.insts)}
         self.prods_of = [[ip.ipid for ip in self.ig.by_lhs[inst]] for inst in self.ig.insts]
-        if k == 1:
-            # every terminal gets its bit up front, in sorted order, and
-            # FIRST_1 of nonterminal n is first1[n] on those bits
-            self._mask((t,) for t in sorted({sym[1] for ip in self.ig.iprods
-                                             for sym in ip.rhs if sym[0] == "t"}
-                                            | {EOF_TERMINAL}))
-            self.first1 = _first1(self.ig, nt_of, self._bit_of)
-        else:
-            fk = FirstK(self.ig, k)
+        # FIRST_k of each terminal and each nonterminal: see steps below
+        self.term_first = {t: self._words([(t,)])
+                           for t in sorted(cfg.terminals | {EOF_TERMINAL})}
+        self.first = self._fixpoint()
         # goto keys (terminals and nonterminals) as ranks in goto order
         keys = {sym if sym[0] == "t" else sym[1] for p in self.prods for sym in p["rhs"]}
         self.keys = sorted(keys, key=_sym_sort_key)
@@ -218,27 +177,21 @@ class _Builder:
         # core, goto rank, nonterminal or -1, FIRST).  FIRST is that of what
         # follows the nonterminal, or of the terminal and what follows it, as
         # (mask of its complete k-tuples, whether the empty prefix is among
-        # the shorter ones, the other shorter ones): see _after.
+        # the shorter ones, the other shorter ones).
         self.end_act: List[tuple] = []
         self.steps: List[List[tuple]] = []
         for pi, p in enumerate(self.prods):
             rhs = p["rhs"]
             self.end_act.append(("accept", p["main"]) if p["kind"] == "start"
                                 else ("reduce", pi))
-            if k == 1:
-                tails = self._tails1(rhs, nt_of)
+            tails = self._tails(rhs)
             row = []
             for dot, sym in enumerate(rhs):
                 if sym[0] == "t":
                     key, n, tail = sym, -1, dot
                 else:
-                    key, n, tail = sym[1], nt_of[sym[1]], dot + 1
-                if k == 1:
-                    first = tails[tail]
-                else:
-                    full, partial = fk.beta_first(rhs[tail:])
-                    first = (self._mask(full), () in partial, partial - {()})
-                row.append(((pi, dot + 1), rank_of[key], n, first))
+                    key, n, tail = sym[1], self.nt_of[sym[1]], dot + 1
+                row.append(((pi, dot + 1), rank_of[key], n, tails[tail]))
             row.append(None)
             self.steps.append(row)
 
@@ -249,24 +202,7 @@ class _Builder:
                          if step is not None and step[2] >= 0]
                         for pis in self.prods_of]
 
-    def _tails1(self, rhs, nt_of) -> List[tuple]:
-        """FIRST_1 of rhs[i:] for each i from 0 to len(rhs), as the FIRST
-        of a step (see __init__): the mask, whether rhs[i:] derives the
-        empty string, and no other shorter prefix."""
-        bit_of, first1 = self._bit_of, self.first1
-        mask, grows = 0, True
-        tails = [(mask, grows, frozenset())]
-        for sym in reversed(rhs):
-            if sym[0] == "t":
-                mask, grows = 1 << bit_of[(sym[1],)], False
-            else:
-                m, nullable = first1[nt_of[sym[1]]]
-                mask, grows = (m | mask, grows) if nullable else (m, False)
-            tails.append((mask, grows, frozenset()))
-        tails.reverse()
-        return tails
-
-    # -- lookahead masks ------------------------------------------------------
+    # -- FIRST_k on lookahead masks -------------------------------------------
 
     def _mask(self, tuples) -> int:
         mask = 0
@@ -278,27 +214,102 @@ class _Builder:
             mask |= 1 << b
         return mask
 
-    def _ext(self, rest: frozenset, mask: int) -> int:
-        """The shorter prefixes rest, each completed by each lookahead in
-        mask, as a mask; cached per (rest, mask)."""
-        key = (rest, mask)
+    def _words(self, words) -> tuple:
+        """The FIRST of non-empty terminal tuples no longer than k: those of
+        length k as a mask, the shorter ones as they are."""
+        k = self.k
+        return (self._mask(w for w in words if len(w) == k), False,
+                frozenset(w for w in words if len(w) < k))
+
+    def _ext(self, rest: frozenset, mask: int, more: frozenset = _NONE) -> tuple:
+        """The shorter prefixes rest, each followed by each lookahead in
+        mask and by each shorter prefix in more, as a FIRST; cached per
+        (rest, mask, more)."""
+        key = (rest, mask, more)
         got = self._ext_cache.get(key)
         if got is None:
             las = self.lookaheads
-            got = self._ext_cache[key] = self._mask(
-                _extend(rest, [las[b] for b in _bits(mask)], self.k))
+            got = self._ext_cache[key] = self._words(
+                _extend(rest, [las[b] for b in _bits(mask)] + list(more), self.k))
         return got
 
+    def _cat(self, a: tuple, b: tuple) -> tuple:
+        """The FIRST of a sequence with FIRST a followed by one with FIRST b."""
+        full, grows, rest = a
+        b_full, b_grows, b_rest = b
+        out_full = full | b_full if grows else full
+        out_rest = b_rest if grows else _NONE
+        if rest:
+            if b_grows:
+                out_rest = out_rest | rest
+            if b_full or b_rest:
+                ext_full, _, ext_rest = self._ext(rest, b_full, b_rest)
+                out_full |= ext_full
+                out_rest = out_rest | ext_rest
+        return out_full, grows and b_grows, out_rest
+
     def _after(self, first: tuple, mask: int) -> int:
-        """The lookaheads of a FIRST (see steps in __init__) followed by any
-        lookahead in mask.  For k = 1, rest is always empty, so this is
-        full | (mask if grows else 0)."""
+        """The lookaheads of a FIRST followed by any lookahead in mask, the
+        closure's case of _cat.  For k = 1, rest is always empty, so this
+        is full | (mask if grows else 0)."""
         full, grows, rest = first
         if grows:
             full |= mask
         if rest:
-            full |= self._ext(rest, mask)
+            full |= self._ext(rest, mask)[0]
         return full
+
+    def _fixpoint(self) -> List[tuple]:
+        """FIRST_k of each nonterminal, by its number.  The productions are
+        walked in turn until a pass changes nothing, each up to where its
+        prefix can grow no more."""
+        nt_of, cat = self.nt_of, self._cat
+        # the FIRST of each nonterminal, then of each terminal; a production
+        # as (lhs, rhs) with each symbol in rhs as its index here
+        first = [_NOTHING] * len(nt_of) + list(self.term_first.values())
+        term_at = {t: i for i, t in enumerate(self.term_first, len(nt_of))}
+        rules = [(nt_of[ip.lhs], [term_at[sym[1]] if sym[0] == "t" else nt_of[sym[1]]
+                                  for sym in ip.rhs])
+                 for ip in self.ig.iprods]
+        changed = True
+        while changed:
+            changed = False
+            for lhs, rhs in rules:
+                full, grows, rest = _EPS
+                for x in rhs:
+                    if rest:
+                        full, grows, rest = cat((full, grows, rest), first[x])
+                    else:  # of the shorter prefixes only the empty one is left
+                        x_full, grows, rest = first[x]
+                        full |= x_full
+                    if not (grows or rest):
+                        break
+                old_full, old_grows, old_rest = first[lhs]
+                if (full & ~old_full or grows and not old_grows
+                        or rest and not rest <= old_rest):
+                    first[lhs] = (full | old_full, grows or old_grows, rest | old_rest)
+                    changed = True
+        return first[:len(nt_of)]
+
+    def _tails(self, rhs) -> List[tuple]:
+        """FIRST_k of rhs[i:] for each i from 0 to len(rhs), as the
+        left-to-right walk makes it.  _cat is associative except across a
+        symbol that derives no terminal string: a prefix that reaches it
+        dies there unless it is already complete.  So such a symbol starts
+        the walk from the right over, and the tails left of it keep only
+        their complete k-tuples."""
+        tail, cut = _EPS, False
+        tails = [tail]
+        for sym in reversed(rhs):
+            first = (self.term_first[sym[1]] if sym[0] == "t"
+                     else self.first[self.nt_of[sym[1]]])
+            if first == _NOTHING:
+                tail, cut = _EPS, True
+            else:
+                tail = self._cat(first, tail)
+            tails.append((tail[0], False, _NONE) if cut else tail)
+        tails.reverse()
+        return tails
 
     # -- closure --------------------------------------------------------------
 
@@ -403,43 +414,9 @@ class _Builder:
                         action, goto, starts, conflicts)
 
 
-def _first1(ig: InstGrammar, nt_of: Dict[Inst, int], bit_of: Dict[tuple, int]
-            ) -> List[Tuple[int, bool]]:
-    """FIRST_1 of each nonterminal of ig, numbered by nt_of, as (mask of
-    the terminals that can begin it, bit bit_of[(t,)] for terminal t;
-    whether it derives the empty string).  The productions are walked in
-    turn until a pass changes nothing, each up to its first symbol that
-    cannot derive the empty string."""
-    masks = [0] * len(nt_of)
-    nullable = [False] * len(nt_of)
-    # each production as (lhs, rhs), a terminal in rhs as (True, its bit as
-    # a mask) and a nonterminal as (False, its number)
-    rules = [(nt_of[ip.lhs], [(True, 1 << bit_of[(sym[1],)]) if sym[0] == "t"
-                              else (False, nt_of[sym[1]]) for sym in ip.rhs])
-             for ip in ig.iprods]
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            mask = 0
-            for is_term, x in rhs:
-                if is_term:
-                    mask |= x
-                    break
-                mask |= masks[x]
-                if not nullable[x]:
-                    break
-            else:
-                if not nullable[lhs]:
-                    nullable[lhs] = changed = True
-            if mask & ~masks[lhs]:
-                masks[lhs] |= mask
-                changed = True
-    return list(zip(masks, nullable))
-
-
 def _extend(partial: frozenset, las, k: int) -> Set[tuple]:
-    """Each shorter FIRST prefix in partial completed by each of las."""
+    """Each shorter FIRST prefix in partial followed by each of las, cut to
+    length k."""
     return {(p + w)[:k] for p in partial for w in las}
 
 

@@ -35,7 +35,10 @@ its own.
 reference_lr is canonical LR(k) built item by item on sets of lookahead
 tuples, each goto target closed and then looked up by its closed set: the
 construction with none of build_lr's kernels, bitmasks or per-nonterminal
-propagation, on FirstK.beta_first and lr._extend alone.
+propagation, on FirstK.beta_first and lr._extend alone.  FirstK is FIRST_k
+on sets of tuples, the engine lr.py ran for k >= 2 (and first_k for every
+k) before its one engine on lookahead masks; it lives here as the FIRST
+reference that engine is checked against.
 
 reference_compile_lexer is compile_lexer as it was before each pattern went
 through one walk on an explicit stack: aliases expanded into a new pattern
@@ -57,18 +60,18 @@ import functools
 import hashlib
 import heapq
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from langcc.artifact import CompiledLang
 from langcc.datacc import (
     DataValue, DatatypeSchema, Sum, TOpt, TSeq, TypeExpr, _print_scalar, _subst, _u32,
 )
-from langcc.grammar import Cfg, InstGrammar, expand_instances
+from langcc.grammar import Cfg, Inst, InstGrammar, expand_instances
 from langcc.lexer import (
     ASCII_ROW, EOF_TERMINAL, CompiledLexer, Extract, LexCompileError, LexError, LexOutput,
     MAX_CODEPOINT, ModeDfa, Nfa, Tag, Token, _byte_offsets, _resolve_accept, literal_terminal,
 )
-from langcc.lr import FirstK, LrTables, _extend, _sym_sort_key
+from langcc.lr import LrTables, _extend, _sym_sort_key
 from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, wrong_value
 from langcc.meta_frontend import _checked, make_parse_test
 from langcc.spec_ast import (
@@ -1491,6 +1494,56 @@ def reference_to_json(compiled: CompiledLang) -> str:
     return "{\n%s\n}\n" % ",\n".join(
         " %s: %s" % (encode(key), encode(tree[key]).replace("\n", "\n "))
         for key in sorted(tree))
+
+
+class FirstK:
+    def __init__(self, ig: InstGrammar, k: int):
+        self.ig = ig
+        self.k = k
+        self.first: Dict[Inst, Set[tuple]] = {inst: set() for inst in ig.insts}
+        self._fixpoint()
+
+    def _seq_sets(self, syms) -> Set[tuple]:
+        """All k-truncated terminal prefixes derivable from a symbol sequence.
+
+        Tuples shorter than k mean the whole sequence can derive that short
+        string (they still need extension by right context).
+        """
+        k = self.k
+        cur = {()}
+        for sym in syms:
+            nxt = set()
+            if sym[0] == "t":
+                for p in cur:
+                    nxt.add(p if len(p) == k else p + (sym[1],))
+            else:
+                fs = self.first[sym[1]]
+                for p in cur:
+                    if len(p) == k:
+                        nxt.add(p)
+                        continue
+                    for w in fs:
+                        nxt.add((p + w)[:k])
+            cur = nxt
+        return cur
+
+    def _fixpoint(self):
+        changed = True
+        while changed:
+            changed = False
+            for ip in self.ig.iprods:
+                target = self.first[ip.lhs]
+                for w in self._seq_sets(ip.rhs):
+                    if w not in target:
+                        target.add(w)
+                        changed = True
+
+    def beta_first(self, syms) -> Tuple[frozenset, frozenset]:
+        """Split FIRST prefixes of syms into (complete k-tuples, shorter ones)."""
+        sets = self._seq_sets(syms)
+        full = frozenset(w for w in sets if len(w) == self.k)
+        partial = frozenset(w for w in sets if len(w) < self.k)
+        return full, partial
 
 
 def reference_lr(cfg: Cfg, k: int):

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from langcc import (
     build_lr, dump_lr, expand_instances, first_k, lower_grammar,
@@ -13,7 +13,7 @@ from langcc.cli import cmd_langcc
 from langcc.lr import _act_sort_key
 
 from conftest import GOLDEN, GRAMMARS, load_grammar
-from oracle import earley_accepts, reference_lr
+from oracle import FirstK, earley_accepts, reference_lr
 
 
 def _cfg(name):
@@ -63,6 +63,23 @@ def test_first_of_nonterminals_not_reachable_from_the_mains():
     assert first_k(cfg, ["V", "S", "W"], 2) == {("`;`", "a"), ("a", "c"), ("b", "a")}
     assert first_k(cfg, ["V", "S", "W"], 3) == {
         ("`;`", "a", "c"), ("a", "c"), ("a", "c", "`;`"), ("a", "c", "b"), ("b", "a", "c")}
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_first_k_rejects_k_below_1(k):
+    _, cfg = _cfg("calc.lang")
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        first_k(cfg, ["Expr"], k)
+
+
+def test_first_k_rejects_unknown_symbols():
+    _, cfg = _cfg("calc.lang")
+    with pytest.raises(ValueError, match="'Nope'"):
+        first_k(cfg, ["Nope"], 1)
+    with pytest.raises(ValueError, match="'Nope'"):
+        first_k(cfg, ["Expr", "Nope"], 2)
+    assert first_k(cfg, ["$"], 1) == {("$",)}
+    assert first_k(cfg, ["`(`", "$"], 2) == {("`(`", "$")}
 
 
 def test_calc_compiles_conflict_free_at_k1():
@@ -340,14 +357,25 @@ def _small_grammars(draw):
         for _ in range(draw(st.integers(1, 3))):
             rhs = draw(st.lists(st.sampled_from(_TERMS + nts), max_size=3))
             lines.append("    %s.P%d <- %s;" % (nt, len(lines), " ".join(rhs) or "eps"))
+    return _small_source(lines)
+
+
+def _small_source(lines):
     return ("tokens {\n    top <= `a` | `b` | `c`;\n}\n\n"
             "lexer {\n    main { body }\n\n    mode body {\n"
             "        top => { emit; }\n        eof => { pop; }\n    }\n}\n\n"
             "parser {\n    main { S }\n\n%s\n}\n" % "\n".join(lines))
 
 
+# B derives no terminal string, so a prefix that reaches it dies there
+# unless it is complete: FIRST_2 of `a` `a` B is {(a, a)}, of `a` B empty
+_UNPRODUCTIVE = _small_source(["    S.P0 <- A `a` `a` B;", "    S.P1 <- `a` B `c`;",
+                               "    A.P2 <- eps;", "    A.P3 <- `b`;", "    B.P4 <- B;"])
+
+
 @settings(max_examples=50, deadline=None)
 @given(_small_grammars())
+@example(_UNPRODUCTIVE)
 def test_construction_matches_per_item_reference(source):
     spec = parse_lang_spec(source)
     cfg = lower_precedence(spec, lower_grammar(spec))
@@ -363,37 +391,42 @@ def test_construction_matches_per_item_reference(source):
 
 
 # ---------------------------------------------------------------------------
-# FIRST_1 on masks against FirstK
+# FIRST_k on masks against FirstK
 
-def _assert_first1_matches_first_k(cfg):
-    b = lr._Builder(cfg, 1)
-    # terminal bits are assigned up front, in sorted order
-    assert b.lookaheads == sorted(b.lookaheads)
-    assert all(len(w) == 1 for w in b.lookaheads)
-    fk = lr.FirstK(b.ig, 1)
+def _assert_first_matches_first_k(cfg, k):
+    b = lr._Builder(cfg, k)
+    if k == 1:
+        # terminal bits are assigned up front, in sorted order
+        assert b.lookaheads == sorted(b.lookaheads)
+    assert all(len(w) == k for w in b.lookaheads)
+    fk = FirstK(b.ig, k)
 
-    def as_set(mask, nullable):
-        return {b.lookaheads[bit] for bit in lr._bits(mask)} | ({()} if nullable else set())
+    def as_set(first):
+        mask, grows, rest = first
+        assert all(0 < len(w) < k for w in rest)
+        return {b.lookaheads[bit] for bit in lr._bits(mask)} | rest | ({()} if grows else set())
 
-    assert {inst: as_set(*first) for inst, first in zip(b.ig.insts, b.first1)} == fk.first
+    assert {inst: as_set(first) for inst, first in zip(b.ig.insts, b.first)} == fk.first
     # and each step's FIRST: of what follows a nonterminal, or of a
     # terminal and what follows it
     for pi, row in enumerate(b.steps):
         rhs = b.prods[pi]["rhs"]
         for dot, step in enumerate(row[:-1]):
             tail = rhs[dot:] if rhs[dot][0] == "t" else rhs[dot + 1:]
-            mask, grows, rest = step[3]
             full, partial = fk.beta_first(tail)
-            assert (as_set(mask, grows), rest) == (full | partial, frozenset()), (pi, dot)
+            assert as_set(step[3]) == full | partial, (pi, dot)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(p.name for p in GRAMMARS.glob("*.lang")))
-def test_first1_masks_match_first_k_on_fixtures(name):
-    _assert_first1_matches_first_k(_cfg(name)[1])
+def test_first_masks_match_first_k_on_fixtures(name, k):
+    _assert_first_matches_first_k(_cfg(name)[1], k)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
 @settings(max_examples=50, deadline=None)
 @given(_small_grammars())
-def test_first1_masks_match_first_k_on_small_grammars(source):
+@example(_UNPRODUCTIVE)
+def test_first_masks_match_first_k_on_small_grammars(k, source):
     spec = parse_lang_spec(source)
-    _assert_first1_matches_first_k(lower_precedence(spec, lower_grammar(spec)))
+    _assert_first_matches_first_k(lower_precedence(spec, lower_grammar(spec)), k)
