@@ -20,7 +20,7 @@ if __name__ == "__main__":
     print("conflict-free:", result.ok)
     print("raw conflict sites:", len(result.tables.conflicts))
     print()
-    exemplars = langcc.trace_all(result.tables, result.cfg)
+    exemplars = langcc.trace_all(result.tables)
     print(langcc.render_conflict_report(exemplars))
     print("With the prec stanza (grammars/calc.lang) the same grammar")
     print("compiles cleanly at k=1.")

@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "artifact": ("CompiledLang",),
     "bootstrap": ("bootstrap_check", "langspec_from_node"),
+    "cli": ("run_compile_tests",),
     "compiled": ("CompileResult", "compile_lang"),
     "conflicts": ("ConflictExemplar", "render_conflict_report", "trace_all", "trace_conflict"),
     "datacc": ("DataValue", "DatatypeSchema", "conforms", "debug_print", "downcast", "make_value",
@@ -26,7 +27,7 @@ _EXPORTS = {name: module for module, names in {
                 "lower_precedence"),
     "lexer": ("CompiledLexer", "LexAmbiguity", "LexError", "compile_lexer", "lex",
               "token_bounds_to_linecol"),
-    "lr": ("LrTables", "build_lr", "dump_lr", "first_k", "run_compile_tests"),
+    "lr": ("LrTables", "build_lr", "dump_lr", "first_k"),
     "meta_frontend": ("parse_lang_spec", "validate_spec"),
     "printer": ("pretty_print", "roundtrip_check"),
     "runtime": ("Node", "ParseError", "ParseResult", "location_fmt_str", "node_downcast", "parse",

@@ -13,7 +13,7 @@ import sys
 from typing import List, Optional
 
 from . import datacc
-from .compiled import CompiledLang, compile_lang
+from .compiled import CompiledLang, CompileResult, compile_lang
 from .conflicts import render_conflict_report, trace_all
 from .grammar import derive_ast_schema, dump_grammar
 from .lexer import LexCompileError
@@ -75,6 +75,23 @@ def run_test_stanza(compiled: CompiledLang, tests, report: Optional[TestReport] 
     return report
 
 
+def run_compile_tests(result: CompileResult) -> List[tuple]:
+    """Each compile_test entry with whether it holds: LR(k) iff the grammar
+    is LR(k) conflict-free, which no k below 1 is.  compile_lang stops at
+    the first conflict-free k, so if it is ok every k below k_used had
+    conflicts; any k it did not settle is built."""
+    out = []
+    for decl in result.spec.compile_tests:
+        if decl.k < 1:
+            conflict_free = False
+        elif result.ok and decl.k <= result.k_used:
+            conflict_free = decl.k == result.k_used
+        else:
+            conflict_free = not build_lr(result.cfg, decl.k).conflicts
+        out.append((decl, conflict_free == decl.expect_success))
+    return out
+
+
 def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
                dump_lexer_flag: bool = False, dump_grammar_flag: bool = False,
                dump_lr_flag: bool = False, conflicts_out: Optional[str] = None,
@@ -108,16 +125,19 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
         _err("langcc: --start: %r is not a main nonterminal (mains: %s)"
              % (start, ", ".join(result.cfg.mains)))
         return 2
+    for name in sorted({inst.base for inst in result.tables.unproductive}
+                       & result.cfg.ast_shape.variants.keys()):
+        _err("%s: warning: nonterminal %s derives no terminal string" % (lang_path, name))
 
     if dump_grammar_flag:
         sys.stdout.write(dump_grammar(result.cfg))
     if dump_lexer_flag:
         sys.stdout.write(result.lexer.dump())
-    if dump_lr_flag and result.tables is not None:
+    if dump_lr_flag:
         sys.stdout.write(dump_lr(result.tables))
 
     if not result.ok:
-        exemplars = trace_all(result.tables, result.cfg)
+        exemplars = trace_all(result.tables)
         report = render_conflict_report(exemplars)
         _err(report)
         if conflicts_out:
@@ -147,16 +167,7 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
     status = 0
     if not no_test:
         report = TestReport()
-        for decl in result.spec.compile_tests:
-            # compile_lang tries k = 1, 2, ... and stops at the first
-            # conflict-free k, so every k below k_used had conflicts
-            if decl.k < result.k_used:
-                conflict_free = False
-            elif decl.k == result.k_used:
-                conflict_free = True
-            else:
-                conflict_free = not build_lr(result.cfg, decl.k).conflicts
-            ok = conflict_free == decl.expect_success
+        for decl, ok in run_compile_tests(result):
             report.record(ok, "compile_test %sLR(%d)"
                           % ("" if decl.expect_success else "!", decl.k))
         run_test_stanza(compiled, result.spec.parse_tests, report)

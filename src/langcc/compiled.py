@@ -29,13 +29,14 @@ from .spec_ast import LangSpec, SpecError
 # ---------------------------------------------------------------------------
 # Flattening build products into an artifact
 
-def flatten(cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
-            digest: str) -> CompiledLang:
+def flatten(lexer: CompiledLexer, tables: LrTables, digest: str) -> CompiledLang:
     """The artifact of a conflict-free build: its tables and productions
     turned into lists, and each user variant's field kinds and print
-    template as the lowerer wrote them.  The CompiledLang serves `lexer`
-    itself and the parser rows built beside the action and goto lists, the
-    same as from_json builds from those lists, with none of its checks."""
+    template as the lowerer wrote them (from tables.ig.cfg).  The
+    CompiledLang serves `lexer` itself and the parser rows built beside the
+    action and goto lists, the same as from_json builds from those lists,
+    with none of its checks."""
+    cfg = tables.ig.cfg
     inst_index = {}
 
     def inst_ref(inst) -> str:
@@ -45,11 +46,11 @@ def flatten(cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
 
     prods_json = []
     for p in tables.prods:
-        if p["kind"] == "start":
-            prods_json.append(["start", 1, p["main"]])
+        base = p.base
+        if p.lhs is None:
+            prods_json.append(["start", 1, base.lhs])
             continue
-        base = p["iprod"].base
-        lhs_ref = inst_ref(p["lhs"])
+        lhs_ref = inst_ref(p.lhs)
         display = tables.display_production(len(prods_json))
         if base.kind == "user":
             vk = "::".join((base.lhs,) + base.variant)
@@ -71,8 +72,8 @@ def flatten(cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
     goto_rows = [{} for _ in range(n_states)]
     reduce_cells = [-2 - p for p in range(len(prods))]  # one int per production
 
-    action_json = []
-    for (state, la), acts in sorted(tables.action.items()):
+    action_json = []  # in the tables' order: by state, then lookahead
+    for (state, la), acts in tables.action.items():
         if len(acts) != 1:
             raise SpecError("cannot flatten tables with conflicts")
         tag, arg = acts[0]
@@ -81,12 +82,10 @@ def flatten(cfg: Cfg, lexer: CompiledLexer, tables: LrTables,
             arg if tag == "shift" else -1 if tag == "accept" else reduce_cells[arg])
 
     goto_json = []
-    for (state, key), target in tables.goto.items():
-        if isinstance(key, tuple) and key[0] == "t":
-            goto_json.append([state, "t", key[1], target])
-        else:
-            ref = inst_ref(key)
-            goto_json.append([state, "n", ref, target])
+    for (state, (kind, x)), target in tables.goto.items():
+        ref = x if kind == "t" else inst_ref(x)
+        goto_json.append([state, kind, ref, target])
+        if kind == "n":
             goto_rows[state][ref] = target
     # by state, then nonterminals ("n") before terminals ("t"), then name:
     # no two entries share all three, so the targets are never compared
@@ -162,7 +161,7 @@ def compile_lang(source: str, max_k: int = 2) -> CompileResult:
         if first_tables is None:
             first_tables = tables
         if not tables.conflicts:
-            compiled = flatten(cfg, lexer, tables, source_digest(source))
+            compiled = flatten(lexer, tables, source_digest(source))
             return CompileResult(True, spec, cfg, lexer, tables, k, compiled)
     return CompileResult(False, spec, cfg, lexer, first_tables, 1)
 

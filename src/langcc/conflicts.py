@@ -13,6 +13,11 @@ only where it leads to a lookahead the top state can act on, and its budget
 counts the distinct configurations it pops.  A conflict in a state that no
 input reaches is reported as such, without prefix or completions.  trace_all
 builds the shared shortest-sentence and shortest-path tables once.
+
+Everything here reads the tables alone: goto keys and production right-hand
+sides are instance-grammar symbols, ("t", terminal) or ("n", Inst), and the
+lowered grammar (for the display names of synthesized nonterminals) is
+tables.ig.cfg.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from .grammar import Cfg, Inst
 from .lexer import EOF_TERMINAL
 from .lr import ConflictSite, LrTables
 
@@ -41,10 +45,13 @@ class ConflictExemplar:
 
 
 # ---------------------------------------------------------------------------
-# Shortest sentences per instance
+# Shortest sentences per symbol
 
-def _min_sentences(tables: LrTables) -> Dict[Inst, Tuple[str, ...]]:
-    best: Dict[Inst, Tuple[str, ...]] = {}
+def _min_sentences(tables: LrTables) -> Dict[tuple, Tuple[str, ...]]:
+    """The shortest sentence of each symbol that derives one, the least
+    among equally short ones; a terminal's is itself."""
+    best: Dict[tuple, Tuple[str, ...]] = {
+        sym: (sym[1],) for p in tables.prods for sym in p.rhs if sym[0] == "t"}
 
     def cand_key(words):
         return (len(words), words)
@@ -56,20 +63,18 @@ def _min_sentences(tables: LrTables) -> Dict[Inst, Tuple[str, ...]]:
             words: List[str] = []
             ok = True
             for sym in ip.rhs:
-                if sym[0] == "t":
-                    words.append(sym[1])
-                else:
-                    sub = best.get(sym[1])
-                    if sub is None:
-                        ok = False
-                        break
-                    words.extend(sub)
+                sub = best.get(sym)
+                if sub is None:
+                    ok = False
+                    break
+                words.extend(sub)
             if not ok:
                 continue
             tup = tuple(words)
-            cur = best.get(ip.lhs)
+            lhs = ("n", ip.lhs)
+            cur = best.get(lhs)
             if cur is None or cand_key(tup) < cand_key(cur):
-                best[ip.lhs] = tup
+                best[lhs] = tup
                 changed = True
     return best
 
@@ -80,10 +85,11 @@ def _min_sentences(tables: LrTables) -> Dict[Inst, Tuple[str, ...]]:
 def _shortest_paths(tables: LrTables, sentences):
     """Dijkstra over goto edges from every start state.
 
-    Returns per-state (cost, path) where path is a list of (key, from_state)
-    edges and cost is (terminal count, symbol count, display tuple).
+    Returns per-state (cost, path) where path is a list of (symbol,
+    from_state) edges and cost is (terminal count, symbol count, display
+    tuple).
     """
-    edges: Dict[int, List[Tuple[object, int]]] = {}
+    edges: Dict[int, List[Tuple[tuple, int]]] = {}
     for (state, key), target in tables.goto.items():
         edges.setdefault(state, []).append((key, target))
     for lst in edges.values():
@@ -91,7 +97,7 @@ def _shortest_paths(tables: LrTables, sentences):
 
     INF = (1 << 60, 0, ())
     dist: Dict[int, tuple] = {}
-    back: Dict[int, Tuple[int, object]] = {}
+    back: Dict[int, Tuple[int, tuple]] = {}
     heap = []
     counter = 0
     for m, s in sorted(tables.starts.items()):
@@ -104,10 +110,10 @@ def _shortest_paths(tables: LrTables, sentences):
         if dist.get(state, INF) < d:
             continue
         for key, target in edges.get(state, ()):
-            w = _edge_weight(key, sentences)
-            if w is None:
+            sent = sentences.get(key)
+            if sent is None:  # no input crosses this edge
                 continue
-            nd = (d[0] + w, d[1] + 1, d[2] + (_edge_display(key),))
+            nd = (d[0] + len(sent), d[1] + 1, d[2] + (_edge_display(key),))
             if nd < dist.get(target, INF):
                 dist[target] = nd
                 back[target] = (state, key)
@@ -116,17 +122,8 @@ def _shortest_paths(tables: LrTables, sentences):
     return dist, back
 
 
-def _edge_weight(key, sentences) -> Optional[int]:
-    if isinstance(key, tuple) and key[0] == "t":
-        return 1
-    sent = sentences.get(key)
-    return None if sent is None else len(sent)
-
-
-def _edge_display(key) -> str:
-    if isinstance(key, tuple) and key[0] == "t":
-        return key[1]
-    return key.base
+def _edge_display(sym) -> str:
+    return sym[1] if sym[0] == "t" else sym[1].base
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +206,12 @@ def _next_terminals(tables: LrTables) -> Dict[Tuple[int, tuple], Tuple[str, ...]
 class _TraceContext:
     """What every trace of one table set shares, built once per trace_all."""
 
-    def __init__(self, tables: LrTables, cfg: Cfg):
+    def __init__(self, tables: LrTables):
         self.tables = tables
-        self.cfg = cfg
         self.sentences = _min_sentences(tables)
         self.dist, self.back = _shortest_paths(tables, self.sentences)
-        # production index -> (rhs length, lhs) for the reduces of _complete
-        self.rules = [(len(p["rhs"]), p["lhs"]) for p in tables.prods]
+        # production index -> (rhs length, lhs symbol) for the reduces of _complete
+        self.rules = [(len(p.rhs), ("n", p.lhs)) for p in tables.prods]
         self.next_terminals = _next_terminals(tables)
 
     def path_keys(self, state: int):
@@ -230,19 +226,13 @@ class _TraceContext:
 
     def prefix_terminals(self, state: int) -> List[str]:
         _root, keys = self.path_keys(state)
-        out = []
-        for key in keys:
-            if isinstance(key, tuple) and key[0] == "t":
-                out.append(key[1])
-            else:
-                out.extend(self.sentences.get(key, ("?",)))
-        return out
+        return [t for sym in keys for t in self.sentences.get(sym, ("?",))]
 
 
-def trace_conflict(tables: LrTables, cfg: Cfg, site: ConflictSite,
-                   budget: int = 100_000,
+def trace_conflict(tables: LrTables, site: ConflictSite, budget: int = 100_000,
                    ctx: Optional[_TraceContext] = None) -> ConflictExemplar:
-    ctx = ctx or _TraceContext(tables, cfg)
+    ctx = ctx or _TraceContext(tables)
+    synth_display = tables.ig.cfg.synth_display
     # every goto path to an unreachable state crosses a nonterminal that
     # derives no terminal string: it gets no prefix and no completions
     unreachable = site.state not in ctx.dist
@@ -250,16 +240,12 @@ def trace_conflict(tables: LrTables, cfg: Cfg, site: ConflictSite,
 
     prefix_symbols = []
     prefix_terminals = []
-    for key in path_keys:
-        if isinstance(key, tuple) and key[0] == "t":
-            prefix_symbols.append(key[1])
-            prefix_terminals.append(key[1])
-        else:
-            disp = key.base
-            if disp in cfg.synth_display:
-                disp = "%s=%s" % (disp, cfg.synth_display[disp])
-            prefix_symbols.append(disp)
-            prefix_terminals.append(" ".join(ctx.sentences.get(key, ("?",))))
+    for sym in path_keys:
+        disp = _edge_display(sym)
+        if sym[0] == "n" and disp in synth_display:
+            disp = "%s=%s" % (disp, synth_display[disp])
+        prefix_symbols.append(disp)
+        prefix_terminals.append(" ".join(ctx.sentences.get(sym, ("?",))))
 
     # stack of states along the path, for the completion simulation
     stack = [root]
@@ -310,22 +296,21 @@ def trace_conflict(tables: LrTables, cfg: Cfg, site: ConflictSite,
     )
 
 
-def dedup_sites(tables: LrTables, cfg: Cfg,
-                ctx: Optional[_TraceContext] = None) -> List[ConflictSite]:
+def dedup_sites(tables: LrTables, ctx: Optional[_TraceContext] = None) -> List[ConflictSite]:
     """One representative site per distinct competing-action pair.
 
     Raw sites repeat per state and lookahead; rendered as exemplars that is
     noise, not information.  The earliest state (BFS numbering, so shortest
     access path) represents each group; among its lookaheads, one already
     occurring in the access prefix reads best (id `+` id with lookahead `+`),
-    falling back to the smallest.  ctx, the trace context of tables and cfg,
-    is built here if not given."""
+    falling back to the smallest.  ctx, the trace context of tables, is
+    built here if not given."""
     by_pair: Dict[tuple, List[ConflictSite]] = {}
     for site in tables.conflicts:
         key = tuple(tables.display_action(a) for a in site.actions)
         by_pair.setdefault(key, []).append(site)
     if ctx is None:
-        ctx = _TraceContext(tables, cfg)
+        ctx = _TraceContext(tables)
     out = []
     for key in sorted(by_pair):
         sites = by_pair[key]
@@ -342,10 +327,9 @@ def dedup_sites(tables: LrTables, cfg: Cfg,
     return out
 
 
-def trace_all(tables: LrTables, cfg: Cfg, budget: int = 100_000) -> List[ConflictExemplar]:
-    ctx = _TraceContext(tables, cfg)
-    return [trace_conflict(tables, cfg, site, budget, ctx)
-            for site in dedup_sites(tables, cfg, ctx)]
+def trace_all(tables: LrTables, budget: int = 100_000) -> List[ConflictExemplar]:
+    ctx = _TraceContext(tables)
+    return [trace_conflict(tables, site, budget, ctx) for site in dedup_sites(tables, ctx)]
 
 
 # ---------------------------------------------------------------------------

@@ -517,7 +517,7 @@ class Inst:
 @dataclass(frozen=True)
 class IProd:
     ipid: int
-    lhs: Inst
+    lhs: Optional[Inst]  # None only for lr's start productions
     rhs: Tuple[tuple, ...]
     base: Production
 

@@ -34,15 +34,18 @@ reached nonterminal and each of its lookaheads w beside the kernel items,
 are built only when LrTables.states is read item by item (dump_lr, tests).
 Compiling, tracing conflicts and counting states use the kernels, gotos and
 actions alone.
+
+LrTables is put in the instance grammar's own terms (IProd productions,
+goto keys that are rhs symbols), so its readers take the tables alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .grammar import Cfg, InstGrammar, expand_instances
+from .grammar import Cfg, Inst, InstGrammar, IProd, Production, Slot, expand_instances
 from .lexer import EOF_TERMINAL
 
 
@@ -104,30 +107,40 @@ class _ClosedStates(Sequence):
 class LrTables:
     """The canonical LR(k) automaton of a grammar.
 
+    `prods` is ig.iprods followed by one start production per main: an
+    IProd whose lhs is None, whose rhs is the main's instance and whose
+    base is a Production of kind "start" (pid -1) with the main as its lhs
+    and its one slot.  A production number is an index into `prods`.
+
     `states` holds each state's closed item set, a frozenset of (production,
     dot, lookahead), read-only and built on first access to an item set;
-    len(states) is the state count and builds none.  Everything else is
-    filled by the construction."""
+    len(states) is the state count and builds none.
+
+    `action` maps (state, lookahead) to the cell's actions, one unless the
+    cell is a conflict, with its keys inserted in sorted order: by state,
+    then by lookahead.  `goto` maps (state, symbol) to the target state,
+    the symbol as in an IProd's rhs.  `unproductive` holds the instances
+    that derive no terminal string, which do not depend on k."""
 
     k: int
     ig: InstGrammar
-    prods: List[dict]  # unified production table (iprods + starts)
+    prods: List[IProd]
     states: Sequence[frozenset]
     action: Dict[Tuple[int, tuple], Tuple[tuple, ...]]
-    goto: Dict[Tuple[int, object], int]
+    goto: Dict[Tuple[int, tuple], int]
     starts: Dict[str, int]
     conflicts: List[ConflictSite]
+    unproductive: FrozenSet[Inst]
 
     def actions_at(self, state: int, la: tuple) -> Tuple[tuple, ...]:
         return self.action.get((state, la), ())
 
     def display_production(self, pi: int) -> str:
         p = self.prods[pi]
-        if p["kind"] == "start":
-            return "%s' -> %s" % (p["main"], p["main"])
-        base = p["iprod"].base
+        base = p.base
         rhs = " ".join(s.symbol for s in base.slots)
-        return "%s -> %s" % (base.lhs, rhs if base.slots else "%empty")
+        return "%s%s -> %s" % (base.lhs, "'" if p.lhs is None else "",
+                               rhs if base.slots else "%empty")
 
     def display_action(self, a: tuple) -> str:
         if a[0] == "shift":
@@ -141,19 +154,13 @@ class LrTables:
 
 class _Builder:
     def __init__(self, cfg: Cfg, k: int):
-        self.cfg = cfg
         self.k = k
         self.ig = expand_instances(cfg)
 
-        self.prods: List[dict] = []
-        for ip in self.ig.iprods:
-            self.prods.append({"kind": "prod", "lhs": ip.lhs, "rhs": ip.rhs, "iprod": ip})
-        self.aug_of: Dict[str, int] = {}
-        for m in cfg.mains:
-            inst = self.ig.start_insts[m]
-            self.aug_of[m] = len(self.prods)
-            self.prods.append({"kind": "start", "lhs": None, "main": m,
-                               "rhs": (("n", inst),)})
+        self.prods = self.ig.iprods + [
+            IProd(pi, None, (("n", self.ig.start_insts[m]),),
+                  Production(-1, m, (Slot(m, False),), "start"))
+            for pi, m in enumerate(cfg.mains, len(self.ig.iprods))]
 
         # lookahead k-tuples, interned: bit b of a mask stands for lookaheads[b]
         self.lookaheads: List[tuple] = []
@@ -168,8 +175,7 @@ class _Builder:
                            for t in sorted(cfg.terminals | {EOF_TERMINAL})}
         self.first = self._fixpoint()
         # goto keys (terminals and nonterminals) as ranks in goto order
-        keys = {sym if sym[0] == "t" else sym[1] for p in self.prods for sym in p["rhs"]}
-        self.keys = sorted(keys, key=_sym_sort_key)
+        self.keys = sorted({sym for p in self.prods for sym in p.rhs}, key=_sym_sort_key)
         rank_of = {key: r for r, key in enumerate(self.keys)}
 
         # What the core (production, dot) does, per production and dot: None
@@ -181,17 +187,12 @@ class _Builder:
         self.end_act: List[tuple] = []
         self.steps: List[List[tuple]] = []
         for pi, p in enumerate(self.prods):
-            rhs = p["rhs"]
-            self.end_act.append(("accept", p["main"]) if p["kind"] == "start"
-                                else ("reduce", pi))
-            tails = self._tails(rhs)
+            self.end_act.append(("accept", p.base.lhs) if p.lhs is None else ("reduce", pi))
+            tails = self._tails(p.rhs)
             row = []
-            for dot, sym in enumerate(rhs):
-                if sym[0] == "t":
-                    key, n, tail = sym, -1, dot
-                else:
-                    key, n, tail = sym[1], self.nt_of[sym[1]], dot + 1
-                row.append(((pi, dot + 1), rank_of[key], n, tails[tail]))
+            for dot, sym in enumerate(p.rhs):
+                n, tail = (-1, dot) if sym[0] == "t" else (self.nt_of[sym[1]], dot + 1)
+                row.append(((pi, dot + 1), rank_of[sym], n, tails[tail]))
             row.append(None)
             self.steps.append(row)
 
@@ -354,7 +355,7 @@ class _Builder:
         after, las = self._after, self.lookaheads
         kernels: List[frozenset] = []
         state_of: Dict[frozenset, int] = {}  # kernel -> state
-        goto: Dict[Tuple[int, object], int] = {}
+        goto: Dict[Tuple[int, tuple], int] = {}
         action: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
         conflicts: List[ConflictSite] = []
         starts: Dict[str, int] = {}
@@ -368,8 +369,8 @@ class _Builder:
             return got
 
         eof = self._mask([(EOF_TERMINAL,) * k])
-        for m in self.cfg.mains:
-            starts[m] = ensure_state(frozenset([((self.aug_of[m], 0), eof)]))
+        for p in self.prods[len(self.ig.iprods):]:
+            starts[p.base.lhs] = ensure_state(frozenset([((p.ipid, 0), eof)]))
 
         idx = 0
         while idx < len(kernels):
@@ -411,7 +412,19 @@ class _Builder:
             idx += 1
 
         return LrTables(k, self.ig, self.prods, _ClosedStates(kernels, self._items),
-                        action, goto, starts, conflicts)
+                        action, goto, starts, conflicts, _unproductive(self.ig))
+
+
+def _unproductive(ig: InstGrammar) -> FrozenSet[Inst]:
+    """The instances that derive no terminal string (FIRST_k cannot tell).
+    An instance comes before those it reaches, so each pass walks back."""
+    productive: Set[Inst] = set()
+    size = -1
+    while size < len(productive):
+        size = len(productive)
+        productive.update(ip.lhs for ip in reversed(ig.iprods) if ip.lhs not in productive
+                          and all(sym[0] == "t" or sym[1] in productive for sym in ip.rhs))
+    return frozenset(ig.insts) - productive
 
 
 def _extend(partial: frozenset, las, k: int) -> Set[tuple]:
@@ -428,10 +441,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _sym_sort_key(key):
-    if isinstance(key, tuple) and key and key[0] == "t":
-        return (0, key[1], "", 0)
-    return (1, key.base, ",".join(sorted(key.reqs)), key.bound)
+def _sym_sort_key(sym):
+    if sym[0] == "t":
+        return (0, sym[1], "", 0)
+    inst = sym[1]
+    return (1, inst.base, ",".join(sorted(inst.reqs)), inst.bound)
 
 
 _ACT_ORDER = {"reduce": 0, "shift": 1, "accept": 2}
@@ -446,16 +460,6 @@ def build_lr(cfg: Cfg, k: int) -> LrTables:
     if k < 1:
         raise ValueError("k must be >= 1")
     return _Builder(cfg, k).build()
-
-
-def run_compile_tests(spec, cfg: Cfg):
-    """Evaluate the compile_test stanza: LR(k) passes iff conflict-free."""
-    results = []
-    for decl in spec.compile_tests:
-        tables = build_lr(cfg, decl.k) if decl.k >= 1 else None
-        ok = tables is not None and not tables.conflicts
-        results.append((decl, ok == decl.expect_success))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +477,9 @@ def dump_lr(tables: LrTables) -> str:
         out.append("state %d:%s" % (idx, mark))
         for pi, dot, la in sorted(items):
             p = tables.prods[pi]
-            syms = [s[1] if s[0] == "t" else s[1].base for s in p["rhs"]]
+            syms = [s[1] if s[0] == "t" else s[1].base for s in p.rhs]
             syms.insert(dot, ".")
-            lhs = p["lhs"].base if p["lhs"] is not None else p["main"] + "'"
+            lhs = p.lhs.base if p.lhs is not None else p.base.lhs + "'"
             out.append("    %s -> %s , %s" % (lhs, " ".join(syms), " ".join(la)))
         for la, actions in sorted(cells.get(idx, ())):
             for a in actions:

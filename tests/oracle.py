@@ -342,11 +342,11 @@ def _step(tables, stack: tuple, la: tuple, act: tuple):
         return (stack + (act[1],), True, False)
     if tag == "reduce":
         prod = tables.prods[act[1]]
-        n = len(prod["rhs"])
+        n = len(prod.rhs)
         if len(stack) <= n:
             return (None, False, False)
         rest = stack[: len(stack) - n]
-        target = tables.goto.get((rest[-1], prod["lhs"]))
+        target = tables.goto.get((rest[-1], ("n", prod.lhs)))
         return (None if target is None else rest + (target,), False, False)
     if tag == "accept":
         return (stack, False, True)
@@ -1598,8 +1598,7 @@ def reference_lr(cfg: Cfg, k: int):
         for pi, dot, la in sorted(states[idx]):
             rhs = rhss[pi]
             if dot < len(rhs):
-                key = rhs[dot][1] if rhs[dot][0] == "n" else rhs[dot]
-                by_symbol.setdefault(key, []).append((pi, dot + 1, la))
+                by_symbol.setdefault(rhs[dot], []).append((pi, dot + 1, la))
         for key in sorted(by_symbol, key=_sym_sort_key):
             goto[(idx, key)] = ensure_state(by_symbol[key])
         idx += 1

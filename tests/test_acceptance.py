@@ -39,7 +39,7 @@ def test_criterion_1_calc_pipeline(calc):
 
 def test_criterion_2_conflict_exemplar(calc_noprec):
     assert not calc_noprec.ok
-    exemplars = langcc.trace_all(calc_noprec.tables, calc_noprec.cfg)
+    exemplars = langcc.trace_all(calc_noprec.tables)
     report = langcc.render_conflict_report(exemplars)
     target = [e for e in exemplars
               if e.action_left == "Reduce(Expr -> Expr X0 Expr)"
@@ -53,9 +53,8 @@ def test_criterion_2_conflict_exemplar(calc_noprec):
 
 
 def test_criterion_3_lrk_discrimination(ab_eps):
-    spec = ab_eps.spec
     results = dict()
-    for decl, passed in langcc.run_compile_tests(spec, ab_eps.cfg):
+    for decl, passed in langcc.run_compile_tests(ab_eps):
         results[(decl.k, decl.expect_success)] = passed
     ok = results.get((1, False)) and results.get((2, True))
     from conftest import GOLDEN

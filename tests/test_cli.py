@@ -10,6 +10,7 @@ from langcc.spec_ast import Loc, SpecError
 
 from conftest import GRAMMARS, load_grammar
 from test_conflicts import UNREACHABLE_CONFLICTS
+from test_lr import _UNPRODUCTIVE, _small_source
 
 
 def _lang(tmp_path, name="calc.lang"):
@@ -274,14 +275,17 @@ def test_compile_test_builds_k_above_k_used(tmp_path, capsys, monkeypatch):
 tokens { top <= `a`; }
 lexer { main { body } mode body { top => { emit; } eof => { pop; } } }
 parser { main { S } S.One <- `a`; }
-compile_test { LR(1); LR(2); }
+compile_test { LR(0); !LR(0); LR(1); LR(2); }
 """)
     calls = _count_cli_build_lr(monkeypatch)
-    assert cmd_langcc(str(lang), str(tmp_path)) == 0
-    assert calls == [2]
+    assert cmd_langcc(str(lang), str(tmp_path)) == 1
+    assert calls == [2]  # no k below 1 is built: it is never conflict-free
     err = capsys.readouterr().err
+    assert "FAIL: compile_test LR(0)" in err
+    assert "pass: compile_test !LR(0)" in err
     assert "pass: compile_test LR(1)" in err
     assert "pass: compile_test LR(2)" in err
+    assert "langcc: 1 embedded test(s) failed" in err
 
 
 # the SHA-256 of each conflict report, as pinned by the benchmark
@@ -302,8 +306,35 @@ def test_conflict_reports_match_pins(tmp_path, capsys, name, max_k, sha256):
     out = tmp_path / "report.txt"
     assert cmd_langcc(str(lang), str(tmp_path), max_k=max_k, conflicts_out=str(out)) == 1
     report = out.read_text(encoding="utf-8")
-    assert report in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert report in err
+    assert "warning:" not in err
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == sha256
+
+
+def test_unproductive_nonterminal_warns(tmp_path, capsys):
+    lang = tmp_path / "unprod.lang"
+    lang.write_text(_small_source(["    S.P0 <- `a` B;", "    S.P1 <- `b`;",
+                                   "    B.P2 <- B `a`;"]))
+    assert cmd_langcc(str(lang), str(tmp_path)) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert "%s: warning: nonterminal B derives no terminal string\n" % lang in err
+    assert (tmp_path / "unprod.clang").exists()
+
+
+def test_unproductive_conflicted_grammar_warns_and_reports_as_before(tmp_path, capsys):
+    lang = tmp_path / "unprod.lang"
+    lang.write_text(_UNPRODUCTIVE)
+    out = tmp_path / "report.txt"
+    assert cmd_langcc(str(lang), str(tmp_path), conflicts_out=str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("%s: warning: nonterminal B derives no terminal string\n"
+                          "%s: warning: nonterminal S derives no terminal string\n" % (lang, lang))
+    assert err.count("warning:") == 2
+    report = out.read_text(encoding="utf-8")
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == (
+        "a32ac509776fab843da1fee521e8b4dc2afded75baa5edafc2a9b582e03a0b56")
 
 
 # the SHA-256 of each conflict-free fixture's .clang, as pinned by the
@@ -322,8 +353,9 @@ AST_SCHEMA_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(CLANG_PINS))
-def test_fixture_artifacts_match_pins(tmp_path, name):
+def test_fixture_artifacts_match_pins(tmp_path, capsys, name):
     assert cmd_langcc(str(GRAMMARS / name), str(tmp_path), no_test=True) == 0
+    assert "warning:" not in capsys.readouterr().err
     stem = name[:-len(".lang")]
     for suffix, sha256 in [(".clang", CLANG_PINS[name]),
                            (".ast.schema", AST_SCHEMA_SHA256[name])]:

@@ -19,14 +19,12 @@ from test_lr import _small_grammars
 
 def _tables(name, k=1):
     spec = parse_lang_spec(load_grammar(name))
-    cfg = lower_grammar(spec)
-    cfg = lower_precedence(spec, cfg)
-    return cfg, build_lr(cfg, k)
+    return build_lr(lower_precedence(spec, lower_grammar(spec)), k)
 
 
 def test_calc_noprec_exemplar_matches_worked_example():
-    cfg, tables = _tables("calc_noprec.lang")
-    exemplars = trace_all(tables, cfg)
+    tables = _tables("calc_noprec.lang")
+    exemplars = trace_all(tables)
     ex = [e for e in exemplars if e.action_left == "Reduce(Expr -> Expr X0 Expr)"][0]
     assert ex.prefix_symbols == ["Expr", "X0=(`+` | `-`)", "Expr"]
     assert ex.prefix_terminals == ["id", "`+`", "id"]
@@ -38,8 +36,8 @@ def test_calc_noprec_exemplar_matches_worked_example():
 
 
 def test_ab_eps_exemplar():
-    cfg, tables = _tables("ab_eps.lang")
-    exemplars = trace_all(tables, cfg)
+    tables = _tables("ab_eps.lang")
+    exemplars = trace_all(tables)
     assert len(exemplars) == 1
     ex = exemplars[0]
     assert ex.prefix_symbols == []
@@ -60,11 +58,11 @@ def _reduce_closure(tables, stacks, la_choices):
                 if act[0] != "reduce":
                     continue
                 prod = tables.prods[act[1]]
-                n = len(prod["rhs"])
+                n = len(prod.rhs)
                 if n >= len(stack):
                     continue
                 rest = stack[: len(stack) - n]
-                target = tables.goto.get((rest[-1], prod["lhs"]))
+                target = tables.goto.get((rest[-1], ("n", prod.lhs)))
                 if target is None:
                     continue
                 ns = rest + (target,)
@@ -85,9 +83,9 @@ def _consume(tables, stacks, tok):
 
 
 def test_prefix_replay_reaches_conflict_state():
-    cfg, tables = _tables("calc_noprec.lang")
-    for site in dedup_sites(tables, cfg):
-        ex = trace_conflict(tables, cfg, site)
+    tables = _tables("calc_noprec.lang")
+    for site in dedup_sites(tables):
+        ex = trace_conflict(tables, site)
         toks = []
         for cell in ex.prefix_terminals:
             toks.extend(t for t in cell.split(" ") if t)
@@ -103,11 +101,11 @@ def test_minimality_no_shorter_prefix():
     """Exhaustive BFS over shorter terminal strings: none reaches the site."""
     import itertools
 
-    cfg, tables = _tables("calc_noprec.lang")
-    terminals = sorted(cfg.terminals)
+    tables = _tables("calc_noprec.lang")
+    terminals = sorted(tables.ig.cfg.terminals)
     la_all = [(t,) for t in terminals] + [(EOF_TERMINAL,)]
-    for site in dedup_sites(tables, cfg):
-        ex = trace_conflict(tables, cfg, site)
+    for site in dedup_sites(tables):
+        ex = trace_conflict(tables, site)
         total = sum(len([t for t in cell.split(" ") if t])
                     for cell in ex.prefix_terminals)
         if total == 0:
@@ -128,32 +126,32 @@ def test_render_zero_exemplars_empty():
 
 
 def test_render_headers_and_action_row():
-    cfg, tables = _tables("calc_noprec.lang")
-    exemplars = trace_all(tables, cfg)
+    tables = _tables("calc_noprec.lang")
+    exemplars = trace_all(tables)
     report = render_conflict_report(exemplars[:2])
     assert "===== LR conflict 1 of 2" in report
     assert "===== LR conflict 2 of 2" in report
-    cfg1, t1 = _tables("calc_noprec.lang")
-    single = render_conflict_report(trace_all(t1, cfg1)[:1])
+    t1 = _tables("calc_noprec.lang")
+    single = render_conflict_report(trace_all(t1)[:1])
     assert "===== LR conflict 1 of 1" in single
 
 
 def test_reduce_and_shift_share_a_row():
-    cfg, tables = _tables("calc_noprec.lang")
-    report = render_conflict_report(trace_all(tables, cfg))
+    tables = _tables("calc_noprec.lang")
+    report = render_conflict_report(trace_all(tables))
     line = [l for l in report.split("\n") if "Reduce(Expr -> Expr X0 Expr)" in l][0]
     assert "Shift" in line
 
 
 def test_no_conflicts_no_sites():
-    cfg, tables = _tables("calc.lang")
-    assert dedup_sites(tables, cfg) == []
+    tables = _tables("calc.lang")
+    assert dedup_sites(tables) == []
 
 
 def test_budget_exceeded_reported_not_dropped():
-    cfg, tables = _tables("calc_noprec.lang")
-    site = dedup_sites(tables, cfg)[0]
-    ex = trace_conflict(tables, cfg, site, budget=1)
+    tables = _tables("calc_noprec.lang")
+    site = dedup_sites(tables)[0]
+    ex = trace_conflict(tables, site, budget=1)
     assert ex.budget_exceeded
     assert "<budget exceeded>" in ex.completion_left + ex.completion_right
     report = render_conflict_report([ex])
@@ -166,46 +164,46 @@ def test_terminal_rows_derive_from_symbol_rows():
     from langcc.conflicts import _TraceContext
     from oracle import earley_accepts
 
-    cfg, tables = _tables("calc_noprec.lang")
-    ctx = _TraceContext(tables, cfg)
-    for site in dedup_sites(tables, cfg):
-        ex = trace_conflict(tables, cfg, site, ctx=ctx)
+    tables = _tables("calc_noprec.lang")
+    ctx = _TraceContext(tables)
+    for site in dedup_sites(tables):
+        ex = trace_conflict(tables, site, ctx=ctx)
         _root, keys = ctx.path_keys(site.state)
         assert len(keys) == len(ex.prefix_terminals)
         for key, cell in zip(keys, ex.prefix_terminals):
             toks = [t for t in cell.split(" ") if t]
-            if isinstance(key, tuple) and key[0] == "t":
+            if key[0] == "t":
                 assert toks == [key[1]]
             else:
-                assert earley_accepts(tables.ig, key, toks), (key, toks)
+                assert earley_accepts(tables.ig, key[1], toks), (key, toks)
 
 
 def test_trace_all_builds_one_context(monkeypatch):
     built = []
 
     class Counted(conflicts._TraceContext):
-        def __init__(self, tables, cfg):
+        def __init__(self, tables):
             built.append(tables)
-            super().__init__(tables, cfg)
+            super().__init__(tables)
 
     monkeypatch.setattr(conflicts, "_TraceContext", Counted)
     for name, k in (("calc_noprec.lang", 1), ("calc_noprec.lang", 2), ("ab_eps.lang", 1)):
-        cfg, tables = _tables(name, k)
+        tables = _tables(name, k)
         built.clear()
-        assert trace_all(tables, cfg)
+        assert trace_all(tables)
         assert built == [tables]
 
 
 def test_dedup_sites_with_or_without_context():
-    cfg, tables = _tables("calc_noprec.lang")
-    ctx = conflicts._TraceContext(tables, cfg)
-    assert dedup_sites(tables, cfg) == dedup_sites(tables, cfg, ctx)
+    tables = _tables("calc_noprec.lang")
+    ctx = conflicts._TraceContext(tables)
+    assert dedup_sites(tables) == dedup_sites(tables, ctx)
 
 
 def test_next_terminals_are_the_lookahead_continuations():
     for name, k in (("calc_noprec.lang", 1), ("calc_noprec.lang", 2), ("ab_eps.lang", 2)):
-        cfg, tables = _tables(name, k)
-        nexts = conflicts._TraceContext(tables, cfg).next_terminals
+        tables = _tables(name, k)
+        nexts = conflicts._TraceContext(tables).next_terminals
         las = {}
         for state, la in tables.action:
             las.setdefault(state, []).append(la)
@@ -239,9 +237,8 @@ parser {
 
 def test_conflict_no_input_reaches_is_reported_unreachable():
     spec = parse_lang_spec(UNREACHABLE_CONFLICTS)
-    cfg = lower_precedence(spec, lower_grammar(spec))
-    tables = build_lr(cfg, 1)
-    exemplars = trace_all(tables, cfg)
+    tables = build_lr(lower_precedence(spec, lower_grammar(spec)), 1)
+    exemplars = trace_all(tables)
     assert exemplars and all(ex.unreachable for ex in exemplars)
     ex = exemplars[0]
     assert (ex.prefix_symbols, ex.action_left, ex.action_right) == (
@@ -275,10 +272,10 @@ def _reference_search(ctx, stack, queue, budget, pops):
                                      heappop=_counting_pops(lambda e: e[3], pops))
     with mock.patch.object(oracle, "heapq", counting):
         return oracle.reference_complete(ctx.tables, stack, queue, budget,
-                                         sorted(ctx.cfg.terminals))
+                                         sorted(ctx.tables.ig.cfg.terminals))
 
 
-def _trace_with(search, tables, cfg, budget):
+def _trace_with(search, tables, budget):
     """The report of trace_all with `search` as its completion search, and
     per search (suffix, distinct configurations popped)."""
     searches = []
@@ -290,7 +287,7 @@ def _trace_with(search, tables, cfg, budget):
         return suffix
 
     with mock.patch.object(conflicts, "_complete", complete):
-        report = render_conflict_report(trace_all(tables, cfg, budget))
+        report = render_conflict_report(trace_all(tables, budget))
     return report, searches
 
 
@@ -304,8 +301,8 @@ def test_completion_search_matches_reference(source):
         if not tables.conflicts:
             continue
         for budget in (5, 50, 2000):
-            report, searches = _trace_with(_new_search, tables, cfg, budget)
-            want, ref_searches = _trace_with(_reference_search, tables, cfg, budget)
+            report, searches = _trace_with(_new_search, tables, budget)
+            want, ref_searches = _trace_with(_reference_search, tables, budget)
             assert len(searches) == len(ref_searches)
             for (suffix, pops), (ref_suffix, ref_pops) in zip(searches, ref_searches):
                 assert pops <= ref_pops

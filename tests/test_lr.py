@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from langcc import (
-    build_lr, dump_lr, expand_instances, first_k, lower_grammar,
+    build_lr, compile_lang, dump_lr, expand_instances, first_k, lower_grammar,
     lower_precedence, parse_lang_spec, run_compile_tests,
 )
 from langcc import lr
 from langcc.cli import cmd_langcc
+from langcc.conflicts import _min_sentences
 from langcc.lr import _act_sort_key
 
 from conftest import GOLDEN, GRAMMARS, load_grammar
@@ -102,20 +103,20 @@ def test_noprec_reduce_shift_conflict_on_plus():
 
 
 def test_ambiguous_grammar_conflicts_at_k2_too():
-    spec, cfg = _cfg("calc_noprec.lang")
+    _, cfg = _cfg("calc_noprec.lang")
     assert build_lr(cfg, 2).conflicts
     results = dict()
-    for decl, ok in run_compile_tests(spec, cfg):
+    for decl, ok in run_compile_tests(compile_lang(load_grammar("calc_noprec.lang"))):
         results[(decl.k, decl.expect_success)] = ok
     assert results[(1, False)] and results[(2, False)]
 
 
 def test_ab_eps_k_discrimination():
-    spec, cfg = _cfg("ab_eps.lang")
+    _, cfg = _cfg("ab_eps.lang")
     t1 = build_lr(cfg, 1)
     t2 = build_lr(cfg, 2)
     assert len(t1.conflicts) == 1 and t2.conflicts == []
-    for decl, ok in run_compile_tests(spec, cfg):
+    for decl, ok in run_compile_tests(compile_lang(load_grammar("ab_eps.lang"))):
         assert ok
 
 
@@ -139,11 +140,7 @@ def test_ab_eps_hand_constructed_item_sets():
     start = tables.states[tables.starts["S"]]
     rendered = set()
     for pi, dot, la in start:
-        p = tables.prods[pi]
-        if p["kind"] == "start":
-            head = "S' -> S"
-        else:
-            head = disp[pi]
+        head = "S' -> S" if tables.prods[pi].lhs is None else disp[pi]
         rendered.add((head, dot, la))
     assert rendered == {
         ("S' -> S", 0, ("$", "$")),
@@ -173,8 +170,10 @@ def test_ab_eps_lr2_dump_matches_golden():
 ])
 def test_dump_lr_pinned(name, k, sha256):
     _, cfg = _cfg(name)
-    dump = dump_lr(build_lr(cfg, k))
-    assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == sha256
+    tables = build_lr(cfg, k)
+    assert hashlib.sha256(dump_lr(tables).encode("utf-8")).hexdigest() == sha256
+    # flatten writes the action cells in the order the builder inserted them
+    assert list(tables.action) == sorted(tables.action)
 
 
 def test_full_lr_lookaheads_part_of_state_identity():
@@ -385,6 +384,7 @@ def test_construction_matches_per_item_reference(source):
         assert list(tables.states) == states
         assert tables.goto == goto
         assert {key: set(acts) for key, acts in tables.action.items()} == action
+        assert list(tables.action) == sorted(tables.action)
         want = [(st, la, tuple(sorted(action[(st, la)], key=_act_sort_key)))
                 for st, la in sorted(action) if len(action[(st, la)]) > 1]
         assert [(c.state, c.lookahead, c.actions) for c in tables.conflicts] == want
@@ -410,7 +410,7 @@ def _assert_first_matches_first_k(cfg, k):
     # and each step's FIRST: of what follows a nonterminal, or of a
     # terminal and what follows it
     for pi, row in enumerate(b.steps):
-        rhs = b.prods[pi]["rhs"]
+        rhs = b.prods[pi].rhs
         for dot, step in enumerate(row[:-1]):
             tail = rhs[dot:] if rhs[dot][0] == "t" else rhs[dot + 1:]
             full, partial = fk.beta_first(tail)
@@ -430,3 +430,29 @@ def test_first_masks_match_first_k_on_fixtures(name, k):
 def test_first_masks_match_first_k_on_small_grammars(k, source):
     spec = parse_lang_spec(source)
     _assert_first_matches_first_k(lower_precedence(spec, lower_grammar(spec)), k)
+
+
+# ---------------------------------------------------------------------------
+# Nonterminals that derive no terminal string
+
+@pytest.mark.parametrize("source, want", [
+    (_UNPRODUCTIVE, {"B", "S"}),
+    # B begins with a complete 1-tuple before C, but with no 2-tuple
+    (_small_source(["    S.P0 <- `b`;", "    S.P1 <- `a` B;", "    B.P2 <- `a` C;",
+                    "    C.P3 <- C `a`;"]), {"B", "C"}),
+], ids=["main_through_unproductive", "complete_prefix_before_unproductive"])
+def test_unproductive_is_the_same_at_every_k(source, want):
+    spec = parse_lang_spec(source)
+    cfg = lower_precedence(spec, lower_grammar(spec))
+    for k in (1, 2, 3):
+        assert {inst.base for inst in build_lr(cfg, k).unproductive} == want, k
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_grammars())
+def test_unproductive_are_the_instances_with_no_shortest_sentence(source):
+    spec = parse_lang_spec(source)
+    tables = build_lr(lower_precedence(spec, lower_grammar(spec)), 1)
+    sentences = _min_sentences(tables)
+    assert tables.unproductive == {inst for inst in tables.ig.insts
+                                   if ("n", inst) not in sentences}
