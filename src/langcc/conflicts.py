@@ -10,9 +10,11 @@ completion per action, sharing the conflict lookahead.  Paths start at the
 automaton's start states, and completions are simulated with its three action
 kinds, Shift, Reduce and Accept.  The completion search appends a terminal
 only where it leads to a lookahead the top state can act on, and its budget
-counts the distinct configurations it pops.  A conflict in a state that no
-input reaches is reported as such, without prefix or completions.  trace_all
-builds the shared shortest-sentence and shortest-path tables once.
+counts the distinct configurations it pops; a search that runs out of
+configurations without reaching Accept reports no completion, not an
+exceeded budget.  A conflict in a state that no input reaches is reported
+as such, without prefix or completions.  trace_all builds the shared
+shortest-sentence and shortest-path tables once.
 
 Everything here reads the tables alone: goto keys and production right-hand
 sides are instance-grammar symbols, ("t", terminal) or ("n", Inst), and the
@@ -129,6 +131,9 @@ def _edge_display(sym) -> str:
 # ---------------------------------------------------------------------------
 # Completion search
 
+_NO_COMPLETION = ["<no completion>"]  # _complete's answer when no input reaches Accept
+
+
 def _complete(ctx: _TraceContext, stack: tuple, queue: tuple,
               budget: int) -> Optional[List[str]]:
     """Shortest terminal suffix driving the configuration to Accept.
@@ -139,7 +144,13 @@ def _complete(ctx: _TraceContext, stack: tuple, queue: tuple,
     is expanded only by the terminals that lead to a lookahead its top state
     has an action on (`_TraceContext.next_terminals`): any other choice
     would stop dead at the next pop.  `budget` bounds the distinct
-    configurations popped; None when it runs out.
+    configurations popped; None when it runs out, and _NO_COMPLETION when
+    every configuration is popped and none reaches Accept.
+
+    Stacks are interned as ints, each the id of its top state on the stack
+    below it, so a configuration holds one int however deep its stack.  Id 0
+    is the empty stack: it lies below itself and has no top state (-1), so a
+    reduce that pops past the bottom finds no goto.
     """
     tables = ctx.tables
     k = tables.k
@@ -148,43 +159,59 @@ def _complete(ctx: _TraceContext, stack: tuple, queue: tuple,
     rules = ctx.rules
     next_terminals = ctx.next_terminals
     pop, push = heappop, heappush
+    ids: Dict[Tuple[int, int], int] = {}  # (top state, id below) -> id
+    tops: List[int] = [-1]
+    belows: List[int] = [0]
+
+    def intern(top: int, below: int) -> int:
+        sid = ids.get((top, below))
+        if sid is None:
+            sid = ids[(top, below)] = len(tops)
+            tops.append(top)
+            belows.append(below)
+        return sid
+
+    sid = 0
+    for state in stack:
+        sid = intern(state, sid)
     # entries are (cost, appended, counter, stack, queue); queues never
     # grow past k, so a full queue is the lookahead itself
-    heap = [(0, (), 0, stack, queue)]
+    heap = [(0, (), 0, sid, queue)]
     counter = 1
     seen = set()
     while heap:
-        cost, appended, _c, st, q = pop(heap)
-        if (st, q) in seen:
+        cost, appended, _c, sid, q = pop(heap)
+        if (sid, q) in seen:
             continue
-        seen.add((st, q))
+        seen.add((sid, q))
         if len(seen) > budget:
             return None
+        top = tops[sid]
         if len(q) < k:
-            for t in next_terminals.get((st[-1], q), ()):
+            for t in next_terminals.get((top, q), ()):
                 if t == EOF_TERMINAL:
-                    push(heap, (cost, appended, counter, st, q + (t,)))
+                    push(heap, (cost, appended, counter, sid, q + (t,)))
                 else:
-                    push(heap, (cost + 1, appended + (t,), counter, st, q + (t,)))
+                    push(heap, (cost + 1, appended + (t,), counter, sid, q + (t,)))
                 counter += 1
             continue
-        for act in action.get((st[-1], q), ()):
+        for act in action.get((top, q), ()):
             tag = act[0]
             if tag == "shift":
-                push(heap, (cost, appended, counter, st + (act[1],), q[1:]))
+                push(heap, (cost, appended, counter, intern(act[1], sid), q[1:]))
             elif tag == "reduce":
                 n, lhs = rules[act[1]]
-                if len(st) <= n:
-                    continue
-                rest = st[: len(st) - n]
-                target = goto.get((rest[-1], lhs))
+                rest = sid
+                for _ in range(n):
+                    rest = belows[rest]
+                target = goto.get((tops[rest], lhs))
                 if target is None:
                     continue
-                push(heap, (cost, appended, counter, rest + (target,), q))
+                push(heap, (cost, appended, counter, intern(target, rest), q))
             else:  # accept
                 return list(appended)
             counter += 1
-    return None
+    return _NO_COMPLETION
 
 
 def _next_terminals(tables: LrTables) -> Dict[Tuple[int, tuple], Tuple[str, ...]]:
@@ -278,6 +305,8 @@ def trace_conflict(tables: LrTables, site: ConflictSite, budget: int = 100_000,
         if suffix is None:
             completions.append(["<budget exceeded>"])
             exceeded = True
+        elif suffix is _NO_COMPLETION:
+            completions.append(_NO_COMPLETION)
         else:
             la_shown = [t for t in site.lookahead if t != EOF_TERMINAL]
             completions.append(la_shown + suffix)

@@ -4,8 +4,9 @@ States are closed sets of items (production, dot, k-lookahead); lookaheads
 are part of state identity, so there is no LALR-style merging.  The grammar
 fed to the construction is the constraint-instance expansion, so attribute
 and precedence admissibility are already baked into which productions exist
-for each nonterminal copy.  Every table cell holds Shift, Reduce or Accept
-actions; a cell with more than one is a conflict.
+for each nonterminal copy.  Each state's actions are Shift, Reduce and
+Accept, each with the mask of lookaheads it applies on; a lookahead in two
+masks of one state is a conflict.
 
 Lookaheads are interned: each k-tuple met gets a bit, and a set of
 lookaheads is an int bitmask over those bits.  FIRST_k has one engine for
@@ -33,7 +34,9 @@ The closed item sets, (production, 0, w) for every production of every
 reached nonterminal and each of its lookaheads w beside the kernel items,
 are built only when LrTables.states is read item by item (dump_lr, tests).
 Compiling, tracing conflicts and counting states use the kernels, gotos and
-actions alone.
+actions alone.  Actions stay masks too: the builder finds conflicts by
+AND-ing each state's masks, and the per-lookahead cells of LrTables.action
+are expanded from the masks on its first read (flatten, dump_lr, tracing).
 
 LrTables is put in the instance grammar's own terms (IProd productions,
 goto keys that are rhs symbols), so its readers take the tables alone.
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .grammar import Cfg, Inst, InstGrammar, IProd, Production, Slot, expand_instances
@@ -116,24 +120,40 @@ class LrTables:
     dot, lookahead), read-only and built on first access to an item set;
     len(states) is the state count and builds none.
 
-    `action` maps (state, lookahead) to the cell's actions, one unless the
-    cell is a conflict, with its keys inserted in sorted order: by state,
-    then by lookahead.  `goto` maps (state, symbol) to the target state,
-    the symbol as in an IProd's rhs.  `unproductive` holds the instances
-    that derive no terminal string, which do not depend on k."""
+    `acts[state]` lists the state's (action, mask) pairs, sorted by action;
+    bit b of a mask stands for the lookahead k-tuple `lookaheads[b]`.  Each
+    of `conflicts` is a lookahead bit set in two masks of one state, with
+    the actions of those masks.  `action`, derived from `acts` on its first
+    read, maps (state, lookahead) to the cell's actions, one unless the
+    cell is a conflict, with its keys in sorted order: by state, then by
+    lookahead.  `goto` maps (state, symbol) to the target state, the symbol
+    as in an IProd's rhs.  `unproductive` holds the instances that derive
+    no terminal string, which do not depend on k."""
 
     k: int
     ig: InstGrammar
     prods: List[IProd]
     states: Sequence[frozenset]
-    action: Dict[Tuple[int, tuple], Tuple[tuple, ...]]
+    lookaheads: List[tuple]
+    acts: List[List[Tuple[tuple, int]]]
     goto: Dict[Tuple[int, tuple], int]
     starts: Dict[str, int]
     conflicts: List[ConflictSite]
     unproductive: FrozenSet[Inst]
 
-    def actions_at(self, state: int, la: tuple) -> Tuple[tuple, ...]:
-        return self.action.get((state, la), ())
+    @cached_property
+    def action(self) -> Dict[Tuple[int, tuple], Tuple[tuple, ...]]:
+        las = self.lookaheads
+        action = {}
+        for state, acts in enumerate(self.acts):
+            cells: Dict[int, tuple] = {}  # lookahead bit -> actions
+            for act, mask in acts:
+                one = (act,)
+                for b in _bits(mask):
+                    cells[b] = cells[b] + one if b in cells else one
+            for b in sorted(cells, key=las.__getitem__):
+                action[(state, las[b])] = cells[b]
+        return action
 
     def display_production(self, pi: int) -> str:
         p = self.prods[pi]
@@ -356,7 +376,7 @@ class _Builder:
         kernels: List[frozenset] = []
         state_of: Dict[frozenset, int] = {}  # kernel -> state
         goto: Dict[Tuple[int, tuple], int] = {}
-        action: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
+        state_acts: List[List[Tuple[tuple, int]]] = []
         conflicts: List[ConflictSite] = []
         starts: Dict[str, int] = {}
 
@@ -396,23 +416,19 @@ class _Builder:
                 goto[(idx, keys[rank])] = ensure_state(frozenset(by_rank[rank]))
             for rank, mask in shifts.items():
                 acts.append((("shift", goto[(idx, keys[rank])]), mask))
-            cells: Dict[int, list] = {}  # lookahead bit -> actions
-            for act, mask in acts:
-                for b in _bits(mask):
-                    cells.setdefault(b, []).append(act)
-            for b in sorted(cells, key=las.__getitem__):
-                cell = cells[b]
-                w = las[b]
-                if len(cell) == 1:
-                    action[(idx, w)] = tuple(cell)
-                else:
-                    distinct = tuple(sorted(cell, key=_act_sort_key))
-                    action[(idx, w)] = distinct
-                    conflicts.append(ConflictSite(idx, w, distinct))
+            acts.sort(key=lambda am: _act_sort_key(am[0]))
+            state_acts.append(acts)
+            seen = clash = 0  # lookaheads of the masks so far, and those met twice
+            for _act, mask in acts:
+                clash |= seen & mask
+                seen |= mask
+            for b in sorted(_bits(clash), key=las.__getitem__):
+                conflicts.append(ConflictSite(
+                    idx, las[b], tuple(act for act, mask in acts if mask >> b & 1)))
             idx += 1
 
         return LrTables(k, self.ig, self.prods, _ClosedStates(kernels, self._items),
-                        action, goto, starts, conflicts, _unproductive(self.ig))
+                        las, state_acts, goto, starts, conflicts, _unproductive(self.ig))
 
 
 def _unproductive(ig: InstGrammar) -> FrozenSet[Inst]:
@@ -452,7 +468,7 @@ _ACT_ORDER = {"reduce": 0, "shift": 1, "accept": 2}
 
 
 def _act_sort_key(a):
-    return (_ACT_ORDER[a[0]],) + tuple(str(x) for x in a[1:])
+    return _ACT_ORDER[a[0]], str(a[1])
 
 
 def build_lr(cfg: Cfg, k: int) -> LrTables:

@@ -389,7 +389,7 @@ def reference_complete(tables: LrTables, stack: tuple, queue: tuple, budget: int
                 counter += 1
             continue
         la = q[:k]
-        for act in tables.actions_at(st[-1], la):
+        for act in tables.action.get((st[-1], la), ()):
             ns, consumed, accepted = _step(tables, st, la, act)
             if accepted:
                 return list(appended)

@@ -1,4 +1,6 @@
+import gc
 import heapq
+import tracemalloc
 import types
 from unittest import mock
 
@@ -14,7 +16,7 @@ from langcc.conflicts import dedup_sites
 from langcc.lexer import EOF_TERMINAL
 
 from conftest import load_grammar
-from test_lr import _small_grammars
+from test_lr import _small_grammars, _small_source
 
 
 def _tables(name, k=1):
@@ -54,7 +56,7 @@ def _reduce_closure(tables, stacks, la_choices):
     while work:
         stack = work.pop()
         for la in la_choices:
-            for act in tables.actions_at(stack[-1], la):
+            for act in tables.action.get((stack[-1], la), ()):
                 if act[0] != "reduce":
                     continue
                 prod = tables.prods[act[1]]
@@ -76,7 +78,7 @@ def _consume(tables, stacks, tok):
     """Nondeterministic single-token step: reduce closure, then shift."""
     out = set()
     for stack in _reduce_closure(tables, stacks, [(tok,)]):
-        for act in tables.actions_at(stack[-1], (tok,)):
+        for act in tables.action.get((stack[-1], (tok,)), ()):
             if act[0] == "shift":
                 out.add(stack + (act[1],))
     return out
@@ -156,6 +158,30 @@ def test_budget_exceeded_reported_not_dropped():
     assert "<budget exceeded>" in ex.completion_left + ex.completion_right
     report = render_conflict_report([ex])
     assert "budget exceeded" in report
+
+
+# each A -> A A `b` step deepens the stack, and no completion is short
+_DEEP_STACKS = _small_source(["    S.P0 <- A `c` `b`;", "    S.P1 <- S `a`;",
+                              "    A.P2 <- A A `b`;", "    A.P3 <- eps;", "    A.P4 <- eps;"])
+
+
+def test_completion_search_memory_grows_linearly_with_budget():
+    spec = parse_lang_spec(_DEEP_STACKS)
+    tables = build_lr(lower_precedence(spec, lower_grammar(spec)), 1)
+    trace_all(tables, 10)  # what is built once, outside the measurement
+    peaks = []
+    for budget in (1000, 2000):
+        # a full collection empties the free lists, which would otherwise
+        # serve more of one run's allocations than of the other's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            exemplars = trace_all(tables, budget)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert exemplars and all(ex.budget_exceeded for ex in exemplars)
+    assert peaks[1] < 2.5 * peaks[0], peaks
 
 
 def test_terminal_rows_derive_from_symbol_rows():

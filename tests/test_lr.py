@@ -176,6 +176,16 @@ def test_dump_lr_pinned(name, k, sha256):
     assert list(tables.action) == sorted(tables.action)
 
 
+def test_conflicts_found_without_expanding_action_cells():
+    # conflicts come from the masks; the cells wait for their first reader
+    _, cfg = _cfg("calc_noprec.lang")
+    tables = build_lr(cfg, 2)
+    assert tables.conflicts
+    assert "action" not in vars(tables)
+    assert hashlib.sha256(dump_lr(tables).encode("utf-8")).hexdigest() == (
+        "6df040f67e4d0c08bec790fe162f92024dd0ae174b2ad4cd47d97288711b74c4")
+
+
 def test_full_lr_lookaheads_part_of_state_identity():
     # canonical LR(1) on parens: states whose item cores match but whose
     # lookaheads differ must stay distinct
