@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # exported name -> the module that defines it
 _EXPORTS = {name: module for module, names in {
     "artifact": ("CompiledLang",),
-    "bootstrap": ("bootstrap_check", "langspec_from_node"),
+    "bootstrap": ("bootstrap_check",),
     "cli": ("run_compile_tests",),
     "compiled": ("CompileResult", "compile_lang"),
     "conflicts": ("ConflictExemplar", "render_conflict_report", "trace_all", "trace_conflict"),
@@ -28,7 +28,7 @@ _EXPORTS = {name: module for module, names in {
     "lexer": ("CompiledLexer", "LexAmbiguity", "LexError", "compile_lexer", "lex",
               "token_bounds_to_linecol"),
     "lr": ("LrTables", "build_lr", "dump_lr", "first_k"),
-    "meta_frontend": ("parse_lang_spec", "validate_spec"),
+    "meta_frontend": ("langspec_from_node", "parse_lang_spec", "validate_spec"),
     "printer": ("pretty_print", "roundtrip_check"),
     "runtime": ("Node", "ParseError", "ParseResult", "location_fmt_str", "node_downcast", "parse",
                 "render_node", "validate_node"),

@@ -30,19 +30,45 @@ from .spec_ast import Loc, SpecError
 # ---------------------------------------------------------------------------
 # Schema model
 
-@dataclass(frozen=True)
-class TRef:
+class _TypeNode:
+    """Equality and hashing of type expressions of any depth: == walks
+    both on an explicit stack, and hash reads the rendered text."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, _TypeNode):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ is TRef:
+                if a.name != b.name or len(a.args) != len(b.args):
+                    return False
+                todo.extend(zip(a.args, b.args))
+            else:
+                todo.append((a.elem, b.elem))
+        return True
+
+    def __hash__(self):
+        return hash(render_type(self))
+
+
+@dataclass(frozen=True, eq=False)
+class TRef(_TypeNode):
     name: str
     args: Tuple["TypeExpr", ...] = ()
 
 
-@dataclass(frozen=True)
-class TSeq:
+@dataclass(frozen=True, eq=False)
+class TSeq(_TypeNode):
     elem: "TypeExpr"
 
 
-@dataclass(frozen=True)
-class TOpt:
+@dataclass(frozen=True, eq=False)
+class TOpt(_TypeNode):
     elem: "TypeExpr"
 
 
@@ -224,27 +250,65 @@ class _DataParser:
         return Product(tuple(fields))
 
     def parse_type(self) -> TypeExpr:
-        t = self.peek()
-        if t[:2] == ("punct", "["):
-            self.next()
-            elem = self.parse_type()
-            self.expect("punct", "]")
-            ty: TypeExpr = TSeq(elem)
-        else:
+        """A type expression of any depth, read with an explicit stack of
+        its open brackets: None for a sequence's `[`, or the name and the
+        arguments so far of a type's argument list."""
+        open_brackets: list = []
+        while True:
+            # a type starts: sequence brackets open, then a name
+            while self.peek()[:2] == ("punct", "["):
+                self.next()
+                open_brackets.append(None)
             name = self.expect("id")[1]
-            args: List[TypeExpr] = []
             if self.peek()[:2] == ("punct", "["):
                 self.next()
-                args.append(self.parse_type())
-                while self.peek()[:2] == ("punct", ","):
+                open_brackets.append((name, []))
+                continue
+            ty: TypeExpr = TRef(name, ())
+            # the type ends: `?`s apply, then it closes brackets or, after
+            # a `,`, starts the next argument
+            while True:
+                while self.peek()[:2] == ("punct", "?"):
                     self.next()
-                    args.append(self.parse_type())
+                    ty = TOpt(ty)
+                if not open_brackets:
+                    return ty
+                top = open_brackets[-1]
+                if top is not None:
+                    top[1].append(ty)
+                    if self.peek()[:2] == ("punct", ","):
+                        self.next()
+                        break
                 self.expect("punct", "]")
-            ty = TRef(name, tuple(args))
-        while self.peek()[:2] == ("punct", "?"):
-            self.next()
-            ty = TOpt(ty)
-        return ty
+                open_brackets.pop()
+                ty = TSeq(ty) if top is None else TRef(top[0], tuple(top[1]))
+
+
+def _check_texpr(schema: DatatypeSchema, tmap, te: TypeExpr, params, where):
+    """Check that te's references resolve, each with its arity; in the
+    order of a recursive walk, on an explicit stack."""
+    todo = [te]
+    while todo:
+        te = todo.pop()
+        if isinstance(te, (TSeq, TOpt)):
+            todo.append(te.elem)
+            continue
+        if te.name in params:
+            if te.args:
+                raise SpecError("type parameter %r cannot take arguments (%s)"
+                                % (te.name, where))
+            continue
+        if te.name in BUILTINS:
+            if te.args:
+                raise SpecError("builtin %r takes no arguments (%s)" % (te.name, where))
+            continue
+        if te.name not in tmap:
+            raise SpecError("unresolved type reference %r (%s)" % (te.name, where))
+        want = len(schema.params_of(te.name))
+        if len(te.args) != want:
+            raise SpecError("type %r expects %d argument(s), got %d (%s)"
+                            % (te.name, want, len(te.args), where))
+        todo.extend(reversed(te.args))
 
 
 def _validate_schema(schema: DatatypeSchema):
@@ -256,28 +320,6 @@ def _validate_schema(schema: DatatypeSchema):
                 raise SpecError("duplicate type name %r" % n)
             seen.add(n)
 
-    def check_texpr(te: TypeExpr, params, where):
-        if isinstance(te, (TSeq, TOpt)):
-            check_texpr(te.elem, params, where)
-            return
-        if te.name in params:
-            if te.args:
-                raise SpecError("type parameter %r cannot take arguments (%s)"
-                                % (te.name, where))
-            return
-        if te.name in BUILTINS:
-            if te.args:
-                raise SpecError("builtin %r takes no arguments (%s)" % (te.name, where))
-            return
-        if te.name not in tmap:
-            raise SpecError("unresolved type reference %r (%s)" % (te.name, where))
-        want = len(schema.params_of(te.name))
-        if len(te.args) != want:
-            raise SpecError("type %r expects %d argument(s), got %d (%s)"
-                            % (te.name, want, len(te.args), where))
-        for a in te.args:
-            check_texpr(a, params, where)
-
     def check_def(d: TypeDef, params, where):
         if isinstance(d, Product):
             seen = set()
@@ -285,7 +327,7 @@ def _validate_schema(schema: DatatypeSchema):
                 if fname in seen:
                     raise SpecError("duplicate field %r in %s" % (fname, where))
                 seen.add(fname)
-                check_texpr(fty, params, where + "." + fname)
+                _check_texpr(schema, tmap, fty, params, where + "." + fname)
         else:
             seen = set()
             for cname, cdef in d.cases:
@@ -304,14 +346,37 @@ def parse_data_spec(source: str) -> DatatypeSchema:
     return schema
 
 
-def render_type(te: TypeExpr) -> str:
+def _fold_type(te: TypeExpr, build):
+    """build(t, the values of t's operands) for each node t of te, operands
+    first, on an explicit stack: the value of te."""
+    done: list = []
+    todo: list = [te]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is tuple:  # (t,) once t's operands are done
+            t = t[0]
+            at = len(done) - (len(t.args) if t.__class__ is TRef else 1)
+            value = build(t, done[at:])
+            del done[at:]
+            done.append(value)
+        else:
+            todo.append((t,))
+            todo.extend(reversed(t.args) if t.__class__ is TRef else (t.elem,))
+    return done[0]
+
+
+def _render_node(te: TypeExpr, parts: list) -> str:
     if isinstance(te, TSeq):
-        return "[%s]" % render_type(te.elem)
+        return "[%s]" % parts[0]
     if isinstance(te, TOpt):
-        return "%s?" % render_type(te.elem)
-    if te.args:
-        return "%s[%s]" % (te.name, ", ".join(render_type(a) for a in te.args))
+        return "%s?" % parts[0]
+    if parts:
+        return "%s[%s]" % (te.name, ", ".join(parts))
     return te.name
+
+
+def render_type(te: TypeExpr) -> str:
+    return _fold_type(te, _render_node)
 
 
 def schema_render(schema: DatatypeSchema) -> str:
@@ -439,20 +504,23 @@ def make_value(schema: DatatypeSchema, path, fields: Optional[dict] = None) -> D
     return DataValue(tuple(path), tuple(ordered))
 
 
-ANY_TYPE = TRef("__any")
+# The binding of an unbound type parameter, which any value matches: matched
+# by identity, so that no type a `.data` source names is a wildcard.
+_ANY = TRef("*")
 
 
 def _subst(te: TypeExpr, bindings) -> TypeExpr:
-    if isinstance(te, TOpt):
-        return TOpt(_subst(te.elem, bindings))
-    if isinstance(te, TSeq):
-        return TSeq(_subst(te.elem, bindings))
-    if te.name in bindings:
-        bound = bindings[te.name]
-        return bound if bound is not None else ANY_TYPE
-    if te.args:
-        return TRef(te.name, tuple(_subst(a, bindings) for a in te.args))
-    return te
+    """te with each type parameter in bindings replaced by its binding."""
+    def build(t, parts):
+        if t.__class__ is TOpt:
+            return TOpt(parts[0])
+        if t.__class__ is TSeq:
+            return TSeq(parts[0])
+        if t.name in bindings:
+            bound = bindings[t.name]
+            return bound if bound is not None else _ANY
+        return TRef(t.name, tuple(parts)) if parts else t
+    return _fold_type(te, build)
 
 
 _NO_BINDINGS: dict = {}  # shared, never written
@@ -503,9 +571,9 @@ def _check_values(schema: DatatypeSchema, todo: list):
                 for i in range(len(v) - 1, -1, -1):
                     todo.append((elem, v[i], bindings, where + (i,)))
                 break
-            name = te.name
-            if name == "__any":
+            if te is _ANY:
                 break  # unbound type parameter: checked at instantiation sites
+            name = te.name
             if name in bindings:
                 bound = bindings[name]
                 if bound is None:

@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from langcc.artifact import CompiledLang
 from langcc.datacc import (
-    DataValue, DatatypeSchema, Sum, TOpt, TSeq, TypeExpr, _print_scalar, _subst, _u32,
+    _ANY, DataValue, DatatypeSchema, Sum, TOpt, TSeq, TypeExpr, _print_scalar, _subst, _u32,
 )
 from langcc.grammar import Cfg, Inst, InstGrammar, expand_instances
 from langcc.lexer import (
@@ -487,9 +487,9 @@ def _check_field(schema, te: TypeExpr, v, bindings, where):
         for i, item in enumerate(v):
             _check_field(schema, te.elem, item, bindings, "%s[%d]" % (where, i))
         return
-    name = te.name
-    if name == "__any":
+    if te is _ANY:
         return  # unbound type parameter: checked at instantiation sites
+    name = te.name
     if name in bindings:
         bound = bindings[name]
         if bound is not None:

@@ -6,7 +6,7 @@ import pytest
 from langcc import (
     bootstrap_check, compile_lang, langspec_from_node, parse, parse_lang_spec, render_spec,
 )
-from langcc.bootstrap import _Lines, _dotted
+from langcc.meta_frontend import _Lines, _dotted
 from langcc.runtime import Bounds, Node
 from langcc.spec_ast import SpecError
 

@@ -165,3 +165,29 @@ def test_schema_render_reparse_identity(schema):
 def test_mixed_fields_and_cases_rejected():
     with pytest.raises(SpecError, match="mixes fields and cases"):
         D.parse_data_spec("data A { x: string; Y; }")
+
+
+def test_no_type_name_is_a_wildcard():
+    # only an unbound type parameter matches any value; a type the source
+    # names, whatever its name, matches only its own values
+    s = D.parse_data_spec("data __any { x: string; } data P { a: __any; } data Q[T] { t: T; }")
+    with pytest.raises(SpecError, match=r"P\.a: expected a __any value, got 42"):
+        D.make_value(s, "P", {"a": 42})
+    D.make_value(s, "P", {"a": D.make_value(s, "__any", {"x": "y"})})
+    for v in (42, "s", None, (1, "two")):
+        assert D.conforms(s, D.make_value(s, "Q", {"t": v}))
+
+
+@pytest.mark.parametrize("wrap", [lambda t: t + "?", lambda t: "[%s]" % t],
+                         ids=["option", "sequence"])
+def test_type_expressions_of_any_depth(wrap):
+    # parsed, validated, rendered and compared on explicit stacks, at the
+    # default recursion limit
+    ty = "string"
+    for _ in range(5000):
+        ty = wrap(ty)
+    schema = D.parse_data_spec("data P { a: %s; }" % ty)
+    text = D.schema_render(schema)
+    assert "    a: %s;" % ty in text.splitlines()
+    again = D.parse_data_spec(text)
+    assert again == schema and hash(again) == hash(schema)

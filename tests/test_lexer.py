@@ -11,12 +11,11 @@ from langcc import (
     token_bounds_to_linecol,
 )
 from langcc import lexer as lexer_mod
-from langcc.bootstrap import _LEXER_ACTION_OPS
 from langcc.lexer import (
     S_EMIT, S_PASS, S_POP, S_POP_EMIT, S_POP_EXTRACT, S_PUSH, STEP_CODES, Extract, LexAmbiguity,
     LexCompileError, LexError, Nfa, Tag, _subset_construct, _wire, action_list_fault,
 )
-from langcc.meta_frontend import meta_artifact
+from langcc.meta_frontend import _LEXER_ACTION_OPS, meta_artifact
 from langcc.spec_ast import (
     LEXER_OPS, LangSpec, LexerAction, LexerRule, LexerSpec, ParserSpec, RAlt, RConcat, REof,
     RLit, RRange, RRef, RStar, RWildcard, TokenDecl,

@@ -2,6 +2,9 @@
 
 import ast
 import pathlib
+from graphlib import CycleError, TopologicalSorter
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "langcc"
 
@@ -38,25 +41,38 @@ def test_no_pure_python_json_indent():
     assert found == []
 
 
-# The functions that import inside their bodies, each to break an import
-# cycle: bootstrap imports meta_frontend, which imports bootstrap only in
-# parse_lang_spec.  Every other import sits at the top of its module.
-FUNCTION_IMPORTS = {"meta_frontend.py:parse_lang_spec"}
+def _module_imports(tree):
+    """The package modules a module imports by relative import, at any
+    level of its body."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else [a.name for a in node.names])
+    return out
 
 
-def test_function_level_imports_only_break_cycles():
+def test_no_function_level_imports():
+    # every import sits at the top of its module
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for top in tree.body:
-            fns = top.body if isinstance(top, ast.ClassDef) else [top]
-            for fn in fns:
-                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                name = "%s:%s" % (path.name, fn.name if fn is top else top.name + "." + fn.name)
-                if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(fn)):
-                    found.add(name)
-    assert found - FUNCTION_IMPORTS == set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {"%s:%d" % (path.name, n.lineno) for n in ast.walk(fn)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))}
+    assert found == set()
+
+
+def test_package_imports_are_acyclic():
+    # the graph of relative imports between package modules, module-level
+    # and function-level alike, has no cycle
+    graph = {path.stem: _module_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             for path in sorted(SRC.glob("*.py"))}
+    assert graph
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as e:
+        pytest.fail("import cycle: %s" % " -> ".join(e.args[1]))
 
 
 # The modules that loading an artifact and parsing, printing and checking
@@ -71,10 +87,9 @@ def test_artifact_modules_import_no_generator_module():
     found = []
     for module in ARTIFACT_MODULES:
         path = SRC / module
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                names = [node.module] if node.module else [a.name for a in node.names]
-                found += ["%s: %s" % (module, n) for n in names if n in GENERATOR_MODULES]
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += ["%s: %s" % (module, n) for n in sorted(_module_imports(tree))
+                  if n in GENERATOR_MODULES]
     assert found == []
 
 
@@ -85,17 +100,19 @@ def test_artifact_modules_import_no_generator_module():
 # an operator, such as == on nested nodes inside Node.__eq__, is not a call
 # this check sees.)
 STACK_WALKS = {
-    "bootstrap.py": ["_conv_regex", "_conv_pe", "_flatten_chain", "langspec_from_node"],
     "artifact.py": ["_field_plan", "_entries"],
     "lexer.py": ["Nfa.add_regex", "emit_constituents", "compile_lexer"],
-    "meta_frontend.py": ["_regex_refs", "_alias_diags", "validate_spec"],
+    "meta_frontend.py": ["_conv_regex", "_conv_pe", "_flatten_chain", "langspec_from_node",
+                         "_regex_refs", "_alias_diags", "validate_spec"],
     "printer.py": ["pretty_print"],
     "spec_ast.py": ["render_regex", "render_parse_expr"],
     "runtime.py": ["node_to_data_value", "validate_node", "render_node",
                    "Node.__eq__", "Node.__hash__", "Node.__repr__"],
     "datacc.py": ["conforms", "_check_values", "make_value", "substitute_field",
                   "value_hash", "debug_print",
-                  "DataValue.__eq__", "DataValue.__hash__", "DataValue.__repr__"],
+                  "DataValue.__eq__", "DataValue.__hash__", "DataValue.__repr__",
+                  "_DataParser.parse_type", "_check_texpr", "render_type", "_subst",
+                  "_TypeNode.__eq__", "_TypeNode.__hash__"],
 }
 
 
