@@ -3,17 +3,19 @@ as canonical JSON.
 
 An artifact holds the compiled lexer, LR tables, assembly metadata, AST
 field kinds and print templates as plain dicts and lists; compiled.flatten
-builds one.  Loading (from_json) checks the tables and lexer as it builds
-the parser's rows (_load_tables) and the CompiledLexer (_lexer_from_json);
-flatten hands CompiledLang the rows and lexer the builder made, which need
-no check.  Either way, CompiledLang checks the kinds and templates and
-resolves each variant's into the one plan both tree walks read
-(CompiledLang.plans, for runtime.node_to_data_value and
+builds one, with its action and goto lists as RawJson, their canonical
+text written beforehand.  Loading (from_json) checks the tables and lexer
+as it builds the parser's rows (_load_tables) and the CompiledLexer
+(_lexer_from_json); flatten hands CompiledLang the rows and lexer the
+builder made, which need no check.  Either way, CompiledLang checks the
+kinds and templates and resolves each variant's into the one plan both
+tree walks read (CompiledLang.plans, for runtime.node_to_data_value and
 printer.pretty_print).  to_json writes the text of json.dumps(tree,
 sort_keys=True, indent=1, separators=(",", ": "), ensure_ascii=False) and
 a newline, once per CompiledLang, so artifacts are byte-identical across
 runs and friendly to version control.  _canonical_json writes that text,
-as json's C encoder does not indent and its pure-Python one is much slower.
+as json's C encoder does not indent and its pure-Python one is much slower;
+it writes a RawJson as it stands, at the indent it was written for.
 
 Parsing and printing with an artifact needs this module, runtime and
 printer, and none of them imports the generator (compiled, grammar, lr,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import gc
 import json
+import threading
 from typing import Dict, Optional
 
 from .lexer import EOF_TERMINAL, CompiledLexer, LexCompileError, ModeDfa
@@ -40,7 +43,8 @@ class CompiledLang:
                  lexer: CompiledLexer, text: Optional[str] = None):
         """`data` is the artifact's JSON tree, which the other indexes are
         built from without changing it, and `text` the text it was decoded
-        from, or None for a tree flatten built.  to_json writes from the
+        from, or None for a tree flatten built (whose action and goto lists
+        are RawJson text, read by to_json alone).  to_json writes from the
         text if there is one (the tree is most of a loaded artifact's size),
         else from the tree, which a built artifact keeps until then.
 
@@ -96,16 +100,14 @@ class CompiledLang:
         tree is acyclic and freed by reference counting, and collector
         passes over it would be wasted."""
         if self._text is None:
-            was_enabled = gc.isenabled()
-            gc.disable()
+            pause_collector()
             try:
                 source = self._source
                 self._text = _canonical_json(
                     json.loads(source) if type(source) is str else source) + "\n"
                 self._source = None
             finally:
-                if was_enabled:
-                    gc.enable()
+                resume_collector()
         return self._text
 
     @classmethod
@@ -141,6 +143,30 @@ class CompiledLang:
 
 def _malformed(what: str) -> SpecError:
     return SpecError("malformed artifact: " + what)
+
+
+# The cyclic collector is process-wide, and the calls that pause it
+# (CompiledLang.to_json, runtime.parse) may overlap, nested or in threads:
+# the first of overlapping pauses notes whether the collector was on and
+# turns it off, and the last to end turns it back on if it was.
+_PAUSE_LOCK = threading.Lock()
+_pause = [0, False]  # pauses running, whether the collector was on at the first
+
+
+def pause_collector() -> None:
+    with _PAUSE_LOCK:
+        if not _pause[0]:
+            _pause[1] = gc.isenabled()
+            gc.disable()
+        _pause[0] += 1
+
+
+def resume_collector() -> None:
+    """Ends one pause_collector(); call it from a finally block."""
+    with _PAUSE_LOCK:
+        _pause[0] -= 1
+        if not _pause[0] and _pause[1]:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +542,31 @@ _encode_str = json.encoder.encode_basestring
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
+class RawJson:
+    """A value's canonical text, written for a place whose line has the
+    indent of `newline` (a newline and that indent, as _canonical_json
+    takes it): compiled.flatten writes the action and goto lists so."""
+
+    __slots__ = ("text", "newline")
+
+    def __init__(self, text: str, newline: str):
+        self.text, self.newline = text, newline
+
+
 def _canonical_json(v, newline: str = "\n") -> str:
     """json.dumps(v, sort_keys=True, indent=1, separators=(",", ": "),
     ensure_ascii=False) for a tree of str-keyed dicts, lists, str, int,
     float, bool and None (anything else, a tuple or a str subclass too, is a
-    TypeError), one str.join per list or dict.  `newline` is a newline and
+    TypeError), one str.join per list or dict.  The tree may also hold
+    RawJson pieces, written as they stand where their newline is that of
+    their place and a ValueError anywhere else.  `newline` is a newline and
     the indent of v's own line.  A list item or dict value whose type is
     exactly str or int (so not a bool or an IntEnum) is encoded where it
     stands; the function calls itself only for the others, so once per
-    list or dict and per float, bool or None, not once per value.  It calls
-    itself from a plain loop, so it takes one frame per level of nesting:
-    map or, before Python 3.12, a comprehension would add a level each."""
+    list or dict and per float, bool, None or RawJson, not once per value.
+    It calls itself from a plain loop, so it takes one frame per level of
+    nesting: map or, before Python 3.12, a comprehension would add a level
+    each."""
     t = type(v)
     if t is list:
         if not v:
@@ -555,5 +595,10 @@ def _canonical_json(v, newline: str = "\n") -> str:
         return str(v)
     if t is float or t is bool or v is None:
         return _encode_scalar(v)
+    if t is RawJson:
+        if v.newline != newline:
+            raise ValueError("JSON text rendered at indent %d placed at indent %d"
+                             % (len(v.newline) - 1, len(newline) - 1))
+        return v.text
     raise TypeError("%s is not a JSON value" % t.__name__)
 

@@ -230,9 +230,15 @@ def cmd_datacc(data_path: str, gen_path: str) -> int:
 
 
 def _count_cases(d) -> int:
-    if isinstance(d, datacc.Sum):
-        return len(d.cases) + sum(_count_cases(c) for _n, c in d.cases)
-    return 0
+    """The cases of d and of the case bodies nested in it, counted from an
+    explicit stack."""
+    n, todo = 0, [d]
+    while todo:
+        d = todo.pop()
+        if isinstance(d, datacc.Sum):
+            n += len(d.cases)
+            todo.extend(c for _n, c in d.cases)
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@
 Runs the frontend, lexer DFA construction, lowering and LR(k) table
 construction, retrying at a larger k on conflicts, and flattens the
 products into the plain dict/list tree of an artifact (flatten), which
-artifact.CompiledLang writes.  The lowerer already writes AST field kinds
-and print templates in the artifact's terms, literal text decoded, so
-flatten copies them as they are.  flatten also hands CompiledLang the
-parser's rows, built in the same loops as the tree's action and goto
-lists, and the CompiledLexer compile_lexer returned: a freshly compiled
-language is not checked or rebuilt from its own tree, as a loaded one is
-by CompiledLang.from_json.
+artifact.CompiledLang writes.  The action and goto lists, most of an
+artifact, go into the tree as their canonical text (artifact.RawJson),
+written straight from the builder's tables: each state's action masks
+expanded into cells by LrTables.cells, each lookahead's text and each
+action's rendered once, and no per-cell list built.  The lowerer already
+writes AST field kinds and print templates in the artifact's terms,
+literal text decoded, so flatten copies them as they are.  flatten also
+hands CompiledLang the parser's rows, built in the same loops as the
+action and goto text, and the CompiledLexer compile_lexer returned: a
+freshly compiled language is not checked or rebuilt from its own tree,
+as a loaded one is by CompiledLang.from_json.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .artifact import FORMAT_VERSION, CompiledLang, _prod_tuple, lexer_to_json
+from .artifact import (FORMAT_VERSION, CompiledLang, RawJson, _canonical_json, _encode_str,
+                       _prod_tuple, lexer_to_json)
 from .grammar import Cfg, lower_grammar, lower_precedence
 from .lexer import CompiledLexer, compile_lexer
 from .lr import LrTables, build_lr
@@ -30,12 +35,12 @@ from .spec_ast import LangSpec, SpecError
 # Flattening build products into an artifact
 
 def flatten(lexer: CompiledLexer, tables: LrTables, digest: str) -> CompiledLang:
-    """The artifact of a conflict-free build: its tables and productions
-    turned into lists, and each user variant's field kinds and print
-    template as the lowerer wrote them (from tables.ig.cfg).  The
-    CompiledLang serves `lexer` itself and the parser rows built beside the
-    action and goto lists, the same as from_json builds from those lists,
-    with none of its checks."""
+    """The artifact of a conflict-free build: its productions turned into
+    lists, its action and goto lists into text, and each user variant's
+    field kinds and print template as the lowerer wrote them (from
+    tables.ig.cfg).  The CompiledLang serves `lexer` itself and the parser
+    rows built beside the action and goto text, the same as from_json
+    builds from those lists, with none of its checks."""
     cfg = tables.ig.cfg
     inst_index = {}
 
@@ -72,24 +77,42 @@ def flatten(lexer: CompiledLexer, tables: LrTables, digest: str) -> CompiledLang
     goto_rows = [{} for _ in range(n_states)]
     reduce_cells = [-2 - p for p in range(len(prods))]  # one int per production
 
-    action_json = []  # in the tables' order: by state, then lookahead
-    for (state, la), acts in tables.action.items():
-        if len(acts) != 1:
-            raise SpecError("cannot flatten tables with conflicts")
-        tag, arg = acts[0]
-        action_json.append([state, list(la), [tag, arg]])
-        action_rows[state][la[0] if k == 1 else la] = (
-            arg if tag == "shift" else -1 if tag == "accept" else reduce_cells[arg])
+    # The action and goto lists as _canonical_json writes them, as values of
+    # the top-level object: an entry on a line of two spaces, its items on
+    # lines of three.  Each lookahead's text and each action's are rendered
+    # once; an action entry is the state, then those two.
+    las = tables.lookaheads
+    la_texts = [_canonical_json(list(la), "\n   ") + ",\n   " for la in las]
+    row_keys = [la[0] for la in las] if k == 1 else las
+    tails = {}  # action -> (its text, ending the entry; its parser cell)
+    action_entries = []  # in the tables' order: by state, then lookahead
+    for state in range(n_states):
+        head = "[\n   %d,\n   " % state
+        row = action_rows[state]
+        for b, acts in tables.cells(state):
+            if len(acts) != 1:
+                raise SpecError("cannot flatten tables with conflicts")
+            tail = tails.get(acts[0])
+            if tail is None:
+                tag, arg = acts[0]
+                tail = tails[acts[0]] = (
+                    _canonical_json([tag, arg], "\n   ") + "\n  ]",
+                    arg if tag == "shift" else -1 if tag == "accept" else reduce_cells[arg])
+            action_entries.append(head + la_texts[b] + tail[0])
+            row[row_keys[b]] = tail[1]
 
-    goto_json = []
+    gotos = []
     for (state, (kind, x)), target in tables.goto.items():
         ref = x if kind == "t" else inst_ref(x)
-        goto_json.append([state, kind, ref, target])
+        gotos.append((state, kind, ref, target))
         if kind == "n":
             goto_rows[state][ref] = target
     # by state, then nonterminals ("n") before terminals ("t"), then name:
     # no two entries share all three, so the targets are never compared
-    goto_json.sort()
+    gotos.sort()
+    goto_entries = ['[\n   %d,\n   "%s",\n   %s,\n   %d\n  ]'
+                    % (state, kind, _encode_str(ref), target)
+                    for state, kind, ref, target in gotos]
 
     ast_json = {}
     templates_json = {}
@@ -108,14 +131,19 @@ def flatten(lexer: CompiledLexer, tables: LrTables, digest: str) -> CompiledLang
         "indent_unit": 4,
         "terminals": sorted(cfg.terminals),
         "lexer": lexer_to_json(lexer),
-        "action": action_json,
-        "goto": goto_json,
+        "action": _list_text(action_entries),
+        "goto": _list_text(goto_entries),
         "starts": {m: s for m, s in sorted(tables.starts.items())},
         "prods": prods_json,
         "ast": ast_json,
         "templates": templates_json,
     }
     return CompiledLang(data, prods, action_rows, goto_rows, lexer)
+
+
+def _list_text(entries: list) -> RawJson:
+    """The list of the entries' texts as the value of a top-level key."""
+    return RawJson("[\n  %s\n ]" % ",\n  ".join(entries) if entries else "[]", "\n ")
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .spec_ast import Loc, SpecError
 # Schema model
 
 class _TypeNode:
-    """Equality and hashing of type expressions of any depth: == walks
-    both on an explicit stack, and hash reads the rendered text."""
+    """Equality, hashing and repr of type expressions of any depth: == walks
+    both on an explicit stack, and hash and repr read the rendered text."""
 
     __slots__ = ()
 
@@ -55,19 +55,22 @@ class _TypeNode:
     def __hash__(self):
         return hash(render_type(self))
 
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__name__, render_type(self))
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class TRef(_TypeNode):
     name: str
     args: Tuple["TypeExpr", ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TSeq(_TypeNode):
     elem: "TypeExpr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TOpt(_TypeNode):
     elem: "TypeExpr"
 
@@ -82,9 +85,32 @@ class Product:
     fields: Tuple[Tuple[str, TypeExpr], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum:
     cases: Tuple[Tuple[str, "TypeDef"], ...]
+
+    def __eq__(self, other):
+        """Equality of nested case bodies of any depth, walked on an explicit
+        stack."""
+        if not isinstance(other, Sum):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if len(a.cases) != len(b.cases):
+                return False
+            for (name_a, da), (name_b, db) in zip(a.cases, b.cases):
+                if name_a != name_b or da.__class__ is not db.__class__:
+                    return False
+                if da.__class__ is Sum:
+                    todo.append((da, db))
+                elif da != db:
+                    return False
+        return True
+
+    def __hash__(self):
+        # equal sums have the same case names; the bodies are not walked
+        return hash(tuple(name for name, _d in self.cases))
 
     def is_enum(self) -> bool:
         return all(isinstance(d, Product) and not d.fields for _n, d in self.cases)
@@ -224,17 +250,31 @@ class _DataParser:
         return DatatypeSchema(tuple(types), tuple(params))
 
     def parse_body(self, ctx_name) -> TypeDef:
+        """A `{ ... }` body with case bodies nested to any depth, read with an
+        explicit stack of the open bodies: each one's dotted name, the case
+        name it is the body of, and its fields and cases so far."""
         self.expect("punct", "{")
-        fields: List[Tuple[str, TypeExpr]] = []
-        cases: List[Tuple[str, TypeDef]] = []
-        while self.peek()[:2] != ("punct", "}"):
+        open_bodies = [(ctx_name, None, [], [])]
+        while True:
+            ctx_name, case_name, fields, cases = open_bodies[-1]
+            if self.peek()[:2] == ("punct", "}"):
+                self.next()
+                if fields and cases:
+                    raise SpecError("type %s mixes fields and cases in one body" % ctx_name)
+                body = Sum(tuple(cases)) if cases else Product(tuple(fields))
+                open_bodies.pop()
+                if not open_bodies:
+                    return body
+                open_bodies[-1][3].append((case_name, body))
+                continue
             t = self.expect("id")
             nxt = self.peek()
             if nxt[:2] == ("punct", ";"):
                 self.next()
                 cases.append((t[1], Product(())))
             elif nxt[:2] == ("punct", "{"):
-                cases.append((t[1], self.parse_body(ctx_name + "." + t[1])))
+                self.next()
+                open_bodies.append((ctx_name + "." + t[1], t[1], [], []))
             elif nxt[:2] == ("punct", ":"):
                 self.next()
                 ty = self.parse_type()
@@ -242,12 +282,6 @@ class _DataParser:
                 fields.append((t[1], ty))
             else:
                 raise SpecError("expected ';', '{' or ':' after %r" % t[1], nxt[2])
-        self.expect("punct", "}")
-        if fields and cases:
-            raise SpecError("type %s mixes fields and cases in one body" % ctx_name)
-        if cases:
-            return Sum(tuple(cases))
-        return Product(tuple(fields))
 
     def parse_type(self) -> TypeExpr:
         """A type expression of any depth, read with an explicit stack of
@@ -320,24 +354,30 @@ def _validate_schema(schema: DatatypeSchema):
                 raise SpecError("duplicate type name %r" % n)
             seen.add(n)
 
-    def check_def(d: TypeDef, params, where):
-        if isinstance(d, Product):
-            seen = set()
-            for fname, fty in d.fields:
-                if fname in seen:
-                    raise SpecError("duplicate field %r in %s" % (fname, where))
-                seen.add(fname)
-                _check_texpr(schema, tmap, fty, params, where + "." + fname)
-        else:
-            seen = set()
-            for cname, cdef in d.cases:
+    # Each type's body and the case bodies nested in it, in the order of a
+    # recursive walk, on an explicit stack: a body with its dotted name, or a
+    # case, whose name is checked against the names of the cases before it
+    # (`seen`) as its turn comes and then its body.
+    for name, d in schema.types:
+        params = set(schema.params_of(name))
+        todo: list = [(d, name, None, None)]
+        while todo:
+            d, where, cname, seen = todo.pop()
+            if cname is not None:
                 if cname in seen:
                     raise SpecError("duplicate case name %r in %s" % (cname, where))
                 seen.add(cname)
-                check_def(cdef, params, where + "." + cname)
-
-    for name, d in schema.types:
-        check_def(d, set(schema.params_of(name)), name)
+                where += "." + cname
+            if isinstance(d, Product):
+                seen = set()
+                for fname, fty in d.fields:
+                    if fname in seen:
+                        raise SpecError("duplicate field %r in %s" % (fname, where))
+                    seen.add(fname)
+                    _check_texpr(schema, tmap, fty, params, where + "." + fname)
+            else:
+                seen = set()
+                todo.extend((cdef, where, cname, seen) for cname, cdef in reversed(d.cases))
 
 
 def parse_data_spec(source: str) -> DatatypeSchema:
@@ -380,30 +420,32 @@ def render_type(te: TypeExpr) -> str:
 
 
 def schema_render(schema: DatatypeSchema) -> str:
-    """Canonical textual serialization; parse_data_spec(schema_render(s)) == s."""
+    """Canonical textual serialization; parse_data_spec(schema_render(s)) == s.
+    Case bodies of any depth are written from an explicit stack of what is
+    left to write: lines, and bodies with their indent."""
     out: List[str] = []
-
-    def emit_def(d: TypeDef, indent: int):
-        pad = "    " * indent
-        if isinstance(d, Product):
-            for fname, fty in d.fields:
-                out.append("%s%s: %s;" % (pad, fname, render_type(fty)))
-        else:
-            for cname, cdef in d.cases:
-                if isinstance(cdef, Product) and not cdef.fields:
-                    out.append("%s%s;" % (pad, cname))
-                else:
-                    out.append("%s%s {" % (pad, cname))
-                    emit_def(cdef, indent + 1)
-                    out.append("%s}" % pad)
-
     for name, d in schema.types:
         ps = schema.params_of(name)
         head = name if not ps else "%s[%s]" % (name, ", ".join(ps))
-        out.append("data %s {" % head)
-        emit_def(d, 1)
-        out.append("}")
-        out.append("")
+        todo: list = ["", "}", (d, 1), "data %s {" % head]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            d, indent = item
+            pad = "    " * indent
+            if isinstance(d, Product):
+                for fname, fty in d.fields:
+                    out.append("%s%s: %s;" % (pad, fname, render_type(fty)))
+                continue
+            later: list = []
+            for cname, cdef in d.cases:
+                if isinstance(cdef, Product) and not cdef.fields:
+                    later.append("%s%s;" % (pad, cname))
+                else:
+                    later += ["%s%s {" % (pad, cname), (cdef, indent + 1), "%s}" % pad]
+            todo.extend(reversed(later))
     return "\n".join(out)
 
 

@@ -35,8 +35,9 @@ reached nonterminal and each of its lookaheads w beside the kernel items,
 are built only when LrTables.states is read item by item (dump_lr, tests).
 Compiling, tracing conflicts and counting states use the kernels, gotos and
 actions alone.  Actions stay masks too: the builder finds conflicts by
-AND-ing each state's masks, and the per-lookahead cells of LrTables.action
-are expanded from the masks on its first read (flatten, dump_lr, tracing).
+AND-ing each state's masks.  LrTables.cells expands one state's masks into
+per-lookahead cells: flatten reads it state by state, and LrTables.action
+builds its view from it on the view's first read (dump_lr, tracing).
 
 LrTables is put in the instance grammar's own terms (IProd productions,
 goto keys that are rhs symbols), so its readers take the tables alone.
@@ -123,12 +124,13 @@ class LrTables:
     `acts[state]` lists the state's (action, mask) pairs, sorted by action;
     bit b of a mask stands for the lookahead k-tuple `lookaheads[b]`.  Each
     of `conflicts` is a lookahead bit set in two masks of one state, with
-    the actions of those masks.  `action`, derived from `acts` on its first
-    read, maps (state, lookahead) to the cell's actions, one unless the
-    cell is a conflict, with its keys in sorted order: by state, then by
-    lookahead.  `goto` maps (state, symbol) to the target state, the symbol
-    as in an IProd's rhs.  `unproductive` holds the instances that derive
-    no terminal string, which do not depend on k."""
+    the actions of those masks.  cells(state) expands a state's masks into
+    its cells, and `action`, built from them on its first read, maps
+    (state, lookahead) to the cell's actions, with its keys in sorted
+    order: by state, then by lookahead.  `goto` maps (state, symbol) to
+    the target state, the symbol as in an IProd's rhs.  `unproductive`
+    holds the instances that derive no terminal string, which do not
+    depend on k."""
 
     k: int
     ig: InstGrammar
@@ -141,19 +143,25 @@ class LrTables:
     conflicts: List[ConflictSite]
     unproductive: FrozenSet[Inst]
 
+    def cells(self, state: int) -> List[Tuple[int, Tuple[tuple, ...]]]:
+        """The state's action cells in lookahead order: (lookahead bit, the
+        actions whose masks hold it), one action unless the cell is a
+        conflict."""
+        cells: Dict[int, tuple] = {}  # lookahead bit -> actions
+        for act, mask in self.acts[state]:
+            one = (act,)
+            while mask:  # _bits(mask), inlined: flatten reads every cell
+                low = mask & -mask
+                b = low.bit_length() - 1
+                cells[b] = cells[b] + one if b in cells else one
+                mask ^= low
+        return [(b, cells[b]) for b in sorted(cells, key=self.lookaheads.__getitem__)]
+
     @cached_property
     def action(self) -> Dict[Tuple[int, tuple], Tuple[tuple, ...]]:
         las = self.lookaheads
-        action = {}
-        for state, acts in enumerate(self.acts):
-            cells: Dict[int, tuple] = {}  # lookahead bit -> actions
-            for act, mask in acts:
-                one = (act,)
-                for b in _bits(mask):
-                    cells[b] = cells[b] + one if b in cells else one
-            for b in sorted(cells, key=las.__getitem__):
-                action[(state, las[b])] = cells[b]
-        return action
+        return {(state, las[b]): acts for state in range(len(self.acts))
+                for b, acts in self.cells(state)}
 
     def display_production(self, pi: int) -> str:
         p = self.prods[pi]

@@ -31,13 +31,13 @@ recursion limit.  Nothing here or in artifact.py imports the generator.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .artifact import (
     K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ, K_TOKEN, P_ENUM, P_LIST_APPEND, P_LIST_EMPTY,
     P_LIST_PAIR, P_LIST_PASS, P_LIST_SINGLE, P_OPT_NONE, P_OPT_SOME, P_USER, CompiledLang,
+    pause_collector, resume_collector,
 )
 from .datacc import DataValue, conforms
 from .lexer import EOF_TERMINAL, LexError, SlotValue, lex_lists, token_bounds_to_linecol
@@ -206,22 +206,21 @@ def location_fmt_str(text: str, bounds: Tuple[int, int]) -> str:
 def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> ParseResult:
     """Lex then run the LR engine; exactly one of result / err is set.
 
-    The cyclic collector is paused meanwhile, and turned back on when this
-    call returns if it was on when the call began: the tree is acyclic, so
-    reference counting frees it, and collector passes over the growing tree
-    would make parse time grow faster than the input."""
+    The cyclic collector is paused meanwhile (artifact.pause_collector),
+    and turned back on when the last of overlapping parses returns if it
+    was on when the first began: the tree is acyclic, so reference counting
+    frees it, and collector passes over the growing tree would make parse
+    time grow faster than the input."""
     if start is None:
         start = compiled.default_start
     if start not in compiled.starts:
         raise SpecError("%r is not a main nonterminal (mains: %s)"
                         % (start, ", ".join(compiled.mains)))
-    was_enabled = gc.isenabled()
-    gc.disable()
+    pause_collector()
     try:
         return _parse(compiled, text, compiled.starts[start])
     finally:
-        if was_enabled:
-            gc.enable()
+        resume_collector()
 
 
 def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:

@@ -30,7 +30,10 @@ names TokenRefs, before the converter read the tokens stanza first.
 
 reference_to_json is CompiledLang.to_json as it was on json's own
 indenting encoder, before the artifact's canonical text had a writer of
-its own.
+its own.  reference_flatten_lists is flatten's action and goto loops as
+they were before it wrote those lists as text: a list per cell of
+LrTables.action, and the goto entries sorted as lists, with the parser's
+rows filled beside them.
 
 reference_lr is canonical LR(k) built item by item on sets of lookahead
 tuples, each goto target closed and then looked up by its closed set: the
@@ -1494,6 +1497,42 @@ def reference_to_json(compiled: CompiledLang) -> str:
     return "{\n%s\n}\n" % ",\n".join(
         " %s: %s" % (encode(key), encode(tree[key]).replace("\n", "\n "))
         for key in sorted(tree))
+
+
+def reference_flatten_lists(tables: LrTables):
+    """(action list, goto list, action rows, goto rows) of a conflict-free
+    build, as flatten built them cell by cell."""
+    inst_index = {}
+
+    def inst_ref(inst) -> str:
+        if inst not in inst_index:
+            inst_index[inst] = inst.mangled()
+        return inst_index[inst]
+
+    k, n_states = tables.k, len(tables.states)
+    action_rows = [{} for _ in range(n_states)]
+    goto_rows = [{} for _ in range(n_states)]
+    reduce_cells = [-2 - p for p in range(len(tables.prods))]  # one int per production
+
+    action_json = []  # in the tables' order: by state, then lookahead
+    for (state, la), acts in tables.action.items():
+        if len(acts) != 1:
+            raise SpecError("cannot flatten tables with conflicts")
+        tag, arg = acts[0]
+        action_json.append([state, list(la), [tag, arg]])
+        action_rows[state][la[0] if k == 1 else la] = (
+            arg if tag == "shift" else -1 if tag == "accept" else reduce_cells[arg])
+
+    goto_json = []
+    for (state, (kind, x)), target in tables.goto.items():
+        ref = x if kind == "t" else inst_ref(x)
+        goto_json.append([state, kind, ref, target])
+        if kind == "n":
+            goto_rows[state][ref] = target
+    # by state, then nonterminals ("n") before terminals ("t"), then name:
+    # no two entries share all three, so the targets are never compared
+    goto_json.sort()
+    return action_json, goto_json, action_rows, goto_rows
 
 
 class FirstK:

@@ -10,6 +10,7 @@ from langcc.spec_ast import Loc, SpecError
 
 from conftest import GRAMMARS, load_grammar
 from test_conflicts import UNREACHABLE_CONFLICTS
+from test_datacc import nested_cases
 from test_lr import _UNPRODUCTIVE, _small_source
 
 
@@ -191,6 +192,13 @@ def test_datacc_roundtrip(tmp_path, capsys):
     assert "3 case(s)" in captured.err
     from langcc import parse_data_spec
     assert parse_data_spec(out) == parse_data_spec(data.read_text())
+
+
+def test_datacc_case_bodies_of_any_depth(tmp_path, capsys):
+    data = tmp_path / "deep.data"
+    data.write_text(nested_cases(1200))
+    assert cmd_datacc(str(data), str(tmp_path)) == 0
+    assert "(1 type(s), 2400 case(s))" in capsys.readouterr().err
 
 
 def test_datacc_unresolved_exit_1(tmp_path, capsys):

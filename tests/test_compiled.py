@@ -1,7 +1,9 @@
 """The artifact's canonical JSON text: the writer against json.dumps and
 the old encoder, one write per artifact with no decode on the build path,
-non-canonical input, and text that is no artifact.  A built artifact's
-runtime parts: taken from the builder, equal to its loaded text's."""
+pre-rendered pieces, non-canonical input, and text that is no artifact.
+The action and goto lists flatten writes as text against the per-cell
+lists it once built.  A built artifact's runtime parts: taken from the
+builder, equal to its loaded text's."""
 
 import enum
 import json
@@ -12,13 +14,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from langcc import artifact, compile_lang, parse
-from langcc.artifact import CompiledLang, _canonical_json
+from langcc.artifact import CompiledLang, RawJson, _canonical_json
+from langcc.compiled import flatten
 from langcc.meta_frontend import meta_artifact
 from langcc.spec_ast import SpecError
 
 from conftest import load_grammar
-from oracle import reference_to_json
-from test_lr import _small_grammars
+from oracle import reference_flatten_lists, reference_to_json
+from test_lr import _small_grammars, _small_source
 
 
 def _dumps(v):
@@ -79,6 +82,16 @@ def test_canonical_json_takes_one_frame_per_level_of_nesting():
         text = None
     assert text is not None, "RecursionError at the default recursion limit"
     assert text == _dumps(tree)
+
+
+def test_canonical_json_writes_pre_rendered_text_only_at_its_indent():
+    piece = RawJson("[\n  1\n ]", "\n ")  # [1] as the value of a top-level key
+    assert _canonical_json({"a": piece, "b": None}) == _dumps({"a": [1], "b": None})
+    assert _canonical_json([piece, 2]) == _dumps([[1], 2])
+    for tree, at in [(piece, 0), ({"a": {"b": piece}}, 2), ([[piece]], 2),
+                     ([{"a": piece}], 2)]:
+        with pytest.raises(ValueError, match="rendered at indent 1 placed at indent %d" % at):
+            _canonical_json(tree)
 
 
 WITH_ARTIFACTS = ["ab_eps", "calc", "calc_prog", "meta", "parens", "rd_tiny", "sum_list"]
@@ -158,6 +171,44 @@ def test_built_small_grammar_serves_what_its_loaded_text_does(source):
     result = compile_lang(source)
     if result.ok:
         _assert_built_equals_loaded(result.compiled)
+
+
+def _assert_lists_match_reference(result):
+    # flatten reads the tables' masks: the per-cell view stays unexpanded
+    assert "action" not in vars(result.tables)
+    action, goto, action_rows, goto_rows = reference_flatten_lists(result.tables)
+    tree = json.loads(result.compiled.to_json())
+    assert tree["action"] == action
+    assert tree["goto"] == goto
+    assert result.compiled.action_rows == action_rows
+    assert result.compiled.goto_rows == goto_rows
+
+
+@pytest.mark.parametrize("grammar", WITH_ARTIFACTS)
+def test_action_and_goto_text_matches_the_per_cell_lists(grammar):
+    _assert_lists_match_reference(compile_lang(load_grammar(grammar + ".lang")))
+
+
+# LR(3): after `c`, only the third terminal tells A from B
+_LR3 = _small_source(["    S.P0 <- A `a` `a` `a`;", "    S.P1 <- B `a` `a` `b`;",
+                      "    A.P2 <- `c`;", "    B.P3 <- `c`;"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_grammars())
+@example(_LR3)
+def test_small_grammar_action_and_goto_text_matches_the_per_cell_lists(source):
+    # built at the first k of 1, 2 and 3 without conflicts, as a smaller
+    # max_k builds it when that k is no larger
+    result = compile_lang(source, 3)
+    if result.ok:
+        _assert_lists_match_reference(result)
+
+
+def test_flatten_refuses_tables_with_conflicts(calc_noprec):
+    assert calc_noprec.tables.k == 1 and calc_noprec.tables.conflicts
+    with pytest.raises(SpecError, match="^cannot flatten tables with conflicts$"):
+        flatten(calc_noprec.lexer, calc_noprec.tables, "0" * 64)
 
 
 def _non_ascii_parens():

@@ -191,3 +191,36 @@ def test_type_expressions_of_any_depth(wrap):
     assert "    a: %s;" % ty in text.splitlines()
     again = D.parse_data_spec(text)
     assert again == schema and hash(again) == hash(schema)
+
+
+def test_repr_of_type_expressions_of_any_depth():
+    ty = D.TRef("string")
+    for _ in range(5000):
+        ty = D.TOpt(ty)
+    assert repr(ty) == "TOpt(string%s)" % ("?" * 5000)
+    assert repr(D.TRef("Pair", (D.TSeq(D.TRef("T")), D.TRef("integer")))) == (
+        "TRef(Pair[[T], integer])")
+
+
+def nested_cases(depth):
+    """A type whose case bodies nest `depth` deep, an empty case beside
+    each: T { E0; C0 { E1; C1 { ... { x: string; } } } }."""
+    return ("data T {" + "".join(" E%d; C%d {" % (i, i) for i in range(depth))
+            + " x: string;" + " }" * depth + " }")
+
+
+def test_case_bodies_of_any_depth():
+    # parsed, validated, rendered and compared on explicit stacks, at the
+    # default recursion limit
+    source = nested_cases(1200)
+    schema = D.parse_data_spec(source)
+    text = D.schema_render(schema)
+    assert "    " * 1201 + "x: string;" in text.splitlines()
+    again = D.parse_data_spec(text)
+    assert again == schema and hash(again) == hash(schema)
+    assert D.parse_data_spec(source.replace("x: string", "x: integer")) != schema
+    where = "T" + "".join(".C%d" % i for i in range(1199))
+    with pytest.raises(SpecError, match="duplicate case name 'E1199' in %s$" % where):
+        D.parse_data_spec(source.replace("E1199;", "E1199; E1199;"))
+    with pytest.raises(SpecError, match="type %s.C1199 mixes fields and cases" % where):
+        D.parse_data_spec(source.replace("x: string;", "x: string; E;"))

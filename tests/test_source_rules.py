@@ -111,8 +111,11 @@ STACK_WALKS = {
     "datacc.py": ["conforms", "_check_values", "make_value", "substitute_field",
                   "value_hash", "debug_print",
                   "DataValue.__eq__", "DataValue.__hash__", "DataValue.__repr__",
-                  "_DataParser.parse_type", "_check_texpr", "render_type", "_subst",
-                  "_TypeNode.__eq__", "_TypeNode.__hash__"],
+                  "_DataParser.parse_type", "_DataParser.parse_body", "_check_texpr",
+                  "_validate_schema", "render_type", "schema_render", "_subst",
+                  "_TypeNode.__eq__", "_TypeNode.__hash__", "_TypeNode.__repr__",
+                  "Sum.__eq__"],
+    "cli.py": ["_count_cases"],
 }
 
 
