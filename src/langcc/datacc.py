@@ -4,6 +4,8 @@ Parses `.data` specifications into a DatatypeSchema (named product and sum
 types, enums as sums of empty products, type parameters) and provides
 schema-checked immutable values with downcasting, field substitution,
 deterministic debug printing, and cached value-based SHA-256 hashing.
+Type expressions, schema bodies (Product, Sum) and values are spec_ast.Tree
+types, so they compare, hash and print at any depth.
 
 The `.data` surface syntax:
 
@@ -24,36 +26,16 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .spec_ast import Loc, SpecError
+from .spec_ast import Loc, SpecError, Tree
 
 
 # ---------------------------------------------------------------------------
 # Schema model
 
-class _TypeNode:
-    """Equality, hashing and repr of type expressions of any depth: == walks
-    both on an explicit stack, and hash and repr read the rendered text."""
+class _TypeNode(Tree):
+    """Type expressions print as their rendered text."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, _TypeNode):
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a.__class__ is not b.__class__:
-                return False
-            if a.__class__ is TRef:
-                if a.name != b.name or len(a.args) != len(b.args):
-                    return False
-                todo.extend(zip(a.args, b.args))
-            else:
-                todo.append((a.elem, b.elem))
-        return True
-
-    def __hash__(self):
-        return hash(render_type(self))
 
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__name__, render_type(self))
@@ -80,37 +62,14 @@ TypeExpr = Union[TRef, TSeq, TOpt]
 BUILTINS = ("integer", "string", "boolean")
 
 
-@dataclass(frozen=True)
-class Product:
+@dataclass(frozen=True, eq=False, repr=False)
+class Product(Tree):
     fields: Tuple[Tuple[str, TypeExpr], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class Sum:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sum(Tree):
     cases: Tuple[Tuple[str, "TypeDef"], ...]
-
-    def __eq__(self, other):
-        """Equality of nested case bodies of any depth, walked on an explicit
-        stack."""
-        if not isinstance(other, Sum):
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if len(a.cases) != len(b.cases):
-                return False
-            for (name_a, da), (name_b, db) in zip(a.cases, b.cases):
-                if name_a != name_b or da.__class__ is not db.__class__:
-                    return False
-                if da.__class__ is Sum:
-                    todo.append((da, db))
-                elif da != db:
-                    return False
-        return True
-
-    def __hash__(self):
-        # equal sums have the same case names; the bodies are not walked
-        return hash(tuple(name for name, _d in self.cases))
 
     def is_enum(self) -> bool:
         return all(isinstance(d, Product) and not d.fields for _n, d in self.cases)
@@ -460,7 +419,7 @@ def hash_computation_count() -> int:
     return _HASH_COMPUTATIONS
 
 
-class DataValue:
+class DataValue(Tree):
     """Immutable value of a schema type.
 
     `type_path` is the full case path (e.g. ("Expr", "Lit", "Int_")); plain
@@ -470,6 +429,7 @@ class DataValue:
     """
 
     __slots__ = ("type_path", "fields", "_hash")
+    COMPARED = ("type_path", "fields")  # not the cached digest
 
     def __init__(self, type_path: Tuple[str, ...], fields: Tuple[Tuple[str, object], ...]):
         _SET_PATH(self, tuple(type_path))
@@ -484,29 +444,6 @@ class DataValue:
             if fname == name:
                 return v
         raise KeyError(name)
-
-    def __eq__(self, other):
-        if not isinstance(other, DataValue):
-            return NotImplemented
-        # the comparison tuple equality would make, nested values and
-        # sequences unfolded on a stack instead of compared recursively
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if isinstance(a, DataValue) and isinstance(b, DataValue):
-                if a.type_path != b.type_path:
-                    return False
-                a, b = a.fields, b.fields
-            elif not (a.__class__ is tuple and b.__class__ is tuple):
-                if not a == b:
-                    return False
-                continue
-            if len(a) != len(b):
-                return False
-            todo.extend(zip(a, b))
-        return True
 
     def __hash__(self):
         return int.from_bytes(value_hash(self)[:8], "big")

@@ -28,7 +28,7 @@ only if its mode can be popped by `pop_extract` or `pop_emit`, which is
 decided from the spec, conservatively, at the same time.  lex_lists returns
 the tokens as parallel lists (terminals, texts, starts, ends), which the
 parser indexes directly; lex builds Token values from them.  Tokens are
-__slots__ values (SlotValue), not dataclasses.
+__slots__ values (spec_ast.Tree), not dataclasses.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .spec_ast import (
     LEXER_OPS, LangSpec, RAlt, RConcat, REof, RLit, RRange, RRef, RStar, RWildcard,
-    RegexExpr, TokenDecl, quote_backtick,
+    RegexExpr, TokenDecl, Tree, quote_backtick,
 )
 
 MAX_CODEPOINT = 0x10FFFF
@@ -241,32 +241,7 @@ def _cp_repr(cp: int) -> str:
     return ch
 
 
-class SlotValue:
-    """Base of the small value records built per token and per reduction
-    (Token here; Bounds, TokenLeaf, EnumVal, SeqVal in runtime): plain
-    __slots__ classes, much cheaper to construct than frozen dataclasses,
-    with the equality, hashing and repr a frozen dataclass would give them.
-    Instances are not modified after construction."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__,
-                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
-
-
-class Token(SlotValue):
+class Token(Tree):
     __slots__ = ("terminal", "text", "start", "end")
 
     def __init__(self, terminal: str, text: str, start: int, end: int):

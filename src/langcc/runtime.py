@@ -15,18 +15,17 @@ step.  An action cell is an int: a shift to state s is s, accept is -1 and
 a reduce by production p is -2 - p.  A production is the tuple
 (kind, rhs_len, lhs, data) with an int kind (artifact.P_USER and the rest);
 the loop builds user nodes and appends to list chains itself and leaves
-the other kinds to _assemble.  Tree values are __slots__ classes (see
-lexer.SlotValue), several times cheaper to construct than frozen
-dataclasses, and the cyclic collector is paused for the duration of a
-parse.
+the other kinds to _assemble.  Tree values are __slots__ classes on
+spec_ast.Tree, several times cheaper to construct than frozen dataclasses,
+and the cyclic collector is paused for the duration of a parse.
 
 node_to_data_value reads the plans CompiledLang resolves per variant at
 load (CompiledLang.plans; a field plan starts (tag, element plan, enum
 type name, field description); a variant with no plan has no fields), so
-it neither scans field kinds nor joins variant names per node.  It,
-render_node and Node equality and hashing walk a tree on an explicit
-stack, so a tree of any depth passes through them at the default
-recursion limit.  Nothing here or in artifact.py imports the generator.
+it neither scans field kinds nor joins variant names per node.  It and
+render_node walk a tree on an explicit stack, as Tree's ==, hash and repr
+do, so a tree of any depth passes through them at the default recursion
+limit.  Nothing here or in artifact.py imports the generator.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ from .artifact import (
     pause_collector, resume_collector,
 )
 from .datacc import DataValue, conforms
-from .lexer import EOF_TERMINAL, LexError, SlotValue, lex_lists, token_bounds_to_linecol
-from .spec_ast import SpecError
+from .lexer import EOF_TERMINAL, LexError, lex_lists, token_bounds_to_linecol
+from .spec_ast import SpecError, Tree
 
 
-class Bounds(SlotValue):
+class Bounds(Tree):
     __slots__ = ("start", "end")
 
     def __init__(self, start: int, end: int):
@@ -55,7 +54,7 @@ class Bounds(SlotValue):
         return (self.start, self.end)
 
 
-class TokenLeaf(SlotValue):
+class TokenLeaf(Tree):
     __slots__ = ("terminal", "text", "bounds")
 
     def __init__(self, terminal: str, text: str, bounds: Bounds):
@@ -64,7 +63,7 @@ class TokenLeaf(SlotValue):
         self.bounds = bounds
 
 
-class EnumVal(SlotValue):
+class EnumVal(Tree):
     __slots__ = ("label", "bounds")
 
     def __init__(self, label: str, bounds: Bounds):
@@ -72,7 +71,7 @@ class EnumVal(SlotValue):
         self.bounds = bounds
 
 
-class SeqVal(SlotValue):
+class SeqVal(Tree):
     __slots__ = ("items", "trailing", "bounds")
 
     def __init__(self, items: tuple, trailing: bool, bounds: Bounds):
@@ -81,8 +80,9 @@ class SeqVal(SlotValue):
         self.bounds = bounds
 
 
-class Node:
+class Node(Tree):
     __slots__ = ("variant", "fields", "bounds")
+    COMPARED = ("variant", "fields")  # a node's own bounds are not compared
 
     def __init__(self, variant: Tuple[str, ...], fields: Tuple[Tuple[str, object], ...],
                  bounds: Bounds):
@@ -101,61 +101,6 @@ class Node:
 
     def __repr__(self):
         return "Node(%s)" % render_node(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, Node):
-            return NotImplemented
-        # the comparison tuple equality would make, nested nodes, sequences
-        # and tuples unfolded on a stack instead of compared recursively
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if isinstance(a, Node) and isinstance(b, Node):
-                if a.variant != b.variant:
-                    return False
-                a, b = a.fields, b.fields
-            elif a.__class__ is SeqVal and b.__class__ is SeqVal:
-                if a.trailing != b.trailing or a.bounds != b.bounds:
-                    return False
-                a, b = a.items, b.items
-            elif not (a.__class__ is tuple and b.__class__ is tuple):
-                if not a == b:
-                    return False
-                continue
-            if len(a) != len(b):
-                return False
-            todo.extend(zip(a, b))
-        return True
-
-    def __hash__(self):
-        """Computed bottom-up on a stack: a node hashes its variant, field
-        names and the hashes of its field values, a sequence its trailing
-        flag, bounds and items' hashes, anything else as hash() does."""
-        hashes = []
-        todo = [(self, False)]
-        while todo:
-            x, done = todo.pop()
-            if done:
-                if x.__class__ is SeqVal:
-                    k = len(x.items)
-                    h = hash((x.trailing, x.bounds, tuple(hashes[len(hashes) - k:])))
-                else:
-                    k = len(x.fields)
-                    h = hash((x.variant, tuple([f[0] for f in x.fields]),
-                              tuple(hashes[len(hashes) - k:])))
-                del hashes[len(hashes) - k:]
-                hashes.append(h)
-            elif isinstance(x, Node):
-                todo.append((x, True))
-                todo.extend([(v, False) for _f, v in reversed(x.fields)])
-            elif x.__class__ is SeqVal:
-                todo.append((x, True))
-                todo.extend([(v, False) for v in reversed(x.items)])
-            else:
-                hashes.append(hash(x))
-        return hashes[0]
 
 
 @dataclass

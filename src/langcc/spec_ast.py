@@ -3,13 +3,15 @@
 Everything here is immutable. Source locations are carried for diagnostics
 but excluded from equality, so two parses of equivalent sources compare
 equal structurally (this is what the bootstrap fixpoint check relies on).
+Token regexes and parse expressions derive from Tree, the base of every
+tree type in the package, so specs compare, hash and print at any depth.
 A lexer action is one LexerAction record whose op is its `.lang` keyword,
 and LEXER_OPS says what each op does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Optional, Tuple, Union
 
 
@@ -37,53 +39,171 @@ class SpecError(Exception):
         self.loc = loc
 
 
+class Tree:
+    """Base of the tree types: token regexes and parse expressions here,
+    datacc's type expressions, schema bodies and values, and the runtime's
+    parse-tree values and lexer tokens.  ==, hash and repr each walk one
+    explicit stack, so a tree of any depth compares, hashes and prints at
+    the default recursion limit.
+
+    They read the attributes a class compares: its COMPARED tuple if it has
+    one, else its compare=True dataclass fields, else its __slots__.  ==
+    is the tuple equality of those between instances of one class, hash
+    the hash of their tuple, and repr the dataclass form Cls(f=v, ...),
+    with trees and tuples inside unfolded on the stack; so each gives what
+    a frozen dataclass would.  A class's own __hash__ or __repr__ is used
+    wherever one of its instances sits.  Trees are not modified once
+    built."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            cls = a.__class__
+            if cls is not b.__class__ or not (cls is tuple or isinstance(a, Tree)):
+                if not a == b:
+                    return False
+                continue
+            if cls is not tuple:
+                a, b = _parts(a), _parts(b)
+            elif len(a) != len(b):
+                return False
+            todo.extend(zip(reversed(a), reversed(b)))  # compared left to right
+        return True
+
+    def __hash__(self):
+        # post-order: once its n parts are hashed, a tree or tuple is hashed
+        # as the tuple of them, each unfolded part standing in by its hash
+        done: list = []
+        todo: list = [(self, None)]
+        while todo:
+            x, n = todo.pop()
+            if n is not None:
+                parts = tuple(done[len(done) - n:])
+                del done[len(done) - n:]
+                done.append(_Hashed(hash(parts)))
+            elif x.__class__ is tuple or _inherits(x, "__hash__"):
+                parts = x if x.__class__ is tuple else _parts(x)
+                todo.append((x, len(parts)))
+                todo.extend([(p, None) for p in reversed(parts)])
+            else:
+                done.append(x)
+        return done[0].h
+
+    def __repr__(self):
+        out = []
+        todo: list = [self]  # trees and tuples to print, or text to emit
+        while todo:
+            x = todo.pop()
+            if x.__class__ is str:
+                out.append(x)
+                continue
+            if x.__class__ is tuple:
+                out.append("(")
+                todo.append(",)" if len(x) == 1 else ")")
+                labelled = [("", v) for v in x]
+            else:
+                out.append(x.__class__.__qualname__ + "(")
+                todo.append(")")
+                labelled = list(zip([n + "=" for n in _compared(x.__class__)], _parts(x)))
+            for i in range(len(labelled) - 1, -1, -1):
+                label, v = labelled[i]
+                if v.__class__ is tuple or _inherits(v, "__repr__"):
+                    todo.append(v)
+                    v = ""
+                else:
+                    v = repr(v)
+                todo.append((", " if i else "") + label + v)
+        return "".join(out)
+
+
+_COMPARED: dict = {}  # Tree class -> the attributes it compares
+
+
+def _compared(cls) -> Tuple[str, ...]:
+    names = _COMPARED.get(cls)
+    if names is None:
+        names = getattr(cls, "COMPARED", None)
+        if names is None:
+            names = (tuple(f.name for f in fields(cls) if f.compare) if is_dataclass(cls)
+                     else cls.__slots__)
+        _COMPARED[cls] = names
+    return names
+
+
+def _parts(x: Tree) -> list:
+    return [getattr(x, n) for n in _compared(x.__class__)]
+
+
+def _inherits(x, method: str) -> bool:
+    """x is a tree whose class keeps Tree's `method`."""
+    return isinstance(x, Tree) and getattr(x.__class__, method) is getattr(Tree, method)
+
+
+class _Hashed:
+    """Stands in a tuple for a part already hashed: hashing the tuple then
+    gives what hashing it with the part itself in that place would."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
 # ---------------------------------------------------------------------------
 # Token regexes
 
-@dataclass(frozen=True)
-class RLit:
+@dataclass(frozen=True, eq=False, repr=False)
+class RLit(Tree):
     text: str  # decoded codepoint sequence
 
 
-@dataclass(frozen=True)
-class RRange:
+@dataclass(frozen=True, eq=False, repr=False)
+class RRange(Tree):
     lo: str  # single codepoint, lo <= hi
     hi: str
 
 
-@dataclass(frozen=True)
-class RConcat:
+@dataclass(frozen=True, eq=False, repr=False)
+class RConcat(Tree):
     parts: Tuple["RegexExpr", ...]
 
 
-@dataclass(frozen=True)
-class RAlt:
+@dataclass(frozen=True, eq=False, repr=False)
+class RAlt(Tree):
     parts: Tuple["RegexExpr", ...]
 
 
-@dataclass(frozen=True)
-class RStar:
+@dataclass(frozen=True, eq=False, repr=False)
+class RStar(Tree):
     inner: "RegexExpr"
 
 
-@dataclass(frozen=True)
-class RRef:
+@dataclass(frozen=True, eq=False, repr=False)
+class RRef(Tree):
     name: str
 
 
-@dataclass(frozen=True)
-class RWildcard:
+@dataclass(frozen=True, eq=False, repr=False)
+class RWildcard(Tree):
     pass
 
 
-@dataclass(frozen=True)
-class REof:
+@dataclass(frozen=True, eq=False, repr=False)
+class REof(Tree):
     pass
 
 
 RegexExpr = Union[RLit, RRange, RConcat, RAlt, RStar, RRef, RWildcard, REof]
-
-R_EPSILON = RConcat(())
 
 
 @dataclass(frozen=True)
@@ -139,62 +259,62 @@ class LexerSpec:
 # ---------------------------------------------------------------------------
 # Parser stanza expressions
 
-@dataclass(frozen=True)
-class TermLiteral:
+@dataclass(frozen=True, eq=False, repr=False)
+class TermLiteral(Tree):
     text: str
 
 
-@dataclass(frozen=True)
-class TokenRef:
+@dataclass(frozen=True, eq=False, repr=False)
+class TokenRef(Tree):
     name: str
 
 
-@dataclass(frozen=True)
-class NontermRef:
+@dataclass(frozen=True, eq=False, repr=False)
+class NontermRef(Tree):
     name: str
     attr_reqs: Tuple[str, ...] = ()
     pr_star: bool = False
 
 
-@dataclass(frozen=True)
-class Named:
+@dataclass(frozen=True, eq=False, repr=False)
+class Named(Tree):
     field_name: str
     inner: "ParseExpr"
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(Tree):
     items: Tuple["ParseExpr", ...]
 
 
-@dataclass(frozen=True)
-class AltBranches:
+@dataclass(frozen=True, eq=False, repr=False)
+class AltBranches(Tree):
     branches: Tuple[Tuple[str, "ParseExpr"], ...]  # (label, inner)
 
 
-@dataclass(frozen=True)
-class SingletonAlt:
+@dataclass(frozen=True, eq=False, repr=False)
+class SingletonAlt(Tree):
     label: str
     inner: "ParseExpr"
 
 
-@dataclass(frozen=True)
-class Star:
+@dataclass(frozen=True, eq=False, repr=False)
+class Star(Tree):
     inner: "ParseExpr"
 
 
-@dataclass(frozen=True)
-class Plus:
+@dataclass(frozen=True, eq=False, repr=False)
+class Plus(Tree):
     inner: "ParseExpr"
 
 
-@dataclass(frozen=True)
-class Optional_:
+@dataclass(frozen=True, eq=False, repr=False)
+class Optional_(Tree):
     inner: "ParseExpr"
 
 
-@dataclass(frozen=True)
-class ListExpr:
+@dataclass(frozen=True, eq=False, repr=False)
+class ListExpr(Tree):
     flavor: str  # L | B | B2 | T | T2
     elem: "ParseExpr"
     min_count: int  # 0 | 1 | 2
@@ -202,23 +322,23 @@ class ListExpr:
     trailing: str  # none | optional | required
 
 
-@dataclass(frozen=True)
-class PassString:
+@dataclass(frozen=True, eq=False, repr=False)
+class PassString(Tree):
     text: str
 
 
-@dataclass(frozen=True)
-class SpaceShorthand:
+@dataclass(frozen=True, eq=False, repr=False)
+class SpaceShorthand(Tree):
     pass
 
 
-@dataclass(frozen=True)
-class Eps:
+@dataclass(frozen=True, eq=False, repr=False)
+class Eps(Tree):
     pass
 
 
-@dataclass(frozen=True)
-class Unfold:
+@dataclass(frozen=True, eq=False, repr=False)
+class Unfold(Tree):
     inner: "ParseExpr"
 
 

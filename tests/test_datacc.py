@@ -210,14 +210,17 @@ def nested_cases(depth):
 
 
 def test_case_bodies_of_any_depth():
-    # parsed, validated, rendered and compared on explicit stacks, at the
-    # default recursion limit
+    # parsed, validated, rendered, compared and printed on explicit stacks,
+    # at the default recursion limit
     source = nested_cases(1200)
     schema = D.parse_data_spec(source)
     text = D.schema_render(schema)
     assert "    " * 1201 + "x: string;" in text.splitlines()
     again = D.parse_data_spec(text)
     assert again == schema and hash(again) == hash(schema)
+    printed = repr(schema)
+    assert printed.startswith("DatatypeSchema(types=(('T', Sum(cases=(('E0', Product(fields=())), ")
+    assert printed.count("Sum(cases=") == 1200 and "(('x', TRef(string)),)" in printed
     assert D.parse_data_spec(source.replace("x: string", "x: integer")) != schema
     where = "T" + "".join(".C%d" % i for i in range(1199))
     with pytest.raises(SpecError, match="duplicate case name 'E1199' in %s$" % where):

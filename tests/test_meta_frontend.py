@@ -1,4 +1,5 @@
 import sys
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,9 @@ from langcc import compile_lang, parse_lang_spec, render_spec, validate_spec
 from langcc.meta_frontend import make_parse_test
 from langcc.spec_ast import (
     AltBranches, Eps, LangSpec, LexerSpec, ListExpr, Loc, Named, NontermRef, Optional_,
-    ParserSpec, PassString, Plus, RAlt, RConcat, REof, RLit, RRange, RRef, RStar, RWildcard,
-    Seq, SingletonAlt, SpaceShorthand, SpecError, Star, TermLiteral, TokenDecl, TokenRef, Unfold,
-    decode_backtick, render_parse_expr, render_regex,
+    ParserSpec, PassString, Plus, RAlt, RConcat, REof, RLit, RRange, RRef, RStar, RuleDecl,
+    RWildcard, Seq, SingletonAlt, SpaceShorthand, SpecError, Star, TermLiteral, TokenDecl,
+    TokenRef, Tree, Unfold, decode_backtick, render_parse_expr, render_regex,
 )
 
 from conftest import GRAMMARS, load_grammar
@@ -486,11 +487,93 @@ def test_deeply_nested_options_render_and_reparse_at_the_default_recursion_limit
     spec = parse_lang_spec(_nested_options(1500))
     assert sys.getrecursionlimit() <= 1000
     try:
-        # texts compared, as dataclass equality recurses per level
         text = render_spec(spec)
-        again = render_spec(parse_lang_spec(text))
+        again = parse_lang_spec(text)
+        same = (again == spec, again != spec, hash(again) == hash(spec))
+        printed = repr(again)
     except RecursionError:
-        text = again = None
+        text = None
     assert text is not None, "RecursionError at the default recursion limit"
-    assert again == text
+    assert same == (True, False, True)
+    assert printed.startswith("LangSpec(") and printed.count("Optional_(inner=") == 1500
+    assert render_spec(again) == text
     assert "x:(`a` (`a` (`a` " in text and text.count(")?") == 1500
+
+
+PARSE_EXPR_KINDS = {AltBranches, Eps, ListExpr, Named, NontermRef, Optional_, PassString, Plus,
+                    Seq, SingletonAlt, SpaceShorthand, Star, TermLiteral, TokenRef, Unfold}
+
+
+def _deep_rule_spec(loc=None):
+    """GOOD with one rule, whose body wraps an expression of every parse
+    expression kind in 100 levels of (`a` ...)?; and that expression."""
+    leaf = Seq((Named("f", TokenRef("t")), AltBranches((("A", TermLiteral("x")), ("B", Eps()))),
+                SingletonAlt("L", NontermRef("S", ("a",), True)), Star(PassString("p")),
+                Plus(SpaceShorthand()), Unfold(NontermRef("S")), Optional_(TermLiteral("o")),
+                ListExpr("B", TermLiteral("e"), 1, TermLiteral(","), "optional")))
+    body = leaf
+    for _ in range(100):
+        body = Optional_(Seq((TermLiteral("a"), body)))
+    spec = parse_lang_spec(GOOD)
+    rule = RuleDecl(("S", "S"), (), Named("x", body), loc)
+    return replace(spec, parser=replace(spec.parser, rules=(rule,))), leaf
+
+
+def _parse_exprs(e):
+    """e and the parse expressions inside it, in a fixed order."""
+    out, todo = [], [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple):
+            todo.extend(x)
+        elif isinstance(x, Tree):
+            out.append(x)
+            todo.extend(getattr(x, f.name) for f in fields(x))
+    return out
+
+
+def _changed(v):
+    """A value of v's kind that differs from v."""
+    if isinstance(v, bool):
+        return not v
+    if isinstance(v, int):
+        return v + 1
+    if isinstance(v, str):
+        return v + "z"
+    if isinstance(v, tuple):
+        return v[:-1] if v else ("z",)
+    return SpaceShorthand() if isinstance(v, Eps) else Eps()
+
+
+def test_spec_equality_and_hash_follow_every_field_of_a_deep_expression():
+    a, leaf = _deep_rule_spec()
+    assert {type(e) for e in _parse_exprs(leaf)} == PARSE_EXPR_KINDS
+    b, _ = _deep_rule_spec(Loc(7, 7))  # locations are not compared
+    assert a == b and hash(a) == hash(b) and not a != b
+    changes = 0
+    for i, e in enumerate(_parse_exprs(leaf)):
+        for f in fields(e):
+            c, c_leaf = _deep_rule_spec()
+            target = _parse_exprs(c_leaf)[i]
+            object.__setattr__(target, f.name, _changed(getattr(target, f.name)))
+            assert a != c and c != a and not a == c, (type(e).__name__, f.name)
+            changes += 1
+    assert changes == 27
+
+
+def test_spec_trees_print_and_hash_in_the_dataclass_form():
+    e = Named("x", Optional_(Seq((TermLiteral("a"), AltBranches((("A", TokenRef("t")),
+                                                                  ("B", Seq(())))),
+                                  NontermRef("S", ("a",), True),
+                                  ListExpr("B", Star(Eps()), 1, PassString(", "), "optional")))))
+    assert repr(e) == (
+        "Named(field_name='x', inner=Optional_(inner=Seq(items=(TermLiteral(text='a'), "
+        "AltBranches(branches=(('A', TokenRef(name='t')), ('B', Seq(items=())))), "
+        "NontermRef(name='S', attr_reqs=('a',), pr_star=True), ListExpr(flavor='B', "
+        "elem=Star(inner=Eps()), min_count=1, delim=PassString(text=', '), "
+        "trailing='optional')))))")
+    r = RAlt((RLit("a"), RConcat((RRange("0", "9"), RStar(RRef("d"))))))
+    assert repr(r) == ("RAlt(parts=(RLit(text='a'), RConcat(parts=(RRange(lo='0', hi='9'), "
+                       "RStar(inner=RRef(name='d'))))))")
+    # and hash as frozen dataclasses do: the tuple hash of their fields
+    assert hash(r) == hash(((("a",), ((("0", "9"), (("d",),)),)),))

@@ -600,6 +600,8 @@ def test_value_types_equality_hash_repr():
     table = {v: i for i, v in enumerate(values)}
     assert [table[w] for w in copies] == list(range(len(values)))
     assert hash(b) == hash((1, 2))
+    # the tuple hash of the fields, nested trees hashed in their place
+    assert hash(tok) == hash(("id", "x", 1, 2)) and hash(leaf) == hash(("id", "x", (1, 2)))
 
 
 def test_overlapping_parses_in_threads_reenable_collector(calc):
