@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .artifact import (FORMAT_VERSION, CompiledLang, RawJson, _canonical_json, _encode_str,
-                       _prod_tuple, lexer_to_json)
+                       lexer_to_json, prod_tuples)
 from .grammar import Cfg, lower_grammar, lower_precedence
 from .lexer import CompiledLexer, compile_lexer
 from .lr import LrTables, build_lr
@@ -69,7 +69,7 @@ def flatten(lexer: CompiledLexer, tables: LrTables, digest: str) -> CompiledLang
                                list(base.asm), display])
     # what each entry means to the parse loop, read by the one reader of
     # production entries (a few hundred of them at most: cheap to check)
-    prods = [_prod_tuple(p) for p in prods_json]
+    prods = prod_tuples(prods_json)
 
     # the parser's rows, as _load_tables builds them from the lists below
     k, n_states = tables.k, len(tables.states)

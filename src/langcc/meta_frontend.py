@@ -149,7 +149,7 @@ class _Lines:
     def text(self, tok: TokenLeaf) -> str:
         if not self.folded:
             return tok.text
-        return self.data[tok.bounds.start:tok.bounds.end].decode("utf-8", "surrogatepass")
+        return self.data[tok.start:tok.end].decode("utf-8", "surrogatepass")
 
     def next_token(self, offset: int) -> Optional[Loc]:
         """The Loc of the first token at or after offset, as meta.lang's
@@ -164,7 +164,7 @@ def _lit(tok: TokenLeaf, lines: _Lines) -> str:
     try:
         return decode_backtick(lines.text(tok))
     except SpecError as e:
-        raise SpecError(e.message, lines.loc(tok.bounds.start)) from None
+        raise SpecError(e.message, lines.loc(tok.start)) from None
 
 
 def _ids(seq: SeqVal, lines: _Lines) -> Tuple[str, ...]:
@@ -223,11 +223,11 @@ def _range(n: Node, lines: _Lines) -> sa.RRange:
     hi = _lit(n.field("hi"), lines)
     if len(lo) != 1 or len(hi) != 1:
         raise SpecError("character range bounds must be single characters",
-                        lines.loc(n.bounds.start))
+                        lines.loc(n.start))
     if ord(lo) > ord(hi):
         raise SpecError("empty character range %s..%s"
                         % (sa.quote_backtick(lo), sa.quote_backtick(hi)),
-                        lines.loc(n.bounds.start))
+                        lines.loc(n.start))
     return sa.RRange(lo, hi)
 
 
@@ -277,7 +277,7 @@ def _attr(n: Node, parts: list, lines: _Lines) -> sa.ParseExpr:
     if not isinstance(inner, (sa.NontermRef, sa.TokenRef)):
         # located at the `[`, the first token after the operand
         raise SpecError("attribute requirements apply only to nonterminal references",
-                        lines.next_token(n.field("e").bounds.end))
+                        lines.next_token(n.field("e").end))
     reqs: List[str] = []
     pr_star = False
     for req in n.field("reqs").items:
@@ -297,7 +297,7 @@ def _singleton_alt(n: Node, parts: list, lines: _Lines) -> sa.SingletonAlt:
     b = parts[0]
     if not isinstance(b, sa.Named):
         raise SpecError("#Alt branch must be labeled, e.g. #Alt[Neg:`-`]",
-                        lines.loc(n.bounds.start))
+                        lines.loc(n.start))
     return sa.SingletonAlt(b.field_name, b.inner)
 
 
@@ -368,7 +368,7 @@ def _conv_pe(root: Node, lines: _Lines, opaque: set) -> sa.ParseExpr:
 def _conv_token_decl(n: Node, lines: _Lines) -> sa.TokenDecl:
     kind = "opaque" if n.variant[1] == "Opaque" else "alias"
     return sa.TokenDecl(lines.text(n.field("name")), kind, _conv_regex(n.field("re"), lines),
-                        lines.loc(n.bounds.start))
+                        lines.loc(n.start))
 
 
 # meta.lang's LexerAction variants -> their ops
@@ -381,7 +381,7 @@ def _conv_lexer_action(n: Node, lines: _Lines) -> sa.LexerAction:
     if op is None:
         raise SpecError("unexpected lexer action %s" % n.variant[1])
     # Push and PopEmit name a mode or a token; the other actions have no fields
-    return sa.LexerAction(op, *(lines.text(v) for _f, v in n.fields))
+    return sa.LexerAction(op, *(lines.text(v) for v in n.values))
 
 
 def _conv_lexer(items: SeqVal, lines: _Lines) -> sa.LexerSpec:
@@ -391,12 +391,12 @@ def _conv_lexer(items: SeqVal, lines: _Lines) -> sa.LexerSpec:
         if item.variant[1] == "Main":
             if main is not None:
                 raise SpecError("duplicate main declaration in lexer",
-                                lines.loc(item.bounds.start))
+                                lines.loc(item.start))
             main = lines.text(item.field("name"))
         else:
             rules = []
             for r in item.field("rules").items:
-                loc = lines.loc(r.bounds.start)
+                loc = lines.loc(r.start)
                 pat = _conv_regex(r.field("pat"), lines)
                 actions = tuple(_conv_lexer_action(a, lines) for a in r.field("actions").items)
                 if not actions:
@@ -423,14 +423,14 @@ def _conv_parser(items: SeqVal, lines: _Lines, opaque: set) -> sa.ParserSpec:
         if v == "Main":
             if main is not None:
                 raise SpecError("duplicate main declaration in parser",
-                                lines.loc(item.bounds.start))
+                                lines.loc(item.start))
             main = _ids(item.field("names"), lines)
         elif v == "Prec":
             for line in item.field("lines").items:
                 names = tuple(_dotted(d, lines) for d in line.field("names").items)
                 tag_val = line.field("tag")
                 tag = _TAG_OF[tag_val.label] if isinstance(tag_val, EnumVal) else None
-                prec_lines.append(sa.PrecLine(names, tag, lines.loc(line.bounds.start)))
+                prec_lines.append(sa.PrecLine(names, tag, lines.loc(line.start)))
         elif v == "Prop":
             props.append("name_strict")
         elif v == "Attr":
@@ -438,9 +438,9 @@ def _conv_parser(items: SeqVal, lines: _Lines, opaque: set) -> sa.ParserSpec:
                 target = lines.text(line.field("target")) if line.variant[1] == "Req" else None
                 attr_lines.append(sa.AttrLine(_dotted(line.field("rule"), lines),
                                               lines.text(line.field("a")), target,
-                                              lines.loc(line.bounds.start)))
+                                              lines.loc(line.start)))
         elif v == "Rule":
-            loc = lines.loc(item.bounds.start)
+            loc = lines.loc(item.start)
             attrs_val = item.field("attrs")
             lhs_attrs = _ids(attrs_val, lines) if isinstance(attrs_val, SeqVal) else ()
             rules.append(sa.RuleDecl(_dotted(item.field("path"), lines), lhs_attrs,
@@ -479,7 +479,7 @@ def langspec_from_node(root: Node, source: Optional[str] = None) -> LangSpec:
             raise SpecError("unexpected stanza %s" % v)
         if v in seen:
             raise SpecError("duplicate %s stanza" % _STANZA_KEYWORDS[v],
-                            lines.loc(stanza.bounds.start))
+                            lines.loc(stanza.start))
         seen.add(v)
         if v == "Tokens":
             token_decls = [_conv_token_decl(d, lines) for d in stanza.field("decls").items]
@@ -495,7 +495,7 @@ def langspec_from_node(root: Node, source: Optional[str] = None) -> LangSpec:
             for e in stanza.field("entries").items:
                 s = e.field("s")
                 parse_tests.append(make_parse_test(
-                    _lit(s, lines), lines.loc(s.bounds.start), e.field("skip") is True))
+                    _lit(s, lines), lines.loc(s.start), e.field("skip") is True))
     if lexer is None:
         raise SpecError("missing lexer stanza")
     if parser is None:

@@ -3,9 +3,12 @@
 Executes Shift/Reduce/Accept over the token stream and assembles
 generic AST nodes.  Synthesized nonterminals (lists, optionals, alternation
 enums) are collapsed during reduction, so users only ever see nodes of their
-own rule variants, sequences, options, booleans, and enum labels; every
-value carries its source bounds as UTF-8 byte offsets.  Line and column are
-computed on demand from an offset with lexer.token_bounds_to_linecol.
+own rule variants, sequences, options, booleans, and enum labels.  A token,
+enum, sequence or node holds its span as two int UTF-8 byte offsets, start
+and end (its `bounds` property builds a Bounds of them), and a node holds
+its field values in a tuple beside the names tuple every node of its
+production shares.  Line and column are computed on demand from an offset
+with lexer.token_bounds_to_linecol.
 
 The LR loop reads the lexer's parallel token lists (lexer.lex_lists) and
 indexes the per-state rows artifact.CompiledLang builds at load
@@ -15,14 +18,19 @@ step.  An action cell is an int: a shift to state s is s, accept is -1 and
 a reduce by production p is -2 - p.  A production is the tuple
 (kind, rhs_len, lhs, data) with an int kind (artifact.P_USER and the rest);
 the loop builds user nodes and appends to list chains itself and leaves
-the other kinds to _assemble.  Tree values are __slots__ classes on
-spec_ast.Tree, several times cheaper to construct than frozen dataclasses,
-and the cyclic collector is paused for the duration of a parse.
+the other kinds to _assemble.  It builds every token's leaf in one map
+before it starts, and keeps the values' start and end offsets on two int
+stacks beside the value stack, so a reduce allocates no Bounds and no field
+pair: a user node takes its values off the stack with the production's
+getter.  Tree values are __slots__ classes on spec_ast.Tree, several times
+cheaper to construct than frozen dataclasses, and the cyclic collector is
+paused for the duration of a parse.
 
 node_to_data_value reads the plans CompiledLang resolves per variant at
 load (CompiledLang.plans; a field plan starts (tag, element plan, enum
 type name, field description); a variant with no plan has no fields), so
-it neither scans field kinds nor joins variant names per node.  It and
+it neither scans field kinds nor joins variant names per node, and reads a
+node that holds its production's names tuple by index.  It and
 render_node walk a tree on an explicit stack, as Tree's ==, hash and repr
 do, so a tree of any depth passes through them at the default recursion
 limit.  Nothing here or in artifact.py imports the generator.
@@ -36,7 +44,7 @@ from typing import List, Optional, Tuple
 from .artifact import (
     K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ, K_TOKEN, P_ENUM, P_LIST_APPEND, P_LIST_EMPTY,
     P_LIST_PAIR, P_LIST_PASS, P_LIST_SINGLE, P_OPT_NONE, P_OPT_SOME, P_USER, CompiledLang,
-    pause_collector, resume_collector,
+    no_plan, pause_collector, resume_collector,
 )
 from .datacc import DataValue, conforms
 from .lexer import EOF_TERMINAL, LexError, lex_lists, token_bounds_to_linecol
@@ -54,47 +62,71 @@ class Bounds(Tree):
         return (self.start, self.end)
 
 
-class TokenLeaf(Tree):
-    __slots__ = ("terminal", "text", "bounds")
+class _Spanned(Tree):
+    """A tree value's source span as two int byte offsets, `start` and
+    `end`, and as a Bounds on request."""
 
-    def __init__(self, terminal: str, text: str, bounds: Bounds):
+    __slots__ = ()
+
+    @property
+    def bounds(self) -> Bounds:
+        return Bounds(self.start, self.end)
+
+
+class TokenLeaf(_Spanned):
+    __slots__ = ("terminal", "text", "start", "end")  # lexer.Token's layout
+
+    def __init__(self, terminal: str, text: str, start: int, end: int):
         self.terminal = terminal
         self.text = text
-        self.bounds = bounds
+        self.start = start
+        self.end = end
 
 
-class EnumVal(Tree):
-    __slots__ = ("label", "bounds")
+class EnumVal(_Spanned):
+    __slots__ = ("label", "start", "end")
 
-    def __init__(self, label: str, bounds: Bounds):
+    def __init__(self, label: str, start: int, end: int):
         self.label = label
-        self.bounds = bounds
+        self.start = start
+        self.end = end
 
 
-class SeqVal(Tree):
-    __slots__ = ("items", "trailing", "bounds")
+class SeqVal(_Spanned):
+    __slots__ = ("items", "trailing", "start", "end")
 
-    def __init__(self, items: tuple, trailing: bool, bounds: Bounds):
+    def __init__(self, items: tuple, trailing: bool, start: int, end: int):
         self.items = items
         self.trailing = trailing
-        self.bounds = bounds
+        self.start = start
+        self.end = end
 
 
-class Node(Tree):
-    __slots__ = ("variant", "fields", "bounds")
-    COMPARED = ("variant", "fields")  # a node's own bounds are not compared
+class Node(_Spanned):
+    """A node of a rule variant: its field values in `values`, named by
+    `names`, the one tuple every node its production builds shares."""
 
-    def __init__(self, variant: Tuple[str, ...], fields: Tuple[Tuple[str, object], ...],
-                 bounds: Bounds):
+    __slots__ = ("variant", "names", "values", "start", "end")
+    COMPARED = ("variant", "names", "values")  # a node's own positions are not compared
+
+    def __init__(self, variant: Tuple[str, ...], names: Tuple[str, ...], values: tuple,
+                 start: int, end: int):
         self.variant = variant
-        self.fields = fields
-        self.bounds = bounds
+        self.names = names
+        self.values = values
+        self.start = start
+        self.end = end
+
+    @property
+    def fields(self) -> Tuple[Tuple[str, object], ...]:
+        """The (name, value) pairs of the fields, in order."""
+        return tuple(zip(self.names, self.values))
 
     def field(self, name: str):
-        for fname, v in self.fields:
-            if fname == name:
-                return v
-        raise KeyError(name)
+        try:
+            return self.values[self.names.index(name)]
+        except ValueError:
+            raise KeyError(name) from None
 
     def has_variant_prefix(self, prefix: Tuple[str, ...]) -> bool:
         return self.variant[: len(prefix)] == prefix
@@ -108,7 +140,8 @@ class ParseError:
     message: str
     bounds: Tuple[int, int]
     location_block: str
-    # the terminals the failing state acts on (LR(1) artifacts; else empty)
+    # the terminals the failing state acts on (at k >= 2, the first of each
+    # lookahead it acts on)
     expected: Tuple[str, ...] = ()
     lex_error: Optional[LexError] = None
 
@@ -177,6 +210,7 @@ def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
         return ParseResult(None, ParseError(msg, b, location_fmt_str(text, b), (), e), [])
 
     n_toks = len(terms)
+    leaves = list(map(TokenLeaf, terms, texts, starts, ends))
     end_byte = len(text.encode("utf-8"))
     k = compiled.k
     terms.extend([EOF_TERMINAL] * k)
@@ -189,7 +223,9 @@ def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
     state = start_state  # the top of `states`
     states = [state]
     values: List[object] = []
-    vbounds: List[Bounds] = []
+    # the byte offsets each value of `values` spans
+    vstarts: List[int] = []
+    vends: List[int] = []
     pos = 0
 
     act = 0
@@ -197,57 +233,64 @@ def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
         while True:
             act = action_rows[state].get(las[pos])
             if act is None:
+                row = action_rows[state]
                 return ParseResult(None, _unexpected(text, end_byte, texts, starts, ends, pos,
-                                                     action_rows[state] if k == 1 else {}),
+                                                     row if k == 1 else {la[0] for la in row}),
                                    extracts)
             if act >= 0:  # shift
-                b = Bounds(starts[pos], ends[pos])
-                values.append(TokenLeaf(terms[pos], texts[pos], b))
-                vbounds.append(b)
+                values.append(leaves[pos])
+                vstarts.append(starts[pos])
+                vends.append(ends[pos])
                 states.append(act)
                 state = act
                 pos += 1
-            elif act < -1:  # reduce
-                kind, rhs_len, lhs, data = prods[-2 - act]
-                if rhs_len:
-                    popped = values[-rhs_len:]
-                    # Bounds are immutable, so a unit reduce shares its child's
-                    span = (vbounds[-1] if rhs_len == 1
-                            else Bounds(vbounds[-rhs_len].start, vbounds[-1].end))
-                    del values[-rhs_len:]
-                    del vbounds[-rhs_len:]
-                    del states[-rhs_len:]
-                else:
-                    popped = ()
-                    at = starts[pos] if pos < n_toks else end_byte
-                    span = Bounds(at, at)
-                if kind == P_USER:
-                    variant, fields = data
-                    value = Node(variant, tuple([
-                        (name, popped[idx]) if is_slot
-                        else (name, EnumVal(label, popped[idx].bounds))
-                        for name, is_slot, idx, label in fields]), span)
-                elif kind == P_LIST_APPEND:
-                    # each chain value is popped exactly once, so in-place append
-                    # keeps long lists linear
-                    value = popped[data[0]]
-                    value.append(popped[data[1]])
-                else:
-                    value = _assemble(kind, data, popped, span)
-                state = goto_rows[states[-1]].get(lhs)
-                if state is None:
-                    raise SpecError("malformed artifact: no goto for %s in state %d"
-                                    % (lhs, states[-1]))
-                states.append(state)
-                values.append(value)
-                vbounds.append(span)
-            else:  # accept
+                continue
+            if act == -1:  # accept
                 if len(values) != 1 or not isinstance(values[0], Node):
                     raise SpecError("malformed artifact: accept without a single node "
                                     "on the stack")
                 return ParseResult(values[0], None, extracts)
+            # reduce; a value spans from its first part's start to its last
+            # part's end, and an empty one sits at the next token
+            kind, rhs_len, lhs, data = prods[-2 - act]
+            if kind == P_USER:  # its field values, read off the stack
+                variant, names, get, enums = data
+                vals = (values[get],) if get.__class__ is int else get(values)
+                if enums is not None:
+                    vals = list(vals)
+                    for j, label in enums:
+                        x = vals[j]
+                        vals[j] = EnumVal(label, x.start, x.end)
+                    vals = tuple(vals)
+            else:
+                popped = values[-rhs_len:] if rhs_len else ()
+            if rhs_len:
+                del values[-rhs_len:]
+                del states[-rhs_len:]
+                if rhs_len > 1:
+                    del vstarts[1 - rhs_len:]
+                    del vends[-rhs_len:-1]
+            else:
+                at = starts[pos] if pos < n_toks else end_byte
+                vstarts.append(at)
+                vends.append(at)
+            if kind == P_USER:
+                value = Node(variant, names, vals, vstarts[-1], vends[-1])
+            elif kind == P_LIST_APPEND:
+                # each chain value is popped exactly once, so in-place append
+                # keeps long lists linear
+                value = popped[data[0]]
+                value.append(popped[data[1]])
+            else:
+                value = _assemble(kind, data, popped, vstarts[-1], vends[-1])
+            state = goto_rows[states[-1]].get(lhs)
+            if state is None:
+                raise SpecError("malformed artifact: no goto for %s in state %d"
+                                % (lhs, states[-1]))
+            states.append(state)
+            values.append(value)
     except (AttributeError, TypeError) as e:
-        # a production whose assembly takes a list, or an enum's bounds,
+        # a production whose assembly takes a list, or an enum's positions,
         # from a slot that holds another kind of value (the artifact does
         # not record slot kinds, so from_json cannot check this)
         if act is None or act >= -1:
@@ -256,25 +299,26 @@ def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
                         "slot of the wrong kind (%s)" % (-2 - act, e)) from None
 
 
-def _assemble(kind: int, data, popped, span: Bounds):
+def _assemble(kind: int, data, popped, start: int, end: int):
     """The value of a reduce by a production other than P_USER and
-    P_LIST_APPEND (see artifact.P_USER for what `data` holds)."""
+    P_LIST_APPEND (see artifact.P_USER for what `data` holds), spanning
+    start..end."""
     if kind == P_LIST_SINGLE:
         return [popped[data]]
     if kind == P_LIST_PASS:
-        return SeqVal(tuple(popped[data]), False, span)
+        return SeqVal(tuple(popped[data]), False, start, end)
     if kind == P_OPT_NONE:
         return data
     if kind == P_OPT_SOME:
         return True if data < 0 else popped[data]
     if kind == P_ENUM:
-        return EnumVal(data, span)
+        return EnumVal(data, start, end)
     if kind == P_LIST_EMPTY:
-        return SeqVal((), False, span)
+        return SeqVal((), False, start, end)
     if kind == P_LIST_PAIR:
         return [popped[data[0]], popped[data[1]]]
     # P_LIST_TRAIL (P_START is never reduced: CompiledLang rejects it)
-    return SeqVal(tuple(popped[data]), True, span)
+    return SeqVal(tuple(popped[data]), True, start, end)
 
 
 def _lex_error_message(e: LexError, text: str) -> str:
@@ -325,11 +369,13 @@ def render_node(n: Node) -> str:
         elif isinstance(v, Node):
             out.append("%s{" % "::".join(v.variant))
             todo.append(("}", False))
-            fields = v.fields
-            for i in range(len(fields) - 1, -1, -1):
-                name, x = fields[i]
-                todo.append((x, True))
-                todo.append(("%s: " % (name,) if i == 0 else ", %s: " % (name,), False))
+            names, values = v.names, v.values
+            k = len(values)
+            if len(names) < k:
+                k = len(names)
+            for i in range(k - 1, -1, -1):
+                todo.append((values[i], True))
+                todo.append(("%s: " % (names[i],) if i == 0 else ", %s: " % (names[i],), False))
         elif isinstance(v, TokenLeaf):
             out.append('"%s"' % v.text.replace("\\", "\\\\").replace('"', '\\"'))
         elif isinstance(v, EnumVal):
@@ -362,9 +408,9 @@ def wrong_value(v, cls, where: str) -> SpecError:
 
 
 _ROOT = (K_NODE, None, None, None)  # the plan of the root: a node, not checked
-# more tags: stack marks saying that the fields of a node, or the items of
-# a sequence, are converted, so build its value; and a field the variant
-# does not have
+# more tags: stack marks saying that the fields of a node (their number
+# follows the tag), or the items of a sequence, are converted, so build its
+# value; and a field the variant does not have
 _BUILD_NODE, _BUILD_SEQ, _NO_KIND = -1, -2, -3
 
 
@@ -386,17 +432,25 @@ def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
         if tag == K_NODE:
             if not isinstance(v, Node) and plan is not _ROOT:
                 raise wrong_value(v, Node, plan[3])
-            vk, kinds, _ = plans.get(v.variant) or ("::".join(v.variant), {}, None)
-            fields = v.fields
-            todo.append((v, (_BUILD_NODE,), name))
-            for i in range(len(fields) - 1, -1, -1):
-                fname, fv = fields[i]
+            vk, kinds, _, pnames, steps = plans.get(v.variant) or no_plan(v.variant)
+            names, values = v.names, v.values
+            k = len(values)
+            if names is pnames and k == len(names):
+                todo.append((v, (_BUILD_NODE, k), name))
+                for i, fplan, fname in steps:
+                    todo.append((values[i], fplan, fname))
+                continue
+            if len(names) < k:
+                k = len(names)
+            todo.append((v, (_BUILD_NODE, k), name))
+            for i in range(k - 1, -1, -1):
+                fname = names[i]
                 fplan = kinds.get(fname)
                 if fplan is None:  # fails when its turn comes
                     fplan = (_NO_KIND, None, None, "%s.%s" % (vk, fname))
-                todo.append((fv, fplan, fname))
+                todo.append((values[i], fplan, fname))
         elif tag == _BUILD_NODE:
-            k = len(v.fields)
+            k = plan[1]  # the node's fields, those with both a name and a value
             if k:
                 fields = tuple(out[-k:])
                 del out[-k:]

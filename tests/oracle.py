@@ -441,7 +441,7 @@ def node_to_data_value(compiled: CompiledLang, n: Node):
     """Convert a Node to the datatype value layer for schema validation."""
     vk = "::".join(n.variant)
     fields = []
-    for name, v in n.fields:
+    for name, v in zip(n.names, n.values):
         kind = field_kind(compiled, n.variant, name)
         fields.append((name, _value_to_data(compiled, v, kind, vk, name)))
     return DataValue(n.variant, tuple(fields))
@@ -616,7 +616,7 @@ class _Printer:
         tmpl = _ast_and_templates(self.compiled)[1].get(n.variant)
         if tmpl is None:
             raise SpecError("no template for variant %s" % "::".join(n.variant))
-        fields = dict(n.fields)
+        fields = dict(zip(n.names, n.values))
         for it in tmpl:
             if it[0] in ("verbatim", "lit"):
                 self.out.append(it[1])
@@ -721,7 +721,7 @@ def _render_value(v) -> str:
 
 
 def render_node(n: Node) -> str:
-    body = ", ".join("%s: %s" % (name, _render_value(v)) for name, v in n.fields)
+    body = ", ".join("%s: %s" % (name, _render_value(v)) for name, v in zip(n.names, n.values))
     return "%s{%s}" % ("::".join(n.variant), body)
 
 

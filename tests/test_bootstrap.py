@@ -7,7 +7,7 @@ from langcc import (
     bootstrap_check, compile_lang, langspec_from_node, parse, parse_lang_spec, render_spec,
 )
 from langcc.meta_frontend import _Lines, _dotted
-from langcc.runtime import Bounds, Node
+from langcc.runtime import Node
 from langcc.spec_ast import SpecError
 
 from conftest import GRAMMARS, load_grammar, recursion_limit
@@ -65,11 +65,11 @@ def test_converters_reject_wrong_node_variants(meta):
     # explicit checks, kept under python -O
     tree = parse(meta.compiled, load_grammar("parens.lang")).result
     with pytest.raises(SpecError, match="expected a Lang::File node, got DottedName::Name"):
-        langspec_from_node(Node(("DottedName", "Name"), (), tree.bounds))
+        langspec_from_node(Node(("DottedName", "Name"), (), (), tree.start, tree.end))
     with pytest.raises(SpecError, match="expected a DottedName::Name node, got Lang::File"):
         _dotted(tree, _Lines(None))
     with pytest.raises(SpecError, match="expected a Lang::File node"):
-        langspec_from_node(Node(("Lang",), (), Bounds(0, 0)))
+        langspec_from_node(Node(("Lang",), (), (), 0, 0))
 
 
 # Long and deep declarations: the converters run on explicit stacks, so each

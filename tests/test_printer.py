@@ -135,9 +135,9 @@ def test_mistyped_field_raises_spec_error(calc):
     from langcc.runtime import Node, TokenLeaf
 
     node = parse(calc.compiled, "1").result
-    (name, expr), = node.fields
-    bad = Node(node.variant, ((name, TokenLeaf("int_lit", "1", expr.bounds)),),
-               node.bounds)
+    expr, = node.values
+    bad = Node(node.variant, node.names, (TokenLeaf("int_lit", "1", expr.start, expr.end),),
+               node.start, node.end)
     with pytest.raises(SpecError, match="a node field holds a TokenLeaf, expected a Node"):
         pretty_print(calc.compiled, bad)
 

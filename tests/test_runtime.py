@@ -9,7 +9,7 @@ from langcc import (
 )
 from langcc.artifact import K_OPT, CompiledLang
 from langcc.lexer import EOF_TERMINAL
-from langcc.runtime import Bounds, Node, SeqVal, TokenLeaf, node_to_data_value
+from langcc.runtime import Node, SeqVal, TokenLeaf, node_to_data_value
 from langcc.spec_ast import SpecError
 
 ERROR_BLOCK = (
@@ -111,7 +111,7 @@ def test_lone_surrogate_is_a_lex_error(calc_prog, text, offset, line_col):
 def _walk_bounds(value, out):
     if isinstance(value, Node):
         out.append(value.bounds)
-        for _n, v in value.fields:
+        for v in value.values:
             _walk_bounds(v, out)
     elif isinstance(value, SeqVal):
         for item in value.items:
@@ -127,10 +127,10 @@ def test_bounds_nesting(calc):
     def check(node):
         if not isinstance(node, Node):
             return
-        for _n, v in node.fields:
+        for v in node.values:
             if isinstance(v, (Node, TokenLeaf)):
-                assert node.bounds.start <= v.bounds.start
-                assert v.bounds.end <= node.bounds.end
+                assert node.start <= v.start
+                assert v.end <= node.end
             if isinstance(v, Node):
                 check(v)
 
@@ -148,8 +148,8 @@ def test_bounds_nesting(calc):
 def test_bounds_cover_token_span(calc):
     res = parse(calc.compiled, "x = (1 + 2) * 3")
     y = res.result.field("y")
-    assert (y.bounds.start, y.bounds.end) == (4, 15)
-    assert token_bounds_to_linecol("x = (1 + 2) * 3", y.bounds.start) == (1, 5)
+    assert (y.start, y.end) == (4, 15) and y.bounds.span() == (4, 15)
+    assert token_bounds_to_linecol("x = (1 + 2) * 3", y.start) == (1, 5)
 
 
 def test_schema_conformance_of_parsed_nodes(calc):
@@ -163,9 +163,9 @@ def test_schema_conformance_of_parsed_nodes(calc):
 def test_validate_node_rejects_mistyped_field(calc):
     # `1`, with a token where its Expr node field belongs
     node = parse(calc.compiled, "1").result
-    (name, expr), = node.fields
-    bad = Node(node.variant, ((name, TokenLeaf("int_lit", "1", expr.bounds)),),
-               node.bounds)
+    expr, = node.values
+    bad = Node(node.variant, node.names, (TokenLeaf("int_lit", "1", expr.start, expr.end),),
+               node.start, node.end)
     schema = derive_ast_schema(calc.cfg)
     with pytest.raises(SpecError, match="field Stmt::Expr.x holds a TokenLeaf, "
                                         "expected a Node"):
@@ -335,7 +335,7 @@ def _chain_on_node_slot(data):
     ("calc_prog", _chain_on_node_slot, "x = 1; y = 2; z = 3",
      "'Node' object has no attribute 'append'"),
     ("meta", _enum_on_optional_slot, "parser { main { S } S.One <- x:a; }",
-     "'NoneType' object has no attribute 'bounds'"),
+     "'NoneType' object has no attribute 'start'"),
 ], ids=["list chain on a node slot", "enum on an optional slot"])
 def test_artifact_with_slot_of_the_wrong_kind_fails_parse(grammar, mutate, text, message,
                                                          request):
@@ -404,10 +404,9 @@ def test_variant_spelled_with_joined_names_is_rejected_by_both_walks(calc_prog):
     # no template, as any other unknown variant; it is not looked up by its
     # `::`-joined key, Expr::Lit::Int_
     compiled, schema = calc_prog.compiled, derive_ast_schema(calc_prog.cfg)
-    lit = Node(("Expr::Lit", "Int_"), (("val", TokenLeaf("int_lit", "42", Bounds(0, 2))),),
-               Bounds(0, 2))
-    ident = Node(("Expr", "Id"), (("name", TokenLeaf("id", "x", Bounds(0, 1))),), Bounds(0, 1))
-    stmt = Node(("Stmt", "Assign"), (("x", ident), ("y", lit)), Bounds(0, 6))
+    lit = Node(("Expr::Lit", "Int_"), ("val",), (TokenLeaf("int_lit", "42", 0, 2),), 0, 2)
+    ident = Node(("Expr", "Id"), ("name",), (TokenLeaf("id", "x", 0, 1),), 0, 1)
+    stmt = Node(("Stmt", "Assign"), ("x", "y"), (ident, lit), 0, 6)
     for root in (lit, stmt):
         with pytest.raises(SpecError, match="no template for variant Expr::Lit::Int_"):
             pretty_print(compiled, root)
@@ -415,7 +414,7 @@ def test_variant_spelled_with_joined_names_is_rejected_by_both_walks(calc_prog):
             node_to_data_value(compiled, root)
         with pytest.raises(KeyError, match="Expr::Lit::Int_.val"):
             validate_node(compiled, schema, root)
-    empty = Node(("Expr::Lit", "Int_"), (), Bounds(0, 0))
+    empty = Node(("Expr::Lit", "Int_"), (), (), 0, 0)
     with pytest.raises(SpecError, match="unknown type path Expr::Lit::Int_"):
         validate_node(compiled, schema, empty)
 
@@ -529,6 +528,20 @@ def test_action_rows_key_k1_by_terminal_and_k2_by_tuple(calc, ab_eps):
                for row in ab_eps.compiled.action_rows for la in row)
 
 
+@pytest.mark.parametrize("text,message,bounds", [
+    ("aaa", "Unexpected token: `a`", (1, 2)),
+    ("aaaa", "Unexpected token: `a`", (1, 2)),
+    ("", "Unexpected end of input", (0, 0)),
+])
+def test_expected_at_k2_lists_first_terminals_of_the_state(ab_eps, text, message, bounds):
+    # at k = 2 a row is keyed by terminal pairs: `expected` lists the first
+    # terminals of the failing state's keys, sorted (each failing state here
+    # acts on `a` then `a` or the end of input)
+    err = parse(ab_eps.compiled, text).err
+    assert (err.message, err.bounds) == (message, bounds)
+    assert err.expected == ("`a`",)
+
+
 # ---------------------------------------------------------------------------
 # The cyclic collector is paused during a parse
 
@@ -577,31 +590,35 @@ def test_value_types_equality_hash_repr():
     b = Bounds(1, 2)
     assert b == Bounds(1, 2) and b != Bounds(1, 3) and b.span() == (1, 2)
     assert repr(b) == "Bounds(start=1, end=2)"
-    leaf = TokenLeaf("id", "x", b)
-    assert repr(leaf) == "TokenLeaf(terminal='id', text='x', bounds=Bounds(start=1, end=2))"
-    enum = EnumVal("Add", b)
-    assert repr(enum) == "EnumVal(label='Add', bounds=Bounds(start=1, end=2))"
-    seq = SeqVal((leaf,), False, b)
-    assert repr(seq) == ("SeqVal(items=(%r,), trailing=False, bounds=%r)" % (leaf, b))
+    leaf = TokenLeaf("id", "x", 1, 2)
+    assert repr(leaf) == "TokenLeaf(terminal='id', text='x', start=1, end=2)"
+    enum = EnumVal("Add", 1, 2)
+    assert repr(enum) == "EnumVal(label='Add', start=1, end=2)"
+    seq = SeqVal((leaf,), False, 1, 2)
+    assert repr(seq) == ("SeqVal(items=(%r,), trailing=False, start=1, end=2)" % (leaf,))
+    # positions are ints; `bounds` gives them as a Bounds
+    assert leaf.bounds == enum.bounds == seq.bounds == b
     tok = Token("id", "x", 1, 2)
     assert repr(tok) == "Token(terminal='id', text='x', start=1, end=2)"
 
     values = [b, leaf, enum, seq, tok]
-    copies = [Bounds(1, 2), TokenLeaf("id", "x", Bounds(1, 2)), EnumVal("Add", Bounds(1, 2)),
-              SeqVal((TokenLeaf("id", "x", Bounds(1, 2)),), False, Bounds(1, 2)),
+    copies = [Bounds(1, 2), TokenLeaf("id", "x", 1, 2), EnumVal("Add", 1, 2),
+              SeqVal((TokenLeaf("id", "x", 1, 2),), False, 1, 2),
               Token("id", "x", 1, 2)]
     for i, v in enumerate(values):
         for j, w in enumerate(copies):
             assert (v == w) == (i == j) and (v != w) == (i != j), (v, w)
     # same fields, different types: unequal, as between two dataclasses
-    assert EnumVal("x", b) != TokenLeaf("x", "x", b) and Bounds(1, 2) != (1, 2)
-    assert leaf != TokenLeaf("id", "y", b) and seq != SeqVal((leaf,), True, b)
+    assert EnumVal("x", 1, 2) != TokenLeaf("x", "x", 1, 2) and Bounds(1, 2) != (1, 2)
+    assert leaf != TokenLeaf("id", "y", 1, 2) and seq != SeqVal((leaf,), True, 1, 2)
+    assert leaf != TokenLeaf("id", "x", 1, 3)
 
     table = {v: i for i, v in enumerate(values)}
     assert [table[w] for w in copies] == list(range(len(values)))
     assert hash(b) == hash((1, 2))
     # the tuple hash of the fields, nested trees hashed in their place
-    assert hash(tok) == hash(("id", "x", 1, 2)) and hash(leaf) == hash(("id", "x", (1, 2)))
+    assert hash(tok) == hash(("id", "x", 1, 2)) and hash(leaf) == hash(("id", "x", 1, 2))
+    assert hash(seq) == hash(((("id", "x", 1, 2),), False, 1, 2))
 
 
 def test_overlapping_parses_in_threads_reenable_collector(calc):

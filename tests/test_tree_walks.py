@@ -11,7 +11,7 @@ import oracle
 from conftest import GRAMMARS, load_grammar
 from langcc import datacc as D
 from langcc import derive_ast_schema, parse, pretty_print, render_node, validate_node
-from langcc.runtime import Bounds, EnumVal, Node, SeqVal, TokenLeaf, node_to_data_value
+from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, node_to_data_value
 from langcc.spec_ast import SpecError
 
 FIXTURES = sorted(p.name for p in GRAMMARS.glob("*.lang"))
@@ -130,42 +130,52 @@ def _nodes(root):
         x = todo.pop()
         if isinstance(x, Node):
             out.append(x)
-            todo.extend(v for _f, v in reversed(x.fields))
+            todo.extend(reversed(x.values))
         elif isinstance(x, SeqVal):
             todo.extend(reversed(x.items))
     return out
 
 
 def _leaf():
-    return TokenLeaf("id", "q", Bounds(0, 1))
+    return TokenLeaf("id", "q", 0, 1)
 
 
 def _ident():
-    return Node(("Expr", "Id"), (("name", _leaf()),), Bounds(0, 1))
+    return Node(("Expr", "Id"), ("name",), (_leaf(),), 0, 1)
 
 
 # values of every kind, built afresh each time (a later change may edit them)
 _WRONG_VALUES = [
     _leaf,
     _ident,
-    lambda: Node(("Stmt", "Expr"), (("x", _ident()),), Bounds(0, 1)),
-    lambda: Node(("Nope",), (("a", _leaf()),), Bounds(0, 1)),
-    lambda: Node(("Nope",), (), Bounds(0, 1)),
-    lambda: EnumVal("Add", Bounds(0, 1)),
-    lambda: EnumVal("Nope", Bounds(0, 1)),
-    lambda: SeqVal((), False, Bounds(0, 1)),
-    lambda: SeqVal((_leaf(), _ident()), True, Bounds(0, 1)),
+    lambda: Node(("Stmt", "Expr"), ("x",), (_ident(),), 0, 1),
+    lambda: Node(("Nope",), ("a",), (_leaf(),), 0, 1),
+    lambda: Node(("Nope",), (), (), 0, 1),
+    lambda: EnumVal("Add", 0, 1),
+    lambda: EnumVal("Nope", 0, 1),
+    lambda: SeqVal((), False, 0, 1),
+    lambda: SeqVal((_leaf(), _ident()), True, 0, 1),
     lambda: None,
     lambda: True,
     lambda: "text",
 ]
 
 
+def _set_fields(node, fields):
+    """Give node the (name, value) pairs `fields`, keeping its names tuple,
+    which the nodes of its production share, if the names are the same."""
+    names = tuple(name for name, _v in fields)
+    if names != node.names:
+        node.names = names
+    node.values = tuple(v for _name, v in fields)
+
+
 def _mutate_tree(data, root):
     """Change one field of one node of root in place: a value of another
-    kind, a renamed, dropped or moved field, or another variant; or give a
-    later field a value of another kind and change a node under an earlier
-    one (which of the two a walk finds first shows the order it visits)."""
+    kind, a renamed, dropped or moved field, a value dropped with its name
+    kept, or another variant; or give a later field a value of another
+    kind and change a node under an earlier one (which of the two a walk
+    finds first shows the order it visits)."""
     by_variant = {}
     for n in _nodes(root):
         by_variant.setdefault(n.variant, []).append(n)
@@ -173,7 +183,7 @@ def _mutate_tree(data, root):
     node = data.draw(st.sampled_from(by_variant[data.draw(st.sampled_from(sorted(by_variant)))]))
     fields = list(node.fields)
     how = data.draw(st.sampled_from(["value", "rename", "drop", "reverse", "variant",
-                                     "siblings"]))
+                                     "siblings", "short"]))
     if how == "siblings":
         if len(fields) < 2:
             return
@@ -183,13 +193,16 @@ def _mutate_tree(data, root):
         under = _nodes(fields[i][1])
         if not under:
             fields[i] = (fields[i][0], data.draw(st.sampled_from(_WRONG_VALUES))())
-        node.fields = tuple(fields)
+        _set_fields(node, fields)
         if under:
             _mutate_tree(data, data.draw(st.sampled_from(under)))
         return
     if how == "variant" or not fields:
         node.variant = data.draw(st.sampled_from([("Nope",), ("Expr", "Id"), ("Stmt", "Expr"),
                                                   ("Expr::Lit", "Int_")]))
+        return
+    if how == "short":
+        node.values = node.values[:-1]
         return
     i = data.draw(st.integers(0, len(fields) - 1))
     name, value = fields[i]
@@ -201,7 +214,7 @@ def _mutate_tree(data, root):
         del fields[i]
     else:
         fields.reverse()
-    node.fields = tuple(fields)
+    _set_fields(node, fields)
 
 
 @settings(max_examples=150, deadline=None,
@@ -245,19 +258,17 @@ def test_walks_report_the_first_wrong_field_as_references(grammar, request):
              else ["x = 1 + -(2 * y) ^ 3;\nz"])
     for text, i in _first_of_each_variant(compiled, texts):
         node = _nodes(_parsed(compiled, text))[i]
-        node.fields = tuple((name, _wrong(j)) for j, (name, _v) in enumerate(node.fields))
+        node.values = tuple(_wrong(j) for j in range(len(node.values)))
         _assert_walks_agree(compiled, schema, node)
         root = _parsed(compiled, text)
         node = _nodes(root)[i]
-        if len(node.fields) < 2:
+        if len(node.values) < 2:
             continue
-        fields = list(node.fields)
-        fields[-1] = (fields[-1][0], _wrong(len(fields) - 1))
-        node.fields = tuple(fields)
-        under = _nodes(fields[0][1])
-        if under and under[-1].fields:
+        node.values = node.values[:-1] + (_wrong(len(node.values) - 1),)
+        under = _nodes(node.values[0])
+        if under and under[-1].values:
             deep = under[-1]
-            deep.fields = ((deep.fields[0][0], _wrong(0)),) + deep.fields[1:]
+            deep.values = (_wrong(0),) + deep.values[1:]
         _assert_walks_agree(compiled, schema, root)
 
 
@@ -425,7 +436,7 @@ def test_node_equality_and_hash_follow_every_field(calc_prog):
     a, b = _parsed(compiled, text), _parsed(compiled, text)
     assert a == b and hash(a) == hash(b) and not a != b
     assert a != 5 and a.__eq__(5) is NotImplemented
-    b.bounds = Bounds(3, 4)  # a node's own bounds are not compared
+    b.start, b.end = 3, 4  # a node's own positions are not compared
     assert a == b and hash(a) == hash(b)
 
     def changed(change):
@@ -433,21 +444,23 @@ def test_node_equality_and_hash_follow_every_field(calc_prog):
         change(c)
         return c
 
-    stmts = lambda n: n.fields[0][1]  # noqa: E731
+    stmts = lambda n: n.values[0]  # noqa: E731
     first = lambda n: stmts(n).items[0]  # noqa: E731
-    plus = lambda n: first(n).fields[1][1]  # noqa: E731
-    leaf = lambda n: plus(n).fields[0][1].fields[0][1]  # noqa: E731
+    plus = lambda n: first(n).values[1]  # noqa: E731
+    leaf = lambda n: plus(n).values[0].values[0]  # noqa: E731
     variants = [
         lambda n: setattr(leaf(n), "text", "3"),
-        lambda n: setattr(leaf(n), "bounds", Bounds(0, 0)),
-        lambda n: setattr(plus(n).fields[1][1], "label", "Sub"),
+        lambda n: setattr(leaf(n), "start", 0),
+        lambda n: setattr(leaf(n), "end", 0),
+        lambda n: setattr(plus(n).values[1], "label", "Sub"),
+        lambda n: setattr(plus(n).values[1], "start", 0),
         lambda n: setattr(stmts(n), "trailing", True),
-        lambda n: setattr(stmts(n), "bounds", Bounds(0, 0)),
+        lambda n: setattr(stmts(n), "end", 0),
         lambda n: setattr(stmts(n), "items", stmts(n).items[:1]),
         lambda n: setattr(plus(n), "variant", ("Expr", "BinOp2")),
-        lambda n: setattr(first(n), "fields", (("z", first(n).fields[0][1]),
-                                               first(n).fields[1])),
-        lambda n: setattr(first(n), "fields", first(n).fields[:1]),
+        lambda n: setattr(first(n), "names", ("z",) + first(n).names[1:]),
+        lambda n: _set_fields(first(n), first(n).fields[:1]),
+        lambda n: setattr(first(n), "values", first(n).values[:1]),
     ]
     for change in variants:
         c = changed(change)
