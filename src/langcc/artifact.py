@@ -27,7 +27,6 @@ from __future__ import annotations
 import gc
 import json
 import threading
-from operator import itemgetter
 from typing import Dict, Optional
 
 from .lexer import EOF_TERMINAL, CompiledLexer, LexCompileError, ModeDfa
@@ -69,17 +68,12 @@ class CompiledLang:
         self.indent_unit = data["indent_unit"]
         self.starts = dict(data["starts"])
         # variant tuple -> (variant key, {field: field plan}, print entries
-        # or None, names or None, field steps or None): the plan the tree
-        # walks read, for every variant that has field kinds or a template.
-        # `names` is the tuple the parser's nodes of the variant share, given
-        # if it names each field that has a kind once; then a print entry
-        # for a field is (name, field plan, index in names), and the steps
-        # are ((index, field plan, name), ...) in reverse order, so a walk
-        # reads the values of a node holding that tuple by index.
+        # or None): the plan the tree walks read, for every variant that
+        # has field kinds or a template
         self.plans: Dict[tuple, tuple] = {}
         ast, templates = data["ast"], data["templates"]
-        # the parser's own variant and names tuples: a walk matches them by identity
-        layouts = {"::".join(p[3][0]): p[3][:2] for p in self.prods if p[0] == P_USER}
+        # the parser's own variant tuples as keys: a walk's lookups match by identity
+        variants = {"::".join(p[3][0]): p[3][0] for p in self.prods if p[0] == P_USER}
         for vk in sorted({*ast, *templates}):
             fields = {}
             for f in ast.get(vk, ()):
@@ -87,18 +81,8 @@ class CompiledLang:
                     raise _malformed("AST field %r is not [name, kind]" % (f,))
                 fields[f[0]] = _field_plan(f[1], vk, f[0])
             tmpl = templates.get(vk)
-            entries = None if tmpl is None else _entries(tmpl, fields=fields)
-            variant, names = layouts.get(vk) or (tuple(vk.split("::")), None)
-            steps = None
-            if names is not None and sorted(names) == sorted(fields):
-                steps = tuple([(i, fields[names[i]], names[i])
-                               for i in range(len(names) - 1, -1, -1)])
-                if entries is not None:
-                    entries = tuple([e if e.__class__ is str else e + (names.index(e[0]),)
-                                     for e in entries])
-            else:
-                names = None
-            self.plans[variant] = (vk, fields, entries, names, steps)
+            self.plans[variants.get(vk) or tuple(vk.split("::"))] = (
+                vk, fields, None if tmpl is None else _entries(tmpl, fields=fields))
         self.variant_prefixes = {tuple(vk.split("::")[:i]) for vk in ast
                                  for i in range(1, vk.count("::") + 2)}
 
@@ -155,12 +139,6 @@ class CompiledLang:
 
     def __eq__(self, other):
         return isinstance(other, CompiledLang) and self.to_json() == other.to_json()
-
-
-def no_plan(variant: tuple) -> tuple:
-    """The plan of a variant that CompiledLang.plans lacks: no fields and
-    no template."""
-    return ("::".join(variant), {}, None, None, None)
 
 
 def _malformed(what: str) -> SpecError:
@@ -283,12 +261,11 @@ def _field_plan(kind, vk: str, name: str) -> tuple:
 
 
 # CompiledLang.prods[p] is (kind, rhs_len, lhs_ref, data), kind one of:
-# data: (variant tuple, field names, get, enums).  The names are a tuple
-# shared by every production of the variant that has them.  get reads the
-# fields' values off the top of the parse loop's value stack: an int offset
-# from the end for one field, else a function of the stack returning their
-# tuple (an itemgetter for two or more).  enums is ((field index, label),
-# ...) for the fields that hold an inline enum's label, or None.
+# data: (variant tuple, field names, slots, enums).  The names are a tuple
+# shared by every production of the variant that has them; slots holds each
+# field's offset from the top of the parse loop's value stack (negative),
+# and enums ((field index, label), ...) the fields that hold an inline
+# enum's label, or None.
 P_USER = 0
 P_LIST_APPEND = 1  # data: (chain slot index, element slot index)
 P_ENUM = 2  # data: the label
@@ -332,7 +309,7 @@ def _prod_tuple(p, interned: dict) -> tuple:
     if kind == P_USER:
         if not (len(p) == 6 and type(p[3]) is str and type(p[4]) is list):
             raise _malformed("production %r has malformed fields" % (p,))
-        names, offsets, enums = [], [], []
+        names, slots, enums = [], [], []
         for f in p[4]:
             if not (type(f) is list and len(f) == 2 and type(f[0]) is str
                     and type(f[1]) is list and len(f[1]) >= 2
@@ -344,12 +321,11 @@ def _prod_tuple(p, interned: dict) -> tuple:
                     raise _malformed("production %r has an enum field with no label" % (p,))
                 enums.append((len(names), src[2]))
             names.append(name)
-            offsets.append(slot(src[1]) - n)
-        get = (offsets[0] if len(offsets) == 1 else itemgetter(*offsets) if offsets
-               else _no_fields)
+            slots.append(slot(src[1]) - n)
         variant, names = tuple(p[3].split("::")), tuple(names)
         return (kind, n, p[2], (interned.setdefault(variant, variant),
-                                interned.setdefault(names, names), get, tuple(enums) or None))
+                                interned.setdefault(names, names), tuple(slots),
+                                tuple(enums) or None))
     if not (len(p) == 5 and type(p[3]) is list):
         raise _malformed("production %r has no assembly list" % (p,))
     asm = p[3]
@@ -370,10 +346,6 @@ def _prod_tuple(p, interned: dict) -> tuple:
             raise _malformed("production %r has no two-slot assembly list" % (p,))
         return (kind, n, p[2], (slot(asm[0]), slot(asm[1])))
     return (kind, n, p[2], slot(asm[0]))
-
-
-def _no_fields(_stack: list) -> tuple:
-    return ()
 
 
 def prod_tuples(entries: list) -> list:

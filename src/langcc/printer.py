@@ -15,11 +15,9 @@ parse time, so `:?` lists round-trip the input's choice.
 The templates are resolved per variant when the artifact loads
 (artifact.CompiledLang.plans: variant tuple -> (variant key, {field: field
 plan}, the template's entries reversed, each literal text or (field name,
-field plan, index in the names), the names, ...)); a variant with no plan
-has no template.  A node holding the plan's names tuple has its fields
-read by index, any other by name.  pretty_print runs one explicit stack
-over them, so it prints a tree of any depth at the default recursion
-limit.
+field plan))); a variant with no plan has no template.  pretty_print runs
+one explicit stack over them, so it prints a tree of any depth at the
+default recursion limit.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from .artifact import (
     CONTENT, F_BLOCK, F_BLOCK2, F_LINE, F_TOP2, K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ,
-    K_TOKEN, CompiledLang, no_plan,
+    K_TOKEN, CompiledLang,
 )
 from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse, wrong_value
 from .spec_ast import SpecError
@@ -78,15 +76,10 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
         if tag == K_NODE:
             if not isinstance(v, Node) and plan is not _ROOT:
                 raise wrong_value(v, Node, "a node field")
-            vk, _kinds, entries, pnames, _steps = plans.get(v.variant) or no_plan(v.variant)
+            vk, _kinds, entries = plans.get(v.variant) or ("::".join(v.variant), {}, None)
             if entries is None:
                 raise SpecError("no template for variant %s" % vk)
-            names, values = v.names, v.values
-            if names is pnames and len(values) == len(names):
-                for e in entries:
-                    todo.append(e if e.__class__ is str else (values[e[2]], e[1]))
-                continue
-            fields = dict(zip(names, values))
+            fields = dict(zip(v.names, v.values))
             for e in entries:
                 if e.__class__ is str:
                     todo.append(e)

@@ -21,16 +21,15 @@ the loop builds user nodes and appends to list chains itself and leaves
 the other kinds to _assemble.  It builds every token's leaf in one map
 before it starts, and keeps the values' start and end offsets on two int
 stacks beside the value stack, so a reduce allocates no Bounds and no field
-pair: a user node takes its values off the stack with the production's
-getter.  Tree values are __slots__ classes on spec_ast.Tree, several times
+pair: a user node takes its values off the stack at the production's
+slots.  Tree values are __slots__ classes on spec_ast.Tree, several times
 cheaper to construct than frozen dataclasses, and the cyclic collector is
 paused for the duration of a parse.
 
 node_to_data_value reads the plans CompiledLang resolves per variant at
 load (CompiledLang.plans; a field plan starts (tag, element plan, enum
 type name, field description); a variant with no plan has no fields), so
-it neither scans field kinds nor joins variant names per node, and reads a
-node that holds its production's names tuple by index.  It and
+it neither scans field kinds nor joins variant names per node.  It and
 render_node walk a tree on an explicit stack, as Tree's ==, hash and repr
 do, so a tree of any depth passes through them at the default recursion
 limit.  Nothing here or in artifact.py imports the generator.
@@ -44,7 +43,7 @@ from typing import List, Optional, Tuple
 from .artifact import (
     K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ, K_TOKEN, P_ENUM, P_LIST_APPEND, P_LIST_EMPTY,
     P_LIST_PAIR, P_LIST_PASS, P_LIST_SINGLE, P_OPT_NONE, P_OPT_SOME, P_USER, CompiledLang,
-    no_plan, pause_collector, resume_collector,
+    pause_collector, resume_collector,
 )
 from .datacc import DataValue, conforms
 from .lexer import EOF_TERMINAL, LexError, lex_lists, token_bounds_to_linecol
@@ -254,8 +253,8 @@ def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
             # part's end, and an empty one sits at the next token
             kind, rhs_len, lhs, data = prods[-2 - act]
             if kind == P_USER:  # its field values, read off the stack
-                variant, names, get, enums = data
-                vals = (values[get],) if get.__class__ is int else get(values)
+                variant, names, slots, enums = data
+                vals = tuple([values[i] for i in slots])
                 if enums is not None:
                     vals = list(vals)
                     for j, label in enums:
@@ -432,16 +431,9 @@ def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
         if tag == K_NODE:
             if not isinstance(v, Node) and plan is not _ROOT:
                 raise wrong_value(v, Node, plan[3])
-            vk, kinds, _, pnames, steps = plans.get(v.variant) or no_plan(v.variant)
+            vk, kinds, _ = plans.get(v.variant) or ("::".join(v.variant), {}, None)
             names, values = v.names, v.values
-            k = len(values)
-            if names is pnames and k == len(names):
-                todo.append((v, (_BUILD_NODE, k), name))
-                for i, fplan, fname in steps:
-                    todo.append((values[i], fplan, fname))
-                continue
-            if len(names) < k:
-                k = len(names)
+            k = min(len(names), len(values))  # the fields with both a name and a value
             todo.append((v, (_BUILD_NODE, k), name))
             for i in range(k - 1, -1, -1):
                 fname = names[i]
@@ -450,7 +442,7 @@ def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
                     fplan = (_NO_KIND, None, None, "%s.%s" % (vk, fname))
                 todo.append((values[i], fplan, fname))
         elif tag == _BUILD_NODE:
-            k = plan[1]  # the node's fields, those with both a name and a value
+            k = plan[1]
             if k:
                 fields = tuple(out[-k:])
                 del out[-k:]
