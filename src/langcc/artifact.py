@@ -27,6 +27,7 @@ from __future__ import annotations
 import gc
 import json
 import threading
+from operator import itemgetter
 from typing import Dict, Optional
 
 from .lexer import EOF_TERMINAL, CompiledLexer, LexCompileError, ModeDfa
@@ -261,11 +262,13 @@ def _field_plan(kind, vk: str, name: str) -> tuple:
 
 
 # CompiledLang.prods[p] is (kind, rhs_len, lhs_ref, data), kind one of:
-# data: (variant tuple, field names, slots, enums).  The names are a tuple
-# shared by every production of the variant that has them; slots holds each
-# field's offset from the top of the parse loop's value stack (negative),
-# and enums ((field index, label), ...) the fields that hold an inline
-# enum's label, or None.
+# data: (variant tuple, field names, get, enums).  The names are a tuple
+# shared by every production of the variant that has them.  get reads the
+# fields' values off the top of the parse loop's value stack: an int offset
+# from the end for one field, else a function of the stack returning their
+# tuple (an itemgetter, which builds it in C, for two or more).  enums is
+# ((field index, label), ...) for the fields that hold an inline enum's
+# label, or None.
 P_USER = 0
 P_LIST_APPEND = 1  # data: (chain slot index, element slot index)
 P_ENUM = 2  # data: the label
@@ -322,10 +325,10 @@ def _prod_tuple(p, interned: dict) -> tuple:
                 enums.append((len(names), src[2]))
             names.append(name)
             slots.append(slot(src[1]) - n)
+        get = slots[0] if len(slots) == 1 else itemgetter(*slots) if slots else _no_fields
         variant, names = tuple(p[3].split("::")), tuple(names)
         return (kind, n, p[2], (interned.setdefault(variant, variant),
-                                interned.setdefault(names, names), tuple(slots),
-                                tuple(enums) or None))
+                                interned.setdefault(names, names), get, tuple(enums) or None))
     if not (len(p) == 5 and type(p[3]) is list):
         raise _malformed("production %r has no assembly list" % (p,))
     asm = p[3]
@@ -346,6 +349,10 @@ def _prod_tuple(p, interned: dict) -> tuple:
             raise _malformed("production %r has no two-slot assembly list" % (p,))
         return (kind, n, p[2], (slot(asm[0]), slot(asm[1])))
     return (kind, n, p[2], slot(asm[0]))
+
+
+def _no_fields(_stack: list) -> tuple:
+    return ()
 
 
 def prod_tuples(entries: list) -> list:

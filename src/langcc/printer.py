@@ -79,13 +79,14 @@ def pretty_print(compiled: CompiledLang, n: Node) -> str:
             vk, _kinds, entries = plans.get(v.variant) or ("::".join(v.variant), {}, None)
             if entries is None:
                 raise SpecError("no template for variant %s" % vk)
-            fields = dict(zip(v.names, v.values))
+            names, values = v.names, v.values
             for e in entries:
                 if e.__class__ is str:
                     todo.append(e)
-                elif e[0] in fields:
-                    todo.append((fields[e[0]], e[1]))
-                else:  # fails when its turn comes
+                    continue
+                try:
+                    todo.append((values[names.index(e[0])], e[1]))
+                except (ValueError, IndexError):  # fails when its turn comes
                     todo.append((e[0], _NO_FIELD))
         elif tag == K_TOKEN:
             if not isinstance(v, TokenLeaf):

@@ -21,8 +21,8 @@ the loop builds user nodes and appends to list chains itself and leaves
 the other kinds to _assemble.  It builds every token's leaf in one map
 before it starts, and keeps the values' start and end offsets on two int
 stacks beside the value stack, so a reduce allocates no Bounds and no field
-pair: a user node takes its values off the stack at the production's
-slots.  Tree values are __slots__ classes on spec_ast.Tree, several times
+pair: a user node takes its values off the stack with the production's
+getter.  Tree values are __slots__ classes on spec_ast.Tree, several times
 cheaper to construct than frozen dataclasses, and the cyclic collector is
 paused for the duration of a parse.
 
@@ -253,8 +253,8 @@ def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:
             # part's end, and an empty one sits at the next token
             kind, rhs_len, lhs, data = prods[-2 - act]
             if kind == P_USER:  # its field values, read off the stack
-                variant, names, slots, enums = data
-                vals = tuple([values[i] for i in slots])
+                variant, names, get, enums = data
+                vals = (values[get],) if get.__class__ is int else get(values)
                 if enums is not None:
                     vals = list(vals)
                     for j, label in enums:

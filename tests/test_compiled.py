@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from langcc import artifact, compile_lang, parse
-from langcc.artifact import CompiledLang, RawJson, _canonical_json
+from langcc.artifact import P_USER, CompiledLang, RawJson, _canonical_json
 from langcc.compiled import flatten
 from langcc.meta_frontend import meta_artifact
 from langcc.spec_ast import SpecError
@@ -137,13 +137,26 @@ def test_build_path_checks_no_tables_or_lexer(monkeypatch, grammar):
     assert CompiledLang.from_json(compiled.to_json()) == compiled
 
 
+def _comparable_prod(p):
+    """A user production's field getter (index 2 of its data) may be a
+    function of its own, so the slots it reads off a stack of the slot
+    indexes stand in for it."""
+    if p[0] != P_USER:
+        return p
+    variant, names, get, enums = p[3]
+    stack = list(range(p[1]))
+    read = (stack[get],) if type(get) is int else get(stack)
+    return p[:3] + ((variant, names, read, enums),)
+
+
 def _runtime_parts(compiled):
     """What a CompiledLang serves the parser, the lexer and the tree walks.
     A lexer program's `step` (index 3) is a method of its own ModeDfa, so
     the DFA states stand in for it."""
     lexer = compiled.lexer
     return {
-        "prods": compiled.prods, "action_rows": compiled.action_rows,
+        "prods": [_comparable_prod(p) for p in compiled.prods],
+        "action_rows": compiled.action_rows,
         "goto_rows": compiled.goto_rows, "plans": compiled.plans,
         "variant_prefixes": compiled.variant_prefixes, "starts": compiled.starts,
         "mains": compiled.mains, "k": compiled.k,
