@@ -19,16 +19,27 @@ Everything else is a hard LexAmbiguity error.
 At run time maximal munch walks the DFA of the mode on top of the mode
 stack.  Each DFA state has a dense transition row for ASCII codepoints and
 flat accept/eof lists, so an ASCII character costs one list index; other
-codepoints bisect the state's sorted intervals.  When a CompiledLexer is
-built (from a spec or from an artifact), each rule's action list must pass
-action_list_fault, the progress check validate_spec also runs, and then
-becomes an opcode: a plain `emit` or `pass` costs one int comparison, and
-any other list runs its precompiled steps.  A frame keeps the text credited to it
-only if its mode can be popped by `pop_extract` or `pop_emit`, which is
-decided from the spec, conservatively, at the same time.  lex_lists returns
-the tokens as parallel lists (terminals, texts, starts, ends), which the
-parser indexes directly; lex builds Token values from them.  Tokens are
-__slots__ values (spec_ast.Tree), not dataclasses.
+codepoints bisect the state's sorted intervals.  An ASCII character that
+matches alone (it leads from the start state to an accepting state with no
+transitions and no eof transition) ends its match without a walk, read
+from a table per mode, and a plain `pass` also passes the run of such
+characters after it that match alone with a plain `pass` (spaces, comment
+and string bodies).  Maximal munch runs in time linear in the input
+(Reps, "Maximal-munch" tokenization in linear time, TOPLAS 1998): when a
+walk reads past its last accept, the (state, position) pairs it passed
+there are remembered, and a later walk of that mode that reaches one stops.
+A walk that never reads past its last accept pays nothing for this.
+
+When a CompiledLexer is built (from a spec or from an artifact), each
+rule's action list must pass action_list_fault, the progress check
+validate_spec also runs, and then becomes an opcode: a plain `emit` or
+`pass` costs one int comparison, and any other list runs its precompiled
+steps.  A frame keeps the text credited to it only if its mode can be
+popped by `pop_extract` or `pop_emit`, which is decided from the spec,
+conservatively, at the same time.  lex_lists returns the tokens as
+parallel lists (terminals, texts, starts, ends), which the parser indexes
+directly; lex builds Token values from them.  Tokens are __slots__ values
+(spec_ast.Tree), not dataclasses.
 """
 
 from __future__ import annotations
@@ -279,12 +290,23 @@ class CompiledLexer:
         self.dfas = dfas
         self.mode_actions = mode_actions  # mode -> tuple of action tuples, per rule
         self.emittable = emittable  # terminal ids the lexer can produce
-        # programs[mode]: (ascii_rows, accepts, eofs, step, start, keeps),
-        # what the matching loop reads for a frame in that mode: the DFA's
-        # rows, with each accept compiled to (opcode, terminal, steps), and
-        # whether the frame keeps the text credited to it
+        # programs[mode]: (ascii_rows, accepts, eofs, step, start, keeps,
+        # singles, passes, base), what the matching loop reads for a frame
+        # in that mode:
+        # - the DFA's rows, with each accept compiled to (opcode, terminal,
+        #   steps);
+        # - keeps: whether the frame keeps the text credited to it;
+        # - singles: per ASCII character, the compiled accept of its match
+        #   if it matches alone (it leads from the start to an accepting
+        #   state with no transitions and no eof transition), else None;
+        #   one more None for ASCII_ROW, the code lex_lists puts past the
+        #   end of the text;
+        # - passes: the characters that match alone with a plain pass;
+        # - base: where the mode's states begin among all modes' states,
+        #   for the keys of the failure memo.
         keeping = _modes_keeping_text(mode_actions)
         self.programs = {}
+        self.memo_width = 0  # DFA states over all modes
         for mode, dfa in dfas.items():
             # the rule matching eof from the start state has an empty match
             at_eof = dfa.eofs[dfa.start]
@@ -293,8 +315,19 @@ class CompiledLexer:
                      for i, actions in enumerate(mode_actions[mode])]
             accepts = [None if acc is None else (rules[acc[0]][0], acc[1], rules[acc[0]][1])
                        for acc in dfa.accepts]
+            singles = [None] * (ASCII_ROW + 1)
+            passes = set()
+            for lo, hi, t in dfa.states[dfa.start][0]:
+                acc = accepts[t]
+                if lo < ASCII_ROW and acc is not None and not dfa.states[t][0] and dfa.eofs[t] < 0:
+                    hi = min(hi, ASCII_ROW - 1)
+                    singles[lo:hi + 1] = [acc] * (hi + 1 - lo)
+                    if acc[0] == OP_PASS:
+                        passes.update(range(lo, hi + 1))
             self.programs[mode] = (dfa.ascii_rows, accepts, dfa.eofs, dfa.step, dfa.start,
-                                   mode in keeping)
+                                   mode in keeping, singles, frozenset(passes),
+                                   self.memo_width)
+            self.memo_width += len(dfa.states)
 
     def dump(self) -> str:
         return "\n".join(self.dfas[m].dump() for m in sorted(self.dfas)) + "\n"
@@ -568,8 +601,11 @@ def lex_lists(compiled: CompiledLexer, text: str):
     n = len(text)
     byte_of = _byte_offsets(text)
     ascii_text = text.isascii()
-    codes = text.encode("ascii") if ascii_text else [ord(ch) for ch in text]
+    # codes[n] is ASCII_ROW, which singles maps to None and passes lacks
+    codes = (text.encode("ascii") + b"\x80" if ascii_text
+             else [ord(ch) for ch in text] + [ASCII_ROW])
     programs = compiled.programs
+    width = compiled.memo_width
     terminals: List[str] = []
     texts: List[str] = []
     starts: List[int] = []  # codepoint offsets until the end
@@ -579,34 +615,55 @@ def lex_lists(compiled: CompiledLexer, text: str):
     # the top frame: its mode, its text if the mode keeps it (else None),
     # and where it began
     mode = compiled.main_mode
-    rows, accepts, eofs, step, start_state, keeps = programs[mode]
+    rows, accepts, eofs, step, start_state, keeps, singles, passes, base = programs[mode]
     buf = [] if keeps else None
     fstart = 0
     pos = 0
+    # Reps' failure memo: position * width + the state's place among all
+    # modes' states, for each DFA state reached at a position from which no
+    # accept is reachable.  A failure depends only on the mode's DFA and the
+    # text after the position, so it holds whatever the frames below.
+    failed = set()
 
     while True:
-        # maximal munch from pos
-        state = start_state
-        best = accepts[state]
-        best_end = i = pos
-        while i < n:
-            cp = codes[i]
-            state = rows[state][cp] if cp < ASCII_ROW else step(state, cp)
-            if state < 0:
-                break
-            i += 1
-            acc = accepts[state]
-            if acc is not None:
-                best = acc
-                best_end = i
+        cp = codes[pos]
+        best = singles[cp] if cp <= ASCII_ROW else None
+        if best is not None:
+            best_end = pos + 1
         else:
-            state = eofs[state]
-            if state >= 0 and accepts[state] is not None:
-                best = accepts[state]
-                best_end = i
-        if best is None:
-            raise LexError("stack_nonempty_at_eof" if pos == n else "no_match",
-                           byte_of[pos], "mode %s" % mode, byte_of[fstart])
+            # maximal munch from pos
+            state = start_state
+            best = accepts[state]
+            best_end = i = pos
+            while i < n:
+                cp = codes[i]
+                state = rows[state][cp] if cp < ASCII_ROW else step(state, cp)
+                if state < 0:
+                    break
+                i += 1
+                acc = accepts[state]
+                if acc is not None:
+                    best = acc
+                    best_end = i
+                elif failed and i * width + base + state in failed:
+                    break
+            else:
+                state = eofs[state]
+                if state >= 0 and accepts[state] is not None:
+                    best = accepts[state]
+                    best_end = i
+            if best is None:
+                raise LexError("stack_nonempty_at_eof" if pos == n else "no_match",
+                               byte_of[pos], "mode %s" % mode, byte_of[fstart])
+            if i > best_end:
+                # the walk read past its last accept: remember the states it
+                # passed there, so that no later walk reads on from them
+                state = start_state
+                for j in range(pos, i):
+                    cp = codes[j]
+                    state = rows[state][cp] if cp < ASCII_ROW else step(state, cp)
+                    if j >= best_end:
+                        failed.add((j + 1) * width + base + state)
         op, token, steps = best
         if op == OP_EMIT:
             matched = text[pos:best_end]
@@ -619,6 +676,10 @@ def lex_lists(compiled: CompiledLexer, text: str):
             pos = best_end
             continue
         if op == OP_PASS:
+            # the characters after it that match alone with a plain pass
+            # are passed with it
+            while codes[best_end] in passes:
+                best_end += 1
             if buf is not None:
                 buf.append(text[pos:best_end])
             pos = best_end
@@ -664,7 +725,7 @@ def lex_lists(compiled: CompiledLexer, text: str):
             if pos < n:
                 raise LexError("premature_empty", byte_of[pos])
             break
-        rows, accepts, eofs, step, start_state, keeps = programs[mode]
+        rows, accepts, eofs, step, start_state, keeps, singles, passes, base = programs[mode]
 
     if not ascii_text:
         starts = [byte_of[i] for i in starts]

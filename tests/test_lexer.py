@@ -1,6 +1,9 @@
 import contextlib
 import json
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -12,8 +15,9 @@ from langcc import (
 )
 from langcc import lexer as lexer_mod
 from langcc.lexer import (
-    S_EMIT, S_PASS, S_POP, S_POP_EMIT, S_POP_EXTRACT, S_PUSH, STEP_CODES, Extract, LexAmbiguity,
-    LexCompileError, LexError, Nfa, Tag, _subset_construct, _wire, action_list_fault,
+    ASCII_ROW, OP_EMIT, S_EMIT, S_PASS, S_POP, S_POP_EMIT, S_POP_EXTRACT, S_PUSH, STEP_CODES,
+    Extract, LexAmbiguity, LexCompileError, LexError, Nfa, Tag, _subset_construct, _wire,
+    action_list_fault,
 )
 from langcc.meta_frontend import _LEXER_ACTION_OPS, meta_artifact
 from langcc.spec_ast import (
@@ -23,6 +27,8 @@ from langcc.spec_ast import (
 
 from conftest import GRAMMARS, load_grammar, recursion_limit
 from oracle import nfa_simulate, reference_compile_lexer, reference_lex, reference_subset_construct
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def _lexer_for(src):
@@ -259,13 +265,29 @@ def _lex_outcome(lex_fn, lexer, text):
 
 
 # fragments that drive meta.lang's modes (comments, backtick strings and
-# their escapes, keywords) and calc_prog.lang's tokens, with non-ASCII text
+# their escapes, keywords, runs of passed characters), calc_prog.lang's
+# tokens and MUNCH's runs of `a`, with non-ASCII text
 _FRAGMENTS = ["`", "\\", "//", "\n", " ", "\t", "{", "}", ";", "=>", "<-", "mode",
               "lexer", "main", "pass", "x1", "_", "0", "42", "+", "-", "*", "(", ")",
-              "=", "^", "é", "∀", "𝔸", "@"]
+              "=", "^", "é", "∀", "𝔸", "@", "    ", "\t\t", "// a b c\n",
+              "`a\\\\b\\`c\\\\`", "a", "aaaa", "b"]
+
+# Two tokens where the longer one can run over many shorter ones without
+# completing: at every `a` of `a`*n, maximal munch reads on to the end of
+# the input looking for a `b`
+MUNCH = """
+tokens { a <- `a`; ab <- `a`+ `b`; }
+lexer { main { body } mode body { a => { emit; } ab => { emit; } eof => { pop; } } }
+parser { main { S } S.S <- xs:#L[T::eps]; T.A <- x:a; T.B <- y:ab; }
+"""
 
 
-@pytest.mark.parametrize("name", ["meta", "calc_prog"])
+@pytest.fixture(scope="module")
+def munch():
+    return compile_lang(MUNCH).compiled
+
+
+@pytest.mark.parametrize("name", ["meta", "calc_prog", "munch"])
 def test_lex_agrees_with_reference_on_random_text(name, request):
     lexer = request.getfixturevalue(name).lexer
 
@@ -332,6 +354,26 @@ parser { main { S } S.One <- `z`; }
     assert _lex_outcome(lex, lx, "ab(cd)") == _lex_outcome(reference_lex, lx, "ab(cd)")
 
 
+def test_characters_that_match_alone_and_runs_of_passes_are_tabled(meta):
+    # a character that leads from the start state to an accepting state
+    # with no transitions and no eof transition matches alone; the plain
+    # passes among those are taken in runs
+    programs = meta.lexer.programs
+    assert {mode: program[7] for mode, program in programs.items()} == {
+        "body": {ord(" "), ord("\t"), ord("\n")},
+        "comment_single": set(range(ASCII_ROW)) - {ord("\n")},
+        "string_lit": set(range(ASCII_ROW)) - {ord("`"), ord("\\")}}
+    singles = programs["body"][6]
+    assert len(singles) == ASCII_ROW + 1 and singles[ASCII_ROW] is None
+    assert singles[ord(";")][:2] == (OP_EMIT, "`;`")
+    # `_` and `.` begin longer tokens (identifiers, `..`)
+    assert singles[ord("_")] is None and singles[ord(".")] is None
+    text = "a; // b c\n`x y`"
+    out = lex(meta.lexer, text)
+    assert out.extracts == [Extract("comment_single", "// b c", 3, 9)]
+    assert _lex_outcome(lex, meta.lexer, text) == _lex_outcome(reference_lex, meta.lexer, text)
+
+
 # -- compile_lexer against the recursive reference ---------------------------
 
 _LEAVES = [RLit("a"), RLit("b"), RLit("ab"), RLit("ba"), RRange("a", "b"), RWildcard(),
@@ -352,7 +394,7 @@ _ACTIONS = [(LexerAction("pass"),), (LexerAction("pop"),),
 
 
 @st.composite
-def _mode_specs(draw):
+def _mode_specs(draw, actions=_ACTIONS):
     # each token names only the ones declared before it, so no alias is
     # cyclic; "zz" is never declared
     decls = []
@@ -367,7 +409,7 @@ def _mode_specs(draw):
     emits = st.one_of(identities, st.lists(identities, min_size=1, max_size=3).map(
         lambda parts: RAlt(tuple(parts))))
     rules = draw(st.lists(st.one_of(
-        st.builds(LexerRule, _regexes(names + ["zz"]), st.sampled_from(_ACTIONS)),
+        st.builds(LexerRule, _regexes(names + ["zz"]), st.sampled_from(actions)),
         st.builds(LexerRule, emits, st.just((LexerAction("emit"),)))), min_size=1, max_size=3))
     return LangSpec(tuple(decls), LexerSpec("m", (("m", tuple(rules)),)),
                     ParserSpec((), (), (), (), ()), (), ())
@@ -398,6 +440,134 @@ def test_compile_lexer_agrees_with_the_recursive_reference(spec):
     # same DFAs, emittable set, and error (class and text) as the pipeline
     # that expanded aliases into a new tree and walked it three more times
     assert _compile_outcome(compile_lexer, spec) == _compile_outcome(reference_compile_lexer, spec)
+
+
+# -- random lexers against the reference loop -------------------------------
+
+def _pieces(spec):
+    """The text of every nonempty literal and every range end in spec's
+    token and rule patterns."""
+    out = set()
+    work = [d.pattern for d in spec.token_decls]
+    work += [rule.pattern for _mode, rules in spec.lexer.modes for rule in rules]
+    while work:
+        e = work.pop()
+        if isinstance(e, RLit):
+            out.add(e.text)
+        elif isinstance(e, RRange):
+            out.update((e.lo, e.hi))
+        elif isinstance(e, (RConcat, RAlt)):
+            work.extend(e.parts)
+        elif isinstance(e, RStar):
+            work.append(e.inner)
+    out.discard("")
+    return sorted(out)
+
+
+@st.composite
+def _specs_and_texts(draw, actions=_ACTIONS):
+    """A random one-mode spec and texts built from its literals, a
+    character no rule names, non-ASCII characters and, now and then, a lone
+    surrogate."""
+    spec = draw(_mode_specs(actions))
+    pieces = st.sampled_from(_pieces(spec) + ["c", "é", "∀", "𝔸"])
+    texts = []
+    for _ in range(draw(st.integers(1, 4))):
+        parts = draw(st.lists(pieces, max_size=30))
+        if draw(st.integers(0, 9)) == 0:
+            parts.insert(draw(st.integers(0, len(parts))), "\ud800")
+        texts.append("".join(parts))
+    return spec, texts
+
+
+def _lexes_as_the_reference(spec, texts):
+    try:
+        lexer = compile_lexer(spec)
+    except LexCompileError:
+        return
+    for text in texts:
+        assert _lex_outcome(lex, lexer, text) == _lex_outcome(reference_lex, lexer, text)
+
+
+def _spec(tokens, modes):
+    """A spec with no parser: tokens maps names to opaque patterns, and
+    modes lists (mode, ((pattern, ops), ...)), the first mode the main one."""
+    return LangSpec(
+        tuple(TokenDecl(name, "opaque", pattern) for name, pattern in tokens.items()),
+        LexerSpec(modes[0][0], tuple((mode, tuple(LexerRule(p, _acts(*ops)) for p, ops in rules))
+                                     for mode, rules in modes)),
+        ParserSpec((), (), (), (), ()), (), ())
+
+
+def _then(*parts):
+    return RConcat(tuple(RLit(p) if isinstance(p, str) else p for p in parts))
+
+
+_EMIT, _POP = ("emit",), ("pop",)
+# odd runs of `c` before an `e`: that a walk fails from a state at one
+# offset says nothing of the same state one offset earlier
+_ODD_SPEC = _spec({"c": RLit("c"), "odd": _then("c", RStar(RLit("cc")), "e")},
+                  [("m", [(RRef("c"), _EMIT), (RRef("odd"), _EMIT), (REof(), _POP)])])
+# two modes whose DFAs number their states alike: that a walk fails in one
+# says nothing of the other
+_TWO_MODES_SPEC = _spec(
+    {"a": RLit("a"), "ab": _then("a", RStar(RLit("a")), "b"),
+     "ac": _then("a", RStar(RLit("a")), "c")},
+    [("m", [(RRef("a"), ("emit", "push n")), (RRef("ab"), _EMIT), (REof(), _POP)]),
+     ("n", [(RRef("a"), _EMIT), (RRef("ac"), _EMIT), (REof(), _POP)])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_specs_and_texts())
+@example((parse_lang_spec(MUNCH), ["a" * 30, "a" * 30 + "b" + "a" * 5, "aab" * 5 + "a" * 20 + "c"]))
+@example((_ODD_SPEC, ["cccce", "cc" * 10 + "e" + "c" * 7 + "e"]))
+@example((_TWO_MODES_SPEC, ["aaac", "aaaab"]))
+def test_random_lexers_agree_with_the_reference(spec_and_texts):
+    # tokens, extracts, and the kind and offset of a LexError
+    _lexes_as_the_reference(*spec_and_texts)
+
+
+_KEEPING_ACTIONS = _ACTIONS + [(LexerAction("pop_extract"),)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs_and_texts(_KEEPING_ACTIONS))
+def test_random_lexers_with_a_mode_left_by_pop_extract_agree_with_the_reference(
+        spec_and_texts):
+    # a pop_extract pops the mode, so its frames keep their text
+    _lexes_as_the_reference(*spec_and_texts)
+
+
+# prints the 8N/N per-character lex time ratio of MUNCH on `a`*N, and the
+# token counts at N, 8N and 64N
+_MUNCH_TIMES = r"""
+import sys, time
+import langcc
+lexer = langcc.compile_lang(sys.argv[1]).compiled.lexer
+sizes = (1000, 8000)
+best, counts = [float("inf")] * len(sizes), []
+for _ in range(5):
+    for k, n in enumerate(sizes):  # interleaved, so host speed swings hit both
+        t0 = time.perf_counter()
+        out = langcc.lex(lexer, "a" * n)
+        best[k] = min(best[k], time.perf_counter() - t0)
+        counts.append(len(out.tokens))
+counts.append(len(langcc.lex(lexer, "a" * 64000).tokens))
+print(best[1] / sizes[1] / (best[0] / sizes[0]), *sorted(set(counts)))
+"""
+
+
+def test_maximal_munch_is_linear_where_a_token_runs_over_shorter_ones():
+    # Reps' failure memo: a walk stops at a (state, position) from which an
+    # earlier walk found no accept, so `a`*n lexes in time linear in n.  In
+    # a subprocess with a timeout, so that quadratic lexing fails the test
+    # instead of holding the suite.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _MUNCH_TIMES, MUNCH], env=env,
+                         capture_output=True, text=True, timeout=60, check=True).stdout.split()
+    assert out[1:] == ["1000", "8000", "64000"]
+    ratio = float(out[0])
+    assert ratio < 1.8, "8N/N per-character lex time ratio %.2f at N=1000" % ratio
 
 
 # -- the subset construction against the one that rescans every edge --------
