@@ -122,13 +122,17 @@ class CompiledLang:
             raise _malformed(str(e)) from e
         if type(data) is not dict:
             raise _malformed("not a JSON object")
-        if data.get("version") != FORMAT_VERSION:
-            raise SpecError("unsupported artifact version %r" % data.get("version"))
+        version = data.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:  # not True, not 1.0
+            raise SpecError("unsupported artifact version %r" % (version,))
         if data.get("rd") is not False:
             raise SpecError("unsupported artifact: rd=%r (recursive-descent actions "
                             "are not supported)" % data.get("rd"))
         try:
             prods, action_rows, goto_rows = _load_tables(data)
+            unit = data["indent_unit"]
+            if type(unit) is not int or unit < 0:
+                raise _malformed("indent_unit is %r, not a non-negative integer" % (unit,))
             lexer = _lexer_from_json(data["lexer"])
             return cls(data, prods, action_rows, goto_rows, lexer, text)
         except KeyError as e:
@@ -370,13 +374,13 @@ def _load_tables(d: dict):
 
     Rejects tables holding values of the wrong type or referring to states
     that do not exist, which would otherwise load and fail only when a
-    parse reaches them.  Also rejects a shift on the end of input, the
-    reduce of a start production, and a reduce in some state of a
-    production longer than the shortest path of shifts and gotos from a
-    start state to it: the stack in that state can be that short, and in a
-    valid automaton every path into a state that reduces p ends with p's
-    right-hand side.  The number of states is one more than the largest
-    state that has an action or a goto.
+    parse reaches them.  Also rejects start states that are not one per
+    main, a shift on the end of input, the reduce of a start production,
+    and a reduce in some state of a production longer than the shortest
+    path of shifts and gotos from a start state to it: the stack in that
+    state can be that short, and in a valid automaton every path into a
+    state that reduces p ends with p's right-hand side.  The number of
+    states is one more than the largest state that has an action or a goto.
     (Messages are formatted only on failure: this runs on every load.)"""
     k = d["k"]
     if type(k) is not int or k < 1:
@@ -452,6 +456,9 @@ def _load_tables(d: dict):
     starts = d["starts"]
     if type(starts) is not dict or not all(type(s) is int for s in starts.values()):
         raise _malformed("starts is %r, not a map of names to states" % (starts,))
+    if starts.keys() != set(mains):
+        raise _malformed("starts names %s, not the mains %s"
+                         % (", ".join(sorted(starts)) or "nothing", ", ".join(mains)))
     n_states = last + 1
     # every state has an entry, so a larger number than there are entries
     # is no state (and would only make the rows huge)

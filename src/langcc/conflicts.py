@@ -19,7 +19,9 @@ shortest-sentence and shortest-path tables once.
 Everything here reads the tables alone: goto keys and production right-hand
 sides are instance-grammar symbols, ("t", terminal) or ("n", Inst), and the
 lowered grammar (for the display names of synthesized nonterminals) is
-tables.ig.cfg.
+tables.ig.cfg.  Actions are read as the builder keeps them, each state's
+(action, lookahead mask) pairs in tables.acts: a lookahead's actions are
+those whose masks hold its bit, in the order of acts.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from .lexer import EOF_TERMINAL
-from .lr import ConflictSite, LrTables
+from .lr import ConflictSite, LrTables, _bits
 
 
 @dataclass
@@ -154,7 +156,8 @@ def _complete(ctx: _TraceContext, stack: tuple, queue: tuple,
     """
     tables = ctx.tables
     k = tables.k
-    action = tables.action
+    acts = tables.acts
+    bit_of = ctx.bit_of
     goto = tables.goto
     rules = ctx.rules
     next_terminals = ctx.next_terminals
@@ -195,7 +198,10 @@ def _complete(ctx: _TraceContext, stack: tuple, queue: tuple,
                     push(heap, (cost + 1, appended + (t,), counter, sid, q + (t,)))
                 counter += 1
             continue
-        for act in action.get((top, q), ()):
+        bit = bit_of.get(q, 0)  # 0 for a lookahead no state acts on
+        for act, mask in acts[top]:
+            if not mask & bit:
+                continue
             tag = act[0]
             if tag == "shift":
                 push(heap, (cost, appended, counter, intern(act[1], sid), q[1:]))
@@ -218,10 +224,16 @@ def _next_terminals(tables: LrTables) -> Dict[Tuple[int, tuple], Tuple[str, ...]
     """(state, q) -> the terminals t, sorted with $ last, such that some
     action lookahead of the state starts with q + (t,), for every q shorter
     than k.  Lookaheads are padded with $, so after a $ only $ follows."""
+    k, las = tables.k, tables.lookaheads
     nexts: Dict[Tuple[int, tuple], set] = {}
-    for state, la in tables.action:
-        for i in range(tables.k):
-            nexts.setdefault((state, la[:i]), set()).add(la[i])
+    for state, acts in enumerate(tables.acts):
+        held = 0  # the lookaheads the state acts on
+        for _act, mask in acts:
+            held |= mask
+        for b in _bits(held):
+            la = las[b]
+            for i in range(k):
+                nexts.setdefault((state, la[:i]), set()).add(la[i])
     eof = (EOF_TERMINAL,)
     return {key: tuple(sorted(ts - {EOF_TERMINAL})) + (eof if EOF_TERMINAL in ts else ())
             for key, ts in nexts.items()}
@@ -239,6 +251,8 @@ class _TraceContext:
         self.dist, self.back = _shortest_paths(tables, self.sentences)
         # production index -> (rhs length, lhs symbol) for the reduces of _complete
         self.rules = [(len(p.rhs), ("n", p.lhs)) for p in tables.prods]
+        # lookahead -> its bit in the masks of tables.acts, as an int
+        self.bit_of = {la: 1 << b for b, la in enumerate(tables.lookaheads)}
         self.next_terminals = _next_terminals(tables)
 
     def path_keys(self, state: int):

@@ -35,9 +35,11 @@ reached nonterminal and each of its lookaheads w beside the kernel items,
 are built only when LrTables.states is read item by item (dump_lr, tests).
 Compiling, tracing conflicts and counting states use the kernels, gotos and
 actions alone.  Actions stay masks too: the builder finds conflicts by
-AND-ing each state's masks.  LrTables.cells expands one state's masks into
-per-lookahead cells: flatten reads it state by state, and LrTables.action
-builds its view from it on the view's first read (dump_lr, tracing).
+AND-ing each state's masks, and the conflict tracer tests a lookahead's bit
+in them.  LrTables.cells expands one state's masks into per-lookahead
+cells, which flatten and dump_lr read state by state.  LrTables.action, a
+view of every state's cells built on its first read, is read by nothing in
+this package: it is kept for the tests and the benchmark's cell count.
 
 LrTables is put in the instance grammar's own terms (IProd productions,
 goto keys that are rhs symbols), so its readers take the tables alone.
@@ -125,9 +127,10 @@ class LrTables:
     bit b of a mask stands for the lookahead k-tuple `lookaheads[b]`.  Each
     of `conflicts` is a lookahead bit set in two masks of one state, with
     the actions of those masks.  cells(state) expands a state's masks into
-    its cells, and `action`, built from them on its first read, maps
-    (state, lookahead) to the cell's actions, with its keys in sorted
-    order: by state, then by lookahead.  `goto` maps (state, symbol) to
+    its cells.  `action`, built from them on its first read, maps (state,
+    lookahead) to the cell's actions, with its keys in sorted order: by
+    state, then by lookahead; nothing in the package reads it, only the
+    tests and the benchmark's cell count.  `goto` maps (state, symbol) to
     the target state, the symbol as in an IProd's rhs.  `unproductive`
     holds the instances that derive no terminal string, which do not
     depend on k."""
@@ -493,9 +496,7 @@ def dump_lr(tables: LrTables) -> str:
     out = ["LR(%d) automaton: %d states, %d conflicts" %
            (tables.k, len(tables.states), len(tables.conflicts))]
     start_of = {s: m for m, s in tables.starts.items()}
-    cells: Dict[int, list] = {}
-    for (st, la), actions in tables.action.items():
-        cells.setdefault(st, []).append((la, actions))
+    las = tables.lookaheads
     for idx, items in enumerate(tables.states):
         mark = "  (start %s)" % start_of[idx] if idx in start_of else ""
         out.append("state %d:%s" % (idx, mark))
@@ -505,7 +506,7 @@ def dump_lr(tables: LrTables) -> str:
             syms.insert(dot, ".")
             lhs = p.lhs.base if p.lhs is not None else p.base.lhs + "'"
             out.append("    %s -> %s , %s" % (lhs, " ".join(syms), " ".join(la)))
-        for la, actions in sorted(cells.get(idx, ())):
+        for b, actions in tables.cells(idx):
             for a in actions:
-                out.append("    [%s] %s" % (" ".join(la), tables.display_action(a)))
+                out.append("    [%s] %s" % (" ".join(las[b]), tables.display_action(a)))
     return "\n".join(out) + "\n"

@@ -1,5 +1,4 @@
 import hashlib
-import re
 import runpy
 
 import pytest
@@ -9,7 +8,7 @@ from langcc.cli import cmd_datacc, cmd_langcc, main_datacc, main_langcc, run_tes
 from langcc.spec_ast import Loc, SpecError
 
 from conftest import GRAMMARS, load_grammar
-from test_conflicts import UNREACHABLE_CONFLICTS
+from test_conflicts import UNREACHABLE_CONFLICTS, meta_noprec_source
 from test_datacc import nested_cases
 from test_lr import _UNPRODUCTIVE, _small_source
 
@@ -305,10 +304,7 @@ compile_test { LR(0); !LR(0); LR(1); LR(2); }
 def test_conflict_reports_match_pins(tmp_path, capsys, name, max_k, sha256):
     lang = tmp_path / name
     if name == "meta_noprec.lang":
-        source, n = re.subn(r"\n    prec \{.*?\n    \}\n", "\n", load_grammar("meta.lang"),
-                            count=1, flags=re.S)
-        assert n == 1
-        lang.write_text(source, encoding="utf-8")
+        lang.write_text(meta_noprec_source(), encoding="utf-8")
     else:
         lang = GRAMMARS / name
     out = tmp_path / "report.txt"

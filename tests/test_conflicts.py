@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import heapq
+import re
 import tracemalloc
 import types
 from unittest import mock
@@ -14,6 +16,7 @@ from langcc import (
 from langcc import conflicts
 from langcc.conflicts import dedup_sites
 from langcc.lexer import EOF_TERMINAL
+from langcc.lr import dump_lr
 
 from conftest import load_grammar
 from test_lr import _small_grammars, _small_source
@@ -21,6 +24,19 @@ from test_lr import _small_grammars, _small_source
 
 def _tables(name, k=1):
     spec = parse_lang_spec(load_grammar(name))
+    return build_lr(lower_precedence(spec, lower_grammar(spec)), k)
+
+
+def meta_noprec_source():
+    """meta.lang without its prec stanza: a grammar whose tables conflict."""
+    source, n = re.subn(r"\n    prec \{.*?\n    \}\n", "\n", load_grammar("meta.lang"),
+                        count=1, flags=re.S)
+    assert n == 1
+    return source
+
+
+def _meta_noprec_tables(k):
+    spec = parse_lang_spec(meta_noprec_source())
     return build_lr(lower_precedence(spec, lower_grammar(spec)), k)
 
 
@@ -224,6 +240,23 @@ def test_dedup_sites_with_or_without_context():
     tables = _tables("calc_noprec.lang")
     ctx = conflicts._TraceContext(tables)
     assert dedup_sites(tables) == dedup_sites(tables, ctx)
+
+
+def test_tracer_and_dump_read_the_masks_not_the_cell_view():
+    # LrTables.action is built on its first read; neither reads it
+    for tables in (_tables("calc_noprec.lang", 1), _tables("calc_noprec.lang", 2),
+                   _tables("ab_eps.lang", 2), _meta_noprec_tables(1)):
+        assert dump_lr(tables)
+        assert "action" not in vars(tables)
+        assert render_conflict_report(trace_all(tables)) or not tables.conflicts
+        assert "action" not in vars(tables)
+
+
+def test_prec_less_meta_lr2_report_matches_pin():
+    report = render_conflict_report(trace_all(_meta_noprec_tables(2)))
+    assert report.count("===== LR conflict ") == 6
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == (
+        "95228556389c59a133b51d35008cf79c0ac1f8f5a59ab69b254f4f042cf726de")
 
 
 def test_next_terminals_are_the_lookahead_continuations():

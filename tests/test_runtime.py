@@ -9,6 +9,7 @@ from langcc import (
 )
 from langcc.artifact import K_OPT, CompiledLang
 from langcc.lexer import EOF_TERMINAL
+from langcc.meta_frontend import meta_artifact
 from langcc.runtime import Node, SeqVal, TokenLeaf, node_to_data_value
 from langcc.spec_ast import SpecError
 
@@ -234,6 +235,38 @@ def test_artifact_with_string_k_rejected(calc):
     data = _calc_artifact(calc)
     data["k"] = "1"
     with pytest.raises(SpecError, match="k is '1', not a positive integer"):
+        _load(data)
+
+
+@pytest.mark.parametrize("unit", ["x", 2.5, None, -4, True, "4"])
+def test_artifact_with_indent_unit_not_a_non_negative_int_rejected(unit):
+    # each loaded before, and then failed in pretty_print or (-4) indented nothing
+    data = json.loads(meta_artifact().to_json())
+    data["indent_unit"] = unit
+    with pytest.raises(SpecError, match=re.escape(
+            "malformed artifact: indent_unit is %r, not a non-negative integer" % (unit,))):
+        _load(data)
+    data["indent_unit"] = 0
+    assert _load(data).indent_unit == 0
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_artifact_with_version_not_the_int_1_rejected(calc, version):
+    data = _calc_artifact(calc)
+    data["version"] = version
+    with pytest.raises(SpecError, match=re.escape("unsupported artifact version %r" % (version,))):
+        _load(data)
+
+
+@pytest.mark.parametrize("starts", [{}, {"Other": 0}, {"Stmt": 0}, "extra"])
+def test_artifact_whose_starts_are_not_its_mains_rejected(calc, starts):
+    data = _calc_artifact(calc)
+    if starts == "extra":
+        starts = dict(data["starts"], Other=0)
+    data["starts"] = starts
+    with pytest.raises(SpecError, match=re.escape(
+            "malformed artifact: starts names %s, not the mains Stmt, Expr"
+            % (", ".join(sorted(starts)) or "nothing"))):
         _load(data)
 
 
