@@ -2,7 +2,7 @@
 """A tiny calculator on top of the compiled calc grammar.
 
 Compiles grammars/calc.lang, then evaluates expressions and statements,
-using node source bounds for error blame, e.g. pointing at the exact
+using node source spans for error blame, e.g. pointing at the exact
 division operator that divided by zero.
 """
 
@@ -29,7 +29,7 @@ def expr_eval(e, env):
     if langcc.node_downcast(COMPILED, e, "Expr::Id"):
         name = e.field("name").text
         if name not in env:
-            raise CalcError("Undefined variable: %s" % name, e.bounds.span())
+            raise CalcError("Undefined variable: %s" % name, (e.start, e.end))
         return env[name]
     if langcc.node_downcast(COMPILED, e, "Expr::Paren"):
         return expr_eval(e.field("x"), env)
@@ -46,8 +46,8 @@ def expr_eval(e, env):
         return x * y
     if op.label == "Div":
         if y == 0:
-            # the enum label carries the operator token's bounds
-            raise CalcError("Division by zero", (op.bounds.start, op.bounds.end))
+            # the enum label carries the operator token's span
+            raise CalcError("Division by zero", (op.start, op.end))
         return x // y
     if op.label == "Pow":
         return x ** y

@@ -452,6 +452,8 @@ def _load_tables(d: dict):
             row = gotos.get(state)
             if row is None:
                 row = gotos[state] = {}
+            elif ref in row:
+                raise _malformed("two gotos for state %d on %s" % (state, ref))
             row[ref] = target
     starts = d["starts"]
     if type(starts) is not dict or not all(type(s) is int for s in starts.values()):

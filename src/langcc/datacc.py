@@ -318,7 +318,11 @@ def _validate_schema(schema: DatatypeSchema):
     # case, whose name is checked against the names of the cases before it
     # (`seen`) as its turn comes and then its body.
     for name, d in schema.types:
-        params = set(schema.params_of(name))
+        ps = schema.params_of(name)
+        for i, p in enumerate(ps):
+            if p in ps[:i]:
+                raise SpecError("duplicate type parameter %r in %s" % (p, name))
+        params = set(ps)
         todo: list = [(d, name, None, None)]
         while todo:
             d, where, cname, seen = todo.pop()

@@ -80,7 +80,6 @@ class Production:
 @dataclass
 class Cfg:
     terminals: set
-    nonterms: List[str]  # declared + synthesized, in definition order
     productions: List[Production]
     mains: Tuple[str, ...]
     ast_shape: "AstShape"
@@ -128,21 +127,16 @@ class _Lowerer:
     def __init__(self, spec: LangSpec):
         self.spec = spec
         self.opaque = set(spec.opaque_names())
-        self.nonterms = []
-        for r in spec.parser.rules:
-            if r.lhs not in self.nonterms:
-                self.nonterms.append(r.lhs)
         self.counters = {"X": 0, "L": 0, "Q": 0}
         self.productions: List[Production] = []
         self.terminals = set()
         self.synth_display: Dict[str, str] = {}
         self.shape: Dict[str, Dict[Tuple[str, ...], Tuple[tuple, ...]]] = {
-            n: {} for n in self.nonterms}
+            r.lhs: {} for r in spec.parser.rules}
 
     def fresh(self, prefix: str) -> str:
         name = "%s%d" % (prefix, self.counters[prefix])
         self.counters[prefix] += 1
-        self.nonterms.append(name)
         return name
 
     def add_production(self, **kw) -> Production:
@@ -154,7 +148,7 @@ class _Lowerer:
         for rule in self.spec.parser.rules:
             self.lower_rule(rule)
         shape = AstShape(self.shape)
-        cfg = Cfg(self.terminals, self.nonterms, self.productions,
+        cfg = Cfg(self.terminals, self.productions,
                   self.spec.parser.main_nonterms, shape, self.synth_display)
         self._check_attrs_declared(cfg)
         return cfg
@@ -489,8 +483,7 @@ def lower_precedence(spec: LangSpec, cfg: Cfg) -> Cfg:
             replace(s, prec_bound=0 if s.pr_star else bounds.get(i, s.prec_bound))
             for i, s in enumerate(p.slots))
         new_prods.append(replace(p, slots=slots, prec_level=lvl))
-    return Cfg(cfg.terminals, cfg.nonterms, new_prods, cfg.mains, cfg.ast_shape,
-               cfg.synth_display)
+    return Cfg(cfg.terminals, new_prods, cfg.mains, cfg.ast_shape, cfg.synth_display)
 
 
 # ---------------------------------------------------------------------------

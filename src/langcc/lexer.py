@@ -38,7 +38,8 @@ steps.  A frame keeps the text credited to it only if its mode can be
 popped by `pop_extract` or `pop_emit`, which is decided from the spec,
 conservatively, at the same time.  lex_lists returns the tokens as
 parallel lists (terminals, texts, starts, ends), which the parser indexes
-directly; lex builds Token values from them.  Tokens are __slots__ values
+directly; lex builds TokenLeaf values from them, the one token class, which
+the parse tree holds as its leaves.  Tokens are __slots__ values
 (spec_ast.Tree), not dataclasses.
 """
 
@@ -252,7 +253,7 @@ def _cp_repr(cp: int) -> str:
     return ch
 
 
-class Token(Tree):
+class TokenLeaf(Tree):
     __slots__ = ("terminal", "text", "start", "end")
 
     def __init__(self, terminal: str, text: str, start: int, end: int):
@@ -272,7 +273,7 @@ class Extract:
 
 @dataclass
 class LexOutput:
-    tokens: List[Token]
+    tokens: List[TokenLeaf]
     extracts: List[Extract]
 
 
@@ -583,9 +584,9 @@ def compile_lexer(spec: LangSpec) -> CompiledLexer:
 # Execution
 
 def lex(compiled: CompiledLexer, text: str) -> LexOutput:
-    """lex_lists, with its tokens as Token values."""
+    """lex_lists, with its tokens as TokenLeaf values."""
     terminals, texts, starts, ends, extracts = lex_lists(compiled, text)
-    return LexOutput(list(map(Token, terminals, texts, starts, ends)), extracts)
+    return LexOutput(list(map(TokenLeaf, terminals, texts, starts, ends)), extracts)
 
 
 def lex_lists(compiled: CompiledLexer, text: str):

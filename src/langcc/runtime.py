@@ -5,9 +5,9 @@ generic AST nodes.  Synthesized nonterminals (lists, optionals, alternation
 enums) are collapsed during reduction, so users only ever see nodes of their
 own rule variants, sequences, options, booleans, and enum labels.  A token,
 enum, sequence or node holds its span as two int UTF-8 byte offsets, start
-and end (its `bounds` property builds a Bounds of them), and a node holds
-its field values in a tuple beside the names tuple every node of its
-production shares.  Line and column are computed on demand from an offset
+and end, and a node holds its field values in a tuple beside the names
+tuple every node of its production shares.  A token is the lexer's own
+TokenLeaf.  Line and column are computed on demand from an offset
 with lexer.token_bounds_to_linecol.
 
 The LR loop reads the lexer's parallel token lists (lexer.lex_lists) and
@@ -20,11 +20,11 @@ a reduce by production p is -2 - p.  A production is the tuple
 the loop builds user nodes and appends to list chains itself and leaves
 the other kinds to _assemble.  It builds every token's leaf in one map
 before it starts, and keeps the values' start and end offsets on two int
-stacks beside the value stack, so a reduce allocates no Bounds and no field
-pair: a user node takes its values off the stack with the production's
-getter.  Tree values are __slots__ classes on spec_ast.Tree, several times
-cheaper to construct than frozen dataclasses, and the cyclic collector is
-paused for the duration of a parse.
+stacks beside the value stack, so a reduce allocates no span object and no
+field pair: a user node takes its values off the stack with the
+production's getter.  Tree values are __slots__ classes on spec_ast.Tree,
+several times cheaper to construct than frozen dataclasses, and the cyclic
+collector is paused for the duration of a parse.
 
 node_to_data_value reads the plans CompiledLang resolves per variant at
 load (CompiledLang.plans; a field plan starts (tag, element plan, enum
@@ -46,43 +46,11 @@ from .artifact import (
     pause_collector, resume_collector,
 )
 from .datacc import DataValue, conforms
-from .lexer import EOF_TERMINAL, LexError, lex_lists, token_bounds_to_linecol
+from .lexer import EOF_TERMINAL, LexError, TokenLeaf, lex_lists, token_bounds_to_linecol
 from .spec_ast import SpecError, Tree
 
 
-class Bounds(Tree):
-    __slots__ = ("start", "end")
-
-    def __init__(self, start: int, end: int):
-        self.start = start  # byte offsets
-        self.end = end
-
-    def span(self) -> Tuple[int, int]:
-        return (self.start, self.end)
-
-
-class _Spanned(Tree):
-    """A tree value's source span as two int byte offsets, `start` and
-    `end`, and as a Bounds on request."""
-
-    __slots__ = ()
-
-    @property
-    def bounds(self) -> Bounds:
-        return Bounds(self.start, self.end)
-
-
-class TokenLeaf(_Spanned):
-    __slots__ = ("terminal", "text", "start", "end")  # lexer.Token's layout
-
-    def __init__(self, terminal: str, text: str, start: int, end: int):
-        self.terminal = terminal
-        self.text = text
-        self.start = start
-        self.end = end
-
-
-class EnumVal(_Spanned):
+class EnumVal(Tree):
     __slots__ = ("label", "start", "end")
 
     def __init__(self, label: str, start: int, end: int):
@@ -91,7 +59,7 @@ class EnumVal(_Spanned):
         self.end = end
 
 
-class SeqVal(_Spanned):
+class SeqVal(Tree):
     __slots__ = ("items", "trailing", "start", "end")
 
     def __init__(self, items: tuple, trailing: bool, start: int, end: int):
@@ -101,7 +69,7 @@ class SeqVal(_Spanned):
         self.end = end
 
 
-class Node(_Spanned):
+class Node(Tree):
     """A node of a rule variant: its field values in `values`, named by
     `names`, the one tuple every node its production builds shares."""
 

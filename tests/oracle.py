@@ -72,10 +72,11 @@ from langcc.datacc import (
 from langcc.grammar import Cfg, Inst, InstGrammar, expand_instances
 from langcc.lexer import (
     ASCII_ROW, EOF_TERMINAL, CompiledLexer, Extract, LexCompileError, LexError, LexOutput,
-    MAX_CODEPOINT, ModeDfa, Nfa, Tag, Token, _byte_offsets, _resolve_accept, literal_terminal,
+    MAX_CODEPOINT, ModeDfa, Nfa, Tag, TokenLeaf, _byte_offsets, _resolve_accept,
+    literal_terminal,
 )
 from langcc.lr import LrTables, _extend, _sym_sort_key
-from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, wrong_value
+from langcc.runtime import EnumVal, Node, SeqVal, wrong_value
 from langcc.meta_frontend import _checked, make_parse_test
 from langcc.spec_ast import (
     AltBranches, AttrLine, Diagnostic, Eps, LangSpec, LexerAction, LexerRule, LexerSpec,
@@ -293,7 +294,7 @@ def reference_lex(compiled: CompiledLexer, text: str) -> LexOutput:
     byte_of = _byte_offsets(text)
     codes = text.encode("ascii") if text.isascii() else [ord(ch) for ch in text]
     frames = [_Frame(compiled.main_mode, 0)]
-    tokens: List[Token] = []
+    tokens: List[TokenLeaf] = []
     extracts: List[Extract] = []
     pos = 0
 
@@ -309,7 +310,7 @@ def reference_lex(compiled: CompiledLexer, text: str) -> LexOutput:
         consumed = False
         for action in compiled.mode_actions[top.mode][rule_idx]:
             if action.op == "emit":
-                tokens.append(Token(emit_token, matched, byte_of[pos], byte_of[end]))
+                tokens.append(TokenLeaf(emit_token, matched, byte_of[pos], byte_of[end]))
                 frames[-1].buffer.append(matched)
                 consumed = True
             elif action.op == "pass":
@@ -324,8 +325,8 @@ def reference_lex(compiled: CompiledLexer, text: str) -> LexOutput:
                     extracts.append(Extract(f.mode, "".join(f.buffer),
                                             byte_of[f.start], byte_of[f_end]))
                 elif action.op == "pop_emit":
-                    tokens.append(Token(action.arg, "".join(f.buffer),
-                                        byte_of[f.start], byte_of[f_end]))
+                    tokens.append(TokenLeaf(action.arg, "".join(f.buffer),
+                                            byte_of[f.start], byte_of[f_end]))
                 if not frames:
                     break
         if consumed:

@@ -1,7 +1,8 @@
 """The parse tree's compact form: positions as ints and one names tuple per
 production.  Parse, print, render and value-hash output is pinned by
-digest, the `fields`, `field` and `bounds` views agree with what they
-view, and a parsed tree's retained memory per token stays small."""
+digest, the `fields` and `field` views agree with what they view, a lexed
+token is the tree's own leaf class, and a parsed tree's retained memory
+per token stays small."""
 
 import gc
 import hashlib
@@ -11,9 +12,9 @@ import tracemalloc
 import pytest
 
 from conftest import GRAMMARS, load_grammar
-from langcc import compile_lang, datacc, parse, pretty_print, render_node
-from langcc.lexer import lex_lists
-from langcc.runtime import Bounds, EnumVal, Node, SeqVal, TokenLeaf, node_to_data_value
+from langcc import compile_lang, datacc, lexer, parse, pretty_print, render_node, runtime
+from langcc.lexer import lex, lex_lists
+from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, node_to_data_value
 
 FIXTURES = sorted(p.name for p in GRAMMARS.glob("*.lang"))
 
@@ -129,8 +130,6 @@ def test_views_agree_with_the_compact_form(calc_prog, meta, corpus):
         for v in _values(root):
             if isinstance(v, (Node, TokenLeaf, EnumVal, SeqVal)):
                 assert type(v.start) is int and type(v.end) is int and v.start <= v.end
-                assert v.bounds == Bounds(v.start, v.end)
-                assert v.bounds.span() == (v.start, v.end)
             if not isinstance(v, Node):
                 continue
             assert v.fields == tuple(zip(v.names, v.values))
@@ -141,6 +140,18 @@ def test_views_agree_with_the_compact_form(calc_prog, meta, corpus):
                 v.field("no such field")
             # every node of a variant shares one names tuple
             assert shared.setdefault(v.variant, v.names) is v.names
+
+
+def test_one_token_class_from_lex_to_tree(calc_prog, corpus):
+    # the lexer's tokens are the tree's leaves, and a span is read only as
+    # its two ints
+    assert runtime.TokenLeaf is lexer.TokenLeaf
+    assert not hasattr(lexer, "Token") and not hasattr(runtime, "Bounds")
+    tokens = lex(calc_prog.compiled.lexer, corpus[0]).tokens
+    assert tokens and all(type(t) is TokenLeaf for t in tokens)
+    values = [v for text in corpus for v in _values(parse(calc_prog.compiled, text).result)]
+    assert any(type(v) is TokenLeaf for v in values)
+    assert [v for v in values if hasattr(v, "bounds")] == []
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,14 @@ def test_duplicate_case_rejected():
         D.parse_data_spec("data A { X; X; }")
 
 
+def test_duplicate_type_parameter_rejected():
+    # with both parameters named T, the last binding would win and x would
+    # never be checked against integer
+    with pytest.raises(SpecError, match="duplicate type parameter 'T' in A$"):
+        D.parse_data_spec("data A[T, T] { x: T; y: T; } data U { a: A[integer, string]; }")
+    D.parse_data_spec("data A[T, S] { x: T; y: S; } data U { a: A[integer, string]; }")
+
+
 def test_downcast_prefix_semantics(schema):
     lit = D.make_value(schema, "Expr::Lit::Int_", {"val": "7"})
     assert D.downcast(schema, lit, "Expr::Lit") is lit

@@ -1,13 +1,22 @@
+import itertools
+import pathlib
+
 import pytest
 
 from langcc import (
-    derive_ast_schema, lower_grammar, lower_precedence, parse_lang_spec,
+    compile_lang, derive_ast_schema, expand_instances, lower_grammar, lower_precedence, parse,
+    parse_lang_spec,
 )
 from langcc import datacc as D
+from langcc.cli import run_test_stanza
 from langcc.grammar import LowerError, NameStrictViolation, dump_grammar
+from langcc.runtime import Node
 
 from conftest import load_grammar
-from oracle import admissible_tree, enumerate_trees, recognizer
+from oracle import admissible_tree, earley_accepts, enumerate_trees, recognizer
+
+PREC_TAGS = pathlib.Path(__file__).resolve().parent / "prec_tags.lang"
+
 
 def _cfg_for(rules, extra_tokens=""):
     src = """
@@ -230,6 +239,85 @@ def test_erasing_bounds_recovers_unconstrained_grammar():
     assert all(admissible_tree(cfg_plain, t) for t in all_trees)
 
 
+@pytest.fixture(scope="module")
+def prec_tags():
+    return compile_lang(PREC_TAGS.read_text(encoding="utf-8"))
+
+
+# each terminal of prec_tags.lang as source text; spaces separate them
+_PREC_TEXT = {"id": "a", "`+`": "+", "`-`": "-", "`^`": "^", "`!`": "!", "`?`": "?",
+              "`:`": ":", "`[`": "[", "`]`": "]", "`(`": "(", "`)`": ")"}
+
+
+def _oracle_shape(cfg, tree) -> str:
+    """A tree of enumerate_trees as its variants, e.g. Pow(Id, Id)."""
+    p = cfg.productions[tree[0]]
+    kids = [_oracle_shape(cfg, c) for c in tree[1:] if c[0] != "t"]
+    return p.rule_path[-1] + ("(%s)" % ", ".join(kids) if kids else "")
+
+
+def _node_shape(node) -> str:
+    kids = [_node_shape(v) for v in node.values if isinstance(v, Node)]
+    return node.variant[-1] + ("(%s)" % ", ".join(kids) if kids else "")
+
+
+@pytest.mark.parametrize("text,shape", [
+    ("a^b^c", "Pow(Id, Pow(Id, Id))"),  # assoc_right
+    ("-a^b", "Neg(Pow(Id, Id))"),
+    ("a^b!", "Pow(Id, Fact(Id))"),
+    ("?a:b+c", "Add(Cond(Id, Id), Id)"),  # prefix, two operands
+    ("?a:?b:c", "Cond(Id, Cond(Id, Id))"),
+    ("?-a:b", "Cond(Neg(Id), Id)"),
+    ("a[b][c]", "Index(Index(Id, Id), Id)"),  # postfix, two operands
+    ("a[b]!", "Fact(Index(Id, Id))"),
+    ("a[(b+c)]", "Index(Id, Paren(Add(Id, Id)))"),
+    ("-a^-b", None),
+    ("?a+b:c", None),
+    ("a[b^c]", None),
+    ("a[-b]", None),
+])
+def test_precedence_tags_give_one_admissible_tree(prec_tags, text, shape):
+    cfg = prec_tags.cfg
+    admissible = [t for t in enumerate_trees(cfg, "E", _expr_tokens(text))
+                  if admissible_tree(cfg, t)]
+    assert [_oracle_shape(cfg, t) for t in admissible] == ([shape] if shape else [])
+    res = parse(prec_tags.compiled, text)
+    assert (_node_shape(res.result) if res.is_success() else None) == shape
+
+
+def test_precedence_tag_bounds(prec_tags):
+    bounds = {p.rule_path[-1]: (p.prec_level, [s.prec_bound for s in p.slots
+                                               if not s.is_terminal])
+              for p in prec_tags.cfg.productions if p.kind == "user"}
+    assert bounds["Pow"] == (3, [4, 3])  # assoc_right: the last operand at the level
+    assert bounds["Cond"] == (1, [2, 1])  # prefix: the last operand at the level
+    assert bounds["Index"] == (4, [4, 5])  # postfix: the first operand at the level
+
+
+def _prec_candidates():
+    """Every terminal string up to length 4, and up to length 6 over the
+    operators of each half of the precedence stanza."""
+    for n in range(5):
+        yield from itertools.product(sorted(_PREC_TEXT), repeat=n)
+    for alphabet in (("id", "`+`", "`-`", "`^`", "`!`"), ("id", "`?`", "`:`", "`[`", "`]`")):
+        for n in range(5, 7):
+            yield from itertools.product(alphabet, repeat=n)
+
+
+def test_precedence_tags_agree_with_earley(prec_tags):
+    assert prec_tags.ok and prec_tags.k_used == 1
+    report = run_test_stanza(prec_tags.compiled, prec_tags.spec.parse_tests)
+    assert report.failures == 0 and len(report.lines) == 6, report.render()
+    ig = expand_instances(prec_tags.cfg)
+    accepted = 0
+    for terms in _prec_candidates():
+        want = earley_accepts(ig, "E", list(terms))
+        text = " ".join(_PREC_TEXT[t] for t in terms)
+        assert parse(prec_tags.compiled, text).is_success() == want, text
+        accepted += want
+    assert accepted == 107
+
+
 # -- AST shape -------------------------------------------------------------------
 
 def test_calc_expr_variants():
@@ -259,8 +347,6 @@ def test_synthesized_names_deterministic():
 
 def test_unfold_prefix_is_a_no_op():
     import json
-
-    from langcc import compile_lang
 
     src = load_grammar("rd_tiny.lang")
     assert "x:B" in src

@@ -311,6 +311,22 @@ BAD_SPECS = {
     "two failure markers": GOOD + "test {\n    `x`;\n    `x##y##`;\n}",
     "duplicate rule": GOOD.replace("S.One <- `x`;", "S.One <- `x`;\n    S.One <- `y`;"),
     "undeclared reference": GOOD.replace("`x`;", "`x` T;"),
+    "duplicate lexer mode": GOOD.replace(
+        "    mode body {", "    mode body {\n        eof => { pop; }\n    }\n    mode body {"),
+    "push to an undeclared mode": GOOD.replace(
+        "eof => { pop; }", "eof => { pop; }\n        `#` => { pass; push nowhere; }"),
+    "pop_emit of an alias": GOOD.replace(
+        "eof => { pop; }", "eof => { pop; }\n        `#` => { pass; pop_emit top; }"),
+    "lexer rule naming an undeclared token": GOOD.replace(
+        "eof => { pop; }", "eof => { pop; }\n        nope => { emit; }"),
+    "main nonterminal with no rule": GOOD.replace("main { S }", "main { S, T }"),
+    "prec line naming an undeclared rule": GOOD.replace(
+        "main { S }", "main { S }\n    prec { S.Two; }"),
+    "rule in two prec lines": GOOD.replace(
+        "main { S }", "main { S }\n    prec {\n        S.One;\n        S.One;\n    }"),
+    "attr line naming an undeclared rule": GOOD.replace(
+        "main { S }", "main { S }\n    attr { S.Two[F]; }"),
+    "unfold of a literal": GOOD.replace("S.One <- `x`;", "S.One <- ~`x`;"),
 }
 
 
@@ -322,6 +338,14 @@ def test_diagnostics_match_the_hand_written_frontend(name):
     with pytest.raises(SpecError) as got:
         parse_lang_spec(src)
     assert (got.value.message, got.value.loc) == (want.value.message, want.value.loc)
+
+
+def test_terminal_the_lexer_never_emits_is_rejected():
+    src = GOOD.replace("S.One <- `x`;", "S.One <- `x` `z`;")
+    parse_lang_spec(src)  # the spec alone is valid
+    with pytest.raises(SpecError) as e:
+        compile_lang(src)
+    assert e.value.message == "parser uses terminal(s) the lexer never emits: `z`"
 
 
 def test_syntax_errors_are_located_and_name_the_expected_terminals():

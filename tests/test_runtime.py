@@ -8,7 +8,7 @@ from langcc import (
     token_bounds_to_linecol, validate_node,
 )
 from langcc.artifact import K_OPT, CompiledLang
-from langcc.lexer import EOF_TERMINAL
+from langcc.lexer import EOF_TERMINAL, lex
 from langcc.meta_frontend import meta_artifact
 from langcc.runtime import Node, SeqVal, TokenLeaf, node_to_data_value
 from langcc.spec_ast import SpecError
@@ -109,16 +109,16 @@ def test_lone_surrogate_is_a_lex_error(calc_prog, text, offset, line_col):
     assert res.err.location_block.startswith(line_col)
 
 
-def _walk_bounds(value, out):
+def _walk_spans(value, out):
     if isinstance(value, Node):
-        out.append(value.bounds)
+        out.append((value.start, value.end))
         for v in value.values:
-            _walk_bounds(v, out)
+            _walk_spans(v, out)
     elif isinstance(value, SeqVal):
         for item in value.items:
-            _walk_bounds(item, out)
+            _walk_spans(item, out)
     elif isinstance(value, TokenLeaf):
-        out.append(value.bounds)
+        out.append((value.start, value.end))
 
 
 def test_bounds_nesting(calc):
@@ -139,17 +139,17 @@ def test_bounds_nesting(calc):
     # sibling fields are ordered and disjoint
     root = res.result
     spans = []
-    _walk_bounds(root.field("x"), spans)
-    left_max = max(b.end for b in spans)
+    _walk_spans(root.field("x"), spans)
+    left_max = max(end for _start, end in spans)
     spans_y = []
-    _walk_bounds(root.field("y"), spans_y)
-    assert left_max <= min(b.start for b in spans_y)
+    _walk_spans(root.field("y"), spans_y)
+    assert left_max <= min(start for start, _end in spans_y)
 
 
 def test_bounds_cover_token_span(calc):
     res = parse(calc.compiled, "x = (1 + 2) * 3")
     y = res.result.field("y")
-    assert (y.start, y.end) == (4, 15) and y.bounds.span() == (4, 15)
+    assert (y.start, y.end) == (4, 15)
     assert token_bounds_to_linecol("x = (1 + 2) * 3", y.start) == (1, 5)
 
 
@@ -221,6 +221,15 @@ def test_artifact_with_duplicate_action_cell_rejected(calc):
     data = _calc_artifact(calc)
     data["action"].append(data["action"][0])
     with pytest.raises(SpecError, match="two actions for state"):
+        _load(data)
+
+
+def test_artifact_with_duplicate_goto_rejected(sum_list):
+    # the later target would silently win
+    data = json.loads(sum_list.compiled.to_json())
+    assert [0, "n", "A", 3] not in data["goto"]
+    data["goto"].append([0, "n", "A", 3])
+    with pytest.raises(SpecError, match="malformed artifact: two gotos for state 0 on A$"):
         _load(data)
 
 
@@ -616,41 +625,36 @@ def test_parse_reenables_collector_after_exception(calc):
 # ---------------------------------------------------------------------------
 # Value types keep dataclass equality, hashing and repr
 
-def test_value_types_equality_hash_repr():
-    from langcc.lexer import Token
-    from langcc.runtime import Bounds, EnumVal
+def test_value_types_equality_hash_repr(calc):
+    from langcc.runtime import EnumVal
 
-    b = Bounds(1, 2)
-    assert b == Bounds(1, 2) and b != Bounds(1, 3) and b.span() == (1, 2)
-    assert repr(b) == "Bounds(start=1, end=2)"
     leaf = TokenLeaf("id", "x", 1, 2)
     assert repr(leaf) == "TokenLeaf(terminal='id', text='x', start=1, end=2)"
     enum = EnumVal("Add", 1, 2)
     assert repr(enum) == "EnumVal(label='Add', start=1, end=2)"
     seq = SeqVal((leaf,), False, 1, 2)
     assert repr(seq) == ("SeqVal(items=(%r,), trailing=False, start=1, end=2)" % (leaf,))
-    # positions are ints; `bounds` gives them as a Bounds
-    assert leaf.bounds == enum.bounds == seq.bounds == b
-    tok = Token("id", "x", 1, 2)
-    assert repr(tok) == "Token(terminal='id', text='x', start=1, end=2)"
+    # a lexed token is the same class as a tree's leaf
+    (tok,) = lex(calc.compiled.lexer, "7").tokens
+    assert repr(tok) == "TokenLeaf(terminal='int_lit', text='7', start=0, end=1)"
 
-    values = [b, leaf, enum, seq, tok]
-    copies = [Bounds(1, 2), TokenLeaf("id", "x", 1, 2), EnumVal("Add", 1, 2),
+    values = [leaf, enum, seq, tok]
+    copies = [TokenLeaf("id", "x", 1, 2), EnumVal("Add", 1, 2),
               SeqVal((TokenLeaf("id", "x", 1, 2),), False, 1, 2),
-              Token("id", "x", 1, 2)]
+              TokenLeaf("int_lit", "7", 0, 1)]
     for i, v in enumerate(values):
         for j, w in enumerate(copies):
             assert (v == w) == (i == j) and (v != w) == (i != j), (v, w)
     # same fields, different types: unequal, as between two dataclasses
-    assert EnumVal("x", 1, 2) != TokenLeaf("x", "x", 1, 2) and Bounds(1, 2) != (1, 2)
+    assert EnumVal("x", 1, 2) != TokenLeaf("x", "x", 1, 2) and leaf != ("id", "x", 1, 2)
     assert leaf != TokenLeaf("id", "y", 1, 2) and seq != SeqVal((leaf,), True, 1, 2)
     assert leaf != TokenLeaf("id", "x", 1, 3)
 
     table = {v: i for i, v in enumerate(values)}
     assert [table[w] for w in copies] == list(range(len(values)))
-    assert hash(b) == hash((1, 2))
     # the tuple hash of the fields, nested trees hashed in their place
-    assert hash(tok) == hash(("id", "x", 1, 2)) and hash(leaf) == hash(("id", "x", 1, 2))
+    assert hash(tok) == hash(("int_lit", "7", 0, 1)) and hash(leaf) == hash(("id", "x", 1, 2))
+    assert hash(enum) == hash(("Add", 1, 2))
     assert hash(seq) == hash(((("id", "x", 1, 2),), False, 1, 2))
 
 

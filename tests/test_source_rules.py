@@ -41,19 +41,6 @@ def test_no_pure_python_json_indent():
     assert found == []
 
 
-def test_no_bounds_built_to_read_a_position():
-    # a tree value's `bounds` builds a Bounds on each read, so the package
-    # reads its `start` and `end` ints instead
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr in ("start", "end", "span")
-                    and isinstance(node.value, ast.Attribute) and node.value.attr == "bounds"):
-                found.append("%s:%d" % (path.name, node.lineno))
-    assert found == []
-
-
 def _module_imports(tree):
     """The package modules a module imports by relative import, at any
     level of its body."""
