@@ -13,6 +13,7 @@ import sys
 from typing import List, Optional
 
 from . import datacc
+from .artifact import pause_collector, resume_collector
 from .compiled import CompiledLang, CompileResult, compile_lang
 from .conflicts import render_conflict_report, trace_all
 from .grammar import derive_ast_schema, dump_grammar
@@ -97,6 +98,22 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
                dump_lr_flag: bool = False, conflicts_out: Optional[str] = None,
                parse_file: Optional[str] = None, start: Optional[str] = None,
                format_file: Optional[str] = None, no_test: bool = False) -> int:
+    """The langcc command; returns its exit code.  It runs with the cyclic
+    collector paused (artifact.pause_collector): what it builds is acyclic
+    and dies when it returns, so a collection after compile_lang's own pause
+    would walk the spec, tables and artifact just built, for nothing."""
+    pause_collector()
+    try:
+        return _langcc(lang_path, gen_path, max_k, dump_lexer_flag, dump_grammar_flag,
+                       dump_lr_flag, conflicts_out, parse_file, start, format_file, no_test)
+    finally:
+        resume_collector()
+
+
+def _langcc(lang_path: str, gen_path: str, max_k: int, dump_lexer_flag: bool,
+            dump_grammar_flag: bool, dump_lr_flag: bool, conflicts_out: Optional[str],
+            parse_file: Optional[str], start: Optional[str], format_file: Optional[str],
+            no_test: bool) -> int:
     if max_k < 1:
         _err("langcc: --max-k: %d is not a positive integer" % max_k)
         return 2

@@ -6,14 +6,17 @@ products into the plain dict/list tree of an artifact (flatten), which
 artifact.CompiledLang writes.  The action and goto lists, most of an
 artifact, go into the tree as their canonical text (artifact.RawJson),
 written straight from the builder's tables: each state's action masks
-expanded into cells by LrTables.cells, each lookahead's text and each
-action's rendered once, and no per-cell list built.  The lowerer already
-writes AST field kinds and print templates in the artifact's terms,
-literal text decoded, so flatten copies them as they are.  flatten also
-hands CompiledLang the parser's rows, built in the same loops as the
-action and goto text, and the CompiledLexer compile_lexer returned: a
-freshly compiled language is not checked or rebuilt from its own tree,
-as a loaded one is by CompiledLang.from_json.
+expanded into lookahead ranks (LrTables.ranks) and put in lookahead order
+by one sort of ints, each lookahead's text, each action's and each goto
+symbol's made once, and no per-cell list built.  LrTables.cells and its
+per-cell view LrTables.action are left to dump_lr and the tests.  The
+lowerer already writes AST field kinds and print templates in the
+artifact's terms, literal text decoded, so flatten copies them as they
+are.  flatten also hands CompiledLang the parser's rows, built in the same
+loops as the action and goto text, and the CompiledLexer compile_lexer
+returned: a freshly compiled language is not checked or rebuilt from its
+own tree, as a loaded one is by CompiledLang.from_json.  compile_lang runs
+with the cyclic collector paused.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .artifact import (FORMAT_VERSION, CompiledLang, RawJson, _canonical_json, _encode_str,
-                       lexer_to_json, prod_tuples)
+                       lexer_to_json, pause_collector, prod_tuples, resume_collector)
 from .grammar import Cfg, lower_grammar, lower_precedence
 from .lexer import CompiledLexer, compile_lexer
 from .lr import LrTables, build_lr
@@ -38,9 +41,11 @@ def flatten(lexer: CompiledLexer, tables: LrTables, digest: str) -> CompiledLang
     """The artifact of a conflict-free build: its productions turned into
     lists, its action and goto lists into text, and each user variant's
     field kinds and print template as the lowerer wrote them (from
-    tables.ig.cfg).  The CompiledLang serves `lexer` itself and the parser
-    rows built beside the action and goto text, the same as from_json
-    builds from those lists, with none of its checks."""
+    tables.ig.cfg).  The actions are read from the masks of tables.acts
+    through tables.ranks, not from tables.cells or the per-cell view
+    tables.action, which stays unbuilt.  The CompiledLang serves `lexer`
+    itself and the parser rows built beside the action and goto text, the
+    same as from_json builds from those lists, with none of its checks."""
     cfg = tables.ig.cfg
     inst_index = {}
 
@@ -79,40 +84,56 @@ def flatten(lexer: CompiledLexer, tables: LrTables, digest: str) -> CompiledLang
 
     # The action and goto lists as _canonical_json writes them, as values of
     # the top-level object: an entry on a line of two spaces, its items on
-    # lines of three.  Each lookahead's text and each action's are rendered
-    # once; an action entry is the state, then those two.
+    # lines of three.  An action entry is the state, the lookahead's text
+    # and the action's, each of those two rendered once; lookaheads are
+    # taken by rank (their place in lookahead order), so each state's
+    # entries come out of one sort of ints.
+    if tables.conflicts:
+        raise SpecError("cannot flatten tables with conflicts")
     las = tables.lookaheads
-    la_texts = [_canonical_json(list(la), "\n   ") + ",\n   " for la in las]
-    row_keys = [la[0] for la in las] if k == 1 else las
+    la_texts = [_canonical_json(list(las[b]), "\n   ") + ",\n   " for b in tables.la_order]
+    row_keys = [las[b][0] if k == 1 else las[b] for b in tables.la_order]
+    ranks = tables.ranks
+    heads = ["[\n   %d,\n   " % state for state in range(n_states)]  # each entry's start
     tails = {}  # action -> (its text, ending the entry; its parser cell)
-    action_entries = []  # in the tables' order: by state, then lookahead
-    for state in range(n_states):
-        head = "[\n   %d,\n   " % state
-        row = action_rows[state]
-        for b, acts in tables.cells(state):
-            if len(acts) != 1:
-                raise SpecError("cannot flatten tables with conflicts")
-            tail = tails.get(acts[0])
+    action_entries = []  # by state, then lookahead
+    for state, acts in enumerate(tables.acts):
+        cells = {}  # lookahead rank -> the tail of its action
+        for act, mask in acts:
+            tail = tails.get(act)
             if tail is None:
-                tag, arg = acts[0]
-                tail = tails[acts[0]] = (
-                    _canonical_json([tag, arg], "\n   ") + "\n  ]",
+                tag, arg = act
+                tail = tails[act] = (
+                    '[\n    "%s",\n    %s\n   ]\n  ]'
+                    % (tag, _encode_str(arg) if tag == "accept" else arg),
                     arg if tag == "shift" else -1 if tag == "accept" else reduce_cells[arg])
-            action_entries.append(head + la_texts[b] + tail[0])
-            row[row_keys[b]] = tail[1]
+            cells.update(dict.fromkeys(ranks[mask], tail))
+        head = heads[state]
+        row = action_rows[state]
+        for r in sorted(cells):
+            text, cell = cells[r]
+            action_entries.append(head + la_texts[r] + text)
+            row[row_keys[r]] = cell
 
-    gotos = []
-    for (state, (kind, x)), target in tables.goto.items():
-        ref = x if kind == "t" else inst_ref(x)
-        gotos.append((state, kind, ref, target))
-        if kind == "n":
-            goto_rows[state][ref] = target
-    # by state, then nonterminals ("n") before terminals ("t"), then name:
-    # no two entries share all three, so the targets are never compared
-    gotos.sort()
-    goto_entries = ['[\n   %d,\n   "%s",\n   %s,\n   %d\n  ]'
-                    % (state, kind, _encode_str(ref), target)
-                    for state, kind, ref, target in gotos]
+    # Goto entries go by state, then nonterminals ("n") before terminals
+    # ("t"), then name, as one sort of ints: state and the symbol's rank in
+    # that order.  Each symbol's name, text and row key are made once, and
+    # each target's text.
+    refs = {sym: sym[1] if sym[0] == "t" else inst_ref(sym[1])
+            for sym in {sym for _state, sym in tables.goto}}
+    syms = sorted(refs, key=lambda sym: (sym[0], refs[sym]))
+    sym_rank = {sym: r for r, sym in enumerate(syms)}
+    sym_texts = ['"%s",\n   %s' % (sym[0], _encode_str(refs[sym])) for sym in syms]
+    row_refs = [refs[sym] if sym[0] == "n" else None for sym in syms]
+    ends = [",\n   %d\n  ]" % target for target in range(n_states)]
+    n_syms = len(syms)
+    gotos = {}  # state * n_syms + symbol rank -> the entry
+    for (state, sym), target in tables.goto.items():
+        r = sym_rank[sym]
+        gotos[state * n_syms + r] = heads[state] + sym_texts[r] + ends[target]
+        if row_refs[r] is not None:
+            goto_rows[state][row_refs[r]] = target
+    goto_entries = [gotos[key] for key in sorted(gotos)]
 
     ast_json = {}
     templates_json = {}
@@ -169,27 +190,33 @@ def compile_lang(source: str, max_k: int = 2) -> CompileResult:
 
     On conflicts at every k up to max_k, returns ok=False with the tables of
     the first k attempted (their conflicts feed the exemplar tracer).
-    Raises ValueError if max_k < 1, as build_lr does for k.
+    Raises ValueError if max_k < 1, as build_lr does for k.  Runs with the
+    cyclic collector paused (artifact.pause_collector), as parse and
+    to_json do: the build allocates many objects that reference counting
+    frees, and the collections they would set off find little.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    spec = parse_lang_spec(source)
-    lexer = compile_lexer(spec)
-    cfg = lower_grammar(spec)
-    cfg = lower_precedence(spec, cfg)
+    pause_collector()
+    try:
+        spec = parse_lang_spec(source)
+        lexer = compile_lexer(spec)
+        cfg = lower_grammar(spec)
+        cfg = lower_precedence(spec, cfg)
 
-    missing = sorted(t for t in cfg.terminals if t not in lexer.emittable)
-    if missing:
-        raise SpecError("parser uses terminal(s) the lexer never emits: %s"
-                        % ", ".join(missing))
+        missing = sorted(t for t in cfg.terminals if t not in lexer.emittable)
+        if missing:
+            raise SpecError("parser uses terminal(s) the lexer never emits: %s"
+                            % ", ".join(missing))
 
-    first_tables = None
-    for k in range(1, max_k + 1):
-        tables = build_lr(cfg, k)
-        if first_tables is None:
-            first_tables = tables
-        if not tables.conflicts:
-            compiled = flatten(lexer, tables, source_digest(source))
-            return CompileResult(True, spec, cfg, lexer, tables, k, compiled)
-    return CompileResult(False, spec, cfg, lexer, first_tables, 1)
-
+        first_tables = None
+        for k in range(1, max_k + 1):
+            tables = build_lr(cfg, k)
+            if first_tables is None:
+                first_tables = tables
+            if not tables.conflicts:
+                compiled = flatten(lexer, tables, source_digest(source))
+                return CompileResult(True, spec, cfg, lexer, tables, k, compiled)
+        return CompileResult(False, spec, cfg, lexer, first_tables, 1)
+    finally:
+        resume_collector()

@@ -191,7 +191,7 @@ def _complete(ctx: _TraceContext, stack: tuple, queue: tuple,
             return None
         top = tops[sid]
         if len(q) < k:
-            for t in next_terminals.get((top, q), ()):
+            for t in next_terminals[top].get(q, ()):
                 if t == EOF_TERMINAL:
                     push(heap, (cost, appended, counter, sid, q + (t,)))
                 else:
@@ -220,30 +220,40 @@ def _complete(ctx: _TraceContext, stack: tuple, queue: tuple,
     return _NO_COMPLETION
 
 
-def _next_terminals(tables: LrTables) -> Dict[Tuple[int, tuple], Tuple[str, ...]]:
-    """(state, q) -> the terminals t, sorted with $ last, such that some
-    action lookahead of the state starts with q + (t,), for every q shorter
-    than k.  Lookaheads are padded with $, so after a $ only $ follows."""
-    k, las = tables.k, tables.lookaheads
-    nexts: Dict[Tuple[int, tuple], set] = {}
-    for state, acts in enumerate(tables.acts):
+class _NextTerminals(dict):
+    """state -> {q: the terminals t, sorted with $ last, such that some
+    action lookahead of the state starts with q + (t,)} for every q shorter
+    than k, made for a state on its first lookup: the completion search
+    asks about a few states of many.  Lookaheads are padded with $, so
+    after a $ only $ follows."""
+
+    def __init__(self, tables: LrTables):
+        super().__init__()
+        self.tables = tables
+
+    def __missing__(self, state: int) -> Dict[tuple, Tuple[str, ...]]:
+        k, las = self.tables.k, self.tables.lookaheads
         held = 0  # the lookaheads the state acts on
-        for _act, mask in acts:
+        for _act, mask in self.tables.acts[state]:
             held |= mask
+        nexts: Dict[tuple, set] = {}
         for b in _bits(held):
             la = las[b]
             for i in range(k):
-                nexts.setdefault((state, la[:i]), set()).add(la[i])
-    eof = (EOF_TERMINAL,)
-    return {key: tuple(sorted(ts - {EOF_TERMINAL})) + (eof if EOF_TERMINAL in ts else ())
-            for key, ts in nexts.items()}
+                nexts.setdefault(la[:i], set()).add(la[i])
+        eof = (EOF_TERMINAL,)
+        got = self[state] = {
+            q: tuple(sorted(ts - {EOF_TERMINAL})) + (eof if EOF_TERMINAL in ts else ())
+            for q, ts in nexts.items()}
+        return got
 
 
 # ---------------------------------------------------------------------------
 # Tracing
 
 class _TraceContext:
-    """What every trace of one table set shares, built once per trace_all."""
+    """What every trace of one table set shares, built once per trace_all;
+    a state's next terminals are made when the search first reaches it."""
 
     def __init__(self, tables: LrTables):
         self.tables = tables
@@ -253,7 +263,7 @@ class _TraceContext:
         self.rules = [(len(p.rhs), ("n", p.lhs)) for p in tables.prods]
         # lookahead -> its bit in the masks of tables.acts, as an int
         self.bit_of = {la: 1 << b for b, la in enumerate(tables.lookaheads)}
-        self.next_terminals = _next_terminals(tables)
+        self.next_terminals = _NextTerminals(tables)
 
     def path_keys(self, state: int):
         keys = []

@@ -28,18 +28,25 @@ int) the kernel reaches collects the mask of lookaheads it is reached with;
 a worklist passes only newly found bits (add & ~old) on to the nonterminals
 that begin its productions, through FIRST of what follows them (lookahead
 propagation in the style of DeRemer and Pennello).  Gotos and actions are
-assembled per (production, dot) core with its mask.
+assembled per (production, dot) core with its mask: a kernel's cores one
+by one, and each reached nonterminal's productions from a table of their
+first steps made once per build.  A shift goes to the target its goto
+found, and the actions are sorted by keys made once per action.
 
 The closed item sets, (production, 0, w) for every production of every
 reached nonterminal and each of its lookaheads w beside the kernel items,
 are built only when LrTables.states is read item by item (dump_lr, tests).
 Compiling, tracing conflicts and counting states use the kernels, gotos and
 actions alone.  Actions stay masks too: the builder finds conflicts by
-AND-ing each state's masks, and the conflict tracer tests a lookahead's bit
-in them.  LrTables.cells expands one state's masks into per-lookahead
-cells, which flatten and dump_lr read state by state.  LrTables.action, a
+AND-ing each state's masks (looking further only where two clash), and the
+conflict tracer tests a lookahead's bit in them.  LrTables.ranks gives the
+ranks (places in lookahead order) of a mask's lookaheads, made once per
+distinct mask, so expanding a state's masks in lookahead order takes one
+sort of ints: flatten expands them so itself, and LrTables.cells does for
+dump_lr, one state's per-lookahead cells at a time.  LrTables.action, a
 view of every state's cells built on its first read, is read by nothing in
-this package: it is kept for the tests and the benchmark's cell count.
+this package: it is kept for the tests (tests/oracle.py makes the
+artifact's action list from it) and the benchmark's cell count.
 
 LrTables is put in the instance grammar's own terms (IProd productions,
 goto keys that are rhs symbols), so its readers take the tables alone.
@@ -126,14 +133,16 @@ class LrTables:
     `acts[state]` lists the state's (action, mask) pairs, sorted by action;
     bit b of a mask stands for the lookahead k-tuple `lookaheads[b]`.  Each
     of `conflicts` is a lookahead bit set in two masks of one state, with
-    the actions of those masks.  cells(state) expands a state's masks into
-    its cells.  `action`, built from them on its first read, maps (state,
-    lookahead) to the cell's actions, with its keys in sorted order: by
-    state, then by lookahead; nothing in the package reads it, only the
-    tests and the benchmark's cell count.  `goto` maps (state, symbol) to
-    the target state, the symbol as in an IProd's rhs.  `unproductive`
-    holds the instances that derive no terminal string, which do not
-    depend on k."""
+    the actions of those masks.  `la_order` lists the lookahead bits in
+    lookahead order, and `ranks[mask]` the ranks (places in la_order) of
+    mask's lookaheads; flatten reads those.  cells(state) expands a state's
+    masks into its cells, for dump_lr.  `action`, built from them on its
+    first read, maps (state, lookahead) to the cell's actions, with its keys
+    in sorted order: by state, then by lookahead; nothing in the package
+    reads it, only the tests and the benchmark's cell count.  `goto` maps
+    (state, symbol) to the target state, the symbol as in an IProd's rhs.
+    `unproductive` holds the instances that derive no terminal string,
+    which do not depend on k."""
 
     k: int
     ig: InstGrammar
@@ -149,16 +158,36 @@ class LrTables:
     def cells(self, state: int) -> List[Tuple[int, Tuple[tuple, ...]]]:
         """The state's action cells in lookahead order: (lookahead bit, the
         actions whose masks hold it), one action unless the cell is a
-        conflict."""
-        cells: Dict[int, tuple] = {}  # lookahead bit -> actions
-        for act, mask in self.acts[state]:
-            one = (act,)
-            while mask:  # _bits(mask), inlined: flatten reads every cell
-                low = mask & -mask
-                b = low.bit_length() - 1
-                cells[b] = cells[b] + one if b in cells else one
-                mask ^= low
-        return [(b, cells[b]) for b in sorted(cells, key=self.lookaheads.__getitem__)]
+        conflict, several in the order of acts."""
+        acts, order, ranks = self.acts[state], self.la_order, self.ranks
+        n = len(acts)
+        cells: List[Tuple[int, Tuple[tuple, ...]]] = []
+        last = -1  # the rank of the last cell
+        for key in sorted([r * n + i for i, (_act, mask) in enumerate(acts)
+                           for r in ranks[mask]]):
+            r, i = divmod(key, n)
+            if r == last:
+                cells[-1] = (order[r], cells[-1][1] + (acts[i][0],))
+            else:
+                cells.append((order[r], (acts[i][0],)))
+                last = r
+        return cells
+
+    @cached_property
+    def la_order(self) -> List[int]:
+        """The lookahead bits in lookahead order: la_order[r] is the bit of
+        the lookahead of rank r."""
+        return sorted(range(len(self.lookaheads)), key=self.lookaheads.__getitem__)
+
+    @cached_property
+    def ranks(self) -> Dict[int, List[int]]:
+        """ranks[mask]: the ranks (places in la_order) of the lookaheads of
+        a mask in acts, ascending, made once per distinct mask."""
+        rank_of = [0] * len(self.la_order)  # lookahead bit -> its rank
+        for r, b in enumerate(self.la_order):
+            rank_of[b] = r
+        masks = {mask for acts in self.acts for _act, mask in acts}
+        return {mask: sorted([rank_of[b] for b in _bits(mask)]) for mask in masks}
 
     @cached_property
     def action(self) -> Dict[Tuple[int, tuple], Tuple[tuple, ...]]:
@@ -348,14 +377,20 @@ class _Builder:
     def _closure(self, kernel) -> Dict[int, int]:
         """The lookahead mask each nonterminal is reached with when closing
         kernel, a set of ((production, dot), mask)."""
-        steps, corners, after = self.steps, self.corners, self._after
-        las: Dict[int, int] = {}    # every lookahead each is reached with
-        fresh: Dict[int, int] = {}  # those not yet passed on
-        edges = []                  # (nonterminal, FIRST, mask) to feed
+        steps = self.steps
+        edges = []
         for (pi, dot), mask in kernel:
             step = steps[pi][dot]
             if step is not None and step[2] >= 0:
                 edges.append((step[2], step[3], mask))
+        return self._propagate(edges)
+
+    def _propagate(self, edges: list) -> Dict[int, int]:
+        """The closure from the kernel's (nonterminal, FIRST, mask) edges:
+        the lookahead mask each nonterminal is reached with."""
+        corners, after = self.corners, self._after
+        las: Dict[int, int] = {}    # every lookahead each is reached with
+        fresh: Dict[int, int] = {}  # those not yet passed on
         while True:
             for m, first, mask in edges:
                 old = las.get(m, 0)
@@ -382,8 +417,22 @@ class _Builder:
 
     def build(self) -> LrTables:
         k = self.k
-        steps, end_act, keys, prods_of = self.steps, self.end_act, self.keys, self.prods_of
+        steps, end_act, keys = self.steps, self.end_act, self.keys
         after, las = self._after, self.lookaheads
+        end_keys = [_act_sort_key(act) for act in end_act]
+        shift_of: Dict[int, tuple] = {}  # target -> (sort key, action) of the shift to it
+        # what each nonterminal's productions do at dot 0: the (goto rank,
+        # next core) of each that begins with a symbol, the (goto rank,
+        # FIRST) of each that begins with a terminal, and the (sort key,
+        # action) of each empty one
+        first_steps = []
+        for pis in self.prods_of:
+            rows = [steps[pi][0] for pi in pis]
+            first_steps.append(([(step[1], step[0]) for step in rows if step is not None],
+                                [(step[1], step[3]) for step in rows
+                                 if step is not None and step[2] < 0],
+                                [(end_keys[pi], end_act[pi])
+                                 for pi, step in zip(pis, rows) if step is None]))
         kernels: List[frozenset] = []
         state_of: Dict[frozenset, int] = {}  # kernel -> state
         goto: Dict[Tuple[int, tuple], int] = {}
@@ -391,51 +440,66 @@ class _Builder:
         conflicts: List[ConflictSite] = []
         starts: Dict[str, int] = {}
 
-        # states are numbered by kernel and closed when their turn comes
-        def ensure_state(kernel: frozenset) -> int:
-            got = state_of.get(kernel)
-            if got is None:
-                got = state_of[kernel] = len(kernels)
-                kernels.append(kernel)
-            return got
-
         eof = self._mask([(EOF_TERMINAL,) * k])
         for p in self.prods[len(self.ig.iprods):]:
-            starts[p.base.lhs] = ensure_state(frozenset([((p.ipid, 0), eof)]))
+            kernel = frozenset([((p.ipid, 0), eof)])
+            starts[p.base.lhs] = state_of[kernel] = len(kernels)
+            kernels.append(kernel)
 
+        # states are numbered by kernel and closed when their turn comes
         idx = 0
         while idx < len(kernels):
             kernel = kernels[idx]
-            closed = list(kernel)
-            for n, mask in self._closure(kernel).items():
-                closed.extend([((cpi, 0), mask) for cpi in prods_of[n]])
-
             by_rank: Dict[int, list] = {}  # goto rank -> target kernel
             shifts: Dict[int, int] = {}    # terminal's goto rank -> lookaheads
-            acts = []                      # (action, lookaheads)
-            for (pi, dot), mask in closed:
+            keyed = {}                     # sort key -> (action, lookaheads)
+            edges = []                     # the closure's, as _propagate takes them
+            for (pi, dot), mask in kernel:
                 step = steps[pi][dot]
                 if step is None:
-                    acts.append((end_act[pi], mask))
+                    keyed[end_keys[pi]] = (end_act[pi], mask)
                     continue
                 nxt, rank, n, first = step
                 by_rank.setdefault(rank, []).append((nxt, mask))
                 if n < 0:
                     shifts[rank] = shifts.get(rank, 0) | after(first, mask)
+                else:
+                    edges.append((n, first, mask))
+            # most kernels have no item before a nonterminal: nothing to close
+            for n, mask in (self._propagate(edges).items() if edges else ()):
+                gotos, terms, ends = first_steps[n]
+                for rank, nxt in gotos:
+                    by_rank.setdefault(rank, []).append((nxt, mask))
+                for rank, first in terms:
+                    shifts[rank] = shifts.get(rank, 0) | after(first, mask)
+                for key, act in ends:
+                    keyed[key] = (act, mask)
 
+            targets = {}  # goto rank -> target state
             for rank in sorted(by_rank):
-                goto[(idx, keys[rank])] = ensure_state(frozenset(by_rank[rank]))
+                target_kernel = frozenset(by_rank[rank])
+                target = state_of.get(target_kernel)
+                if target is None:
+                    target = state_of[target_kernel] = len(kernels)
+                    kernels.append(target_kernel)
+                goto[(idx, keys[rank])] = targets[rank] = target
             for rank, mask in shifts.items():
-                acts.append((("shift", goto[(idx, keys[rank])]), mask))
-            acts.sort(key=lambda am: _act_sort_key(am[0]))
+                target = targets[rank]
+                shift = shift_of.get(target)
+                if shift is None:
+                    act = ("shift", target)
+                    shift = shift_of[target] = (_act_sort_key(act), act)
+                keyed[shift[0]] = (shift[1], mask)
+            acts = [keyed[key] for key in sorted(keyed)]
             state_acts.append(acts)
             seen = clash = 0  # lookaheads of the masks so far, and those met twice
             for _act, mask in acts:
                 clash |= seen & mask
                 seen |= mask
-            for b in sorted(_bits(clash), key=las.__getitem__):
-                conflicts.append(ConflictSite(
-                    idx, las[b], tuple(act for act, mask in acts if mask >> b & 1)))
+            if clash:
+                for b in sorted(_bits(clash), key=las.__getitem__):
+                    conflicts.append(ConflictSite(
+                        idx, las[b], tuple(act for act, mask in acts if mask >> b & 1)))
             idx += 1
 
         return LrTables(k, self.ig, self.prods, _ClosedStates(kernels, self._items),

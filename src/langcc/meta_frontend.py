@@ -386,13 +386,16 @@ def _conv_lexer_action(n: Node, lines: _Lines) -> sa.LexerAction:
 
 def _conv_lexer(items: SeqVal, lines: _Lines) -> sa.LexerSpec:
     main: Optional[str] = None
+    main_loc: Optional[Loc] = None
     modes = []
+    mode_locs = []
     for item in items.items:
         if item.variant[1] == "Main":
             if main is not None:
                 raise SpecError("duplicate main declaration in lexer",
                                 lines.loc(item.start))
-            main = lines.text(item.field("name"))
+            name = item.field("name")
+            main, main_loc = lines.text(name), lines.loc(name.start)
         else:
             rules = []
             for r in item.field("rules").items:
@@ -403,9 +406,10 @@ def _conv_lexer(items: SeqVal, lines: _Lines) -> sa.LexerSpec:
                     raise SpecError("lexer rule has an empty action list", loc)
                 rules.append(sa.LexerRule(pat, actions, loc))
             modes.append((lines.text(item.field("name")), tuple(rules)))
+            mode_locs.append(lines.loc(item.start))
     if main is None:
         raise SpecError("lexer stanza has no main declaration")
-    return sa.LexerSpec(main, tuple(modes))
+    return sa.LexerSpec(main, tuple(modes), main_loc, tuple(mode_locs))
 
 
 _TAG_OF = {"AssocLeft": "assoc_left", "AssocRight": "assoc_right",
@@ -414,6 +418,7 @@ _TAG_OF = {"AssocLeft": "assoc_left", "AssocRight": "assoc_right",
 
 def _conv_parser(items: SeqVal, lines: _Lines, opaque: set) -> sa.ParserSpec:
     main: Optional[Tuple[str, ...]] = None
+    main_locs: Tuple[Optional[Loc], ...] = ()
     prec_lines: List[sa.PrecLine] = []
     props: List[str] = []
     attr_lines: List[sa.AttrLine] = []
@@ -425,6 +430,7 @@ def _conv_parser(items: SeqVal, lines: _Lines, opaque: set) -> sa.ParserSpec:
                 raise SpecError("duplicate main declaration in parser",
                                 lines.loc(item.start))
             main = _ids(item.field("names"), lines)
+            main_locs = tuple(lines.loc(t.start) for t in item.field("names").items)
         elif v == "Prec":
             for line in item.field("lines").items:
                 names = tuple(_dotted(d, lines) for d in line.field("names").items)
@@ -450,7 +456,7 @@ def _conv_parser(items: SeqVal, lines: _Lines, opaque: set) -> sa.ParserSpec:
     if main is None:
         raise SpecError("parser stanza has no main declaration")
     return sa.ParserSpec(main, tuple(prec_lines), tuple(props),
-                         tuple(attr_lines), tuple(rules))
+                         tuple(attr_lines), tuple(rules), main_locs)
 
 
 _STANZA_KEYWORDS = {"Tokens": "tokens", "Lexer": "lexer", "Parser": "parser",
@@ -596,10 +602,13 @@ def validate_spec(spec: LangSpec) -> List[Diagnostic]:
 
     # lexer: main and push targets name declared modes; rule shape constraints
     mode_names = [m for m, _ in spec.lexer.modes]
-    if len(set(mode_names)) != len(mode_names):
-        diags.append(Diagnostic(None, "duplicate lexer mode name"))
+    mode_locs = spec.lexer.mode_locs or (None,) * len(mode_names)
+    repeats = [loc for i, loc in enumerate(mode_locs) if mode_names[i] in mode_names[:i]]
+    if repeats:
+        diags.append(Diagnostic(repeats[0], "duplicate lexer mode name"))
     if spec.lexer.main_mode not in mode_names:
-        diags.append(Diagnostic(None, "lexer main names undeclared mode %r" % spec.lexer.main_mode))
+        diags.append(Diagnostic(spec.lexer.main_loc, "lexer main names undeclared mode %r"
+                                % spec.lexer.main_mode))
     for mode_name, rules in spec.lexer.modes:
         for r in rules:
             # an alias of eof matches eof too
@@ -627,9 +636,10 @@ def validate_spec(spec: LangSpec) -> List[Diagnostic]:
         if r.path in seen_paths:
             diags.append(Diagnostic(r.loc, "duplicate rule %s" % r.dotted))
         seen_paths.add(r.path)
-    for name in spec.parser.main_nonterms:
+    main_locs = spec.parser.main_locs or (None,) * len(spec.parser.main_nonterms)
+    for name, loc in zip(spec.parser.main_nonterms, main_locs):
         if name not in nonterms:
-            diags.append(Diagnostic(None, "parser main names undeclared nonterminal %r" % name))
+            diags.append(Diagnostic(loc, "parser main names undeclared nonterminal %r" % name))
     prec_seen = set()
     for line in spec.parser.prec_lines:
         lhs_here = set()

@@ -254,6 +254,10 @@ class LexerRule:
 class LexerSpec:
     main_mode: str
     modes: Tuple[Tuple[str, Tuple[LexerRule, ...]], ...]
+    # where the main's mode name and each mode declaration stand, for
+    # diagnostics; () or None for a spec built without a source
+    main_loc: Optional[Loc] = field(default=None, compare=False)
+    mode_locs: Tuple[Optional[Loc], ...] = field(default=(), compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +394,9 @@ class ParserSpec:
     props: Tuple[str, ...]
     attr_lines: Tuple[AttrLine, ...]
     rules: Tuple[RuleDecl, ...]
+    # where each of main_nonterms stands, for diagnostics; () for a spec
+    # built without a source
+    main_locs: Tuple[Optional[Loc], ...] = field(default=(), compare=False)
 
     @property
     def name_strict(self) -> bool:

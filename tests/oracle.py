@@ -30,10 +30,10 @@ names TokenRefs, before the converter read the tokens stanza first.
 
 reference_to_json is CompiledLang.to_json as it was on json's own
 indenting encoder, before the artifact's canonical text had a writer of
-its own.  reference_flatten_lists is flatten's action and goto loops as
-they were before it wrote those lists as text: a list per cell of
-LrTables.action, and the goto entries sorted as lists, with the parser's
-rows filled beside them.
+its own.  reference_action_goto_lists makes the artifact's action and
+goto lists as flatten made them before it wrote them as text: a list per
+cell of the per-cell view LrTables.action, and the goto entries sorted as
+lists.
 
 reference_lr is canonical LR(k) built item by item on sets of lookahead
 tuples, each goto target closed and then looked up by its closed set: the
@@ -63,6 +63,7 @@ import functools
 import hashlib
 import heapq
 import json
+from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from langcc.artifact import CompiledLang
@@ -1028,7 +1029,9 @@ class _Parser:
 
     def parse_lexer_stanza(self) -> LexerSpec:
         main: Optional[str] = None
+        main_loc = None
         modes: List[Tuple[str, Tuple[LexerRule, ...]]] = []
+        mode_locs = []
         while not self.at("punct", "}"):
             t = self.peek()
             if t.kind == "kw" and t.text == "main":
@@ -1036,9 +1039,11 @@ class _Parser:
                     raise SpecError("duplicate main declaration in lexer", t.loc)
                 self.next()
                 self.expect("punct", "{")
+                main_loc = self.peek().loc
                 main = self.ident()
                 self.expect("punct", "}")
             elif t.kind == "kw" and t.text == "mode":
+                mode_locs.append(t.loc)
                 self.next()
                 name = self.ident()
                 self.expect("punct", "{")
@@ -1051,7 +1056,7 @@ class _Parser:
                 raise SpecError("expected 'main' or 'mode' in lexer stanza", t.loc)
         if main is None:
             raise SpecError("lexer stanza has no main declaration")
-        return LexerSpec(main, tuple(modes))
+        return LexerSpec(main, tuple(modes), main_loc, tuple(mode_locs))
 
     def parse_lexer_rule(self) -> LexerRule:
         loc = self.peek().loc
@@ -1088,6 +1093,7 @@ class _Parser:
 
     def parse_parser_stanza(self) -> ParserSpec:
         main: Optional[Tuple[str, ...]] = None
+        main_locs: List[Optional[Loc]] = []
         prec_lines: List[PrecLine] = []
         props: List[str] = []
         attr_lines: List[AttrLine] = []
@@ -1099,9 +1105,11 @@ class _Parser:
                     raise SpecError("duplicate main declaration in parser", t.loc)
                 self.next()
                 self.expect("punct", "{")
+                main_locs = [self.peek().loc]
                 names = [self.ident()]
                 while self.at("punct", ","):
                     self.next()
+                    main_locs.append(self.peek().loc)
                     names.append(self.ident())
                 self.expect("punct", "}")
                 main = tuple(names)
@@ -1135,7 +1143,8 @@ class _Parser:
                 raise SpecError("expected a parser rule or directive, found %r" % t.text, t.loc)
         if main is None:
             raise SpecError("parser stanza has no main declaration")
-        return ParserSpec(main, tuple(prec_lines), tuple(props), tuple(attr_lines), tuple(rules))
+        return ParserSpec(main, tuple(prec_lines), tuple(props), tuple(attr_lines), tuple(rules),
+                          tuple(main_locs))
 
     def parse_dotted(self) -> Tuple[str, ...]:
         parts = [self.ident()]
@@ -1398,9 +1407,7 @@ def reference_resolve_refs(spec: LangSpec) -> LangSpec:
         return e
 
     rules = tuple(RuleDecl(r.path, r.lhs_attrs, walk(r.rhs), r.loc) for r in spec.parser.rules)
-    p = spec.parser
-    return LangSpec(spec.token_decls, spec.lexer,
-                    ParserSpec(p.main_nonterms, p.prec_lines, p.props, p.attr_lines, rules),
+    return LangSpec(spec.token_decls, spec.lexer, replace(spec.parser, rules=rules),
                     spec.compile_tests, spec.parse_tests)
 
 
@@ -1500,40 +1507,21 @@ def reference_to_json(compiled: CompiledLang) -> str:
         for key in sorted(tree))
 
 
-def reference_flatten_lists(tables: LrTables):
-    """(action list, goto list, action rows, goto rows) of a conflict-free
-    build, as flatten built them cell by cell."""
-    inst_index = {}
-
-    def inst_ref(inst) -> str:
-        if inst not in inst_index:
-            inst_index[inst] = inst.mangled()
-        return inst_index[inst]
-
-    k, n_states = tables.k, len(tables.states)
-    action_rows = [{} for _ in range(n_states)]
-    goto_rows = [{} for _ in range(n_states)]
-    reduce_cells = [-2 - p for p in range(len(tables.prods))]  # one int per production
-
-    action_json = []  # in the tables' order: by state, then lookahead
+def reference_action_goto_lists(tables: LrTables):
+    """The artifact's action and goto lists of a conflict-free build, made
+    entry by entry from the per-cell view LrTables.action and from
+    LrTables.goto."""
+    action_json = []  # in the view's order: by state, then lookahead
     for (state, la), acts in tables.action.items():
         if len(acts) != 1:
             raise SpecError("cannot flatten tables with conflicts")
         tag, arg = acts[0]
         action_json.append([state, list(la), [tag, arg]])
-        action_rows[state][la[0] if k == 1 else la] = (
-            arg if tag == "shift" else -1 if tag == "accept" else reduce_cells[arg])
-
-    goto_json = []
-    for (state, (kind, x)), target in tables.goto.items():
-        ref = x if kind == "t" else inst_ref(x)
-        goto_json.append([state, kind, ref, target])
-        if kind == "n":
-            goto_rows[state][ref] = target
     # by state, then nonterminals ("n") before terminals ("t"), then name:
     # no two entries share all three, so the targets are never compared
-    goto_json.sort()
-    return action_json, goto_json, action_rows, goto_rows
+    goto_json = sorted([state, kind, x if kind == "t" else x.mangled(), target]
+                       for (state, (kind, x)), target in tables.goto.items())
+    return action_json, goto_json
 
 
 class FirstK:

@@ -429,3 +429,35 @@ def test_conflict_no_input_reaches_is_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "has LR conflicts (reported 2)" in err
     assert not (tmp_path / "a.clang").exists()
+
+
+# ---------------------------------------------------------------------------
+# The langcc command pauses the cyclic collector and leaves it as it found it
+
+@pytest.mark.parametrize("name, rc", [("calc.lang", 0), ("calc_noprec.lang", 1)])
+@pytest.mark.parametrize("before", [True, False], ids=["on", "off"])
+def test_langcc_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
+                                                    name, rc, before):
+    import gc
+
+    import langcc.cli as cli
+
+    seen = []  # whether the collector ran while writing or tracing
+
+    def recorded(fn):
+        def call(*args):
+            seen.append(gc.isenabled())
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(cli, "run_test_stanza", recorded(cli.run_test_stanza))
+    monkeypatch.setattr(cli, "trace_all", recorded(cli.trace_all))
+    gc.enable() if before else gc.disable()
+    try:
+        assert cmd_langcc(_lang(tmp_path, name), str(tmp_path)) == rc
+        assert seen == [False]
+        assert gc.isenabled() == before
+        assert cmd_langcc(_lang(tmp_path, name), str(tmp_path / "missing")) == 2
+        assert gc.isenabled() == before
+    finally:
+        gc.enable()

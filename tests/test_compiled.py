@@ -2,25 +2,34 @@
 the old encoder, one write per artifact with no decode on the build path,
 pre-rendered pieces, non-canonical input, and text that is no artifact.
 The action and goto lists flatten writes as text against the per-cell
-lists it once built.  A built artifact's runtime parts: taken from the
-builder, equal to its loaded text's."""
+lists it once built, and its parser rows against those its text loads
+to.  A built artifact's runtime parts: taken from the builder, equal to
+its loaded text's.  Artifacts that do not depend on the hash seed, and a
+compile that leaves the cyclic collector as it found it."""
 
 import enum
+import gc
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from langcc import artifact, compile_lang, parse
+from langcc import artifact, compile_lang, parse, parse_lang_spec
+from langcc import compiled as compiled_mod
 from langcc.artifact import P_USER, CompiledLang, RawJson, _canonical_json
 from langcc.compiled import flatten
+from langcc.grammar import lower_grammar, lower_precedence
+from langcc.lexer import LexCompileError, compile_lexer
+from langcc.lr import build_lr
 from langcc.meta_frontend import meta_artifact
 from langcc.spec_ast import SpecError
 
-from conftest import load_grammar
-from oracle import reference_flatten_lists, reference_to_json
+from conftest import GRAMMARS, load_grammar
+from oracle import reference_action_goto_lists, reference_to_json
 from test_lr import _small_grammars, _small_source
 
 
@@ -93,6 +102,8 @@ def test_canonical_json_writes_pre_rendered_text_only_at_its_indent():
         with pytest.raises(ValueError, match="rendered at indent 1 placed at indent %d" % at):
             _canonical_json(tree)
 
+
+SRC = GRAMMARS.parent / "src"
 
 WITH_ARTIFACTS = ["ab_eps", "calc", "calc_prog", "meta", "parens", "rd_tiny", "sum_list"]
 
@@ -186,20 +197,21 @@ def test_built_small_grammar_serves_what_its_loaded_text_does(source):
         _assert_built_equals_loaded(result.compiled)
 
 
-def _assert_lists_match_reference(result):
+def _assert_lists_match_reference(tables, compiled):
     # flatten reads the tables' masks: the per-cell view stays unexpanded
-    assert "action" not in vars(result.tables)
-    action, goto, action_rows, goto_rows = reference_flatten_lists(result.tables)
-    tree = json.loads(result.compiled.to_json())
-    assert tree["action"] == action
-    assert tree["goto"] == goto
-    assert result.compiled.action_rows == action_rows
-    assert result.compiled.goto_rows == goto_rows
+    assert "action" not in vars(tables)
+    text = compiled.to_json()
+    tree = json.loads(text)
+    assert [tree["action"], tree["goto"]] == list(reference_action_goto_lists(tables))
+    loaded = CompiledLang.from_json(text)
+    assert compiled.action_rows == loaded.action_rows
+    assert compiled.goto_rows == loaded.goto_rows
 
 
 @pytest.mark.parametrize("grammar", WITH_ARTIFACTS)
 def test_action_and_goto_text_matches_the_per_cell_lists(grammar):
-    _assert_lists_match_reference(compile_lang(load_grammar(grammar + ".lang")))
+    result = compile_lang(load_grammar(grammar + ".lang"))
+    _assert_lists_match_reference(result.tables, result.compiled)
 
 
 # LR(3): after `c`, only the third terminal tells A from B
@@ -211,11 +223,15 @@ _LR3 = _small_source(["    S.P0 <- A `a` `a` `a`;", "    S.P1 <- B `a` `a` `b`;"
 @given(_small_grammars())
 @example(_LR3)
 def test_small_grammar_action_and_goto_text_matches_the_per_cell_lists(source):
-    # built at the first k of 1, 2 and 3 without conflicts, as a smaller
-    # max_k builds it when that k is no larger
-    result = compile_lang(source, 3)
-    if result.ok:
-        _assert_lists_match_reference(result)
+    # flattened at each k of 1, 2 and 3 without conflicts, also above the
+    # first such k, where compile_lang would stop
+    spec = parse_lang_spec(source)
+    lexer = compile_lexer(spec)
+    cfg = lower_precedence(spec, lower_grammar(spec))
+    for k in (1, 2, 3):
+        tables = build_lr(cfg, k)
+        if not tables.conflicts:
+            _assert_lists_match_reference(tables, flatten(lexer, tables, "0" * 64))
 
 
 def test_flatten_refuses_tables_with_conflicts(calc_noprec):
@@ -289,3 +305,74 @@ def test_artifact_that_is_not_an_object_is_a_spec_error(text):
 def test_artifact_the_decoder_cannot_convert_is_a_spec_error(text, message):
     with pytest.raises(SpecError, match="^malformed artifact: " + message):
         CompiledLang.from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# The same bytes under any hash seed
+
+_COMPILE_EACH = r"""
+import json, sys
+from langcc import compile_lang
+texts = []
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as f:
+        texts.append(compile_lang(f.read()).compiled.to_json())
+print(json.dumps(texts))
+"""
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed():
+    # set and dict orders over strings change with the seed; the artifact's
+    # bytes must not
+    paths = [str(GRAMMARS / name) for name in ("meta.lang", "calc_prog.lang", "ab_eps.lang")]
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        runs.append(json.loads(subprocess.run(
+            [sys.executable, "-c", _COMPILE_EACH, *paths], env=env,
+            capture_output=True, text=True, check=True).stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (SRC / "langcc" / "meta.clang").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# compile_lang pauses the cyclic collector and leaves it as it found it
+
+_LEX_FAULT = """
+tokens { top <= `a`; }
+lexer { main { body } mode body { top => { emit; } `x`* => { pass; } eof => { pop; } } }
+parser { main { S } S.One <- `a`; }
+"""
+
+
+@pytest.mark.parametrize("before", ["on", "off", "paused"])
+@pytest.mark.parametrize("source, error", [
+    (load_grammar("calc.lang"), None),
+    (load_grammar("calc.lang").replace("main { Stmt, Expr }", "main { Nope }"), SpecError),
+    (_LEX_FAULT, LexCompileError),
+], ids=["success", "spec error", "lexer error"])
+def test_compile_lang_leaves_the_collector_as_it_found_it(monkeypatch, source, error, before):
+    seen = []
+
+    def build_lr_seen(cfg, k):
+        seen.append(gc.isenabled())
+        return build_lr(cfg, k)
+
+    monkeypatch.setattr(compiled_mod, "build_lr", build_lr_seen)
+    gc.enable() if before == "on" else gc.disable()
+    if before == "paused":
+        gc.enable()
+        artifact.pause_collector()
+    try:
+        if error is None:
+            assert compile_lang(source).ok
+            assert seen == [False]
+        else:
+            with pytest.raises(error):
+                compile_lang(source)
+        assert gc.isenabled() == (before == "on")
+    finally:
+        if before == "paused":
+            artifact.resume_collector()
+            assert gc.isenabled()
+        gc.enable()

@@ -263,16 +263,19 @@ def test_next_terminals_are_the_lookahead_continuations():
     for name, k in (("calc_noprec.lang", 1), ("calc_noprec.lang", 2), ("ab_eps.lang", 2)):
         tables = _tables(name, k)
         nexts = conflicts._TraceContext(tables).next_terminals
+        assert not nexts  # each state's are made when first asked for
         las = {}
         for state, la in tables.action:
             las.setdefault(state, []).append(la)
-            assert all((state, la[:i]) in nexts for i in range(k))
-        for (state, q), ts in nexts.items():
-            assert set(ts) == {la[len(q)] for la in las[state] if la[:len(q)] == q}
-            # sorted with $ last, and nothing but $ after a $
-            assert list(ts) == sorted(set(ts) - {EOF_TERMINAL}) + [EOF_TERMINAL] * (EOF_TERMINAL in ts)
-            if q and q[-1] == EOF_TERMINAL:
-                assert ts == (EOF_TERMINAL,)
+            assert all(la[:i] in nexts[state] for i in range(k))
+        for state in range(len(tables.acts)):
+            for q, ts in nexts[state].items():
+                assert set(ts) == {la[len(q)] for la in las[state] if la[:len(q)] == q}
+                # sorted with $ last, and nothing but $ after a $
+                assert list(ts) == (sorted(set(ts) - {EOF_TERMINAL})
+                                    + [EOF_TERMINAL] * (EOF_TERMINAL in ts))
+                if q and q[-1] == EOF_TERMINAL:
+                    assert ts == (EOF_TERMINAL,)
 
 
 # B derives no terminal string, so no input gets past it into C and D: both

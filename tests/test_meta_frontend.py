@@ -320,6 +320,7 @@ BAD_SPECS = {
     "lexer rule naming an undeclared token": GOOD.replace(
         "eof => { pop; }", "eof => { pop; }\n        nope => { emit; }"),
     "main nonterminal with no rule": GOOD.replace("main { S }", "main { S, T }"),
+    "lexer main naming an undeclared mode": GOOD.replace("main { body }", "main { nowhere }"),
     "prec line naming an undeclared rule": GOOD.replace(
         "main { S }", "main { S }\n    prec { S.Two; }"),
     "rule in two prec lines": GOOD.replace(
@@ -338,6 +339,22 @@ def test_diagnostics_match_the_hand_written_frontend(name):
     with pytest.raises(SpecError) as got:
         parse_lang_spec(src)
     assert (got.value.message, got.value.loc) == (want.value.message, want.value.loc)
+
+
+# diagnostics validate_spec gives once the spec is built, at the position of
+# what they name: the second `mode`, the main's mode name, the main nonterminal
+PINNED_LOCS = {
+    "duplicate lexer mode": Loc(9, 5),
+    "lexer main naming an undeclared mode": Loc(5, 12),
+    "main nonterminal with no rule": Loc(12, 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOCS))
+def test_spec_diagnostics_point_at_what_they_name(name):
+    with pytest.raises(SpecError) as got:
+        parse_lang_spec(BAD_SPECS[name])
+    assert got.value.loc == PINNED_LOCS[name]
 
 
 def test_terminal_the_lexer_never_emits_is_rejected():
