@@ -28,6 +28,17 @@ def _err(msg: str):
     print(msg, file=sys.stderr)
 
 
+def _read(prog: str, path: str) -> Optional[str]:
+    """The text of the UTF-8 file at path, or None once why it cannot be
+    read is reported."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        _err("%s: cannot read %s: %s" % (prog, path, e))
+        return None
+
+
 class TestReport:
     """Outcomes of the compile_test and test stanzas of one language."""
 
@@ -120,11 +131,8 @@ def _langcc(lang_path: str, gen_path: str, max_k: int, dump_lexer_flag: bool,
     if start is not None and not (parse_file or format_file):
         _err("langcc: --start needs --parse or --format")
         return 2
-    try:
-        with open(lang_path, "r", encoding="utf-8") as f:
-            source = f.read()
-    except OSError as e:
-        _err("langcc: cannot read %s: %s" % (lang_path, e))
+    source = _read("langcc", lang_path)
+    if source is None:
         return 2
     if not os.path.isdir(gen_path):
         _err("langcc: gen path %s is not a directory" % gen_path)
@@ -196,11 +204,8 @@ def _langcc(lang_path: str, gen_path: str, max_k: int, dump_lexer_flag: bool,
 
     if parse_file or format_file:
         path = parse_file or format_file
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                text = f.read()
-        except OSError as e:
-            _err("langcc: cannot read %s: %s" % (path, e))
+        text = _read("langcc", path)
+        if text is None:
             return 2
         res = parse(compiled, text, start)
         if not res.is_success():
@@ -214,11 +219,8 @@ def _langcc(lang_path: str, gen_path: str, max_k: int, dump_lexer_flag: bool,
 
 
 def cmd_datacc(data_path: str, gen_path: str) -> int:
-    try:
-        with open(data_path, "r", encoding="utf-8") as f:
-            source = f.read()
-    except OSError as e:
-        _err("datacc: cannot read %s: %s" % (data_path, e))
+    source = _read("datacc", data_path)
+    if source is None:
         return 2
     if not os.path.isdir(gen_path):
         _err("datacc: gen path %s is not a directory" % gen_path)
@@ -226,10 +228,7 @@ def cmd_datacc(data_path: str, gen_path: str) -> int:
     try:
         schema = datacc.parse_data_spec(source)
     except SpecError as e:
-        if e.loc is not None:
-            _err("%s:%d:%d: %s" % (data_path, e.loc.line, e.loc.col, e.message))
-        else:
-            _err("%s: %s" % (data_path, e.message))
+        _err("%s:%d:%d: %s" % (data_path, e.loc.line, e.loc.col, e.message))
         return 1
     stem = os.path.splitext(os.path.basename(data_path))[0]
     out_path = os.path.join(gen_path, stem + ".schema")

@@ -24,7 +24,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .spec_ast import Loc, SpecError, Tree
 
@@ -78,49 +79,38 @@ class Sum(Tree):
 TypeDef = Union[Product, Sum]
 
 
-@dataclass(frozen=True)
-class DatatypeSchema:
-    types: Tuple[Tuple[str, TypeDef], ...]
-    type_params: Tuple[Tuple[str, Tuple[str, ...]], ...]
+class DatatypeSchema(Tree):
+    """The types of a schema in source order, each with its body, and the
+    parameters of each.  Its lookups are built once, here: each type name's
+    definition and parameters (the last definition and the first parameters
+    of a repeated name, which only a schema built by hand can have), and
+    the check plans that `conforms` fills in as it meets type paths.  It
+    compares, hashes and prints by its types and parameters."""
 
-    def type_map(self) -> Dict[str, TypeDef]:
-        return dict(self.types)
+    __slots__ = ("types", "type_params", "_defs", "_params", "_plans")
+    COMPARED = ("types", "type_params")
 
-    def _check_plans(self):
-        """(type path -> check plan, type name -> parameters), kept on the
-        schema for `conforms`; the plans fill in as type paths are met."""
-        cached = self.__dict__.get("_plans")
-        if cached is None:
-            params = {}
-            for n, ps in reversed(self.type_params):  # the first entry wins, as in params_of
-                params[n] = ps
-            cached = ({}, params)
-            object.__setattr__(self, "_plans", cached)
-        return cached
+    def __init__(self, types: Tuple[Tuple[str, TypeDef], ...],
+                 type_params: Tuple[Tuple[str, Tuple[str, ...]], ...]):
+        self.types = types
+        self.type_params = type_params
+        self._defs: Dict[str, TypeDef] = dict(types)
+        self._params: Dict[str, Tuple[str, ...]] = dict(reversed(type_params))
+        self._plans: dict = {}  # type path -> check plan, see _case_plan
+
+    def type_map(self) -> Mapping[str, TypeDef]:
+        return MappingProxyType(self._defs)
 
     def params_of(self, name: str) -> Tuple[str, ...]:
-        for n, ps in self.type_params:
-            if n == name:
-                return ps
-        return ()
+        return self._params.get(name, ())
 
     def resolve_path(self, path: Tuple[str, ...]) -> Optional[TypeDef]:
         """Resolve a dotted case path like ("Expr", "Lit", "Int_")."""
-        tmap = self.type_map()
-        if not path or path[0] not in tmap:
-            return None
-        node: TypeDef = tmap[path[0]]
+        node = self._defs.get(path[0]) if path else None
         for part in path[1:]:
             if not isinstance(node, Sum):
                 return None
-            nxt = None
-            for cname, cdef in node.cases:
-                if cname == part:
-                    nxt = cdef
-                    break
-            if nxt is None:
-                return None
-            node = nxt
+            node = next((cdef for cname, cdef in node.cases if cname == part), None)
         return node
 
 
@@ -168,58 +158,90 @@ def _scan_data(source: str):
 
 
 class _DataParser:
+    """Reads a `.data` source to its schema.  Each name is checked where it
+    is declared and each type reference once all types are read, so a
+    reference may name a type declared after it.  A syntax error is raised
+    where it is met; of a source that parses, the first fault in source
+    order is raised.  Each error carries the Loc of the token at fault."""
+
     def __init__(self, toks):
         self.toks = toks
-        self.pos = 0
+        self.pos = 0  # never past the eof token, which is never read
+        self.fault: Optional[SpecError] = None  # of the faults noted, the first in the source
+        # each type reference: its name token, its arguments (filled in as
+        # they are read), the parameters in scope and the field it is in
+        self.refs: list = []
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        if t[0] != "eof":
+    def at(self, punct: str) -> bool:
+        """Whether the next token is `punct`; if it is, it is read."""
+        if self.toks[self.pos][:2] == ("punct", punct):
             self.pos += 1
-        return t
+            return True
+        return False
 
     def expect(self, kind, text=None):
-        t = self.peek()
+        t = self.toks[self.pos]
         if t[0] != kind or (text is not None and t[1] != text):
             raise SpecError("expected %r, found %r" % (text or kind, t[1] or "<eof>"), t[2])
-        return self.next()
+        self.pos += 1
+        return t
+
+    def note(self, message: str, loc: Loc):
+        """A fault; the first in source order is the one kept."""
+        if self.fault is None or (loc.line, loc.col) < (self.fault.loc.line, self.fault.loc.col):
+            self.fault = SpecError(message, loc)
 
     def parse(self) -> DatatypeSchema:
-        types = []
-        params = []
-        while self.peek()[0] != "eof":
+        types, params, declared = [], [], set()
+        while self.toks[self.pos][0] != "eof":
             t = self.expect("id")
             if t[1] != "data":
                 raise SpecError("expected 'data', found %r" % t[1], t[2])
-            name = self.expect("id")[1]
+            t = self.expect("id")
+            name = t[1]
+            if name in declared:
+                self.note("duplicate type name %r" % name, t[2])
+            declared.add(name)
             ps: List[str] = []
-            if self.peek()[:2] == ("punct", "["):
-                self.next()
-                ps.append(self.expect("id")[1])
-                while self.peek()[:2] == ("punct", ","):
-                    self.next()
-                    ps.append(self.expect("id")[1])
+            if self.at("["):
+                while True:
+                    t = self.expect("id")
+                    if t[1] in ps:
+                        self.note("duplicate type parameter %r in %s" % (t[1], name), t[2])
+                    ps.append(t[1])
+                    if not self.at(","):
+                        break
                 self.expect("punct", "]")
-            body = self.parse_body(name)
-            types.append((name, body))
+            types.append((name, self.parse_body(name, ps)))
             params.append((name, tuple(ps)))
-        return DatatypeSchema(tuple(types), tuple(params))
+        schema = DatatypeSchema(tuple(types), tuple(params))
+        for t, args, ps, where in self.refs:
+            name, n, want = t[1], len(args), schema._params.get(t[1])
+            if name in ps:
+                if n:
+                    self.note("type parameter %r cannot take arguments (%s)" % (name, where), t[2])
+            elif name in BUILTINS:
+                if n:
+                    self.note("builtin %r takes no arguments (%s)" % (name, where), t[2])
+            elif want is None:
+                self.note("unresolved type reference %r (%s)" % (name, where), t[2])
+            elif n != len(want):
+                self.note("type %r expects %d argument(s), got %d (%s)"
+                          % (name, len(want), n, where), t[2])
+        if self.fault is not None:
+            raise self.fault
+        return schema
 
-    def parse_body(self, ctx_name) -> TypeDef:
+    def parse_body(self, ctx_name, params) -> TypeDef:
         """A `{ ... }` body with case bodies nested to any depth, read with an
         explicit stack of the open bodies: each one's dotted name, the case
-        name it is the body of, and its fields and cases so far."""
+        name it is the body of, its fields and cases so far, and their
+        names."""
         self.expect("punct", "{")
-        open_bodies = [(ctx_name, None, [], [])]
+        open_bodies = [(ctx_name, None, [], [], set())]
         while True:
-            ctx_name, case_name, fields, cases = open_bodies[-1]
-            if self.peek()[:2] == ("punct", "}"):
-                self.next()
-                if fields and cases:
-                    raise SpecError("type %s mixes fields and cases in one body" % ctx_name)
+            ctx_name, case_name, fields, cases, names = open_bodies[-1]
+            if self.at("}"):
                 body = Sum(tuple(cases)) if cases else Product(tuple(fields))
                 open_bodies.pop()
                 if not open_bodies:
@@ -227,126 +249,62 @@ class _DataParser:
                 open_bodies[-1][3].append((case_name, body))
                 continue
             t = self.expect("id")
-            nxt = self.peek()
-            if nxt[:2] == ("punct", ";"):
-                self.next()
-                cases.append((t[1], Product(())))
-            elif nxt[:2] == ("punct", "{"):
-                self.next()
-                open_bodies.append((ctx_name + "." + t[1], t[1], [], []))
-            elif nxt[:2] == ("punct", ":"):
-                self.next()
-                ty = self.parse_type()
+            sep = self.toks[self.pos]
+            if sep[:2] not in (("punct", ":"), ("punct", ";"), ("punct", "{")):
+                raise SpecError("expected ';', '{' or ':' after %r" % t[1], sep[2])
+            self.pos += 1
+            is_field = sep[1] == ":"
+            if cases if is_field else fields:
+                self.note("type %s mixes fields and cases in one body" % ctx_name, t[2])
+            elif t[1] in names:
+                self.note("duplicate %s %r in %s" % ("field" if is_field else "case name",
+                                                     t[1], ctx_name), t[2])
+            names.add(t[1])
+            if is_field:
+                ty = self.parse_type(params, ctx_name + "." + t[1])
                 self.expect("punct", ";")
                 fields.append((t[1], ty))
+            elif sep[1] == ";":
+                cases.append((t[1], Product(())))
             else:
-                raise SpecError("expected ';', '{' or ':' after %r" % t[1], nxt[2])
+                open_bodies.append((ctx_name + "." + t[1], t[1], [], [], set()))
 
-    def parse_type(self) -> TypeExpr:
+    def parse_type(self, params, where) -> TypeExpr:
         """A type expression of any depth, read with an explicit stack of
         its open brackets: None for a sequence's `[`, or the name and the
-        arguments so far of a type's argument list."""
+        arguments so far of a type's argument list.  Each reference is
+        noted with the parameters in scope and `where`, its field."""
         open_brackets: list = []
         while True:
             # a type starts: sequence brackets open, then a name
-            while self.peek()[:2] == ("punct", "["):
-                self.next()
+            while self.at("["):
                 open_brackets.append(None)
-            name = self.expect("id")[1]
-            if self.peek()[:2] == ("punct", "["):
-                self.next()
-                open_brackets.append((name, []))
+            t = self.expect("id")
+            args: list = []
+            self.refs.append((t, args, params, where))
+            if self.at("["):
+                open_brackets.append((t[1], args))
                 continue
-            ty: TypeExpr = TRef(name, ())
+            ty: TypeExpr = TRef(t[1], ())
             # the type ends: `?`s apply, then it closes brackets or, after
             # a `,`, starts the next argument
             while True:
-                while self.peek()[:2] == ("punct", "?"):
-                    self.next()
+                while self.at("?"):
                     ty = TOpt(ty)
                 if not open_brackets:
                     return ty
                 top = open_brackets[-1]
                 if top is not None:
                     top[1].append(ty)
-                    if self.peek()[:2] == ("punct", ","):
-                        self.next()
+                    if self.at(","):
                         break
                 self.expect("punct", "]")
                 open_brackets.pop()
                 ty = TSeq(ty) if top is None else TRef(top[0], tuple(top[1]))
 
 
-def _check_texpr(schema: DatatypeSchema, tmap, te: TypeExpr, params, where):
-    """Check that te's references resolve, each with its arity; in the
-    order of a recursive walk, on an explicit stack."""
-    todo = [te]
-    while todo:
-        te = todo.pop()
-        if isinstance(te, (TSeq, TOpt)):
-            todo.append(te.elem)
-            continue
-        if te.name in params:
-            if te.args:
-                raise SpecError("type parameter %r cannot take arguments (%s)"
-                                % (te.name, where))
-            continue
-        if te.name in BUILTINS:
-            if te.args:
-                raise SpecError("builtin %r takes no arguments (%s)" % (te.name, where))
-            continue
-        if te.name not in tmap:
-            raise SpecError("unresolved type reference %r (%s)" % (te.name, where))
-        want = len(schema.params_of(te.name))
-        if len(te.args) != want:
-            raise SpecError("type %r expects %d argument(s), got %d (%s)"
-                            % (te.name, want, len(te.args), where))
-        todo.extend(reversed(te.args))
-
-
-def _validate_schema(schema: DatatypeSchema):
-    tmap = schema.type_map()
-    if len(tmap) != len(schema.types):
-        seen = set()
-        for n, _ in schema.types:
-            if n in seen:
-                raise SpecError("duplicate type name %r" % n)
-            seen.add(n)
-
-    # Each type's body and the case bodies nested in it, in the order of a
-    # recursive walk, on an explicit stack: a body with its dotted name, or a
-    # case, whose name is checked against the names of the cases before it
-    # (`seen`) as its turn comes and then its body.
-    for name, d in schema.types:
-        ps = schema.params_of(name)
-        for i, p in enumerate(ps):
-            if p in ps[:i]:
-                raise SpecError("duplicate type parameter %r in %s" % (p, name))
-        params = set(ps)
-        todo: list = [(d, name, None, None)]
-        while todo:
-            d, where, cname, seen = todo.pop()
-            if cname is not None:
-                if cname in seen:
-                    raise SpecError("duplicate case name %r in %s" % (cname, where))
-                seen.add(cname)
-                where += "." + cname
-            if isinstance(d, Product):
-                seen = set()
-                for fname, fty in d.fields:
-                    if fname in seen:
-                        raise SpecError("duplicate field %r in %s" % (fname, where))
-                    seen.add(fname)
-                    _check_texpr(schema, tmap, fty, params, where + "." + fname)
-            else:
-                seen = set()
-                todo.extend((cdef, where, cname, seen) for cname, cdef in reversed(d.cases))
-
-
 def parse_data_spec(source: str) -> DatatypeSchema:
-    schema = _DataParser(_scan_data(source)).parse()
-    _validate_schema(schema)
-    return schema
+    return _DataParser(_scan_data(source)).parse()
 
 
 def _fold_type(te: TypeExpr, build):
@@ -537,7 +495,7 @@ def _check_values(schema: DatatypeSchema, todo: list):
     a type of None asks for `conforms(schema, value, bindings)`.  One
     explicit stack, popped in the order the checks would run as recursive
     calls, so the first failure found is the one recursion would find."""
-    plans, params_of = schema._check_plans()
+    plans, params_of = schema._plans, schema._params
     while todo:
         te, v, bindings, where = todo.pop()
         while te is not None:  # check v against te
@@ -643,11 +601,7 @@ def substitute_field(schema: DatatypeSchema, v: DataValue, name: str, new) -> Da
     d = schema.resolve_path(v.type_path)
     if d is None or isinstance(d, Sum):
         raise SpecError("cannot substitute into %s" % "::".join(v.type_path))
-    fty = None
-    for fname, t in d.fields:
-        if fname == name:
-            fty = t
-            break
+    fty = next((t for fname, t in d.fields if fname == name), None)
     if fty is None:
         raise SpecError("no field %r in %s" % (name, "::".join(v.type_path)))
     bindings = {p: None for p in schema.params_of(v.type_path[0])}

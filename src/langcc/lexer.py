@@ -754,10 +754,14 @@ def _byte_offsets(text: str) -> Sequence[int]:
 
 def token_bounds_to_linecol(text: str, byte_offset: int) -> Tuple[int, int]:
     """1-based (line, column) of a byte offset; columns count codepoints.
-    A lone surrogate counts as the three bytes of its surrogatepass form."""
+    A lone surrogate counts as the three bytes of its surrogatepass form.
+    Raises ValueError for an offset outside the input or inside the
+    encoding of one codepoint."""
     data = text.encode("utf-8", "surrogatepass")
-    if byte_offset > len(data):
-        raise ValueError("offset %d beyond input length %d" % (byte_offset, len(data)))
+    if not 0 <= byte_offset <= len(data):
+        raise ValueError("offset %d outside an input of %d bytes" % (byte_offset, len(data)))
+    if byte_offset < len(data) and data[byte_offset] & 0xC0 == 0x80:  # a continuation byte
+        raise ValueError("offset %d inside the encoding of a codepoint" % byte_offset)
     before = data[:byte_offset]
     line = before.count(b"\n") + 1
     nl = before.rfind(b"\n")

@@ -53,6 +53,33 @@ def test_langcc_missing_input(tmp_path):
     assert rc == 2
 
 
+NOT_UTF8 = b"data A { x: \xff; }\n"
+
+
+def test_langcc_spec_not_utf8_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.lang"
+    bad.write_bytes(NOT_UTF8)
+    assert cmd_langcc(str(bad), str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("langcc: cannot read %s: " % bad)
+
+
+@pytest.mark.parametrize("mode", ["--parse", "--format"])
+def test_langcc_input_not_utf8_is_usage_error(tmp_path, capsys, mode):
+    bad = tmp_path / "in.txt"
+    bad.write_bytes(b"1 + \xe9")
+    rc = main_langcc([_lang(tmp_path), str(tmp_path), "--no-test", mode, str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "langcc: cannot read %s: " % bad)
+
+
+def test_datacc_spec_not_utf8_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.data"
+    bad.write_bytes(NOT_UTF8)
+    assert cmd_datacc(str(bad), str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("datacc: cannot read %s: " % bad)
+
+
 def test_langcc_diagnostic_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.lang"
     bad.write_text("""
@@ -205,6 +232,14 @@ def test_datacc_unresolved_exit_1(tmp_path, capsys):
     data.write_text("data A { x: Foo; }")
     assert cmd_datacc(str(data), str(tmp_path)) == 1
     assert "unresolved" in capsys.readouterr().err
+
+
+def test_datacc_error_names_its_line_and_column(tmp_path, capsys):
+    data = tmp_path / "bad.data"
+    data.write_text("data A { x: B; }")
+    assert cmd_datacc(str(data), str(tmp_path)) == 1
+    assert capsys.readouterr().err == "%s:1:13: unresolved type reference 'B' (A.x)\n" % data
+    assert not (tmp_path / "bad.schema").exists()
 
 
 def test_datacc_missing_dir_exit_2(tmp_path):

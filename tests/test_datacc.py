@@ -3,7 +3,7 @@ import random
 import pytest
 
 from langcc import datacc as D
-from langcc.spec_ast import SpecError
+from langcc.spec_ast import Loc, SpecError
 
 ENUM_SRC = "data Color { Red; Green; Blue; }"
 PAIR_SRC = "data Pair[T] { fst: T; snd: T; }"
@@ -235,3 +235,62 @@ def test_case_bodies_of_any_depth():
         D.parse_data_spec(source.replace("E1199;", "E1199; E1199;"))
     with pytest.raises(SpecError, match="type %s.C1199 mixes fields and cases" % where):
         D.parse_data_spec(source.replace("x: string;", "x: string; E;"))
+
+
+# each semantic diagnostic, with the Loc of the token at fault
+DIAGNOSTICS = [
+    ("data A { }\ndata A { }", "duplicate type name 'A'", 2, 6),
+    ("data A[T, T] { x: T; }", "duplicate type parameter 'T' in A", 1, 11),
+    ("data A {\n    x: string;\n    x: integer;\n}", "duplicate field 'x' in A", 3, 5),
+    ("data A { B { X; X; } }", "duplicate case name 'X' in A.B", 1, 17),
+    ("data A { x: string; Y; }", "type A mixes fields and cases in one body", 1, 21),
+    ("data A { x: B; }", "unresolved type reference 'B' (A.x)", 1, 13),
+    ("data P[T] { a: T; }\ndata A { C { x: [P]; } }",
+     "type 'P' expects 1 argument(s), got 0 (A.C.x)", 2, 18),
+    ("data A { x: [string[integer]]; }", "builtin 'string' takes no arguments (A.x)", 1, 14),
+    ("data A[T] { x: T[integer]?; }", "type parameter 'T' cannot take arguments (A.x)", 1, 16),
+]
+
+
+@pytest.mark.parametrize("source, message, line, col", DIAGNOSTICS)
+def test_schema_errors_carry_their_loc(source, message, line, col):
+    with pytest.raises(SpecError) as info:
+        D.parse_data_spec(source)
+    assert (info.value.message, info.value.loc) == (message, Loc(line, col))
+
+
+def test_references_may_point_forward():
+    # a reference is checked once every type is read: it may name a type
+    # declared after it, its own type, or a type of any arity
+    schema = D.parse_data_spec("data A { b: B[integer, [A]]; self: A?; }\n"
+                               "data B[S, T] { s: S; t: T; next: B[T, S]?; }")
+    assert D.parse_data_spec(D.schema_render(schema)) == schema
+    with pytest.raises(SpecError) as info:
+        D.parse_data_spec("data A { b: B[integer]; }\ndata B[S, T] { s: S; t: T; }")
+    assert (info.value.message, info.value.loc) == (
+        "type 'B' expects 2 argument(s), got 1 (A.b)", Loc(1, 13))
+
+
+@pytest.mark.parametrize("source, message, line, col", [
+    # a reference before a repeated type name
+    ("data A { x: Nope; }\ndata A { }", "unresolved type reference 'Nope' (A.x)", 1, 13),
+    # a repeated case name before the field that mixes the body
+    ("data A { X; X; y: string; }", "duplicate case name 'X' in A", 1, 13),
+    # a mixed body before a reference in a later type
+    ("data A { x: string; Y; } data B { z: Nope; }",
+     "type A mixes fields and cases in one body", 1, 21),
+    # a reference to a later type before that type's repeated parameter
+    ("data A { b: B; } data B[T, T] { }", "type 'B' expects 2 argument(s), got 0 (A.b)", 1, 13),
+])
+def test_first_fault_in_source_order_is_reported(source, message, line, col):
+    with pytest.raises(SpecError) as info:
+        D.parse_data_spec(source)
+    assert (info.value.message, info.value.loc) == (message, Loc(line, col))
+
+
+def test_syntax_error_is_reported_where_it_is_met():
+    # a source that does not parse has no schema whose faults could be
+    # ordered: its syntax error is the one reported
+    with pytest.raises(SpecError) as info:
+        D.parse_data_spec("data A { X; X; }\ndata B { ; }")
+    assert (info.value.message, info.value.loc) == ("expected 'id', found ';'", Loc(2, 10))

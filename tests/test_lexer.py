@@ -156,6 +156,14 @@ def test_linecol_examples():
     assert token_bounds_to_linecol("é\ud800\nx", 6) == (2, 1)
 
 
+@pytest.mark.parametrize("text, offset", [("ab\ncd", -1), ("ab\ncd", 6), ("é", 1),
+                                          ("x\ud800", 2), ("€", 2)])
+def test_linecol_rejects_offsets_off_a_codepoint(text, offset):
+    # before the start, past the end, or inside a codepoint's UTF-8 bytes
+    with pytest.raises(ValueError, match="offset %d" % offset):
+        token_bounds_to_linecol(text, offset)
+
+
 def test_lone_surrogate_is_a_lex_error_at_the_bytes_before_it(calc):
     with pytest.raises(LexError) as info:
         lex(calc.lexer, "1 + é\udc80 + 2")

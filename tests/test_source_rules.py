@@ -110,9 +110,8 @@ STACK_WALKS = {
     "runtime.py": ["node_to_data_value", "validate_node", "render_node", "Node.__repr__"],
     "datacc.py": ["conforms", "_check_values", "make_value", "substitute_field",
                   "value_hash", "debug_print", "DataValue.__hash__", "DataValue.__repr__",
-                  "_DataParser.parse_type", "_DataParser.parse_body", "_check_texpr",
-                  "_validate_schema", "render_type", "schema_render", "_subst",
-                  "_TypeNode.__repr__"],
+                  "_DataParser.parse", "_DataParser.parse_type", "_DataParser.parse_body",
+                  "render_type", "schema_render", "_subst", "_TypeNode.__repr__"],
     "cli.py": ["_count_cases"],
 }
 
