@@ -24,6 +24,7 @@ meta_frontend).
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import threading
@@ -97,18 +98,13 @@ class CompiledLang:
         newline at the end.  The first call writes it with _canonical_json
         from the kept source, decoded first if it is a text, and keeps it
         in place of the source; later calls return the same str.  The
-        cyclic collector is paused for the write, as in runtime.parse: the
-        tree is acyclic and freed by reference counting, and collector
-        passes over it would be wasted."""
+        write runs under collector_paused."""
         if self._text is None:
-            pause_collector()
-            try:
+            with collector_paused:
                 source = self._source
                 self._text = _canonical_json(
                     json.loads(source) if type(source) is str else source) + "\n"
                 self._source = None
-            finally:
-                resume_collector()
         return self._text
 
     @classmethod
@@ -150,28 +146,41 @@ def _malformed(what: str) -> SpecError:
     return SpecError("malformed artifact: " + what)
 
 
-# The cyclic collector is process-wide, and the calls that pause it
-# (CompiledLang.to_json, runtime.parse) may overlap, nested or in threads:
-# the first of overlapping pauses notes whether the collector was on and
-# turns it off, and the last to end turns it back on if it was.
-_PAUSE_LOCK = threading.Lock()
-_pause = [0, False]  # pauses running, whether the collector was on at the first
+class _CollectorPause(contextlib.ContextDecorator):
+    """`with collector_paused:`, or `@collector_paused` on a function, turns
+    CPython's cyclic collector off for the block or call.  Trees, LR tables
+    and artifacts hold no cycles, so reference counting frees them, and
+    collector passes over the many objects their builds allocate (parse,
+    compile_lang, to_json, the langcc command) would find nothing to free.
+    The collector is process-wide and pauses may overlap, nested or in
+    threads: the first of overlapping pauses notes whether the collector
+    was on and turns it off, and the last to end turns it back on if it
+    was."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running = 0  # pauses running
+        self._was_on = False  # whether the collector was on at the first
+
+    def __enter__(self):
+        with self._lock:
+            if not self._running:
+                self._was_on = gc.isenabled()
+                gc.disable()
+            self._running += 1
+
+    def __exit__(self, exc_type, exc, tb):
+        # no *exc: packing it takes the free tuple the lock's exit then
+        # reuses, and a tuple allocated once the collector is back on sets
+        # off a collection over all the pause let live, such as a parse's
+        # whole tree (8-12 ms at 4,000 calc_prog statements)
+        with self._lock:
+            self._running -= 1
+            if not self._running and self._was_on:
+                gc.enable()
 
 
-def pause_collector() -> None:
-    with _PAUSE_LOCK:
-        if not _pause[0]:
-            _pause[1] = gc.isenabled()
-            gc.disable()
-        _pause[0] += 1
-
-
-def resume_collector() -> None:
-    """Ends one pause_collector(); call it from a finally block."""
-    with _PAUSE_LOCK:
-        _pause[0] -= 1
-        if not _pause[0] and _pause[1]:
-            gc.enable()
+collector_paused = _CollectorPause()
 
 
 # ---------------------------------------------------------------------------

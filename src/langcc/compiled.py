@@ -16,7 +16,7 @@ are.  flatten also hands CompiledLang the parser's rows, built in the same
 loops as the action and goto text, and the CompiledLexer compile_lexer
 returned: a freshly compiled language is not checked or rebuilt from its
 own tree, as a loaded one is by CompiledLang.from_json.  compile_lang runs
-with the cyclic collector paused.
+under artifact.collector_paused.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .artifact import (FORMAT_VERSION, CompiledLang, RawJson, _canonical_json, _encode_str,
-                       lexer_to_json, pause_collector, prod_tuples, resume_collector)
+                       collector_paused, lexer_to_json, prod_tuples)
 from .grammar import Cfg, lower_grammar, lower_precedence
 from .lexer import CompiledLexer, compile_lexer
 from .lr import LrTables, build_lr
@@ -185,38 +185,33 @@ def source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
+@collector_paused
 def compile_lang(source: str, max_k: int = 2) -> CompileResult:
-    """Full pipeline: frontend, lexer DFAs, lowering, LR(k) with k retry.
+    """Full pipeline: frontend, lexer DFAs, lowering, LR(k) with k retry,
+    under artifact.collector_paused.
 
     On conflicts at every k up to max_k, returns ok=False with the tables of
     the first k attempted (their conflicts feed the exemplar tracer).
-    Raises ValueError if max_k < 1, as build_lr does for k.  Runs with the
-    cyclic collector paused (artifact.pause_collector), as parse and
-    to_json do: the build allocates many objects that reference counting
-    frees, and the collections they would set off find little.
+    Raises ValueError if max_k < 1, as build_lr does for k.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    pause_collector()
-    try:
-        spec = parse_lang_spec(source)
-        lexer = compile_lexer(spec)
-        cfg = lower_grammar(spec)
-        cfg = lower_precedence(spec, cfg)
+    spec = parse_lang_spec(source)
+    lexer = compile_lexer(spec)
+    cfg = lower_grammar(spec)
+    cfg = lower_precedence(spec, cfg)
 
-        missing = sorted(t for t in cfg.terminals if t not in lexer.emittable)
-        if missing:
-            raise SpecError("parser uses terminal(s) the lexer never emits: %s"
-                            % ", ".join(missing))
+    missing = sorted(t for t in cfg.terminals if t not in lexer.emittable)
+    if missing:
+        raise SpecError("parser uses terminal(s) the lexer never emits: %s"
+                        % ", ".join(missing))
 
-        first_tables = None
-        for k in range(1, max_k + 1):
-            tables = build_lr(cfg, k)
-            if first_tables is None:
-                first_tables = tables
-            if not tables.conflicts:
-                compiled = flatten(lexer, tables, source_digest(source))
-                return CompileResult(True, spec, cfg, lexer, tables, k, compiled)
-        return CompileResult(False, spec, cfg, lexer, first_tables, 1)
-    finally:
-        resume_collector()
+    first_tables = None
+    for k in range(1, max_k + 1):
+        tables = build_lr(cfg, k)
+        if first_tables is None:
+            first_tables = tables
+        if not tables.conflicts:
+            compiled = flatten(lexer, tables, source_digest(source))
+            return CompileResult(True, spec, cfg, lexer, tables, k, compiled)
+    return CompileResult(False, spec, cfg, lexer, first_tables, 1)

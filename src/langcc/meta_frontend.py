@@ -8,10 +8,11 @@ a located SpecError.  langspec_from_node turns the Lang::File node into a
 LangSpec, each declaration located at the start of its node, and
 validate_spec checks it.  A rule body names opaque tokens and nonterminals
 alike; the converter tells them apart by the tokens stanza, which it reads
-first.  The regex and parse-expression converters run on explicit stacks,
-so a pattern or rule body of any depth or length converts at the default
-recursion limit.  bootstrap.bootstrap_check checks that meta.clang is what
-langcc makes of meta.lang today; docs/metalang.md says how to regenerate it.
+first.  The regex and parse-expression converters share one walk on an
+explicit stack (_convert), so a pattern or rule body of any depth or length
+converts at the default recursion limit.  bootstrap.bootstrap_check checks
+that meta.clang is what langcc makes of meta.lang today; docs/metalang.md
+says how to regenerate it.
 """
 
 from __future__ import annotations
@@ -194,17 +195,41 @@ def _flatten_chain(n: Node, variant: str) -> List[Node]:
     return out
 
 
-# Both converters run on an explicit stack.  `todo` holds the nodes still to
-# convert and (build, count, node) marks, each pushed before the `count`
-# operands of `node`; once those are converted, `done` ends with them, and
-# build(node, operands, lines) replaces them with the value of `node`.
-
-def _settle(done: list, mark: tuple, lines: _Lines):
-    build, count, n = mark
-    at = len(done) - count
-    value = build(n, done[at:], lines)
-    del done[at:]
-    done.append(value)
+def _convert(root: Node, lines: _Lines, build: dict, operands: dict, leaf):
+    """The value of `root`, a token regex or parse expression, converted on
+    an explicit stack.  `build[variant](node, values, lines)` makes a
+    compound node's value from its operands' values: those of the fields
+    operands[variant] names, in order, or of its chain (_flatten_chain) if
+    `operands` has no entry for it.  A Paren converts as its content and
+    any other node is `leaf(node, variant)`.  `todo` holds the nodes still
+    to convert and a (node, count) mark pushed before the `count` operands
+    of each compound node; once those are converted, `done` ends with
+    their values, which the node's value replaces."""
+    done: list = []
+    todo: list = [root]
+    while todo:
+        n = todo.pop()
+        if type(n) is tuple:
+            n, count = n
+            at = len(done) - count
+            value = build[n.variant[1]](n, done[at:], lines)
+            del done[at:]
+            done.append(value)
+            continue
+        v = n.variant[1]
+        if v in operands:
+            parts = [n.field(f) for f in operands[v]]
+        elif v in build:
+            parts = _flatten_chain(n, v)
+        elif v == "Paren":
+            todo.append(n.field("x"))
+            continue
+        else:
+            done.append(leaf(n, v))
+            continue
+        todo.append((n, len(parts)))
+        todo.extend(reversed(parts))
+    return done[0]
 
 
 # -- token regexes ----------------------------------------------------------
@@ -216,6 +241,8 @@ _REGEX_BUILD = {
     "Plus": lambda n, parts, lines: sa.RConcat((parts[0], sa.RStar(parts[0]))),
     "Opt": lambda n, parts, lines: sa.RAlt((parts[0], sa.RConcat(()))),
 }
+# the operand fields of the compound regexes that are no chain
+_REGEX_OPERANDS = {"Star": ("x",), "Plus": ("x",), "Opt": ("x",)}
 
 
 def _range(n: Node, lines: _Lines) -> sa.RRange:
@@ -232,36 +259,19 @@ def _range(n: Node, lines: _Lines) -> sa.RRange:
 
 
 def _conv_regex(root: Node, lines: _Lines) -> sa.RegexExpr:
-    done: list = []
-    todo: list = [root]
-    while todo:
-        n = todo.pop()
-        if type(n) is tuple:
-            _settle(done, n, lines)
-            continue
-        v = n.variant[1]
-        if v == "Alt" or v == "Concat":
-            parts = _flatten_chain(n, v)
-            todo.append((_REGEX_BUILD[v], len(parts), n))
-            todo.extend(reversed(parts))
-        elif v in _REGEX_BUILD:
-            todo.append((_REGEX_BUILD[v], 1, n))
-            todo.append(n.field("x"))
-        elif v == "Paren":
-            todo.append(n.field("x"))
-        elif v == "Lit":
-            done.append(sa.RLit(_lit(n.field("s"), lines)))
-        elif v == "Range":
-            done.append(_range(n, lines))
-        elif v == "Ref":
-            done.append(sa.RRef(lines.text(n.field("name"))))
-        elif v == "Wild":
-            done.append(sa.RWildcard())
-        elif v == "Eof":
-            done.append(sa.REof())
-        else:
-            raise SpecError("unexpected regex variant %s" % v)
-    return done[0]
+    def leaf(n: Node, v: str) -> sa.RegexExpr:
+        if v == "Lit":
+            return sa.RLit(_lit(n.field("s"), lines))
+        if v == "Range":
+            return _range(n, lines)
+        if v == "Ref":
+            return sa.RRef(lines.text(n.field("name")))
+        if v == "Wild":
+            return sa.RWildcard()
+        if v == "Eof":
+            return sa.REof()
+        raise SpecError("unexpected regex variant %s" % v)
+    return _convert(root, lines, _REGEX_BUILD, _REGEX_OPERANDS, leaf)
 
 
 # -- parse expressions --------------------------------------------------------
@@ -322,45 +332,27 @@ _PE_BUILD = {
     "SAlt": _singleton_alt,
     "List": _list,
 }
-# the operand fields of the other compound parse expressions, in order
+# the operand fields of the compound parse expressions that are no chain, in order
 _PE_OPERANDS = {"Name": ("e",), "Unfold": ("e",), "Star": ("e",), "Plus": ("e",),
                 "Opt": ("e",), "Attr": ("e",), "SAlt": ("b",), "List": ("elem", "delim")}
 
 
 def _conv_pe(root: Node, lines: _Lines, opaque: set) -> sa.ParseExpr:
-    done: list = []
-    todo: list = [root]
-    while todo:
-        n = todo.pop()
-        if type(n) is tuple:
-            _settle(done, n, lines)
-            continue
-        v = n.variant[1]
-        if v == "Alt" or v == "Seq":
-            parts = _flatten_chain(n, v)
-            todo.append((_PE_BUILD[v], len(parts), n))
-            todo.extend(reversed(parts))
-        elif v in _PE_OPERANDS:
-            fields = _PE_OPERANDS[v]
-            todo.append((_PE_BUILD[v], len(fields), n))
-            todo.extend(n.field(f) for f in reversed(fields))
-        elif v == "Paren":
-            todo.append(n.field("x"))
-        elif v == "Lit":
-            done.append(sa.TermLiteral(_lit(n.field("s"), lines)))
-        elif v == "Pass":
-            done.append(sa.PassString(_lit(n.field("s"), lines)))
-        elif v == "Space":
-            done.append(sa.SpaceShorthand())
-        elif v == "Eps":
-            done.append(sa.Eps())
-        elif v == "Ref":
+    def leaf(n: Node, v: str) -> sa.ParseExpr:
+        if v == "Lit":
+            return sa.TermLiteral(_lit(n.field("s"), lines))
+        if v == "Pass":
+            return sa.PassString(_lit(n.field("s"), lines))
+        if v == "Space":
+            return sa.SpaceShorthand()
+        if v == "Eps":
+            return sa.Eps()
+        if v == "Ref":
             # `opaque` holds the opaque token names; any other name is a nonterminal
             name = lines.text(n.field("name"))
-            done.append(sa.TokenRef(name) if name in opaque else sa.NontermRef(name))
-        else:
-            raise SpecError("unexpected parse-expr variant %s" % v)
-    return done[0]
+            return sa.TokenRef(name) if name in opaque else sa.NontermRef(name)
+        raise SpecError("unexpected parse-expr variant %s" % v)
+    return _convert(root, lines, _PE_BUILD, _PE_OPERANDS, leaf)
 
 
 # -- stanzas ------------------------------------------------------------------

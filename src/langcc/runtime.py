@@ -23,8 +23,8 @@ before it starts, and keeps the values' start and end offsets on two int
 stacks beside the value stack, so a reduce allocates no span object and no
 field pair: a user node takes its values off the stack with the
 production's getter.  Tree values are __slots__ classes on spec_ast.Tree,
-several times cheaper to construct than frozen dataclasses, and the cyclic
-collector is paused for the duration of a parse.
+several times cheaper to construct than frozen dataclasses, and a parse
+runs under artifact.collector_paused.
 
 node_to_data_value reads the plans CompiledLang resolves per variant at
 load (CompiledLang.plans; a field plan starts (tag, element plan, enum
@@ -43,7 +43,7 @@ from typing import List, Optional, Tuple
 from .artifact import (
     K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ, K_TOKEN, P_ENUM, P_LIST_APPEND, P_LIST_EMPTY,
     P_LIST_PAIR, P_LIST_PASS, P_LIST_SINGLE, P_OPT_NONE, P_OPT_SOME, P_USER, CompiledLang,
-    pause_collector, resume_collector,
+    collector_paused,
 )
 from .datacc import DataValue, conforms
 from .lexer import EOF_TERMINAL, LexError, TokenLeaf, lex_lists, token_bounds_to_linecol
@@ -149,23 +149,15 @@ def location_fmt_str(text: str, bounds: Tuple[int, int]) -> str:
 # Parsing
 
 def parse(compiled: CompiledLang, text: str, start: Optional[str] = None) -> ParseResult:
-    """Lex then run the LR engine; exactly one of result / err is set.
-
-    The cyclic collector is paused meanwhile (artifact.pause_collector),
-    and turned back on when the last of overlapping parses returns if it
-    was on when the first began: the tree is acyclic, so reference counting
-    frees it, and collector passes over the growing tree would make parse
-    time grow faster than the input."""
+    """Lex then run the LR engine, under artifact.collector_paused; exactly
+    one of result / err is set."""
     if start is None:
         start = compiled.default_start
     if start not in compiled.starts:
         raise SpecError("%r is not a main nonterminal (mains: %s)"
                         % (start, ", ".join(compiled.mains)))
-    pause_collector()
-    try:
+    with collector_paused:
         return _parse(compiled, text, compiled.starts[start])
-    finally:
-        resume_collector()
 
 
 def _parse(compiled: CompiledLang, text: str, start_state: int) -> ParseResult:

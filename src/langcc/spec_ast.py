@@ -655,7 +655,8 @@ def render_spec(spec: LangSpec) -> str:
         for t in spec.parse_tests:
             text = t.input
             if t.expected_fail_offset is not None:
-                text = text[: t.expected_fail_offset] + "##" + text[t.expected_fail_offset:]
+                data, at = text.encode("utf-8"), t.expected_fail_offset  # a byte offset
+                text = (data[:at] + b"##" + data[at:]).decode("utf-8")
             marker = " <<>>" if t.skip_roundtrip else ""
             out.append("    %s%s;" % (quote_backtick(text), marker))
         out.append("}")

@@ -5,8 +5,9 @@ The action and goto lists flatten writes as text against the per-cell
 lists it once built, and its parser rows against those its text loads
 to.  A built artifact's runtime parts: taken from the builder, equal to
 its loaded text's.  Artifacts that do not depend on the hash seed, and a
-compile that leaves the cyclic collector as it found it."""
+compile and a write that leave the cyclic collector as they found it."""
 
+import contextlib
 import enum
 import gc
 import json
@@ -336,7 +337,7 @@ def test_artifacts_do_not_depend_on_the_hash_seed():
 
 
 # ---------------------------------------------------------------------------
-# compile_lang pauses the cyclic collector and leaves it as it found it
+# compile_lang and to_json pause the cyclic collector and leave it as they found it
 
 _LEX_FAULT = """
 tokens { top <= `a`; }
@@ -362,17 +363,46 @@ def test_compile_lang_leaves_the_collector_as_it_found_it(monkeypatch, source, e
     gc.enable() if before == "on" else gc.disable()
     if before == "paused":
         gc.enable()
-        artifact.pause_collector()
     try:
-        if error is None:
-            assert compile_lang(source).ok
-            assert seen == [False]
-        else:
-            with pytest.raises(error):
-                compile_lang(source)
-        assert gc.isenabled() == (before == "on")
-    finally:
+        with _outer_pause(before):
+            if error is None:
+                assert compile_lang(source).ok
+                assert seen == [False]
+            else:
+                with pytest.raises(error):
+                    compile_lang(source)
+            assert gc.isenabled() == (before == "on")
         if before == "paused":
-            artifact.resume_collector()
             assert gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def _outer_pause(before):
+    return artifact.collector_paused if before == "paused" else contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("before", ["on", "off", "paused"])
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_to_json_leaves_the_collector_as_it_found_it(monkeypatch, calc, loaded, before):
+    # a fresh artifact each time: to_json writes its text once and keeps it
+    text = calc.compiled.to_json()
+    compiled = (CompiledLang.from_json(text) if loaded
+                else compile_lang(load_grammar("calc.lang")).compiled)
+    seen = []
+
+    def canonical_json_seen(*args):
+        seen.append(gc.isenabled())
+        return _canonical_json(*args)
+
+    monkeypatch.setattr(artifact, "_canonical_json", canonical_json_seen)
+    gc.disable() if before == "off" else gc.enable()
+    try:
+        with _outer_pause(before):
+            assert compiled.to_json() == text
+            assert seen and not any(seen)
+            assert gc.isenabled() == (before == "on")
+        if before == "paused":
+            assert gc.isenabled()
+    finally:
         gc.enable()

@@ -226,7 +226,7 @@ _CONFLICT_FREE = ["ab_eps.lang", "calc.lang", "calc_prog.lang", "meta.lang",
                   "parens.lang", "rd_tiny.lang", "sum_list.lang"]
 
 
-def _langcc_outputs(out_dir, capsys):
+def _command_outputs(out_dir, capsys):
     """Exit code and output of `langcc --conflicts-out` on each conflict-free
     fixture and on calc_noprec.lang, and every file the runs wrote; GEN
     stands for the output directory in messages."""
@@ -244,9 +244,9 @@ def _langcc_outputs(out_dir, capsys):
 def test_compile_path_builds_no_item_sets(tmp_path, monkeypatch, capsys):
     # artifacts, schemas, conflict reports and messages come from the
     # kernels, gotos and actions alone
-    want = _langcc_outputs(tmp_path / "normal", capsys)
+    want = _command_outputs(tmp_path / "normal", capsys)
     _no_item_sets(monkeypatch)
-    assert _langcc_outputs(tmp_path / "no_items", capsys) == want
+    assert _command_outputs(tmp_path / "no_items", capsys) == want
     assert want["calc_noprec.lang"][0] == 1 and "calc_noprec.lang.report" in want
 
 

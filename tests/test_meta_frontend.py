@@ -162,6 +162,17 @@ parser { main { X0 } X0.One <- `x`; }
         parse_lang_spec(src)
 
 
+def test_render_places_the_failure_marker_at_its_byte_offset():
+    # non-ASCII text before the ## marker: a byte offset is not a
+    # character index
+    src = load_grammar("calc.lang").replace("\ntest {", "\ntest {\n    `é + ##/ 3`;")
+    spec = parse_lang_spec(src)
+    assert spec.parse_tests[0].expected_fail_offset == 5
+    rendered = render_spec(spec)
+    assert "`é + ##/ 3`;" in rendered
+    assert parse_lang_spec(rendered) == spec
+
+
 @pytest.mark.parametrize("name", [
     "calc.lang", "calc_noprec.lang", "ab_eps.lang", "parens.lang",
     "sum_list.lang", "calc_prog.lang", "meta.lang", "rd_tiny.lang",

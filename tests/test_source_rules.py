@@ -93,6 +93,32 @@ def test_artifact_modules_import_no_generator_module():
     assert found == []
 
 
+def test_only_the_pause_object_switches_the_collector():
+    # the cyclic collector is process-wide, and overlapping pauses keep it
+    # right only through artifact.collector_paused's lock and count: no
+    # other code turns it on or off or asks whether it is on, and none
+    # opens or closes the pause by hand, outside a with or a decorator
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        owner = set()
+        if path.name == "artifact.py":
+            owner = {id(n) for c in tree.body
+                     if isinstance(c, ast.ClassDef) and c.name == "_CollectorPause"
+                     for n in ast.walk(c)}
+            assert owner, "artifact.py: no class _CollectorPause"
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            f = node.func
+            if f.attr in ("__enter__", "__exit__") or (
+                    f.attr in ("disable", "enable", "isenabled")
+                    and isinstance(f.value, ast.Name) and f.value.id == "gc"
+                    and id(node) not in owner):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
 # The tree walks that run on explicit stacks, so that trees of any depth
 # (printed, checked, or read as `.lang` declarations, token patterns
 # validated and compiled) pass through them: none may call itself, directly
@@ -102,8 +128,8 @@ def test_artifact_modules_import_no_generator_module():
 STACK_WALKS = {
     "artifact.py": ["_field_plan", "_entries"],
     "lexer.py": ["Nfa.add_regex", "emit_constituents", "compile_lexer"],
-    "meta_frontend.py": ["_conv_regex", "_conv_pe", "_flatten_chain", "langspec_from_node",
-                         "_regex_refs", "_alias_diags", "validate_spec"],
+    "meta_frontend.py": ["_convert", "_conv_regex", "_conv_pe", "_flatten_chain",
+                         "langspec_from_node", "_regex_refs", "_alias_diags", "validate_spec"],
     "printer.py": ["pretty_print"],
     "spec_ast.py": ["Tree.__eq__", "Tree.__hash__", "Tree.__repr__",
                     "render_regex", "render_parse_expr"],
