@@ -170,14 +170,18 @@ class _CollectorPause(contextlib.ContextDecorator):
             self._running += 1
 
     def __exit__(self, exc_type, exc, tb):
-        # no *exc: packing it takes the free tuple the lock's exit then
-        # reuses, and a tuple allocated once the collector is back on sets
-        # off a collection over all the pause let live, such as a parse's
-        # whole tree (8-12 ms at 4,000 calc_prog statements)
-        with self._lock:
+        # nothing is allocated once the collector is back on: an allocation
+        # then sets off a collection over all the pause let live, such as a
+        # parse's whole tree (8-12 ms at 4,000 calc_prog statements).  So no
+        # *exc, and no `with self._lock:`, whose exit takes an argument
+        # tuple; release() takes none
+        self._lock.acquire()
+        try:
             self._running -= 1
             if not self._running and self._was_on:
                 gc.enable()
+        finally:
+            self._lock.release()
 
 
 collector_paused = _CollectorPause()

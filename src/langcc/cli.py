@@ -138,7 +138,7 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
              % (start, ", ".join(result.cfg.mains)))
         return 2
     for name in sorted({inst.base for inst in result.tables.unproductive}
-                       & result.cfg.ast_shape.variants.keys()):
+                       & result.cfg.ast_shape.keys()):
         _err("%s: warning: nonterminal %s derives no terminal string" % (lang_path, name))
 
     if dump_grammar_flag:

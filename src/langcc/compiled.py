@@ -140,7 +140,7 @@ def flatten(lexer: CompiledLexer, tables: LrTables, digest: str) -> CompiledLang
     for p in cfg.productions:
         if p.kind == "user":
             vk = "::".join((p.lhs,) + p.variant)
-            ast_json[vk] = [list(f) for f in cfg.ast_shape.variants[p.lhs][p.variant]]
+            ast_json[vk] = [list(f) for f in cfg.ast_shape[p.lhs][p.variant]]
             templates_json[vk] = [list(it) for it in p.template]
 
     data = {

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .spec_ast import Loc, SpecError, Tree
+from .spec_ast import Loc, SpecError, Tree, joined, quote_text, render
 
 
 # ---------------------------------------------------------------------------
@@ -342,32 +342,27 @@ def render_type(te: TypeExpr) -> str:
 
 def schema_render(schema: DatatypeSchema) -> str:
     """Canonical textual serialization; parse_data_spec(schema_render(s)) == s.
-    Case bodies of any depth are written from an explicit stack of what is
-    left to write: lines, and bodies with their indent."""
-    out: List[str] = []
+    Each type's body is written by spec_ast.render, so case bodies of any
+    depth render."""
+    out = []
     for name, d in schema.types:
         ps = schema.params_of(name)
         head = name if not ps else "%s[%s]" % (name, ", ".join(ps))
-        todo: list = ["", "}", (d, 1), "data %s {" % head]
-        while todo:
-            item = todo.pop()
-            if item.__class__ is str:
-                out.append(item)
-                continue
-            d, indent = item
-            pad = "    " * indent
-            if isinstance(d, Product):
-                for fname, fty in d.fields:
-                    out.append("%s%s: %s;" % (pad, fname, render_type(fty)))
-                continue
-            later: list = []
-            for cname, cdef in d.cases:
-                if isinstance(cdef, Product) and not cdef.fields:
-                    later.append("%s%s;" % (pad, cname))
-                else:
-                    later += ["%s%s {" % (pad, cname), (cdef, indent + 1), "%s}" % pad]
-            todo.extend(reversed(later))
+        out.append("data %s {\n%s}\n" % (head, render((d, 1), _body_parts)))
     return "\n".join(out)
+
+
+def _body_parts(d, indent: int):
+    pad = "    " * indent
+    if isinstance(d, Product):
+        return "".join("%s%s: %s;\n" % (pad, fname, render_type(fty)) for fname, fty in d.fields)
+    pieces = []
+    for cname, cdef in d.cases:
+        if isinstance(cdef, Product) and not cdef.fields:
+            pieces.append("%s%s;\n" % (pad, cname))
+        else:
+            pieces += ("%s%s {\n" % (pad, cname), (cdef, indent + 1), "%s}\n" % pad)
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -619,42 +614,36 @@ def _print_scalar(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):
-        return '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
+        return quote_text(v)
     raise TypeError(v)
 
 
 def debug_print(v: DataValue) -> str:
     """Deterministic rendering; injective on schema-conforming values.
-    Values of any depth print, from an explicit stack of (text, False) and
-    (field value, True) items."""
-    out: List[str] = []
-    todo = [(v, True)]
-    while todo:
-        x, is_value = todo.pop()
-        if not is_value:
-            out.append(x)
-        elif isinstance(x, DataValue):
-            out.append("::".join(x.type_path))
-            fields = x.fields
-            if fields:
-                todo.append((")", False))
-                for i in range(len(fields) - 1, -1, -1):
-                    f, fx = fields[i]
-                    todo.append((fx, True))
-                    todo.append(("%s: " % (f,) if i == 0 else ", %s: " % (f,), False))
-                todo.append(("(", False))
-        elif isinstance(x, tuple):
-            todo.append(("]", False))
-            for i in range(len(x) - 1, -1, -1):
-                todo.append((x[i], True))
-                if i:
-                    todo.append((", ", False))
-            todo.append(("[", False))
-        elif x is None:
-            out.append("none")
-        else:
-            out.append(_print_scalar(x))
-    return "".join(out)
+    Written by spec_ast.render, so values of any depth print."""
+    return render((v, None), _value_parts)
+
+
+def _value_parts(x, _context):
+    if isinstance(x, DataValue):
+        head = "::".join(x.type_path)
+        if not x.fields:
+            return head
+        pieces = [head + "("]
+        sep = ""
+        for f, fx in x.fields:
+            if fx.__class__ is str:  # the commonest leaf, written in place
+                pieces.append("%s%s: %s" % (sep, f, quote_text(fx)))
+            else:
+                pieces += ("%s%s: " % (sep, f), (fx, None))
+            sep = ", "
+        pieces.append(")")
+        return pieces
+    if isinstance(x, tuple):
+        return ["[", *joined(", ", [(y, None) for y in x]), "]"]
+    if x is None:
+        return "none"
+    return _print_scalar(x)
 
 
 # ---------------------------------------------------------------------------

@@ -82,14 +82,9 @@ class Cfg:
     terminals: set
     productions: List[Production]
     mains: Tuple[str, ...]
-    ast_shape: "AstShape"
-    synth_display: Dict[str, str]
-
-
-@dataclass
-class AstShape:
     # nonterm -> ordered {variant path tuple -> ((field, kind), ...)}
-    variants: Dict[str, Dict[Tuple[str, ...], Tuple[tuple, ...]]]
+    ast_shape: Dict[str, Dict[Tuple[str, ...], Tuple[tuple, ...]]]
+    synth_display: Dict[str, str]
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +142,8 @@ class _Lowerer:
     def run(self) -> Cfg:
         for rule in self.spec.parser.rules:
             self.lower_rule(rule)
-        shape = AstShape(self.shape)
         cfg = Cfg(self.terminals, self.productions,
-                  self.spec.parser.main_nonterms, shape, self.synth_display)
+                  self.spec.parser.main_nonterms, self.shape, self.synth_display)
         self._check_attrs_declared(cfg)
         return cfg
 
@@ -285,29 +279,20 @@ class _Lowerer:
             kind = ["enum", [[e.label, _synth_tmpl(sub)]]]
             ctx.sources.append(_FieldSource(idx, kind, label=e.label))
             return
+        # the rest stand for a synthesized nonterminal, one slot and field
         if isinstance(e, sa.AltBranches):
             name, kind = self._synth_enum(e, rule)
-            idx = ctx.add_slot(Slot(name, False))
-            ctx.sources.append(_FieldSource(idx, kind))
-            return
-        if isinstance(e, sa.Optional_):
+        elif isinstance(e, sa.Optional_):
             name, kind = self._synth_opt(e.inner, rule)
-            idx = ctx.add_slot(Slot(name, False))
-            ctx.sources.append(_FieldSource(idx, kind))
-            return
-        if isinstance(e, (sa.Star, sa.Plus)):
+        elif isinstance(e, (sa.Star, sa.Plus)):
             min_count = 0 if isinstance(e, sa.Star) else 1
             name, kind = self._synth_list("L", e.inner, min_count, sa.Eps(), "none", rule)
-            idx = ctx.add_slot(Slot(name, False))
-            ctx.sources.append(_FieldSource(idx, kind))
-            return
-        if isinstance(e, sa.ListExpr):
+        elif isinstance(e, sa.ListExpr):
             name, kind = self._synth_list(e.flavor, e.elem, e.min_count, e.delim,
                                           e.trailing, rule)
-            idx = ctx.add_slot(Slot(name, False))
-            ctx.sources.append(_FieldSource(idx, kind))
-            return
-        raise LowerError("cannot lower %r" % (e,), rule.loc)
+        else:
+            raise LowerError("cannot lower %r" % (e,), rule.loc)
+        ctx.sources.append(_FieldSource(ctx.add_slot(Slot(name, False)), kind))
 
     def _lower_sub(self, e: sa.ParseExpr, rule) -> _RuleCtx:
         sub = _RuleCtx(rule)
@@ -598,8 +583,7 @@ def derive_ast_schema(cfg: Cfg):
             return datacc.TRef(name, ())
         raise AssertionError(kind)
 
-    for nt in cfg.ast_shape.variants:
-        variants = cfg.ast_shape.variants[nt]
+    for nt, variants in cfg.ast_shape.items():
 
         def build(prefix, variants=variants, nt=nt):
             is_leaf = prefix in variants

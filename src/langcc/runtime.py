@@ -29,10 +29,11 @@ runs under artifact.collector_paused.
 node_to_data_value reads the plans CompiledLang resolves per variant at
 load (CompiledLang.plans; a field plan starts (tag, element plan, enum
 type name, field description); a variant with no plan has no fields), so
-it neither scans field kinds nor joins variant names per node.  It and
-render_node walk a tree on an explicit stack, as Tree's ==, hash and repr
-do, so a tree of any depth passes through them at the default recursion
-limit.  Nothing here or in artifact.py imports the generator.
+it neither scans field kinds nor joins variant names per node.  It walks
+a tree on an explicit stack, as Tree's == and hash do, and render_node
+runs on spec_ast.render, as Tree's repr does, so a tree of any depth
+passes through them at the default recursion limit.  Nothing here or in
+artifact.py imports the generator.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .artifact import (
 )
 from .datacc import DataValue, conforms
 from .lexer import EOF_TERMINAL, LexError, TokenLeaf, lex_lists, token_bounds_to_linecol
-from .spec_ast import SpecError, Tree
+from .spec_ast import SpecError, Tree, joined, quote_text, render
 
 
 class EnumVal(Tree):
@@ -317,43 +318,38 @@ def node_downcast(compiled: CompiledLang, n: Node, path) -> Optional[Node]:
 
 def render_node(n: Node) -> str:
     """`Variant::Path{field: value, ...}`, with token texts quoted, lists in
-    brackets and enum labels bare; built from an explicit stack of
-    (text, False) and (value, True) items, so any depth renders."""
-    out: List[str] = []
-    todo = [(n, True)]
-    while todo:
-        v, is_value = todo.pop()
-        if not is_value:
-            out.append(v)
-        elif isinstance(v, Node):
-            out.append("%s{" % "::".join(v.variant))
-            todo.append(("}", False))
-            names, values = v.names, v.values
-            k = len(values)
-            if len(names) < k:
-                k = len(names)
-            for i in range(k - 1, -1, -1):
-                todo.append((values[i], True))
-                todo.append(("%s: " % (names[i],) if i == 0 else ", %s: " % (names[i],), False))
-        elif isinstance(v, TokenLeaf):
-            out.append('"%s"' % v.text.replace("\\", "\\\\").replace('"', '\\"'))
-        elif isinstance(v, EnumVal):
-            out.append(v.label)
-        elif isinstance(v, SeqVal):
-            todo.append(("]", False))
-            items = v.items
-            for i in range(len(items) - 1, -1, -1):
-                todo.append((items[i], True))
-                if i:
-                    todo.append((", ", False))
-            todo.append(("[", False))
-        elif isinstance(v, bool):
-            out.append("true" if v else "false")
-        elif v is None:
-            out.append("none")
-        else:
-            raise TypeError(v)
-    return "".join(out)
+    brackets and enum labels bare; written by spec_ast.render, so any depth
+    renders."""
+    return render((n, None), _node_parts)
+
+
+def _node_parts(v, _context):
+    if isinstance(v, Node):
+        # tokens and labels, the commonest leaves, are written in place,
+        # which saves a call of this function each
+        pieces = ["%s{" % "::".join(v.variant)]
+        sep = ""
+        for name, x in zip(v.names, v.values):
+            if x.__class__ is TokenLeaf:
+                pieces.append("%s%s: %s" % (sep, name, quote_text(x.text)))
+            elif x.__class__ is EnumVal:
+                pieces.append("%s%s: %s" % (sep, name, x.label))
+            else:
+                pieces += ("%s%s: " % (sep, name), (x, None))
+            sep = ", "
+        pieces.append("}")
+        return pieces
+    if isinstance(v, TokenLeaf):
+        return quote_text(v.text)
+    if isinstance(v, EnumVal):
+        return v.label
+    if isinstance(v, SeqVal):
+        return ["[", *joined(", ", [(x, None) for x in v.items]), "]"]
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return "none"
+    raise TypeError(v)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ Token regexes and parse expressions derive from Tree, the base of every
 tree type in the package, so specs compare, hash and print at any depth.
 A lexer action is one LexerAction record whose op is its `.lang` keyword,
 and LEXER_OPS says what each op does.
+
+render is the one text walk of the package: Tree's repr, render_regex and
+render_parse_expr here, runtime.render_node, and datacc's debug_print and
+schema_render are each a render call with a function that gives the pieces
+of one value, so each reads in output order and renders any depth.
 """
 
 from __future__ import annotations
@@ -42,15 +47,15 @@ class SpecError(Exception):
 class Tree:
     """Base of the tree types: token regexes and parse expressions here,
     datacc's type expressions, schema bodies and values, and the runtime's
-    parse-tree values and lexer tokens.  ==, hash and repr each walk one
-    explicit stack, so a tree of any depth compares, hashes and prints at
-    the default recursion limit.
+    parse-tree values and lexer tokens.  == and hash each walk one explicit
+    stack, and repr runs on render, so a tree of any depth compares, hashes
+    and prints at the default recursion limit.
 
     They read the attributes a class compares: its COMPARED tuple if it has
     one, else its compare=True dataclass fields, else its __slots__.  ==
     is the tuple equality of those between instances of one class, hash
     the hash of their tuple, and repr the dataclass form Cls(f=v, ...),
-    with trees and tuples inside unfolded on the stack; so each gives what
+    with trees and tuples inside unfolded as pieces; so each gives what
     a frozen dataclass would.  A class's own __hash__ or __repr__ is used
     wherever one of its instances sits.  Trees are not modified once
     built."""
@@ -97,30 +102,7 @@ class Tree:
         return done[0].h
 
     def __repr__(self):
-        out = []
-        todo: list = [self]  # trees and tuples to print, or text to emit
-        while todo:
-            x = todo.pop()
-            if x.__class__ is str:
-                out.append(x)
-                continue
-            if x.__class__ is tuple:
-                out.append("(")
-                todo.append(",)" if len(x) == 1 else ")")
-                labelled = [("", v) for v in x]
-            else:
-                out.append(x.__class__.__qualname__ + "(")
-                todo.append(")")
-                labelled = list(zip([n + "=" for n in _compared(x.__class__)], _parts(x)))
-            for i in range(len(labelled) - 1, -1, -1):
-                label, v = labelled[i]
-                if v.__class__ is tuple or _inherits(v, "__repr__"):
-                    todo.append(v)
-                    v = ""
-                else:
-                    v = repr(v)
-                todo.append((", " if i else "") + label + v)
-        return "".join(out)
+        return render((self, None), _repr_parts)
 
 
 _COMPARED: dict = {}  # Tree class -> the attributes it compares
@@ -146,6 +128,24 @@ def _inherits(x, method: str) -> bool:
     return isinstance(x, Tree) and getattr(x.__class__, method) is getattr(Tree, method)
 
 
+def _repr_parts(x, _context) -> list:
+    """Tree.__repr__'s pieces of a tree or tuple: its head, each part as its
+    repr or, if it prints the same way, as a pair, and its close."""
+    if x.__class__ is tuple:
+        pieces, labels, values = ["("], [""] * len(x), x
+    else:
+        pieces = [x.__class__.__qualname__ + "("]
+        labels, values = [n + "=" for n in _compared(x.__class__)], _parts(x)
+    for i, v in enumerate(values):
+        label = ", " + labels[i] if i else labels[i]
+        if v.__class__ is tuple or _inherits(v, "__repr__"):
+            pieces += (label, (v, None))
+        else:
+            pieces.append(label + repr(v))
+    pieces.append(",)" if x.__class__ is tuple and len(x) == 1 else ")")
+    return pieces
+
+
 class _Hashed:
     """Stands in a tuple for a part already hashed: hashing the tuple then
     gives what hashing it with the part itself in that place would."""
@@ -157,6 +157,37 @@ class _Hashed:
 
     def __hash__(self):
         return self.h
+
+
+def render(root, parts) -> str:
+    """The text of `root`, a piece: a str, written as it stands, or a
+    (value, context) pair, which parts(value, context) turns into its text
+    or into a list of the pieces that stand for it, in reading order.  The
+    lists being read wait on one explicit stack, so a tree of any depth
+    renders at the default recursion limit."""
+    out = []
+    todo = [iter((root,))]  # each list being read, at the place reached
+    while todo:
+        for piece in todo[-1]:
+            if piece.__class__ is tuple:
+                piece = parts(*piece)
+                if piece.__class__ is list:
+                    todo.append(iter(piece))
+                    break
+            out.append(piece)
+        else:
+            todo.pop()
+    return "".join(out)
+
+
+def joined(sep: str, pieces: list) -> list:
+    """pieces with sep between each two."""
+    return [x for p in pieces for x in (sep, p)][1:]
+
+
+def quote_text(text: str) -> str:
+    """text in double quotes, backslash and double quote escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 # ---------------------------------------------------------------------------
@@ -477,119 +508,80 @@ def decode_backtick(raw: str, loc: Optional[Loc] = None) -> str:
 
 def render_regex(e: RegexExpr, prec: int = 0) -> str:
     """e as .lang text, parenthesized where its context binds tighter:
-    `prec` is that context's precedence, 0 alt, 1 concat, 2 postfix/atom.
-    Walks e on an explicit stack, so deep patterns render at any depth."""
-    out = []
-    todo = [(e, prec)]  # (regex, context precedence) to render, or text to emit
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        e, prec = item
-        if isinstance(e, RConcat) and not e.parts:
-            out.append("()")
-        elif isinstance(e, (RAlt, RConcat)):
-            sep, inner, at = (" | ", 1, 0) if isinstance(e, RAlt) else (" ", 2, 1)
-            if prec > at:
-                todo.append(")")
-            for i in range(len(e.parts) - 1, -1, -1):
-                todo.append((e.parts[i], inner))
-                if i:
-                    todo.append(sep)
-            if prec > at:
-                todo.append("(")
-        elif isinstance(e, RStar):
-            todo.append("*")
-            todo.append((e.inner, 2))
-        elif isinstance(e, RLit):
-            out.append(quote_backtick(e.text))
-        elif isinstance(e, RRange):
-            out.append("%s..%s" % (quote_backtick(e.lo), quote_backtick(e.hi)))
-        elif isinstance(e, RRef):
-            out.append(e.name)
-        elif isinstance(e, RWildcard):
-            out.append("_")
-        elif isinstance(e, REof):
-            out.append("eof")
-        else:
-            raise TypeError(e)
-    return "".join(out)
+    `prec` is that context's precedence, 0 alt, 1 concat, 2 postfix/atom."""
+    return render((e, prec), _regex_parts)
+
+
+def _paren(pieces: list, wrap: bool) -> list:
+    return ["(", *pieces, ")"] if wrap else pieces
+
+
+def _regex_parts(e: RegexExpr, prec: int):
+    # the commonest kinds first
+    if isinstance(e, RLit):
+        return quote_backtick(e.text)
+    if isinstance(e, RRef):
+        return e.name
+    if isinstance(e, RConcat) and not e.parts:
+        return "()"
+    if isinstance(e, (RAlt, RConcat)):
+        sep, inner, at = (" | ", 1, 0) if isinstance(e, RAlt) else (" ", 2, 1)
+        return _paren(joined(sep, [(p, inner) for p in e.parts]), prec > at)
+    if isinstance(e, RWildcard):
+        return "_"
+    if isinstance(e, RStar):
+        return [(e.inner, 2), "*"]
+    if isinstance(e, RRange):
+        return "%s..%s" % (quote_backtick(e.lo), quote_backtick(e.hi))
+    if isinstance(e, REof):
+        return "eof"
+    raise TypeError(e)
 
 
 def render_parse_expr(e: ParseExpr, prec: int = 0) -> str:
     """e as .lang text, parenthesized where its context binds tighter:
     `prec` is that context's precedence, 0 alt, 1 seq, 2 prefix
-    (name/unfold), 3 postfix, 4 atom.  Walks e on an explicit stack, so deep
-    rule bodies render at any depth."""
-    out = []
-    todo = [(e, prec)]  # (expression, context precedence) to render, or text to emit
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        e, prec = item
-        if isinstance(e, AltBranches):
-            # alternation only ever appears parenthesized in the surface syntax
-            todo.append(")")
-            for i in range(len(e.branches) - 1, -1, -1):
-                lbl, inner = e.branches[i]
-                todo.append((inner, 2))
-                todo.append("%s:" % lbl)
-                if i:
-                    todo.append(" | ")
-            todo.append("(")
-        elif isinstance(e, Seq):
-            if not e.items:
-                out.append("eps")
-                continue
-            if prec > 1:
-                todo.append(")")
-            for i in range(len(e.items) - 1, -1, -1):
-                todo.append((e.items[i], 2))
-                if i:
-                    todo.append(" ")
-            if prec > 1:
-                todo.append("(")
-        elif isinstance(e, (Named, Unfold)):
-            if prec > 2:
-                todo.append(")")
-            todo.append((e.inner, 2))
-            todo.append("%s:" % e.field_name if isinstance(e, Named) else "~")
-            if prec > 2:
-                todo.append("(")
-        elif isinstance(e, (Star, Plus, Optional_)):
-            todo.append("*" if isinstance(e, Star) else "+" if isinstance(e, Plus) else "?")
-            todo.append((e.inner, 3))
-        elif isinstance(e, TermLiteral):
-            out.append(quote_backtick(e.text))
-        elif isinstance(e, TokenRef):
-            out.append(e.name)
-        elif isinstance(e, NontermRef):
-            reqs = list(e.attr_reqs) + (["pr=*"] if e.pr_star else [])
-            out.append(e.name + "[" + ", ".join(reqs) + "]" if reqs else e.name)
-        elif isinstance(e, SingletonAlt):
-            todo.append("]")
-            todo.append((e.inner, 2))
-            todo.append("#Alt[%s:" % e.label)
-        elif isinstance(e, ListExpr):
-            num = {0: "::", 1: "::+", 2: "::++"}[e.min_count]
-            end = {"none": "", "optional": ":?", "required": "::"}[e.trailing]
-            todo.append(end + "]")
-            todo.append((e.delim, 0))
-            todo.append(num)
-            todo.append((e.elem, 0))
-            todo.append("#%s[" % e.flavor)
-        elif isinstance(e, PassString):
-            out.append("@(%s)" % quote_backtick(e.text))
-        elif isinstance(e, SpaceShorthand):
-            out.append("_")
-        elif isinstance(e, Eps):
-            out.append("eps")
-        else:
-            raise TypeError(e)
-    return "".join(out)
+    (name/unfold), 3 postfix, 4 atom."""
+    return render((e, prec), _parse_expr_parts)
+
+
+def _parse_expr_parts(e: ParseExpr, prec: int):
+    # the commonest kinds first
+    if isinstance(e, TermLiteral):
+        return quote_backtick(e.text)
+    if isinstance(e, (Named, Unfold)):
+        head = "%s:" % e.field_name if isinstance(e, Named) else "~"
+        return _paren([head, (e.inner, 2)], prec > 2)
+    if isinstance(e, Seq):
+        if not e.items:
+            return "eps"
+        return _paren(joined(" ", [(x, 2) for x in e.items]), prec > 1)
+    if isinstance(e, SpaceShorthand):
+        return "_"
+    if isinstance(e, NontermRef):
+        reqs = list(e.attr_reqs) + (["pr=*"] if e.pr_star else [])
+        return e.name + "[" + ", ".join(reqs) + "]" if reqs else e.name
+    if isinstance(e, TokenRef):
+        return e.name
+    if isinstance(e, ListExpr):
+        num = {0: "::", 1: "::+", 2: "::++"}[e.min_count]
+        end = {"none": "", "optional": ":?", "required": "::"}[e.trailing]
+        return ["#%s[" % e.flavor, (e.elem, 0), num, (e.delim, 0), end + "]"]
+    if isinstance(e, Eps):
+        return "eps"
+    if isinstance(e, AltBranches):
+        # alternation only ever appears parenthesized in the surface syntax
+        pieces = ["("]
+        for i, (lbl, inner) in enumerate(e.branches):
+            pieces += (" | %s:" % lbl if i else "%s:" % lbl, (inner, 2))
+        return pieces + [")"]
+    if isinstance(e, (Star, Plus, Optional_)):
+        return [(e.inner, 3), "*" if isinstance(e, Star) else "+" if isinstance(e, Plus) else "?"]
+    if isinstance(e, SingletonAlt):
+        return ["#Alt[%s:" % e.label, (e.inner, 2), "]"]
+    if isinstance(e, PassString):
+        return "@(%s)" % quote_backtick(e.text)
+    raise TypeError(e)
 
 
 def render_spec(spec: LangSpec) -> str:

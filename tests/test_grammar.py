@@ -110,13 +110,13 @@ def test_star_and_plus_desugar():
 
 def test_optional_literal_is_boolean_field():
     _, cfg, shape = _cfg_for("    S.Main <- x:(`a`)?;")
-    fields = dict(shape.variants["S"][("Main",)])
+    fields = dict(shape["S"][("Main",)])
     assert fields["x"][0] == "bool"
 
 
 def test_optional_content_is_option_field():
     _, cfg, shape = _cfg_for("    S.Main <- x:(`=` A)?;\n    A.A <- `a`;")
-    fields = dict(shape.variants["S"][("Main",)])
+    fields = dict(shape["S"][("Main",)])
     assert fields["x"] == ["opt", ["node", "A"], [["lit", "="], ["content"]], 1]
 
 
@@ -138,7 +138,7 @@ parser {
 
 def test_auto_field_names_without_strict():
     _, cfg, shape = _cfg_for("    S.Main <- A `=` x_tok;\n    A.A <- `a`;")
-    fields = shape.variants["S"][("Main",)]
+    fields = shape["S"][("Main",)]
     assert [f for f, _ in fields] == ["_f0", "_f2"]
 
 
@@ -334,7 +334,7 @@ def test_calc_expr_variants():
 
 def test_op_enum_field():
     spec, cfg, shape = _calc_cfg()
-    fields = dict(shape.variants["Expr"][("BinOp1",)])
+    fields = dict(shape["Expr"][("BinOp1",)])
     assert fields["op"][0] == "enum"
     assert [label for label, _ in fields["op"][1]] == ["Add", "Sub"]
 

@@ -622,6 +622,34 @@ def test_parse_reenables_collector_after_exception(calc):
     assert gc.isenabled()
 
 
+def test_pause_allocates_nothing_once_the_collector_is_back_on():
+    # an allocation after the pause turns the collector back on starts a
+    # collection over everything the pause let live; the 3-tuples drain the
+    # free list a `with` on the pause's lock would take its exit's argument
+    # tuple from
+    import gc
+
+    from langcc.artifact import collector_paused
+
+    marks, starts = [], []
+
+    def note(phase, _info):
+        if phase == "start":
+            starts.append(len(marks))
+
+    assert gc.isenabled()
+    gc.callbacks.append(note)
+    try:
+        with collector_paused:
+            kept = ([[] for _ in range(20_000)], [(i, i, i) for i in range(5_000)])
+            marks.append("block ends")
+        marks.append("with ends")
+    finally:
+        gc.callbacks.remove(note)
+    assert len(kept[0]) == 20_000
+    assert 1 not in starts
+
+
 # ---------------------------------------------------------------------------
 # Value types keep dataclass equality, hashing and repr
 

@@ -131,13 +131,15 @@ STACK_WALKS = {
     "meta_frontend.py": ["_convert", "_conv_regex", "_conv_pe", "_flatten_chain",
                          "langspec_from_node", "_regex_refs", "_alias_diags", "validate_spec"],
     "printer.py": ["pretty_print"],
-    "spec_ast.py": ["Tree.__eq__", "Tree.__hash__", "Tree.__repr__",
-                    "render_regex", "render_parse_expr"],
-    "runtime.py": ["node_to_data_value", "validate_node", "render_node", "Node.__repr__"],
+    "spec_ast.py": ["Tree.__eq__", "Tree.__hash__", "Tree.__repr__", "_repr_parts", "render",
+                    "render_regex", "_regex_parts", "render_parse_expr", "_parse_expr_parts"],
+    "runtime.py": ["node_to_data_value", "validate_node", "render_node", "_node_parts",
+                   "Node.__repr__"],
     "datacc.py": ["conforms", "_check_values", "make_value", "substitute_field",
-                  "value_hash", "debug_print", "DataValue.__hash__", "DataValue.__repr__",
-                  "_DataParser.parse", "_DataParser.parse_type", "_DataParser.parse_body",
-                  "render_type", "schema_render", "_subst", "_TypeNode.__repr__"],
+                  "value_hash", "debug_print", "_value_parts", "DataValue.__hash__",
+                  "DataValue.__repr__", "_DataParser.parse", "_DataParser.parse_type",
+                  "_DataParser.parse_body", "render_type", "schema_render", "_body_parts",
+                  "_subst", "_TypeNode.__repr__"],
     "cli.py": ["_count_cases"],
 }
 

@@ -1,6 +1,7 @@
 """The check and print walks (node_to_data_value, conforms, value_hash,
 pretty_print) agree with the recursive references in tests/oracle.py, and
-they and the other tree walks take trees of any depth."""
+they and the other tree walks take trees of any depth; spec_ast.render, the
+text walk the renderers run on, writes its pieces in reading order."""
 
 import sys
 
@@ -12,7 +13,7 @@ from conftest import GRAMMARS, load_grammar
 from langcc import datacc as D
 from langcc import derive_ast_schema, parse, pretty_print, render_node, validate_node
 from langcc.runtime import EnumVal, Node, SeqVal, TokenLeaf, node_to_data_value
-from langcc.spec_ast import SpecError
+from langcc.spec_ast import SpecError, joined, quote_text, render
 
 FIXTURES = sorted(p.name for p in GRAMMARS.glob("*.lang"))
 
@@ -425,6 +426,57 @@ def test_deep_calc_prog_at_default_recursion_limit(calc_prog, calc_prog_schema):
                             'y: Expr::Paren(x: Expr::Paren(x: ')
     assert shown.endswith('name: "y")' + ")" * (depth + 3) + "])")
     assert repr(v) == "DataValue(%s)" % shown
+
+
+# ---------------------------------------------------------------------------
+# spec_ast.render
+
+def test_render_writes_pieces_in_reading_order():
+    def parts(value, context):
+        if context == "list":
+            return ["[", *joined(", ", [(x, "item") for x in value]), "]"]
+        if isinstance(value, tuple):
+            return [(value, "list"), "!"]
+        return "%s%d" % (context[0], value)
+
+    assert render(((1, (2, 3), 4), "list"), parts) == "[i1, [i2, i3]!, i4]"
+    assert render(((), "list"), parts) == "[]"
+    assert joined(", ", []) == [] and joined(", ", ["a"]) == ["a"]
+
+
+def test_render_writes_text_as_it_stands_and_expands_pairs():
+    calls = []
+
+    def parts(value, context):
+        calls.append((value, context))
+        if context == 0:
+            return ["leaf", (value, 1), "(leaf, 2)", ""]
+        return "<%s %d>" % (value, context)
+
+    assert render(("leaf", 0), parts) == "leaf<leaf 1>(leaf, 2)"
+    assert calls == [("leaf", 0), ("leaf", 1)]
+    assert render("leaf", parts) == "leaf" and len(calls) == 2
+    assert quote_text('a"b\\c') == '"a\\"b\\\\c"'
+
+
+def test_render_takes_a_chain_of_any_depth():
+    depth = 10 ** 5
+    assert sys.getrecursionlimit() < depth
+
+    def parts(n, _context):
+        return ["(", (n - 1, None), ")"] if n else "x"
+
+    assert render((depth, None), parts) == "(" * depth + "x" + ")" * depth
+
+
+def test_render_lets_an_exception_of_parts_through():
+    def parts(n, _context):
+        if n == 3:
+            raise TypeError("no parts for %d" % n)
+        return [str(n), (n + 1, None)]
+
+    with pytest.raises(TypeError, match="no parts for 3"):
+        render((0, None), parts)
 
 
 # ---------------------------------------------------------------------------
