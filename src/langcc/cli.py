@@ -166,11 +166,12 @@ def cmd_langcc(lang_path: str, gen_path: str, *, max_k: int = 2,
     stem = os.path.splitext(os.path.basename(lang_path))[0]
     clang_path = os.path.join(gen_path, stem + ".clang")
     schema_path = os.path.join(gen_path, stem + ".ast.schema")
+    schema_text = datacc.schema_render(derive_ast_schema(result.cfg))
     try:
         with open(clang_path, "w", encoding="utf-8") as f:
             f.write(compiled.to_json())
         with open(schema_path, "w", encoding="utf-8") as f:
-            f.write(datacc.schema_render(derive_ast_schema(result.cfg)))
+            f.write(schema_text)
     except OSError as e:
         _err("langcc: cannot write artifacts: %s" % e)
         return 2

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -42,20 +41,17 @@ class _TypeNode(Tree):
         return "%s(%s)" % (self.__class__.__name__, render_type(self))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TRef(_TypeNode):
-    name: str
-    args: Tuple["TypeExpr", ...] = ()
+    __slots__ = ("name", "args")
+    DEFAULTS = ((),)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TSeq(_TypeNode):
-    elem: "TypeExpr"
+    __slots__ = ("elem",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TOpt(_TypeNode):
-    elem: "TypeExpr"
+    __slots__ = ("elem",)
 
 
 TypeExpr = Union[TRef, TSeq, TOpt]
@@ -63,14 +59,12 @@ TypeExpr = Union[TRef, TSeq, TOpt]
 BUILTINS = ("integer", "string", "boolean")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Product(Tree):
-    fields: Tuple[Tuple[str, TypeExpr], ...]
+    __slots__ = ("fields",)  # (name, TypeExpr) pairs
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Sum(Tree):
-    cases: Tuple[Tuple[str, "TypeDef"], ...]
+    __slots__ = ("cases",)  # (name, TypeDef) pairs
 
     def is_enum(self) -> bool:
         return all(isinstance(d, Product) and not d.fields for _n, d in self.cases)
@@ -608,16 +602,6 @@ def substitute_field(schema: DatatypeSchema, v: DataValue, name: str, new) -> Da
 # ---------------------------------------------------------------------------
 # Debug printing
 
-def _print_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return quote_text(v)
-    raise TypeError(v)
-
-
 def debug_print(v: DataValue) -> str:
     """Deterministic rendering; injective on schema-conforming values.
     Written by spec_ast.render, so values of any depth print."""
@@ -643,7 +627,13 @@ def _value_parts(x, _context):
         return ["[", *joined(", ", [(y, None) for y in x]), "]"]
     if x is None:
         return "none"
-    return _print_scalar(x)
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, str):
+        return quote_text(x)
+    raise TypeError(x)
 
 
 # ---------------------------------------------------------------------------

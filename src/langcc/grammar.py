@@ -121,7 +121,6 @@ class _RuleCtx:
 class _Lowerer:
     def __init__(self, spec: LangSpec):
         self.spec = spec
-        self.opaque = set(spec.opaque_names())
         self.counters = {"X": 0, "L": 0, "Q": 0}
         self.productions: List[Production] = []
         self.terminals = set()
@@ -427,10 +426,11 @@ def lower_precedence(spec: LangSpec, cfg: Cfg) -> Cfg:
 
       assoc_left:  first own-slot >= i, later own-slots >= i + 1
       assoc_right: last own-slot >= i, earlier own-slots >= i + 1
-      prefix:      trailing operand >= i
-      postfix:     leading operand >= i
+      prefix:      trailing operand >= i, earlier own-slots >= i + 1
+      postfix:     leading operand >= i, later own-slots >= i + 1
 
-    pr=* forces a bound of 0 regardless.
+    Prefix thus bounds a production's own-slots as assoc_right does, and
+    postfix as assoc_left does.  pr=* forces a bound of 0 regardless.
     """
     level: Dict[Tuple[str, ...], int] = {}
     tag_of: Dict[Tuple[str, ...], Optional[str]] = {}
@@ -449,21 +449,12 @@ def lower_precedence(spec: LangSpec, cfg: Cfg) -> Cfg:
         own = [i for i, s in enumerate(p.slots)
                if not s.is_terminal and s.symbol == p.lhs]
         bounds = {i: lvl for i in own}
-        if own:
-            if tag == "assoc_left":
-                for i in own[1:]:
-                    bounds[i] = lvl + 1
-            elif tag == "assoc_right":
-                for i in own[:-1]:
-                    bounds[i] = lvl + 1
-            elif tag == "prefix":
-                bounds[own[-1]] = lvl
-                for i in own[:-1]:
-                    bounds[i] = lvl + 1
-            elif tag == "postfix":
-                bounds[own[0]] = lvl
-                for i in own[1:]:
-                    bounds[i] = lvl + 1
+        if tag in ("assoc_left", "postfix"):
+            for i in own[1:]:
+                bounds[i] = lvl + 1
+        elif tag in ("assoc_right", "prefix"):
+            for i in own[:-1]:
+                bounds[i] = lvl + 1
         slots = tuple(
             replace(s, prec_bound=0 if s.pr_star else bounds.get(i, s.prec_bound))
             for i, s in enumerate(p.slots))

@@ -621,12 +621,17 @@ def validate_spec(spec: LangSpec) -> List[Diagnostic]:
                     diags.append(Diagnostic(r.loc, "lexer rule references undeclared "
                                             "token %r" % ref))
 
-    # parser: rule paths unique, main/prec references resolve
+    # parser: rule paths unique and none a parent of another, main/prec
+    # references resolve
     nonterms = {r.lhs for r in spec.parser.rules}
+    parents = {r.path[:i] for r in spec.parser.rules for i in range(1, len(r.path))}
     seen_paths = set()
     for r in spec.parser.rules:
         if r.path in seen_paths:
             diags.append(Diagnostic(r.loc, "duplicate rule %s" % r.dotted))
+        elif r.path in parents:
+            diags.append(Diagnostic(r.loc, "variant %s is both a rule and a parent of "
+                                    "other variants" % r.dotted))
         seen_paths.add(r.path)
     main_locs = spec.parser.main_locs or (None,) * len(spec.parser.main_nonterms)
     for name, loc in zip(spec.parser.main_nonterms, main_locs):

@@ -1,8 +1,10 @@
 """Surface AST for `.lang` language specifications.
 
-Everything here is immutable. Source locations are carried for diagnostics
-but excluded from equality, so two parses of equivalent sources compare
-equal structurally (this is what the bootstrap fixpoint check relies on).
+Nothing here is modified once built: the records are frozen dataclasses,
+and the trees are left as built by a rule that code follows, not one their
+classes enforce. Source locations are carried for diagnostics but excluded
+from equality, so two parses of equivalent sources compare equal
+structurally (this is what the bootstrap fixpoint check relies on).
 Token regexes and parse expressions derive from Tree, the base of every
 tree type in the package, so specs compare, hash and print at any depth.
 A lexer action is one LexerAction record whose op is its `.lang` keyword,
@@ -16,7 +18,7 @@ of one value, so each reads in output order and renders any depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple, Union
 
 
@@ -51,16 +53,31 @@ class Tree:
     stack, and repr runs on render, so a tree of any depth compares, hashes
     and prints at the default recursion limit.
 
-    They read the attributes a class compares: its COMPARED tuple if it has
-    one, else its compare=True dataclass fields, else its __slots__.  ==
-    is the tuple equality of those between instances of one class, hash
-    the hash of their tuple, and repr the dataclass form Cls(f=v, ...),
-    with trees and tuples inside unfolded as pieces; so each gives what
-    a frozen dataclass would.  A class's own __hash__ or __repr__ is used
-    wherever one of its instances sits.  Trees are not modified once
-    built."""
+    A class lists its parts in __slots__, in order, and Tree.__init__
+    takes them positionally, filling missing trailing ones from the class's
+    DEFAULTS.  == and hash read the attributes a class compares: its
+    COMPARED tuple if it has one, else its __slots__.  == is the tuple
+    equality of those between instances of one class, hash the hash of
+    their tuple, and repr the dataclass form Cls(f=v, ...), with trees and
+    tuples inside unfolded as pieces; so each gives what a frozen dataclass
+    would.  A class's own __hash__ or __repr__ is used wherever one of its
+    instances sits."""
 
     __slots__ = ()
+    DEFAULTS: tuple = ()  # values of the last parts, for a caller that omits them
+
+    def __init__(self, *parts):
+        names = self.__slots__
+        if len(parts) != len(names):
+            missing, defaults = len(names) - len(parts), self.DEFAULTS
+            if not 0 < missing <= len(defaults):
+                raise TypeError("%s(%s) given %d parts" % (
+                    self.__class__.__qualname__, ", ".join(names), len(parts)))
+            parts += defaults[len(defaults) - missing:]
+        i = 0
+        for name in names:  # indexed: a zip costs more than a tree's few parts
+            setattr(self, name, parts[i])
+            i += 1
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -111,11 +128,7 @@ _COMPARED: dict = {}  # Tree class -> the attributes it compares
 def _compared(cls) -> Tuple[str, ...]:
     names = _COMPARED.get(cls)
     if names is None:
-        names = getattr(cls, "COMPARED", None)
-        if names is None:
-            names = (tuple(f.name for f in fields(cls) if f.compare) if is_dataclass(cls)
-                     else cls.__slots__)
-        _COMPARED[cls] = names
+        names = _COMPARED[cls] = getattr(cls, "COMPARED", cls.__slots__)
     return names
 
 
@@ -193,45 +206,36 @@ def quote_text(text: str) -> str:
 # ---------------------------------------------------------------------------
 # Token regexes
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RLit(Tree):
-    text: str  # decoded codepoint sequence
+    __slots__ = ("text",)  # decoded codepoint sequence
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RRange(Tree):
-    lo: str  # single codepoint, lo <= hi
-    hi: str
+    __slots__ = ("lo", "hi")  # single codepoints, lo <= hi
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RConcat(Tree):
-    parts: Tuple["RegexExpr", ...]
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RAlt(Tree):
-    parts: Tuple["RegexExpr", ...]
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RStar(Tree):
-    inner: "RegexExpr"
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RRef(Tree):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RWildcard(Tree):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class REof(Tree):
-    pass
+    __slots__ = ()
 
 
 RegexExpr = Union[RLit, RRange, RConcat, RAlt, RStar, RRef, RWildcard, REof]
@@ -294,87 +298,71 @@ class LexerSpec:
 # ---------------------------------------------------------------------------
 # Parser stanza expressions
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TermLiteral(Tree):
-    text: str
+    __slots__ = ("text",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TokenRef(Tree):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class NontermRef(Tree):
-    name: str
-    attr_reqs: Tuple[str, ...] = ()
-    pr_star: bool = False
+    __slots__ = ("name", "attr_reqs", "pr_star")
+    DEFAULTS = ((), False)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Named(Tree):
-    field_name: str
-    inner: "ParseExpr"
+    __slots__ = ("field_name", "inner")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Tree):
-    items: Tuple["ParseExpr", ...]
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class AltBranches(Tree):
-    branches: Tuple[Tuple[str, "ParseExpr"], ...]  # (label, inner)
+    __slots__ = ("branches",)  # (label, inner) pairs
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SingletonAlt(Tree):
-    label: str
-    inner: "ParseExpr"
+    __slots__ = ("label", "inner")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Star(Tree):
-    inner: "ParseExpr"
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Plus(Tree):
-    inner: "ParseExpr"
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Optional_(Tree):
-    inner: "ParseExpr"
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ListExpr(Tree):
-    flavor: str  # L | B | B2 | T | T2
-    elem: "ParseExpr"
-    min_count: int  # 0 | 1 | 2
-    delim: "ParseExpr"
-    trailing: str  # none | optional | required
+    __slots__ = (
+        "flavor",  # L | B | B2 | T | T2
+        "elem",
+        "min_count",  # 0 | 1 | 2
+        "delim",
+        "trailing",  # none | optional | required
+    )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class PassString(Tree):
-    text: str
+    __slots__ = ("text",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SpaceShorthand(Tree):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Eps(Tree):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Unfold(Tree):
-    inner: "ParseExpr"
+    __slots__ = ("inner",)
 
 
 ParseExpr = Union[

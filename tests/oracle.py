@@ -68,7 +68,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from langcc.artifact import CompiledLang
 from langcc.datacc import (
-    _ANY, DataValue, DatatypeSchema, Sum, TOpt, TSeq, TypeExpr, _print_scalar, _subst, _u32,
+    _ANY, DataValue, DatatypeSchema, Sum, TOpt, TSeq, TypeExpr, _subst, _u32,
 )
 from langcc.grammar import Cfg, Inst, InstGrammar, expand_instances
 from langcc.lexer import (
@@ -734,7 +734,13 @@ def _print_field(v) -> str:
         return "[%s]" % ", ".join(_print_field(x) for x in v)
     if v is None:
         return "none"
-    return _print_scalar(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
+    raise TypeError(v)
 
 
 def debug_print(v: DataValue) -> str:

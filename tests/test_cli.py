@@ -109,6 +109,19 @@ def test_langcc_diagnostic_names_path_line_and_column(tmp_path, capsys, body, wh
     assert capsys.readouterr().err == str(bad) + where + "\n"
 
 
+def test_langcc_rule_that_is_a_parent_of_others_writes_nothing(tmp_path, capsys):
+    bad = tmp_path / "bad.lang"
+    bad.write_text("tokens { top <= `a` | `b`; }\n"
+                   "lexer { main { body } mode body { top => { emit; } eof => { pop; } } }\n"
+                   "parser { main { S }\n  S.A <- `a`;\n  S.A.B <- `b`; }\n")
+    gen = tmp_path / "gen"
+    gen.mkdir()
+    assert cmd_langcc(str(bad), str(gen)) == 1
+    assert capsys.readouterr().err == (
+        "%s:4:3: variant S.A is both a rule and a parent of other variants\n" % bad)
+    assert list(gen.iterdir()) == []
+
+
 @pytest.mark.parametrize("body, message", [
     ("x:#Alt[A:`a`]? `b`", "an #Alt cannot be optional"),
     ("x:#Alt[A:`a`]* `b`", "list element must not be an #Alt"),

@@ -99,6 +99,13 @@ def test_debug_print_formats(schema):
         'Expr::Bin(xs: [Expr::Lit::Int_(val: "7")], note: none, flag: true)'
 
 
+def test_debug_print_escapes_strings_in_fields_and_sequences():
+    # a field's string is written in place, a sequence item's on its own
+    s = D.parse_data_spec("data W { one: string; many: [string]; n: integer; }")
+    v = D.make_value(s, "W", {"one": 'a\\"b', "many": ("c\\", '"'), "n": -1})
+    assert D.debug_print(v) == r'W(one: "a\\\"b", many: ["c\\", "\""], n: -1)'
+
+
 def test_hash_deterministic_and_order_sensitive(schema):
     a = D.make_value(schema, "Pair", {"fst": 1, "snd": 2})
     b = D.make_value(schema, "Pair", {"fst": 1, "snd": 2})

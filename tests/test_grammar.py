@@ -11,6 +11,7 @@ from langcc import datacc as D
 from langcc.cli import run_test_stanza
 from langcc.grammar import LowerError, NameStrictViolation, dump_grammar
 from langcc.runtime import Node
+from langcc.spec_ast import Loc
 
 from conftest import load_grammar
 from oracle import admissible_tree, earley_accepts, enumerate_trees, recognizer
@@ -150,6 +151,21 @@ def test_duplicate_field_name_rejected():
 def test_alt_branch_with_content_rejected():
     with pytest.raises(LowerError, match="content-free"):
         _cfg_for("    S.Main <- y:(P:x_tok | Q:`b`);")
+
+
+@pytest.mark.parametrize("rhs, message", [
+    ("x:(`a` `b`)", "'x' names an expression with no content"),
+    ("x:(A A)", "'x' names an expression with more than one field"),
+    ("#Alt[N:A]", "#Alt body must be a single literal"),
+    ("(A A)?", "optional expression has more than one field"),
+    ("#L[x:A::`,`]", "list element must not carry a field name"),
+    ("(A A)*", "list element must be a single content expression"),
+    ("#L[A::A]", "list delimiter must be content-free"),
+])
+def test_shape_rule_violation_names_the_rule_at_its_line(rhs, message):
+    with pytest.raises(LowerError) as e:
+        _cfg_for("    S.Main <- %s;\n    A.A <- `a`;" % rhs)
+    assert (e.value.message, e.value.loc) == ("rule S.Main: " + message, Loc(6, 5))
 
 
 def test_undeclared_attribute_requirement_rejected():

@@ -1,5 +1,5 @@
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,6 +338,10 @@ BAD_SPECS = {
         "main { S }", "main { S }\n    prec {\n        S.One;\n        S.One;\n    }"),
     "attr line naming an undeclared rule": GOOD.replace(
         "main { S }", "main { S }\n    attr { S.Two[F]; }"),
+    "attr line naming an undeclared nonterminal": GOOD.replace(
+        "main { S }", "main { S }\n    attr {\n        S.One -> T[F];\n    }"),
+    "rule that is a parent of another": GOOD.replace(
+        "S.One <- `x`;", "S.One <- `x`;\n    S.One.Two <- `y`;"),
     "unfold of a literal": GOOD.replace("S.One <- `x`;", "S.One <- ~`x`;"),
 }
 
@@ -353,11 +357,18 @@ def test_diagnostics_match_the_hand_written_frontend(name):
 
 
 # diagnostics validate_spec gives once the spec is built, at the position of
-# what they name: the second `mode`, the main's mode name, the main nonterminal
+# what they name: the second `mode`, the main's mode name, the main
+# nonterminal, the attr line, the rule
 PINNED_LOCS = {
-    "duplicate lexer mode": Loc(9, 5),
-    "lexer main naming an undeclared mode": Loc(5, 12),
-    "main nonterminal with no rule": Loc(12, 15),
+    "duplicate lexer mode": ("duplicate lexer mode name", Loc(9, 5)),
+    "lexer main naming an undeclared mode": (
+        "lexer main names undeclared mode 'nowhere'", Loc(5, 12)),
+    "main nonterminal with no rule": (
+        "parser main names undeclared nonterminal 'T'", Loc(12, 15)),
+    "attr line naming an undeclared nonterminal": (
+        "attr line names undeclared nonterminal 'T'", Loc(14, 9)),
+    "rule that is a parent of another": (
+        "variant S.One is both a rule and a parent of other variants", Loc(13, 5)),
 }
 
 
@@ -365,7 +376,7 @@ PINNED_LOCS = {
 def test_spec_diagnostics_point_at_what_they_name(name):
     with pytest.raises(SpecError) as got:
         parse_lang_spec(BAD_SPECS[name])
-    assert got.value.loc == PINNED_LOCS[name]
+    assert (got.value.message, got.value.loc) == PINNED_LOCS[name]
 
 
 def test_terminal_the_lexer_never_emits_is_rejected():
@@ -580,7 +591,7 @@ def _parse_exprs(e):
             todo.extend(x)
         elif isinstance(x, Tree):
             out.append(x)
-            todo.extend(getattr(x, f.name) for f in fields(x))
+            todo.extend(getattr(x, name) for name in x.__slots__)
     return out
 
 
@@ -604,13 +615,24 @@ def test_spec_equality_and_hash_follow_every_field_of_a_deep_expression():
     assert a == b and hash(a) == hash(b) and not a != b
     changes = 0
     for i, e in enumerate(_parse_exprs(leaf)):
-        for f in fields(e):
+        for name in e.__slots__:
             c, c_leaf = _deep_rule_spec()
             target = _parse_exprs(c_leaf)[i]
-            object.__setattr__(target, f.name, _changed(getattr(target, f.name)))
-            assert a != c and c != a and not a == c, (type(e).__name__, f.name)
+            setattr(target, name, _changed(getattr(target, name)))
+            assert a != c and c != a and not a == c, (type(e).__name__, name)
             changes += 1
     assert changes == 27
+
+
+def test_trees_take_their_parts_in_slot_order_with_trailing_defaults():
+    assert NontermRef("E") == NontermRef("E", (), False)
+    assert NontermRef("E", ("I",)).pr_star is False
+    assert ListExpr("L", Eps(), 0, Eps(), "none").trailing == "none"
+    assert not hasattr(RLit("a"), "__dict__")
+    for make in (RLit, lambda: RLit("a", "b"), NontermRef,
+                 lambda: NontermRef("E", (), False, True), lambda: RLit(text="a")):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_spec_trees_print_and_hash_in_the_dataclass_form():

@@ -357,6 +357,71 @@ def test_artifact_with_unindexable_production_rejected(grammar, mutate, message,
         _load(data)
 
 
+def _set(path, value):
+    """A mutation that puts value at the place `path` of an artifact."""
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+def _first_reduce(data):
+    return next(e for e in data["action"] if e[2][0] == "reduce")
+
+
+# each check of the tables, productions and templates that from_json makes
+# by name, on one mutation of a fixture artifact (calc has 97 states and 34
+# productions)
+@pytest.mark.parametrize("grammar,mutate,message", [
+    ("calc", _set(("templates", "Stmt::Expr"), "x"), "print template 'x' is not a list"),
+    ("calc", _set(("prods", 32), ["start", 1]),
+     "production ['start', 1] is not [kind, length, lhs, ...]"),
+    ("calc", _set(("prods", 1, 4), "x"),
+     "production ['user', 1, 'Stmt', 'Stmt::Expr', 'x', 'Stmt -> Expr'] has malformed fields"),
+    ("calc", _set(("prods", 1, 4), [["x"]]),
+     "production ['user', 1, 'Stmt', 'Stmt::Expr', [['x']], 'Stmt -> Expr'] "
+     "has malformed fields"),
+    ("calc", _set(("prods", 15, 3), "Add"),
+     "production ['enum', 1, 'X0', 'Add', 'X0 -> `+`'] has no assembly list"),
+    ("calc", _set(("prods", 15, 3), []),
+     "production ['enum', 1, 'X0', [], 'X0 -> `+`'] has an empty assembly list"),
+    ("calc", _set(("prods", 15, 3), [1]),
+     "production ['enum', 1, 'X0', [1], 'X0 -> `+`'] has no enum label"),
+    ("calc_prog", lambda d: _set_asm(d, 14, "list_append", [0]),
+     "production ['list_append', 3, 'L1', [0], 'L1 -> L1 `;` Stmt'] "
+     "has no two-slot assembly list"),
+    ("calc", _set(("mains",), []), "mains is [], not a list of names"),
+    ("calc", _set(("action", 0, 1), ["`(`", "id"]),
+     "action entry [0, ['`(`', 'id'], ['shift', 2]] has no 1-token lookahead"),
+    ("calc", _set(("action", 0, 2), ["shift", "2"]),
+     "action ['shift', '2'] is not shift, reduce or accept"),
+    ("calc", lambda d: _first_reduce(d)[2].__setitem__(1, 34),
+     "action ['reduce', 34] reduces a production that does not exist"),
+    ("calc", _set(("goto", 0, 1), "x"),
+     "goto entry [0, 'x', 'Expr', 6] is not [state, kind, symbol, target]"),
+    ("calc", _set(("starts", "Expr"), "1"),
+     "starts is {'Expr': '1', 'Stmt': 0}, not a map of names to states"),
+    ("calc", _set(("action", 0, 0), 1000), "state 1000 is out of range"),
+    ("calc", lambda d: _shift_entry(d)[2].__setitem__(1, -1),
+     "shift, goto or start target -1 is not one of the 97 states"),
+    ("calc", _set(("goto", 0, 3), -1),
+     "shift, goto or start target -1 is not one of the 97 states"),
+    ("calc", lambda d: d["goto"].append([97, "n", "Expr", 98]),
+     "shift, goto or start target 98 is not one of the 98 states"),
+], ids=["template not a list", "short production", "user fields not a list",
+        "user field not a pair", "assembly not a list", "empty assembly", "enum label not text",
+        "list_append one slot", "no mains", "two-token lookahead", "shift to text",
+        "reduce past the productions", "goto kind", "start not a state", "state past the entries",
+        "negative shift", "negative goto", "goto-only state"])
+def test_artifact_failing_a_named_check_rejected(grammar, mutate, message, request):
+    data = json.loads(request.getfixturevalue(grammar).compiled.to_json())
+    mutate(data)
+    with pytest.raises(SpecError) as e:
+        _load(data)
+    assert e.value.message == "malformed artifact: " + message
+
+
 def _enum_on_optional_slot(data):
     # ParserDecl::Rule's `attrs` slot holds an optional, None when absent
     prod = next(p for p in data["prods"] if p[0] == "user" and p[3] == "ParserDecl::Rule")

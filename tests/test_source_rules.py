@@ -1,10 +1,14 @@
 """Rules the package source keeps."""
 
 import ast
+import dataclasses
+import importlib
 import pathlib
 from graphlib import CycleError, TopologicalSorter
 
 import pytest
+
+from langcc.spec_ast import Tree
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "langcc"
 
@@ -195,4 +199,22 @@ def test_tree_walks_do_not_recurse():
                 if name not in seen:
                     seen.add(name)
                     todo.extend(graph[name])
+    assert found == []
+
+
+def test_tree_types_list_their_parts_in_their_own_slots():
+    # Tree.__init__, == and hash read a tree's parts from its class's own
+    # __slots__ (or COMPARED), and a class that declares no slots gives its
+    # instances a __dict__; a dataclass tree would list its parts twice
+    for path in sorted(SRC.glob("*.py")):
+        importlib.import_module("langcc" if path.stem == "__init__" else "langcc." + path.stem)
+    checked, found, todo = [], [], [Tree]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("langcc."):
+                checked.append(cls.__qualname__)
+                if "__slots__" not in vars(cls) or dataclasses.is_dataclass(cls):
+                    found.append("%s.%s" % (cls.__module__, cls.__qualname__))
+    assert {"RLit", "ListExpr", "TRef", "Sum", "DataValue", "Node", "TokenLeaf"} <= set(checked)
     assert found == []
