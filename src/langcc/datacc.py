@@ -26,7 +26,7 @@ import struct
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .spec_ast import Loc, SpecError, Tree, joined, quote_text, render
+from .spec_ast import FieldTree, Loc, SpecError, Tree, joined, quote_text, render
 
 
 # ---------------------------------------------------------------------------
@@ -370,31 +370,31 @@ def hash_computation_count() -> int:
     return _HASH_COMPUTATIONS
 
 
-class DataValue(Tree):
+class DataValue(FieldTree):
     """Immutable value of a schema type.
 
     `type_path` is the full case path (e.g. ("Expr", "Lit", "Int_")); plain
-    products use the bare type name.  Field values are DataValue, int, str,
-    bool, tuple (sequence), or None / value (option absent / present).
-    Construct via make_value so fields are stored in schema order.
+    products use the bare type name.  Field values, in `values` beside their
+    `names`, are DataValue, int, str, bool, tuple (sequence), or None /
+    value (option absent / present), as many as the names.  Construct via
+    make_value so fields are stored in schema order.  Two values are equal
+    exactly when their digests are: a bool never equals an int.
     """
 
-    __slots__ = ("type_path", "fields", "_hash")
-    COMPARED = ("type_path", "fields")  # not the cached digest
+    __slots__ = ("type_path", "names", "values", "_hash")
+    COMPARED = ("type_path", "names", "values")  # not the cached digest
+    BOOLS_APART = True
 
-    def __init__(self, type_path: Tuple[str, ...], fields: Tuple[Tuple[str, object], ...]):
+    def __init__(self, type_path: Tuple[str, ...], names: Tuple[str, ...], values: tuple):
+        if len(names) != len(values):
+            raise TypeError("DataValue given %d names and %d values" % (len(names), len(values)))
         _SET_PATH(self, tuple(type_path))
-        _SET_FIELDS(self, tuple(fields))
+        _SET_NAMES(self, tuple(names))
+        _SET_VALUES(self, tuple(values))
         _SET_HASH(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DataValue is immutable")
-
-    def field(self, name: str):
-        for fname, v in self.fields:
-            if fname == name:
-                return v
-        raise KeyError(name)
 
     def __hash__(self):
         return int.from_bytes(value_hash(self)[:8], "big")
@@ -405,9 +405,9 @@ class DataValue(Tree):
 
 # the slot setters, which __setattr__ above refuses
 _SET_PATH = DataValue.type_path.__set__
-_SET_FIELDS = DataValue.fields.__set__
+_SET_NAMES = DataValue.names.__set__
+_SET_VALUES = DataValue.values.__set__
 _SET_HASH = DataValue._hash.__set__
-
 
 
 def make_value(schema: DatatypeSchema, path, fields: Optional[dict] = None) -> DataValue:
@@ -421,17 +421,17 @@ def make_value(schema: DatatypeSchema, path, fields: Optional[dict] = None) -> D
         raise SpecError("%s is a sum type; construct one of its cases" % "::".join(path))
     fields = dict(fields or {})
     bindings = {p: None for p in schema.params_of(path[0])}
-    ordered = []
+    values = []
     for fname, fty in d.fields:
         if fname not in fields:
             raise SpecError("missing field %r for %s" % (fname, "::".join(path)))
         v = fields.pop(fname)
         _check_values(schema, [(fty, v, bindings, (path, fname))])
-        ordered.append((fname, v))
+        values.append(v)
     if fields:
         raise SpecError("unknown field(s) %s for %s"
                         % (", ".join(sorted(fields)), "::".join(path)))
-    return DataValue(tuple(path), tuple(ordered))
+    return DataValue(path, [fname for fname, _t in d.fields], values)
 
 
 # The binding of an unbound type parameter, which any value matches: matched
@@ -546,20 +546,12 @@ def _check_values(schema: DatatypeSchema, todo: list):
                     bindings.setdefault(p, None)
             elif not bindings:
                 bindings = _NO_BINDINGS
-            fields = v.fields
-            n = len(names)
-            if len(fields) != n:
-                raise _fields_differ(v, names)
-            for i in range(n - 1, -1, -1):
-                fname, fv = fields[i]
-                if fname != names[i]:
-                    raise _fields_differ(v, names)
-                todo.append((types[i], fv, bindings, wheres[i]))
-
-
-def _fields_differ(v: DataValue, names: tuple) -> SpecError:
-    return SpecError("fields of %s are %s, expected %s"
-                     % ("::".join(v.type_path), [f for f, _ in v.fields], list(names)))
+            if v.names != names:
+                raise SpecError("fields of %s are %s, expected %s"
+                                % ("::".join(type_path), list(v.names), list(names)))
+            values = v.values
+            for i in range(len(names) - 1, -1, -1):
+                todo.append((types[i], values[i], bindings, wheres[i]))
 
 
 def conforms(schema: DatatypeSchema, v: DataValue, bindings: Optional[dict] = None):
@@ -595,8 +587,9 @@ def substitute_field(schema: DatatypeSchema, v: DataValue, name: str, new) -> Da
         raise SpecError("no field %r in %s" % (name, "::".join(v.type_path)))
     bindings = {p: None for p in schema.params_of(v.type_path[0])}
     _check_values(schema, [(fty, new, bindings, (v.type_path, name))])
-    fields = tuple((fname, new if fname == name else old) for fname, old in v.fields)
-    return DataValue(v.type_path, fields)
+    names = v.names
+    return DataValue(v.type_path, names,
+                     [new if names[i] == name else old for i, old in enumerate(v.values)])
 
 
 # ---------------------------------------------------------------------------
@@ -611,15 +604,15 @@ def debug_print(v: DataValue) -> str:
 def _value_parts(x, _context):
     if isinstance(x, DataValue):
         head = "::".join(x.type_path)
-        if not x.fields:
+        if not x.names:
             return head
         pieces = [head + "("]
         sep = ""
-        for f, fx in x.fields:
+        for i, fx in enumerate(x.values):
             if fx.__class__ is str:  # the commonest leaf, written in place
-                pieces.append("%s%s: %s" % (sep, f, quote_text(fx)))
+                pieces.append("%s%s: %s" % (sep, x.names[i], quote_text(fx)))
             else:
-                pieces += ("%s%s: " % (sep, f), (fx, None))
+                pieces += ("%s%s: " % (sep, x.names[i]), (fx, None))
             sep = ", "
         pieces.append(")")
         return pieces
@@ -639,29 +632,23 @@ def _value_parts(x, _context):
 # ---------------------------------------------------------------------------
 # Hashing
 
-def _u32(n: int) -> bytes:
-    return struct.pack(">I", n)
+_u32 = struct.Struct(">I").pack  # an int as 4 big-endian bytes
+_new_sha256 = hashlib.sha256().copy  # copying a fresh object costs less than making one
 
 
-_CACHE_LIMIT = 4096  # entries per byte cache below; cleared when it grows past
-_HEADERS: Dict[tuple, bytes] = {}  # type path -> b"V" + length + "::"-joined path
-_NAMES: Dict[str, bytes] = {}  # field name -> length + name
+_CACHE_LIMIT = 4096  # entries in _HEADERS; cleared when it grows past
+# type path -> (its values' names, b"V" + length + "::"-joined path, each name's length + name)
+_HEADERS: Dict[tuple, tuple] = {}
 
 
-def _header(type_path: tuple) -> bytes:
+def _header(type_path: tuple, names: tuple) -> tuple:
     path = "::".join(type_path).encode("utf-8")
+    data = [fname.encode("utf-8") for fname in names]  # as in the digest: a non-str raises
     if len(_HEADERS) >= _CACHE_LIMIT:
         _HEADERS.clear()
-    b = _HEADERS[type_path] = b"V" + _u32(len(path)) + path
-    return b
-
-
-def _name(fname: str) -> bytes:
-    data = fname.encode("utf-8")  # as in the digest: a name that is not a str raises
-    if len(_NAMES) >= _CACHE_LIMIT:
-        _NAMES.clear()
-    b = _NAMES[fname] = _u32(len(data)) + data
-    return b
+    h = _HEADERS[type_path] = (names, b"V" + _u32(len(path)) + path,
+                               tuple([_u32(len(d)) + d for d in data]))
+    return h
 
 
 def value_hash(v: DataValue) -> bytes:
@@ -671,24 +658,23 @@ def value_hash(v: DataValue) -> bytes:
     equal structures hash equal across runs and processes.  The walk keeps
     an explicit stack of the values (and sequences) whose fields are half
     serialized, and visits fields in the order a recursive walk would; the
-    serialization of each type path and field name is cached.
+    serialization of each type path and names tuple is cached.
     """
     cached = v._hash
     if cached is not None:
         return cached
     global _HASH_COMPUTATIONS
-    _HASH_COMPUTATIONS += 1
-    # the value being serialized (None while in one of its sequences), its
-    # fields (or the sequence's items) still to do, whether they are
-    # (name, value) pairs, and its serialization so far
-    owner, it, named = v, iter(v.fields), True
-    parts = [_HEADERS.get(v.type_path) or _header(v.type_path)]
+    # the value being serialized (None in a sequence, as at first, in the
+    # one-item sequence of v), its values or the sequence's items still to
+    # do, their serialized names (None in a sequence), the next one's index
+    # and the bytes so far
+    owner, it, names, i, parts = None, iter((v,)), None, 0, []
     stack = []
     while True:
         for x in it:
-            if named:
-                fname, x = x
-                parts.append(_NAMES.get(fname) or _name(fname))
+            if names is not None:
+                parts.append(names[i])
+                i += 1
             cls = x.__class__
             if cls is str:
                 data = x.encode("utf-8")
@@ -699,9 +685,11 @@ def value_hash(v: DataValue) -> bytes:
                     parts.append(b"D" + cached)
                     continue
                 _HASH_COMPUTATIONS += 1
-                stack.append((owner, it, named, parts))
-                owner, it, named = x, iter(x.fields), True
-                parts = [_HEADERS.get(x.type_path) or _header(x.type_path)]
+                stack.append((owner, it, names, i, parts))
+                h = _HEADERS.get(x.type_path)
+                if h is None or h[0] is not x.names and h[0] != x.names:
+                    h = _header(x.type_path, x.names)
+                owner, it, names, i, parts = x, iter(x.values), h[2], 0, [h[1]]
                 break
             elif isinstance(x, bool):
                 parts.append(b"B" + (b"\x01" if x else b"\x00"))
@@ -713,8 +701,8 @@ def value_hash(v: DataValue) -> bytes:
                 parts.append(b"S" + _u32(len(data)) + data)
             elif isinstance(x, tuple):
                 parts.append(b"L" + _u32(len(x)))
-                stack.append((owner, it, named, parts))
-                owner, it, named = None, iter(x), False
+                stack.append((owner, it, names, i, parts))
+                owner, it, names = None, iter(x), None
                 break
             elif x is None:
                 parts.append(b"N")
@@ -722,11 +710,13 @@ def value_hash(v: DataValue) -> bytes:
                 raise TypeError(x)
         else:
             if owner is not None:
-                digest = hashlib.sha256(b"".join(parts)).digest()
+                sha = _new_sha256()
+                sha.update(b"".join(parts))
+                digest = sha.digest()
                 _SET_HASH(owner, digest)
-                if not stack:
-                    return digest
-                owner, it, named, parts = stack.pop()
+                owner, it, names, i, parts = stack.pop()
                 parts.append(b"D" + digest)
+            elif stack:
+                owner, it, names, i, parts = stack.pop()
             else:
-                owner, it, named, parts = stack.pop()
+                return v._hash

@@ -30,9 +30,10 @@ node_to_data_value reads the plans CompiledLang resolves per variant at
 load (CompiledLang.plans; a field plan starts (tag, element plan, enum
 type name, field description); a variant with no plan has no fields), so
 it neither scans field kinds nor joins variant names per node.  It walks
-a tree on an explicit stack, as Tree's == and hash do, and render_node
-runs on spec_ast.render, as Tree's repr does, so a tree of any depth
-passes through them at the default recursion limit.  Nothing here or in
+a tree on an explicit stack of (value, plan) items, as Tree's == and hash
+do, to one DataValue per node that holds the node's names tuple, and no
+pair per field; render_node runs on spec_ast.render, as Tree's repr does,
+so any depth passes at the default recursion limit.  Nothing here or in
 artifact.py imports the generator.
 """
 
@@ -48,7 +49,7 @@ from .artifact import (
 )
 from .datacc import DataValue, conforms
 from .lexer import EOF_TERMINAL, LexError, TokenLeaf, lex_lists, token_bounds_to_linecol
-from .spec_ast import SpecError, Tree, joined, quote_text, render
+from .spec_ast import FieldTree, SpecError, Tree, joined, quote_text, render
 
 
 class EnumVal(Tree):
@@ -70,7 +71,7 @@ class SeqVal(Tree):
         self.end = end
 
 
-class Node(Tree):
+class Node(FieldTree):
     """A node of a rule variant: its field values in `values`, named by
     `names`, the one tuple every node its production builds shares."""
 
@@ -84,17 +85,6 @@ class Node(Tree):
         self.values = values
         self.start = start
         self.end = end
-
-    @property
-    def fields(self) -> Tuple[Tuple[str, object], ...]:
-        """The (name, value) pairs of the fields, in order."""
-        return tuple(zip(self.names, self.values))
-
-    def field(self, name: str):
-        try:
-            return self.values[self.names.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
 
     def has_variant_prefix(self, prefix: Tuple[str, ...]) -> bool:
         return self.variant[: len(prefix)] == prefix
@@ -363,26 +353,26 @@ def wrong_value(v, cls, where: str) -> SpecError:
 
 
 _ROOT = (K_NODE, None, None, None)  # the plan of the root: a node, not checked
-# more tags: stack marks saying that the fields of a node (their number
-# follows the tag), or the items of a sequence, are converted, so build its
-# value; and a field the variant does not have
-_BUILD_NODE, _BUILD_SEQ, _NO_KIND = -1, -2, -3
+# more tags: a stack mark saying that the k parts of a node or sequence (k
+# follows the tag) are converted, so build its value; and a field the
+# variant does not have
+_BUILD, _NO_KIND = -1, -2
 
 
 def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
     """Convert a Node to the datatype value layer for schema validation.
 
-    Walks the tree on an explicit stack of (value, field plan, field name)
-    items, with the per-variant plans of CompiledLang.plans, in the
-    order a recursive walk would visit the fields, so the
-    first wrong-kind field found is the one recursion would find.  Each
-    finished value goes on `out` as a (field name, value) pair; the marks
-    _BUILD_NODE and _BUILD_SEQ take their parts off it."""
+    Walks the tree on an explicit stack of (value, plan) items, with the
+    per-variant plans of CompiledLang.plans, in the order a recursive walk
+    would visit the fields, so the first wrong-kind field found is the one
+    recursion would find.  Each finished value goes on `out`; a _BUILD
+    mark takes its parts off it, and a node's DataValue keeps the node's
+    own names tuple."""
     plans = compiled.plans
     out: list = []
-    todo = [(n, _ROOT, None)]
+    todo = [(n, _ROOT)]
     while todo:
-        v, plan, name = todo.pop()
+        v, plan = todo.pop()
         tag = plan[0]
         if tag == K_NODE:
             if not isinstance(v, Node) and plan is not _ROOT:
@@ -390,55 +380,48 @@ def node_to_data_value(compiled: CompiledLang, n: Node) -> DataValue:
             vk, kinds, _ = plans.get(v.variant) or ("::".join(v.variant), {}, None)
             names, values = v.names, v.values
             k = min(len(names), len(values))  # the fields with both a name and a value
-            todo.append((v, (_BUILD_NODE, k), name))
+            todo.append((v, (_BUILD, k)))
             for i in range(k - 1, -1, -1):
-                fname = names[i]
-                fplan = kinds.get(fname)
+                fplan = kinds.get(names[i])
                 if fplan is None:  # fails when its turn comes
-                    fplan = (_NO_KIND, None, None, "%s.%s" % (vk, fname))
-                todo.append((values[i], fplan, fname))
-        elif tag == _BUILD_NODE:
+                    fplan = (_NO_KIND, None, None, "%s.%s" % (vk, names[i]))
+                todo.append((values[i], fplan))
+        elif tag == _BUILD:
             k = plan[1]
             if k:
-                fields = tuple(out[-k:])
+                parts = tuple(out[-k:])
                 del out[-k:]
             else:
-                fields = ()
-            out.append((name, DataValue(v.variant, fields)))
+                parts = ()
+            out.append(parts if isinstance(v, SeqVal)
+                       else DataValue(v.variant, v.names[:k], parts))
         elif tag == K_TOKEN:
             if not isinstance(v, TokenLeaf):
                 raise wrong_value(v, TokenLeaf, plan[3])
-            out.append((name, v.text))
+            out.append(v.text)
         elif tag == K_ENUM:
             if not isinstance(v, EnumVal):
                 raise wrong_value(v, EnumVal, plan[3])
-            out.append((name, DataValue((plan[2], v.label), ())))
+            out.append(DataValue((plan[2], v.label), (), ()))
         elif tag == K_SEQ:
             if not isinstance(v, SeqVal):
                 raise wrong_value(v, SeqVal, plan[3])
             items = v.items
-            todo.append((len(items), (_BUILD_SEQ,), name))
+            todo.append((v, (_BUILD, len(items))))
             elem = plan[1]
-            todo.extend([(item, elem, None) for item in reversed(items)])
-        elif tag == _BUILD_SEQ:
-            if v:
-                items = tuple([x for _n, x in out[-v:]])
-                del out[-v:]
-            else:
-                items = ()
-            out.append((name, items))
+            todo.extend([(item, elem) for item in reversed(items)])
         elif tag == K_OPT:
             if v is None:
-                out.append((name, None))
+                out.append(None)
             else:
-                todo.append((v, plan[1], name))
+                todo.append((v, plan[1]))
         elif tag == K_BOOL:
             if not isinstance(v, bool):
                 raise wrong_value(v, bool, plan[3])
-            out.append((name, v))
+            out.append(v)
         else:  # _NO_KIND
             raise KeyError(plan[3])
-    return out[0][1]
+    return out[0]
 
 
 def validate_node(compiled: CompiledLang, schema, n: Node) -> bool:

@@ -61,10 +61,12 @@ class Tree:
     their tuple, and repr the dataclass form Cls(f=v, ...), with trees and
     tuples inside unfolded as pieces; so each gives what a frozen dataclass
     would.  A class's own __hash__ or __repr__ is used wherever one of its
-    instances sits."""
+    instances sits, and a class with BOOLS_APART set has == tell a bool
+    part from the int of its value."""
 
     __slots__ = ()
     DEFAULTS: tuple = ()  # values of the last parts, for a caller that omits them
+    BOOLS_APART = False
 
     def __init__(self, *parts):
         names = self.__slots__
@@ -82,6 +84,7 @@ class Tree:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        apart = self.BOOLS_APART
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
@@ -89,7 +92,7 @@ class Tree:
                 continue
             cls = a.__class__
             if cls is not b.__class__ or not (cls is tuple or isinstance(a, Tree)):
-                if not a == b:
+                if not a == b or apart and (cls is bool) is not (b.__class__ is bool):
                     return False
                 continue
             if cls is not tuple:
@@ -120,6 +123,24 @@ class Tree:
 
     def __repr__(self):
         return render((self, None), _repr_parts)
+
+
+class FieldTree(Tree):
+    """Base of runtime.Node and datacc.DataValue, which hold their field
+    values in a `values` tuple beside the `names` tuple naming them."""
+
+    __slots__ = ()
+
+    @property
+    def fields(self) -> tuple:
+        """The (name, value) pairs of the fields, in order."""
+        return tuple(zip(self.names, self.values))
+
+    def field(self, name: str):
+        try:
+            return self.values[self.names.index(name)]
+        except (ValueError, IndexError):  # no such name, or a name with no value
+            raise KeyError(name) from None
 
 
 _COMPARED: dict = {}  # Tree class -> the attributes it compares

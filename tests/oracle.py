@@ -446,7 +446,7 @@ def node_to_data_value(compiled: CompiledLang, n: Node):
     for name, v in zip(n.names, n.values):
         kind = field_kind(compiled, n.variant, name)
         fields.append((name, _value_to_data(compiled, v, kind, vk, name)))
-    return DataValue(n.variant, tuple(fields))
+    return DataValue(n.variant, tuple(f for f, _ in fields), tuple(x for _, x in fields))
 
 
 def _value_to_data(compiled, v, kind, vk, fname):
@@ -476,7 +476,7 @@ def _value_to_data(compiled, v, kind, vk, fname):
         if not isinstance(v, EnumVal):
             raise wrong_value(v, EnumVal, "field %s.%s" % (vk, fname))
         enum_type = "_".join(vk.split("::") + [fname])
-        return DataValue((enum_type, v.label), ())
+        return DataValue((enum_type, v.label), (), ())
     raise AssertionError(kind)
 
 

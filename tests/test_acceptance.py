@@ -226,7 +226,7 @@ data Expr {
     corpus = [rand_value() for _ in range(1000)]
     ok = True
     for v in corpus:
-        w = D.DataValue(v.type_path, v.fields)  # structural copy
+        w = D.DataValue(v.type_path, v.names, v.values)  # structural copy
         if not (v == w and D.value_hash(v) == D.value_hash(w)):
             ok = False
     num = D.make_value(schema, "Expr::Num", {"val": 1})

@@ -1,8 +1,8 @@
 """The parse tree's compact form: positions as ints and one names tuple per
 production.  Parse, print, render and value-hash output is pinned by
-digest, the `fields` and `field` views agree with what they view, a lexed
-token is the tree's own leaf class, and a parsed tree's retained memory
-per token stays small."""
+digest, the `fields` and `field` views agree with what they view, a node's
+DataValue keeps the node's names tuple, a lexed token is the tree's own
+leaf class, and a parsed tree's retained memory per token stays small."""
 
 import gc
 import hashlib
@@ -11,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+import oracle
 from conftest import GRAMMARS, load_grammar
 from langcc import compile_lang, datacc, lexer, parse, pretty_print, render_node, runtime
 from langcc.lexer import lex, lex_lists
@@ -140,6 +141,28 @@ def test_views_agree_with_the_compact_form(calc_prog, meta, corpus):
                 v.field("no such field")
             # every node of a variant shares one names tuple
             assert shared.setdefault(v.variant, v.names) is v.names
+
+
+def test_data_values_keep_each_node_s_names(calc_prog, corpus):
+    compiled = calc_prog.compiled
+    for text in corpus:
+        root = parse(compiled, text).result
+        value = node_to_data_value(compiled, root)
+        # the fields are the pairs the reference builds one by one
+        reference = oracle.node_to_data_value(compiled, root)
+        assert value.fields == reference.fields and value == reference
+        todo = [(root, value)]
+        while todo:
+            x, y = todo.pop()
+            if isinstance(x, SeqVal):
+                assert type(y) is tuple and len(y) == len(x.items)
+                todo.extend(zip(x.items, y))
+            elif isinstance(x, EnumVal):
+                assert y.names == () == y.values and y.type_path[1] == x.label
+            elif isinstance(x, Node):
+                assert type(y) is datacc.DataValue and y.type_path == x.variant
+                assert y.names is x.names and len(y.values) == len(x.values)
+                todo.extend(zip(x.values, y.values))
 
 
 def test_one_token_class_from_lex_to_tree(calc_prog, corpus):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from langcc import datacc as D
+from langcc.runtime import Node
 from langcc.spec_ast import Loc, SpecError
 
 ENUM_SRC = "data Color { Red; Green; Blue; }"
@@ -171,6 +172,40 @@ def test_structural_equality_implies_hash_equality(schema):
             assert D.value_hash(v) == D.value_hash(w)
         if D.value_hash(v) != D.value_hash(w):
             assert v != w
+
+
+@pytest.mark.parametrize("one, true",
+                         [(1, True), (0, False), ((1,), (True,)), ((2, 0), (2, False))])
+def test_a_bool_never_equals_an_int(one, true):
+    # two values are equal exactly when their digests are: a set keeps both
+    a, b = D.DataValue(("A",), ("x",), (one,)), D.DataValue(("A",), ("x",), (true,))
+    assert D.value_hash(a) != D.value_hash(b)
+    assert a != b and not a == b and len({a, b}) == 2
+    again = D.DataValue(("A",), ("x",), (one,))
+    assert a == again and len({a, again}) == 1
+    # a parse-tree node keeps Python's 1 == True, as its hash does
+    n, m = Node(("A",), ("x",), (one,), 0, 0), Node(("A",), ("x",), (true,), 0, 0)
+    assert n == m and hash(n) == hash(m)
+
+
+def test_names_and_values_are_of_one_length():
+    with pytest.raises(TypeError, match="DataValue given 2 names and 1 values"):
+        D.DataValue(("A",), ("x", "y"), (1,))
+    with pytest.raises(TypeError, match="DataValue given 0 names and 1 values"):
+        D.DataValue(("A",), (), ("q",))
+
+
+def test_field_of_a_name_with_no_value_raises_key_error():
+    v = D.DataValue(("A",), ("x", "y"), (1, "s"))
+    assert v.field("y") == "s" and v.fields == (("x", 1), ("y", "s"))
+    with pytest.raises(KeyError):
+        v.field("z")
+    # a node built by hand can name more fields than it has values
+    n = Node(("A",), ("x", "y"), (1,), 0, 0)
+    assert n.field("x") == 1 and n.fields == (("x", 1),)
+    for name in ("y", "z"):
+        with pytest.raises(KeyError):
+            n.field(name)
 
 
 def test_schema_render_reparse_identity(schema):

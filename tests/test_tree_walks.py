@@ -303,17 +303,17 @@ def _replaced(root, path, new):
         fields = list(parent.fields)
         name, old = fields[i]
         fields[i] = (name, new if j is None else old[:j] + (new,) + old[j + 1:])
-        new = D.DataValue(parent.type_path, tuple(fields))
+        new = D.DataValue(parent.type_path, [f for f, _ in fields], [x for _, x in fields])
     return new
 
 
-_ID = D.DataValue(("Expr", "Id"), (("name", "q"),))
+_ID = D.DataValue(("Expr", "Id"), ("name",), ("q",))
 _WRONG_DATA = [5, "s", True, None, ("a",), (_ID, 7), 1.5, [1], _ID,
-               D.DataValue(("Expr", "Nope"), ()), D.DataValue(("Expr",), ()),
-               D.DataValue(("Stmt", "Expr"), (("x", _ID),)),
-               D.DataValue(("Expr", "Id"), (("name", 3),)),
-               D.DataValue(("Expr", "Id"), (("nom", "q"),)),
-               D.DataValue(("Expr", "Id"), ())]
+               D.DataValue(("Expr", "Nope"), (), ()), D.DataValue(("Expr",), (), ()),
+               D.DataValue(("Stmt", "Expr"), ("x",), (_ID,)),
+               D.DataValue(("Expr", "Id"), ("name",), (3,)),
+               D.DataValue(("Expr", "Id"), ("nom",), ("q",)),
+               D.DataValue(("Expr", "Id"), (), ())]
 
 
 def _mutation(data, v):
@@ -336,11 +336,11 @@ def _mutation(data, v):
         if i is not None:
             fields = list(x.fields)
             fields[i] = (fields[i][0], new)
-            changed = D.DataValue(x.type_path, tuple(fields))
+            changed = D.DataValue(x.type_path, [f for f, _ in fields], [y for _, y in fields])
         elif new is not None:
             changed = new
         else:
-            changed = D.DataValue(x.type_path, x.fields[:-1])
+            changed = D.DataValue(x.type_path, x.names[:-1], x.values[:-1])
         return _replaced(root, path, changed)
     return mutate
 
@@ -374,7 +374,7 @@ def _copy(v):
             elif isinstance(f, tuple):
                 f = tuple(built[id(y)] if isinstance(y, D.DataValue) else y for y in f)
             fields.append((name, f))
-        built[id(x)] = D.DataValue(x.type_path, tuple(fields))
+        built[id(x)] = D.DataValue(x.type_path, [n for n, _ in fields], [f for _, f in fields])
     return built[id(v)]
 
 
@@ -385,8 +385,8 @@ def test_conforms_keeps_bindings_of_parameterised_types():
     strs = D.make_value(schema, "Pair", {"fst": "a", "snd": "b"})
     box = D.make_value(schema, "Box", {"p": ok, "ps": (strs, strs)})
     assert D.conforms(schema, box) and oracle.conforms(schema, box)
-    for bad in [D.DataValue(("Box",), (("p", strs), ("ps", (strs,)))),
-                D.DataValue(("Box",), (("p", ok), ("ps", (strs, ok))))]:
+    for bad in [D.DataValue(("Box",), ("p", "ps"), (strs, (strs,))),
+                D.DataValue(("Box",), ("p", "ps"), (ok, (strs, ok)))]:
         assert _outcome(D.conforms, schema, bad) == _outcome(oracle.conforms, schema, bad)
         assert _outcome(D.conforms, schema, bad)[0] == "raised"
     for bindings in [{"T": D.TRef("integer")}, {"T": D.TRef("string")}, {"T": None}, {}]:
