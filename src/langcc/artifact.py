@@ -150,9 +150,8 @@ class _CollectorPause(contextlib.ContextDecorator):
     """`with collector_paused:`, or `@collector_paused` on a function, turns
     CPython's cyclic collector off for the block or call.  Trees, LR tables
     and artifacts hold no cycles, so reference counting frees them, and
-    collector passes over the many objects their builds and prints allocate
-    (parse, pretty_print, compile_lang, to_json, the langcc command) would
-    find nothing to free.
+    collector passes over the many objects their builds allocate (parse,
+    compile_lang, to_json, the langcc command) would find nothing to free.
     The collector is process-wide and pauses may overlap, nested or in
     threads: the first of overlapping pauses notes whether the collector
     was on and turns it off, and the last to end turns it back on if it

@@ -383,7 +383,6 @@ class DataValue(FieldTree):
 
     __slots__ = ("type_path", "names", "values", "_hash")
     COMPARED = ("type_path", "names", "values")  # not the cached digest
-    BOOLS_APART = True
 
     def __init__(self, type_path: Tuple[str, ...], names: Tuple[str, ...], values: tuple):
         if len(names) != len(values):
@@ -413,25 +412,28 @@ _SET_HASH = DataValue._hash.__set__
 def make_value(schema: DatatypeSchema, path, fields: Optional[dict] = None) -> DataValue:
     """Build and shape-check a value of the case at `path` (dotted or tuple)."""
     if isinstance(path, str):
-        path = tuple(path.split("::")) if "::" in path else tuple(path.split("."))
-    d = schema.resolve_path(tuple(path))
+        path = path.split("::") if "::" in path else path.split(".")
+    path = tuple(path)
+    d = schema.resolve_path(path)
     if d is None:
         raise SpecError("unknown type path %s" % "::".join(path))
     if isinstance(d, Sum):
         raise SpecError("%s is a sum type; construct one of its cases" % "::".join(path))
+    names, types, params, wheres = schema._plans.get(path) or _case_plan(
+        schema, schema._plans, path)  # one names tuple for every value of a case
     fields = dict(fields or {})
-    bindings = {p: None for p in schema.params_of(path[0])}
+    bindings = {p: None for p in params}
     values = []
-    for fname, fty in d.fields:
+    for i, fname in enumerate(names):
         if fname not in fields:
             raise SpecError("missing field %r for %s" % (fname, "::".join(path)))
         v = fields.pop(fname)
-        _check_values(schema, [(fty, v, bindings, (path, fname))])
+        _check_values(schema, [(types[i], v, bindings, wheres[i])])
         values.append(v)
     if fields:
         raise SpecError("unknown field(s) %s for %s"
                         % (", ".join(sorted(fields)), "::".join(path)))
-    return DataValue(path, [fname for fname, _t in d.fields], values)
+    return DataValue(path, names, values)
 
 
 # The binding of an unbound type parameter, which any value matches: matched

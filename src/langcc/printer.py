@@ -17,8 +17,7 @@ The templates are resolved per variant when the artifact loads
 plan}, the template's entries reversed, each literal text or (field name,
 field plan))); a variant with no plan has no template.  pretty_print runs
 one explicit stack over them, so it prints a tree of any depth at the
-default recursion limit, and runs under artifact.collector_paused, as parse
-does.
+default recursion limit.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from .artifact import (
     CONTENT, F_BLOCK, F_BLOCK2, F_LINE, F_TOP2, K_BOOL, K_ENUM, K_NODE, K_OPT, K_SEQ,
-    K_TOKEN, CompiledLang, collector_paused,
+    K_TOKEN, CompiledLang,
 )
 from .runtime import EnumVal, Node, SeqVal, TokenLeaf, parse, wrong_value
 from .spec_ast import SpecError
@@ -40,7 +39,6 @@ _NO_FIELD = (-1,)  # the plan of a field the node does not have
 _NEWLINE, _BLANK_LINE, _INDENT, _DEDENT = (object() for _ in range(4))
 
 
-@collector_paused
 def pretty_print(compiled: CompiledLang, n: Node) -> str:
     """Render a node back to text using the per-production templates.
 

@@ -61,12 +61,11 @@ class Tree:
     their tuple, and repr the dataclass form Cls(f=v, ...), with trees and
     tuples inside unfolded as pieces; so each gives what a frozen dataclass
     would.  A class's own __hash__ or __repr__ is used wherever one of its
-    instances sits, and a class with BOOLS_APART set has == tell a bool
-    part from the int of its value."""
+    instances sits.  == tells a bool part from the int of its value, so
+    trees that differ there are unequal, as their datacc digests are."""
 
     __slots__ = ()
     DEFAULTS: tuple = ()  # values of the last parts, for a caller that omits them
-    BOOLS_APART = False
 
     def __init__(self, *parts):
         names = self.__slots__
@@ -84,15 +83,18 @@ class Tree:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        apart = self.BOOLS_APART
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
             if a is b:
                 continue
             cls = a.__class__
-            if cls is not b.__class__ or not (cls is tuple or isinstance(a, Tree)):
-                if not a == b or apart and (cls is bool) is not (b.__class__ is bool):
+            if cls is not b.__class__:
+                if cls is bool or b.__class__ is bool or not a == b:
+                    return False
+                continue
+            if not (cls is tuple or isinstance(a, Tree)):
+                if not a == b:
                     return False
                 continue
             if cls is not tuple:

@@ -142,34 +142,6 @@ def test_mistyped_field_raises_spec_error(calc):
         pretty_print(calc.compiled, bad)
 
 
-def test_print_pauses_the_collector_and_leaves_it_as_it_found_it(calc, monkeypatch):
-    import gc
-
-    from langcc import printer
-    from langcc.runtime import Node
-
-    root = parse(calc.compiled, "x = 1 + 2").result
-    seen = []
-    real_wrong_value = printer.wrong_value
-
-    def wrong_value_seen(*args):
-        seen.append(gc.isenabled())
-        return real_wrong_value(*args)
-
-    monkeypatch.setattr(printer, "wrong_value", wrong_value_seen)
-    bad = Node(root.variant, root.names, (None,) * len(root.values), root.start, root.end)
-    for enabled in (True, False):
-        gc.enable() if enabled else gc.disable()
-        try:
-            assert pretty_print(calc.compiled, root) == "x = 1 + 2"
-            with pytest.raises(SpecError):
-                pretty_print(calc.compiled, bad)
-            assert gc.isenabled() == enabled
-        finally:
-            gc.enable()
-    assert seen and not any(seen)
-
-
 # a literal holding each escape and a non-ASCII character, in a user template,
 # a #Alt, an alternation branch, an optional bool and a list delimiter
 ESCAPES_SRC = r"""
